@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -19,7 +20,7 @@ from forestfw import canonical, checker, render, sim
 from forestfw.diagnostics import CompileError, PolicyError, has_errors
 from forestfw.netgen import CompileOptions, compile_policy
 from forestfw.policy_lang import default_importer, expand_rules, parse_policy, validate_spec
-from forestfw.policy_lang.syntax import PolicySpec, PortRange
+from forestfw.policy_lang.syntax import PORT_MAX, PORT_MIN, PolicySpec, PortRange
 from forestfw.topo_model import (
     ZoneConduitModel,
     build_zone_firewall_model,
@@ -177,13 +178,13 @@ def _replace_dir(staging: Path, target: Path) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    scan = None
+    if args.scan_ports:
+        scan = sim.ScanSpec(ports=_parse_port_list(args.scan_ports))
     compiled = Path(args.out)
     if not (compiled / "manifest.json").is_file():
         raise _UsageError(f"no compile manifest under {compiled}")
     net = sim.load_compiled(compiled)
-    scan = None
-    if args.scan_ports:
-        scan = sim.ScanSpec(ports=_parse_port_list(args.scan_ports))
 
     failures = 0
     for result in sim.vet_positive(net):
@@ -208,17 +209,26 @@ def cmd_graph(args: argparse.Namespace) -> int:
     return OK
 
 
+_PORT_ITEM = re.compile(r"(\d+)\s*(?:-\s*(\d+))?", re.ASCII)
+
+
 def _parse_port_list(text: str) -> tuple[PortRange, ...]:
+    """Parse ``--scan-ports``: comma-separated ports and ``LO-HI`` ranges."""
     ranges = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            ranges.append(PortRange(int(lo), int(hi)))
-        else:
-            ranges.append(PortRange(int(part), int(part)))
+        match = _PORT_ITEM.fullmatch(part)
+        if match is None:
+            raise _UsageError(f"bad scan port {part!r}: expected PORT or LO-HI")
+        lo = int(match.group(1))
+        hi = int(match.group(2) or lo)
+        if hi > PORT_MAX:
+            raise _UsageError(f"bad scan port {part!r}: ports run {PORT_MIN}-{PORT_MAX}")
+        if lo > hi:
+            raise _UsageError(f"bad scan port {part!r}: range is reversed")
+        ranges.append(PortRange(lo, hi))
     if not ranges:
         raise _UsageError(f"empty scan port list {text!r}")
     return tuple(ranges)

@@ -57,25 +57,21 @@ def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
 
 
 def subtract(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """Points of ``a`` not in ``b``."""
+    """Points of ``a`` not in ``b``, in one merge pass over both normalized sets."""
     out: list[Interval] = []
+    j = 0
     for lo, hi in a:
-        pieces = [(lo, hi)]
-        for blo, bhi in b:
-            next_pieces: list[Interval] = []
-            for plo, phi in pieces:
-                if bhi < plo or blo > phi:
-                    next_pieces.append((plo, phi))
-                    continue
-                if plo < blo:
-                    next_pieces.append((plo, blo - 1))
-                if phi > bhi:
-                    next_pieces.append((bhi + 1, phi))
-            pieces = next_pieces
-            if not pieces:
-                break
-        out.extend(pieces)
-    return normalize(out)
+        while j < len(b) and b[j][1] < lo:
+            j += 1
+        k = j
+        while k < len(b) and b[k][0] <= hi and lo <= hi:
+            if b[k][0] > lo:
+                out.append((lo, b[k][0] - 1))
+            lo = b[k][1] + 1
+            k += 1
+        if lo <= hi:
+            out.append((lo, hi))
+    return tuple(out)
 
 
 def is_subset(a: IntervalSet, b: IntervalSet) -> bool:

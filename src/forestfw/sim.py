@@ -4,9 +4,12 @@ The simulator walks packets along the conduit paths of the compiled
 network, evaluating each traversed firewall's interface ACL first-match,
 with a connection table gating ESTABLISHED traffic.  Positive vetting
 injects one representative packet per expanded flow (plus the TCP return
-leg) and expects delivery; negative vetting scans every ordered zone pair
-across a bounded protocol/port space and reports any delivery not implied
-by the policy.
+leg) and expects delivery.  Negative vetting scans every ordered zone pair
+and reports any delivery not implied by the policy.  The scan is not
+exhaustive: it fixes the lowest address of each zone's first CIDR, source
+port 49152 and state NEW, and varies only the dport (or ICMP type) over
+the scan ports, for protocols 1, 6 and 17 by default.  Vetting the full
+header space is ROADMAP item 3.
 """
 
 from __future__ import annotations
@@ -186,18 +189,25 @@ def _addr_in(addr: int, nets: tuple[ipaddress.IPv4Network, ...]) -> bool:
     return False
 
 
-def rule_matches_packet(rule: AclRule, packet: Packet) -> bool:
+def _matches_fixed(rule: AclRule, packet: Packet) -> bool:
+    """Match on protocol, state and (TCP/UDP) source port: every field but
+    the addresses and the swept dport or ICMP type."""
     if rule.protocol is not None and rule.protocol != packet.protocol:
         return False
     if rule.state and packet.state not in rule.state:
+        return False
+    return packet.protocol not in (6, 17) or _in_ranges(packet.sport, rule.sport)
+
+
+def rule_matches_packet(rule: AclRule, packet: Packet) -> bool:
+    if not _matches_fixed(rule, packet):
         return False
     if not _addr_in(packet.src_addr, rule.src) or not _addr_in(packet.dst_addr, rule.dst):
         return False
     if packet.protocol == 1:
         return _in_ranges(packet.icmp_type, rule.dport)
     if packet.protocol in (6, 17):
-        return (_in_ranges(packet.sport, rule.sport)
-                and _in_ranges(packet.dport, rule.dport))
+        return _in_ranges(packet.dport, rule.dport)
     return True
 
 
@@ -358,6 +368,7 @@ class ScanSpec:
 
 
 SCAN_SPORT = 49152  # fixed ephemeral source port for scan packets
+ICMP_TYPES: intervals.IntervalSet = ((0, 255),)  # the scanned ICMP types
 
 
 def default_scan_spec(net: SimNetwork) -> ScanSpec:
@@ -371,96 +382,120 @@ def default_scan_spec(net: SimNetwork) -> ScanSpec:
     return ScanSpec((1, 6, 17), port_ranges(ranges))
 
 
-def _service_accepts(svc: Service, packet: Packet) -> bool:
-    if svc.protocol != packet.protocol:
-        return False
-    if svc.protocol == 1:
-        return _in_ranges(packet.icmp_type, effective_icmp_types(svc))
-    if svc.protocol in (6, 17):
-        return (_in_ranges(packet.sport, effective_sports(svc))
-                and _in_ranges(packet.dport, effective_dports(svc)))
-    return True
+def _value_set(ranges: tuple[PortRange, ...],
+               universe: intervals.IntervalSet) -> intervals.IntervalSet:
+    """``ranges`` as an interval set; ``universe`` when unconstrained, as in
+    ``_in_ranges``."""
+    return intervals.normalize(ranges) if ranges else universe
 
 
-@dataclass
-class _PairPlan:
-    """Precomputed evaluation plan for one ordered zone pair."""
+def _acl_permits(rules: list[AclRule], point: Packet,
+                 universe: intervals.IntervalSet) -> intervals.IntervalSet:
+    """The swept values (dport, or ICMP type) of ``universe`` that ``rules`` permit.
 
-    src_addr: int
-    dst_addr: int
-    # per path: list of hops; per hop: list of (rules filtered by address)
-    paths: list[list[list[AclRule]]]
-    services: list[Service]
+    Every other header field is taken from ``point``.  The rules are
+    walked once in first-match order: each matching rule decides the
+    values no earlier rule decided.
+    """
+    permitted: intervals.IntervalSet = ()
+    undecided = universe
+    for rule in rules:
+        if not _matches_fixed(rule, point):
+            continue
+        if point.protocol in (1, 6, 17):
+            decided = intervals.intersect(undecided, _value_set(rule.dport, universe))
+        else:
+            decided = undecided
+        if not decided:
+            continue
+        if rule.action == "permit":
+            permitted = intervals.union(permitted, decided)
+        undecided = intervals.subtract(undecided, decided)
+        if not undecided:
+            break
+    return permitted
 
 
-def _pair_plan(net: SimNetwork, src_zone: str, dst_zone: str) -> _PairPlan:
-    src_addr = _zone_rep_addr(net.model.zones[src_zone])
-    dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
-    paths = []
-    for path in enumerate_paths(net.model, src_zone, dst_zone):
-        hops = []
-        for x, y in zip(path, path[1:]):
-            conduit = net.model.conduit_between(x, y)
-            assert conduit is not None
-            per_firewall = []
-            for firewall in sorted(conduit.firewalls):
-                key = _hop_acl_key(net.model, firewall, x, y)
-                rules = [r for r in net.acl_map.get(key, ())
-                         if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
-                per_firewall.append(rules)
-            hops.append(per_firewall)
-        paths.append(hops)
-    services = [f.service for f in net.flows
-                if f.src_zone == src_zone and f.dst_zone == dst_zone]
-    return _PairPlan(src_addr, dst_addr, paths, services)
+def _implied_values(services: list[Service], protocol: int,
+                    universe: intervals.IntervalSet) -> intervals.IntervalSet:
+    """Swept values of ``universe`` some service admits at sport SCAN_SPORT."""
+    implied: intervals.IntervalSet = ()
+    for svc in services:
+        if svc.protocol != protocol:
+            continue
+        if protocol == 1:
+            values = _value_set(effective_icmp_types(svc), universe)
+        elif protocol in (6, 17):
+            if not _in_ranges(SCAN_SPORT, effective_sports(svc)):
+                continue
+            values = _value_set(effective_dports(svc), universe)
+        else:
+            values = universe
+        implied = intervals.union(implied, values)
+    return implied
 
 
 def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
-    """Exhaustive scan over zone pairs; report deliveries the policy never implied."""
+    """Report scanned deliveries the policy never implied.
+
+    The scan is not exhaustive.  For each ordered zone pair it fixes the
+    lowest address of each zone's first CIDR, source port SCAN_SPORT and
+    state NEW, and varies the dport (ICMP type for protocol 1, types
+    0-255 only) over the scan ports, for each scanned protocol.  Each
+    hop ACL is decided once over an interval of those values: a hop
+    delivers what any of its firewalls permits, a path what all its hops
+    deliver, the pair what any path delivers.  Leaks are the delivered
+    scan values no flow of the pair admits, ordered by zone pair,
+    protocol (scan order) and value.  Vetting the full header space is
+    ROADMAP item 3.
+    """
     scan = scan or default_scan_spec(net)
-    port_values = list(scan.port_values())
+    scanned = intervals.normalize(scan.ports)
     leaks: list[Leak] = []
     zones = sorted(net.model.zones)
     for src_zone in zones:
         for dst_zone in zones:
             if src_zone == dst_zone:
                 continue
-            plan = _pair_plan(net, src_zone, dst_zone)
-            if not plan.paths:
+            paths = enumerate_paths(net.model, src_zone, dst_zone)
+            if not paths:
                 continue
+            path_hops = [[[_hop_acl_key(net.model, firewall, x, y)
+                           for firewall in sorted(net.model.conduit_between(x, y).firewalls)]
+                          for x, y in zip(path, path[1:])]
+                         for path in paths]
+            services = [f.service for f in net.flows
+                        if f.src_zone == src_zone and f.dst_zone == dst_zone]
+            src_addr = _zone_rep_addr(net.model.zones[src_zone])
+            dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
+            acls = {key: [r for r in net.acl_map.get(key, ())
+                          if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
+                    for hops in path_hops for keys in hops for key in keys}
             for protocol in scan.protocols:
-                for value in port_values:
-                    if protocol == 1 and value > 255:
-                        continue
-                    packet = Packet(
-                        plan.src_addr, plan.dst_addr, protocol,
-                        SCAN_SPORT, 0 if protocol == 1 else value,
-                        value if protocol == 1 else 0, NEW)
-                    if not _plan_delivers(plan, packet):
-                        continue
-                    if any(_service_accepts(svc, packet) for svc in plan.services):
-                        continue
-                    leaks.append(Leak(src_zone, dst_zone, protocol, value))
+                values = intervals.intersect(scanned, ICMP_TYPES) if protocol == 1 else scanned
+                if not values:
+                    continue
+                # decide over the hull of the scan: fewer fragments than the scan itself
+                hull = ((values[0][0], values[-1][1]),)
+                point = Packet(src_addr, dst_addr, protocol, SCAN_SPORT, 0, 0, NEW)
+                permits = {key: _acl_permits(rules, point, hull)
+                           for key, rules in acls.items()}
+                delivered: intervals.IntervalSet = ()
+                for hops in path_hops:
+                    reach = hull
+                    for keys in hops:
+                        hop: intervals.IntervalSet = ()
+                        for key in keys:
+                            hop = intervals.union(hop, permits[key])
+                        reach = intervals.intersect(reach, hop)
+                        if not reach:
+                            break
+                    delivered = intervals.union(delivered, reach)
+                if not delivered:
+                    continue
+                leaked = intervals.subtract(
+                    delivered, _implied_values(services, protocol, hull))
+                leaks.extend(Leak(src_zone, dst_zone, protocol, value)
+                             for lo, hi in intervals.intersect(leaked, values)
+                             for value in range(lo, hi + 1))
     return leaks
-
-
-def _plan_delivers(plan: _PairPlan, packet: Packet) -> bool:
-    for hops in plan.paths:
-        delivered = True
-        for per_firewall in hops:
-            hop_accept = False
-            for rules in per_firewall:
-                action = "deny"
-                for rule in rules:
-                    if rule_matches_packet(rule, packet):
-                        action = rule.action
-                        break
-                if action == "permit":
-                    hop_accept = True
-                    break
-            if not hop_accept:
-                delivered = False
-                break
-        if delivered:
-            return True
-    return False

@@ -2,7 +2,7 @@
 
 The oracles stay deliberately independent of the library's own set
 algebra: accept sets are materialized as dense numpy grids and compared
-pointwise.
+pointwise, and negative vetting is replayed one packet at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,25 @@ import numpy as np
 
 from forestfw.canonical import CanonicalPolicy
 from forestfw.header_space import ACCEPT, DENY, HeaderPoint, MatchRule, Predicate
-from forestfw.policy_lang.syntax import PortRange, Service
+from forestfw.netgen import enumerate_paths
+from forestfw.policy_lang.syntax import (
+    PortRange,
+    Service,
+    effective_dports,
+    effective_icmp_types,
+    effective_sports,
+)
+from forestfw.sim import (
+    NEW,
+    SCAN_SPORT,
+    Leak,
+    Packet,
+    ScanSpec,
+    SimNetwork,
+    _hop_acl_key,
+    _zone_rep_addr,
+    default_scan_spec,
+)
 
 GRID_PORTS = 256  # oracle grids cover ports/types 0..255
 
@@ -145,18 +163,120 @@ def random_accept_rules(rng: random.Random, limit: int = 16,
     return rules
 
 
+# ---------------------------------------------------------------------------
+# per-packet negative-vetting oracle
+
+def _in_ranges(value: int, ranges) -> bool:
+    return not ranges or any(lo <= value <= hi for lo, hi in ranges)
+
+
+def _addr_in(addr: int, nets) -> bool:
+    return any(int(n.network_address) <= addr <= int(n.broadcast_address) for n in nets)
+
+
+def packet_matches(rule, packet: Packet) -> bool:
+    """One ACL rule against one packet (the ICMP type rides in ``rule.dport``)."""
+    if rule.protocol is not None and rule.protocol != packet.protocol:
+        return False
+    if rule.state and packet.state not in rule.state:
+        return False
+    if not _addr_in(packet.src_addr, rule.src) or not _addr_in(packet.dst_addr, rule.dst):
+        return False
+    if packet.protocol == 1:
+        return _in_ranges(packet.icmp_type, rule.dport)
+    if packet.protocol in (6, 17):
+        return _in_ranges(packet.sport, rule.sport) and _in_ranges(packet.dport, rule.dport)
+    return True
+
+
+def service_accepts(svc: Service, packet: Packet) -> bool:
+    if svc.protocol != packet.protocol:
+        return False
+    if svc.protocol == 1:
+        return _in_ranges(packet.icmp_type, effective_icmp_types(svc))
+    if svc.protocol in (6, 17):
+        return (_in_ranges(packet.sport, effective_sports(svc))
+                and _in_ranges(packet.dport, effective_dports(svc)))
+    return True
+
+
+def pair_plan(net: SimNetwork, src_zone: str, dst_zone: str):
+    """Representative addresses, per-path hop ACLs (address-filtered) and
+    the flow services of one ordered zone pair."""
+    src_addr = _zone_rep_addr(net.model.zones[src_zone])
+    dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
+    paths = []
+    for path in enumerate_paths(net.model, src_zone, dst_zone):
+        hops = []
+        for x, y in zip(path, path[1:]):
+            conduit = net.model.conduit_between(x, y)
+            hops.append([
+                [r for r in net.acl_map.get(_hop_acl_key(net.model, fw, x, y), ())
+                 if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
+                for fw in sorted(conduit.firewalls)])
+        paths.append(hops)
+    services = [f.service for f in net.flows
+                if f.src_zone == src_zone and f.dst_zone == dst_zone]
+    return src_addr, dst_addr, paths, services
+
+
+def plan_delivers(paths, packet: Packet) -> bool:
+    """Some path on which every hop has a firewall whose first match permits."""
+    def acl_permits(rules) -> bool:
+        return next((r.action for r in rules if packet_matches(r, packet)),
+                    "deny") == "permit"
+
+    return any(all(any(acl_permits(rules) for rules in hop) for hop in hops)
+               for hops in paths)
+
+
+def scan_packet(src_addr: int, dst_addr: int, protocol: int, value: int) -> Packet:
+    return Packet(src_addr, dst_addr, protocol, SCAN_SPORT,
+                  0 if protocol == 1 else value, value if protocol == 1 else 0, NEW)
+
+
+def brute_force_leaks(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
+    """Negative vetting one scan packet at a time."""
+    scan = scan or default_scan_spec(net)
+    values = list(scan.port_values())
+    leaks = []
+    zones = sorted(net.model.zones)
+    for src_zone in zones:
+        for dst_zone in zones:
+            if src_zone == dst_zone:
+                continue
+            src_addr, dst_addr, paths, services = pair_plan(net, src_zone, dst_zone)
+            if not paths:
+                continue
+            for protocol in scan.protocols:
+                for value in values:
+                    if protocol == 1 and value > 255:
+                        continue
+                    packet = scan_packet(src_addr, dst_addr, protocol, value)
+                    if (plan_delivers(paths, packet)
+                            and not any(service_accepts(s, packet) for s in services)):
+                        leaks.append(Leak(src_zone, dst_zone, protocol, value))
+    return leaks
+
+
 __all__ = [
     "ACCEPT",
     "DENY",
     "GRID_PORTS",
     "accept_masks",
+    "brute_force_leaks",
     "canonical_masks",
     "masks_equal",
     "masks_subset",
+    "packet_matches",
+    "pair_plan",
+    "plan_delivers",
     "random_accept_rules",
     "random_range",
     "random_service",
     "random_service_set",
     "rule_grid_points",
+    "scan_packet",
+    "service_accepts",
     "split_cover",
 ]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from forestfw.cli import main
 from conftest import FIXTURES
 
@@ -150,3 +152,31 @@ def test_graph_on_empty_topology_writes_empty_graphs(tmp_path, capsys):
     out_dir = tmp_path / "graphs"
     assert main(["graph", "--topology", str(empty), "--out", str(out_dir)]) == 0
     assert (out_dir / "zone_conduit.dot").read_text() == "graph zone_conduit {\n}\n"
+
+
+@pytest.mark.parametrize("ports, message", [
+    ("5-x", "expected PORT or LO-HI"),
+    ("-3", "expected PORT or LO-HI"),
+    ("80,http", "expected PORT or LO-HI"),
+    ("10-5", "range is reversed"),
+    ("70000", "ports run 0-65535"),
+    ("0-65536", "ports run 0-65535"),
+    (",", "empty scan port list"),
+])
+def test_simulate_rejects_bad_scan_ports(tmp_path, capsys, ports, message):
+    # the port list is checked before the compile directory is read
+    code = main(["simulate", "--out", str(tmp_path), "--scan-ports", ports])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("forestfw: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_accepts_spaced_and_single_port_lists(tmp_path, capsys):
+    out_dir = tmp_path / "compiled"
+    main(["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
+          "--out", str(out_dir), "--ospf"])
+    capsys.readouterr()
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", " 0 - 64 , 443,65535"])
+    assert code == 0
+    assert "0 leak(s)" in capsys.readouterr().out

@@ -1,5 +1,8 @@
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from forestfw import intervals
 
 
@@ -36,3 +39,47 @@ def test_contains_and_sample():
     assert not intervals.contains(ranges, 5)
     assert intervals.sample(ranges) == 2
     assert intervals.size(ranges) == 4
+
+
+# ---------------------------------------------------------------------------
+# properties against Python sets on a small universe
+UNIVERSE = 24
+
+raw_ranges = st.lists(st.tuples(st.integers(-2, UNIVERSE), st.integers(-2, UNIVERSE)),
+                      max_size=6)
+interval_sets = raw_ranges.map(intervals.normalize)
+
+
+def points(ranges) -> set[int]:
+    return {v for lo, hi in ranges for v in range(lo, hi + 1)}
+
+
+def assert_normal_form(ranges) -> None:
+    assert isinstance(ranges, tuple)
+    for lo, hi in ranges:
+        assert lo <= hi
+    for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+        assert hi + 1 < lo  # sorted, disjoint and not adjacent
+
+
+@given(raw_ranges)
+def test_normalize_keeps_points_in_normal_form(raw):
+    result = intervals.normalize(raw)
+    assert_normal_form(result)
+    assert points(result) == points(raw)
+    assert intervals.normalize(result) == result
+
+
+@given(interval_sets, interval_sets)
+def test_binary_operations_equal_set_operations(a, b):
+    for result, expected in [(intervals.intersect(a, b), points(a) & points(b)),
+                             (intervals.union(a, b), points(a) | points(b)),
+                             (intervals.subtract(a, b), points(a) - points(b))]:
+        assert_normal_form(result)
+        assert points(result) == expected
+    assert intervals.is_subset(a, b) == (points(a) <= points(b))
+
+
+@given(interval_sets, st.integers(-3, UNIVERSE + 1))
+def test_contains_equals_membership(a, value):
+    assert intervals.contains(a, value) == (value in points(a))

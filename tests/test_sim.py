@@ -6,10 +6,17 @@ import pytest
 from forestfw.diagnostics import PolicyError
 from forestfw.header_space import HeaderPoint, eval_first_match, MatchRule, ACCEPT, DENY
 from forestfw.netgen import AclRule, CompileOptions, compile_policy
-from forestfw.policy_lang.syntax import PortRange
+from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
+from forestfw.topo_model import (
+    LOCAL_INTERFACE,
+    build_zone_firewall_model,
+    derive_zone_conduit,
+    load_topology,
+)
 from forestfw.sim import (
     ESTABLISHED,
     NEW,
+    Leak,
     Packet,
     ScanSpec,
     SimNetwork,
@@ -21,6 +28,14 @@ from forestfw.sim import (
     rule_matches_packet,
     vet_negative,
     vet_positive,
+)
+from support import (
+    brute_force_leaks,
+    packet_matches,
+    pair_plan,
+    plan_delivers,
+    scan_packet,
+    service_accepts,
 )
 
 
@@ -199,29 +214,194 @@ policy p { g; rep; }
 
 def test_accept_relation_equals_flow_relation_over_scan_space(net):
     """Delivered iff implied, for every zone pair and scanned header."""
-    from forestfw.sim import SCAN_SPORT, _pair_plan, _plan_delivers, _service_accepts
-
     ports = [0, 21, 22, 25, 53, 80, 443, 514, 1023, 1521, 8080, 24500, 24600]
     zones = sorted(net.model.zones)
     for src in zones:
         for dst in zones:
             if src == dst:
                 continue
-            plan = _pair_plan(net, src, dst)
-            if not plan.paths:
+            src_addr, dst_addr, paths, services = pair_plan(net, src, dst)
+            if not paths:
                 # unroutable pairs must also have no flows expecting delivery
-                assert plan.services == []
+                assert services == []
                 continue
             for protocol in (1, 6, 17):
                 for value in ports:
                     if protocol == 1 and value > 255:
                         continue
-                    packet = Packet(plan.src_addr, plan.dst_addr, protocol,
-                                    SCAN_SPORT, 0 if protocol == 1 else value,
-                                    value if protocol == 1 else 0, NEW)
-                    delivered = _plan_delivers(plan, packet)
-                    implied = any(_service_accepts(s, packet) for s in plan.services)
+                    packet = scan_packet(src_addr, dst_addr, protocol, value)
+                    delivered = plan_delivers(paths, packet)
+                    implied = any(service_accepts(s, packet) for s in services)
                     assert delivered == implied, (src, dst, protocol, value)
+
+
+# ---------------------------------------------------------------------------
+# interval sweep vs. the per-packet scan
+
+ANY = (ipaddress.IPv4Network("0.0.0.0/0"),)
+
+
+def test_vet_negative_equals_per_packet_scan_on_plant(net):
+    assert vet_negative(net) == brute_force_leaks(net) == []
+
+
+@pytest.mark.parametrize("fault", [
+    AclRule("permit", 6, ANY, ANY),
+    AclRule("permit", 17, ANY, ANY, sport=(PortRange(40000, 50000),),
+            dport=(PortRange(100, 900),)),
+    AclRule("permit", 1, ANY, ANY, dport=(PortRange(3, 11),)),
+])
+def test_vet_negative_equals_per_packet_scan_on_faulty_plant(compiled_plant, fault):
+    net = from_network_policy(compiled_plant)
+    net.acl_map = {key: (fault,) + rules for key, rules in net.acl_map.items()}
+    scan = ScanSpec(ports=(PortRange(0, 300), PortRange(1521, 1521),
+                           PortRange(24500, 24600)))
+    leaks = vet_negative(net, scan)
+    assert leaks
+    assert leaks == brute_force_leaks(net, scan)
+
+
+def _random_ports(rng: random.Random) -> tuple[PortRange, ...]:
+    choices = [(), (PortRange(49000, 49200),), (PortRange(65500, 65535),)]
+    spans = []
+    for _ in range(rng.randint(1, 2)):
+        lo = rng.randrange(320)
+        spans.append(PortRange(lo, rng.randrange(lo, 320)))
+    choices.append(tuple(spans))
+    return rng.choice(choices)
+
+
+def _random_sports(rng: random.Random) -> tuple[PortRange, ...]:
+    return rng.choice([(), (PortRange(53, 53),), (PortRange(0, 1023),),
+                       (PortRange(49152, 49152),), (PortRange(1024, 65535),)])
+
+
+def _random_rule(rng: random.Random, nets: list) -> AclRule:
+    src, dst = rng.choice(nets), rng.choice(nets)
+    kind = rng.choice(["tcp", "tcp_generic", "udp", "established", "deny",
+                       "icmp", "ospf", "ip_deny"])
+    if kind == "tcp":
+        return AclRule("permit", 6, src, dst, sport=_random_sports(rng),
+                       dport=_random_ports(rng), state=rng.choice([(), ("NEW", "ESTABLISHED")]))
+    if kind == "tcp_generic":
+        return AclRule("permit", 6, src, dst)
+    if kind == "udp":
+        return AclRule("permit", 17, src, dst, sport=_random_sports(rng),
+                       dport=_random_ports(rng))
+    if kind == "established":
+        return AclRule("permit", rng.choice((6, 17)), src, dst,
+                       dport=_random_ports(rng), state=("ESTABLISHED",))
+    if kind == "deny":
+        return AclRule("deny", rng.choice((1, 6, 17)), src, dst, dport=_random_ports(rng))
+    if kind == "icmp":
+        lo = rng.randrange(256)
+        types = rng.choice([(), (PortRange(lo, rng.randrange(lo, 256)),)])
+        return AclRule(rng.choice(("permit", "deny")), 1, src, dst, dport=types)
+    if kind == "ospf":
+        return AclRule("permit", 89, src, dst)
+    return AclRule("deny", None, src, dst)
+
+
+def _random_service(rng: random.Random, name: str) -> Service:
+    protocol = rng.choice((1, 6, 17, 89))
+    if protocol == 1:
+        lo = rng.randrange(256)
+        return Service(name, 1, icmp_types=rng.choice([(), (PortRange(lo, min(lo + 9, 255)),)]))
+    if protocol == 89:
+        return Service(name, 89)
+    return Service(name, protocol, source_ports=_random_sports(rng),
+                   dest_ports=_random_ports(rng))
+
+
+# two parallel firewalls between z1 and z2, and a ring z1-z2-z3: pairs
+# have several paths, and one conduit has two firewalls
+RING = """<?xml version="1.0"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="kind" for="node" attr.name="kind" attr.type="string"/>
+  <key id="zone" for="node" attr.name="zone" attr.type="string"/>
+  <key id="cidr" for="node" attr.name="cidr" attr.type="string"/>
+  <graph edgedefault="undirected">
+    <node id="s1"><data key="kind">subnet</data><data key="zone">z1</data>
+      <data key="cidr">10.1.0.0/24,10.1.8.0/30</data></node>
+    <node id="s2"><data key="kind">subnet</data><data key="zone">z2</data>
+      <data key="cidr">10.2.0.0/24</data></node>
+    <node id="s3"><data key="kind">subnet</data><data key="zone">z3</data>
+      <data key="cidr">10.3.0.0/24</data></node>
+    <node id="fa"><data key="kind">firewall</data><data key="cidr">10.255.0.1/32</data></node>
+    <node id="fb"><data key="kind">firewall</data><data key="cidr">10.255.0.2/32</data></node>
+    <node id="fc"><data key="kind">firewall</data><data key="cidr">10.255.0.3/32</data></node>
+    <node id="fd"><data key="kind">firewall</data><data key="cidr">10.255.0.4/32</data></node>
+    <edge source="s1" target="fa"/><edge source="fa" target="s2"/>
+    <edge source="s1" target="fb"/><edge source="fb" target="s2"/>
+    <edge source="s2" target="fc"/><edge source="fc" target="s3"/>
+    <edge source="s1" target="fd"/><edge source="fd" target="s3"/>
+  </graph>
+</graphml>
+"""
+
+
+def _ring_model():
+    return derive_zone_conduit(build_zone_firewall_model(load_topology(RING)))
+
+
+@pytest.mark.parametrize("topology", ["plant", "ring"])
+def test_vet_negative_equals_per_packet_scan_on_random_acls(compiled_plant, topology):
+    """Random ACL maps: identical leaks, in identical order."""
+    model = compiled_plant.model if topology == "plant" else _ring_model()
+    keys = [(fw, iface, "inbound") for fw, ifaces in sorted(model.firewall_interfaces.items())
+            for iface in sorted(ifaces.values())]
+    keys += [(fw, LOCAL_INTERFACE, d) for fw in sorted(model.firewall_interfaces)
+             for d in ("inbound", "outbound")]
+    zones = sorted(model.zones)
+    nets = [ANY] + [(cidr,) for zone in model.zones.values() for cidr in zone.cidrs]
+    scan = ScanSpec(protocols=(1, 6, 17, 89),
+                    ports=(PortRange(0, 40), PortRange(250, 300), PortRange(443, 443),
+                           PortRange(49150, 49160), PortRange(65530, 65535)))
+    total = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        acl_map = {key: tuple(_random_rule(rng, nets) for _ in range(rng.randint(0, 6)))
+                   for key in keys}
+        flows = []
+        for i in range(rng.randint(0, 25)):
+            # mostly between the regular zones, where most leaks are
+            src, dst = rng.sample(["z1", "z2", "z3"] if rng.random() < 0.7 else zones, 2)
+            flows.append(FlowRule(f"f{i}", src, dst, _random_service(rng, f"s{i}")))
+        net = SimNetwork(model, acl_map, tuple(flows))
+        leaks = vet_negative(net, scan)
+        assert leaks == brute_force_leaks(net, scan), seed
+        total += len(leaks)
+    assert total > 0
+
+
+def test_flow_admits_scan_only_at_the_scan_sport():
+    """A UDP flow whose source ports exclude SCAN_SPORT implies no scanned value."""
+    permit = AclRule("permit", 17, ANY, ANY, dport=(PortRange(53, 53),))
+    acl_map = {("fd", "p0", "inbound"): (permit,)}
+    scan = ScanSpec(protocols=(17,), ports=(PortRange(50, 55),))
+
+    def leaks(sports: PortRange) -> list[Leak]:
+        dns = Service("dns", 17, source_ports=(sports,), dest_ports=(PortRange(53, 53),))
+        net = SimNetwork(_ring_model(), acl_map, (FlowRule("dns", "z1", "z3", dns),))
+        return vet_negative(net, scan)
+
+    assert leaks(PortRange(53, 53)) == [Leak("z1", "z3", 17, 53)]
+    assert leaks(PortRange(1024, 65535)) == []
+
+
+def test_full_port_scan_of_plant_is_clean(net):
+    assert vet_negative(net, ScanSpec(ports=(PortRange(0, 65535),))) == []
+
+
+def test_rule_matches_packet_equals_oracle_matcher():
+    rng = random.Random(5)
+    nets = [ANY, (ipaddress.IPv4Network("10.0.0.0/29"),), ()]
+    for _ in range(2000):
+        rule = _random_rule(rng, nets)
+        packet = Packet(rng.choice((1, 7, 300)), rng.choice((2, 9)), rng.choice((1, 6, 17, 89)),
+                        rng.choice((53, 49152, 60000)), rng.randrange(320), rng.randrange(256),
+                        rng.choice((NEW, ESTABLISHED)))
+        assert rule_matches_packet(rule, packet) == packet_matches(rule, packet), (rule, packet)
 
 
 def test_rule_matches_packet_wildcards():
