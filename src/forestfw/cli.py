@@ -17,11 +17,12 @@ import tempfile
 from pathlib import Path
 
 from forestfw import canonical, checker, render, sim
-from forestfw.diagnostics import CompileError, PolicyError, has_errors
+from forestfw.diagnostics import CompileError, InputError, PolicyError, has_errors
 from forestfw.netgen import CompileOptions, compile_policy
 from forestfw.policy_lang import default_importer, expand_rules, parse_policy, validate_spec
 from forestfw.policy_lang.syntax import PORT_MAX, PORT_MIN, PolicySpec, PortRange
 from forestfw.topo_model import (
+    Topology,
     ZoneConduitModel,
     build_zone_firewall_model,
     crosscheck_model,
@@ -56,11 +57,15 @@ def _load_declared(spec: PolicySpec, policy_path: Path) -> ZoneConduitModel | No
     if spec.declared_model is None:
         return None
     model_path = policy_path.parent / spec.declared_model
-    return load_declared_model(_read(model_path))
+    return load_declared_model(_read(model_path), str(model_path))
+
+
+def _load_topology(path: Path) -> Topology:
+    return load_topology(_read(path), str(path))
 
 
 def _derive_model(topology_path: Path):
-    topo = load_topology(_read(topology_path))
+    topo = _load_topology(topology_path)
     model = derive_zone_conduit(build_zone_firewall_model(topo))
     return topo, model
 
@@ -120,7 +125,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     policy_path = Path(args.policy)
     spec = _load_policy(policy_path)
-    topo = load_topology(_read(Path(args.topology)))
+    topo = _load_topology(Path(args.topology))
     options = CompileOptions(
         ospf=args.ospf,
         best_practice=_load_policy(Path(args.best_practice)) if args.best_practice else None,
@@ -278,7 +283,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, InputError) as exc:
         print(f"forestfw: {exc}", file=sys.stderr)
         return USAGE
     except CompileError as exc:

@@ -33,6 +33,12 @@ class PolicyError(Exception):
         self.diagnostic = Diagnostic("error", message, file, line, col)
 
 
+class InputError(PolicyError):
+    """An input file that cannot be read as its format: a topology that
+    is not GraphML, a manifest or neutral ACL file that does not parse.
+    The command line reports it as a usage/IO error."""
+
+
 class CompileError(Exception):
     """Compilation aborted; carries every diagnostic gathered so far."""
 

@@ -13,7 +13,6 @@ terminal deny-all and every generated ACL is bound to an interface.
 from __future__ import annotations
 
 import ipaddress
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -21,13 +20,11 @@ from forestfw.canonical import check_best_practice
 from forestfw.checker import find_rule_overlaps
 from forestfw.diagnostics import CompileError, Diagnostic, PolicyError, has_errors
 from forestfw.policy_lang.expand import expand_rules
+from forestfw.policy_lang.parser import block_names
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PolicySpec,
     PortRange,
-    VBlock,
-    VName,
-    Value,
     effective_dports,
     effective_sports,
     port_ranges,
@@ -144,6 +141,17 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
     not directly adjacent to that firewall.  Return traffic of an
     established connection retraces a forward path backwards, so
     ``established`` lifts the origination restriction.
+
+    The depth-first search visits neighbours in sorted order, so paths
+    come out in lexicographic order.  Each branch carries its open
+    realizations: the sets of ``(firewall, interface)`` crossings, one per
+    choice of realizing firewall on every hop so far, that cross no
+    interface twice.  A branch is pruned at the first hop that leaves no
+    realization open; crossings only accumulate, so nothing it could still
+    reach would be valid.  The cost follows the number of valid paths, not
+    the number of simple zone paths.  ``compile_policy`` enumerates each
+    zone pair once; the simulator caches the paths per network
+    (``SimNetwork.paths``).
     """
     if src == dst:
         raise ValueError("path endpoints must differ")
@@ -158,57 +166,105 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
         if dst not in model.firewall_interfaces.get(firewall, {}):
             return []
 
-    paths: list[list[str]] = []
+    fw_zones = firewall_zones(model)
+    adjacency: dict[str, list[str]] = {zone: [] for zone in model.zones}
+    for a, b in model.conduits:
+        # a Firewall-Zone can end a path but never be transited
+        if b == dst or model.zones[b].kind != "firewall":
+            adjacency[a].append(b)
+        if a == dst or model.zones[a].kind != "firewall":
+            adjacency[b].append(a)
+    for peers in adjacency.values():
+        peers.sort()
 
-    def dfs(current: str, path: list[str]) -> None:
-        if current == dst:
-            paths.append(list(path))
-            return
-        for nxt in model.neighbors(current):
-            if nxt in path:
+    # a set of crossings is a bit mask, one bit per (firewall, interface)
+    crossing_bits: dict[tuple[str, str], int] = {}
+
+    def bit(crossing: tuple[str, str]) -> int:
+        return 1 << crossing_bits.setdefault(crossing, len(crossing_bits))
+
+    masks_memo: dict[tuple[str, str], list[int]] = {}
+
+    def crossing_masks(x: str, y: str) -> list[int]:
+        """One crossing set per firewall that can realize hop x -> y."""
+        masks = masks_memo.get((x, y))
+        if masks is None:
+            pairs = (_crossings(model, (x, y), fw, fw_zones[fw])
+                     for fw in sorted(model.conduit_between(x, y).firewalls))
+            masks = masks_memo[(x, y)] = [bit(entry) | bit(exit_)
+                                          for entry, exit_ in pairs if entry != exit_]
+        return masks
+
+    paths: list[list[str]] = []
+    path = [src]
+    on_path = {src}
+
+    def dfs(current: str, realizations: set[int]) -> None:
+        for nxt in adjacency[current]:
+            if nxt in on_path:
                 continue
-            if nxt != dst and model.zones[nxt].kind == "firewall":
-                continue  # cannot transit a Firewall-Zone
+            extended = {realized | crossed for crossed in crossing_masks(current, nxt)
+                        for realized in realizations if not realized & crossed}
+            if not extended:
+                continue  # every realization would reuse an interface
+            if nxt == dst:
+                paths.append(path + [nxt])
+                continue
             path.append(nxt)
-            dfs(nxt, path)
+            on_path.add(nxt)
+            dfs(nxt, extended)
+            on_path.discard(nxt)
             path.pop()
 
-    dfs(src, [src])
-    valid = [p for p in sorted(paths) if _realizable_without_loops(model, p)]
-    return valid
+    dfs(src, {0})
+    return paths
 
 
-def _crossings(model: ZoneConduitModel, hop: tuple[str, str], firewall: str) -> tuple:
-    """Interfaces the packet crosses on one firewall for one conduit hop."""
+def firewall_zones(model: ZoneConduitModel) -> dict[str, str]:
+    """Each firewall's own Firewall-Zone."""
+    return {member: zone.name for zone in model.zones.values() if zone.kind == "firewall"
+            for member in zone.members}
+
+
+def _crossings(model: ZoneConduitModel, hop: tuple[str, str], firewall: str,
+               fwz: str) -> tuple:
+    """Interfaces the packet crosses on one firewall for one conduit hop;
+    ``fwz`` is the firewall's own zone."""
     x, y = hop
-    fwz = model.firewall_zone_of(firewall)
     entry = LOCAL_INTERFACE if x == fwz else model.firewall_interfaces[firewall][x]
     exit_ = LOCAL_INTERFACE if y == fwz else model.firewall_interfaces[firewall][y]
     return ((firewall, entry), (firewall, exit_))
 
 
-def _realizable_without_loops(model: ZoneConduitModel, path: list[str]) -> bool:
-    hops = list(zip(path, path[1:]))
-    conduits = []
-    for a, b in hops:
-        conduit = model.conduit_between(a, b)
-        if conduit is None or not conduit.firewalls:
-            return False
-        conduits.append(conduit)
-    for combo in itertools.product(*(sorted(c.firewalls) for c in conduits)):
-        seen: set = set()
-        ok = True
-        for hop, firewall in zip(hops, combo):
-            for crossing in _crossings(model, hop, firewall):
-                if crossing in seen:
-                    ok = False
-                    break
-                seen.add(crossing)
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+def hop_acl_key(model: ZoneConduitModel, firewall: str, x: str, y: str,
+                fwz: str) -> tuple[str, str, str]:
+    """The ACL ``(firewall, interface, direction)`` that filters traffic
+    crossing ``firewall`` from zone x to zone y; ``fwz`` is the firewall's
+    own zone."""
+    if x == fwz:
+        return (firewall, LOCAL_INTERFACE, "outbound")
+    if y == fwz:
+        return (firewall, LOCAL_INTERFACE, "inbound")
+    return (firewall, model.firewall_interfaces[firewall][x], "inbound")
+
+
+def _pair_hops(model: ZoneConduitModel, paths: list[list[str]],
+               fw_zones: Mapping[str, str]) -> list[tuple[str, str, list[tuple]]]:
+    """Every conduit hop of ``paths`` once, in first-seen order, with the
+    (forward, return) ACL keys of each firewall realizing it.
+
+    A flow installs the same rules on a hop whichever path crosses it, so
+    visiting a hop again would only add duplicates ``_assemble`` drops.
+    """
+    out = []
+    for x, y in dict.fromkeys(hop for path in paths for hop in zip(path, path[1:])):
+        conduit = model.conduit_between(x, y)
+        assert conduit is not None
+        targets = [(hop_acl_key(model, firewall, x, y, fw_zones[firewall]),
+                    hop_acl_key(model, firewall, y, x, fw_zones[firewall]))
+                   for firewall in sorted(conduit.firewalls)]
+        out.append((x, y, targets))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +378,8 @@ def _logged_rule_groups(spec: PolicySpec) -> frozenset[str]:
     named: set[str] = set()
     for key, value in reporting.attrs:
         if key == "granularity.policy":
-            named.update(_block_names(value, "rule_or_group"))
+            named.update(block_names(value, "rule_or_group"))
     return frozenset(named)
-
-
-def _block_names(value: Value, key: str) -> list[str]:
-    names = []
-    if isinstance(value, VBlock):
-        for k, v in value.items:
-            if k == key and isinstance(v, VBlock):
-                names.extend(n.name for _, n in v.items if isinstance(n, VName))
-            elif k == key and isinstance(v, VName):
-                names.append(v.name)
-    return names
 
 
 def _service_display(spec: PolicySpec, flow: FlowRule) -> str:
@@ -400,7 +445,8 @@ def compile_policy(spec: PolicySpec, topo: Topology,
             logged_rules.add(group)
     verification_logging = bool(logged_rules)
 
-    paths_cache: dict[tuple[str, str], list[list[str]]] = {}
+    fw_zones = firewall_zones(model)
+    hops_cache: dict[tuple[str, str], list[tuple[str, str, list[tuple]]]] = {}
     buckets: dict[tuple[str, str, str], list[AclRule]] = {}
     conduit_rules: dict[tuple[str, str], list[AclRule]] = {}
 
@@ -409,10 +455,10 @@ def compile_policy(spec: PolicySpec, topo: Topology,
 
     for flow in flows:
         pair = (flow.src_zone, flow.dst_zone)
-        if pair not in paths_cache:
-            paths_cache[pair] = enumerate_paths(model, *pair)
-        paths = paths_cache[pair]
-        if not paths:
+        if pair not in hops_cache:
+            hops_cache[pair] = _pair_hops(model, enumerate_paths(model, *pair), fw_zones)
+        hops = hops_cache[pair]
+        if not hops:
             diags.append(Diagnostic(
                 "error", f"no valid path for flow {flow.rule_name!r}: "
                          f"{flow.src_zone} -> {flow.dst_zone} ({flow.service.name})"))
@@ -425,24 +471,12 @@ def compile_policy(spec: PolicySpec, topo: Topology,
         forward = [r for r in supplemented if r.flow_dir == "forward"]
         returns = [r for r in supplemented if r.flow_dir == "return"]
 
-        for path in paths:
-            for x, y in zip(path, path[1:]):
-                conduit = model.conduit_between(x, y)
-                assert conduit is not None
-                conduit_rules.setdefault((x, y), []).extend(forward)
-                conduit_rules.setdefault((y, x), []).extend(returns)
-                for firewall in sorted(conduit.firewalls):
-                    fwz = model.firewall_zone_of(firewall)
-                    ifaces = model.firewall_interfaces[firewall]
-                    if x == fwz:
-                        bucket(firewall, LOCAL_INTERFACE, "outbound").extend(forward)
-                        bucket(firewall, LOCAL_INTERFACE, "inbound").extend(returns)
-                    elif y == fwz:
-                        bucket(firewall, LOCAL_INTERFACE, "inbound").extend(forward)
-                        bucket(firewall, LOCAL_INTERFACE, "outbound").extend(returns)
-                    else:
-                        bucket(firewall, ifaces[x], "inbound").extend(forward)
-                        bucket(firewall, ifaces[y], "inbound").extend(returns)
+        for x, y, targets in hops:
+            conduit_rules.setdefault((x, y), []).extend(forward)
+            conduit_rules.setdefault((y, x), []).extend(returns)
+            for forward_key, return_key in targets:
+                bucket(*forward_key).extend(forward)
+                bucket(*return_key).extend(returns)
     if has_errors(diags):
         raise CompileError(diags)
 

@@ -602,12 +602,12 @@ class _Resolver:
                     raise self.err(decl, "use_case must be an identifier")
                 use_case = value.name
             elif key == "granularity.network":
-                for name in _block_names(value, "zone_or_group"):
+                for name in block_names(value, "zone_or_group"):
                     if self.registry.get(name, _MISSING).kind != "zone_group":
                         raise self.err(decl, f"reporting rule references undeclared "
                                              f"zone group {name!r}")
             elif key == "granularity.policy":
-                for name in _block_names(value, "rule_or_group"):
+                for name in block_names(value, "rule_or_group"):
                     if self.registry.get(name, _MISSING).kind not in ("rule_group", "policy_rule"):
                         raise self.err(decl, f"reporting rule references undeclared "
                                              f"rule group {name!r}")
@@ -636,7 +636,7 @@ class _ZoneTerm:
 _MISSING = _RawDecl(kind="<missing>", name="", line=0, col=0, file="")
 
 
-def _block_names(value: Value, key: str) -> list[str]:
+def block_names(value: Value, key: str) -> list[str]:
     """Names under ``key={...}`` entries of a granularity block value."""
     names: list[str] = []
     if isinstance(value, VBlock):

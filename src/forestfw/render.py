@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from forestfw.diagnostics import PolicyError
+from forestfw.diagnostics import InputError, PolicyError
 from forestfw.netgen import (
     Acl,
     AclRule,
@@ -101,7 +101,7 @@ def _parse_ports(text: str) -> tuple[PortRange, ...]:
     if not text:
         return ()
     if not (text.startswith("[") and text.endswith("]")):
-        raise PolicyError(f"malformed port list {text!r}")
+        raise ValueError(f"malformed port list {text!r}")
     inner = text[1:-1].strip()
     if not inner:
         return ()
@@ -122,8 +122,12 @@ def _parse_addr(text: str) -> tuple[ipaddress.IPv4Network, ...]:
     return tuple(ipaddress.IPv4Network(part) for part in text.split(","))
 
 
-def parse_neutral(text: str) -> list[Acl]:
-    """Inverse of render_neutral over a whole neutral file."""
+def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
+    """Inverse of render_neutral over a whole neutral file.
+
+    A line that does not parse raises :class:`InputError` naming ``file``
+    and the line.
+    """
     acls: list[Acl] = []
     name: str | None = None
     rules: list[AclRule] = []
@@ -135,7 +139,7 @@ def parse_neutral(text: str) -> list[Acl]:
             acls.append(Acl(name, tuple(rules)))
         rules = []
 
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -148,28 +152,36 @@ def parse_neutral(text: str) -> list[Acl]:
             comment = line[len("remark~"):]
             continue
         if name is None:
-            raise PolicyError(f"rule line before any ACL header: {line!r}")
-        fields = line.split("~")
-        if len(fields) not in (12, 13):
-            raise PolicyError(f"malformed neutral rule line: {line!r}")
-        action, proto, kw_from, src, kw_to, dst, kw_sport, sport, kw_dport, dport, kw_state, state = fields[:12]
-        if (kw_from, kw_to, kw_sport, kw_dport, kw_state) != ("from", "to", "sport", "dport", "state"):
-            raise PolicyError(f"malformed neutral rule line: {line!r}")
-        log = len(fields) == 13 and fields[12] == "log"
-        protocol = PROTOCOL_NUMBERS[proto] if proto in PROTOCOL_NUMBERS else int(proto)
-        rules.append(AclRule(
-            action=action,
-            protocol=protocol,
-            src=_parse_addr(src),
-            dst=_parse_addr(dst),
-            sport=_parse_ports(sport),
-            dport=_parse_ports(dport),
-            state=tuple(s for s in state.split(",") if s),
-            log=log,
-            comment=comment,
-        ))
+            raise InputError(f"rule line before any ACL header: {line!r}", file, lineno)
+        try:
+            rules.append(_parse_rule_neutral(line, comment))
+        except ValueError as exc:
+            raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
+                             file, lineno) from exc
     flush()
     return acls
+
+
+def _parse_rule_neutral(line: str, comment: str) -> AclRule:
+    fields = line.split("~")
+    if len(fields) not in (12, 13):
+        raise ValueError(f"{len(fields)} fields")
+    action, proto, kw_from, src, kw_to, dst, kw_sport, sport, kw_dport, dport, kw_state, state = fields[:12]
+    if (kw_from, kw_to, kw_sport, kw_dport, kw_state) != ("from", "to", "sport", "dport", "state"):
+        raise ValueError("misplaced keywords")
+    log = len(fields) == 13 and fields[12] == "log"
+    protocol = PROTOCOL_NUMBERS[proto] if proto in PROTOCOL_NUMBERS else int(proto)
+    return AclRule(
+        action=action,
+        protocol=protocol,
+        src=_parse_addr(src),
+        dst=_parse_addr(dst),
+        sport=_parse_ports(sport),
+        dport=_parse_ports(dport),
+        state=tuple(s for s in state.split(",") if s),
+        log=log,
+        comment=comment,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from forestfw import intervals
-from forestfw.diagnostics import PolicyError
+from forestfw.diagnostics import InputError, PolicyError
 from forestfw.header_space import Predicate
-from forestfw.netgen import AclRule, NetworkPolicy, enumerate_paths
+from forestfw.netgen import (
+    AclRule,
+    NetworkPolicy,
+    enumerate_paths,
+    firewall_zones,
+    hop_acl_key,
+)
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PortRange,
@@ -32,7 +38,7 @@ from forestfw.policy_lang.syntax import (
     effective_sports,
     port_ranges,
 )
-from forestfw.topo_model import LOCAL_INTERFACE, Conduit, Zone, ZoneConduitModel
+from forestfw.topo_model import Conduit, Zone, ZoneConduitModel
 
 NEW = "NEW"
 ESTABLISHED = "ESTABLISHED"
@@ -107,9 +113,19 @@ class SimNetwork:
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]]
     flows: tuple[FlowRule, ...]
     connections: set[tuple] = field(default_factory=set)
+    # enumerate_paths results per (src, dst, established); the model is
+    # fixed once the network is built
+    path_cache: dict[tuple[str, str, bool], list[list[str]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def reset_connections(self) -> None:
         self.connections.clear()
+
+    def paths(self, src: str, dst: str, established: bool = False) -> list[list[str]]:
+        key = (src, dst, established)
+        if key not in self.path_cache:
+            self.path_cache[key] = enumerate_paths(self.model, src, dst, established)
+        return self.path_cache[key]
 
 
 def from_network_policy(policy: NetworkPolicy) -> SimNetwork:
@@ -124,14 +140,46 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     """Rebuild the simulated network from a compile output directory.
 
     Rules come from the vendor-neutral files; the manifest supplies the
-    model, interface bindings, and expanded flows.
+    model, interface bindings, and expanded flows.  A manifest or neutral
+    file that does not parse raises :class:`InputError` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise PolicyError(f"no compile manifest under {directory}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    where = str(manifest_path)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        model, bindings, flows = _from_manifest(manifest)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed manifest: {exc.msg}", where, exc.lineno, exc.colno) from exc
+    except KeyError as exc:
+        raise InputError(f"manifest lacks the {exc.args[0]!r} entry", where) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed manifest: {exc}", where) from exc
 
+    from forestfw.render import parse_neutral  # local import avoids a cycle
+
+    acls_per_file: dict[str, dict[str, tuple[AclRule, ...]]] = {}
+    acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]] = {}
+    for file_name, acl_name, key in bindings:
+        path = directory / file_name
+        if file_name not in acls_per_file:
+            try:
+                text = path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise InputError(f"cannot read {path}: {exc.strerror or exc}", where) from exc
+            acls_per_file[file_name] = {acl.name: acl.rules
+                                        for acl in parse_neutral(text, str(path))}
+        if acl_name not in acls_per_file[file_name]:
+            raise InputError(f"no ACL {acl_name!r}, which the manifest binds to "
+                             f"{' '.join(key)}", str(path))
+        acl_map[key] = acls_per_file[file_name][acl_name]
+    return SimNetwork(model, acl_map, flows)
+
+
+def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRule, ...]]:
+    """The model, the (file, ACL, binding key) triples and the flows of a manifest."""
     model = ZoneConduitModel()
     for name, data in manifest["zones"].items():
         model.zones[name] = Zone(
@@ -143,18 +191,8 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     model.firewall_interfaces = {
         fw: dict(ifaces) for fw, ifaces in manifest["firewall_interfaces"].items()
     }
-
-    from forestfw.render import parse_neutral  # local import avoids a cycle
-
-    acls_per_file: dict[str, dict[str, tuple[AclRule, ...]]] = {}
-    acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]] = {}
-    for a in manifest["assignments"]:
-        file_name = a["file"]
-        if file_name not in acls_per_file:
-            text = (directory / file_name).read_text(encoding="utf-8")
-            acls_per_file[file_name] = {acl.name: acl.rules for acl in parse_neutral(text)}
-        acl_map[(a["firewall"], a["interface"], a["direction"])] = \
-            acls_per_file[file_name][a["acl"]]
+    bindings = [(a["file"], a["acl"], (a["firewall"], a["interface"], a["direction"]))
+                for a in manifest["assignments"]]
 
     flows = []
     for f in manifest["flows"]:
@@ -167,7 +205,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
                 dest_ports=tuple(PortRange(lo, hi) for lo, hi in svc["dest_ports"]),
                 icmp_types=tuple(PortRange(lo, hi) for lo, hi in svc["icmp_types"]),
             )))
-    return SimNetwork(model, acl_map, tuple(flows))
+    return model, bindings, tuple(flows)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +273,6 @@ def acl_rule_predicate(rule: AclRule) -> Predicate:
     )
 
 
-def _hop_acl_key(model: ZoneConduitModel, firewall: str, x: str, y: str) -> tuple[str, str, str]:
-    """ACL evaluated on firewall `firewall` for traffic crossing x -> y."""
-    fwz = model.firewall_zone_of(firewall)
-    if x == fwz:
-        return (firewall, LOCAL_INTERFACE, "outbound")
-    if y == fwz:
-        return (firewall, LOCAL_INTERFACE, "inbound")
-    return (firewall, model.firewall_interfaces[firewall][x], "inbound")
-
-
 def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
     """Walk a packet from its ingress zone toward its destination zone.
 
@@ -268,8 +296,7 @@ def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
     if dst_zone == ingress_zone:
         return InjectResult(True, (), "intra-zone traffic is not filtered")
 
-    paths = enumerate_paths(net.model, ingress_zone, dst_zone,
-                            established=packet.state == ESTABLISHED)
+    paths = net.paths(ingress_zone, dst_zone, established=packet.state == ESTABLISHED)
     if not paths:
         return InjectResult(False, (), f"no valid path {ingress_zone} -> {dst_zone}")
 
@@ -283,7 +310,7 @@ def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
             hop_accept = False
             hop_trace: TraceHop | None = None
             for firewall in sorted(conduit.firewalls):
-                key = _hop_acl_key(net.model, firewall, x, y)
+                key = hop_acl_key(net.model, firewall, x, y, net.model.firewall_zone_of(firewall))
                 action, rule_text = eval_acl(net.acl_map.get(key, ()), packet)
                 if action == "permit":
                     hop_accept = True
@@ -453,6 +480,7 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     scanned = intervals.normalize(scan.ports)
     leaks: list[Leak] = []
     zones = sorted(net.model.zones)
+    fw_zones = firewall_zones(net.model)
     for src_zone in zones:
         for dst_zone in zones:
             if src_zone == dst_zone:
@@ -460,7 +488,7 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
             paths = enumerate_paths(net.model, src_zone, dst_zone)
             if not paths:
                 continue
-            path_hops = [[[_hop_acl_key(net.model, firewall, x, y)
+            path_hops = [[[hop_acl_key(net.model, firewall, x, y, fw_zones[firewall])
                            for firewall in sorted(net.model.conduit_between(x, y).firewalls)]
                           for x, y in zip(path, path[1:])]
                          for path in paths]

@@ -18,7 +18,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from forestfw.diagnostics import PolicyError
+from forestfw.diagnostics import InputError, PolicyError
 
 DEVICE_KINDS = ("host", "subnet", "firewall", "carrier")
 ZONE_KINDS = ("regular", "firewall", "abstract", "carrier")
@@ -144,17 +144,22 @@ def _data_of(elem: ET.Element, keymap: dict[str, str], ns: str) -> dict[str, str
     return out
 
 
-def load_topology(document: str) -> Topology:
-    """Parse a GraphML topology document."""
+def _parse_graphml(document: str, file: str) -> ET.Element:
     try:
-        root = ET.fromstring(document)
+        return ET.fromstring(document)
     except ET.ParseError as exc:
-        raise PolicyError(f"malformed GraphML: {exc}", "<topology>") from exc
+        line, col = exc.position
+        raise InputError(f"malformed GraphML: {exc}", file, line, col) from exc
+
+
+def load_topology(document: str, file: str = "<topology>") -> Topology:
+    """Parse a GraphML topology document; diagnostics name ``file``."""
+    root = _parse_graphml(document, file)
     ns = _ns(root)
     keymap = _graphml_attrs(root)
     graph = root.find(f"{ns}graph")
     if graph is None:
-        raise PolicyError("GraphML document has no <graph>", "<topology>")
+        raise InputError("GraphML document has no <graph>", file)
 
     topo = Topology()
     for node in graph.findall(f"{ns}node"):
@@ -162,20 +167,23 @@ def load_topology(document: str) -> Topology:
         data = _data_of(node, keymap, ns)
         kind = data.get("kind", "")
         if kind not in DEVICE_KINDS:
-            raise PolicyError(f"device {name!r} has unknown kind {kind!r}", "<topology>")
+            raise PolicyError(f"device {name!r} has unknown kind {kind!r}", file)
         zone_label = data.get("zone") or None
         if kind == "firewall" and zone_label:
             raise PolicyError(
                 f"firewall {name!r} carries a zone label; firewalls get "
-                f"Firewall-Zones automatically", "<topology>")
-        cidrs = tuple(
-            ipaddress.IPv4Network(c.strip())
-            for c in data.get("cidr", "").split(",") if c.strip()
-        )
+                f"Firewall-Zones automatically", file)
+        try:
+            cidrs = tuple(
+                ipaddress.IPv4Network(c.strip())
+                for c in data.get("cidr", "").split(",") if c.strip()
+            )
+        except ValueError as exc:
+            raise InputError(f"device {name!r} has a bad CIDR: {exc}", file) from exc
         if kind in ("subnet", "host", "carrier") and not cidrs:
-            raise PolicyError(f"{kind} {name!r} carries no CIDR", "<topology>")
+            raise PolicyError(f"{kind} {name!r} carries no CIDR", file)
         if name in topo.devices:
-            raise PolicyError(f"duplicate device {name!r}", "<topology>")
+            raise PolicyError(f"duplicate device {name!r}", file)
         topo.devices[name] = Device(name, kind, zone_label, cidrs)
 
     auto_port: dict[str, int] = {}
@@ -189,7 +197,7 @@ def load_topology(document: str) -> Topology:
             name = f"p{auto_port[dev]}"
             auto_port[dev] += 1
         if name in used.setdefault(dev, set()):
-            raise PolicyError(f"duplicate interface {name!r} on device {dev!r}", "<topology>")
+            raise PolicyError(f"duplicate interface {name!r} on device {dev!r}", file)
         used[dev].add(name)
         return name
 
@@ -197,24 +205,22 @@ def load_topology(document: str) -> Topology:
         a, b = edge.get("source") or "", edge.get("target") or ""
         for dev in (a, b):
             if dev not in topo.devices:
-                raise PolicyError(f"link references unknown device {dev!r}", "<topology>")
+                raise PolicyError(f"link references unknown device {dev!r}", file)
         data = _data_of(edge, keymap, ns)
         topo.links.append(Link(a, interface(a, data.get("if_a")),
                                b, interface(b, data.get("if_b"))))
     return topo
 
 
-def load_declared_model(document: str) -> ZoneConduitModel:
+def load_declared_model(document: str,
+                        file: str = "<declared-model>") -> ZoneConduitModel:
     """Parse a declared Zone-Conduit model: nodes are zones, edges conduits."""
-    try:
-        root = ET.fromstring(document)
-    except ET.ParseError as exc:
-        raise PolicyError(f"malformed GraphML: {exc}", "<declared-model>") from exc
+    root = _parse_graphml(document, file)
     ns = _ns(root)
     keymap = _graphml_attrs(root)
     graph = root.find(f"{ns}graph")
     if graph is None:
-        raise PolicyError("GraphML document has no <graph>", "<declared-model>")
+        raise InputError("GraphML document has no <graph>", file)
 
     model = ZoneConduitModel()
     for node in graph.findall(f"{ns}node"):
@@ -222,14 +228,13 @@ def load_declared_model(document: str) -> ZoneConduitModel:
         data = _data_of(node, keymap, ns)
         kind = data.get("kind", "regular")
         if kind not in ZONE_KINDS:
-            raise PolicyError(f"zone {name!r} has unknown kind {kind!r}", "<declared-model>")
+            raise PolicyError(f"zone {name!r} has unknown kind {kind!r}", file)
         model.zones[name] = Zone(name, kind, frozenset())
     for edge in graph.findall(f"{ns}edge"):
         a, b = edge.get("source") or "", edge.get("target") or ""
         for zone in (a, b):
             if zone not in model.zones:
-                raise PolicyError(f"conduit references unknown zone {zone!r}",
-                                  "<declared-model>")
+                raise PolicyError(f"conduit references unknown zone {zone!r}", file)
         pair = tuple(sorted((a, b)))
         model.conduits[pair] = Conduit(pair, frozenset())
     return model

@@ -1,19 +1,21 @@
-"""Shared test helpers: random inputs and brute-force oracles.
+"""Shared test helpers: random inputs, topologies and brute-force oracles.
 
 The oracles stay deliberately independent of the library's own set
 algebra: accept sets are materialized as dense numpy grids and compared
-pointwise, and negative vetting is replayed one packet at a time.
+pointwise, negative vetting is replayed one packet at a time, and path
+selection is checked against the exhaustive enumerate-then-filter search.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
 
 from forestfw.canonical import CanonicalPolicy
 from forestfw.header_space import ACCEPT, DENY, HeaderPoint, MatchRule, Predicate
-from forestfw.netgen import enumerate_paths
+from forestfw.netgen import enumerate_paths, hop_acl_key
 from forestfw.policy_lang.syntax import (
     PortRange,
     Service,
@@ -28,9 +30,15 @@ from forestfw.sim import (
     Packet,
     ScanSpec,
     SimNetwork,
-    _hop_acl_key,
     _zone_rep_addr,
     default_scan_spec,
+)
+from forestfw.topo_model import (
+    LOCAL_INTERFACE,
+    ZoneConduitModel,
+    build_zone_firewall_model,
+    derive_zone_conduit,
+    load_topology,
 )
 
 GRID_PORTS = 256  # oracle grids cover ports/types 0..255
@@ -210,10 +218,11 @@ def pair_plan(net: SimNetwork, src_zone: str, dst_zone: str):
         hops = []
         for x, y in zip(path, path[1:]):
             conduit = net.model.conduit_between(x, y)
-            hops.append([
-                [r for r in net.acl_map.get(_hop_acl_key(net.model, fw, x, y), ())
-                 if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
-                for fw in sorted(conduit.firewalls)])
+            keys = [hop_acl_key(net.model, fw, x, y, net.model.firewall_zone_of(fw))
+                    for fw in sorted(conduit.firewalls)]
+            hops.append([[r for r in net.acl_map.get(key, ())
+                          if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
+                         for key in keys])
         paths.append(hops)
     services = [f.service for f in net.flows
                 if f.src_zone == src_zone and f.dst_zone == dst_zone]
@@ -259,13 +268,168 @@ def brute_force_leaks(net: SimNetwork, scan: ScanSpec | None = None) -> list[Lea
     return leaks
 
 
+# ---------------------------------------------------------------------------
+# topologies
+
+# two parallel firewalls between z1 and z2, and a ring z1-z2-z3: pairs
+# have several paths, and one conduit has two firewalls
+RING = """<?xml version="1.0"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="kind" for="node" attr.name="kind" attr.type="string"/>
+  <key id="zone" for="node" attr.name="zone" attr.type="string"/>
+  <key id="cidr" for="node" attr.name="cidr" attr.type="string"/>
+  <graph edgedefault="undirected">
+    <node id="s1"><data key="kind">subnet</data><data key="zone">z1</data>
+      <data key="cidr">10.1.0.0/24,10.1.8.0/30</data></node>
+    <node id="s2"><data key="kind">subnet</data><data key="zone">z2</data>
+      <data key="cidr">10.2.0.0/24</data></node>
+    <node id="s3"><data key="kind">subnet</data><data key="zone">z3</data>
+      <data key="cidr">10.3.0.0/24</data></node>
+    <node id="fa"><data key="kind">firewall</data><data key="cidr">10.255.0.1/32</data></node>
+    <node id="fb"><data key="kind">firewall</data><data key="cidr">10.255.0.2/32</data></node>
+    <node id="fc"><data key="kind">firewall</data><data key="cidr">10.255.0.3/32</data></node>
+    <node id="fd"><data key="kind">firewall</data><data key="cidr">10.255.0.4/32</data></node>
+    <edge source="s1" target="fa"/><edge source="fa" target="s2"/>
+    <edge source="s1" target="fb"/><edge source="fb" target="s2"/>
+    <edge source="s2" target="fc"/><edge source="fc" target="s3"/>
+    <edge source="s1" target="fd"/><edge source="fd" target="s3"/>
+  </graph>
+</graphml>
+"""
+
+
+def ring_model() -> ZoneConduitModel:
+    return derive_zone_conduit(build_zone_firewall_model(load_topology(RING)))
+
+
+def grid_topology(rows: int, cols: int) -> str:
+    """A rows x cols grid of firewalls, as the benchmark generator builds it.
+
+    Firewall (r, c) guards the labelled zone ``z_r<r>c<c>`` on eth0 and
+    shares an unlabelled transit subnet (an Abstract-Zone) with each
+    horizontal and vertical neighbour.
+    """
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    nodes, edges = [], []
+    next_iface = {cell: 1 for cell in cells}
+
+    def node(name: str, kind: str, cidr: str, zone: str = "") -> None:
+        label = f'<data key="zone">{zone}</data>' if zone else ""
+        nodes.append(f'<node id="{name}"><data key="kind">{kind}</data>{label}'
+                     f'<data key="cidr">{cidr}</data></node>')
+
+    def edge(fw: str, subnet: str, iface: str) -> None:
+        edges.append(f'<edge source="{fw}" target="{subnet}">'
+                     f'<data key="if_a">{iface}</data></edge>')
+
+    for r, c in cells:
+        node(f"fw_r{r}c{c}", "firewall", f"10.255.{r}.{c}/32")
+        node(f"net_r{r}c{c}", "subnet", f"10.{r}.{c}.0/24", zone=f"z_r{r}c{c}")
+        edge(f"fw_r{r}c{c}", f"net_r{r}c{c}", "eth0")
+    transit = 0
+    for r, c in cells:
+        for nr, nc in ((r, c + 1), (r + 1, c)):
+            if nr >= rows or nc >= cols:
+                continue
+            name = f"transit_r{r}c{c}_r{nr}c{nc}"
+            node(name, "subnet", f"172.16.{transit >> 6}.{(transit & 63) * 4}/30")
+            transit += 1
+            for cell in ((r, c), (nr, nc)):
+                edge(f"fw_r{cell[0]}c{cell[1]}", name, f"eth{next_iface[cell]}")
+                next_iface[cell] += 1
+    return ("<graphml xmlns=\"http://graphml.graphdrawing.org/xmlns\">"
+            '<key id="kind" for="node" attr.name="kind" attr.type="string"/>'
+            '<key id="zone" for="node" attr.name="zone" attr.type="string"/>'
+            '<key id="cidr" for="node" attr.name="cidr" attr.type="string"/>'
+            '<key id="if_a" for="edge" attr.name="if_a" attr.type="string"/>'
+            '<graph edgedefault="undirected">' + "".join(nodes) + "".join(edges)
+            + "</graph></graphml>")
+
+
+def grid_model(rows: int, cols: int) -> ZoneConduitModel:
+    return derive_zone_conduit(build_zone_firewall_model(load_topology(grid_topology(rows, cols))))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive path-selection oracle
+
+def enumerate_paths_exhaustive(model: ZoneConduitModel, src: str, dst: str,
+                               established: bool = False) -> list[list[str]]:
+    """Every simple zone path by DFS, sorted, then filtered by realizability.
+
+    The same exclusions as ``netgen.enumerate_paths``, decided the slow
+    way: a path survives if some choice of one realizing firewall per hop
+    crosses no firewall interface twice.  Exponential in the number of
+    transit zones.
+    """
+    if not established and model.zones[src].kind == "firewall":
+        firewall = next(iter(model.zones[src].members))
+        if dst not in model.firewall_interfaces.get(firewall, {}):
+            return []
+
+    paths: list[list[str]] = []
+
+    def dfs(current: str, path: list[str]) -> None:
+        if current == dst:
+            paths.append(list(path))
+            return
+        for nxt in model.neighbors(current):
+            if nxt in path:
+                continue
+            if nxt != dst and model.zones[nxt].kind == "firewall":
+                continue
+            path.append(nxt)
+            dfs(nxt, path)
+            path.pop()
+
+    dfs(src, [src])
+    return [p for p in sorted(paths) if realizable_without_loops(model, p)]
+
+
+def _crossings(model: ZoneConduitModel, hop: tuple[str, str], firewall: str) -> tuple:
+    x, y = hop
+    fwz = model.firewall_zone_of(firewall)
+    entry = LOCAL_INTERFACE if x == fwz else model.firewall_interfaces[firewall][x]
+    exit_ = LOCAL_INTERFACE if y == fwz else model.firewall_interfaces[firewall][y]
+    return ((firewall, entry), (firewall, exit_))
+
+
+def realizable_without_loops(model: ZoneConduitModel, path: list[str]) -> bool:
+    """Some choice of firewall per hop crosses no interface twice."""
+    hops = list(zip(path, path[1:]))
+    conduits = []
+    for a, b in hops:
+        conduit = model.conduit_between(a, b)
+        if conduit is None or not conduit.firewalls:
+            return False
+        conduits.append(conduit)
+    for combo in itertools.product(*(sorted(c.firewalls) for c in conduits)):
+        seen: set = set()
+        ok = True
+        for hop, firewall in zip(hops, combo):
+            for crossing in _crossings(model, hop, firewall):
+                if crossing in seen:
+                    ok = False
+                    break
+                seen.add(crossing)
+            if not ok:
+                break
+        if ok:
+            return True
+    return False
+
+
 __all__ = [
     "ACCEPT",
     "DENY",
     "GRID_PORTS",
+    "RING",
     "accept_masks",
     "brute_force_leaks",
     "canonical_masks",
+    "enumerate_paths_exhaustive",
+    "grid_model",
+    "grid_topology",
     "masks_equal",
     "masks_subset",
     "packet_matches",
@@ -275,6 +439,8 @@ __all__ = [
     "random_range",
     "random_service",
     "random_service_set",
+    "realizable_without_loops",
+    "ring_model",
     "rule_grid_points",
     "scan_packet",
     "service_accepts",

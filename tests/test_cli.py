@@ -180,3 +180,55 @@ def test_simulate_accepts_spaced_and_single_port_lists(tmp_path, capsys):
     code = main(["simulate", "--out", str(out_dir), "--scan-ports", " 0 - 64 , 443,65535"])
     assert code == 0
     assert "0 leak(s)" in capsys.readouterr().out
+
+
+def _compiled(tmp_path, capsys):
+    out_dir = tmp_path / "compiled"
+    assert main(["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
+                 "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    return out_dir
+
+
+@pytest.mark.parametrize("key", ["conduits", "zones", "firewall_interfaces"])
+def test_simulate_manifest_without_key_is_usage_error(tmp_path, capsys, key):
+    out_dir = _compiled(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    del manifest[key]
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {manifest_path}:")
+    assert repr(key) in captured.err and captured.out == ""
+
+
+def test_simulate_bad_neutral_address_names_file_and_line(tmp_path, capsys):
+    out_dir = _compiled(tmp_path, capsys)
+    acl_file = out_dir / "R1.neutral.acl"
+    lines = acl_file.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if "10.0.0.0/29" in line)
+    lines[lineno - 1] = lines[lineno - 1].replace("10.0.0.0/29", "10.999.0.0/29", 1)
+    acl_file.write_text("\n".join(lines) + "\n")
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {acl_file}:{lineno}:0: error: ")
+    assert "10.999.0.0" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check", "compile", "graph"])
+def test_truncated_graphml_names_the_topology_file(tmp_path, capsys, command):
+    truncated = tmp_path / "truncated.graphml"
+    text = (FIXTURES / "topology.graphml").read_text()
+    truncated.write_text(text[: len(text) // 2])
+    argv = {"check": ["check", "--policy", POLICY_FIXED],
+            "compile": ["compile", "--policy", POLICY_FIXED, "--out", str(tmp_path / "c")],
+            "graph": ["graph", "--out", str(tmp_path / "g")]}[command]
+    code = main(argv + ["--topology", str(truncated)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {truncated}:")
+    assert "malformed GraphML" in captured.err and "<topology>" not in captured.err
+    assert not (tmp_path / "c").exists()

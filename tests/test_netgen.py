@@ -9,13 +9,29 @@ from forestfw.netgen import (
     add_supplementary_rules,
     compile_policy,
     enumerate_paths,
+    hop_acl_key,
     ospf_supplementary_rules,
     translate_rule,
 )
-from forestfw.policy_lang import expand_rules
+from forestfw.policy_lang import expand_rules, parse_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
-from forestfw.topo_model import build_zone_firewall_model, derive_zone_conduit
+from forestfw.topo_model import (
+    Conduit,
+    Zone,
+    ZoneConduitModel,
+    build_zone_firewall_model,
+    derive_zone_conduit,
+    load_topology,
+)
+from forestfw.sim import from_network_policy
 from conftest import load_fixture_policy
+from support import (
+    enumerate_paths_exhaustive,
+    grid_model,
+    grid_topology,
+    realizable_without_loops,
+    ring_model,
+)
 
 
 def net(text):
@@ -69,6 +85,96 @@ def test_firewall_originated_traffic_requires_adjacent_peer(plant_model):
         ["fwz2", "az1", "z1"]]
     # adjacent peers are reachable for new traffic
     assert enumerate_paths(plant_model, "fwz1", "z1") == [["fwz1", "z1"]]
+
+
+def _ordered_pairs(zones) -> list[tuple[str, str]]:
+    zones = sorted(zones)
+    return [(src, dst) for src in zones for dst in zones if src != dst]
+
+
+def _labelled_zones(model) -> list[str]:
+    return [name for name, zone in model.zones.items() if zone.kind == "regular"]
+
+
+def _assert_paths_equal_oracle(model, pairs, established=False) -> int:
+    """Pruned and exhaustive enumeration agree, order included; returns the
+    number of paths compared."""
+    total = 0
+    for src, dst in pairs:
+        paths = enumerate_paths(model, src, dst, established)
+        assert paths == enumerate_paths_exhaustive(model, src, dst, established), (src, dst)
+        total += len(paths)
+    return total
+
+
+@pytest.mark.parametrize("established", [False, True])
+def test_paths_equal_exhaustive_oracle_on_plant(plant_model, established):
+    assert _assert_paths_equal_oracle(
+        plant_model, _ordered_pairs(plant_model.zones), established) > 0
+
+
+@pytest.mark.parametrize("established", [False, True])
+def test_paths_equal_exhaustive_oracle_on_ring(established):
+    model = ring_model()
+    assert enumerate_paths(model, "z1", "z2") == [["z1", "z2"], ["z1", "z3", "z2"]]
+    assert _assert_paths_equal_oracle(model, _ordered_pairs(model.zones), established) > 0
+
+
+def _shared_interface_model() -> ZoneConduitModel:
+    """Firewall f faces zones a and b through the same interface e0, so
+    no packet can cross f from a to b; g realizes b-c next to f."""
+    model = ZoneConduitModel()
+    for name in ("a", "b", "c"):
+        model.zones[name] = Zone(name, "regular", frozenset({f"s_{name}"}))
+    model.zones["fwz1"] = Zone("fwz1", "firewall", frozenset({"f"}))
+    model.zones["fwz2"] = Zone("fwz2", "firewall", frozenset({"g"}))
+    model.firewall_interfaces = {"f": {"a": "e0", "b": "e0", "c": "e1"},
+                                 "g": {"b": "e0", "c": "e1"}}
+    realizers: dict[tuple[str, str], set[str]] = {}
+    for firewall, fwz in (("f", "fwz1"), ("g", "fwz2")):
+        facing = sorted(model.firewall_interfaces[firewall])
+        for i, x in enumerate(facing):
+            for y in facing[i + 1:] + [fwz]:
+                realizers.setdefault(tuple(sorted((x, y))), set()).add(firewall)
+    model.conduits = {pair: Conduit(pair, frozenset(fws))
+                      for pair, fws in sorted(realizers.items())}
+    return model
+
+
+@pytest.mark.parametrize("established", [False, True])
+def test_paths_equal_exhaustive_oracle_with_shared_interface(established):
+    model = _shared_interface_model()
+    # a -> b directly would enter and leave f through e0
+    assert enumerate_paths(model, "a", "b") == [["a", "c", "b"]]
+    _assert_paths_equal_oracle(model, _ordered_pairs(model.zones), established)
+
+
+@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3)])
+def test_paths_equal_exhaustive_oracle_on_grid(rows, cols):
+    model = grid_model(rows, cols)
+    pairs = _ordered_pairs(_labelled_zones(model))
+    assert _assert_paths_equal_oracle(model, pairs) > len(pairs)  # some pairs multipath
+
+
+def test_paths_equal_exhaustive_oracle_on_2x4_grid_pairs():
+    model = grid_model(2, 4)
+    pairs = [("z_r0c0", "z_r1c3"), ("z_r0c1", "z_r1c2"), ("z_r0c0", "fwz8")]
+    assert _assert_paths_equal_oracle(model, pairs) > len(pairs)
+
+
+def test_3x3_grid_paths_are_simple_ordered_and_realizable():
+    model = grid_model(3, 3)
+    total = 0
+    for src, dst in _ordered_pairs(_labelled_zones(model)):
+        paths = enumerate_paths(model, src, dst)
+        assert paths, (src, dst)
+        assert paths == sorted(paths)
+        assert len({tuple(p) for p in paths}) == len(paths)
+        for path in paths:
+            assert path[0] == src and path[-1] == dst and len(set(path)) == len(path)
+            assert realizable_without_loops(model, path), path
+        total += len(paths)
+    assert total > 72
 
 
 def test_translate_rule_cross_product():
@@ -255,6 +361,44 @@ def test_conduit_isolation(plant_topology):
         if pair in affected:
             continue
         assert trimmed.conduit_rules.get(pair, ()) == rules
+
+
+GRID_POLICY = """
+zone_group g_a { z_r0c0 }
+zone_group g_b { z_r1c2 }
+service web { protocol=tcp; tcp.dest_port=443; }
+service ping { protocol=icmp; icmp.type=8; }
+policy_rule web_rule { g_a -> g_b : web }
+policy_rule ping_rule { g_b -> g_a : ping }
+rule_group grid_rules { web_rule, ping_rule }
+reporting_rule verify_rules { use_case=verification;
+  granularity.policy={rule_or_group={grid_rules}}; }
+policy grid_policy { grid_rules; verify_rules; }
+"""
+
+
+def test_flow_rules_sit_on_every_hop_of_every_path():
+    """Defence in depth on a multipath grid: a flow's forward rules sit in
+    exactly the ACLs of the hops of its pair's paths, and its return rules
+    (TCP only) in exactly those of the reversed hops."""
+    policy = compile_policy(parse_policy(GRID_POLICY), load_topology(grid_topology(2, 3)))
+    model = policy.model
+    acl_map = from_network_policy(policy).acl_map
+    assert len(policy.flows) == 2
+    for flow in policy.flows:
+        paths = enumerate_paths(model, flow.src_zone, flow.dst_zone)
+        assert len(paths) > 1
+        hops = {hop for path in paths for hop in zip(path, path[1:])}
+        wanted = {"forward": hops,
+                  "return": {(y, x) for x, y in hops} if flow.service.protocol == 6 else set()}
+        for direction, want_hops in wanted.items():
+            want = {hop_acl_key(model, firewall, x, y, model.firewall_zone_of(firewall))
+                    for x, y in want_hops
+                    for firewall in model.conduit_between(x, y).firewalls}
+            got = {key for key, rules in acl_map.items()
+                   if any(r.origin_rule == flow.rule_name and r.flow_dir == direction
+                          for r in rules)}
+            assert got == want, (flow.rule_name, direction)
 
 
 def test_compile_is_deterministic(plant_topology):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from forestfw.diagnostics import PolicyError
+from forestfw.diagnostics import InputError, PolicyError
 from forestfw.netgen import Acl, AclRule, TERMINAL_DENY
 from forestfw.policy_lang.syntax import PortRange
 from forestfw.render import (
@@ -87,6 +87,15 @@ def test_neutral_round_trip(compiled_plant):
         # and rendering the parsed form again is byte-identical
         rendered_again = "\n".join(render_neutral(a) for a in parsed)
         assert rendered_again == text
+
+
+def test_parse_neutral_names_file_and_line_of_a_bad_address():
+    text = (NEUTRAL_HEADER + "acl_1\n  remark~c\n"
+            "  permit~tcp~from~10.999.0.0/29~to~any~sport~~dport~[80]~state~\n")
+    with pytest.raises(InputError, match="malformed neutral rule line") as info:
+        parse_neutral(text, "R1.neutral.acl")
+    diagnostic = info.value.diagnostic
+    assert (diagnostic.file, diagnostic.line) == ("R1.neutral.acl", 3)
 
 
 def test_parse_neutral_rejects_garbage():

@@ -7,12 +7,8 @@ from forestfw.diagnostics import PolicyError
 from forestfw.header_space import HeaderPoint, eval_first_match, MatchRule, ACCEPT, DENY
 from forestfw.netgen import AclRule, CompileOptions, compile_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
-from forestfw.topo_model import (
-    LOCAL_INTERFACE,
-    build_zone_firewall_model,
-    derive_zone_conduit,
-    load_topology,
-)
+from forestfw import sim
+from forestfw.topo_model import LOCAL_INTERFACE
 from forestfw.sim import (
     ESTABLISHED,
     NEW,
@@ -34,6 +30,7 @@ from support import (
     packet_matches,
     pair_plan,
     plan_delivers,
+    ring_model,
     scan_packet,
     service_accepts,
 )
@@ -313,41 +310,10 @@ def _random_service(rng: random.Random, name: str) -> Service:
                    dest_ports=_random_ports(rng))
 
 
-# two parallel firewalls between z1 and z2, and a ring z1-z2-z3: pairs
-# have several paths, and one conduit has two firewalls
-RING = """<?xml version="1.0"?>
-<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
-  <key id="kind" for="node" attr.name="kind" attr.type="string"/>
-  <key id="zone" for="node" attr.name="zone" attr.type="string"/>
-  <key id="cidr" for="node" attr.name="cidr" attr.type="string"/>
-  <graph edgedefault="undirected">
-    <node id="s1"><data key="kind">subnet</data><data key="zone">z1</data>
-      <data key="cidr">10.1.0.0/24,10.1.8.0/30</data></node>
-    <node id="s2"><data key="kind">subnet</data><data key="zone">z2</data>
-      <data key="cidr">10.2.0.0/24</data></node>
-    <node id="s3"><data key="kind">subnet</data><data key="zone">z3</data>
-      <data key="cidr">10.3.0.0/24</data></node>
-    <node id="fa"><data key="kind">firewall</data><data key="cidr">10.255.0.1/32</data></node>
-    <node id="fb"><data key="kind">firewall</data><data key="cidr">10.255.0.2/32</data></node>
-    <node id="fc"><data key="kind">firewall</data><data key="cidr">10.255.0.3/32</data></node>
-    <node id="fd"><data key="kind">firewall</data><data key="cidr">10.255.0.4/32</data></node>
-    <edge source="s1" target="fa"/><edge source="fa" target="s2"/>
-    <edge source="s1" target="fb"/><edge source="fb" target="s2"/>
-    <edge source="s2" target="fc"/><edge source="fc" target="s3"/>
-    <edge source="s1" target="fd"/><edge source="fd" target="s3"/>
-  </graph>
-</graphml>
-"""
-
-
-def _ring_model():
-    return derive_zone_conduit(build_zone_firewall_model(load_topology(RING)))
-
-
 @pytest.mark.parametrize("topology", ["plant", "ring"])
 def test_vet_negative_equals_per_packet_scan_on_random_acls(compiled_plant, topology):
     """Random ACL maps: identical leaks, in identical order."""
-    model = compiled_plant.model if topology == "plant" else _ring_model()
+    model = compiled_plant.model if topology == "plant" else ring_model()
     keys = [(fw, iface, "inbound") for fw, ifaces in sorted(model.firewall_interfaces.items())
             for iface in sorted(ifaces.values())]
     keys += [(fw, LOCAL_INTERFACE, d) for fw in sorted(model.firewall_interfaces)
@@ -382,7 +348,7 @@ def test_flow_admits_scan_only_at_the_scan_sport():
 
     def leaks(sports: PortRange) -> list[Leak]:
         dns = Service("dns", 17, source_ports=(sports,), dest_ports=(PortRange(53, 53),))
-        net = SimNetwork(_ring_model(), acl_map, (FlowRule("dns", "z1", "z3", dns),))
+        net = SimNetwork(ring_model(), acl_map, (FlowRule("dns", "z1", "z3", dns),))
         return vet_negative(net, scan)
 
     assert leaks(PortRange(53, 53)) == [Leak("z1", "z3", 17, 53)]
@@ -413,3 +379,22 @@ def test_rule_matches_packet_wildcards():
                        state=("ESTABLISHED",))
     assert not rule_matches_packet(stateful, Packet(1, 2, 6, 3, 4, 0, NEW))
     assert rule_matches_packet(stateful, Packet(1, 2, 6, 3, 4, 0, ESTABLISHED))
+
+
+def test_inject_enumerates_each_pair_once(compiled_plant, monkeypatch):
+    """Positive vetting enumerates the paths of each (src, dst, established)
+    once, however many packets cross the pair."""
+    calls = []
+    enumerate_paths = sim.enumerate_paths
+
+    def counted(model, src, dst, established=False):
+        calls.append((src, dst, established))
+        return enumerate_paths(model, src, dst, established)
+
+    monkeypatch.setattr(sim, "enumerate_paths", counted)
+    net = from_network_policy(compiled_plant)
+    first = vet_positive(net)
+    assert all(result.outcome for result in first)
+    assert vet_positive(net) == first  # the second run reads only the cache
+    assert len(calls) == len(set(calls)) == len(net.path_cache)
+    assert len(calls) < len(net.flows)
