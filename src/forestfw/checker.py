@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from forestfw import intervals
-from forestfw.header_space import HeaderPoint, Predicate, service_predicate
-from forestfw.intervals import Interval, IntervalSet
+from forestfw.header_space import HeaderPoint, Predicate, covered, rule_region, service_predicate
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PolicySpec,
@@ -27,7 +26,7 @@ from forestfw.policy_lang.syntax import (
 )
 
 if TYPE_CHECKING:  # avoid a runtime cycle with netgen
-    from forestfw.netgen import Acl, AclRule
+    from forestfw.netgen import Acl
 
 HIGH_LEVEL_OVERLAP = "high_level_overlap"
 ACL_REDUNDANCY = "acl_redundancy"
@@ -131,67 +130,6 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
 # ---------------------------------------------------------------------------
 # network-level anomaly detection
 
-_STATE_BITS = {"NEW": 0, "ESTABLISHED": 1}
-
-_Region = tuple[IntervalSet, ...]  # proto, src, dst, sport, dport, state
-_Box = tuple[Interval, ...]
-
-
-def _rule_region(rule: "AclRule") -> _Region:
-    proto: IntervalSet = ((0, 255),) if rule.protocol is None else ((rule.protocol, rule.protocol),)
-    src = intervals.normalize(
-        (int(n.network_address), int(n.broadcast_address)) for n in rule.src) or ((0, (1 << 32) - 1),)
-    dst = intervals.normalize(
-        (int(n.network_address), int(n.broadcast_address)) for n in rule.dst) or ((0, (1 << 32) - 1),)
-    sport = intervals.normalize(rule.sport) or ((0, 65535),)
-    dport = intervals.normalize(rule.dport) or ((0, 65535),)
-    if rule.state:
-        state = intervals.normalize((_STATE_BITS[s], _STATE_BITS[s]) for s in rule.state)
-    else:
-        state = ((0, 1),)
-    return (proto, src, dst, sport, dport, state)
-
-
-def _region_boxes(region: _Region) -> list[_Box]:
-    boxes: list[_Box] = [()]
-    for dim in region:
-        boxes = [box + (iv,) for box in boxes for iv in dim]
-    return boxes
-
-
-def _subtract_box(box: _Box, region: _Region) -> list[_Box]:
-    """Disjoint pieces of a simple box not covered by a product-of-unions region."""
-    covered: list[IntervalSet] = []
-    for iv, dim in zip(box, region):
-        shared = intervals.intersect((iv,), dim)
-        if not shared:
-            return [box]
-        covered.append(shared)
-
-    pieces: list[_Box] = []
-    prefixes: list[_Box] = [()]  # boxes over dims [0..d) restricted to the covered part
-    for d, (iv, dim) in enumerate(zip(box, region)):
-        outside = intervals.subtract((iv,), dim)
-        for prefix in prefixes:
-            for out_iv in outside:
-                pieces.append(prefix + (out_iv,) + box[d + 1:])
-        prefixes = [p + (c,) for p in prefixes for c in covered[d]]
-    return pieces
-
-
-def _covered(rule_region: _Region, coverers: list[_Region]) -> bool:
-    """Is the region fully covered by the union of the coverers?"""
-    boxes = _region_boxes(rule_region)
-    for coverer in coverers:
-        next_boxes: list[_Box] = []
-        for box in boxes:
-            next_boxes.extend(_subtract_box(box, coverer))
-        boxes = next_boxes
-        if not boxes:
-            return True
-    return not boxes
-
-
 def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     """Redundant and shadowed rules in an ordered network-level ACL.
 
@@ -201,18 +139,18 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     """
     reports: list[OverlapReport] = []
     rules = list(acl.rules)
-    regions = [_rule_region(r) for r in rules]
+    regions = [rule_region(r) for r in rules]
     for i, rule in enumerate(rules):
         if i == len(rules) - 1 and rule.action == "deny":
             break
         earlier_permits = [regions[j] for j in range(i) if rules[j].action == "permit"]
         provenance = f"{acl.name}[{i}]"
-        if rule.action == "permit" and earlier_permits and _covered(regions[i], earlier_permits):
+        if rule.action == "permit" and earlier_permits and covered(regions[i], earlier_permits):
             reports.append(OverlapReport(
                 ACL_REDUNDANCY, provenance, f"{acl.name}[0..{i - 1}] permits",
                 detail=f" ({rule.comment})" if rule.comment else ""))
             continue
-        if i > 0 and _covered(regions[i], regions[:i]):
+        if i > 0 and covered(regions[i], regions[:i]):
             reports.append(OverlapReport(
                 ACL_SHADOW, provenance, f"{acl.name}[0..{i - 1}]",
                 detail=f" ({rule.comment})" if rule.comment else ""))

@@ -16,16 +16,15 @@ import sys
 import tempfile
 from pathlib import Path
 
-from forestfw import canonical, checker, render, sim
+from forestfw import checker, render, sim
 from forestfw.diagnostics import CompileError, InputError, PolicyError, has_errors
-from forestfw.netgen import CompileOptions, compile_policy
-from forestfw.policy_lang import default_importer, expand_rules, parse_policy, validate_spec
+from forestfw.netgen import CompileOptions, compile_policy, verify_policy
+from forestfw.policy_lang import default_importer, parse_policy
 from forestfw.policy_lang.syntax import PORT_MAX, PORT_MIN, PolicySpec, PortRange
 from forestfw.topo_model import (
     Topology,
     ZoneConduitModel,
     build_zone_firewall_model,
-    crosscheck_model,
     derive_zone_conduit,
     export_graph,
     load_declared_model,
@@ -64,58 +63,29 @@ def _load_topology(path: Path) -> Topology:
     return load_topology(_read(path), str(path))
 
 
-def _derive_model(topology_path: Path):
-    topo = _load_topology(topology_path)
-    model = derive_zone_conduit(build_zone_firewall_model(topo))
-    return topo, model
+def _gate_inputs(args: argparse.Namespace,
+                 ospf: bool = False) -> tuple[PolicySpec, Topology, CompileOptions]:
+    """The policy, topology and gate options a ``check`` or ``compile``
+    command line names."""
+    policy_path = Path(args.policy)
+    spec = _load_policy(policy_path)
+    topo = _load_topology(Path(args.topology))
+    options = CompileOptions(
+        ospf=ospf,
+        best_practice=_load_policy(Path(args.best_practice)) if args.best_practice else None,
+        declared_model=_load_declared(spec, policy_path),
+    )
+    return spec, topo, options
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    policy_path = Path(args.policy)
-    spec = _load_policy(policy_path)
-    findings = False
-
-    diags = validate_spec(spec)
+    spec, topo, options = _gate_inputs(args)
+    _, flows, diags = verify_policy(spec, topo, options)
     for diag in diags:
         print(diag)
-    if has_errors(diags):
-        return FINDINGS
-
-    topo, model = _derive_model(Path(args.topology))
-    for warning in model.warnings:
-        print(f"{args.topology}:0:0: warning: {warning}")
-    declared = _load_declared(spec, policy_path)
-    if declared is not None:
-        mismatch = crosscheck_model(model, declared)
-        if mismatch is not None:
-            print(f"{policy_path}:0:0: error: security model mismatch: {mismatch}")
-            return FINDINGS
-
-    flows = expand_rules(spec)
-    for flow in flows:
-        for zone in (flow.src_zone, flow.dst_zone):
-            if zone not in model.zones:
-                print(f"{policy_path}:0:0: error: rule {flow.rule_name!r} references "
-                      f"zone {zone!r} not present in the derived model")
-                findings = True
-    if findings:
-        return FINDINGS
-
-    overlaps = checker.find_rule_overlaps(flows)
-    for report in overlaps:
-        print(f"{policy_path}:0:0: error: {report}")
-        findings = True
-
-    if args.best_practice:
-        bp_spec = _load_policy(Path(args.best_practice))
-        for violation in canonical.check_best_practice(flows, model.zones, bp_spec):
-            print(f"{policy_path}:0:0: error: {violation}")
-            findings = True
-
-    if args.emit_alloy:
+    if args.emit_alloy and flows is not None:
         Path(args.emit_alloy).write_text(checker.emit_alloy(spec, flows), encoding="utf-8")
-
-    if findings:
+    if has_errors(diags):
         return FINDINGS
     print(f"OK: {len(flows)} flows, no overlaps"
           + (", best practice satisfied" if args.best_practice else ""))
@@ -123,14 +93,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    policy_path = Path(args.policy)
-    spec = _load_policy(policy_path)
-    topo = _load_topology(Path(args.topology))
-    options = CompileOptions(
-        ospf=args.ospf,
-        best_practice=_load_policy(Path(args.best_practice)) if args.best_practice else None,
-        declared_model=_load_declared(spec, policy_path),
-    )
+    spec, topo, options = _gate_inputs(args, ospf=args.ospf)
     policy = compile_policy(spec, topo, options)
 
     out_dir = Path(args.out)
@@ -205,7 +168,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    _, model = _derive_model(Path(args.topology))
+    model = derive_zone_conduit(build_zone_firewall_model(_load_topology(Path(args.topology))))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for flavor in ("zone_firewall", "zone_conduit"):

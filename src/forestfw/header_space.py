@@ -1,26 +1,30 @@
-"""Executable semantics of packet-filter rules.
+"""Executable semantics of packet-filter rules and their region algebra.
 
 A :class:`HeaderPoint` stands for the whole class of packets sharing its
 header values; rules decide accept/deny per class, so evaluating one point
 per class is exact.  A :class:`Predicate` denotes a cross product of
-per-dimension range sets.  Three combination strategies are provided:
-first match, last match, and the order-free whitelist model the rest of
-the system is built on.
+per-dimension range sets, connection state included.  Three combination
+strategies are provided: first match, last match, and the order-free
+whitelist model the rest of the system is built on.  :func:`covered`
+decides whether a union of regions covers another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from forestfw import intervals
-from forestfw.intervals import IntervalSet
+from forestfw.intervals import Interval, IntervalSet
 from forestfw.policy_lang.syntax import (
     Service,
     effective_dports,
     effective_icmp_types,
     effective_sports,
 )
+
+if TYPE_CHECKING:  # netgen imports the checker, which imports this module
+    from forestfw.netgen import AclRule
 
 ACCEPT = "accept"
 DENY = "deny"
@@ -30,6 +34,10 @@ FULL_ADDR: IntervalSet = ((0, ADDR_MAX),)
 FULL_PORT: IntervalSet = ((0, 65535),)
 FULL_PROTO: IntervalSet = ((0, 255),)
 FULL_ICMP: IntervalSet = ((0, 255),)
+FULL_STATE: IntervalSet = ((0, 1),)
+
+# connection states as values of the state dimension
+STATE_BITS = {"NEW": 0, "ESTABLISHED": 1}
 
 # icmp_type is only meaningful when protocol == 1; elsewhere callers pin it
 # to this sentinel so cross products stay well-defined.
@@ -46,6 +54,11 @@ class HeaderPoint:
     sport: int = 0
     dport: int = 0
     icmp_type: int = ICMP_SENTINEL
+    state: int = STATE_BITS["NEW"]
+
+
+# the dimensions of a Predicate, in the order box subtraction splits them
+_DIMS = ("protocol", "src", "dst", "sport", "dport", "icmp", "state")
 
 
 @dataclass(frozen=True)
@@ -53,7 +66,7 @@ class Predicate:
     """A rectangle predicate: per-dimension sorted, disjoint range sets.
 
     Every dimension must be non-empty; an unconstrained dimension carries
-    its full range.
+    its full range.  ``state`` stays full unless set.
     """
 
     src: IntervalSet = FULL_ADDR
@@ -62,9 +75,10 @@ class Predicate:
     sport: IntervalSet = FULL_PORT
     dport: IntervalSet = FULL_PORT
     icmp: IntervalSet = FULL_ICMP
+    state: IntervalSet = FULL_STATE
 
     def __post_init__(self) -> None:
-        for dim in ("src", "dst", "protocol", "sport", "dport", "icmp"):
+        for dim in _DIMS:
             ranges = intervals.normalize(getattr(self, dim))
             if not ranges:
                 raise ValueError(f"predicate dimension {dim!r} is empty")
@@ -73,25 +87,17 @@ class Predicate:
     def intersect(self, other: "Predicate") -> "Predicate | None":
         """Dimension-wise intersection; None when any dimension empties."""
         dims = {}
-        for dim in ("src", "dst", "protocol", "sport", "dport", "icmp"):
+        for dim in _DIMS:
             shared = intervals.intersect(getattr(self, dim), getattr(other, dim))
             if not shared:
                 return None
             dims[dim] = shared
         return Predicate(**dims)
 
-    def union(self, other: "Predicate") -> "Predicate":
-        """Dimension-wise union: the smallest rectangle containing both.
-
-        This is a bounding union (a superset of the pointwise union); it
-        preserves the monotonicity of :func:`matches`.
-        """
-        return Predicate(
-            **{
-                dim: intervals.union(getattr(self, dim), getattr(other, dim))
-                for dim in ("src", "dst", "protocol", "sport", "dport", "icmp")
-            }
-        )
+    def dims(self) -> tuple[IntervalSet, ...]:
+        """The range sets in ``_DIMS`` order."""
+        return (self.protocol, self.src, self.dst, self.sport, self.dport,
+                self.icmp, self.state)
 
     def sample_point(self) -> HeaderPoint:
         """Lowest corner of the predicate; always matches it."""
@@ -102,6 +108,7 @@ class Predicate:
             sport=intervals.sample(self.sport),
             dport=intervals.sample(self.dport),
             icmp_type=intervals.sample(self.icmp),
+            state=intervals.sample(self.state),
         )
 
 
@@ -121,6 +128,7 @@ def matches(p: Predicate, x: HeaderPoint) -> bool:
         and intervals.contains(p.icmp, x.icmp_type)
         and intervals.contains(p.src, x.src_addr)
         and intervals.contains(p.dst, x.dst_addr)
+        and intervals.contains(p.state, x.state)
     )
 
 
@@ -180,3 +188,69 @@ def service_predicate(svc: Service) -> Predicate:
             icmp=((ICMP_SENTINEL, ICMP_SENTINEL),),
         )
     return Predicate(protocol=proto, icmp=((ICMP_SENTINEL, ICMP_SENTINEL),))
+
+
+def rule_region(rule: "AclRule") -> Predicate:
+    """The header-space region a compiled ACL rule matches.
+
+    Follows the ``AclRule`` encoding: an empty field matches anything, an
+    ICMP rule's types sit in ``dport`` (the icmp dimension stays full) and
+    ``state`` lists the connection states the rule admits.
+    """
+    def nets(networks) -> IntervalSet:
+        return tuple((int(n.network_address), int(n.broadcast_address))
+                     for n in networks) or FULL_ADDR
+
+    return Predicate(
+        protocol=FULL_PROTO if rule.protocol is None else ((rule.protocol, rule.protocol),),
+        src=nets(rule.src),
+        dst=nets(rule.dst),
+        sport=tuple(rule.sport) or FULL_PORT,
+        dport=tuple(rule.dport) or FULL_PORT,
+        state=tuple((STATE_BITS[s], STATE_BITS[s]) for s in rule.state) or FULL_STATE,
+    )
+
+
+# a simple box: one interval per dimension, in _DIMS order
+_Box = tuple[Interval, ...]
+
+
+def _boxes(region: Predicate) -> list[_Box]:
+    boxes: list[_Box] = [()]
+    for dim in region.dims():
+        boxes = [box + (iv,) for box in boxes for iv in dim]
+    return boxes
+
+
+def _subtract_box(box: _Box, region: tuple[IntervalSet, ...]) -> list[_Box]:
+    """Disjoint pieces of a simple box not covered by a region's range sets."""
+    covered_part: list[IntervalSet] = []
+    for iv, dim in zip(box, region):
+        shared = intervals.intersect((iv,), dim)
+        if not shared:
+            return [box]
+        covered_part.append(shared)
+
+    pieces: list[_Box] = []
+    prefixes: list[_Box] = [()]  # boxes over dims [0..d) restricted to the covered part
+    for d, (iv, dim) in enumerate(zip(box, region)):
+        outside = intervals.subtract((iv,), dim)
+        for prefix in prefixes:
+            for out_iv in outside:
+                pieces.append(prefix + (out_iv,) + box[d + 1:])
+        prefixes = [p + (c,) for p in prefixes for c in covered_part[d]]
+    return pieces
+
+
+def covered(region: Predicate, coverers: Iterable[Predicate]) -> bool:
+    """Is ``region`` fully covered by the union of the ``coverers``?"""
+    boxes = _boxes(region)
+    for coverer in coverers:
+        dims = coverer.dims()
+        next_boxes: list[_Box] = []
+        for box in boxes:
+            next_boxes.extend(_subtract_box(box, dims))
+        boxes = next_boxes
+        if not boxes:
+            return True
+    return not boxes

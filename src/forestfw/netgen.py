@@ -397,42 +397,56 @@ def _flow_comment(spec: PolicySpec, flow: FlowRule) -> str:
     return f"enable {src} to {dst} {_service_display(spec, flow)} traffic (forward path)"
 
 
-def compile_policy(spec: PolicySpec, topo: Topology,
-                   options: CompileOptions | None = None) -> NetworkPolicy:
-    """Compile a validated policy against a topology into ACLs.
+def verify_policy(spec: PolicySpec, topo: Topology, options: CompileOptions
+                  ) -> tuple[ZoneConduitModel | None, list[FlowRule] | None, list[Diagnostic]]:
+    """The verification gate ``check`` and ``compile`` share: validation,
+    the declared-model crosscheck and zone presence, each ending the gate
+    on an error, then rule overlaps and best-practice bounds.
 
-    Verification tiers gate compilation: validation errors, a declared
-    model mismatch, rule overlaps, best-practice violations, or a flow
-    with no valid path all abort with the aggregated diagnostics.
+    Returns the derived model (None after a validation error), the flows
+    (None unless the overlap stage ran) and the diagnostics in order.
     """
-    options = options or CompileOptions()
     diags: list[Diagnostic] = list(validate_spec(spec))
     if has_errors(diags):
-        raise CompileError(diags)
+        return None, None, diags
+
+    def error(message: str) -> None:
+        diags.append(Diagnostic("error", message, spec.file))
 
     model = derive_zone_conduit(build_zone_firewall_model(topo))
+    diags.extend(Diagnostic("warning", warning, topo.file) for warning in model.warnings)
     if options.declared_model is not None:
         mismatch = crosscheck_model(model, options.declared_model)
         if mismatch is not None:
-            diags.append(Diagnostic("error", f"security model mismatch: {mismatch}"))
-            raise CompileError(diags)
+            error(f"security model mismatch: {mismatch}")
+            return model, None, diags
 
     flows = expand_rules(spec)
     for flow in flows:
         for zone in (flow.src_zone, flow.dst_zone):
             if zone not in model.zones:
-                diags.append(Diagnostic(
-                    "error", f"rule {flow.rule_name!r} references zone {zone!r} "
-                             f"not present in the derived model"))
+                error(f"rule {flow.rule_name!r} references zone {zone!r} "
+                      f"not present in the derived model")
     if has_errors(diags):
-        raise CompileError(diags)
+        return model, None, diags
 
-    overlaps = find_rule_overlaps(flows)
-    for report in overlaps:
-        diags.append(Diagnostic("error", str(report)))
+    for report in find_rule_overlaps(flows):
+        error(str(report))
     if options.best_practice is not None:
         for violation in check_best_practice(flows, model.zones, options.best_practice):
-            diags.append(Diagnostic("error", str(violation)))
+            error(str(violation))
+    return model, flows, diags
+
+
+def compile_policy(spec: PolicySpec, topo: Topology,
+                   options: CompileOptions | None = None) -> NetworkPolicy:
+    """Compile a validated policy against a topology into ACLs.
+
+    The verification gate (:func:`verify_policy`) and a flow with no
+    valid path abort compilation with the aggregated diagnostics.
+    """
+    options = options or CompileOptions()
+    model, flows, diags = verify_policy(spec, topo, options)
     if has_errors(diags):
         raise CompileError(diags)
 
@@ -461,7 +475,8 @@ def compile_policy(spec: PolicySpec, topo: Topology,
         if not hops:
             diags.append(Diagnostic(
                 "error", f"no valid path for flow {flow.rule_name!r}: "
-                         f"{flow.src_zone} -> {flow.dst_zone} ({flow.service.name})"))
+                         f"{flow.src_zone} -> {flow.dst_zone} ({flow.service.name})",
+                spec.file))
             continue
 
         log = flow.rule_name in logged_rules

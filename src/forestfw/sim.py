@@ -21,7 +21,6 @@ from pathlib import Path
 
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError
-from forestfw.header_space import Predicate
 from forestfw.netgen import (
     AclRule,
     NetworkPolicy,
@@ -191,11 +190,15 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
     model.firewall_interfaces = {
         fw: dict(ifaces) for fw, ifaces in manifest["firewall_interfaces"].items()
     }
+    _check_model(model)
     bindings = [(a["file"], a["acl"], (a["firewall"], a["interface"], a["direction"]))
                 for a in manifest["assignments"]]
 
     flows = []
     for f in manifest["flows"]:
+        for zone in (f["src_zone"], f["dst_zone"]):
+            if zone not in model.zones:
+                raise ValueError(f"flow {f['rule']!r} names unknown zone {zone!r}")
         svc = f["service"]
         flows.append(FlowRule(
             rule_name=f["rule"], src_zone=f["src_zone"], dst_zone=f["dst_zone"],
@@ -206,6 +209,23 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
                 icmp_types=tuple(PortRange(lo, hi) for lo, hi in svc["icmp_types"]),
             )))
     return model, bindings, tuple(flows)
+
+
+def _check_model(model: ZoneConduitModel) -> None:
+    """Raise ValueError unless every conduit joins known zones through
+    firewalls facing both of them, as in a topology-derived model."""
+    if not model.firewall_interfaces:
+        raise ValueError("no firewall interfaces")
+    fw_zones = firewall_zones(model)
+    for pair, conduit in model.conduits.items():
+        for zone in pair:
+            if zone not in model.zones:
+                raise ValueError(f"conduit {'-'.join(pair)} names unknown zone {zone!r}")
+        for firewall in sorted(conduit.firewalls):
+            faces = {fw_zones.get(firewall), *model.firewall_interfaces.get(firewall, ())}
+            if not set(pair) <= faces:
+                raise ValueError(f"conduit {'-'.join(pair)} names firewall {firewall!r}, "
+                                 f"which does not face both of its zones")
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +275,6 @@ def eval_acl(rules: tuple[AclRule, ...], packet: Packet) -> tuple[str, str]:
         if rule_matches_packet(rule, packet):
             return rule.action, f"[{i}] {rule.action} {rule.comment or rule.origin_service}"
     return "deny", "implicit deny (no match)"
-
-
-def acl_rule_predicate(rule: AclRule) -> Predicate:
-    """Header-space rectangle of an ACL rule (state not represented)."""
-    def nets(ranges: tuple[ipaddress.IPv4Network, ...]):
-        return intervals.normalize(
-            (int(n.network_address), int(n.broadcast_address)) for n in ranges)
-
-    return Predicate(
-        src=nets(rule.src) or ((0, (1 << 32) - 1),),
-        dst=nets(rule.dst) or ((0, (1 << 32) - 1),),
-        protocol=((rule.protocol, rule.protocol),) if rule.protocol is not None else ((0, 255),),
-        sport=intervals.normalize(rule.sport) or ((0, 65535),),
-        dport=intervals.normalize(rule.dport) or ((0, 65535),),
-        icmp=((0, 255),),
-    )
 
 
 def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:

@@ -46,6 +46,7 @@ class Link:
 class Topology:
     devices: dict[str, Device] = field(default_factory=dict)
     links: list[Link] = field(default_factory=list)
+    file: str = "<topology>"  # the document it was loaded from, for diagnostics
 
     def neighbors(self, name: str) -> list[tuple[str, str]]:
         """(peer device, local interface) pairs for a device."""
@@ -161,7 +162,7 @@ def load_topology(document: str, file: str = "<topology>") -> Topology:
     if graph is None:
         raise InputError("GraphML document has no <graph>", file)
 
-    topo = Topology()
+    topo = Topology(file=file)
     for node in graph.findall(f"{ns}node"):
         name = node.get("id") or ""
         data = _data_of(node, keymap, ns)

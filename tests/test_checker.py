@@ -1,3 +1,4 @@
+import dataclasses
 import ipaddress
 import random
 
@@ -213,54 +214,67 @@ def test_generated_fixture_acls_are_anomaly_free(compiled_plant):
 
 
 def test_anomaly_detection_against_dense_grid_oracle():
-    """Randomized ACLs: coverage classification matches a pointwise oracle."""
+    """Randomized ACLs: coverage classification matches a pointwise oracle.
+
+    Rules are TCP or ICMP (types in dport, the AclRule encoding), and some
+    copy an earlier rule with only the set of connection states changed.
+    """
     import numpy as np
 
     rng = random.Random(2718)
     pool = [ipaddress.IPv4Network(f"10.9.{i}.0/24") for i in range(3)]
     samples = np.array([int(n.network_address) for n in pool])
+    state_sets = ((), ("NEW",), ("ESTABLISHED",), ("NEW", "ESTABLISHED"))
 
     def rule_mask(rule: AclRule) -> np.ndarray:
-        # dims: src sample, dst sample, sport 0..7, dport 0..7, state {N,E}
-        mask = np.zeros((3, 3, 8, 8, 2), dtype=bool)
+        # dims: protocol {ICMP, TCP}, src sample, dst sample, sport 0..7,
+        # dport (ICMP type) 0..7, state {N,E}
+        mask = np.zeros((2, 3, 3, 8, 8, 2), dtype=bool)
+        proto_ok = [rule.protocol == 1, rule.protocol == 6]
         src_ok = [any(a in n for n in rule.src)
                   for a in (ipaddress.IPv4Address(int(v)) for v in samples)]
         dst_ok = [any(a in n for n in rule.dst)
                   for a in (ipaddress.IPv4Address(int(v)) for v in samples)]
         states = [("NEW" in rule.state or not rule.state),
                   ("ESTABLISHED" in rule.state or not rule.state)]
-        for si, s_in in enumerate(src_ok):
-            if not s_in:
-                continue
-            for di, d_in in enumerate(dst_ok):
-                if not d_in:
-                    continue
-                for sp_lo, sp_hi in rule.sport or (PortRange(0, 65535),):
-                    for dp_lo, dp_hi in rule.dport or (PortRange(0, 65535),):
-                        for st, st_in in enumerate(states):
-                            if st_in:
-                                mask[si, di,
-                                     sp_lo:min(sp_hi, 7) + 1,
-                                     dp_lo:min(dp_hi, 7) + 1, st] = True
+        for pi, p_in in enumerate(proto_ok):
+            for si, s_in in enumerate(src_ok):
+                for di, d_in in enumerate(dst_ok):
+                    if not (p_in and s_in and d_in):
+                        continue
+                    for sp_lo, sp_hi in rule.sport or (PortRange(0, 65535),):
+                        for dp_lo, dp_hi in rule.dport or (PortRange(0, 65535),):
+                            for st, st_in in enumerate(states):
+                                if st_in:
+                                    mask[pi, si, di,
+                                         sp_lo:min(sp_hi, 7) + 1,
+                                         dp_lo:min(dp_hi, 7) + 1, st] = True
         return mask
 
-    for _ in range(80):
+    kinds = set()
+    for _ in range(160):
         rules = []
         for i in range(rng.randint(2, 5)):
+            state = rng.choice(state_sets)
+            if rules and rng.random() < 0.3:
+                rules.append(dataclasses.replace(rng.choice(rules), state=state))
+                continue
+            protocol = rng.choice((1, 6))
             sp = rng.randrange(8)
             dp = rng.randrange(8)
             rules.append(AclRule(
                 action=rng.choice(("permit", "permit", "deny")),
-                protocol=6,
+                protocol=protocol,
                 src=(pool[rng.randrange(3)],),
                 dst=(pool[rng.randrange(3)],),
-                sport=(PortRange(sp, rng.randrange(sp, 8)),),
+                sport=(PortRange(sp, rng.randrange(sp, 8)),) if protocol == 6 else (),
                 dport=(PortRange(dp, rng.randrange(dp, 8)),),
-                state=rng.choice(((), ("NEW",), ("ESTABLISHED",),
-                                  ("NEW", "ESTABLISHED"))),
+                state=state,
             ))
         acl = Acl("acl_r", tuple(rules) + (TERMINAL_DENY,))
         reports = {r.rule_a: r.kind for r in find_acl_anomalies(acl)}
+        kinds.update((rule.protocol, reports.get(f"acl_r[{i}]"))
+                     for i, rule in enumerate(rules))
 
         masks = [rule_mask(r) for r in rules]
         for i, rule in enumerate(rules):
@@ -280,6 +294,8 @@ def test_anomaly_detection_against_dense_grid_oracle():
                 assert reports.get(name) == ACL_SHADOW
             else:
                 assert name not in reports
+    # both protocols met every classification
+    assert kinds == {(p, k) for p in (1, 6) for k in (ACL_REDUNDANCY, ACL_SHADOW, None)}
 
 
 # ---------------------------------------------------------------------------

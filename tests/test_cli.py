@@ -204,6 +204,25 @@ def test_simulate_manifest_without_key_is_usage_error(tmp_path, capsys, key):
     assert repr(key) in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda m: m["conduits"][0].__setitem__("zones", ["az1", "nowhere"]), "'nowhere'"),
+    (lambda m: m.__setitem__("firewall_interfaces", {}), "no firewall interfaces"),
+    (lambda m: m["conduits"][0].__setitem__("firewalls", ["NOPE"]), "'NOPE'"),
+    (lambda m: m["flows"][0].__setitem__("dst_zone", "nowhere"), "'nowhere'"),
+], ids=["conduit_zone", "no_firewall_interfaces", "conduit_firewall", "flow_zone"])
+def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, key):
+    out_dir = _compiled(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {manifest_path}:0:0: error: ")
+    assert key in captured.err and captured.out == ""
+
+
 def test_simulate_bad_neutral_address_names_file_and_line(tmp_path, capsys):
     out_dir = _compiled(tmp_path, capsys)
     acl_file = out_dir / "R1.neutral.acl"
@@ -232,3 +251,49 @@ def test_truncated_graphml_names_the_topology_file(tmp_path, capsys, command):
     assert captured.err.startswith(f"forestfw: {truncated}:")
     assert "malformed GraphML" in captured.err and "<topology>" not in captured.err
     assert not (tmp_path / "c").exists()
+
+
+STRICT_BEST_PRACTICE = """import system.services.iana_services;
+zone_group protected_zone { z3 }
+policy_rule inbound_bound { any_zone -> protected_zone : iana_services.https }
+policy_rule outbound_bound { protected_zone -> any_zone : iana_services.https }
+rule_group best_practice { inbound_bound, outbound_bound }
+"""
+
+
+@pytest.mark.parametrize("case", [
+    "validation", "model_mismatch", "unknown_zone", "overlap", "best_practice"])
+def test_check_and_compile_report_the_same_gate_errors(tmp_path, capsys, case):
+    fixed = (FIXTURES / "scada_plant_fixed.policyml").read_text()
+    declared = (FIXTURES / "zone_conduit.graphml").read_text()
+    extra = []
+    if case == "validation":
+        fixed += "service anytcp { protocol=tcp; }\n"
+    elif case == "model_mismatch":
+        declared = declared.replace('<edge source="z1" target="z2"/>', "")
+    elif case == "unknown_zone":
+        fixed = fixed.replace("scada_managed_firewalls { fwz2 }",
+                              "scada_managed_firewalls { fwz2, fwz9 }")
+    elif case == "overlap":
+        fixed = (FIXTURES / "scada_plant.policyml").read_text()
+    else:
+        (tmp_path / "strict.policyml").write_text(STRICT_BEST_PRACTICE)
+        extra = ["--best-practice", str(tmp_path / "strict.policyml")]
+    policy = tmp_path / "policy.policyml"
+    policy.write_text(fixed)
+    (tmp_path / "zone_conduit.graphml").write_text(declared)
+    args = ["--policy", str(policy), "--topology", TOPOLOGY, *extra]
+
+    check_code = main(["check", *args])
+    check_out = capsys.readouterr().out
+    compile_code = main(["compile", *args, "--out", str(tmp_path / "out")])
+    compile_err = capsys.readouterr().err
+
+    def errors(text):
+        return [line for line in text.splitlines() if ": error: " in line]
+
+    assert check_code == compile_code == 1
+    assert errors(check_out) and errors(check_out) == errors(compile_err)
+    assert all(line.startswith(f"{policy}:") for line in errors(check_out))
+    assert "<policy>" not in check_out + compile_err
+    assert not (tmp_path / "out").exists()

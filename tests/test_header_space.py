@@ -127,18 +127,6 @@ def test_combination_strategies_associative():
             assert last_left(point) == last_right(point) == eval_last_match(flat, point)
 
 
-def test_matches_monotone_under_union():
-    rng = random.Random(6)
-    points = rule_grid_points()
-    for _ in range(40):
-        p = random_accept_rules(rng, max_rules=1)[0].predicate
-        q = random_accept_rules(rng, max_rules=1)[0].predicate
-        union = p.union(q)
-        for point in points:
-            if matches(p, point):
-                assert matches(union, point)
-
-
 def test_intersect_none_when_disjoint():
     a = Predicate(protocol=((6, 6),))
     b = Predicate(protocol=((17, 17),))

@@ -4,7 +4,15 @@ import random
 import pytest
 
 from forestfw.diagnostics import PolicyError
-from forestfw.header_space import HeaderPoint, eval_first_match, MatchRule, ACCEPT, DENY
+from forestfw.header_space import (
+    ACCEPT,
+    DENY,
+    STATE_BITS,
+    HeaderPoint,
+    MatchRule,
+    eval_first_match,
+    rule_region,
+)
 from forestfw.netgen import AclRule, CompileOptions, compile_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
 from forestfw import sim
@@ -16,7 +24,6 @@ from forestfw.sim import (
     Packet,
     ScanSpec,
     SimNetwork,
-    acl_rule_predicate,
     default_scan_spec,
     from_network_policy,
     inject,
@@ -174,39 +181,60 @@ def test_stateful_discipline_no_established_before_new(net):
 
 
 def test_single_firewall_agrees_with_first_match_semantics():
-    """inject() over a one-firewall chain equals eval_first_match on its ACL."""
+    """inject() over a one-firewall chain equals eval_first_match on the
+    regions of its ACL, for TCP, UDP and ICMP packets, NEW and ESTABLISHED."""
     from forestfw.topo_model import load_topology
     from test_topo_model import CHAIN
 
     topo = load_topology(CHAIN)
     source = """
 import system.services.iana_services;
+import system.services.iana_icmp;
 zone_group left { z1 }
 zone_group right { z3 }
 policy_rule a { left -> right : iana_services.https }
 policy_rule b { left -> right : iana_services.dns_udp }
+policy_rule c { left -> right : iana_icmp.icmp_echo }
+policy_rule d { right -> left : iana_services.ssh }
 reporting_rule rep { use_case=verification; }
-rule_group g { a, b }
+rule_group g { a, b, c, d }
 policy p { g; rep; }
 """
     from forestfw.policy_lang import parse_policy
     policy = compile_policy(parse_policy(source), topo)
     net = from_network_policy(policy)
 
-    acl = net.acl_map[("fw", "p0", "inbound")]  # z1-facing interface
+    # z1-facing interface: forward rules of a, b, c and the returns of d
+    acl = net.acl_map[("fw", "p0", "inbound")]
+    assert {r.protocol for r in acl} == {1, 6, 17, None}
+    assert any(r.state == (ESTABLISHED,) for r in acl)
     match_rules = [
-        MatchRule(ACCEPT if r.action == "permit" else DENY, acl_rule_predicate(r))
+        MatchRule(ACCEPT if r.action == "permit" else DENY, rule_region(r))
         for r in acl
     ]
     src, dst = addr("10.1.0.1"), addr("10.3.0.1")
     rng = random.Random(17)
-    for _ in range(400):
-        protocol = rng.choice((6, 17))
-        sport, dport = rng.randrange(0, 1024), rng.randrange(0, 1024)
-        packet = Packet(src, dst, protocol, sport, dport, 0, NEW)
-        point = HeaderPoint(src, dst, protocol, sport, dport, 0)
+    verdicts = set()
+    for _ in range(600):
+        protocol = rng.choice((1, 6, 17))
+        state = rng.choice((NEW, ESTABLISHED))
+        if protocol == 1:
+            packet = Packet(src, dst, 1, 0, 0, rng.choice((0, 8, rng.randrange(256))), state)
+        else:
+            sport, dport = (rng.choice((22, 53, 443, rng.randrange(1024))) for _ in range(2))
+            packet = Packet(src, dst, protocol, sport, dport, 0, state)
+        net.reset_connections()
+        if state == ESTABLISHED:
+            # the connection an earlier NEW packet of the mirrored flow opened
+            net.connections.add((protocol, dst, packet.dport, src, packet.sport))
+        # the AclRule encoding carries the ICMP type in dport
+        point = HeaderPoint(src, dst, protocol, packet.sport,
+                            packet.icmp_type if protocol == 1 else packet.dport,
+                            state=STATE_BITS[state])
         delivered = inject(net, packet, "z1").delivered
-        assert delivered == (eval_first_match(match_rules, point) == ACCEPT)
+        assert delivered == (eval_first_match(match_rules, point) == ACCEPT), packet
+        verdicts.add((protocol, state, delivered))
+    assert len(verdicts) == 12  # each protocol and state met both verdicts
 
 
 def test_accept_relation_equals_flow_relation_over_scan_space(net):
