@@ -10,6 +10,7 @@ external analysis.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -101,6 +102,12 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
     Flows expanded from the same rule never self-report.  Output order is
     lexicographic by rule-name pair; witnesses are aggregated and
     deduplicated by value.
+
+    Only flows of one protocol can overlap, so each conduit's flows are
+    bucketed by protocol and only pairs within a bucket are compared, in
+    the order of an all-pairs scan.  Each flow's port (or ICMP type) sets
+    are normalized once, and a pair whose sets are disjoint is rejected
+    before its intersection is built.
     """
     by_conduit: dict[tuple[str, str], list[FlowRule]] = {}
     for flow in flows:
@@ -108,9 +115,23 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
 
     found: dict[tuple[str, str], dict[tuple, OverlapWitness]] = {}
     for (src, dst), members in sorted(by_conduit.items()):
-        for i, fa in enumerate(members):
-            for fb in members[i + 1:]:
+        # each protocol's flows not yet visited, in input order; visiting a
+        # flow's later same-protocol peers keeps the all-pairs order, which
+        # decides the name a witness found twice keeps
+        later: dict[int, deque[tuple[FlowRule, tuple]]] = {}
+        for flow in members:
+            if flow.service.protocol is not None:
+                later.setdefault(flow.service.protocol, deque()).append(
+                    (flow, _overlap_dimensions(flow.service)))
+        for fa in members:
+            if fa.service.protocol is None:
+                continue
+            peers = later[fa.service.protocol]
+            _, dims_a = peers.popleft()
+            for fb, dims_b in peers:
                 if fa.rule_name == fb.rule_name:
+                    continue
+                if not all(intervals.intersect(a, b) for a, b in zip(dims_a, dims_b)):
                     continue
                 shared = service_intersection(fa.service, fb.service)
                 if shared is None:
@@ -125,6 +146,17 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
                                  key=lambda w: (w.src_zone, w.dst_zone, w.service.name)))
         reports.append(OverlapReport(HIGH_LEVEL_OVERLAP, rule_a, rule_b, witnesses))
     return reports
+
+
+def _overlap_dimensions(svc: Service) -> tuple:
+    """The normalized sets on which two services of ``svc``'s protocol
+    must meet to overlap: ICMP types, or TCP/UDP dest and source ports
+    (dest first, since it tells services apart more often)."""
+    if svc.protocol == 1:
+        return (effective_icmp_types(svc),)
+    if svc.protocol in (6, 17):
+        return (effective_dports(svc), effective_sports(svc))
+    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,9 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
     """
     if src == dst:
         raise ValueError("path endpoints must differ")
-    if not model.firewall_interfaces:
+    # a model without conduits has no paths; one with conduits but no
+    # firewall interfaces was declared, not derived, and cannot be walked
+    if model.conduits and not model.firewall_interfaces:
         raise ValueError("path enumeration needs a topology-derived model")
     for zone in (src, dst):
         if zone not in model.zones:

@@ -2,12 +2,18 @@
 
 Comments run from ``//`` to end of line.  String literals accept plain
 double quotes and the typographic ````...''`` form; both are stored
-normalized (unquoted).
+normalized (unquoted).  Numbers are runs of ASCII digits; any other digit
+is a lexical error, since it would not read back as a port.
+
+The source is scanned once by one compiled regular expression whose
+alternatives are the token classes.  Lines and columns (1-based, one
+column per character) come from the offsets of the newlines passed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from forestfw.diagnostics import PolicyError
 
@@ -26,12 +32,8 @@ KEYWORDS = frozenset(
     }
 )
 
-# single- and multi-character punctuation, longest match first
-_PUNCT = ("<->", "->", "{", "}", ";", ",", ":", "=", ".", "^", "\\", "-")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "kw", "ident", "int", "string", "punct", "eof"
     value: str
     line: int
@@ -41,81 +43,69 @@ class Token:
         return f"{self.kind}:{self.value!r}@{self.line}:{self.col}"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+# One match per token, its leading blanks included, or per newline.
+# Alternatives are tried in order; ``\w`` is exactly ``str.isalnum`` plus
+# ``_``, and ``[^\W\d]`` also admits the numeric characters that are not
+# letters, which ``tokenize`` rejects.  Blanks that end the text match
+# nothing and are skipped.
+_SCAN = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+      (?P<newline>\n)
+    | (?P<comment>//[^\n]*)
+    | (?P<string>"[^"\n]*")
+    | (?P<typographic>``(?:[^'\n]|'(?!'))*'')
+    | (?P<open>"|``)
+    | (?P<int>[0-9]+)
+    | (?P<word>[^\W\d]\w*)
+    | (?P<punct><->|->|[{};,:=.^\\-])
+    | (?P<other>[^ \t\r])
+    )
+    """,
+    re.VERBOSE,
+)
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+def _bad_character(ch: str, file: str, line: int, col: int) -> PolicyError:
+    if ch.isdigit():
+        return PolicyError(f"non-ASCII digit {ch!r} in a number", file, line, col)
+    return PolicyError(f"unexpected character {ch!r}", file, line, col)
 
 
 def tokenize(text: str, file: str = "<policy>") -> list[Token]:
     """Tokenize policy source, attaching line/column to every token."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    line_start = 0  # offset of the current line's first character
+    for match in _SCAN.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line += 1
+            line_start = match.end()
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == '"' or text.startswith("``", i):
-            start_line, start_col = line, col
-            closer = '"' if ch == '"' else "''"
-            advance(1 if ch == '"' else 2)
-            buf = []
-            while i < n and not text.startswith(closer, i):
-                if text[i] == "\n":
-                    raise PolicyError("unterminated string", file, start_line, start_col)
-                buf.append(text[i])
-                advance(1)
-            if i >= n:
-                raise PolicyError("unterminated string", file, start_line, start_col)
-            advance(len(closer))
-            tokens.append(Token("string", "".join(buf), start_line, start_col))
-            continue
-        if ch.isdigit():
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        if _is_ident_start(ch):
-            start_line, start_col = line, col
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_line, start_col))
-            advance(j - i)
-            continue
-        for punct in _PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token("punct", punct, line, col))
-                advance(len(punct))
-                break
-        else:
-            raise PolicyError(f"unexpected character {ch!r}", file, line, col)
-
-    tokens.append(Token("eof", "", line, col))
+        value = match.group(kind)
+        col = match.start(kind) - line_start + 1
+        if kind == "word":
+            if not (value[0].isalpha() or value[0] == "_"):
+                raise _bad_character(value[0], file, line, col)
+            append(Token("kw" if value in KEYWORDS else "ident", value, line, col))
+        elif kind == "punct":
+            append(Token("punct", value, line, col))
+        elif kind == "int":
+            end = match.end()
+            if end < len(text) and text[end].isdigit():
+                raise _bad_character(text[end], file, line, col)
+            append(Token("int", value, line, col))
+        elif kind == "string":
+            append(Token("string", value[1:-1], line, col))
+        elif kind == "typographic":
+            append(Token("string", value[2:-2], line, col))
+        elif kind == "open":
+            raise PolicyError("unterminated string", file, line, col)
+        elif kind == "other":
+            raise _bad_character(value, file, line, col)
+        # comments produce no token
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens

@@ -4,7 +4,10 @@ Parsing happens in two phases: the syntactic pass collects raw
 declarations (imports already merged under their namespace prefix), and a
 resolution pass builds the fully name-resolved :class:`PolicySpec`, with
 set expressions evaluated, port-group references substituted, and every
-name checked against the declaration registry.
+name checked against the declaration registry.  Each file, the main one
+and every import, is tokenized and parsed once per :func:`parse_policy`
+call, and a set expression's ``,`` segments are united in one n-ary
+union, so the work grows linearly with the policy.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ Importer = Callable[[str], str]
 _LIBRARY_ROOT = Path(__file__).parent / "library"
 
 _SET_OPS = (",", "^", "\\")
+# braced values and groups nest by recursion; deeper nesting is refused,
+# not a crash
+_MAX_NESTING = 64
 
 
 def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
@@ -218,24 +224,32 @@ def _parse_attrs(ts: _TokenStream) -> tuple[tuple[str, Value], ...]:
     return tuple(attrs)
 
 
-def _parse_value(ts: _TokenStream) -> Value:
-    first = _parse_value_atom(ts)
+def _parse_value(ts: _TokenStream, depth: int = 0) -> Value:
+    first = _parse_value_atom(ts, depth)
     if not ts.at("punct", ","):
         return first
     items = [first]
     while ts.accept("punct", ","):
-        items.append(_parse_value_atom(ts))
+        items.append(_parse_value_atom(ts, depth))
     return VList(tuple(items))
 
 
-def _parse_value_atom(ts: _TokenStream) -> Value:
+def _int_value(ts: _TokenStream, tok: Token) -> int:
+    try:
+        return int(tok.value)
+    except ValueError:  # more digits than the interpreter converts
+        raise PolicyError(f"number of {len(tok.value)} digits is too long",
+                          ts.file, tok.line, tok.col) from None
+
+
+def _parse_value_atom(ts: _TokenStream, depth: int = 0) -> Value:
     tok = ts.peek()
     if tok.kind == "int":
         ts.next()
         if ts.accept("punct", "-"):
             hi = ts.expect("int", hint="range upper bound")
-            return VRange(int(tok.value), int(hi.value))
-        return VInt(int(tok.value))
+            return VRange(_int_value(ts, tok), _int_value(ts, hi))
+        return VInt(_int_value(ts, tok))
     if tok.kind in ("ident", "kw"):
         ts.next()
         return VName(tok.value)
@@ -243,15 +257,17 @@ def _parse_value_atom(ts: _TokenStream) -> Value:
         ts.next()
         return VString(tok.value)
     if tok.kind == "punct" and tok.value == "{":
+        if depth == _MAX_NESTING:
+            raise ts.error(f"value blocks nested more than {_MAX_NESTING} deep")
         ts.next()
         items: list[tuple[str | None, Value]] = []
         while not ts.at("punct", "}"):
             if ts.peek().kind in ("ident", "kw") and _peek_is_assignment(ts):
                 key = _parse_dotted(ts)
                 ts.expect("punct", "=")
-                items.append((key, _parse_value(ts)))
+                items.append((key, _parse_value(ts, depth + 1)))
             else:
-                items.append((None, _parse_value_atom(ts)))
+                items.append((None, _parse_value_atom(ts, depth + 1)))
             if not (ts.accept("punct", ";") or ts.accept("punct", ",")):
                 break
         ts.expect("punct", "}")
@@ -287,9 +303,10 @@ def _parse_ranges(ts: _TokenStream) -> tuple[PortRange, ...]:
         lo = ts.expect("int", hint="port number")
         if ts.accept("punct", "-"):
             hi = ts.expect("int", hint="range upper bound")
-            ranges.append(PortRange(int(lo.value), int(hi.value)))
+            ranges.append(PortRange(_int_value(ts, lo), _int_value(ts, hi)))
         else:
-            ranges.append(PortRange(int(lo.value), int(lo.value)))
+            port = _int_value(ts, lo)
+            ranges.append(PortRange(port, port))
         if not ts.accept("punct", ","):
             break
     return tuple(ranges)
@@ -344,8 +361,9 @@ def _prefix_decls(decls: list[_RawDecl], prefix: str) -> list[_RawDecl]:
     return out
 
 
-def _collect(text: str, file: str, importer: Importer, seen: dict[str, bool]) -> _RawFile:
-    raw = _parse_file(text, file)
+def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]) -> _RawFile:
+    """``raw`` with the declarations of its imports, transitively, merged in
+    front of its own; each imported file is parsed here, once."""
     merged: list[_RawDecl] = []
     for dotted in raw.imports:
         if dotted in seen:
@@ -353,7 +371,7 @@ def _collect(text: str, file: str, importer: Importer, seen: dict[str, bool]) ->
                 raise PolicyError(f"import cycle through {dotted!r}", file)
             continue
         seen[dotted] = False
-        imported = _collect(importer(dotted), dotted, importer, seen)
+        imported = _collect(_parse_file(importer(dotted), dotted), dotted, importer, seen)
         seen[dotted] = True
         prefix = dotted.rsplit(".", 1)[-1]
         merged.extend(_prefix_decls(imported.decls, prefix))
@@ -526,6 +544,8 @@ class _Resolver:
             raise self.err(decl, f"{decl.kind} {name!r} used where a service was expected")
         if name in self._resolving:
             raise self.err(decl, f"cycle in service group nesting through {name!r}")
+        if len(self._resolving) == _MAX_NESTING:
+            raise self.err(decl, f"service groups nested more than {_MAX_NESTING} deep")
         self._resolving.append(name)
         assert decl.expr is not None
         members = self._eval_expr(decl, decl.expr, self._service_term_set)
@@ -549,10 +569,7 @@ class _Resolver:
                 segments[-1] = segments[-1].intersection(value)
             else:
                 segments[-1] = segments[-1].difference(value)
-        result = segments[0]
-        for seg in segments[1:]:
-            result = result.union(seg)
-        return result
+        return segments[0].union(*segments[1:])
 
     # -- zone groups
 
@@ -567,6 +584,8 @@ class _Resolver:
             raise self.err(decl, f"{decl.kind} {name!r} used where a zone was expected")
         if name in self._resolving:
             raise self.err(decl, f"cycle in zone group nesting through {name!r}")
+        if len(self._resolving) == _MAX_NESTING:
+            raise self.err(decl, f"zone groups nested more than {_MAX_NESTING} deep")
         self._resolving.append(name)
         assert decl.expr is not None
         zones = self._eval_expr(decl, decl.expr, lambda d, n: _ZoneTerm(self._zone_set(n)))
@@ -623,8 +642,8 @@ class _ZoneTerm:
     def __init__(self, value: frozenset[str]):
         self.value = value
 
-    def union(self, other: "_ZoneTerm") -> "_ZoneTerm":
-        return _ZoneTerm(self.value | other.value)
+    def union(self, *others: "_ZoneTerm") -> "_ZoneTerm":
+        return _ZoneTerm(self.value.union(*(other.value for other in others)))
 
     def intersection(self, other: "_ZoneTerm") -> "_ZoneTerm":
         return _ZoneTerm(self.value & other.value)
@@ -658,7 +677,7 @@ def parse_policy(text: str, importer: Importer | None = None,
     """Parse policy source into a fully name-resolved PolicySpec."""
     importer = importer or default_importer()
     main = _parse_file(text, file)
-    raw = _collect(text, file, importer, seen={})
+    raw = _collect(main, file, importer, seen={})
     return _Resolver(raw, file, text, main.decls).run()
 
 
@@ -684,10 +703,7 @@ def resolve_service_expr(expr: SetExpr, spec: PolicySpec) -> ServiceSet:
         else:
             current = current.difference(value)
     segments.append(current)
-    result = segments[0]
-    for seg in segments[1:]:
-        result = result.union(seg)
-    return result
+    return segments[0].union(*segments[1:])
 
 
 # ---------------------------------------------------------------------------

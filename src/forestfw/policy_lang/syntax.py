@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
@@ -175,8 +176,13 @@ class ServiceSet:
     def value_keys(self) -> frozenset:
         return frozenset(s.value_key() for s in self._members)
 
-    def union(self, other: "ServiceSet") -> "ServiceSet":
-        return ServiceSet(list(self) + list(other))
+    def union(self, *others: "ServiceSet") -> "ServiceSet":
+        """Members of this set and all ``others``, in one pass.
+
+        Each value keeps its least name over all the sets, so one n-ary
+        union equals any fold of pairwise unions.
+        """
+        return ServiceSet(itertools.chain(self._members, *(o._members for o in others)))
 
     def intersection(self, other: "ServiceSet") -> "ServiceSet":
         keys = other.value_keys()

@@ -2,21 +2,35 @@
 
 The oracles stay deliberately independent of the library's own set
 algebra: accept sets are materialized as dense numpy grids and compared
-pointwise, negative vetting is replayed one packet at a time, and path
-selection is checked against the exhaustive enumerate-then-filter search.
+pointwise, negative vetting is replayed one packet at a time, path
+selection is checked against the exhaustive enumerate-then-filter search,
+the lexer against a character-at-a-time tokenizer and the overlap check
+against an all-pairs comparison.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from forestfw.canonical import CanonicalPolicy
+from forestfw.checker import (
+    HIGH_LEVEL_OVERLAP,
+    OverlapReport,
+    OverlapWitness,
+    service_intersection,
+)
+from forestfw.diagnostics import PolicyError
 from forestfw.header_space import ACCEPT, DENY, HeaderPoint, MatchRule, Predicate
 from forestfw.netgen import enumerate_paths, hop_acl_key
+from forestfw.policy_lang.lexer import KEYWORDS, Token
 from forestfw.policy_lang.syntax import (
+    FlowRule,
     PortRange,
     Service,
     effective_dports,
@@ -419,6 +433,150 @@ def realizable_without_loops(model: ZoneConduitModel, path: list[str]) -> bool:
     return False
 
 
+# ---------------------------------------------------------------------------
+# character-at-a-time tokenizer oracle
+
+_PUNCT = ("<->", "->", "{", "}", ";", ",", ":", "=", ".", "^", "\\", "-")
+
+
+def tokenize_by_char(text: str, file: str = "<policy>"
+                     ) -> tuple[list[Token], PolicyError | None]:
+    """The tokens before the first lexical error, and that error (or None).
+
+    Moves one character at a time, tracking line and column as it goes.
+    A number is a run of ``str.isdigit`` characters, so non-ASCII digits
+    come out as ``int`` tokens here; ``tokenize`` rejects them.
+    """
+    tokens: list[Token] = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(text)
+
+    def advance(count: int) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if text[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    try:
+        while i < n:
+            ch = text[i]
+            if ch in " \t\r\n":
+                advance(1)
+                continue
+            if text.startswith("//", i):
+                while i < n and text[i] != "\n":
+                    advance(1)
+                continue
+            if ch == '"' or text.startswith("``", i):
+                start_line, start_col = line, col
+                closer = '"' if ch == '"' else "''"
+                advance(1 if ch == '"' else 2)
+                buf = []
+                while i < n and not text.startswith(closer, i):
+                    if text[i] == "\n":
+                        raise PolicyError("unterminated string", file, start_line, start_col)
+                    buf.append(text[i])
+                    advance(1)
+                if i >= n:
+                    raise PolicyError("unterminated string", file, start_line, start_col)
+                advance(len(closer))
+                tokens.append(Token("string", "".join(buf), start_line, start_col))
+                continue
+            if ch.isdigit():
+                start_line, start_col = line, col
+                j = i
+                while j < n and text[j].isdigit():
+                    j += 1
+                tokens.append(Token("int", text[i:j], start_line, start_col))
+                advance(j - i)
+                continue
+            if ch.isalpha() or ch == "_":
+                start_line, start_col = line, col
+                j = i
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                word = text[i:j]
+                tokens.append(Token("kw" if word in KEYWORDS else "ident", word,
+                                    start_line, start_col))
+                advance(j - i)
+                continue
+            for punct in _PUNCT:
+                if text.startswith(punct, i):
+                    tokens.append(Token("punct", punct, line, col))
+                    advance(len(punct))
+                    break
+            else:
+                raise PolicyError(f"unexpected character {ch!r}", file, line, col)
+    except PolicyError as err:
+        return tokens, err
+    tokens.append(Token("eof", "", line, col))
+    return tokens, None
+
+
+# ---------------------------------------------------------------------------
+# all-pairs overlap oracle
+
+def find_rule_overlaps_all_pairs(flows) -> list[OverlapReport]:
+    """Rule overlaps by comparing every pair of flows on each conduit."""
+    by_conduit: dict[tuple[str, str], list[FlowRule]] = {}
+    for flow in flows:
+        by_conduit.setdefault((flow.src_zone, flow.dst_zone), []).append(flow)
+
+    found: dict[tuple[str, str], dict[tuple, OverlapWitness]] = {}
+    for (src, dst), members in sorted(by_conduit.items()):
+        for i, fa in enumerate(members):
+            for fb in members[i + 1:]:
+                if fa.rule_name == fb.rule_name:
+                    continue
+                shared = service_intersection(fa.service, fb.service)
+                if shared is None:
+                    continue
+                pair = tuple(sorted((fa.rule_name, fb.rule_name)))
+                witness = OverlapWitness(src, dst, shared)
+                found.setdefault(pair, {})[(src, dst) + shared.value_key()] = witness
+
+    reports = []
+    for (rule_a, rule_b) in sorted(found):
+        witnesses = tuple(sorted(found[(rule_a, rule_b)].values(),
+                                 key=lambda w: (w.src_zone, w.dst_zone, w.service.name)))
+        reports.append(OverlapReport(HIGH_LEVEL_OVERLAP, rule_a, rule_b, witnesses))
+    return reports
+
+
+# ---------------------------------------------------------------------------
+# generated benchmark inputs
+
+def _perfbench_gen():
+    """The benchmark's seeded grid and bulk generators (``perfbench/gen.py``)."""
+    if "perfbench_gen" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules["perfbench_gen"]
+
+
+def generated_policy_sources() -> dict[str, str]:
+    """Policy texts of bulk seeds 1-3 (with their best-practice files) and
+    of the 2x2, 2x3 and 2x4 grids (seed 1), by name."""
+    gen = _perfbench_gen()
+    sources = {}
+    for seed in (1, 2, 3):
+        bulk = gen.bulk(seed)
+        sources[f"bulk{seed}"] = bulk.policy
+        sources[f"bulk{seed}_best_practice"] = bulk.best_practice
+    for rows, cols in ((2, 2), (2, 3), (2, 4)):
+        sources[f"grid{rows}x{cols}"] = gen.grid(rows, cols, 1).policy
+    return sources
+
+
 __all__ = [
     "ACCEPT",
     "DENY",
@@ -428,6 +586,8 @@ __all__ = [
     "brute_force_leaks",
     "canonical_masks",
     "enumerate_paths_exhaustive",
+    "find_rule_overlaps_all_pairs",
+    "generated_policy_sources",
     "grid_model",
     "grid_topology",
     "masks_equal",
@@ -445,4 +605,5 @@ __all__ = [
     "scan_packet",
     "service_accepts",
     "split_cover",
+    "tokenize_by_char",
 ]

@@ -13,9 +13,9 @@ from forestfw.checker import (
 )
 from forestfw.header_space import matches, service_predicate
 from forestfw.netgen import Acl, AclRule, TERMINAL_DENY
-from forestfw.policy_lang import expand_rules
+from forestfw.policy_lang import expand_rules, parse_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
-from support import random_service
+from support import find_rule_overlaps_all_pairs, generated_policy_sources, random_service
 
 
 def tcp(name, dports, sports=((0, 65535),)):
@@ -136,6 +136,50 @@ def test_completeness_against_brute_force_oracle():
                 if any(np.any(ma[k] & mb[k]) for k in ma):
                     expected.add(tuple(sorted((fa.rule_name, fb.rule_name))))
         assert reported == expected
+
+
+def random_overlap_flows(rng: random.Random) -> list[FlowRule]:
+    """Flows on few conduits from few rules over a small port space, so
+    that overlaps, and equal intersections found twice, are common."""
+    def ranges(upper):
+        return tuple(PortRange(*sorted((rng.randrange(upper), rng.randrange(upper))))
+                     for _ in range(rng.randint(1, 3)))
+
+    flows = []
+    for _ in range(rng.randint(2, 40)):
+        name = f"{rng.choice('ab')}.s{rng.randrange(4)}"  # display names collide
+        protocol = rng.choice((1, 6, 17, 89))
+        if protocol == 1:
+            svc = Service(name, 1, icmp_types=() if rng.random() < 0.3 else ranges(12))
+        elif protocol == 89:
+            svc = Service(name, 89)
+        else:
+            sports = (PortRange(0, 65535),) if rng.random() < 0.5 else ranges(12)
+            svc = Service(name, protocol, sports, ranges(12))
+        flows.append(FlowRule(f"r{rng.randrange(6)}", rng.choice(("z1", "z2")),
+                              rng.choice(("z2", "z3")), svc))
+    return flows
+
+
+def test_overlaps_agree_with_all_pairs_oracle():
+    rng = random.Random(2024)
+    witnesses = 0
+    for _ in range(400):
+        flows = random_overlap_flows(rng)
+        expected = find_rule_overlaps_all_pairs(flows)
+        reports = find_rule_overlaps(flows)
+        assert reports == expected
+        assert [str(r) for r in reports] == [str(r) for r in expected]
+        witnesses += sum(len(r.witnesses) for r in reports)
+    assert witnesses > 1000
+
+
+def test_overlaps_agree_with_all_pairs_oracle_on_generated_policies(plant_spec):
+    specs = [plant_spec] + [parse_policy(text) for name, text in generated_policy_sources().items()
+                            if not name.endswith("best_practice")]
+    for spec in specs:
+        flows = expand_rules(spec)
+        assert find_rule_overlaps(flows) == find_rule_overlaps_all_pairs(flows)
 
 
 # ---------------------------------------------------------------------------

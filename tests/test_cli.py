@@ -297,3 +297,49 @@ def test_check_and_compile_report_the_same_gate_errors(tmp_path, capsys, case):
     assert all(line.startswith(f"{policy}:") for line in errors(check_out))
     assert "<policy>" not in check_out + compile_err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ports, col", [("²", 16), ("1-³", 18)])
+def test_non_ascii_digit_is_a_syntax_error(tmp_path, capsys, ports, col):
+    policy = tmp_path / "digits.policyml"
+    policy.write_text(f"port_group p {{ {ports} }}\n")
+    code = main(["check", "--policy", str(policy), "--topology", TOPOLOGY])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"{policy}:1:{col}: error: non-ASCII digit")
+    assert "Traceback" not in err
+
+
+NO_FIREWALL_TOPOLOGY = """<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="kind" for="node" attr.name="kind" attr.type="string"/>
+  <key id="zone" for="node" attr.name="zone" attr.type="string"/>
+  <key id="cidr" for="node" attr.name="cidr" attr.type="string"/>
+  <graph edgedefault="undirected">
+    <node id="h1"><data key="kind">host</data><data key="zone">z1</data>
+      <data key="cidr">10.0.0.1/32</data></node>
+    <node id="h3"><data key="kind">host</data><data key="zone">z3</data>
+      <data key="cidr">10.0.0.3/32</data></node>
+    <edge source="h1" target="h3"/>
+  </graph>
+</graphml>
+"""
+
+
+def test_compile_without_firewalls_reports_no_valid_path(tmp_path, capsys):
+    topology = tmp_path / "hosts.graphml"
+    topology.write_text(NO_FIREWALL_TOPOLOGY)
+    policy = tmp_path / "one_rule.policyml"
+    policy.write_text(
+        "import system.services.iana_services;\n"
+        "policy_rule r { z1 -> z3 : iana_services.https }\n"
+        "rule_group rules { r }\n"
+        "reporting_rule report { use_case=verification; }\n"
+        "policy p { rules; report; }\n")
+    args = ["--policy", str(policy), "--topology", str(topology)]
+    assert main(["check", *args]) == 0
+    capsys.readouterr()
+    code = main(["compile", *args, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"{policy}:0:0: error: no valid path for flow 'r': z1 -> z3")
+    assert not (tmp_path / "out").exists()

@@ -1,7 +1,14 @@
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import forestfw.policy_lang
 from forestfw.diagnostics import PolicyError
-from forestfw.policy_lang import tokenize
+from forestfw.policy_lang import parse_policy, tokenize
+from conftest import FIXTURES
+from support import generated_policy_sources, tokenize_by_char
 
 
 def kinds_and_values(text):
@@ -54,3 +61,130 @@ def test_lexical_error_has_position():
 def test_unterminated_string():
     with pytest.raises(PolicyError, match="unterminated string"):
         tokenize('comment="oops')
+
+
+@pytest.mark.parametrize("text, col, digit", [
+    ("port_group p { ² }", 16, "²"),
+    ("port_group p { 1-³ }", 18, "³"),
+    ("port_group p { 12٣ }", 16, "٣"),
+    ("port_group p { ١٢ }", 16, "١"),
+])
+def test_non_ascii_digit_is_a_lexical_error(text, col, digit):
+    with pytest.raises(PolicyError) as err:
+        tokenize(text, "p.policyml")
+    assert str(err.value) == f"p.policyml:1:{col}: error: non-ASCII digit {digit!r} in a number"
+    with pytest.raises(PolicyError) as err:
+        parse_policy(text, file="p.policyml")
+    assert err.value.diagnostic.col == col
+
+
+def test_numeric_letters_stay_inside_names():
+    # str.isalnum accepts them after the first character of a name
+    assert kinds_and_values("a² b½") == [("ident", "a²"), ("ident", "b½")]
+    with pytest.raises(PolicyError, match=r"1:1: error: unexpected character '½'"):
+        tokenize("½")
+
+
+# ---------------------------------------------------------------------------
+# the character-at-a-time tokenizer (tests/support.py) as oracle
+
+def outcome(text):
+    try:
+        return [tuple(t) for t in tokenize(text, "t.policyml")]
+    except PolicyError as err:
+        d = err.diagnostic
+        return ("error", d.message, d.line, d.col)
+
+
+def oracle_outcome(text):
+    """The oracle's tokens or error; a number the oracle reads with a
+    non-ASCII digit must instead be a lexical error at that number."""
+    tokens, error = tokenize_by_char(text, "t.policyml")
+    for tok in tokens:
+        if tok.kind == "int" and not tok.value.isascii():
+            digit = next(ch for ch in tok.value if not ch.isascii())
+            return ("error", f"non-ASCII digit {digit!r} in a number", tok.line, tok.col)
+    if error is not None:
+        d = error.diagnostic
+        return ("error", d.message, d.line, d.col)
+    return [tuple(t) for t in tokens]
+
+
+# the language's alphabet, with the multi-character forms whole
+FRAGMENTS = (
+    list("abz_AZ019 \t\r\n{}();,:=.^\\-<>\"'`/$#é") +
+    ["``", "''", "//", "->", "<->", "\n\n", "  ", "service", "port_group", "import",
+     "ß", "Ж", "²", "³", "١", "٣", "½", "Ⅻ", "\u00a0", "\x0c"]
+)
+policy_text = st.lists(st.sampled_from(FRAGMENTS), max_size=60).map("".join)
+
+# declarations: a head, a few words and symbols, a closing brace
+HEADS = (
+    "import", "load_zone_conduit_model", "service s {", "service_group g {",
+    "port_group p {", "zone_group g {", "policy_rule r { z1 -> z2 :", "rule_group rg {",
+    "reporting_rule r {", "policy p {",
+)
+WORDS = (
+    "s", "g", "z1", "protocol", "tcp", "icmp", "tcp.dest_port", "icmp.type", "comment",
+    "granularity.network", "zone_or_group", "iana_services.http",
+    "{", "}", ";", ",", ":", "=", ".", "^", "\\", "-", "->", '"a b"', "``c''", "// note\n",
+    "0", "80", "65535", "70000", "1" * 5000, "²", "١", "1²",
+)
+declarations = st.lists(
+    st.tuples(st.sampled_from(HEADS), st.lists(st.sampled_from(WORDS), max_size=8))
+    .map(lambda decl: " ".join((decl[0], *decl[1], "}"))),
+    max_size=6,
+).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(policy_text)
+def test_tokenize_agrees_with_character_oracle(text):
+    assert outcome(text) == oracle_outcome(text)
+
+
+def _policy_sources():
+    library = Path(forestfw.policy_lang.__file__).parent / "library"
+    sources = {str(p.relative_to(FIXTURES)): p.read_text(encoding="utf-8")
+               for p in sorted(FIXTURES.rglob("*.policyml"))}
+    sources.update({p.name: p.read_text(encoding="utf-8")
+                    for p in sorted(library.rglob("*.policyml"))})
+    sources.update(generated_policy_sources())
+    return sources
+
+
+POLICY_SOURCES = _policy_sources()
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_SOURCES))
+def test_tokenize_agrees_with_character_oracle_on_real_policies(name):
+    text = POLICY_SOURCES[name]
+    tokens = outcome(text)
+    assert isinstance(tokens, list) and len(tokens) > 10
+    assert tokens == oracle_outcome(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(policy_text, declarations))
+def test_no_text_raises_anything_but_policy_error(text):
+    for parse in (tokenize, parse_policy):
+        try:
+            parse(text)
+        except PolicyError:
+            pass
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("reporting_rule r { a=" + "{" * 3000 + " }", id="nested_blocks"),
+    pytest.param("port_group p { " + "1" * 5000 + " }", id="long_port"),
+    pytest.param("service s { protocol=" + "9" * 5000 + "; }", id="long_protocol"),
+    pytest.param("".join(f"zone_group g{i} {{ g{i + 1} }} " for i in range(400))
+                 + "zone_group g400 { z1 }", id="nested_zone_groups"),
+    pytest.param("service s { protocol=tcp; } "
+                 + "".join(f"service_group g{i} {{ g{i + 1} }} " for i in range(400))
+                 + "service_group g400 { s }", id="nested_service_groups"),
+])
+def test_pathological_input_is_a_policy_error(text):
+    with pytest.raises(PolicyError) as err:
+        parse_policy(text, file="p.policyml")
+    assert err.value.diagnostic.line == 1

@@ -6,12 +6,14 @@ from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import (
     ServiceSet,
     SetExpr,
+    default_importer,
     parse_policy,
     pretty_print,
     resolve_service_expr,
 )
 from forestfw.policy_lang.syntax import PortRange, Service
-from conftest import load_fixture_policy
+from conftest import FIXTURES, load_fixture_policy
+from support import generated_policy_sources
 
 
 def parse_with_libs(body: str):
@@ -73,6 +75,33 @@ def test_set_algebra_laws():
         assert a.intersection(a) == a
         assert len(a.difference(a)) == 0
         assert a.union(b).intersection(c) == a.intersection(c).union(b.intersection(c))
+
+
+def test_n_ary_union_equals_pairwise_fold():
+    # few values under few names, so the least-name choice is exercised
+    rng = random.Random(12)
+    shapes = [(6, 80), (6, 443), (17, 53), (1, 8)]
+
+    def random_set():
+        services = []
+        for _ in range(rng.randint(0, 5)):
+            protocol, port = rng.choice(shapes)
+            name = f"{rng.choice(('ns1.', 'ns2.', ''))}s{rng.randrange(4)}"
+            if protocol == 1:
+                services.append(Service(name, 1, icmp_types=(PortRange(port, port),)))
+            else:
+                services.append(Service(name, protocol, (PortRange(0, 65535),),
+                                        (PortRange(port, port),)))
+        return ServiceSet(services)
+
+    for _ in range(200):
+        sets = [random_set() for _ in range(rng.randint(1, 5))]
+        folded = sets[0]
+        for other in sets[1:]:
+            folded = folded.union(other)
+        united = sets[0].union(*sets[1:])
+        assert [(m.name, m.value_key()) for m in united] == \
+            [(m.name, m.value_key()) for m in folded]
 
 
 def test_union_precedence_binds_looser():
@@ -148,6 +177,26 @@ def test_round_trip_twice_is_fixed_point(plant_spec_fixed):
     once = pretty_print(plant_spec_fixed)
     twice = pretty_print(parse_policy(once))
     assert once == twice
+
+
+def _round_trip_sources():
+    # scada_plant.policyml is test_round_trip_fixture's
+    sources = {name: (FIXTURES / name).read_text(encoding="utf-8")
+               for name in ("scada_plant_fixed.policyml", "bestpractice/scada_isa.policyml")}
+    sources.update(generated_policy_sources())
+    return sources
+
+
+ROUND_TRIP_SOURCES = _round_trip_sources()
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_SOURCES))
+def test_pretty_print_round_trip(name):
+    text = ROUND_TRIP_SOURCES[name]
+    importer = default_importer(search_paths=(FIXTURES,))
+    spec = parse_policy(text, importer)
+    assert spec.rules
+    assert parse_policy(pretty_print(spec), importer) == spec
 
 
 def test_every_fixture_form_parses(fixture_dir):
