@@ -76,30 +76,34 @@ def _slice_rectangles(services: Iterable[Service]) -> dict[tuple[int, int | None
 def _partition_strips(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> tuple[tuple[Interval, IntervalSet], ...]:
     """Cut the union of rectangles into maximal dport strips.
 
-    Every distinct dport boundary starts an elementary strip; each strip
-    carries the union of sport intervals of the rectangles covering it;
-    contiguous strips with equal sport sets merge.
+    A sweep over the sorted dport boundaries adds each rectangle where one
+    of its dport intervals starts and drops it after the interval ends, so
+    each elementary strip carries the union of the sport intervals of the
+    rectangles active on it; contiguous strips with equal sport sets merge.
     """
-    bounds: set[int] = set()
-    for _, dports in rects:
+    events: dict[int, list[tuple[int, int]]] = {}  # boundary -> (rectangle, +1 | -1)
+    for i, (_, dports) in enumerate(rects):
         for lo, hi in dports:
-            bounds.add(lo)
-            bounds.add(hi + 1)
-    coords = sorted(bounds)
+            events.setdefault(lo, []).append((i, 1))
+            events.setdefault(hi + 1, []).append((i, -1))
+    coords = sorted(events)
 
+    active: dict[int, int] = {}  # rectangle -> its dport intervals open here
     strips: list[tuple[Interval, IntervalSet]] = []
     for start, end in zip(coords, coords[1:]):
-        strip: Interval = (start, end - 1)
-        covered: IntervalSet = ()
-        for sports, dports in rects:
-            if intervals.contains(dports, start):
-                covered = intervals.union(covered, sports)
+        for i, delta in events[start]:
+            count = active.get(i, 0) + delta
+            if count:
+                active[i] = count
+            else:
+                del active[i]
+        covered = intervals.normalize(iv for i in active for iv in rects[i][0])
         if not covered:
             continue
         if strips and strips[-1][0][1] + 1 == start and strips[-1][1] == covered:
-            strips[-1] = ((strips[-1][0][0], strip[1]), covered)
+            strips[-1] = ((strips[-1][0][0], end - 1), covered)
         else:
-            strips.append((strip, covered))
+            strips.append(((start, end - 1), covered))
     return tuple(strips)
 
 

@@ -101,12 +101,13 @@ def cmd_compile(args: argparse.Namespace) -> int:
     staging = Path(tempfile.mkdtemp(prefix=".forestfw-", dir=out_dir.parent or Path(".")))
     try:
         templates = Path(args.templates) if args.templates else None
+        iptables_configs = []
         for firewall in policy.firewalls():
             (staging / f"{firewall}.neutral.acl").write_text(
                 render.render_neutral_file(policy, firewall), encoding="utf-8")
-            (staging / f"{firewall}.iptables.txt").write_text(
-                render.render_device(policy, firewall, "iptables_like", templates),
-                encoding="utf-8")
+            iptables = render.render_device(policy, firewall, "iptables_like", templates)
+            (staging / f"{firewall}.iptables.txt").write_text(iptables, encoding="utf-8")
+            iptables_configs.append(iptables)
             (staging / f"{firewall}.asa.txt").write_text(
                 render.render_device(policy, firewall, "asa_like", templates),
                 encoding="utf-8")
@@ -115,7 +116,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         (staging / "zone_conduit.dot").write_text(
             export_graph(policy.model, "zone_conduit"), encoding="utf-8")
         (staging / "manifest.json").write_text(render.manifest_json(policy), encoding="utf-8")
-        metrics = render.loc_metrics(spec, policy)
+        metrics = render.loc_metrics(spec, iptables_configs)
         (staging / "metrics.txt").write_text(
             f"high_level_loc {metrics.high_level_loc}\n"
             f"device_loc {metrics.device_loc}\n"

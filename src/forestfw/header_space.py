@@ -24,6 +24,8 @@ from forestfw.policy_lang.syntax import (
 )
 
 if TYPE_CHECKING:  # netgen imports the checker, which imports this module
+    from ipaddress import IPv4Network
+
     from forestfw.netgen import AclRule
 
 ACCEPT = "accept"
@@ -190,6 +192,15 @@ def service_predicate(svc: Service) -> Predicate:
     return Predicate(protocol=proto, icmp=((ICMP_SENTINEL, ICMP_SENTINEL),))
 
 
+def address_intervals(networks: Iterable["IPv4Network"]) -> IntervalSet:
+    """The integer addresses of IPv4 networks, as a normalized interval set."""
+    spans = []
+    for net in networks:
+        lo = int(net.network_address)
+        spans.append((lo, lo + (1 << (32 - net.prefixlen)) - 1))
+    return intervals.normalize(spans)
+
+
 def rule_region(rule: "AclRule") -> Predicate:
     """The header-space region a compiled ACL rule matches.
 
@@ -197,14 +208,10 @@ def rule_region(rule: "AclRule") -> Predicate:
     ICMP rule's types sit in ``dport`` (the icmp dimension stays full) and
     ``state`` lists the connection states the rule admits.
     """
-    def nets(networks) -> IntervalSet:
-        return tuple((int(n.network_address), int(n.broadcast_address))
-                     for n in networks) or FULL_ADDR
-
     return Predicate(
         protocol=FULL_PROTO if rule.protocol is None else ((rule.protocol, rule.protocol),),
-        src=nets(rule.src),
-        dst=nets(rule.dst),
+        src=address_intervals(rule.src) or FULL_ADDR,
+        dst=address_intervals(rule.dst) or FULL_ADDR,
         sport=tuple(rule.sport) or FULL_PORT,
         dport=tuple(rule.dport) or FULL_PORT,
         state=tuple((STATE_BITS[s], STATE_BITS[s]) for s in rule.state) or FULL_STATE,

@@ -15,6 +15,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.netgen import (
@@ -49,6 +50,19 @@ def _addr_text(nets: tuple[ipaddress.IPv4Network, ...]) -> str:
     return ",".join(str(n) for n in nets)
 
 
+class _Memo(dict):
+    """``compute(key)`` for each key, computed once: one per render or
+    parse call, where the same address and port fields recur."""
+
+    def __init__(self, compute: Callable) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
 def _proto_text(protocol: int | None) -> str:
     if protocol is None:
         return "ip"
@@ -56,15 +70,19 @@ def _proto_text(protocol: int | None) -> str:
 
 
 def render_rule_neutral(rule: AclRule) -> str:
+    return _rule_line(rule, _Memo(_addr_text))
+
+
+def _rule_line(rule: AclRule, addrs: _Memo) -> str:
     if rule.action == "deny" and rule.protocol is None:
         return TERMINAL_DENY_LINE
     fields = [
         rule.action,
         _proto_text(rule.protocol),
         "from",
-        _addr_text(rule.src),
+        addrs[rule.src],
         "to",
-        _addr_text(rule.dst),
+        addrs[rule.dst],
         "sport",
         _ports_text(rule.sport),
         "dport",
@@ -80,6 +98,10 @@ def render_rule_neutral(rule: AclRule) -> str:
 
 def render_neutral(acl: Acl) -> str:
     """The vendor-neutral ruleset text for one ACL."""
+    return _acl_text(acl, _Memo(_addr_text))
+
+
+def _acl_text(acl: Acl, addrs: _Memo) -> str:
     lines = [NEUTRAL_HEADER + acl.name]
     last_comment = None
     for rule in acl.rules:
@@ -87,13 +109,14 @@ def render_neutral(acl: Acl) -> str:
             lines.append(f"  remark~{rule.comment}")
         if rule.comment:
             last_comment = rule.comment
-        lines.append("  " + render_rule_neutral(rule))
+        lines.append("  " + _rule_line(rule, addrs))
     return "\n".join(lines) + "\n"
 
 
 def render_neutral_file(policy: NetworkPolicy, firewall: str) -> str:
     """All of a firewall's ACLs in assignment order."""
-    return "\n".join(render_neutral(acl) for acl in policy.acls[firewall])
+    addrs = _Memo(_addr_text)
+    return "\n".join(_acl_text(acl, addrs) for acl in policy.acls[firewall])
 
 
 def _parse_ports(text: str) -> tuple[PortRange, ...]:
@@ -125,13 +148,16 @@ def _parse_addr(text: str) -> tuple[ipaddress.IPv4Network, ...]:
 def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
     """Inverse of render_neutral over a whole neutral file.
 
-    A line that does not parse raises :class:`InputError` naming ``file``
+    Each distinct address or port field text is parsed once per call.  A
+    line that does not parse raises :class:`InputError` naming ``file``
     and the line.
     """
     acls: list[Acl] = []
     name: str | None = None
     rules: list[AclRule] = []
     comment = ""
+    addresses = _Memo(_parse_addr)
+    ports = _Memo(_parse_ports)
 
     def flush() -> None:
         nonlocal rules
@@ -154,7 +180,7 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
         if name is None:
             raise InputError(f"rule line before any ACL header: {line!r}", file, lineno)
         try:
-            rules.append(_parse_rule_neutral(line, comment))
+            rules.append(_parse_rule_neutral(line, comment, addresses, ports))
         except ValueError as exc:
             raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
                              file, lineno) from exc
@@ -162,7 +188,7 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
     return acls
 
 
-def _parse_rule_neutral(line: str, comment: str) -> AclRule:
+def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, ports: _Memo) -> AclRule:
     fields = line.split("~")
     if len(fields) not in (12, 13):
         raise ValueError(f"{len(fields)} fields")
@@ -174,10 +200,10 @@ def _parse_rule_neutral(line: str, comment: str) -> AclRule:
     return AclRule(
         action=action,
         protocol=protocol,
-        src=_parse_addr(src),
-        dst=_parse_addr(dst),
-        sport=_parse_ports(sport),
-        dport=_parse_ports(dport),
+        src=addresses[src],
+        dst=addresses[dst],
+        sport=ports[sport],
+        dport=ports[dport],
         state=tuple(s for s in state.split(",") if s),
         log=log,
         comment=comment,
@@ -217,13 +243,13 @@ def load_template(vendor_id: str, templates_dir: Path | None = None) -> DeviceTe
     return DeviceTemplate(vendor_id, sections)
 
 
-def _iptables_matches(rule: AclRule) -> list[str]:
+def _iptables_matches(rule: AclRule, addrs: _Memo) -> list[str]:
     """Match-expression variants for one rule (one per port-range combo)."""
     base = ""
     if rule.protocol is not None:
         base += f" -p {_proto_text(rule.protocol)}"
-    src = _addr_text(rule.src)
-    dst = _addr_text(rule.dst)
+    src = addrs[rule.src]
+    dst = addrs[rule.dst]
     if src != "any":
         base += f" -s {src}"
     if dst != "any":
@@ -281,6 +307,7 @@ def _provenance(rule: AclRule) -> str:
 def _render_iptables(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
                      assignments: list[InterfaceAssignment]) -> str:
     out = [template.format("header", firewall=firewall)]
+    addrs = _Memo(_addr_text)
     for a in assignments:
         out.append(template.format("chain_decl", acl=a.acl))
     for a in assignments:
@@ -301,7 +328,7 @@ def _render_iptables(policy: NetworkPolicy, firewall: str, template: DeviceTempl
                 out.append(template.format("remark", text=provenance))
             target = "ACCEPT" if rule.action == "permit" else "DROP"
             log = rule.log or (rule.action == "deny" and policy.log_denies)
-            for match in _iptables_matches(rule):
+            for match in _iptables_matches(rule, addrs):
                 if log:
                     out.append(template.format("log_rule", acl=a.acl, match=match,
                                                prefix=f"{a.acl}: "))
@@ -334,6 +361,7 @@ def _asa_ports(rule: AclRule) -> list[str]:
 def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
                 assignments: list[InterfaceAssignment]) -> str:
     out = [template.format("header", firewall=firewall)]
+    addrs = _Memo(_addr_text)
     for a in assignments:
         acl = policy.acl_by_name(firewall, a.acl)
         last_comment = None
@@ -344,12 +372,11 @@ def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
             provenance = _provenance(rule)
             if provenance:
                 out.append(template.format("remark", acl=a.acl, text=provenance))
-            src = "any" if _addr_text(rule.src) == "any" else _addr_text(rule.src)
-            dst = "any" if _addr_text(rule.dst) == "any" else _addr_text(rule.dst)
             for ports in _asa_ports(rule):
                 out.append(template.format(
                     "rule", acl=a.acl, action=rule.action,
-                    proto=_proto_text(rule.protocol), src=src, dst=dst, ports=ports,
+                    proto=_proto_text(rule.protocol), src=addrs[rule.src],
+                    dst=addrs[rule.dst], ports=ports,
                     log=" log" if rule.log else ""))
     for a in assignments:
         direction = "in" if a.direction == "inbound" else "out"
@@ -515,11 +542,9 @@ class LocMetrics:
         return self.device_loc / self.high_level_loc if self.high_level_loc else 0.0
 
 
-def loc_metrics(spec: PolicySpec, policy: NetworkPolicy) -> LocMetrics:
-    """Line counts: the policy source versus the rendered device configs."""
+def loc_metrics(spec: PolicySpec, device_configs: Iterable[str]) -> LocMetrics:
+    """Line counts: the policy source versus the iptables-like configs
+    rendered from it, blank and comment lines excluded."""
     high = max(1, _count_loc(spec.source, ("//",)))
-    device = sum(
-        _count_loc(render_device(policy, fw, "iptables_like"), ("#",))
-        for fw in policy.firewalls()
-    )
+    device = sum(_count_loc(text, ("#",)) for text in device_configs)
     return LocMetrics(high, device)

@@ -2,14 +2,16 @@
 
 The simulator walks packets along the conduit paths of the compiled
 network, evaluating each traversed firewall's interface ACL first-match,
-with a connection table gating ESTABLISHED traffic.  Positive vetting
+with a connection table gating ESTABLISHED traffic.  Each bound ACL is
+encoded once into a :class:`MatchTable` of integer intervals, which
+injection and both vettings share.  Positive vetting
 injects one representative packet per expanded flow (plus the TCP return
 leg) and expects delivery.  Negative vetting scans every ordered zone pair
 and reports any delivery not implied by the policy.  The scan is not
 exhaustive: it fixes the lowest address of each zone's first CIDR, source
 port 49152 and state NEW, and varies only the dport (or ICMP type) over
 the scan ports, for protocols 1, 6 and 17 by default.  Vetting the full
-header space is ROADMAP item 3.
+header space is ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ import ipaddress
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError
+from forestfw.header_space import address_intervals
 from forestfw.netgen import (
     AclRule,
     NetworkPolicy,
@@ -116,6 +120,9 @@ class SimNetwork:
     # fixed once the network is built
     path_cache: dict[tuple[str, str, bool], list[list[str]]] = field(
         default_factory=dict, repr=False, compare=False)
+    # MatchTable per acl_map key, valid while acl_map holds its rules
+    match_tables: dict[tuple[str, str, str], "MatchTable"] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def reset_connections(self) -> None:
         self.connections.clear()
@@ -125,6 +132,15 @@ class SimNetwork:
         if key not in self.path_cache:
             self.path_cache[key] = enumerate_paths(self.model, src, dst, established)
         return self.path_cache[key]
+
+    def match_table(self, key: tuple[str, str, str]) -> "MatchTable":
+        """The match table of the ACL bound at ``key``, rebuilt once
+        ``acl_map`` no longer holds the rules it was built from."""
+        rules = self.acl_map.get(key, ())
+        table = self.match_tables.get(key)
+        if table is None or table.rules is not rules:
+            table = self.match_tables[key] = MatchTable(rules)
+        return table
 
 
 def from_network_policy(policy: NetworkPolicy) -> SimNetwork:
@@ -231,50 +247,89 @@ def _check_model(model: ZoneConduitModel) -> None:
 # ---------------------------------------------------------------------------
 # rule matching and injection
 
-def _in_ranges(value: int, ranges: tuple[PortRange, ...]) -> bool:
-    if not ranges:
-        return True  # unconstrained dimension
-    for lo, hi in ranges:
-        if lo <= value <= hi:
-            return True
-    return False
+class _RuleMatch(NamedTuple):
+    """One ACL rule's match fields as integer interval sets.
+
+    ``None`` matches every value; an empty address set matches none.
+    """
+
+    index: int  # position in the ACL
+    src: intervals.IntervalSet
+    dst: intervals.IntervalSet
+    sport: intervals.IntervalSet | None
+    values: intervals.IntervalSet | None  # dport, or ICMP type for protocol 1
 
 
-def _addr_in(addr: int, nets: tuple[ipaddress.IPv4Network, ...]) -> bool:
-    for net in nets:
-        if int(net.network_address) <= addr <= int(net.broadcast_address):
-            return True
-    return False
+class MatchTable:
+    """First-match lookup over one ACL, each rule encoded once.
 
+    The rules that admit a (protocol, state) are listed on the first
+    packet that carries it, so a lookup compares only addresses and ports.
+    """
 
-def _matches_fixed(rule: AclRule, packet: Packet) -> bool:
-    """Match on protocol, state and (TCP/UDP) source port: every field but
-    the addresses and the swept dport or ICMP type."""
-    if rule.protocol is not None and rule.protocol != packet.protocol:
-        return False
-    if rule.state and packet.state not in rule.state:
-        return False
-    return packet.protocol not in (6, 17) or _in_ranges(packet.sport, rule.sport)
+    def __init__(self, rules: tuple[AclRule, ...]) -> None:
+        self.rules = rules
+        # an ACL's rules share their zones and ports: encode each field once
+        nets: dict[tuple, intervals.IntervalSet] = {}
+        ports: dict[tuple, intervals.IntervalSet | None] = {}
+        self._encoded: list[_RuleMatch] = []
+        for i, rule in enumerate(rules):
+            for field_nets in (rule.src, rule.dst):
+                if field_nets not in nets:
+                    nets[field_nets] = address_intervals(field_nets)
+            for field_ports in (rule.sport, rule.dport):
+                if field_ports not in ports:
+                    ports[field_ports] = intervals.normalize(field_ports) if field_ports else None
+            self._encoded.append(_RuleMatch(i, nets[rule.src], nets[rule.dst],
+                                            ports[rule.sport], ports[rule.dport]))
+        self._heads: dict[tuple[int, str], list[_RuleMatch]] = {}
+
+    def _head(self, protocol: int, state: str) -> list[_RuleMatch]:
+        head = self._heads.get((protocol, state))
+        if head is None:
+            head = self._heads[(protocol, state)] = [
+                match for rule, match in zip(self.rules, self._encoded)
+                if (rule.protocol is None or rule.protocol == protocol)
+                and (not rule.state or state in rule.state)]
+        return head
+
+    def matching(self, packet: Packet, sweep: bool = False) -> Iterator[_RuleMatch]:
+        """The rules that match ``packet``, in ACL order.
+
+        With ``sweep`` the dport (ICMP type) is not compared; each rule
+        yielded matches the values in its ``values``.
+        """
+        protocol = packet.protocol
+        ported = protocol in (6, 17)
+        value = None
+        if not sweep and (ported or protocol == 1):
+            value = packet.icmp_type if protocol == 1 else packet.dport
+        contains = intervals.contains
+        for match in self._head(protocol, packet.state):
+            if (contains(match.src, packet.src_addr)
+                    and contains(match.dst, packet.dst_addr)
+                    and (not ported or match.sport is None
+                         or contains(match.sport, packet.sport))
+                    and (value is None or match.values is None
+                         or contains(match.values, value))):
+                yield match
+
+    def decide(self, packet: Packet) -> tuple[str, str]:
+        """First-match decision plus a description of the deciding rule."""
+        match = next(self.matching(packet), None)
+        if match is None:
+            return "deny", "implicit deny (no match)"
+        rule = self.rules[match.index]
+        return rule.action, f"[{match.index}] {rule.action} {rule.comment or rule.origin_service}"
 
 
 def rule_matches_packet(rule: AclRule, packet: Packet) -> bool:
-    if not _matches_fixed(rule, packet):
-        return False
-    if not _addr_in(packet.src_addr, rule.src) or not _addr_in(packet.dst_addr, rule.dst):
-        return False
-    if packet.protocol == 1:
-        return _in_ranges(packet.icmp_type, rule.dport)
-    if packet.protocol in (6, 17):
-        return _in_ranges(packet.dport, rule.dport)
-    return True
+    return next(MatchTable((rule,)).matching(packet), None) is not None
 
 
 def eval_acl(rules: tuple[AclRule, ...], packet: Packet) -> tuple[str, str]:
     """First-match decision plus a description of the deciding rule."""
-    for i, rule in enumerate(rules):
-        if rule_matches_packet(rule, packet):
-            return rule.action, f"[{i}] {rule.action} {rule.comment or rule.origin_service}"
-    return "deny", "implicit deny (no match)"
+    return MatchTable(rules).decide(packet)
 
 
 def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
@@ -315,7 +370,7 @@ def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
             hop_trace: TraceHop | None = None
             for firewall in sorted(conduit.firewalls):
                 key = hop_acl_key(net.model, firewall, x, y, net.model.firewall_zone_of(firewall))
-                action, rule_text = eval_acl(net.acl_map.get(key, ()), packet)
+                action, rule_text = net.match_table(key).decide(packet)
                 if action == "permit":
                     hop_accept = True
                     hop_trace = TraceHop(firewall, key[1], "permit", rule_text)
@@ -415,14 +470,13 @@ def default_scan_spec(net: SimNetwork) -> ScanSpec:
 
 def _value_set(ranges: tuple[PortRange, ...],
                universe: intervals.IntervalSet) -> intervals.IntervalSet:
-    """``ranges`` as an interval set; ``universe`` when unconstrained, as in
-    ``_in_ranges``."""
+    """``ranges`` as an interval set; ``universe`` when unconstrained."""
     return intervals.normalize(ranges) if ranges else universe
 
 
-def _acl_permits(rules: list[AclRule], point: Packet,
+def _acl_permits(table: MatchTable, point: Packet,
                  universe: intervals.IntervalSet) -> intervals.IntervalSet:
-    """The swept values (dport, or ICMP type) of ``universe`` that ``rules`` permit.
+    """The swept values (dport, or ICMP type) of ``universe`` that ``table`` permits.
 
     Every other header field is taken from ``point``.  The rules are
     walked once in first-match order: each matching rule decides the
@@ -430,16 +484,15 @@ def _acl_permits(rules: list[AclRule], point: Packet,
     """
     permitted: intervals.IntervalSet = ()
     undecided = universe
-    for rule in rules:
-        if not _matches_fixed(rule, point):
-            continue
-        if point.protocol in (1, 6, 17):
-            decided = intervals.intersect(undecided, _value_set(rule.dport, universe))
+    swept = point.protocol in (1, 6, 17)
+    for match in table.matching(point, sweep=True):
+        if swept and match.values is not None:
+            decided = intervals.intersect(undecided, match.values)
         else:
             decided = undecided
         if not decided:
             continue
-        if rule.action == "permit":
+        if table.rules[match.index].action == "permit":
             permitted = intervals.union(permitted, decided)
         undecided = intervals.subtract(undecided, decided)
         if not undecided:
@@ -457,7 +510,7 @@ def _implied_values(services: list[Service], protocol: int,
         if protocol == 1:
             values = _value_set(effective_icmp_types(svc), universe)
         elif protocol in (6, 17):
-            if not _in_ranges(SCAN_SPORT, effective_sports(svc)):
+            if not intervals.contains(effective_sports(svc), SCAN_SPORT):
                 continue
             values = _value_set(effective_dports(svc), universe)
         else:
@@ -478,7 +531,7 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     deliver, the pair what any path delivers.  Leaks are the delivered
     scan values no flow of the pair admits, ordered by zone pair,
     protocol (scan order) and value.  Vetting the full header space is
-    ROADMAP item 3.
+    ROADMAP item 1.
     """
     scan = scan or default_scan_spec(net)
     scanned = intervals.normalize(scan.ports)
@@ -500,9 +553,8 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
                         if f.src_zone == src_zone and f.dst_zone == dst_zone]
             src_addr = _zone_rep_addr(net.model.zones[src_zone])
             dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
-            acls = {key: [r for r in net.acl_map.get(key, ())
-                          if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
-                    for hops in path_hops for keys in hops for key in keys}
+            tables = {key: net.match_table(key)
+                      for hops in path_hops for keys in hops for key in keys}
             for protocol in scan.protocols:
                 values = intervals.intersect(scanned, ICMP_TYPES) if protocol == 1 else scanned
                 if not values:
@@ -510,8 +562,8 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
                 # decide over the hull of the scan: fewer fragments than the scan itself
                 hull = ((values[0][0], values[-1][1]),)
                 point = Packet(src_addr, dst_addr, protocol, SCAN_SPORT, 0, 0, NEW)
-                permits = {key: _acl_permits(rules, point, hull)
-                           for key, rules in acls.items()}
+                permits = {key: _acl_permits(table, point, hull)
+                           for key, table in tables.items()}
                 delivered: intervals.IntervalSet = ()
                 for hops in path_hops:
                     reach = hull

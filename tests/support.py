@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from forestfw import intervals
 from forestfw.canonical import CanonicalPolicy
 from forestfw.checker import (
     HIGH_LEVEL_OVERLAP,
@@ -38,12 +39,14 @@ from forestfw.policy_lang.syntax import (
     effective_sports,
 )
 from forestfw.sim import (
+    ESTABLISHED,
     NEW,
     SCAN_SPORT,
     Leak,
     Packet,
     ScanSpec,
     SimNetwork,
+    TraceHop,
     _zone_rep_addr,
     default_scan_spec,
 )
@@ -150,6 +153,35 @@ def canonical_masks(policy: CanonicalPolicy) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# strip-at-a-time canonical partition oracle
+
+def partition_strips_by_scan(rects) -> tuple:
+    """The former ``canonical._partition_strips``: every rectangle is tested
+    against every elementary dport strip."""
+    bounds: set[int] = set()
+    for _, dports in rects:
+        for lo, hi in dports:
+            bounds.add(lo)
+            bounds.add(hi + 1)
+    coords = sorted(bounds)
+
+    strips = []
+    for start, end in zip(coords, coords[1:]):
+        strip = (start, end - 1)
+        covered = ()
+        for sports, dports in rects:
+            if intervals.contains(dports, start):
+                covered = intervals.union(covered, sports)
+        if not covered:
+            continue
+        if strips and strips[-1][0][1] + 1 == start and strips[-1][1] == covered:
+            strips[-1] = ((strips[-1][0][0], strip[1]), covered)
+        else:
+            strips.append((strip, covered))
+    return tuple(strips)
+
+
+# ---------------------------------------------------------------------------
 # exhaustive evaluation grids for match-rule strategies
 
 def rule_grid_points(limit: int = 16) -> list[HeaderPoint]:
@@ -209,6 +241,40 @@ def packet_matches(rule, packet: Packet) -> bool:
     if packet.protocol in (6, 17):
         return _in_ranges(packet.sport, rule.sport) and _in_ranges(packet.dport, rule.dport)
     return True
+
+
+def first_match_by_scan(rules, packet: Packet) -> tuple[str, str]:
+    """``sim.eval_acl``'s answer, one ``packet_matches`` call per rule."""
+    for i, rule in enumerate(rules):
+        if packet_matches(rule, packet):
+            return rule.action, f"[{i}] {rule.action} {rule.comment or rule.origin_service}"
+    return "deny", "implicit deny (no match)"
+
+
+def inject_by_scan(net: SimNetwork, packet: Packet, ingress_zone: str) -> tuple:
+    """``(delivered, trace)`` of ``sim.inject`` for a packet between two
+    zones, assuming an ESTABLISHED packet's connection is open: the
+    first path on which every hop has a firewall whose first match, in
+    ``first_match_by_scan``, permits."""
+    dst_zone = net.model.zone_of_address(packet.dst_addr)
+    trace: tuple = ()
+    for path in enumerate_paths(net.model, ingress_zone, dst_zone,
+                                packet.state == ESTABLISHED):
+        trace = ()
+        for x, y in zip(path, path[1:]):
+            for firewall in sorted(net.model.conduit_between(x, y).firewalls):
+                key = hop_acl_key(net.model, firewall, x, y,
+                                  net.model.firewall_zone_of(firewall))
+                action, text = first_match_by_scan(net.acl_map.get(key, ()), packet)
+                hop = TraceHop(firewall, key[1], action, text)
+                if action == "permit":
+                    break
+            trace += (hop,)
+            if hop.verdict != "permit":
+                break
+        else:
+            return True, trace
+    return False, trace
 
 
 def service_accepts(svc: Service, packet: Packet) -> bool:
@@ -587,13 +653,16 @@ __all__ = [
     "canonical_masks",
     "enumerate_paths_exhaustive",
     "find_rule_overlaps_all_pairs",
+    "first_match_by_scan",
     "generated_policy_sources",
     "grid_model",
     "grid_topology",
+    "inject_by_scan",
     "masks_equal",
     "masks_subset",
     "packet_matches",
     "pair_plan",
+    "partition_strips_by_scan",
     "plan_delivers",
     "random_accept_rules",
     "random_range",

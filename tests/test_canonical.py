@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from forestfw import canonical, intervals
 from forestfw.canonical import (
     CanonicalPolicy,
     canonical_subtract,
@@ -18,8 +19,10 @@ from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
 from support import (
     accept_masks,
     canonical_masks,
+    generated_policy_sources,
     masks_equal,
     masks_subset,
+    partition_strips_by_scan,
     random_service_set,
     split_cover,
 )
@@ -178,6 +181,64 @@ def test_canonical_subtract_reports_uncovered_region():
     assert len(leftovers) == 1
     assert leftovers[0].strips == (((80, 89), ((0, 65535),)),)
     assert canonical_subtract(p, p) == []
+
+
+# ---------------------------------------------------------------------------
+# boundary sweep vs. the strip-at-a-time partition
+
+def _random_interval_set(rng: random.Random) -> tuple:
+    if rng.random() < 0.15:
+        return ((0, 65535),)
+    spans = []
+    for _ in range(rng.randint(1, 3)):
+        lo = rng.randrange(48)
+        spans.append((lo, rng.randrange(lo, 48)))
+    return intervals.normalize(spans)
+
+
+def test_partition_sweep_equals_strip_scan_on_random_rectangles():
+    rng = random.Random(4242)
+    merged = 0
+    for _ in range(500):
+        rects = [(_random_interval_set(rng), _random_interval_set(rng))
+                 for _ in range(rng.randint(0, 12))]
+        strips = canonical._partition_strips(rects)
+        assert strips == partition_strips_by_scan(rects), rects
+        merged += sum(1 for (_, a), (_, b) in zip(strips, strips[1:]) if a == b)
+    assert merged > 0  # equal sport sets apart by a gap stay separate strips
+
+
+ZONES_OF_TOPOLOGY = ("z1", "z2", "z3", "az1", "fwz1", "fwz2", "fwz3")
+
+
+def test_partition_sweep_equals_strip_scan_on_plant_bulk_and_grids(
+        plant_spec_fixed, bp_spec, monkeypatch):
+    """Every rectangle list the best-practice checks of the plant and bulk
+    seeds 1-3 partition, and every zone pair's flows on the 2x2-2x4 grids."""
+    inputs = []
+    sweep = canonical._partition_strips
+
+    def recorded(rects):
+        inputs.append(list(rects))
+        return sweep(rects)
+
+    monkeypatch.setattr(canonical, "_partition_strips", recorded)
+    sources = generated_policy_sources()
+    checks = [(plant_spec_fixed, bp_spec)] + [
+        (parse_policy(sources[f"bulk{seed}"]),
+         parse_policy(sources[f"bulk{seed}_best_practice"])) for seed in (1, 2, 3)]
+    for spec, bp in checks:
+        assert check_best_practice(expand_rules(spec), ZONES_OF_TOPOLOGY, bp) == []
+    best_practice_inputs = len(inputs)
+    for shape in ("2x2", "2x3", "2x4"):
+        per_pair: dict[tuple[str, str], list[Service]] = {}
+        for flow in expand_rules(parse_policy(sources[f"grid{shape}"])):
+            per_pair.setdefault((flow.src_zone, flow.dst_zone), []).append(flow.service)
+        for services in per_pair.values():
+            canonicalize(services)
+    assert best_practice_inputs > 50 and len(inputs) > best_practice_inputs
+    for rects in inputs:
+        assert sweep(rects) == partition_strips_by_scan(rects)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from forestfw import render
 from forestfw.cli import main
 from conftest import FIXTURES
 
@@ -60,6 +63,28 @@ def test_compile_writes_expected_tree(tmp_path, capsys):
     ]
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["options"]["ospf"] is True
+
+
+def test_compile_metrics_count_the_iptables_files_written(tmp_path, capsys):
+    """With --templates, device_loc counts the configs rendered from them."""
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(render.__file__).parent / "templates", templates)
+    iptables = templates / "iptables_like.tmpl"
+    text = iptables.read_text()
+    assert text.count("*filter\n") == 1
+    iptables.write_text(text.replace("*filter\n", "*filter\n:SITE_LOG - [0:0]\n"))
+    out_dir = tmp_path / "compiled"
+    code = main(["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
+                 "--out", str(out_dir), "--templates", str(templates)])
+    assert code == 0
+    written = 0
+    for path in sorted(out_dir.glob("*.iptables.txt")):
+        lines = [line.strip() for line in path.read_text().splitlines()]
+        assert ":SITE_LOG - [0:0]" in lines
+        written += sum(1 for line in lines if line and not line.startswith("#"))
+    metrics = dict(line.split() for line in (out_dir / "metrics.txt").read_text().splitlines())
+    assert int(metrics["device_loc"]) == written
+    assert f"device LoC {written}," in capsys.readouterr().out
 
 
 def test_compile_aborts_without_writing_on_overlap(tmp_path, capsys):

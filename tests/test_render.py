@@ -1,7 +1,10 @@
+import dataclasses
 import ipaddress
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.netgen import Acl, AclRule, TERMINAL_DENY
@@ -89,6 +92,66 @@ def test_neutral_round_trip(compiled_plant):
         assert rendered_again == text
 
 
+# a small pool, so that address fields repeat within a file
+ADDRESS_POOL = [net(text) for text in (
+    "0.0.0.0/0", "10.0.0.0/29", "10.0.0.16/29", "10.0.128.4/30", "192.0.2.7/32",
+    "172.16.0.0/12")]
+addresses = st.one_of(
+    st.just((net("0.0.0.0/0"),)),
+    st.lists(st.sampled_from(ADDRESS_POOL), min_size=1, max_size=3).map(tuple),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 32)).map(
+        lambda a: (ipaddress.IPv4Network(a, strict=False),)),
+)
+
+
+def port_lists(upper: int):
+    bounds = st.tuples(st.integers(0, upper), st.integers(0, upper))
+    return st.lists(bounds.map(lambda b: PortRange(min(b), max(b))), max_size=3).map(tuple)
+
+
+@st.composite
+def rule_fields(draw) -> dict:
+    """Everything of a non-terminal AclRule but its comment."""
+    protocol = draw(st.sampled_from((1, 6, 17, 89, 47, None)))
+    fields = {"action": draw(st.sampled_from(("permit", "deny"))) if protocol else "permit",
+              "protocol": protocol, "src": draw(addresses), "dst": draw(addresses),
+              "state": tuple(draw(st.lists(st.sampled_from(("NEW", "ESTABLISHED")),
+                                           max_size=2))),
+              "log": draw(st.booleans())}
+    if protocol in (6, 17):
+        fields["sport"] = draw(port_lists(65535))
+        fields["dport"] = draw(port_lists(65535))
+    elif protocol == 1:
+        fields["dport"] = draw(port_lists(255))  # the ICMP types
+    return fields
+
+
+remark_text = st.text("abcXYZ019_ ().>~:-", min_size=1, max_size=24).map(str.strip).filter(bool)
+
+
+@st.composite
+def acls(draw, name: str) -> Acl:
+    """An ACL as parse_neutral reads it back: each rule carries the last
+    remark above it, and the terminal deny closes the list."""
+    rules = []
+    comment = ""
+    for fields in draw(st.lists(rule_fields(), max_size=8)):
+        if draw(st.booleans()):
+            comment = draw(remark_text)
+        rules.append(AclRule(comment=comment, **fields))
+    if draw(st.booleans()):
+        rules.append(dataclasses.replace(TERMINAL_DENY, comment=comment))
+    return Acl(name, tuple(rules))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 2).flatmap(
+    lambda count: st.tuples(*(acls(f"acl_{i}") for i in range(count)))))
+def test_parse_neutral_inverts_render_neutral(acl_list):
+    text = "\n".join(render_neutral(acl) for acl in acl_list)
+    assert parse_neutral(text) == list(acl_list)
+
+
 def test_parse_neutral_names_file_and_line_of_a_bad_address():
     text = (NEUTRAL_HEADER + "acl_1\n  remark~c\n"
             "  permit~tcp~from~10.999.0.0/29~to~any~sport~~dport~[80]~state~\n")
@@ -148,7 +211,9 @@ def test_unknown_vendor_and_firewall_rejected(compiled_plant):
 
 
 def test_loc_metrics(plant_spec_fixed, compiled_plant):
-    metrics = loc_metrics(plant_spec_fixed, compiled_plant)
+    configs = [render_device(compiled_plant, fw, "iptables_like")
+               for fw in compiled_plant.firewalls()]
+    metrics = loc_metrics(plant_spec_fixed, configs)
     assert metrics.high_level_loc >= 1
     assert metrics.device_loc > metrics.high_level_loc
     assert metrics.ratio > 1

@@ -25,6 +25,7 @@ from forestfw.sim import (
     ScanSpec,
     SimNetwork,
     default_scan_spec,
+    eval_acl,
     from_network_policy,
     inject,
     representative_packet,
@@ -34,6 +35,8 @@ from forestfw.sim import (
 )
 from support import (
     brute_force_leaks,
+    first_match_by_scan,
+    inject_by_scan,
     packet_matches,
     pair_plan,
     plan_delivers,
@@ -407,6 +410,109 @@ def test_rule_matches_packet_wildcards():
                        state=("ESTABLISHED",))
     assert not rule_matches_packet(stateful, Packet(1, 2, 6, 3, 4, 0, NEW))
     assert rule_matches_packet(stateful, Packet(1, 2, 6, 3, 4, 0, ESTABLISHED))
+
+
+# ---------------------------------------------------------------------------
+# match tables vs. the rule-at-a-time matcher
+
+RING_NETS = [
+    ANY,
+    (ipaddress.IPv4Network("10.1.0.0/24"), ipaddress.IPv4Network("10.1.8.0/30")),
+    (ipaddress.IPv4Network("10.1.8.0/30"),),
+    (ipaddress.IPv4Network("10.2.0.0/24"),),
+    (ipaddress.IPv4Network("10.2.0.128/25"), ipaddress.IPv4Network("10.3.0.0/24")),
+    (ipaddress.IPv4Network("10.3.0.0/24"),),
+    (ipaddress.IPv4Network("10.3.0.0/30"), ipaddress.IPv4Network("10.1.0.0/24")),
+]
+
+
+def _random_acl_rule(rng: random.Random) -> AclRule:
+    """Any protocol including ``ip``, any state set, narrowed sports."""
+    protocol = rng.choice((1, 6, 17, 89, None))
+    ports = {}
+    if protocol in (6, 17):
+        ports = {"sport": _random_sports(rng), "dport": _random_ports(rng)}
+    elif protocol == 1 and rng.random() < 0.7:
+        lo = rng.randrange(256)
+        ports = {"dport": (PortRange(lo, rng.randrange(lo, 256)),)}
+    return AclRule(rng.choice(("permit", "permit", "deny")), protocol,
+                   rng.choice(RING_NETS), rng.choice(RING_NETS),
+                   state=rng.choice(((), (NEW,), (ESTABLISHED,), (NEW, ESTABLISHED))),
+                   comment=rng.choice(("", "web", "dns")), origin_service=f"s{rng.randrange(4)}",
+                   **ports)
+
+
+def _random_packet(rng: random.Random, model, src_zone: str, dst_zone: str) -> Packet:
+    def address(zone: str) -> int:
+        cidr = rng.choice(model.zones[zone].cidrs)
+        low, high = int(cidr.network_address), int(cidr.broadcast_address)
+        return rng.choice((low, high, rng.randint(low, high)))
+
+    protocol = rng.choice((1, 6, 17, 89))
+    sport = rng.choice((53, 49152, 60000, rng.randrange(65536)))
+    return Packet(address(src_zone), address(dst_zone), protocol, sport,
+                  rng.choice((443, 65535, rng.randrange(320))), rng.randrange(256),
+                  rng.choice((NEW, ESTABLISHED)))
+
+
+def test_eval_acl_equals_rule_at_a_time_first_match():
+    model = ring_model()
+    verdicts = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        rules = tuple(_random_acl_rule(rng) for _ in range(rng.randint(0, 8)))
+        for _ in range(20):
+            src, dst = rng.sample(sorted(model.zones), 2)
+            packet = _random_packet(rng, model, src, dst)
+            decision = eval_acl(rules, packet)
+            assert decision == first_match_by_scan(rules, packet), (seed, rules, packet)
+            verdicts.add((packet.protocol, packet.state, decision[0]))
+    assert len(verdicts) == 16  # every protocol and state met both verdicts
+
+
+def test_inject_equals_rule_at_a_time_walk_on_random_acls():
+    """Random ACL maps on the ring: same delivery and same hop trace."""
+    model = ring_model()
+    keys = [(fw, iface, "inbound") for fw, ifaces in sorted(model.firewall_interfaces.items())
+            for iface in sorted(ifaces.values())]
+    zones = sorted(model.zones)
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        acl_map = {key: tuple(_random_acl_rule(rng) for _ in range(rng.randint(0, 10)))
+                   for key in keys}
+        net = SimNetwork(model, acl_map, ())
+        for _ in range(40):
+            src, dst = rng.sample(zones, 2)
+            packet = _random_packet(rng, model, src, dst)
+            net.reset_connections()
+            if packet.state == ESTABLISHED:
+                net.connections.add((packet.protocol, packet.dst_addr, packet.dport,
+                                     packet.src_addr, packet.sport))
+            result = inject(net, packet, src)
+            assert (result.delivered, result.trace) == inject_by_scan(net, packet, src), seed
+            outcomes.add((result.delivered, len(result.trace)))
+    assert {True, False} <= {delivered for delivered, _ in outcomes}
+    assert max(hops for _, hops in outcomes) >= 2
+
+
+def test_replacing_acl_map_after_inject_changes_the_next_verdict(compiled_plant):
+    net = from_network_policy(compiled_plant)
+    packet = Packet(SCADA_HOST, CORP_HOST, 6, 40000, 443, 0, NEW)
+    assert inject(net, packet, "z3").delivered
+    original = net.acl_map
+    deny_all = {key: (AclRule("deny", None, ANY, ANY),) for key in original}
+    net.acl_map = deny_all
+    result = inject(net, packet, "z3")
+    assert not result.delivered
+    assert result.trace[0].rule == "[0] deny "
+    net.acl_map = original
+    assert inject(net, packet, "z3").delivered
+    # rebinding one key of the same dict is seen too
+    key = ("R2", result.trace[0].interface, "inbound")
+    assert key in original
+    net.acl_map[key] = deny_all[key]
+    assert not inject(net, packet, "z3").delivered
 
 
 def test_inject_enumerates_each_pair_once(compiled_plant, monkeypatch):
