@@ -61,13 +61,12 @@ def _slice_rectangles(services: Iterable[Service]) -> dict[tuple[int, int | None
         if svc.protocol is None:
             raise PolicyError(f"generic service {svc.name!r} cannot be canonicalized")
         if svc.protocol == 1:
-            for lo, hi in intervals.normalize(effective_icmp_types(svc)):
+            for lo, hi in effective_icmp_types(svc):
                 for icmp_type in range(lo, hi + 1):
                     groups.setdefault((1, icmp_type), []).append((FULL_PORTS, FULL_PORTS))
         elif svc.protocol in (6, 17):
-            sports = intervals.normalize(effective_sports(svc))
-            dports = intervals.normalize(effective_dports(svc))
-            groups.setdefault((svc.protocol, None), []).append((sports, dports))
+            groups.setdefault((svc.protocol, None), []).append(
+                (effective_sports(svc), effective_dports(svc)))
         else:
             groups.setdefault((svc.protocol, None), []).append((FULL_PORTS, FULL_PORTS))
     return groups
@@ -97,14 +96,21 @@ def _partition_strips(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> tuple
                 active[i] = count
             else:
                 del active[i]
-        covered = intervals.normalize(iv for i in active for iv in rects[i][0])
-        if not covered:
-            continue
-        if strips and strips[-1][0][1] + 1 == start and strips[-1][1] == covered:
-            strips[-1] = ((strips[-1][0][0], end - 1), covered)
-        else:
-            strips.append(((start, end - 1), covered))
+        _add_strip(strips, start, end - 1,
+                   intervals.normalize(iv for i in active for iv in rects[i][0]))
     return tuple(strips)
+
+
+def _add_strip(strips: list[tuple[Interval, IntervalSet]], lo: int, hi: int,
+               sports: IntervalSet) -> None:
+    """Append a strip in dport order, merged into a touching predecessor
+    with equal sport sets; a strip without sports is dropped."""
+    if not sports:
+        return
+    if strips and strips[-1][0][1] + 1 == lo and strips[-1][1] == sports:
+        strips[-1] = ((strips[-1][0][0], hi), sports)
+    else:
+        strips.append(((lo, hi), sports))
 
 
 def canonicalize(services: Iterable[Service]) -> CanonicalPolicy:
@@ -127,40 +133,28 @@ def equivalent(p: Iterable[Service], q: Iterable[Service]) -> bool:
     return canonicalize(p) == canonicalize(q)
 
 
-def _strips_cover(outer: tuple[tuple[Interval, IntervalSet], ...],
-                  strip: Interval, sports: IntervalSet) -> bool:
-    """Does ``outer`` cover dport interval ``strip`` with >= ``sports``?"""
-    lo, hi = strip
-    position = lo
-    for (olo, ohi), osports in outer:
-        if ohi < position:
-            continue
-        if olo > position:
-            return False  # gap at `position`
-        if not intervals.is_subset(sports, osports):
-            return False
-        position = ohi + 1
-        if position > hi:
-            return True
-    return position > hi
+def _subtract_strips(p: tuple[tuple[Interval, IntervalSet], ...],
+                     q: tuple[tuple[Interval, IntervalSet], ...]) -> tuple[tuple[Interval, IntervalSet], ...]:
+    """The part of strips ``p`` that strips ``q`` does not cover.
 
-
-def includes(p: Iterable[Service], q: Iterable[Service]) -> bool:
-    """True iff every packet accepted by ``p`` is accepted by ``q``.
-
-    Computed strip-wise on the canonical forms.
+    One merge pass over both lists, each sorted and disjoint by dport;
+    the result is canonical again.
     """
-    cp = canonicalize(p)
-    cq = canonicalize(q)
-    q_slices = {(s.protocol, s.icmp_type): s.strips for s in cq.slices}
-    for sl in cp.slices:
-        outer = q_slices.get((sl.protocol, sl.icmp_type))
-        if outer is None:
-            return False
-        for strip, sports in sl.strips:
-            if not _strips_cover(outer, strip, sports):
-                return False
-    return True
+    out: list[tuple[Interval, IntervalSet]] = []
+    j = 0
+    for (lo, hi), sports in p:
+        position = lo
+        while position <= hi:
+            while j < len(q) and q[j][0][1] < position:
+                j += 1
+            if j < len(q) and q[j][0][0] <= position:
+                end = min(hi, q[j][0][1])
+                _add_strip(out, position, end, intervals.subtract(sports, q[j][1]))
+            else:
+                end = hi if j == len(q) else min(hi, q[j][0][0] - 1)
+                _add_strip(out, position, end, sports)
+            position = end + 1
+    return tuple(out)
 
 
 def canonical_subtract(p: CanonicalPolicy, q: CanonicalPolicy) -> list[CanonicalSlice]:
@@ -168,28 +162,15 @@ def canonical_subtract(p: CanonicalPolicy, q: CanonicalPolicy) -> list[Canonical
     q_slices = {(s.protocol, s.icmp_type): s.strips for s in q.slices}
     leftovers: list[CanonicalSlice] = []
     for sl in p.slices:
-        outer = q_slices.get((sl.protocol, sl.icmp_type), ())
-        remaining: list[tuple[Interval, IntervalSet]] = []
-        for strip, sports in sl.strips:
-            pieces: list[tuple[Interval, IntervalSet]] = [(strip, sports)]
-            for (olo, ohi), osports in outer:
-                next_pieces: list[tuple[Interval, IntervalSet]] = []
-                for (plo, phi), psports in pieces:
-                    if ohi < plo or olo > phi:
-                        next_pieces.append(((plo, phi), psports))
-                        continue
-                    if plo < olo:
-                        next_pieces.append(((plo, olo - 1), psports))
-                    uncovered = intervals.subtract(psports, osports)
-                    if uncovered:
-                        next_pieces.append(((max(plo, olo), min(phi, ohi)), uncovered))
-                    if phi > ohi:
-                        next_pieces.append(((ohi + 1, phi), psports))
-                pieces = next_pieces
-            remaining.extend(pieces)
+        remaining = _subtract_strips(sl.strips, q_slices.get((sl.protocol, sl.icmp_type), ()))
         if remaining:
-            leftovers.append(CanonicalSlice(sl.protocol, sl.icmp_type, tuple(remaining)))
+            leftovers.append(CanonicalSlice(sl.protocol, sl.icmp_type, remaining))
     return leftovers
+
+
+def includes(p: Iterable[Service], q: Iterable[Service]) -> bool:
+    """True iff every packet accepted by ``p`` is accepted by ``q``."""
+    return not canonical_subtract(canonicalize(p), canonicalize(q))
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +259,13 @@ def check_best_practice(flows: Iterable[FlowRule], zone_names: Iterable[str],
         if flow.src_zone in bp.protected:
             grouped.setdefault((flow.src_zone, flow.dst_zone, "outbound"), []).append(flow.service)
 
+    bounds: dict[str, CanonicalPolicy] = {}  # each bound canonicalized once, when first needed
     violations: list[Violation] = []
     for (src, dst, direction) in sorted(grouped):
-        services = grouped[(src, dst, direction)]
-        bound = bp.inbound if direction == "inbound" else bp.outbound
-        if includes(services, bound):
-            continue
-        leftovers = canonical_subtract(canonicalize(services), canonicalize(bound))
-        violations.append(Violation(src, dst, direction, tuple(leftovers)))
+        services = canonicalize(grouped[(src, dst, direction)])
+        if direction not in bounds:
+            bounds[direction] = canonicalize(bp.inbound if direction == "inbound" else bp.outbound)
+        leftovers = canonical_subtract(services, bounds[direction])
+        if leftovers:
+            violations.append(Violation(src, dst, direction, tuple(leftovers)))
     return violations

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from forestfw import intervals
-from forestfw.header_space import HeaderPoint, Predicate, covered, rule_region, service_predicate
+from forestfw.header_space import Packet, Predicate, covered, rule_region, service_predicate
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PolicySpec,
@@ -43,7 +43,7 @@ class OverlapWitness:
     def predicate(self) -> Predicate:
         return service_predicate(self.service)
 
-    def sample_point(self) -> HeaderPoint:
+    def sample_point(self) -> Packet:
         return self.predicate().sample_point()
 
 

@@ -1,12 +1,14 @@
 """Executable semantics of packet-filter rules and their region algebra.
 
-A :class:`HeaderPoint` stands for the whole class of packets sharing its
-header values; rules decide accept/deny per class, so evaluating one point
-per class is exact.  A :class:`Predicate` denotes a cross product of
-per-dimension range sets, connection state included.  Three combination
-strategies are provided: first match, last match, and the order-free
-whitelist model the rest of the system is built on.  :func:`covered`
-decides whether a union of regions covers another.
+A :class:`Packet` is one point of the header space, connection state
+included; the simulator injects it and the rule algebra evaluates it.  It
+stands for the whole class of packets sharing its header values; rules
+decide accept/deny per class, so evaluating one point per class is exact.
+A :class:`Predicate` denotes a cross product of per-dimension range sets,
+connection state included.  Three combination strategies are provided:
+first match, last match, and the order-free whitelist model the rest of
+the system is built on.  :func:`covered` decides whether a union of
+regions covers another.
 """
 
 from __future__ import annotations
@@ -38,8 +40,10 @@ FULL_PROTO: IntervalSet = ((0, 255),)
 FULL_ICMP: IntervalSet = ((0, 255),)
 FULL_STATE: IntervalSet = ((0, 1),)
 
-# connection states as values of the state dimension
-STATE_BITS = {"NEW": 0, "ESTABLISHED": 1}
+NEW = "NEW"
+ESTABLISHED = "ESTABLISHED"
+# connection states as values of the state dimension, in value order
+STATE_BITS = {NEW: 0, ESTABLISHED: 1}
 
 # icmp_type is only meaningful when protocol == 1; elsewhere callers pin it
 # to this sentinel so cross products stay well-defined.
@@ -47,8 +51,8 @@ ICMP_SENTINEL = 0
 
 
 @dataclass(frozen=True)
-class HeaderPoint:
-    """One point in packet-header space."""
+class Packet:
+    """One point in packet-header space; ``state`` names the connection state."""
 
     src_addr: int = 0
     dst_addr: int = 0
@@ -56,7 +60,7 @@ class HeaderPoint:
     sport: int = 0
     dport: int = 0
     icmp_type: int = ICMP_SENTINEL
-    state: int = STATE_BITS["NEW"]
+    state: str = NEW
 
 
 # the dimensions of a Predicate, in the order box subtraction splits them
@@ -101,16 +105,16 @@ class Predicate:
         return (self.protocol, self.src, self.dst, self.sport, self.dport,
                 self.icmp, self.state)
 
-    def sample_point(self) -> HeaderPoint:
+    def sample_point(self) -> Packet:
         """Lowest corner of the predicate; always matches it."""
-        return HeaderPoint(
+        return Packet(
             src_addr=intervals.sample(self.src),
             dst_addr=intervals.sample(self.dst),
             protocol=intervals.sample(self.protocol),
             sport=intervals.sample(self.sport),
             dport=intervals.sample(self.dport),
             icmp_type=intervals.sample(self.icmp),
-            state=intervals.sample(self.state),
+            state=list(STATE_BITS)[intervals.sample(self.state)],
         )
 
 
@@ -121,7 +125,7 @@ class MatchRule:
     origin: str = ""
 
 
-def matches(p: Predicate, x: HeaderPoint) -> bool:
+def matches(p: Predicate, x: Packet) -> bool:
     """True iff every dimension of ``x`` lies in the corresponding set."""
     return (
         intervals.contains(p.protocol, x.protocol)
@@ -130,11 +134,11 @@ def matches(p: Predicate, x: HeaderPoint) -> bool:
         and intervals.contains(p.icmp, x.icmp_type)
         and intervals.contains(p.src, x.src_addr)
         and intervals.contains(p.dst, x.dst_addr)
-        and intervals.contains(p.state, x.state)
+        and intervals.contains(p.state, STATE_BITS[x.state])
     )
 
 
-def eval_first_match(rules: Sequence[MatchRule], x: HeaderPoint) -> str:
+def eval_first_match(rules: Sequence[MatchRule], x: Packet) -> str:
     """Decision of the first matching rule; implicit deny-all otherwise."""
     for rule in rules:
         if matches(rule.predicate, x):
@@ -142,7 +146,7 @@ def eval_first_match(rules: Sequence[MatchRule], x: HeaderPoint) -> str:
     return DENY
 
 
-def eval_last_match(rules: Sequence[MatchRule], x: HeaderPoint) -> str:
+def eval_last_match(rules: Sequence[MatchRule], x: Packet) -> str:
     """Decision of the last matching rule; implicit deny-all otherwise."""
     decision = DENY
     matched = False
@@ -153,7 +157,7 @@ def eval_last_match(rules: Sequence[MatchRule], x: HeaderPoint) -> str:
     return decision if matched else DENY
 
 
-def eval_whitelist(rules: Iterable[MatchRule], x: HeaderPoint) -> str:
+def eval_whitelist(rules: Iterable[MatchRule], x: Packet) -> str:
     """Order-free evaluation of an accept-only rule set.
 
     Raises ValueError on a deny rule: the whitelist model has no deny form,

@@ -37,6 +37,7 @@ from forestfw.topo_model import (
     build_zone_firewall_model,
     crosscheck_model,
     derive_zone_conduit,
+    firewall_zones,
 )
 
 ANY_NET = ipaddress.IPv4Network("0.0.0.0/0")
@@ -52,8 +53,8 @@ STATE_ESTABLISHED = "ESTABLISHED"
 class AclRule:
     """A vendor-neutral five-tuple-plus-state rule.
 
-    ``protocol`` None is the ``ip`` wildcard and only ever appears on the
-    terminal deny.  For ICMP rules the dport ranges carry the permitted
+    ``protocol`` None is the ``ip`` wildcard; the compiler emits it only
+    on the terminal deny.  For ICMP rules the dport ranges carry the permitted
     ICMP types (empty = any); the simulator and renderers share that
     encoding.
     """
@@ -103,11 +104,10 @@ class CompileOptions:
 
 @dataclass
 class NetworkPolicy:
-    """The compiled result: the model, per-conduit rules, ACLs, bindings."""
+    """The compiled result: the model, flows, ACLs and their bindings."""
 
     model: ZoneConduitModel
     flows: tuple[FlowRule, ...]
-    conduit_rules: dict[tuple[str, str], tuple[AclRule, ...]]
     acls: dict[str, tuple[Acl, ...]]  # per firewall
     assignments: tuple[InterfaceAssignment, ...]
     options: CompileOptions
@@ -220,12 +220,6 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
 
     dfs(src, {0})
     return paths
-
-
-def firewall_zones(model: ZoneConduitModel) -> dict[str, str]:
-    """Each firewall's own Firewall-Zone."""
-    return {member: zone.name for zone in model.zones.values() if zone.kind == "firewall"
-            for member in zone.members}
 
 
 def _crossings(model: ZoneConduitModel, hop: tuple[str, str], firewall: str,
@@ -464,7 +458,6 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     fw_zones = firewall_zones(model)
     hops_cache: dict[tuple[str, str], list[tuple[str, str, list[tuple]]]] = {}
     buckets: dict[tuple[str, str, str], list[AclRule]] = {}
-    conduit_rules: dict[tuple[str, str], list[AclRule]] = {}
 
     def bucket(firewall: str, interface: str, direction: str) -> list[AclRule]:
         return buckets.setdefault((firewall, interface, direction), [])
@@ -489,8 +482,6 @@ def compile_policy(spec: PolicySpec, topo: Topology,
         returns = [r for r in supplemented if r.flow_dir == "return"]
 
         for x, y, targets in hops:
-            conduit_rules.setdefault((x, y), []).extend(forward)
-            conduit_rules.setdefault((y, x), []).extend(returns)
             for forward_key, return_key in targets:
                 bucket(*forward_key).extend(forward)
                 bucket(*return_key).extend(returns)
@@ -528,8 +519,6 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     return NetworkPolicy(
         model=model,
         flows=tuple(flows),
-        conduit_rules={pair: tuple(_assemble(rules))
-                       for pair, rules in sorted(conduit_rules.items())},
         acls={fw: tuple(acl_list) for fw, acl_list in acls.items()},
         assignments=tuple(assignments),
         options=options,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang.lexer import Token, tokenize
@@ -49,6 +49,8 @@ _SET_OPS = (",", "^", "\\")
 # braced values and groups nest by recursion; deeper nesting is refused,
 # not a crash
 _MAX_NESTING = 64
+
+_SetT = TypeVar("_SetT")  # ServiceSet or _ZoneTerm
 
 
 def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
@@ -548,7 +550,7 @@ class _Resolver:
             raise self.err(decl, f"service groups nested more than {_MAX_NESTING} deep")
         self._resolving.append(name)
         assert decl.expr is not None
-        members = self._eval_expr(decl, decl.expr, self._service_term_set)
+        members = _eval_set_expr(decl.expr, lambda n: self._service_term_set(decl, n))
         self._resolving.pop()
         self._svc_sets[name] = members
         self.spec.service_groups[name] = ServiceGroup(name, decl.expr, members)
@@ -558,18 +560,6 @@ class _Resolver:
         if name not in self.registry:
             raise self.err(decl, f"undeclared name {name!r}")
         return self._service_set(name)
-
-    def _eval_expr(self, decl: _RawDecl, expr: SetExpr, term):
-        segments = [term(decl, expr.first)]
-        for op, name in expr.rest:
-            value = term(decl, name)
-            if op == ",":
-                segments.append(value)
-            elif op == "^":
-                segments[-1] = segments[-1].intersection(value)
-            else:
-                segments[-1] = segments[-1].difference(value)
-        return segments[0].union(*segments[1:])
 
     # -- zone groups
 
@@ -588,7 +578,7 @@ class _Resolver:
             raise self.err(decl, f"zone groups nested more than {_MAX_NESTING} deep")
         self._resolving.append(name)
         assert decl.expr is not None
-        zones = self._eval_expr(decl, decl.expr, lambda d, n: _ZoneTerm(self._zone_set(n)))
+        zones = _eval_set_expr(decl.expr, lambda n: _ZoneTerm(self._zone_set(n)))
         self._resolving.pop()
         resolved = zones.value
         self._zone_sets[name] = resolved
@@ -603,7 +593,7 @@ class _Resolver:
             if found is not None and found.kind != "zone_group":
                 raise self.err(decl, f"{found.kind} {side!r} used where a zone was expected")
         assert decl.expr is not None
-        services = self._eval_expr(decl, decl.expr, self._service_term_set)
+        services = _eval_set_expr(decl.expr, lambda n: self._service_term_set(decl, n))
         self.spec.rules[decl.name] = HighLevelRule(
             name=decl.name,
             left=decl.left,
@@ -632,6 +622,22 @@ class _Resolver:
                                              f"rule group {name!r}")
         self.spec.reporting_rules[decl.name] = ReportingRule(decl.name, decl.attrs, use_case)
         self.spec.raw_attrs[decl.name] = decl.attrs
+
+
+def _eval_set_expr(expr: SetExpr, term: Callable[[str], _SetT]) -> _SetT:
+    """Evaluate ``first (op term)*`` over sets with ``union``,
+    ``intersection`` and ``difference``: ``^`` and ``\\`` bind tighter
+    than ``,`` and associate left to right."""
+    segments = [term(expr.first)]
+    for op, name in expr.rest:
+        value = term(name)
+        if op == ",":
+            segments.append(value)
+        elif op == "^":
+            segments[-1] = segments[-1].intersection(value)
+        else:
+            segments[-1] = segments[-1].difference(value)
+    return segments[0].union(*segments[1:])
 
 
 class _ZoneTerm:
@@ -683,8 +689,6 @@ def parse_policy(text: str, importer: Importer | None = None,
 
 def resolve_service_expr(expr: SetExpr, spec: PolicySpec) -> ServiceSet:
     """Evaluate a set expression against an already-resolved spec."""
-    segments: list[ServiceSet] = []
-
     def term(name: str) -> ServiceSet:
         if name in spec.services:
             return ServiceSet([spec.services[name]])
@@ -692,18 +696,7 @@ def resolve_service_expr(expr: SetExpr, spec: PolicySpec) -> ServiceSet:
             return spec.service_groups[name].members
         raise PolicyError(f"undeclared name {name!r}")
 
-    current = term(expr.first)
-    for op, name in expr.rest:
-        value = term(name)
-        if op == ",":
-            segments.append(current)
-            current = value
-        elif op == "^":
-            current = current.intersection(value)
-        else:
-            current = current.difference(value)
-    segments.append(current)
-    return segments[0].union(*segments[1:])
+    return _eval_set_expr(expr, term)
 
 
 # ---------------------------------------------------------------------------

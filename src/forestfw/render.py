@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.netgen import (
+    ANY_NET,
     Acl,
     AclRule,
     InterfaceAssignment,
@@ -74,7 +75,9 @@ def render_rule_neutral(rule: AclRule) -> str:
 
 
 def _rule_line(rule: AclRule, addrs: _Memo) -> str:
-    if rule.action == "deny" and rule.protocol is None:
+    # only the any -> any ip deny takes the fixed form, whatever its log flag
+    if (rule.action == "deny" and rule.protocol is None and rule.src == rule.dst == (ANY_NET,)
+            and not (rule.sport or rule.dport or rule.state)):
         return TERMINAL_DENY_LINE
     fields = [
         rule.action,

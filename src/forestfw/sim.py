@@ -2,7 +2,8 @@
 
 The simulator walks packets along the conduit paths of the compiled
 network, evaluating each traversed firewall's interface ACL first-match,
-with a connection table gating ESTABLISHED traffic.  Each bound ACL is
+with a connection table gating ESTABLISHED traffic.  Packets are
+:class:`forestfw.header_space.Packet` header points.  Each bound ACL is
 encoded once into a :class:`MatchTable` of integer intervals, which
 injection and both vettings share.  Positive vetting
 injects one representative packet per expanded flow (plus the TCP return
@@ -24,12 +25,11 @@ from typing import Iterator, NamedTuple
 
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError
-from forestfw.header_space import address_intervals
+from forestfw.header_space import ESTABLISHED, NEW, Packet, address_intervals
 from forestfw.netgen import (
     AclRule,
     NetworkPolicy,
     enumerate_paths,
-    firewall_zones,
     hop_acl_key,
 )
 from forestfw.policy_lang.syntax import (
@@ -41,23 +41,7 @@ from forestfw.policy_lang.syntax import (
     effective_sports,
     port_ranges,
 )
-from forestfw.topo_model import Conduit, Zone, ZoneConduitModel
-
-NEW = "NEW"
-ESTABLISHED = "ESTABLISHED"
-
-
-@dataclass(frozen=True)
-class Packet:
-    """A header point plus ingress zone and connection-state intent."""
-
-    src_addr: int
-    dst_addr: int
-    protocol: int
-    sport: int = 0
-    dport: int = 0
-    icmp_type: int = 0
-    state: str = NEW
+from forestfw.topo_model import Conduit, Zone, ZoneConduitModel, firewall_zones
 
 
 @dataclass(frozen=True)
@@ -359,6 +343,7 @@ def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
     if not paths:
         return InjectResult(False, (), f"no valid path {ingress_zone} -> {dst_zone}")
 
+    fw_zones = firewall_zones(net.model)
     last_trace: tuple[TraceHop, ...] = ()
     for path in paths:
         trace: list[TraceHop] = []
@@ -369,7 +354,7 @@ def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
             hop_accept = False
             hop_trace: TraceHop | None = None
             for firewall in sorted(conduit.firewalls):
-                key = hop_acl_key(net.model, firewall, x, y, net.model.firewall_zone_of(firewall))
+                key = hop_acl_key(net.model, firewall, x, y, fw_zones[firewall])
                 action, rule_text = net.match_table(key).decide(packet)
                 if action == "permit":
                     hop_accept = True

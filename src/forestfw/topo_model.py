@@ -93,18 +93,18 @@ class ZoneConduitModel:
                 out.append(a)
         return sorted(out)
 
-    def firewall_zone_of(self, firewall: str) -> str | None:
-        for zone in self.zones.values():
-            if zone.kind == "firewall" and firewall in zone.members:
-                return zone.name
-        return None
-
     def zone_of_address(self, addr: int | str) -> str | None:
         ip = ipaddress.IPv4Address(addr)
         for zone in sorted(self.zones.values(), key=lambda z: z.name):
             if any(ip in cidr for cidr in zone.cidrs):
                 return zone.name
         return None
+
+
+def firewall_zones(model: ZoneConduitModel) -> dict[str, str]:
+    """Each firewall's own Firewall-Zone."""
+    return {member: zone.name for zone in model.zones.values() if zone.kind == "firewall"
+            for member in zone.members}
 
 
 # Zone-Firewall model: the precursor carrying zones + firewall adjacencies.
@@ -364,10 +364,9 @@ def derive_zone_conduit(zf: ZoneFirewallModel) -> ZoneConduitModel:
     model.firewall_interfaces = {fw: dict(adj) for fw, adj in zf.adjacency.items()}
 
     realizers: dict[tuple[str, str], set[str]] = {}
-    fwz_by_firewall = {next(iter(z.members)): z.name
-                       for z in zf.zones.values() if z.kind == "firewall"}
+    fw_zones = firewall_zones(model)
     for fw, adjacency in zf.adjacency.items():
-        fwz = fwz_by_firewall[fw]
+        fwz = fw_zones[fw]
         adjacent = sorted(adjacency)
         for i, a in enumerate(adjacent):
             realizers.setdefault(tuple(sorted((fwz, a))), set()).add(fw)

@@ -27,7 +27,7 @@ from forestfw.checker import (
     service_intersection,
 )
 from forestfw.diagnostics import PolicyError
-from forestfw.header_space import ACCEPT, DENY, HeaderPoint, MatchRule, Predicate
+from forestfw.header_space import ACCEPT, DENY, MatchRule, Predicate
 from forestfw.netgen import enumerate_paths, hop_acl_key
 from forestfw.policy_lang.lexer import KEYWORDS, Token
 from forestfw.policy_lang.syntax import (
@@ -55,6 +55,7 @@ from forestfw.topo_model import (
     ZoneConduitModel,
     build_zone_firewall_model,
     derive_zone_conduit,
+    firewall_zones,
     load_topology,
 )
 
@@ -184,15 +185,15 @@ def partition_strips_by_scan(rects) -> tuple:
 # ---------------------------------------------------------------------------
 # exhaustive evaluation grids for match-rule strategies
 
-def rule_grid_points(limit: int = 16) -> list[HeaderPoint]:
+def rule_grid_points(limit: int = 16) -> list[Packet]:
     """An exhaustive grid: TCP/UDP port planes plus an ICMP type row."""
     points = []
     for protocol in (6, 17):
         for sport in range(limit):
             for dport in range(limit):
-                points.append(HeaderPoint(protocol=protocol, sport=sport, dport=dport))
+                points.append(Packet(protocol=protocol, sport=sport, dport=dport))
     for icmp_type in range(limit):
-        points.append(HeaderPoint(protocol=1, sport=0, dport=0, icmp_type=icmp_type))
+        points.append(Packet(protocol=1, sport=0, dport=0, icmp_type=icmp_type))
     return points
 
 
@@ -257,14 +258,14 @@ def inject_by_scan(net: SimNetwork, packet: Packet, ingress_zone: str) -> tuple:
     first path on which every hop has a firewall whose first match, in
     ``first_match_by_scan``, permits."""
     dst_zone = net.model.zone_of_address(packet.dst_addr)
+    fw_zones = firewall_zones(net.model)
     trace: tuple = ()
     for path in enumerate_paths(net.model, ingress_zone, dst_zone,
                                 packet.state == ESTABLISHED):
         trace = ()
         for x, y in zip(path, path[1:]):
             for firewall in sorted(net.model.conduit_between(x, y).firewalls):
-                key = hop_acl_key(net.model, firewall, x, y,
-                                  net.model.firewall_zone_of(firewall))
+                key = hop_acl_key(net.model, firewall, x, y, fw_zones[firewall])
                 action, text = first_match_by_scan(net.acl_map.get(key, ()), packet)
                 hop = TraceHop(firewall, key[1], action, text)
                 if action == "permit":
@@ -293,12 +294,13 @@ def pair_plan(net: SimNetwork, src_zone: str, dst_zone: str):
     the flow services of one ordered zone pair."""
     src_addr = _zone_rep_addr(net.model.zones[src_zone])
     dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
+    fw_zones = firewall_zones(net.model)
     paths = []
     for path in enumerate_paths(net.model, src_zone, dst_zone):
         hops = []
         for x, y in zip(path, path[1:]):
             conduit = net.model.conduit_between(x, y)
-            keys = [hop_acl_key(net.model, fw, x, y, net.model.firewall_zone_of(fw))
+            keys = [hop_acl_key(net.model, fw, x, y, fw_zones[fw])
                     for fw in sorted(conduit.firewalls)]
             hops.append([[r for r in net.acl_map.get(key, ())
                           if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
@@ -468,7 +470,7 @@ def enumerate_paths_exhaustive(model: ZoneConduitModel, src: str, dst: str,
 
 def _crossings(model: ZoneConduitModel, hop: tuple[str, str], firewall: str) -> tuple:
     x, y = hop
-    fwz = model.firewall_zone_of(firewall)
+    fwz = firewall_zones(model)[firewall]
     entry = LOCAL_INTERFACE if x == fwz else model.firewall_interfaces[firewall][x]
     exit_ = LOCAL_INTERFACE if y == fwz else model.firewall_interfaces[firewall][y]
     return ((firewall, entry), (firewall, exit_))

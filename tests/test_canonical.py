@@ -183,6 +183,44 @@ def test_canonical_subtract_reports_uncovered_region():
     assert canonical_subtract(p, p) == []
 
 
+def test_canonical_subtract_equals_grid_difference_with_maximal_strips():
+    rng = random.Random(2718)
+    touching = 0
+    for trial in range(300):
+        p = random_service_set(rng)
+        q = split_cover(rng, p)[1:] if trial % 2 else random_service_set(rng)
+        leftovers = canonical_subtract(canonicalize(p), canonicalize(q))
+        mp, mq = accept_masks(p), accept_masks(q)
+        want = {k: mp[k] & ~mq[k] for k in mp}
+        assert masks_equal(canonical_masks(CanonicalPolicy(tuple(leftovers))), want), (p, q)
+        for sl in leftovers:
+            assert sl.strips
+            for (a, sports_a), (b, sports_b) in zip(sl.strips, sl.strips[1:]):
+                assert a[1] < b[0]
+                assert a[1] + 1 < b[0] or sports_a != sports_b  # touching strips differ
+                touching += a[1] + 1 == b[0]
+    assert touching > 0
+
+
+BOUND_SOURCE = """
+zone_group protected_zone { scada }
+port_group low { 0-1023 }
+port_group narrow { 85-86 }
+service low_narrow { protocol=tcp; tcp.source_port=low; tcp.dest_port=narrow; }
+policy_rule inbound_bound { any_zone -> protected_zone : low_narrow }
+"""
+
+
+def test_violation_evidence_lists_maximal_strips():
+    # the bound splits the policy's dport range at 85 and 87 but covers
+    # none of its source ports, so the whole range is one evidence strip
+    flows = [_flow("web_in", "corp", "scada", tcp("wide", [(1024, 65535)], [(80, 100)]))]
+    violations = check_best_practice(flows, ZONES, parse_policy(BOUND_SOURCE))
+    assert [v.evidence[0].strips for v in violations] == [(((80, 100), ((1024, 65535),)),)]
+    assert str(violations[0]).endswith(
+        "(inbound for the protected zone): protocol 6 (tcp) dport 80-100")
+
+
 # ---------------------------------------------------------------------------
 # boundary sweep vs. the strip-at-a-time partition
 

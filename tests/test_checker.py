@@ -46,8 +46,8 @@ def test_interval_intersection():
     assert shared.dest_ports == (PortRange(85, 90),)
     # brute membership at the boundary points
     pred = service_predicate(shared)
-    from forestfw.header_space import HeaderPoint
-    hits = {p: matches(pred, HeaderPoint(protocol=6, dport=p)) for p in (84, 85, 90, 91)}
+    from forestfw.header_space import Packet
+    hits = {p: matches(pred, Packet(protocol=6, dport=p)) for p in (84, 85, 90, 91)}
     assert hits == {84: False, 85: True, 90: True, 91: False}
 
 

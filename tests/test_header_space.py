@@ -5,8 +5,8 @@ import pytest
 from forestfw.header_space import (
     ACCEPT,
     DENY,
-    HeaderPoint,
     MatchRule,
+    Packet,
     Predicate,
     eval_first_match,
     eval_last_match,
@@ -20,19 +20,19 @@ HTTP = Predicate(protocol=((6, 6),), dport=((80, 80),), icmp=((0, 0),))
 
 
 def test_full_space_matches_everything():
-    for point in (HeaderPoint(), HeaderPoint(protocol=17, sport=1, dport=65535),
-                  HeaderPoint(protocol=1, icmp_type=255)):
+    for point in (Packet(), Packet(protocol=17, sport=1, dport=65535),
+                  Packet(protocol=1, icmp_type=255)):
         assert matches(FULL, point)
 
 
 def test_direct_containment():
     p = Predicate(protocol=((6, 6),), dport=((80, 80),))
-    assert matches(p, HeaderPoint(protocol=6, dport=80, sport=4242, src_addr=7))
+    assert matches(p, Packet(protocol=6, dport=80, sport=4242, src_addr=7))
 
 
 def test_disjoint_dimension():
     p = Predicate(protocol=((6, 6),))
-    assert not matches(p, HeaderPoint(protocol=17))
+    assert not matches(p, Packet(protocol=17))
 
 
 def test_empty_predicate_dimension_rejected():
@@ -41,30 +41,30 @@ def test_empty_predicate_dimension_rejected():
 
 
 def test_first_match_implicit_deny():
-    assert eval_first_match([], HeaderPoint()) == DENY
+    assert eval_first_match([], Packet()) == DENY
 
 
 def test_first_match_first_wins():
     rules = [MatchRule(ACCEPT, HTTP), MatchRule(DENY, HTTP)]
-    assert eval_first_match(rules, HeaderPoint(protocol=6, dport=80)) == ACCEPT
+    assert eval_first_match(rules, Packet(protocol=6, dport=80)) == ACCEPT
 
 
 def test_last_match_last_wins():
     rules = [MatchRule(ACCEPT, HTTP), MatchRule(DENY, HTTP)]
-    assert eval_last_match(rules, HeaderPoint(protocol=6, dport=80)) == DENY
-    assert eval_last_match([], HeaderPoint()) == DENY
+    assert eval_last_match(rules, Packet(protocol=6, dport=80)) == DENY
+    assert eval_last_match([], Packet()) == DENY
 
 
 def test_whitelist_accepts_on_any_match():
     rule = MatchRule(ACCEPT, Predicate(protocol=((6, 6),), dport=((443, 443),),
                                        icmp=((0, 0),)))
-    assert eval_whitelist([rule], HeaderPoint(protocol=6, dport=443)) == ACCEPT
-    assert eval_whitelist([rule], HeaderPoint(protocol=6, dport=80)) == DENY
+    assert eval_whitelist([rule], Packet(protocol=6, dport=443)) == ACCEPT
+    assert eval_whitelist([rule], Packet(protocol=6, dport=80)) == DENY
 
 
 def test_whitelist_rejects_deny_rules():
     with pytest.raises(ValueError, match="deny rule"):
-        eval_whitelist([MatchRule(DENY, FULL, origin="bad")], HeaderPoint())
+        eval_whitelist([MatchRule(DENY, FULL, origin="bad")], Packet())
 
 
 def test_whitelist_permutation_invariance():

@@ -21,6 +21,7 @@ from forestfw.topo_model import (
     ZoneConduitModel,
     build_zone_firewall_model,
     derive_zone_conduit,
+    firewall_zones,
     load_topology,
 )
 from forestfw.sim import from_network_policy
@@ -355,12 +356,19 @@ def test_conduit_isolation(plant_topology):
         if r not in ("corp_internet_rule", "internet_corp_rule"))
     trimmed = compile_policy(trimmed_spec, plant_topology, CompileOptions(ospf=True))
 
-    # conduits on z1-z2 paths change; all others carry identical rules
-    affected = {("z1", "z2"), ("z2", "z1")}
-    for pair, rules in full.conduit_rules.items():
-        if pair in affected:
-            continue
-        assert trimmed.conduit_rules.get(pair, ()) == rules
+    # ACLs realizing a z1-z2 hop change; every other binding carries identical rules
+    model = full.model
+    fw_zones = firewall_zones(model)
+    affected = {hop_acl_key(model, firewall, x, y, fw_zones[firewall])
+                for x, y in (("z1", "z2"), ("z2", "z1"))
+                for firewall in model.conduit_between(x, y).firewalls}
+    full_acls = from_network_policy(full).acl_map
+    trimmed_acls = from_network_policy(trimmed).acl_map
+    assert affected and set(full_acls) == set(trimmed_acls)
+    assert any(full_acls[key] != trimmed_acls[key] for key in affected)
+    for key, rules in full_acls.items():
+        if key not in affected:
+            assert trimmed_acls[key] == rules, key
 
 
 GRID_POLICY = """
@@ -383,6 +391,7 @@ def test_flow_rules_sit_on_every_hop_of_every_path():
     (TCP only) in exactly those of the reversed hops."""
     policy = compile_policy(parse_policy(GRID_POLICY), load_topology(grid_topology(2, 3)))
     model = policy.model
+    fw_zones = firewall_zones(model)
     acl_map = from_network_policy(policy).acl_map
     assert len(policy.flows) == 2
     for flow in policy.flows:
@@ -392,7 +401,7 @@ def test_flow_rules_sit_on_every_hop_of_every_path():
         wanted = {"forward": hops,
                   "return": {(y, x) for x, y in hops} if flow.service.protocol == 6 else set()}
         for direction, want_hops in wanted.items():
-            want = {hop_acl_key(model, firewall, x, y, model.firewall_zone_of(firewall))
+            want = {hop_acl_key(model, firewall, x, y, fw_zones[firewall])
                     for x, y in want_hops
                     for firewall in model.conduit_between(x, y).firewalls}
             got = {key for key, rules in acl_map.items()

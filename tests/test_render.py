@@ -59,6 +59,14 @@ def test_terminal_deny_is_byte_exact():
     assert render_rule_neutral(logged_deny) == TERMINAL_DENY_LINE
 
 
+def test_narrowed_ip_deny_round_trips():
+    rule = AclRule("deny", None, (net("10.0.0.0/8"),), (net("10.3.0.0/24"),), log=True)
+    assert render_rule_neutral(rule) == (
+        "deny~ip~from~10.0.0.0/8~to~10.3.0.0/24~sport~~dport~~state~~log")
+    acl = Acl("acl_1", (rule, TERMINAL_DENY))
+    assert parse_neutral(render_neutral(acl)) == [acl]
+
+
 def test_deny_only_acl_renders_header_and_deny():
     text = render_neutral(Acl("acl_9", (TERMINAL_DENY,)))
     assert text == (NEUTRAL_HEADER + "acl_9\n  " + TERMINAL_DENY_LINE + "\n")
@@ -111,13 +119,16 @@ def port_lists(upper: int):
 
 @st.composite
 def rule_fields(draw) -> dict:
-    """Everything of a non-terminal AclRule but its comment."""
+    """Everything of an AclRule but its comment; ``ip`` denies may be narrowed."""
     protocol = draw(st.sampled_from((1, 6, 17, 89, 47, None)))
-    fields = {"action": draw(st.sampled_from(("permit", "deny"))) if protocol else "permit",
+    fields = {"action": draw(st.sampled_from(("permit", "deny"))),
               "protocol": protocol, "src": draw(addresses), "dst": draw(addresses),
               "state": tuple(draw(st.lists(st.sampled_from(("NEW", "ESTABLISHED")),
                                            max_size=2))),
               "log": draw(st.booleans())}
+    if (fields["action"] == "deny" and protocol is None and not fields["state"]
+            and fields["src"] == fields["dst"] == (net("0.0.0.0/0"),)):
+        fields["log"] = False  # the fixed terminal line carries no log flag
     if protocol in (6, 17):
         fields["sport"] = draw(port_lists(65535))
         fields["dport"] = draw(port_lists(65535))

@@ -7,8 +7,6 @@ from forestfw.diagnostics import PolicyError
 from forestfw.header_space import (
     ACCEPT,
     DENY,
-    STATE_BITS,
-    HeaderPoint,
     MatchRule,
     eval_first_match,
     rule_region,
@@ -231,9 +229,8 @@ policy p { g; rep; }
             # the connection an earlier NEW packet of the mirrored flow opened
             net.connections.add((protocol, dst, packet.dport, src, packet.sport))
         # the AclRule encoding carries the ICMP type in dport
-        point = HeaderPoint(src, dst, protocol, packet.sport,
-                            packet.icmp_type if protocol == 1 else packet.dport,
-                            state=STATE_BITS[state])
+        point = Packet(src, dst, protocol, packet.sport,
+                       packet.icmp_type if protocol == 1 else packet.dport, state=state)
         delivered = inject(net, packet, "z1").delivered
         assert delivered == (eval_first_match(match_rules, point) == ACCEPT), packet
         verdicts.add((protocol, state, delivered))
