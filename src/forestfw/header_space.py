@@ -209,15 +209,20 @@ def rule_region(rule: "AclRule") -> Predicate:
     """The header-space region a compiled ACL rule matches.
 
     Follows the ``AclRule`` encoding: an empty field matches anything, an
-    ICMP rule's types sit in ``dport`` (the icmp dimension stays full) and
-    ``state`` lists the connection states the rule admits.
+    ICMP rule's ``dport`` carries its types, which go to the icmp dimension
+    (``dport`` stays full), and ``state`` lists the connection states the
+    rule admits.
     """
+    dport, icmp = tuple(rule.dport) or FULL_PORT, FULL_ICMP
+    if rule.protocol == 1:
+        dport, icmp = FULL_PORT, tuple(rule.dport) or FULL_ICMP
     return Predicate(
         protocol=FULL_PROTO if rule.protocol is None else ((rule.protocol, rule.protocol),),
         src=address_intervals(rule.src) or FULL_ADDR,
         dst=address_intervals(rule.dst) or FULL_ADDR,
         sport=tuple(rule.sport) or FULL_PORT,
-        dport=tuple(rule.dport) or FULL_PORT,
+        dport=dport,
+        icmp=icmp,
         state=tuple((STATE_BITS[s], STATE_BITS[s]) for s in rule.state) or FULL_STATE,
     )
 

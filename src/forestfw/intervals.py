@@ -74,25 +74,6 @@ def subtract(a: IntervalSet, b: IntervalSet) -> IntervalSet:
     return tuple(out)
 
 
-def is_subset(a: IntervalSet, b: IntervalSet) -> bool:
-    """True when every point of ``a`` lies in ``b``.
-
-    Relies on both sets being normalized: a contained interval must then
-    fit inside a single interval of ``b``.
-    """
-    j = 0
-    for lo, hi in a:
-        while j < len(b) and b[j][1] < lo:
-            j += 1
-        if j == len(b) or b[j][0] > lo or b[j][1] < hi:
-            return False
-    return True
-
-
-def size(ranges: IntervalSet) -> int:
-    return sum(hi - lo + 1 for lo, hi in ranges)
-
-
 def sample(ranges: IntervalSet) -> int:
     """Lowest value in the set (the deterministic representative)."""
     if not ranges:

@@ -150,8 +150,9 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
     realization open; crossings only accumulate, so nothing it could still
     reach would be valid.  The cost follows the number of valid paths, not
     the number of simple zone paths.  ``compile_policy`` enumerates each
-    zone pair once; the simulator caches the paths per network
-    (``SimNetwork.paths``).
+    zone pair once; the simulator turns the paths into routes, each hop's
+    ACLs from :func:`hop_acls`, and caches them per network
+    (``SimNetwork.routes``).
     """
     if src == dst:
         raise ValueError("path endpoints must differ")
@@ -232,35 +233,25 @@ def _crossings(model: ZoneConduitModel, hop: tuple[str, str], firewall: str,
     return ((firewall, entry), (firewall, exit_))
 
 
-def hop_acl_key(model: ZoneConduitModel, firewall: str, x: str, y: str,
-                fwz: str) -> tuple[str, str, str]:
-    """The ACL ``(firewall, interface, direction)`` that filters traffic
-    crossing ``firewall`` from zone x to zone y; ``fwz`` is the firewall's
-    own zone."""
-    if x == fwz:
-        return (firewall, LOCAL_INTERFACE, "outbound")
-    if y == fwz:
-        return (firewall, LOCAL_INTERFACE, "inbound")
-    return (firewall, model.firewall_interfaces[firewall][x], "inbound")
+def hop_acls(model: ZoneConduitModel, x: str, y: str,
+             fw_zones: Mapping[str, str]) -> tuple[tuple[str, str, str], ...]:
+    """The ACLs ``(firewall, interface, direction)`` that filter hop x -> y,
+    one per firewall realizing it, in name order; ``fw_zones`` maps each
+    firewall to its own zone.
 
-
-def _pair_hops(model: ZoneConduitModel, paths: list[list[str]],
-               fw_zones: Mapping[str, str]) -> list[tuple[str, str, list[tuple]]]:
-    """Every conduit hop of ``paths`` once, in first-seen order, with the
-    (forward, return) ACL keys of each firewall realizing it.
-
-    A flow installs the same rules on a hop whichever path crosses it, so
-    visiting a hop again would only add duplicates ``_assemble`` drops.
+    Traffic a firewall originates is filtered on its local stage outbound,
+    traffic addressed to it on its local stage inbound, and transit traffic
+    inbound on the interface facing x.
     """
-    out = []
-    for x, y in dict.fromkeys(hop for path in paths for hop in zip(path, path[1:])):
-        conduit = model.conduit_between(x, y)
-        assert conduit is not None
-        targets = [(hop_acl_key(model, firewall, x, y, fw_zones[firewall]),
-                    hop_acl_key(model, firewall, y, x, fw_zones[firewall]))
-                   for firewall in sorted(conduit.firewalls)]
-        out.append((x, y, targets))
-    return out
+    keys = []
+    for firewall in sorted(model.conduit_between(x, y).firewalls):
+        if x == fw_zones[firewall]:
+            keys.append((firewall, LOCAL_INTERFACE, "outbound"))
+        elif y == fw_zones[firewall]:
+            keys.append((firewall, LOCAL_INTERFACE, "inbound"))
+        else:
+            keys.append((firewall, model.firewall_interfaces[firewall][x], "inbound"))
+    return tuple(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +307,21 @@ def _mirror(rule: AclRule, comment: str) -> AclRule:
     )
 
 
-def ospf_supplementary_rules(log: bool = False) -> list[AclRule]:
+def ospf_supplementary_rules() -> list[AclRule]:
     """Multicast permits that let OSPF neighbour relationships form."""
     return [
         AclRule(action="permit", protocol=OSPF_PROTOCOL, src=(ANY_NET,), dst=(net,),
-                log=log, comment="enable OSPF neighbour relationships", flow_dir="aux")
+                comment="enable OSPF neighbour relationships", flow_dir="aux")
         for net in OSPF_NEIGHBOUR_NETS
     ]
 
 
-def add_supplementary_rules(rules: Sequence[AclRule], flow: FlowRule,
-                            options: CompileOptions) -> list[AclRule]:
+def add_supplementary_rules(rules: Sequence[AclRule], flow: FlowRule) -> list[AclRule]:
     """Attach connection state and synthesize return-path rules.
 
     TCP forwards become stateful (NEW,ESTABLISHED) with a mirrored
     ESTABLISHED-only return; UDP gets a stateless mirror.  ICMP gets no
-    synthetic return: echo replies must be enabled explicitly.  With the
-    OSPF option the neighbour multicast permits are appended.
+    synthetic return: echo replies must be enabled explicitly.
     """
     protocol = flow.service.protocol
     out: list[AclRule] = []
@@ -356,8 +345,6 @@ def add_supplementary_rules(rules: Sequence[AclRule], flow: FlowRule,
         else:
             out.append(rule)
     out.extend(returns)
-    if options.ospf:
-        out.extend(ospf_supplementary_rules())
     return out
 
 
@@ -456,7 +443,11 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     verification_logging = bool(logged_rules)
 
     fw_zones = firewall_zones(model)
-    hops_cache: dict[tuple[str, str], list[tuple[str, str, list[tuple]]]] = {}
+    # per zone pair, the (forward, return) ACL keys of every distinct hop of
+    # its paths: a flow installs the same rules on a hop whichever path
+    # crosses it, so visiting a hop again would only add duplicates
+    # ``_assemble`` drops
+    targets_cache: dict[tuple[str, str], list[tuple[tuple, tuple]]] = {}
     buckets: dict[tuple[str, str, str], list[AclRule]] = {}
 
     def bucket(firewall: str, interface: str, direction: str) -> list[AclRule]:
@@ -464,10 +455,14 @@ def compile_policy(spec: PolicySpec, topo: Topology,
 
     for flow in flows:
         pair = (flow.src_zone, flow.dst_zone)
-        if pair not in hops_cache:
-            hops_cache[pair] = _pair_hops(model, enumerate_paths(model, *pair), fw_zones)
-        hops = hops_cache[pair]
-        if not hops:
+        if pair not in targets_cache:
+            paths = enumerate_paths(model, *pair)
+            hops = dict.fromkeys(hop for path in paths for hop in zip(path, path[1:]))
+            targets_cache[pair] = [
+                keys for x, y in hops
+                for keys in zip(hop_acls(model, x, y, fw_zones), hop_acls(model, y, x, fw_zones))]
+        targets = targets_cache[pair]
+        if not targets:
             diags.append(Diagnostic(
                 "error", f"no valid path for flow {flow.rule_name!r}: "
                          f"{flow.src_zone} -> {flow.dst_zone} ({flow.service.name})",
@@ -477,14 +472,13 @@ def compile_policy(spec: PolicySpec, topo: Topology,
         log = flow.rule_name in logged_rules
         translated = translate_rule(flow, zone_cidrs, log=log,
                                     comment=_flow_comment(spec, flow))
-        supplemented = add_supplementary_rules(translated, flow, options)
+        supplemented = add_supplementary_rules(translated, flow)
         forward = [r for r in supplemented if r.flow_dir == "forward"]
         returns = [r for r in supplemented if r.flow_dir == "return"]
 
-        for x, y, targets in hops:
-            for forward_key, return_key in targets:
-                bucket(*forward_key).extend(forward)
-                bucket(*return_key).extend(returns)
+        for forward_key, return_key in targets:
+            bucket(*forward_key).extend(forward)
+            bucket(*return_key).extend(returns)
     if has_errors(diags):
         raise CompileError(diags)
 

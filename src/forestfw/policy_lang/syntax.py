@@ -114,11 +114,6 @@ class Service:
         """Name without its import namespace prefix."""
         return self.name.rsplit(".", 1)[-1]
 
-    def protocol_name(self) -> str:
-        if self.protocol is None:
-            return "ip"
-        return PROTOCOL_NAMES.get(self.protocol, str(self.protocol))
-
 
 FULL_RANGE_SET: tuple[PortRange, ...] = (FULL_PORT_RANGE,)
 FULL_ICMP_SET: tuple[PortRange, ...] = (PortRange(0, ICMP_TYPE_MAX),)
@@ -206,9 +201,6 @@ class SetExpr:
 
     first: str
     rest: tuple[tuple[str, str], ...] = ()
-
-    def names(self) -> tuple[str, ...]:
-        return (self.first,) + tuple(name for _, name in self.rest)
 
     def to_source(self) -> str:
         parts = [self.first]

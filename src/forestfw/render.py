@@ -20,12 +20,15 @@ from typing import Callable, Iterable
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.netgen import (
     ANY_NET,
+    STATE_ESTABLISHED,
+    STATE_NEW,
     Acl,
     AclRule,
     InterfaceAssignment,
     NetworkPolicy,
 )
-from forestfw.policy_lang.syntax import PROTOCOL_NAMES, PROTOCOL_NUMBERS, PolicySpec, PortRange
+from forestfw.policy_lang.syntax import (ICMP_TYPE_MAX, PORT_MAX, PROTOCOL_NAMES,
+                                         PROTOCOL_NUMBERS, PolicySpec, PortRange)
 from forestfw.topo_model import LOCAL_INTERFACE
 
 NEUTRAL_HEADER = "INFO Vendor neutral network-level ruleset for ACL: "
@@ -122,7 +125,8 @@ def render_neutral_file(policy: NetworkPolicy, firewall: str) -> str:
     return "\n".join(_acl_text(acl, addrs) for acl in policy.acls[firewall])
 
 
-def _parse_ports(text: str) -> tuple[PortRange, ...]:
+def _parse_ports(text: str, limit: int = PORT_MAX) -> tuple[PortRange, ...]:
+    """A port (or ICMP-type) list; each range must lie within 0..``limit``."""
     text = text.strip()
     if not text:
         return ()
@@ -134,12 +138,19 @@ def _parse_ports(text: str) -> tuple[PortRange, ...]:
     ranges = []
     for part in inner.split(","):
         part = part.strip().strip("'")
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            ranges.append(PortRange(int(lo), int(hi)))
-        else:
-            ranges.append(PortRange(int(part), int(part)))
+        lo, dash, hi = part.partition("-")
+        bounds = PortRange(int(lo), int(hi if dash else lo))
+        if not 0 <= bounds.lo <= bounds.hi <= limit:
+            raise ValueError(f"range {part!r} outside 0-{limit}")
+        ranges.append(bounds)
     return tuple(ranges)
+
+
+def _parse_states(text: str) -> tuple[str, ...]:
+    states = tuple(s for s in text.split(",") if s)
+    if not set(states) <= {STATE_NEW, STATE_ESTABLISHED}:
+        raise ValueError(f"unknown state in {text!r}")
+    return states
 
 
 def _parse_addr(text: str) -> tuple[ipaddress.IPv4Network, ...]:
@@ -151,9 +162,10 @@ def _parse_addr(text: str) -> tuple[ipaddress.IPv4Network, ...]:
 def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
     """Inverse of render_neutral over a whole neutral file.
 
-    Each distinct address or port field text is parsed once per call.  A
-    line that does not parse raises :class:`InputError` naming ``file``
-    and the line.
+    Each distinct address, port, ICMP-type or state field text is parsed
+    and checked once per call.  A line that does not parse or holds an
+    unknown or out-of-range value raises :class:`InputError` naming
+    ``file`` and the line.
     """
     acls: list[Acl] = []
     name: str | None = None
@@ -161,6 +173,8 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
     comment = ""
     addresses = _Memo(_parse_addr)
     ports = _Memo(_parse_ports)
+    icmp_types = _Memo(lambda text: _parse_ports(text, ICMP_TYPE_MAX))
+    states = _Memo(_parse_states)
 
     def flush() -> None:
         nonlocal rules
@@ -183,7 +197,8 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
         if name is None:
             raise InputError(f"rule line before any ACL header: {line!r}", file, lineno)
         try:
-            rules.append(_parse_rule_neutral(line, comment, addresses, ports))
+            rules.append(_parse_rule_neutral(line, comment, addresses, ports, icmp_types,
+                                             states))
         except ValueError as exc:
             raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
                              file, lineno) from exc
@@ -191,24 +206,34 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
     return acls
 
 
-def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, ports: _Memo) -> AclRule:
+def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, ports: _Memo,
+                        icmp_types: _Memo, states: _Memo) -> AclRule:
     fields = line.split("~")
     if len(fields) not in (12, 13):
         raise ValueError(f"{len(fields)} fields")
     action, proto, kw_from, src, kw_to, dst, kw_sport, sport, kw_dport, dport, kw_state, state = fields[:12]
     if (kw_from, kw_to, kw_sport, kw_dport, kw_state) != ("from", "to", "sport", "dport", "state"):
         raise ValueError("misplaced keywords")
-    log = len(fields) == 13 and fields[12] == "log"
+    if action not in ("permit", "deny"):
+        raise ValueError(f"unknown action {action!r}")
+    if len(fields) == 13 and fields[12] != "log":
+        raise ValueError(f"unknown flag {fields[12]!r}")
     protocol = PROTOCOL_NUMBERS[proto] if proto in PROTOCOL_NUMBERS else int(proto)
+    if protocol is not None and not 0 <= protocol <= 255:
+        raise ValueError(f"protocol {protocol} outside 0-255")
+    sports = ports[sport]
+    dports = (icmp_types if protocol == 1 else ports)[dport]
+    if (sports and protocol not in (6, 17)) or (dports and protocol not in (1, 6, 17)):
+        raise ValueError(f"ports on a {proto} rule")
     return AclRule(
         action=action,
         protocol=protocol,
         src=addresses[src],
         dst=addresses[dst],
-        sport=ports[sport],
-        dport=ports[dport],
-        state=tuple(s for s in state.split(",") if s),
-        log=log,
+        sport=sports,
+        dport=dports,
+        state=states[state],
+        log=len(fields) == 13,
         comment=comment,
     )
 

@@ -1,11 +1,11 @@
 """In-process packet-filter simulator.
 
-The simulator walks packets along the conduit paths of the compiled
-network, evaluating each traversed firewall's interface ACL first-match,
-with a connection table gating ESTABLISHED traffic.  Packets are
-:class:`forestfw.header_space.Packet` header points.  Each bound ACL is
-encoded once into a :class:`MatchTable` of integer intervals, which
-injection and both vettings share.  Positive vetting
+The simulator walks packets along routes: conduit paths whose hops carry
+the ACLs ``netgen.hop_acls`` assigns them, as compile does.  It evaluates
+each traversed firewall's ACL first-match, with a connection table gating
+ESTABLISHED traffic.  Packets are :class:`forestfw.header_space.Packet`
+header points.  Each bound ACL is encoded once into a :class:`MatchTable`
+of integer intervals, which injection and both vettings share.  Positive vetting
 injects one representative packet per expanded flow (plus the TCP return
 leg) and expects delivery.  Negative vetting scans every ordered zone pair
 and reports any delivery not implied by the policy.  The scan is not
@@ -26,12 +26,7 @@ from typing import Iterator, NamedTuple
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.header_space import ESTABLISHED, NEW, Packet, address_intervals
-from forestfw.netgen import (
-    AclRule,
-    NetworkPolicy,
-    enumerate_paths,
-    hop_acl_key,
-)
+from forestfw.netgen import AclRule, NetworkPolicy, enumerate_paths, hop_acls
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PortRange,
@@ -42,6 +37,10 @@ from forestfw.policy_lang.syntax import (
     port_ranges,
 )
 from forestfw.topo_model import Conduit, Zone, ZoneConduitModel, firewall_zones
+
+# a zone path as the ACL keys ``(firewall, interface, direction)`` that
+# filter each of its hops, per hop in firewall name order
+Route = tuple[tuple[tuple[str, str, str], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,9 @@ class SimNetwork:
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]]
     flows: tuple[FlowRule, ...]
     connections: set[tuple] = field(default_factory=set)
-    # enumerate_paths results per (src, dst, established); the model is
-    # fixed once the network is built
-    path_cache: dict[tuple[str, str, bool], list[list[str]]] = field(
+    # routes per (src, dst, established); the model is fixed once the
+    # network is built
+    route_cache: dict[tuple[str, str, bool], list[Route]] = field(
         default_factory=dict, repr=False, compare=False)
     # MatchTable per acl_map key, valid while acl_map holds its rules
     match_tables: dict[tuple[str, str, str], "MatchTable"] = field(
@@ -111,11 +110,12 @@ class SimNetwork:
     def reset_connections(self) -> None:
         self.connections.clear()
 
-    def paths(self, src: str, dst: str, established: bool = False) -> list[list[str]]:
+    def routes(self, src: str, dst: str, established: bool = False) -> list[Route]:
         key = (src, dst, established)
-        if key not in self.path_cache:
-            self.path_cache[key] = enumerate_paths(self.model, src, dst, established)
-        return self.path_cache[key]
+        if key not in self.route_cache:
+            self.route_cache[key] = routes_of(
+                self.model, enumerate_paths(self.model, src, dst, established))
+        return self.route_cache[key]
 
     def match_table(self, key: tuple[str, str, str]) -> "MatchTable":
         """The match table of the ACL bound at ``key``, rebuilt once
@@ -125,6 +125,14 @@ class SimNetwork:
         if table is None or table.rules is not rules:
             table = self.match_tables[key] = MatchTable(rules)
         return table
+
+
+def routes_of(model: ZoneConduitModel, paths: list[list[str]]) -> list[Route]:
+    """The routes of zone paths, in path order; :func:`netgen.hop_acls`
+    decides each hop's ACLs."""
+    fw_zones = firewall_zones(model)
+    return [tuple(hop_acls(model, x, y, fw_zones) for x, y in zip(path, path[1:]))
+            for path in paths]
 
 
 def from_network_policy(policy: NetworkPolicy) -> SimNetwork:
@@ -339,40 +347,28 @@ def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
     if dst_zone == ingress_zone:
         return InjectResult(True, (), "intra-zone traffic is not filtered")
 
-    paths = net.paths(ingress_zone, dst_zone, established=packet.state == ESTABLISHED)
-    if not paths:
+    routes = net.routes(ingress_zone, dst_zone, established=packet.state == ESTABLISHED)
+    if not routes:
         return InjectResult(False, (), f"no valid path {ingress_zone} -> {dst_zone}")
 
-    fw_zones = firewall_zones(net.model)
-    last_trace: tuple[TraceHop, ...] = ()
-    for path in paths:
-        trace: list[TraceHop] = []
-        ok = True
-        for x, y in zip(path, path[1:]):
-            conduit = net.model.conduit_between(x, y)
-            assert conduit is not None
-            hop_accept = False
-            hop_trace: TraceHop | None = None
-            for firewall in sorted(conduit.firewalls):
-                key = hop_acl_key(net.model, firewall, x, y, fw_zones[firewall])
+    # each hop is traced by the first firewall that permits, else the last
+    trace: list[TraceHop] = []
+    for route in routes:
+        trace = []
+        for keys in route:
+            for key in keys:
                 action, rule_text = net.match_table(key).decide(packet)
                 if action == "permit":
-                    hop_accept = True
-                    hop_trace = TraceHop(firewall, key[1], "permit", rule_text)
                     break
-                hop_trace = TraceHop(firewall, key[1], "deny", rule_text)
-            assert hop_trace is not None
-            trace.append(hop_trace)
-            if not hop_accept:
-                ok = False
+            trace.append(TraceHop(key[0], key[1], action, rule_text))
+            if action != "permit":
                 break
-        last_trace = tuple(trace)
-        if ok:
+        else:
             if packet.state == NEW and packet.protocol == 6:
                 net.connections.add((packet.protocol, packet.src_addr, packet.sport,
                                      packet.dst_addr, packet.dport))
-            return InjectResult(True, last_trace)
-    return InjectResult(False, last_trace, "denied in transit")
+            return InjectResult(True, tuple(trace))
+    return InjectResult(False, tuple(trace), "denied in transit")
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +449,6 @@ def default_scan_spec(net: SimNetwork) -> ScanSpec:
     return ScanSpec((1, 6, 17), port_ranges(ranges))
 
 
-def _value_set(ranges: tuple[PortRange, ...],
-               universe: intervals.IntervalSet) -> intervals.IntervalSet:
-    """``ranges`` as an interval set; ``universe`` when unconstrained."""
-    return intervals.normalize(ranges) if ranges else universe
-
-
 def _acl_permits(table: MatchTable, point: Packet,
                  universe: intervals.IntervalSet) -> intervals.IntervalSet:
     """The swept values (dport, or ICMP type) of ``universe`` that ``table`` permits.
@@ -493,11 +483,11 @@ def _implied_values(services: list[Service], protocol: int,
         if svc.protocol != protocol:
             continue
         if protocol == 1:
-            values = _value_set(effective_icmp_types(svc), universe)
+            values = intervals.normalize(effective_icmp_types(svc))
         elif protocol in (6, 17):
             if not intervals.contains(effective_sports(svc), SCAN_SPORT):
                 continue
-            values = _value_set(effective_dports(svc), universe)
+            values = intervals.normalize(effective_dports(svc))
         else:
             values = universe
         implied = intervals.union(implied, values)
@@ -522,24 +512,19 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     scanned = intervals.normalize(scan.ports)
     leaks: list[Leak] = []
     zones = sorted(net.model.zones)
-    fw_zones = firewall_zones(net.model)
     for src_zone in zones:
         for dst_zone in zones:
             if src_zone == dst_zone:
                 continue
-            paths = enumerate_paths(net.model, src_zone, dst_zone)
-            if not paths:
+            routes = routes_of(net.model, enumerate_paths(net.model, src_zone, dst_zone))
+            if not routes:
                 continue
-            path_hops = [[[hop_acl_key(net.model, firewall, x, y, fw_zones[firewall])
-                           for firewall in sorted(net.model.conduit_between(x, y).firewalls)]
-                          for x, y in zip(path, path[1:])]
-                         for path in paths]
             services = [f.service for f in net.flows
                         if f.src_zone == src_zone and f.dst_zone == dst_zone]
             src_addr = _zone_rep_addr(net.model.zones[src_zone])
             dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
             tables = {key: net.match_table(key)
-                      for hops in path_hops for keys in hops for key in keys}
+                      for route in routes for keys in route for key in keys}
             for protocol in scan.protocols:
                 values = intervals.intersect(scanned, ICMP_TYPES) if protocol == 1 else scanned
                 if not values:
@@ -550,9 +535,9 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
                 permits = {key: _acl_permits(table, point, hull)
                            for key, table in tables.items()}
                 delivered: intervals.IntervalSet = ()
-                for hops in path_hops:
+                for route in routes:
                     reach = hull
-                    for keys in hops:
+                    for keys in route:
                         hop: intervals.IntervalSet = ()
                         for key in keys:
                             hop = intervals.union(hop, permits[key])

@@ -28,7 +28,7 @@ from forestfw.checker import (
 )
 from forestfw.diagnostics import PolicyError
 from forestfw.header_space import ACCEPT, DENY, MatchRule, Predicate
-from forestfw.netgen import enumerate_paths, hop_acl_key
+from forestfw.netgen import enumerate_paths, hop_acls
 from forestfw.policy_lang.lexer import KEYWORDS, Token
 from forestfw.policy_lang.syntax import (
     FlowRule,
@@ -264,10 +264,9 @@ def inject_by_scan(net: SimNetwork, packet: Packet, ingress_zone: str) -> tuple:
                                 packet.state == ESTABLISHED):
         trace = ()
         for x, y in zip(path, path[1:]):
-            for firewall in sorted(net.model.conduit_between(x, y).firewalls):
-                key = hop_acl_key(net.model, firewall, x, y, fw_zones[firewall])
+            for key in hop_acls(net.model, x, y, fw_zones):
                 action, text = first_match_by_scan(net.acl_map.get(key, ()), packet)
-                hop = TraceHop(firewall, key[1], action, text)
+                hop = TraceHop(key[0], key[1], action, text)
                 if action == "permit":
                     break
             trace += (hop,)
@@ -299,12 +298,9 @@ def pair_plan(net: SimNetwork, src_zone: str, dst_zone: str):
     for path in enumerate_paths(net.model, src_zone, dst_zone):
         hops = []
         for x, y in zip(path, path[1:]):
-            conduit = net.model.conduit_between(x, y)
-            keys = [hop_acl_key(net.model, fw, x, y, fw_zones[fw])
-                    for fw in sorted(conduit.firewalls)]
             hops.append([[r for r in net.acl_map.get(key, ())
                           if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
-                         for key in keys])
+                         for key in hop_acls(net.model, x, y, fw_zones)])
         paths.append(hops)
     services = [f.service for f in net.flows
                 if f.src_zone == src_zone and f.dst_zone == dst_zone]

@@ -262,6 +262,20 @@ def test_simulate_bad_neutral_address_names_file_and_line(tmp_path, capsys):
     assert "10.999.0.0" in captured.err
 
 
+def test_simulate_bad_neutral_action_names_file_and_line(tmp_path, capsys):
+    out_dir = _compiled(tmp_path, capsys)
+    acl_file = out_dir / "R1.neutral.acl"
+    lines = acl_file.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1) if "permit~tcp~" in line)
+    lines[lineno - 1] = lines[lineno - 1].replace("permit~", "allow~", 1)
+    acl_file.write_text("\n".join(lines) + "\n")
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {acl_file}:{lineno}:0: error: ")
+    assert "unknown action 'allow'" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["check", "compile", "graph"])
 def test_truncated_graphml_names_the_topology_file(tmp_path, capsys, command):
     truncated = tmp_path / "truncated.graphml"

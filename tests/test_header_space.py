@@ -1,3 +1,4 @@
+import ipaddress
 import random
 
 import pytest
@@ -5,6 +6,8 @@ import pytest
 from forestfw.header_space import (
     ACCEPT,
     DENY,
+    ESTABLISHED,
+    NEW,
     MatchRule,
     Packet,
     Predicate,
@@ -12,7 +15,11 @@ from forestfw.header_space import (
     eval_last_match,
     eval_whitelist,
     matches,
+    rule_region,
 )
+from forestfw.netgen import AclRule
+from forestfw.policy_lang.syntax import PortRange
+from forestfw.sim import rule_matches_packet
 from support import random_accept_rules, rule_grid_points
 
 FULL = Predicate()
@@ -141,3 +148,44 @@ def test_sample_point_matches_own_predicate():
     for _ in range(40):
         pred = random_accept_rules(rng, max_rules=1)[0].predicate
         assert matches(pred, pred.sample_point())
+
+
+def test_rule_region_agrees_with_simulator_matching():
+    """A compiled rule's region holds exactly the packets the simulator
+    matches it against, ICMP types included."""
+    rng = random.Random(23)
+    nets = [ipaddress.IPv4Network(text) for text in (
+        "0.0.0.0/0", "10.0.0.0/30", "10.0.0.4/30", "10.0.0.0/29", "10.0.0.9/32")]
+
+    def ranges(upper: int) -> tuple[PortRange, ...]:
+        bounds = (sorted(rng.randrange(upper + 1) for _ in range(2))
+                  for _ in range(rng.randint(0, 2)))
+        return tuple(PortRange(lo, hi) for lo, hi in bounds)
+
+    def rule() -> AclRule:
+        protocol = rng.choice((1, 6, 17, 89, None))
+        ported = protocol in (6, 17)
+        return AclRule(
+            action=rng.choice(("permit", "deny")), protocol=protocol,
+            src=tuple(rng.sample(nets, rng.randint(1, 2))),
+            dst=tuple(rng.sample(nets, rng.randint(1, 2))),
+            sport=ranges(65535) if ported else (),
+            dport=ranges(65535) if ported else ranges(255) if protocol == 1 else (),
+            state=tuple(rng.sample((NEW, ESTABLISHED), rng.randint(0, 2))))
+
+    def packet() -> Packet:
+        return Packet(int(nets[1].network_address) + rng.randrange(12),
+                      int(nets[1].network_address) + rng.randrange(12),
+                      rng.choice((1, 6, 17, 89)), rng.randrange(65536),
+                      rng.randrange(65536), rng.randrange(256), rng.choice((NEW, ESTABLISHED)))
+
+    outcomes = set()
+    for _ in range(300):
+        r = rule()
+        region = rule_region(r)
+        for _ in range(20):
+            p = packet()
+            matched = rule_matches_packet(r, p)
+            assert matches(region, p) == matched, (r, p)
+            outcomes.add((r.protocol, matched))
+    assert len(outcomes) == 10  # each rule protocol both matched and missed

@@ -9,7 +9,7 @@ from forestfw.netgen import (
     add_supplementary_rules,
     compile_policy,
     enumerate_paths,
-    hop_acl_key,
+    hop_acls,
     ospf_supplementary_rules,
     translate_rule,
 )
@@ -206,7 +206,7 @@ def test_translate_requires_addresses():
 def test_tcp_supplementary_state_and_return():
     flow = FlowRule("r", "z3", "z1", HTTPS)
     base = translate_rule(flow, ZONE_CIDRS, comment="enable x (forward path)")
-    rules = add_supplementary_rules(base, flow, CompileOptions())
+    rules = add_supplementary_rules(base, flow)
     forward = [r for r in rules if r.flow_dir == "forward"]
     returns = [r for r in rules if r.flow_dir == "return"]
     assert all(r.state == ("NEW", "ESTABLISHED") for r in forward)
@@ -220,8 +220,7 @@ def test_tcp_supplementary_state_and_return():
 
 def test_udp_supplementary_stateless_mirror():
     flow = FlowRule("r", "z3", "z1", DNS_UDP)
-    rules = add_supplementary_rules(translate_rule(flow, ZONE_CIDRS), flow,
-                                    CompileOptions())
+    rules = add_supplementary_rules(translate_rule(flow, ZONE_CIDRS), flow)
     returns = [r for r in rules if r.flow_dir == "return"]
     assert returns and all(r.state == () for r in rules)
     assert all(r.sport == (PortRange(53, 53),) for r in returns)
@@ -229,19 +228,16 @@ def test_udp_supplementary_stateless_mirror():
 
 def test_icmp_gets_no_synthesized_return():
     flow = FlowRule("r", "z1", "z3", ECHO)
-    rules = add_supplementary_rules(translate_rule(flow, ZONE_CIDRS), flow,
-                                    CompileOptions())
+    rules = add_supplementary_rules(translate_rule(flow, ZONE_CIDRS), flow)
     assert all(r.flow_dir == "forward" for r in rules)
     assert all(r.dport == (PortRange(8, 8),) for r in rules)  # type in dport slot
 
 
 def test_ospf_option_appends_multicast_permits():
-    flow = FlowRule("r", "z3", "z1", HTTPS)
-    rules = add_supplementary_rules(translate_rule(flow, ZONE_CIDRS), flow,
-                                    CompileOptions(ospf=True))
-    aux = [r for r in rules if r.flow_dir == "aux"]
+    aux = ospf_supplementary_rules()
     assert [str(r.dst[0]) for r in aux] == ["224.0.0.5/32", "224.0.0.6/32"]
-    assert all(r.protocol == 89 for r in aux)
+    assert all(r.protocol == 89 and r.action == "permit" and r.flow_dir == "aux"
+               for r in aux)
 
 
 def test_compile_fixture_shape(compiled_plant):
@@ -359,9 +355,8 @@ def test_conduit_isolation(plant_topology):
     # ACLs realizing a z1-z2 hop change; every other binding carries identical rules
     model = full.model
     fw_zones = firewall_zones(model)
-    affected = {hop_acl_key(model, firewall, x, y, fw_zones[firewall])
-                for x, y in (("z1", "z2"), ("z2", "z1"))
-                for firewall in model.conduit_between(x, y).firewalls}
+    affected = {key for x, y in (("z1", "z2"), ("z2", "z1"))
+                for key in hop_acls(model, x, y, fw_zones)}
     full_acls = from_network_policy(full).acl_map
     trimmed_acls = from_network_policy(trimmed).acl_map
     assert affected and set(full_acls) == set(trimmed_acls)
@@ -401,9 +396,7 @@ def test_flow_rules_sit_on_every_hop_of_every_path():
         wanted = {"forward": hops,
                   "return": {(y, x) for x, y in hops} if flow.service.protocol == 6 else set()}
         for direction, want_hops in wanted.items():
-            want = {hop_acl_key(model, firewall, x, y, fw_zones[firewall])
-                    for x, y in want_hops
-                    for firewall in model.conduit_between(x, y).firewalls}
+            want = {key for x, y in want_hops for key in hop_acls(model, x, y, fw_zones)}
             got = {key for key, rules in acl_map.items()
                    if any(r.origin_rule == flow.rule_name and r.flow_dir == direction
                           for r in rules)}

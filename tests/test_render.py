@@ -172,6 +172,27 @@ def test_parse_neutral_names_file_and_line_of_a_bad_address():
     assert (diagnostic.file, diagnostic.line) == ("R1.neutral.acl", 3)
 
 
+@pytest.mark.parametrize("line", [
+    "allow~tcp~from~any~to~any~sport~~dport~[80]~state~",  # unknown action
+    "permit~999~from~any~to~any~sport~~dport~~state~",  # protocol above 255
+    "permit~-5~from~any~to~any~sport~~dport~~state~",  # negative protocol
+    "permit~tcp~from~any~to~any~sport~['9-3']~dport~~state~",  # reversed range
+    "permit~udp~from~any~to~any~sport~~dport~[70000]~state~",  # port above 65535
+    "permit~icmp~from~any~to~any~sport~~dport~[256]~state~",  # ICMP type above 255
+    "permit~tcp~from~any~to~any~sport~~dport~[80]~state~NEWW",  # unknown state
+    "permit~tcp~from~any~to~any~sport~~dport~[80]~state~~lgo",  # unknown flag
+    "deny~ip~from~any~to~any~sport~~dport~[80]~state~",  # ports on an ip rule
+    "permit~icmp~from~any~to~any~sport~[8]~dport~~state~",  # sport on icmp
+    "permit~ospf~from~any~to~any~sport~~dport~[5]~state~",  # dport on ospf
+])
+def test_parse_neutral_rejects_malformed_fields(line):
+    text = NEUTRAL_HEADER + "acl_1\n  remark~c\n  " + line + "\n"
+    with pytest.raises(InputError, match="malformed neutral rule line") as info:
+        parse_neutral(text, "R1.neutral.acl")
+    diagnostic = info.value.diagnostic
+    assert (diagnostic.file, diagnostic.line) == ("R1.neutral.acl", 3)
+
+
 def test_parse_neutral_rejects_garbage():
     with pytest.raises(PolicyError, match="malformed neutral rule line"):
         parse_neutral(NEUTRAL_HEADER + "acl_1\n  permit~tcp~broken\n")

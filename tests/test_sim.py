@@ -228,11 +228,8 @@ policy p { g; rep; }
         if state == ESTABLISHED:
             # the connection an earlier NEW packet of the mirrored flow opened
             net.connections.add((protocol, dst, packet.dport, src, packet.sport))
-        # the AclRule encoding carries the ICMP type in dport
-        point = Packet(src, dst, protocol, packet.sport,
-                       packet.icmp_type if protocol == 1 else packet.dport, state=state)
         delivered = inject(net, packet, "z1").delivered
-        assert delivered == (eval_first_match(match_rules, point) == ACCEPT), packet
+        assert delivered == (eval_first_match(match_rules, packet) == ACCEPT), packet
         verdicts.add((protocol, state, delivered))
     assert len(verdicts) == 12  # each protocol and state met both verdicts
 
@@ -527,5 +524,5 @@ def test_inject_enumerates_each_pair_once(compiled_plant, monkeypatch):
     first = vet_positive(net)
     assert all(result.outcome for result in first)
     assert vet_positive(net) == first  # the second run reads only the cache
-    assert len(calls) == len(set(calls)) == len(net.path_cache)
+    assert len(calls) == len(set(calls)) == len(net.route_cache)
     assert len(calls) < len(net.flows)
