@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from forestfw import intervals
-from forestfw.header_space import Packet, Predicate, covered, rule_region, service_predicate
+from forestfw.header_space import MatchTable, Packet, Predicate, covered, service_predicate
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PolicySpec,
@@ -170,8 +170,9 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     other rule that can never match is a shadow.
     """
     reports: list[OverlapReport] = []
-    rules = list(acl.rules)
-    regions = [rule_region(r) for r in rules]
+    rules = acl.rules
+    table = MatchTable(rules)
+    regions = [table.region(i) for i in range(len(rules))]
     for i, rule in enumerate(rules):
         if i == len(rules) - 1 and rule.action == "deny":
             break

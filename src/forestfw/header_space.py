@@ -1,20 +1,20 @@
 """Executable semantics of packet-filter rules and their region algebra.
 
 A :class:`Packet` is one point of the header space, connection state
-included; the simulator injects it and the rule algebra evaluates it.  It
+included; the simulator injects it and the ACL engine evaluates it.  It
 stands for the whole class of packets sharing its header values; rules
 decide accept/deny per class, so evaluating one point per class is exact.
 A :class:`Predicate` denotes a cross product of per-dimension range sets,
-connection state included.  Three combination strategies are provided:
-first match, last match, and the order-free whitelist model the rest of
-the system is built on.  :func:`covered` decides whether a union of
-regions covers another.
+connection state included, and :func:`covered` decides whether a union of
+regions covers another.  :class:`MatchTable` is the one ACL engine: it
+encodes each compiled rule once and evaluates the ACL first-match over
+header points and swept values, and gives each rule's region.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from forestfw import intervals
 from forestfw.intervals import Interval, IntervalSet
@@ -29,9 +29,6 @@ if TYPE_CHECKING:  # netgen imports the checker, which imports this module
     from ipaddress import IPv4Network
 
     from forestfw.netgen import AclRule
-
-ACCEPT = "accept"
-DENY = "deny"
 
 ADDR_MAX = (1 << 32) - 1
 FULL_ADDR: IntervalSet = ((0, ADDR_MAX),)
@@ -118,13 +115,6 @@ class Predicate:
         )
 
 
-@dataclass(frozen=True)
-class MatchRule:
-    action: str  # ACCEPT or DENY
-    predicate: Predicate
-    origin: str = ""
-
-
 def matches(p: Predicate, x: Packet) -> bool:
     """True iff every dimension of ``x`` lies in the corresponding set."""
     return (
@@ -136,40 +126,6 @@ def matches(p: Predicate, x: Packet) -> bool:
         and intervals.contains(p.dst, x.dst_addr)
         and intervals.contains(p.state, STATE_BITS[x.state])
     )
-
-
-def eval_first_match(rules: Sequence[MatchRule], x: Packet) -> str:
-    """Decision of the first matching rule; implicit deny-all otherwise."""
-    for rule in rules:
-        if matches(rule.predicate, x):
-            return rule.action
-    return DENY
-
-
-def eval_last_match(rules: Sequence[MatchRule], x: Packet) -> str:
-    """Decision of the last matching rule; implicit deny-all otherwise."""
-    decision = DENY
-    matched = False
-    for rule in rules:
-        if matches(rule.predicate, x):
-            decision = rule.action
-            matched = True
-    return decision if matched else DENY
-
-
-def eval_whitelist(rules: Iterable[MatchRule], x: Packet) -> str:
-    """Order-free evaluation of an accept-only rule set.
-
-    Raises ValueError on a deny rule: the whitelist model has no deny form,
-    and silently accepting one would hide a contract violation.
-    """
-    decision = DENY
-    for rule in rules:
-        if rule.action != ACCEPT:
-            raise ValueError(f"deny rule {rule.origin!r} in whitelist evaluation")
-        if decision == DENY and matches(rule.predicate, x):
-            decision = ACCEPT
-    return decision
 
 
 def service_predicate(svc: Service) -> Predicate:
@@ -205,26 +161,144 @@ def address_intervals(networks: Iterable["IPv4Network"]) -> IntervalSet:
     return intervals.normalize(spans)
 
 
-def rule_region(rule: "AclRule") -> Predicate:
-    """The header-space region a compiled ACL rule matches.
+# ---------------------------------------------------------------------------
+# the ACL engine: first-match evaluation of compiled rules
 
-    Follows the ``AclRule`` encoding: an empty field matches anything, an
-    ICMP rule's ``dport`` carries its types, which go to the icmp dimension
-    (``dport`` stays full), and ``state`` lists the connection states the
-    rule admits.
+class _RuleMatch(NamedTuple):
+    """One ACL rule's match fields as integer interval sets.
+
+    ``None`` matches every value; an empty address set matches none.
     """
-    dport, icmp = tuple(rule.dport) or FULL_PORT, FULL_ICMP
-    if rule.protocol == 1:
-        dport, icmp = FULL_PORT, tuple(rule.dport) or FULL_ICMP
-    return Predicate(
-        protocol=FULL_PROTO if rule.protocol is None else ((rule.protocol, rule.protocol),),
-        src=address_intervals(rule.src) or FULL_ADDR,
-        dst=address_intervals(rule.dst) or FULL_ADDR,
-        sport=tuple(rule.sport) or FULL_PORT,
-        dport=dport,
-        icmp=icmp,
-        state=tuple((STATE_BITS[s], STATE_BITS[s]) for s in rule.state) or FULL_STATE,
-    )
+
+    index: int  # position in the ACL
+    src: IntervalSet
+    dst: IntervalSet
+    sport: IntervalSet | None
+    values: IntervalSet | None  # dport, or ICMP type for protocol 1
+
+
+class MatchTable:
+    """First-match lookup over one ACL, each rule encoded once.
+
+    The table answers header points (:meth:`decide`), one swept dimension
+    (:meth:`permitted`) and regions (:meth:`region`) from the same rows.
+    The rules that admit a (protocol, state) are listed on the first
+    packet that carries it, so a lookup compares only addresses and ports.
+    """
+
+    def __init__(self, rules: tuple["AclRule", ...]) -> None:
+        self.rules = rules
+        # an ACL's rules share their zones and ports: encode each field once
+        nets: dict[tuple, IntervalSet] = {}
+        ports: dict[tuple, IntervalSet | None] = {}
+        self._encoded: list[_RuleMatch] = []
+        for i, rule in enumerate(rules):
+            for field_nets in (rule.src, rule.dst):
+                if field_nets not in nets:
+                    nets[field_nets] = address_intervals(field_nets)
+            for field_ports in (rule.sport, rule.dport):
+                if field_ports not in ports:
+                    ports[field_ports] = intervals.normalize(field_ports) if field_ports else None
+            self._encoded.append(_RuleMatch(i, nets[rule.src], nets[rule.dst],
+                                            ports[rule.sport], ports[rule.dport]))
+        self._heads: dict[tuple[int, str], list[_RuleMatch]] = {}
+
+    def _head(self, protocol: int, state: str) -> list[_RuleMatch]:
+        head = self._heads.get((protocol, state))
+        if head is None:
+            head = self._heads[(protocol, state)] = [
+                match for rule, match in zip(self.rules, self._encoded)
+                if (rule.protocol is None or rule.protocol == protocol)
+                and (not rule.state or state in rule.state)]
+        return head
+
+    def matching(self, packet: Packet, sweep: bool = False) -> Iterator[_RuleMatch]:
+        """The rules that match ``packet``, in ACL order.
+
+        With ``sweep`` the dport (ICMP type) is not compared; each rule
+        yielded matches the values in its ``values``.
+        """
+        protocol = packet.protocol
+        ported = protocol in (6, 17)
+        value = None
+        if not sweep and (ported or protocol == 1):
+            value = packet.icmp_type if protocol == 1 else packet.dport
+        contains = intervals.contains
+        for match in self._head(protocol, packet.state):
+            if (contains(match.src, packet.src_addr)
+                    and contains(match.dst, packet.dst_addr)
+                    and (not ported or match.sport is None
+                         or contains(match.sport, packet.sport))
+                    and (value is None or match.values is None
+                         or contains(match.values, value))):
+                yield match
+
+    def decide(self, packet: Packet) -> tuple[str, str]:
+        """First-match decision plus a description of the deciding rule."""
+        match = next(self.matching(packet), None)
+        if match is None:
+            return "deny", "implicit deny (no match)"
+        rule = self.rules[match.index]
+        return rule.action, f"[{match.index}] {rule.action} {rule.comment or rule.origin_service}"
+
+    def permitted(self, point: Packet, universe: IntervalSet) -> IntervalSet:
+        """The swept values (dport, or ICMP type) of ``universe`` the ACL permits.
+
+        Every other header field is taken from ``point``.  The rules are
+        walked once in first-match order: each matching rule decides the
+        values no earlier rule decided.
+        """
+        permitted: IntervalSet = ()
+        undecided = universe
+        swept = point.protocol in (1, 6, 17)
+        for match in self.matching(point, sweep=True):
+            if swept and match.values is not None:
+                decided = intervals.intersect(undecided, match.values)
+            else:
+                decided = undecided
+            if not decided:
+                continue
+            if self.rules[match.index].action == "permit":
+                permitted = intervals.union(permitted, decided)
+            undecided = intervals.subtract(undecided, decided)
+            if not undecided:
+                break
+        return permitted
+
+    def region(self, i: int) -> Predicate:
+        """The header-space region rule ``i`` matches, read from its row.
+
+        A ``None`` field is full, an ICMP rule's values go to the icmp
+        dimension (``dport`` stays full), and the rule's ``state`` lists
+        the connection states it admits.
+        """
+        rule, row = self.rules[i], self._encoded[i]
+        dport, icmp = row.values or FULL_PORT, FULL_ICMP
+        if rule.protocol == 1:
+            dport, icmp = FULL_PORT, row.values or FULL_ICMP
+        return Predicate(
+            protocol=FULL_PROTO if rule.protocol is None else ((rule.protocol, rule.protocol),),
+            src=row.src,
+            dst=row.dst,
+            sport=row.sport or FULL_PORT,
+            dport=dport,
+            icmp=icmp,
+            state=tuple((STATE_BITS[s], STATE_BITS[s]) for s in rule.state) or FULL_STATE,
+        )
+
+
+def rule_matches_packet(rule: "AclRule", packet: Packet) -> bool:
+    return next(MatchTable((rule,)).matching(packet), None) is not None
+
+
+def eval_acl(rules: tuple["AclRule", ...], packet: Packet) -> tuple[str, str]:
+    """First-match decision plus a description of the deciding rule."""
+    return MatchTable(rules).decide(packet)
+
+
+def rule_region(rule: "AclRule") -> Predicate:
+    """The header-space region a compiled ACL rule matches."""
+    return MatchTable((rule,)).region(0)
 
 
 # a simple box: one interval per dimension, in _DIMS order

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 from forestfw.canonical import check_best_practice
 from forestfw.checker import find_rule_overlaps
 from forestfw.diagnostics import CompileError, Diagnostic, PolicyError, has_errors
+from forestfw.header_space import ESTABLISHED, NEW
 from forestfw.policy_lang.expand import expand_rules
 from forestfw.policy_lang.parser import block_names
 from forestfw.policy_lang.syntax import (
@@ -44,9 +45,6 @@ ANY_NET = ipaddress.IPv4Network("0.0.0.0/0")
 OSPF_PROTOCOL = 89
 OSPF_NEIGHBOUR_NETS = (ipaddress.IPv4Network("224.0.0.5/32"),
                        ipaddress.IPv4Network("224.0.0.6/32"))
-
-STATE_NEW = "NEW"
-STATE_ESTABLISHED = "ESTABLISHED"
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,7 @@ def _mirror(rule: AclRule, comment: str) -> AclRule:
     return AclRule(
         action="permit", protocol=rule.protocol,
         src=rule.dst, dst=rule.src, sport=rule.dport, dport=rule.sport,
-        state=(STATE_ESTABLISHED,) if rule.protocol == 6 else (),
+        state=(ESTABLISHED,) if rule.protocol == 6 else (),
         log=rule.log, comment=comment,
         origin_rule=rule.origin_rule, origin_service=rule.origin_service,
         service_comment=rule.service_comment,
@@ -332,7 +330,7 @@ def add_supplementary_rules(rules: Sequence[AclRule], flow: FlowRule) -> list[Ac
             forward = AclRule(
                 action=rule.action, protocol=rule.protocol, src=rule.src, dst=rule.dst,
                 sport=rule.sport, dport=rule.dport,
-                state=(STATE_NEW, STATE_ESTABLISHED),
+                state=(NEW, ESTABLISHED),
                 log=rule.log, comment=rule.comment,
                 origin_rule=rule.origin_rule, origin_service=rule.origin_service,
                 service_comment=rule.service_comment,

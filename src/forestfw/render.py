@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from forestfw.diagnostics import InputError, PolicyError
+from forestfw.header_space import STATE_BITS
 from forestfw.netgen import (
     ANY_NET,
-    STATE_ESTABLISHED,
-    STATE_NEW,
     Acl,
     AclRule,
     InterfaceAssignment,
@@ -148,7 +147,7 @@ def _parse_ports(text: str, limit: int = PORT_MAX) -> tuple[PortRange, ...]:
 
 def _parse_states(text: str) -> tuple[str, ...]:
     states = tuple(s for s in text.split(",") if s)
-    if not set(states) <= {STATE_NEW, STATE_ESTABLISHED}:
+    if not set(states) <= STATE_BITS.keys():
         raise ValueError(f"unknown state in {text!r}")
     return states
 
@@ -162,9 +161,11 @@ def _parse_addr(text: str) -> tuple[ipaddress.IPv4Network, ...]:
 def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
     """Inverse of render_neutral over a whole neutral file.
 
-    Each distinct address, port, ICMP-type or state field text is parsed
-    and checked once per call.  A line that does not parse or holds an
-    unknown or out-of-range value raises :class:`InputError` naming
+    Each rule carries the last remark above it in its ACL, except the
+    fixed terminal deny, which carries none.  Each distinct address, port,
+    ICMP-type or state field text is parsed and checked once per call.  A
+    line that does not parse or holds an unknown or out-of-range value,
+    and a second ACL of one name, raise :class:`InputError` naming
     ``file`` and the line.
     """
     acls: list[Acl] = []
@@ -189,6 +190,8 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
         if line.startswith(NEUTRAL_HEADER):
             flush()
             name = line[len(NEUTRAL_HEADER):].strip()
+            if any(acl.name == name for acl in acls):
+                raise InputError(f"duplicate ACL {name!r}", file, lineno)
             comment = ""
             continue
         if line.startswith("remark~"):
@@ -197,8 +200,9 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
         if name is None:
             raise InputError(f"rule line before any ACL header: {line!r}", file, lineno)
         try:
-            rules.append(_parse_rule_neutral(line, comment, addresses, ports, icmp_types,
-                                             states))
+            # the fixed terminal line is written without a remark, like its log flag
+            rules.append(_parse_rule_neutral(line, "" if line == TERMINAL_DENY_LINE else comment,
+                                             addresses, ports, icmp_types, states))
         except ValueError as exc:
             raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
                              file, lineno) from exc

@@ -4,15 +4,16 @@ The simulator walks packets along routes: conduit paths whose hops carry
 the ACLs ``netgen.hop_acls`` assigns them, as compile does.  It evaluates
 each traversed firewall's ACL first-match, with a connection table gating
 ESTABLISHED traffic.  Packets are :class:`forestfw.header_space.Packet`
-header points.  Each bound ACL is encoded once into a :class:`MatchTable`
-of integer intervals, which injection and both vettings share.  Positive vetting
-injects one representative packet per expanded flow (plus the TCP return
-leg) and expects delivery.  Negative vetting scans every ordered zone pair
-and reports any delivery not implied by the policy.  The scan is not
-exhaustive: it fixes the lowest address of each zone's first CIDR, source
-port 49152 and state NEW, and varies only the dport (or ICMP type) over
-the scan ports, for protocols 1, 6 and 17 by default.  Vetting the full
-header space is ROADMAP item 1.
+header points.  Each bound ACL is encoded once into a
+:class:`forestfw.header_space.MatchTable`, the ACL engine that injection
+and both vettings share.  Positive vetting injects one representative
+packet per expanded flow (plus the TCP return leg) and expects delivery.
+Negative vetting scans every ordered zone pair and reports any delivery
+not implied by the policy.  The scan is not exhaustive: it fixes the
+lowest address of each zone's first CIDR, source port 49152 and state
+NEW, and varies only the dport (or ICMP type) over the scan ports, for
+protocols 1, 6 and 17 by default.  Vetting the full header space is
+ROADMAP item 1.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ import ipaddress
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError
-from forestfw.header_space import ESTABLISHED, NEW, Packet, address_intervals
+# the ACL engine; eval_acl and rule_matches_packet stay importable from here
+from forestfw.header_space import (ESTABLISHED, FULL_ICMP, NEW, MatchTable, Packet,
+                                   eval_acl, rule_matches_packet)
 from forestfw.netgen import AclRule, NetworkPolicy, enumerate_paths, hop_acls
 from forestfw.policy_lang.syntax import (
     FlowRule,
@@ -36,6 +38,7 @@ from forestfw.policy_lang.syntax import (
     effective_sports,
     port_ranges,
 )
+from forestfw.render import parse_neutral
 from forestfw.topo_model import Conduit, Zone, ZoneConduitModel, firewall_zones
 
 # a zone path as the ACL keys ``(firewall, interface, direction)`` that
@@ -104,7 +107,7 @@ class SimNetwork:
     route_cache: dict[tuple[str, str, bool], list[Route]] = field(
         default_factory=dict, repr=False, compare=False)
     # MatchTable per acl_map key, valid while acl_map holds its rules
-    match_tables: dict[tuple[str, str, str], "MatchTable"] = field(
+    match_tables: dict[tuple[str, str, str], MatchTable] = field(
         default_factory=dict, repr=False, compare=False)
 
     def reset_connections(self) -> None:
@@ -117,7 +120,7 @@ class SimNetwork:
                 self.model, enumerate_paths(self.model, src, dst, established))
         return self.route_cache[key]
 
-    def match_table(self, key: tuple[str, str, str]) -> "MatchTable":
+    def match_table(self, key: tuple[str, str, str]) -> MatchTable:
         """The match table of the ACL bound at ``key``, rebuilt once
         ``acl_map`` no longer holds the rules it was built from."""
         rules = self.acl_map.get(key, ())
@@ -164,8 +167,6 @@ def load_compiled(directory: Path | str) -> SimNetwork:
         raise InputError(f"manifest lacks the {exc.args[0]!r} entry", where) from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed manifest: {exc}", where) from exc
-
-    from forestfw.render import parse_neutral  # local import avoids a cycle
 
     acls_per_file: dict[str, dict[str, tuple[AclRule, ...]]] = {}
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]] = {}
@@ -237,92 +238,7 @@ def _check_model(model: ZoneConduitModel) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rule matching and injection
-
-class _RuleMatch(NamedTuple):
-    """One ACL rule's match fields as integer interval sets.
-
-    ``None`` matches every value; an empty address set matches none.
-    """
-
-    index: int  # position in the ACL
-    src: intervals.IntervalSet
-    dst: intervals.IntervalSet
-    sport: intervals.IntervalSet | None
-    values: intervals.IntervalSet | None  # dport, or ICMP type for protocol 1
-
-
-class MatchTable:
-    """First-match lookup over one ACL, each rule encoded once.
-
-    The rules that admit a (protocol, state) are listed on the first
-    packet that carries it, so a lookup compares only addresses and ports.
-    """
-
-    def __init__(self, rules: tuple[AclRule, ...]) -> None:
-        self.rules = rules
-        # an ACL's rules share their zones and ports: encode each field once
-        nets: dict[tuple, intervals.IntervalSet] = {}
-        ports: dict[tuple, intervals.IntervalSet | None] = {}
-        self._encoded: list[_RuleMatch] = []
-        for i, rule in enumerate(rules):
-            for field_nets in (rule.src, rule.dst):
-                if field_nets not in nets:
-                    nets[field_nets] = address_intervals(field_nets)
-            for field_ports in (rule.sport, rule.dport):
-                if field_ports not in ports:
-                    ports[field_ports] = intervals.normalize(field_ports) if field_ports else None
-            self._encoded.append(_RuleMatch(i, nets[rule.src], nets[rule.dst],
-                                            ports[rule.sport], ports[rule.dport]))
-        self._heads: dict[tuple[int, str], list[_RuleMatch]] = {}
-
-    def _head(self, protocol: int, state: str) -> list[_RuleMatch]:
-        head = self._heads.get((protocol, state))
-        if head is None:
-            head = self._heads[(protocol, state)] = [
-                match for rule, match in zip(self.rules, self._encoded)
-                if (rule.protocol is None or rule.protocol == protocol)
-                and (not rule.state or state in rule.state)]
-        return head
-
-    def matching(self, packet: Packet, sweep: bool = False) -> Iterator[_RuleMatch]:
-        """The rules that match ``packet``, in ACL order.
-
-        With ``sweep`` the dport (ICMP type) is not compared; each rule
-        yielded matches the values in its ``values``.
-        """
-        protocol = packet.protocol
-        ported = protocol in (6, 17)
-        value = None
-        if not sweep and (ported or protocol == 1):
-            value = packet.icmp_type if protocol == 1 else packet.dport
-        contains = intervals.contains
-        for match in self._head(protocol, packet.state):
-            if (contains(match.src, packet.src_addr)
-                    and contains(match.dst, packet.dst_addr)
-                    and (not ported or match.sport is None
-                         or contains(match.sport, packet.sport))
-                    and (value is None or match.values is None
-                         or contains(match.values, value))):
-                yield match
-
-    def decide(self, packet: Packet) -> tuple[str, str]:
-        """First-match decision plus a description of the deciding rule."""
-        match = next(self.matching(packet), None)
-        if match is None:
-            return "deny", "implicit deny (no match)"
-        rule = self.rules[match.index]
-        return rule.action, f"[{match.index}] {rule.action} {rule.comment or rule.origin_service}"
-
-
-def rule_matches_packet(rule: AclRule, packet: Packet) -> bool:
-    return next(MatchTable((rule,)).matching(packet), None) is not None
-
-
-def eval_acl(rules: tuple[AclRule, ...], packet: Packet) -> tuple[str, str]:
-    """First-match decision plus a description of the deciding rule."""
-    return MatchTable(rules).decide(packet)
-
+# injection
 
 def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
     """Walk a packet from its ingress zone toward its destination zone.
@@ -435,7 +351,6 @@ class ScanSpec:
 
 
 SCAN_SPORT = 49152  # fixed ephemeral source port for scan packets
-ICMP_TYPES: intervals.IntervalSet = ((0, 255),)  # the scanned ICMP types
 
 
 def default_scan_spec(net: SimNetwork) -> ScanSpec:
@@ -447,32 +362,6 @@ def default_scan_spec(net: SimNetwork) -> ScanSpec:
             if tuple(r) != full:
                 ranges.append(tuple(r))
     return ScanSpec((1, 6, 17), port_ranges(ranges))
-
-
-def _acl_permits(table: MatchTable, point: Packet,
-                 universe: intervals.IntervalSet) -> intervals.IntervalSet:
-    """The swept values (dport, or ICMP type) of ``universe`` that ``table`` permits.
-
-    Every other header field is taken from ``point``.  The rules are
-    walked once in first-match order: each matching rule decides the
-    values no earlier rule decided.
-    """
-    permitted: intervals.IntervalSet = ()
-    undecided = universe
-    swept = point.protocol in (1, 6, 17)
-    for match in table.matching(point, sweep=True):
-        if swept and match.values is not None:
-            decided = intervals.intersect(undecided, match.values)
-        else:
-            decided = undecided
-        if not decided:
-            continue
-        if table.rules[match.index].action == "permit":
-            permitted = intervals.union(permitted, decided)
-        undecided = intervals.subtract(undecided, decided)
-        if not undecided:
-            break
-    return permitted
 
 
 def _implied_values(services: list[Service], protocol: int,
@@ -526,13 +415,13 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
             tables = {key: net.match_table(key)
                       for route in routes for keys in route for key in keys}
             for protocol in scan.protocols:
-                values = intervals.intersect(scanned, ICMP_TYPES) if protocol == 1 else scanned
+                values = intervals.intersect(scanned, FULL_ICMP) if protocol == 1 else scanned
                 if not values:
                     continue
                 # decide over the hull of the scan: fewer fragments than the scan itself
                 hull = ((values[0][0], values[-1][1]),)
                 point = Packet(src_addr, dst_addr, protocol, SCAN_SPORT, 0, 0, NEW)
-                permits = {key: _acl_permits(table, point, hull)
+                permits = {key: table.permitted(point, hull)
                            for key, table in tables.items()}
                 delivered: intervals.IntervalSet = ()
                 for route in routes:

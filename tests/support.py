@@ -27,8 +27,8 @@ from forestfw.checker import (
     service_intersection,
 )
 from forestfw.diagnostics import PolicyError
-from forestfw.header_space import ACCEPT, DENY, MatchRule, Predicate
-from forestfw.netgen import enumerate_paths, hop_acls
+from forestfw.header_space import MatchTable, matches
+from forestfw.netgen import ANY_NET, AclRule, enumerate_paths, hop_acls
 from forestfw.policy_lang.lexer import KEYWORDS, Token
 from forestfw.policy_lang.syntax import (
     FlowRule,
@@ -198,24 +198,33 @@ def rule_grid_points(limit: int = 16) -> list[Packet]:
 
 
 def random_accept_rules(rng: random.Random, limit: int = 16,
-                        max_rules: int = 4) -> list[MatchRule]:
+                        max_rules: int = 4) -> list[AclRule]:
+    """Permit rules between ``any`` addresses over the ``rule_grid_points``
+    ranges: ICMP types (carried in ``dport``), or TCP/UDP port ranges."""
     rules = []
     for i in range(rng.randint(1, max_rules)):
         protocol = rng.choice((1, 6, 17))
+        fields = {}
         if protocol == 1:
             lo = rng.randrange(limit)
-            hi = rng.randrange(lo, limit)
-            pred = Predicate(protocol=((1, 1),), icmp=((lo, hi),))
+            fields["dport"] = (PortRange(lo, rng.randrange(lo, limit)),)
         else:
             slo = rng.randrange(limit)
-            shi = rng.randrange(slo, limit)
+            fields["sport"] = (PortRange(slo, rng.randrange(slo, limit)),)
             dlo = rng.randrange(limit)
-            dhi = rng.randrange(dlo, limit)
-            pred = Predicate(protocol=((protocol, protocol),),
-                             sport=((slo, shi),), dport=((dlo, dhi),),
-                             icmp=((0, 0),))
-        rules.append(MatchRule(ACCEPT, pred, origin=f"r{i}"))
+            fields["dport"] = (PortRange(dlo, rng.randrange(dlo, limit)),)
+        rules.append(AclRule("permit", protocol, (ANY_NET,), (ANY_NET,),
+                             comment=f"r{i}", **fields))
     return rules
+
+
+def whitelist_reading(rules):
+    """The order-free whitelist reading of permit rules: a point is
+    permitted iff some rule's region holds it."""
+    assert all(rule.action == "permit" for rule in rules)
+    table = MatchTable(tuple(rules))
+    regions = [table.region(i) for i in range(len(rules))]
+    return lambda point: "permit" if any(matches(r, point) for r in regions) else "deny"
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +651,6 @@ def generated_policy_sources() -> dict[str, str]:
 
 
 __all__ = [
-    "ACCEPT",
-    "DENY",
     "GRID_PORTS",
     "RING",
     "accept_masks",
@@ -673,4 +680,5 @@ __all__ = [
     "service_accepts",
     "split_cover",
     "tokenize_by_char",
+    "whitelist_reading",
 ]

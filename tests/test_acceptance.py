@@ -15,11 +15,7 @@ from pathlib import Path
 from forestfw.checker import find_acl_anomalies, find_rule_overlaps
 from forestfw.canonical import canonicalize, equivalent, includes
 from forestfw.cli import main
-from forestfw.header_space import (
-    eval_first_match,
-    eval_last_match,
-    eval_whitelist,
-)
+from forestfw.header_space import MatchTable
 from forestfw.policy_lang import expand_rules
 from forestfw.policy_lang.syntax import PortRange
 from forestfw.render import loc_metrics, render_device, render_neutral
@@ -40,6 +36,7 @@ from support import (
     random_service_set,
     rule_grid_points,
     split_cover,
+    whitelist_reading,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -109,7 +106,8 @@ def test_acceptance_2_canonicalization_oracle_equivalence():
 
 
 def test_acceptance_3_whitelist_order_independence():
-    """1000 accept-only rule lists: the three strategies agree pointwise."""
+    """1000 permit-only ACLs: first match, last match (first match of the
+    reversed ACL) and the order-free whitelist reading agree pointwise."""
     started = time.monotonic()
     rng = random.Random(4242)
     points = rule_grid_points(16)  # exhaustive grid, 528 points (<= 4096)
@@ -117,11 +115,11 @@ def test_acceptance_3_whitelist_order_independence():
     disagreements = 0
     for _ in range(1000):
         rules = random_accept_rules(rng, limit=16)
+        first, last = MatchTable(tuple(rules)), MatchTable(tuple(rules[::-1]))
+        whitelist = whitelist_reading(rules)
         for point in points:
-            first = eval_first_match(rules, point)
-            last = eval_last_match(rules, point)
-            white = eval_whitelist(rules, point)
-            if not (first == last == white):
+            decision = first.decide(point)[0]
+            if not decision == last.decide(point)[0] == whitelist(point):
                 disagreements += 1
     elapsed = time.monotonic() - started
     assert disagreements == 0

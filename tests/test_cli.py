@@ -276,6 +276,20 @@ def test_simulate_bad_neutral_action_names_file_and_line(tmp_path, capsys):
     assert "unknown action 'allow'" in captured.err and captured.out == ""
 
 
+def test_simulate_duplicate_neutral_acl_names_file_and_line(tmp_path, capsys):
+    out_dir = _compiled(tmp_path, capsys)
+    acl_file = out_dir / "R1.neutral.acl"
+    text = acl_file.read_text()
+    lineno = len(text.splitlines()) + 1
+    duplicate = render.NEUTRAL_HEADER + "acl_2\n  " + render.TERMINAL_DENY_LINE + "\n"
+    acl_file.write_text(text + duplicate)
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {acl_file}:{lineno}:0: error: ")
+    assert "duplicate ACL 'acl_2'" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["check", "compile", "graph"])
 def test_truncated_graphml_names_the_topology_file(tmp_path, capsys, command):
     truncated = tmp_path / "truncated.graphml"

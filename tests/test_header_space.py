@@ -4,26 +4,26 @@ import random
 import pytest
 
 from forestfw.header_space import (
-    ACCEPT,
-    DENY,
     ESTABLISHED,
     NEW,
-    MatchRule,
+    MatchTable,
     Packet,
     Predicate,
-    eval_first_match,
-    eval_last_match,
-    eval_whitelist,
     matches,
     rule_region,
 )
-from forestfw.netgen import AclRule
+from forestfw.netgen import ANY_NET, AclRule
 from forestfw.policy_lang.syntax import PortRange
 from forestfw.sim import rule_matches_packet
-from support import random_accept_rules, rule_grid_points
+from support import random_accept_rules, rule_grid_points, whitelist_reading
 
 FULL = Predicate()
-HTTP = Predicate(protocol=((6, 6),), dport=((80, 80),), icmp=((0, 0),))
+HTTP_PERMIT = AclRule("permit", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(80, 80),))
+HTTP_DENY = AclRule("deny", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(80, 80),))
+
+
+def first_match(rules, point) -> str:
+    return MatchTable(tuple(rules)).decide(point)[0]
 
 
 def test_full_space_matches_everything():
@@ -48,30 +48,26 @@ def test_empty_predicate_dimension_rejected():
 
 
 def test_first_match_implicit_deny():
-    assert eval_first_match([], Packet()) == DENY
+    assert MatchTable(()).decide(Packet()) == ("deny", "implicit deny (no match)")
 
 
 def test_first_match_first_wins():
-    rules = [MatchRule(ACCEPT, HTTP), MatchRule(DENY, HTTP)]
-    assert eval_first_match(rules, Packet(protocol=6, dport=80)) == ACCEPT
+    rules = (HTTP_PERMIT, HTTP_DENY)
+    assert MatchTable(rules).decide(Packet(protocol=6, dport=80))[0] == "permit"
 
 
 def test_last_match_last_wins():
-    rules = [MatchRule(ACCEPT, HTTP), MatchRule(DENY, HTTP)]
-    assert eval_last_match(rules, Packet(protocol=6, dport=80)) == DENY
-    assert eval_last_match([], Packet()) == DENY
+    # last match is first match of the reversed ACL
+    rules = (HTTP_PERMIT, HTTP_DENY)
+    assert first_match(rules[::-1], Packet(protocol=6, dport=80)) == "deny"
+    assert first_match((), Packet()) == "deny"
 
 
 def test_whitelist_accepts_on_any_match():
-    rule = MatchRule(ACCEPT, Predicate(protocol=((6, 6),), dport=((443, 443),),
-                                       icmp=((0, 0),)))
-    assert eval_whitelist([rule], Packet(protocol=6, dport=443)) == ACCEPT
-    assert eval_whitelist([rule], Packet(protocol=6, dport=80)) == DENY
-
-
-def test_whitelist_rejects_deny_rules():
-    with pytest.raises(ValueError, match="deny rule"):
-        eval_whitelist([MatchRule(DENY, FULL, origin="bad")], Packet())
+    rule = AclRule("permit", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(443, 443),))
+    whitelist = whitelist_reading([rule])
+    assert whitelist(Packet(protocol=6, dport=443)) == "permit"
+    assert whitelist(Packet(protocol=6, dport=80)) == "deny"
 
 
 def test_whitelist_permutation_invariance():
@@ -81,8 +77,11 @@ def test_whitelist_permutation_invariance():
         rules = random_accept_rules(rng)
         shuffled = rules[:]
         rng.shuffle(shuffled)
+        whitelist, shuffled_whitelist = whitelist_reading(rules), whitelist_reading(shuffled)
+        table, shuffled_table = MatchTable(tuple(rules)), MatchTable(tuple(shuffled))
         for point in points:
-            assert eval_whitelist(rules, point) == eval_whitelist(shuffled, point)
+            assert whitelist(point) == shuffled_whitelist(point)
+            assert table.decide(point)[0] == shuffled_table.decide(point)[0]
 
 
 def test_strategies_agree_on_accept_only_rules():
@@ -90,24 +89,26 @@ def test_strategies_agree_on_accept_only_rules():
     points = rule_grid_points()
     for _ in range(50):
         rules = random_accept_rules(rng)
+        first, last = MatchTable(tuple(rules)), MatchTable(tuple(rules[::-1]))
+        whitelist = whitelist_reading(rules)
         for point in points:
-            first = eval_first_match(rules, point)
-            assert first == eval_last_match(rules, point)
-            assert first == eval_whitelist(rules, point)
+            decision = first.decide(point)[0]
+            assert decision == last.decide(point)[0]
+            assert decision == whitelist(point)
 
 
 def _first_of(f, g):
     """Compose two decision functions under first-match precedence."""
     def combined(x):
         left = f(x)
-        return left if left != DENY else g(x)
+        return left if left != "deny" else g(x)
     return combined
 
 
 def _last_of(f, g):
     def combined(x):
         right = g(x)
-        return right if right != DENY else f(x)
+        return right if right != "deny" else f(x)
     return combined
 
 
@@ -119,19 +120,21 @@ def test_combination_strategies_associative():
         r1, r2, r3 = (random_accept_rules(rng, max_rules=1)[0] for _ in range(3))
 
         def single(rule):
-            return lambda x: eval_first_match([rule], x)
+            table = MatchTable((rule,))
+            return lambda x: table.decide(x)[0]
 
+        flat = MatchTable((r1, r2, r3))
         left = _first_of(_first_of(single(r1), single(r2)), single(r3))
         right = _first_of(single(r1), _first_of(single(r2), single(r3)))
-        flat = [r1, r2, r3]
         for point in points:
-            expected = eval_first_match(flat, point)
-            assert left(point) == right(point) == expected
+            assert left(point) == right(point) == flat.decide(point)[0]
 
+        # last match is first match of the reversed ACL
+        reversed_flat = MatchTable((r3, r2, r1))
         last_left = _last_of(_last_of(single(r1), single(r2)), single(r3))
         last_right = _last_of(single(r1), _last_of(single(r2), single(r3)))
         for point in points:
-            assert last_left(point) == last_right(point) == eval_last_match(flat, point)
+            assert last_left(point) == last_right(point) == reversed_flat.decide(point)[0]
 
 
 def test_intersect_none_when_disjoint():
@@ -146,7 +149,7 @@ def test_intersect_none_when_disjoint():
 def test_sample_point_matches_own_predicate():
     rng = random.Random(8)
     for _ in range(40):
-        pred = random_accept_rules(rng, max_rules=1)[0].predicate
+        pred = rule_region(random_accept_rules(rng, max_rules=1)[0])
         assert matches(pred, pred.sample_point())
 
 
@@ -189,3 +192,30 @@ def test_rule_region_agrees_with_simulator_matching():
             assert matches(region, p) == matched, (r, p)
             outcomes.add((r.protocol, matched))
     assert len(outcomes) == 10  # each rule protocol both matched and missed
+
+
+def test_table_regions_equal_each_rules_own_region():
+    """The table encodes a field shared by several rules once; each rule's
+    region still comes from its own fields."""
+    rng = random.Random(29)
+    nets = [ipaddress.IPv4Network(text) for text in (
+        "0.0.0.0/0", "10.0.0.0/29", "10.0.0.16/29", "192.0.2.7/32")]
+    ports = [(PortRange(0, 65535),), (PortRange(80, 80),), (PortRange(8, 8), PortRange(20, 30))]
+    shared = 0
+    for _ in range(200):
+        rules = []
+        for _ in range(rng.randint(1, 8)):
+            protocol = rng.choice((1, 6, 17, 89, None))
+            rules.append(AclRule(
+                action=rng.choice(("permit", "deny")), protocol=protocol,
+                src=tuple(rng.sample(nets, rng.randint(1, 2))),
+                dst=tuple(rng.sample(nets, rng.randint(1, 2))),
+                sport=rng.choice(ports + [()]) if protocol in (6, 17) else (),
+                dport=rng.choice(ports + [()]) if protocol in (1, 6, 17) else (),
+                state=tuple(rng.sample((NEW, ESTABLISHED), rng.randint(0, 2)))))
+        table = MatchTable(tuple(rules))
+        for i, rule in enumerate(rules):
+            assert table.region(i) == rule_region(rule), (rules, i)
+        fields = [f for r in rules for f in (r.src, r.dst, r.sport, r.dport) if f]
+        shared += len(fields) - len(set(fields))
+    assert shared > 200  # the rules do share fields

@@ -1,4 +1,3 @@
-import dataclasses
 import ipaddress
 import re
 
@@ -93,8 +92,8 @@ def test_neutral_round_trip(compiled_plant):
         originals = compiled_plant.acls[firewall]
         assert [a.name for a in parsed] == [a.name for a in originals]
         for got, expected in zip(parsed, originals):
-            assert [r.match_key() for r in got.rules] == \
-                   [r.match_key() for r in expected.rules]
+            assert [(r.match_key(), r.comment) for r in got.rules] == \
+                   [(r.match_key(), r.comment) for r in expected.rules]
         # and rendering the parsed form again is byte-identical
         rendered_again = "\n".join(render_neutral(a) for a in parsed)
         assert rendered_again == text
@@ -117,6 +116,12 @@ def port_lists(upper: int):
     return st.lists(bounds.map(lambda b: PortRange(min(b), max(b))), max_size=3).map(tuple)
 
 
+def fixed_form(fields: dict) -> bool:
+    """Do these fields render as the fixed terminal line?"""
+    return (fields["action"] == "deny" and fields["protocol"] is None and not fields["state"]
+            and fields["src"] == fields["dst"] == (net("0.0.0.0/0"),))
+
+
 @st.composite
 def rule_fields(draw) -> dict:
     """Everything of an AclRule but its comment; ``ip`` denies may be narrowed."""
@@ -126,8 +131,7 @@ def rule_fields(draw) -> dict:
               "state": tuple(draw(st.lists(st.sampled_from(("NEW", "ESTABLISHED")),
                                            max_size=2))),
               "log": draw(st.booleans())}
-    if (fields["action"] == "deny" and protocol is None and not fields["state"]
-            and fields["src"] == fields["dst"] == (net("0.0.0.0/0"),)):
+    if fixed_form(fields):
         fields["log"] = False  # the fixed terminal line carries no log flag
     if protocol in (6, 17):
         fields["sport"] = draw(port_lists(65535))
@@ -143,15 +147,19 @@ remark_text = st.text("abcXYZ019_ ().>~:-", min_size=1, max_size=24).map(str.str
 @st.composite
 def acls(draw, name: str) -> Acl:
     """An ACL as parse_neutral reads it back: each rule carries the last
-    remark above it, and the terminal deny closes the list."""
+    remark above it, a rule of the fixed terminal form none, and the
+    terminal deny closes the list."""
     rules = []
     comment = ""
     for fields in draw(st.lists(rule_fields(), max_size=8)):
+        if fixed_form(fields):
+            rules.append(AclRule(**fields))
+            continue
         if draw(st.booleans()):
             comment = draw(remark_text)
         rules.append(AclRule(comment=comment, **fields))
     if draw(st.booleans()):
-        rules.append(dataclasses.replace(TERMINAL_DENY, comment=comment))
+        rules.append(TERMINAL_DENY)
     return Acl(name, tuple(rules))
 
 
@@ -191,6 +199,16 @@ def test_parse_neutral_rejects_malformed_fields(line):
         parse_neutral(text, "R1.neutral.acl")
     diagnostic = info.value.diagnostic
     assert (diagnostic.file, diagnostic.line) == ("R1.neutral.acl", 3)
+
+
+def test_parse_neutral_rejects_a_second_acl_of_one_name():
+    text = (NEUTRAL_HEADER + "acl_2\n  " + TERMINAL_DENY_LINE + "\n"
+            + NEUTRAL_HEADER + "acl_3\n  " + TERMINAL_DENY_LINE + "\n"
+            + NEUTRAL_HEADER + "acl_2\n  " + TERMINAL_DENY_LINE + "\n")
+    with pytest.raises(InputError, match="duplicate ACL 'acl_2'") as info:
+        parse_neutral(text, "R1.neutral.acl")
+    diagnostic = info.value.diagnostic
+    assert (diagnostic.file, diagnostic.line) == ("R1.neutral.acl", 5)
 
 
 def test_parse_neutral_rejects_garbage():

@@ -4,13 +4,6 @@ import random
 import pytest
 
 from forestfw.diagnostics import PolicyError
-from forestfw.header_space import (
-    ACCEPT,
-    DENY,
-    MatchRule,
-    eval_first_match,
-    rule_region,
-)
 from forestfw.netgen import AclRule, CompileOptions, compile_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
 from forestfw import sim
@@ -182,8 +175,8 @@ def test_stateful_discipline_no_established_before_new(net):
 
 
 def test_single_firewall_agrees_with_first_match_semantics():
-    """inject() over a one-firewall chain equals eval_first_match on the
-    regions of its ACL, for TCP, UDP and ICMP packets, NEW and ESTABLISHED."""
+    """inject() over a one-firewall chain equals the first match of its
+    ACL, rule by rule, for TCP, UDP and ICMP packets, NEW and ESTABLISHED."""
     from forestfw.topo_model import load_topology
     from test_topo_model import CHAIN
 
@@ -209,10 +202,6 @@ policy p { g; rep; }
     acl = net.acl_map[("fw", "p0", "inbound")]
     assert {r.protocol for r in acl} == {1, 6, 17, None}
     assert any(r.state == (ESTABLISHED,) for r in acl)
-    match_rules = [
-        MatchRule(ACCEPT if r.action == "permit" else DENY, rule_region(r))
-        for r in acl
-    ]
     src, dst = addr("10.1.0.1"), addr("10.3.0.1")
     rng = random.Random(17)
     verdicts = set()
@@ -229,7 +218,7 @@ policy p { g; rep; }
             # the connection an earlier NEW packet of the mirrored flow opened
             net.connections.add((protocol, dst, packet.dport, src, packet.sport))
         delivered = inject(net, packet, "z1").delivered
-        assert delivered == (eval_first_match(match_rules, packet) == ACCEPT), packet
+        assert delivered == (first_match_by_scan(acl, packet)[0] == "permit"), packet
         verdicts.add((protocol, state, delivered))
     assert len(verdicts) == 12  # each protocol and state met both verdicts
 
