@@ -239,7 +239,11 @@ class MatchTable:
         if match is None:
             return "deny", "implicit deny (no match)"
         rule = self.rules[match.index]
-        return rule.action, f"[{match.index}] {rule.action} {rule.comment or rule.origin_service}"
+        # a rule with neither comment nor origin is the terminal ip deny,
+        # or a hand-written rule without a remark
+        label = (rule.comment or rule.origin_service
+                 or ("(terminal)" if rule.protocol is None else "(no remark)"))
+        return rule.action, f"[{match.index}] {rule.action} {label}"
 
     def permitted(self, point: Packet, universe: IntervalSet) -> IntervalSet:
         """The swept values (dport, or ICMP type) of ``universe`` the ACL permits.

@@ -44,27 +44,32 @@ class Token(NamedTuple):
 
 
 # One match per token, its leading blanks included, or per newline.
-# Alternatives are tried in order; ``\w`` is exactly ``str.isalnum`` plus
-# ``_``, and ``[^\W\d]`` also admits the numeric characters that are not
-# letters, which ``tokenize`` rejects.  Blanks that end the text match
-# nothing and are skipped.
+# Alternatives are tried in order, the most frequent first; no two of them
+# match at the same character, except that a string or typographic
+# string is tried before the bare opening quote.  ``\w`` is exactly
+# ``str.isalnum`` plus ``_``, and ``[^\W\d]`` also admits the numeric
+# characters that are not letters, which ``tokenize`` rejects.  Blanks
+# that end the text match nothing and are skipped.
 _SCAN = re.compile(
     r"""
     [ \t\r]*
     (?:
-      (?P<newline>\n)
-    | (?P<comment>//[^\n]*)
+      (?P<word>[^\W\d]\w*)
+    | (?P<punct><->|->|[{};,:=.^\\-])
+    | (?P<int>[0-9]+)
+    | (?P<newline>\n)
     | (?P<string>"[^"\n]*")
+    | (?P<comment>//[^\n]*)
     | (?P<typographic>``(?:[^'\n]|'(?!'))*'')
     | (?P<open>"|``)
-    | (?P<int>[0-9]+)
-    | (?P<word>[^\W\d]\w*)
-    | (?P<punct><->|->|[{};,:=.^\\-])
     | (?P<other>[^ \t\r])
     )
     """,
     re.VERBOSE,
 )
+
+# a Token built without the NamedTuple's Python-level constructor
+_new = tuple.__new__
 
 
 def _bad_character(ch: str, file: str, line: int, col: int) -> PolicyError:
@@ -81,31 +86,35 @@ def tokenize(text: str, file: str = "<policy>") -> list[Token]:
     line_start = 0  # offset of the current line's first character
     for match in _SCAN.finditer(text):
         kind = match.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-            continue
-        value = match.group(kind)
-        col = match.start(kind) - line_start + 1
         if kind == "word":
-            if not (value[0].isalpha() or value[0] == "_"):
-                raise _bad_character(value[0], file, line, col)
-            append(Token("kw" if value in KEYWORDS else "ident", value, line, col))
+            value = match["word"]
+            col = match.start("word") - line_start + 1
+            first = value[0]
+            if not (first.isalpha() or first == "_"):
+                raise _bad_character(first, file, line, col)
+            append(_new(Token, ("kw" if value in KEYWORDS else "ident", value, line, col)))
         elif kind == "punct":
-            append(Token("punct", value, line, col))
+            append(_new(Token, ("punct", match["punct"], line,
+                                match.start("punct") - line_start + 1)))
         elif kind == "int":
+            col = match.start("int") - line_start + 1
             end = match.end()
             if end < len(text) and text[end].isdigit():
                 raise _bad_character(text[end], file, line, col)
-            append(Token("int", value, line, col))
-        elif kind == "string":
-            append(Token("string", value[1:-1], line, col))
-        elif kind == "typographic":
-            append(Token("string", value[2:-2], line, col))
-        elif kind == "open":
-            raise PolicyError("unterminated string", file, line, col)
-        elif kind == "other":
-            raise _bad_character(value, file, line, col)
-        # comments produce no token
+            append(_new(Token, ("int", match["int"], line, col)))
+        elif kind == "newline":
+            line += 1
+            line_start = match.end()
+        elif kind != "comment":  # comments produce no token
+            value = match[kind]
+            col = match.start(kind) - line_start + 1
+            if kind == "string":
+                append(_new(Token, ("string", value[1:-1], line, col)))
+            elif kind == "typographic":
+                append(_new(Token, ("string", value[2:-2], line, col)))
+            elif kind == "open":
+                raise PolicyError("unterminated string", file, line, col)
+            else:
+                raise _bad_character(value, file, line, col)
     append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens

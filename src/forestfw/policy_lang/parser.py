@@ -4,17 +4,19 @@ Parsing happens in two phases: the syntactic pass collects raw
 declarations (imports already merged under their namespace prefix), and a
 resolution pass builds the fully name-resolved :class:`PolicySpec`, with
 set expressions evaluated, port-group references substituted, and every
-name checked against the declaration registry.  Each file, the main one
-and every import, is tokenized and parsed once per :func:`parse_policy`
-call, and a set expression's ``,`` segments are united in one n-ary
+name checked against the declaration registry.  The main file is
+tokenized and parsed once per :func:`parse_policy` call.  An imported
+file is parsed once per process for each (file label, text) pair: its
+raw declarations are immutable, so every later import of the same text
+shares them.  A set expression's ``,`` segments are united in one n-ary
 union, so the work grows linearly with the policy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang.lexer import Token, tokenize
@@ -41,7 +43,10 @@ from forestfw.policy_lang.syntax import (
     ZoneGroup,
 )
 
-Importer = Callable[[str], str]
+# Maps a dotted import to the library's source text, or to a (file label,
+# text) pair whose label names the library file in diagnostics; an importer
+# that returns only text is labelled with the dotted name.
+Importer = Callable[[str], str | tuple[str, str]]
 
 _LIBRARY_ROOT = Path(__file__).parent / "library"
 
@@ -49,34 +54,37 @@ _SET_OPS = (",", "^", "\\")
 # braced values and groups nest by recursion; deeper nesting is refused,
 # not a crash
 _MAX_NESTING = 64
+# distinct imported (file label, text) pairs whose parse is kept
+_IMPORT_MEMO_SIZE = 128
 
 _SetT = TypeVar("_SetT")  # ServiceSet or _ZoneTerm
 
 
 def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
-    """Resolve dotted library names to source text.
+    """Resolve dotted library names to their file path and source text.
 
     ``system.services.iana_services`` maps to
     ``system/services/iana_services.policyml`` under each search path,
     falling back to the built-in library shipped with the package.
+    Diagnostics inside the library name that path.
     """
 
-    def resolve(dotted: str) -> str:
+    def resolve(dotted: str) -> tuple[str, str]:
         rel = Path(*dotted.split(".")).with_suffix(".policyml")
         for root in tuple(search_paths) + (_LIBRARY_ROOT,):
             candidate = Path(root) / rel
             if candidate.is_file():
-                return candidate.read_text(encoding="utf-8")
+                return str(candidate), candidate.read_text(encoding="utf-8")
         raise PolicyError(f"unresolved import {dotted!r}")
 
     return resolve
 
 
 # ---------------------------------------------------------------------------
-# raw declarations from the syntactic pass
+# raw declarations from the syntactic pass; immutable, so that the parse
+# of an imported file can be shared
 
-@dataclass
-class _RawDecl:
+class _RawDecl(NamedTuple):
     kind: str  # service | service_group | port_group | zone_group | policy_rule | rule_group | reporting_rule | policy
     name: str
     line: int
@@ -106,19 +114,25 @@ class _TokenStream:
             self.pos += 1
         return tok
 
+    # accept and expect are never asked for "eof", so a token they take
+    # is never the last one and the position may always advance
+
     def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == kind and (value is None or tok.value == value)
 
     def accept(self, kind: str, value: str | None = None) -> Token | None:
-        if self.at(kind, value):
-            return self.next()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (value is None or tok.value == value):
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, kind: str, value: str | None = None, hint: str = "") -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == kind and (value is None or tok.value == value):
-            return self.next()
+            self.pos += 1
+            return tok
         expected = hint or (value if value is not None else kind)
         got = tok.value or tok.kind
         raise PolicyError(f"expected {expected!r}, got {got!r}", self.file, tok.line, tok.col)
@@ -128,11 +142,10 @@ class _TokenStream:
         return PolicyError(message, self.file, tok.line, tok.col)
 
 
-@dataclass
-class _RawFile:
-    imports: list[str]
+class _RawFile(NamedTuple):
+    imports: tuple[str, ...]
     declared_model: str | None
-    decls: list[_RawDecl]
+    decls: tuple[_RawDecl, ...]
 
 
 def _parse_file(text: str, file: str) -> _RawFile:
@@ -158,62 +171,78 @@ def _parse_file(text: str, file: str) -> _RawFile:
             ts.accept("punct", ";")
         else:
             decls.append(_parse_decl(ts))
-    return _RawFile(imports, declared_model, decls)
+    return _RawFile(tuple(imports), declared_model, tuple(decls))
+
+
+@functools.lru_cache(maxsize=_IMPORT_MEMO_SIZE)
+def _parse_import(text: str, file: str) -> _RawFile:
+    """``_parse_file`` for an imported file, memoized per process: an
+    edited library has new text and is parsed afresh."""
+    return _parse_file(text, file)
 
 
 def _expect_name(ts: _TokenStream) -> str:
     """A name segment; keywords are legal identifiers inside bodies."""
-    tok = ts.peek()
-    if tok.kind in ("ident", "kw"):
-        ts.next()
+    tok = ts.tokens[ts.pos]
+    if tok.kind == "ident" or tok.kind == "kw":
+        ts.pos += 1
         return tok.value
     raise ts.error(f"expected a name, got {tok.value or tok.kind!r}")
 
 
 def _parse_dotted(ts: _TokenStream) -> str:
-    parts = [_expect_name(ts)]
+    name = _expect_name(ts)
+    tok = ts.tokens[ts.pos]
+    if tok.value != "." or tok.kind != "punct":
+        return name
+    parts = [name]
     while ts.accept("punct", "."):
         parts.append(_expect_name(ts))
     return ".".join(parts)
 
 
 def _parse_decl(ts: _TokenStream) -> _RawDecl:
-    kw = ts.next()
+    kind = ts.next().value
     name = ts.expect("ident", hint="declaration name")
-    decl = _RawDecl(kind=kw.value, name=name.value, line=name.line, col=name.col, file=ts.file)
     ts.expect("punct", "{")
-    if kw.value in ("service", "reporting_rule"):
-        decl.attrs = _parse_attrs(ts)
-    elif kw.value in ("service_group", "zone_group"):
-        decl.expr = _parse_setexpr(ts)
-    elif kw.value == "port_group":
-        decl.ranges = _parse_ranges(ts)
-    elif kw.value == "policy_rule":
-        decl.left = _parse_dotted(ts)
+    attrs: tuple[tuple[str, Value], ...] = ()
+    expr: SetExpr | None = None
+    ranges: tuple[PortRange, ...] = ()
+    left = operator = right = ""
+    members: tuple[str, ...] = ()
+    if kind in ("service", "reporting_rule"):
+        attrs = _parse_attrs(ts)
+    elif kind in ("service_group", "zone_group"):
+        expr = _parse_setexpr(ts)
+    elif kind == "port_group":
+        ranges = _parse_ranges(ts)
+    elif kind == "policy_rule":
+        left = _parse_dotted(ts)
         op = ts.peek()
         if op.kind == "punct" and op.value in ("->", "<->"):
             ts.next()
-            decl.operator = op.value
+            operator = op.value
         else:
             raise ts.error("expected '->' or '<->'")
-        decl.right = _parse_dotted(ts)
+        right = _parse_dotted(ts)
         ts.expect("punct", ":")
-        decl.expr = _parse_setexpr(ts)
-    elif kw.value == "rule_group":
-        members = [_parse_dotted(ts)]
+        expr = _parse_setexpr(ts)
+    elif kind == "rule_group":
+        names = [_parse_dotted(ts)]
         while ts.accept("punct", ","):
-            members.append(_parse_dotted(ts))
-        decl.members = tuple(members)
-    elif kw.value == "policy":
+            names.append(_parse_dotted(ts))
+        members = tuple(names)
+    elif kind == "policy":
         rule_group = ts.expect("ident", hint="rule-group name").value
         ts.expect("punct", ";")
         reporting = ts.expect("ident", hint="reporting-rule name").value
         ts.accept("punct", ";")  # trailing separator is optional in the wild
-        decl.members = (rule_group, reporting)
+        members = (rule_group, reporting)
     else:  # pragma: no cover - keyword set is closed
-        raise ts.error(f"unsupported declaration {kw.value!r}")
+        raise ts.error(f"unsupported declaration {kind!r}")
     ts.expect("punct", "}")
-    return decl
+    return _RawDecl(kind, name.value, name.line, name.col, ts.file,
+                    attrs, expr, ranges, left, operator, right, members)
 
 
 def _parse_attrs(ts: _TokenStream) -> tuple[tuple[str, Value], ...]:
@@ -317,7 +346,7 @@ def _parse_ranges(ts: _TokenStream) -> tuple[PortRange, ...]:
 # ---------------------------------------------------------------------------
 # import merging
 
-def _prefix_decls(decls: list[_RawDecl], prefix: str) -> list[_RawDecl]:
+def _prefix_decls(decls: tuple[_RawDecl, ...], prefix: str) -> list[_RawDecl]:
     """Qualify declarations from an imported file with ``prefix.``.
 
     References within the imported file to its own names are rewritten to
@@ -373,31 +402,34 @@ def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]
                 raise PolicyError(f"import cycle through {dotted!r}", file)
             continue
         seen[dotted] = False
-        imported = _collect(_parse_file(importer(dotted), dotted), dotted, importer, seen)
+        source = importer(dotted)
+        label, text = source if isinstance(source, tuple) else (dotted, source)
+        imported = _collect(_parse_import(text, label), label, importer, seen)
         seen[dotted] = True
         prefix = dotted.rsplit(".", 1)[-1]
         merged.extend(_prefix_decls(imported.decls, prefix))
     merged.extend(raw.decls)
-    return _RawFile(raw.imports, raw.declared_model, merged)
+    return _RawFile(raw.imports, raw.declared_model, tuple(merged))
 
 
 # ---------------------------------------------------------------------------
 # resolution
 
 _PORT_ATTRS = {
-    "tcp.source_port": ("source_ports", 6),
-    "tcp.dest_port": ("dest_ports", 6),
-    "udp.source_port": ("source_ports", 17),
-    "udp.dest_port": ("dest_ports", 17),
-    "icmp.type": ("icmp_types", 1),
+    "tcp.source_port": "source_ports",
+    "tcp.dest_port": "dest_ports",
+    "udp.source_port": "source_ports",
+    "udp.dest_port": "dest_ports",
+    "icmp.type": "icmp_types",
 }
 
 
 class _Resolver:
-    def __init__(self, raw: _RawFile, file: str, source: str, main_decls: list[_RawDecl]):
+    def __init__(self, raw: _RawFile, file: str, source: str,
+                 main_decls: tuple[_RawDecl, ...]):
         self.raw = raw
         self.spec = PolicySpec(
-            imports=tuple(raw.imports),
+            imports=raw.imports,
             declared_model=raw.declared_model,
             file=file,
             source=source,
@@ -466,7 +498,6 @@ class _Resolver:
         protocol: int | None = None
         protocol_seen = False
         ports: dict[str, tuple[PortRange, ...]] = {}
-        port_attr_protos: dict[str, int] = {}
         comment = ""
         seen: set[str] = set()
         for key, value in decl.attrs:
@@ -477,9 +508,8 @@ class _Resolver:
                 protocol_seen = True
                 protocol = self._protocol_value(decl, value)
             elif key in _PORT_ATTRS:
-                field_name, proto = _PORT_ATTRS[key]
+                field_name = _PORT_ATTRS[key]
                 ports[field_name] = ports.get(field_name, ()) + self._range_value(decl, value)
-                port_attr_protos[key] = proto
             elif key == "comment":
                 if not isinstance(value, VString):
                     raise self.err(decl, "comment value must be a string")
@@ -488,23 +518,20 @@ class _Resolver:
                 raise self.err(decl, f"unknown service attribute {key!r}")
         if not protocol_seen:
             raise self.err(decl, f"service {decl.name!r} must declare a protocol")
-        svc = Service(
+        source_ports = ports.get("source_ports", ())
+        dest_ports = ports.get("dest_ports", ())
+        # TCP/UDP default the unspecified port dimensions to the full range
+        if protocol in (6, 17):
+            source_ports = source_ports or (FULL_PORT_RANGE,)
+            dest_ports = dest_ports or (FULL_PORT_RANGE,)
+        return Service(
             name=decl.name,
             protocol=protocol,
-            source_ports=ports.get("source_ports", ()),
-            dest_ports=ports.get("dest_ports", ()),
+            source_ports=source_ports,
+            dest_ports=dest_ports,
             icmp_types=ports.get("icmp_types", ()),
             comment=comment,
         )
-        # TCP/UDP default the unspecified port dimensions to the full range
-        if protocol in (6, 17):
-            if not svc.source_ports:
-                svc = Service(svc.name, svc.protocol, (FULL_PORT_RANGE,), svc.dest_ports,
-                              svc.icmp_types, svc.comment)
-            if not svc.dest_ports:
-                svc = Service(svc.name, svc.protocol, svc.source_ports, (FULL_PORT_RANGE,),
-                              svc.icmp_types, svc.comment)
-        return svc
 
     def _protocol_value(self, decl: _RawDecl, value: Value) -> int | None:
         if isinstance(value, VName):

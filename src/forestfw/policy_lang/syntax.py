@@ -99,15 +99,20 @@ class Service:
     dest_ports: tuple[PortRange, ...] = ()
     icmp_types: tuple[PortRange, ...] = ()
     comment: str = ""
+    # value_key(), computed once at construction from the fields above
+    _value_key: tuple = field(init=False, compare=False, repr=False)
 
-    def value_key(self) -> tuple:
-        """Identity of the service by constraint, ignoring name/comment."""
-        return (
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_value_key", (
             self.protocol,
             intervals.normalize(self.source_ports),
             intervals.normalize(self.dest_ports),
             intervals.normalize(self.icmp_types),
-        )
+        ))
+
+    def value_key(self) -> tuple:
+        """Identity of the service by constraint, ignoring name/comment."""
+        return self._value_key
 
     @property
     def display_name(self) -> str:

@@ -51,6 +51,16 @@ def test_first_match_implicit_deny():
     assert MatchTable(()).decide(Packet()) == ("deny", "implicit deny (no match)")
 
 
+def test_deciding_rule_is_named_without_comment_or_origin():
+    terminal = AclRule("deny", None, (ANY_NET,), (ANY_NET,))
+    labelled = AclRule("permit", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(443, 443),),
+                       comment="web (forward path)")
+    table = MatchTable((labelled, HTTP_PERMIT, terminal))
+    assert table.decide(Packet(protocol=6, dport=443)) == ("permit", "[0] permit web (forward path)")
+    assert table.decide(Packet(protocol=6, dport=80)) == ("permit", "[1] permit (no remark)")
+    assert table.decide(Packet(protocol=17, dport=80)) == ("deny", "[2] deny (terminal)")
+
+
 def test_first_match_first_wins():
     rules = (HTTP_PERMIT, HTTP_DENY)
     assert MatchTable(rules).decide(Packet(protocol=6, dport=80))[0] == "permit"

@@ -1,7 +1,13 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from forestfw import intervals
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import (
     ServiceSet,
@@ -61,6 +67,41 @@ def test_union_deduplicates_by_value():
     c = Service("c", 6, (PortRange(0, 65535),), (PortRange(443, 443),))
     merged = ServiceSet([a]).union(ServiceSet([b, c]))
     assert len(merged) == 2
+
+
+port_range_lists = st.lists(
+    st.tuples(st.integers(0, 70000), st.integers(0, 70000)).map(lambda r: PortRange(*r)),
+    max_size=4).map(tuple)
+services = st.builds(
+    Service, name=st.sampled_from(("s", "ns.s")),
+    protocol=st.sampled_from((None, 1, 6, 17, 89)),
+    source_ports=port_range_lists, dest_ports=port_range_lists, icmp_types=port_range_lists,
+    comment=st.sampled_from(("", "note")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(services)
+def test_value_key_equals_key_recomputed_from_fields(svc):
+    assert svc.value_key() == (
+        svc.protocol,
+        intervals.normalize(svc.source_ports),
+        intervals.normalize(svc.dest_ports),
+        intervals.normalize(svc.icmp_types),
+    )
+
+
+def test_construction_path_does_not_change_service_equality_or_hash():
+    parsed = parse_policy("service s { protocol=tcp; tcp.dest_port=80; }").services["s"]
+    direct = Service("s", 6, (PortRange(0, 65535),), (PortRange(80, 80),))
+    renamed = dataclasses.replace(dataclasses.replace(parsed, comment="x"), comment="")
+    for other in (direct, renamed, copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+        assert other == parsed
+        assert hash(other) == hash(parsed)
+        assert repr(other) == repr(parsed)
+        assert other.value_key() == parsed.value_key()
+    assert repr(parsed) == ("Service(name='s', protocol=6, source_ports=(PortRange(lo=0, "
+                            "hi=65535),), dest_ports=(PortRange(lo=80, hi=80),), "
+                            "icmp_types=(), comment='')")
 
 
 def test_set_algebra_laws():
@@ -290,8 +331,10 @@ def test_import_cycle_detected():
         "lib.a": "import lib.b;\nservice sa { protocol=tcp; tcp.dest_port=1; }",
         "lib.b": "import lib.a;\nservice sb { protocol=tcp; tcp.dest_port=2; }",
     }
-    with pytest.raises(PolicyError, match="import cycle"):
-        parse_policy("import lib.a;", importer=sources.__getitem__)
+    # the second call finds lib.a and lib.b in the import memo
+    for _ in range(2):
+        with pytest.raises(PolicyError, match="import cycle"):
+            parse_policy("import lib.a;", importer=sources.__getitem__)
 
 
 def test_repeated_import_is_idempotent():
@@ -299,6 +342,35 @@ def test_repeated_import_is_idempotent():
         "lib.shared": "service s { protocol=tcp; tcp.dest_port=9; }",
         "lib.mid": "import lib.shared;",
     }
-    spec = parse_policy("import lib.shared;\nimport lib.mid;",
-                        importer=sources.__getitem__)
-    assert "shared.s" in spec.services
+    # the second call finds lib.shared and lib.mid in the import memo
+    for _ in range(2):
+        spec = parse_policy("import lib.shared;\nimport lib.mid;",
+                            importer=sources.__getitem__)
+        assert "shared.s" in spec.services
+
+
+def test_edited_library_is_parsed_afresh(tmp_path):
+    lib = tmp_path / "mylib" / "svc.policyml"
+    lib.parent.mkdir()
+    importer = default_importer(search_paths=(tmp_path,))
+    for port in (80, 8080, 80):
+        lib.write_text(f"service web {{ protocol=tcp; tcp.dest_port={port}; }}\n")
+        spec = parse_policy("import mylib.svc;", importer)
+        assert spec.services["svc.web"].dest_ports == (PortRange(port, port),)
+
+
+@pytest.mark.parametrize("body, col, message", [
+    ("service web { protocol=tcp; tcp.dest_port=80 }", 46, "expected ';', got '}'"),
+    ("service web { protocol=tcp; bogus=1; }", 9, "unknown service attribute 'bogus'"),
+])
+def test_error_in_imported_file_names_its_path(tmp_path, body, col, message):
+    lib = tmp_path / "mylib" / "svc.policyml"
+    lib.parent.mkdir()
+    lib.write_text(body + "\n")
+    with pytest.raises(PolicyError) as err:
+        parse_policy("import mylib.svc;", default_importer(search_paths=(tmp_path,)))
+    assert str(err.value) == f"{lib}:1:{col}: error: {message}"
+    # an importer that returns only the text labels the file by its dotted name
+    with pytest.raises(PolicyError) as err:
+        parse_policy("import mylib.svc;", importer={"mylib.svc": body}.__getitem__)
+    assert str(err.value) == f"mylib.svc:1:{col}: error: {message}"

@@ -488,7 +488,7 @@ def test_replacing_acl_map_after_inject_changes_the_next_verdict(compiled_plant)
     net.acl_map = deny_all
     result = inject(net, packet, "z3")
     assert not result.delivered
-    assert result.trace[0].rule == "[0] deny "
+    assert result.trace[0].rule == "[0] deny (terminal)"
     net.acl_map = original
     assert inject(net, packet, "z3").delivered
     # rebinding one key of the same dict is seen too

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestfw.diagnostics import PolicyError
 from forestfw.topo_model import (
@@ -201,3 +203,54 @@ def test_declared_model_loader_errors():
             '<key id="kind" for="node" attr.name="kind"/>'
             '<graph><node id="a"><data key="kind">regular</data></node>'
             '<edge source="a" target="ghost"/></graph></graphml>')
+
+
+# ---------------------------------------------------------------------------
+# no GraphML text crashes the loaders
+
+GRAPHML_KEYS = (
+    '<key id="kind" for="node" attr.name="kind"/>',
+    '<key id="zone" for="node" attr.name="zone"/>',
+    '<key id="cidr" for="node" attr.name="cidr"/>',
+    '<key id="if_a" for="edge" attr.name="if_a"/>',
+    '<key for="node" attr.name="kind"/>',
+    '<key id="cidr"/>',
+)
+NAMES = ("a", "b", "fw", "", "z1", "a b", "&amp;")
+graphml_data = st.tuples(
+    st.sampled_from(("kind", "zone", "cidr", "if_a", "if_b", "", "ghost")),
+    st.sampled_from(("host", "subnet", "carrier", "firewall", "regular", "abstract", "router",
+                     "z1", "10.1.0.1/32", "10.1.0.1/24", "10.0.0.0/8, 10.0.0.0/8", "::1/128",
+                     "300.1.1.1/32", ",", "", "  p0 ", "<![CDATA[x]]>", "&#0;", "&#x41;")),
+).map(lambda d: f'<data key="{d[0]}">{d[1]}</data>')
+graphml_node = st.tuples(st.sampled_from(NAMES), st.lists(graphml_data, max_size=4)).map(
+    lambda n: f'<node id="{n[0]}">{"".join(n[1])}</node>')
+graphml_edge = st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES),
+                         st.lists(graphml_data, max_size=2)).map(
+    lambda e: f'<edge source="{e[0]}" target="{e[1]}">{"".join(e[2])}</edge>')
+graphml_document = st.tuples(
+    st.sampled_from(('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">', "<graphml>",
+                     "<other>")),
+    st.lists(st.sampled_from(GRAPHML_KEYS), max_size=4),
+    st.sampled_from(("<graph>", '<graph edgedefault="directed">', "")),
+    st.lists(st.one_of(graphml_node, graphml_edge), max_size=8),
+).map(lambda d: f'{d[0]}{"".join(d[1])}{d[2]}{"".join(d[3])}'
+                f'{"</graph>" if d[2] else ""}</{d[0][1:].split(">")[0].split()[0]}>')
+# a document cut short or with a foreign fragment spliced in
+mutated_document = st.tuples(
+    graphml_document, st.integers(0, 2000),
+    st.sampled_from(("", "<", ">", "&", "&bogus;", "]]>", "\x00", "<!DOCTYPE x>",
+                     "<?xml version='1.0'?>", "</graph>", "é", " ")),
+    st.booleans(),
+).map(lambda m: m[0][:m[1]] + m[2] + ("" if m[3] else m[0][m[1]:]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(graphml_document, mutated_document, st.text(max_size=80)))
+def test_no_graphml_text_raises_anything_but_policy_error(text):
+    # InputError, the unreadable-document case, is a PolicyError
+    for load in (load_topology, load_declared_model):
+        try:
+            load(text, "t.graphml")
+        except PolicyError:
+            pass
