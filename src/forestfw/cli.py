@@ -47,9 +47,9 @@ class _UsageError(Exception):
     pass
 
 
-def _load_policy(path: Path) -> PolicySpec:
+def _load_policy(path: Path, import_memo: dict) -> PolicySpec:
     importer = default_importer(search_paths=(path.parent,))
-    return parse_policy(_read(path), importer, file=str(path))
+    return parse_policy(_read(path), importer, file=str(path), import_memo=import_memo)
 
 
 def _load_declared(spec: PolicySpec, policy_path: Path) -> ZoneConduitModel | None:
@@ -68,11 +68,13 @@ def _gate_inputs(args: argparse.Namespace,
     """The policy, topology and gate options a ``check`` or ``compile``
     command line names."""
     policy_path = Path(args.policy)
-    spec = _load_policy(policy_path)
+    import_memo: dict = {}  # a library both files import is parsed once
+    spec = _load_policy(policy_path, import_memo)
     topo = _load_topology(Path(args.topology))
     options = CompileOptions(
         ospf=ospf,
-        best_practice=_load_policy(Path(args.best_practice)) if args.best_practice else None,
+        best_practice=(_load_policy(Path(args.best_practice), import_memo)
+                       if args.best_practice else None),
         declared_model=_load_declared(spec, policy_path),
     )
     return spec, topo, options

@@ -239,10 +239,12 @@ class MatchTable:
         if match is None:
             return "deny", "implicit deny (no match)"
         rule = self.rules[match.index]
-        # a rule with neither comment nor origin is the terminal ip deny,
-        # or a hand-written rule without a remark
-        label = (rule.comment or rule.origin_service
-                 or ("(terminal)" if rule.protocol is None else "(no remark)"))
+        label = rule.comment or rule.origin_service
+        if not label:
+            # the compiler's fixed any-to-any ip deny, or a rule without a remark
+            from forestfw.netgen import TERMINAL_DENY  # netgen imports this module
+            label = ("(terminal)" if rule.match_key() == TERMINAL_DENY.match_key()
+                     else "(no remark)")
         return rule.action, f"[{match.index}] {rule.action} {label}"
 
     def permitted(self, point: Packet, universe: IntervalSet) -> IntervalSet:

@@ -5,16 +5,16 @@ declarations (imports already merged under their namespace prefix), and a
 resolution pass builds the fully name-resolved :class:`PolicySpec`, with
 set expressions evaluated, port-group references substituted, and every
 name checked against the declaration registry.  The main file is
-tokenized and parsed once per :func:`parse_policy` call.  An imported
-file is parsed once per process for each (file label, text) pair: its
-raw declarations are immutable, so every later import of the same text
-shares them.  A set expression's ``,`` segments are united in one n-ary
-union, so the work grows linearly with the policy.
+tokenized and parsed once per :func:`parse_policy` call.  The calls
+that share one import memo parse each imported (file label, text) pair
+once between them: its raw declarations are immutable, so every later
+import of the same text shares them.  A set expression's ``,`` segments
+are united in one n-ary union, so the work grows linearly with the
+policy.
 """
 
 from __future__ import annotations
 
-import functools
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
 
@@ -43,10 +43,9 @@ from forestfw.policy_lang.syntax import (
     ZoneGroup,
 )
 
-# Maps a dotted import to the library's source text, or to a (file label,
-# text) pair whose label names the library file in diagnostics; an importer
-# that returns only text is labelled with the dotted name.
-Importer = Callable[[str], str | tuple[str, str]]
+# Maps a dotted import to a (file label, source text) pair; the label names
+# the library file in diagnostics.
+Importer = Callable[[str], tuple[str, str]]
 
 _LIBRARY_ROOT = Path(__file__).parent / "library"
 
@@ -54,8 +53,6 @@ _SET_OPS = (",", "^", "\\")
 # braced values and groups nest by recursion; deeper nesting is refused,
 # not a crash
 _MAX_NESTING = 64
-# distinct imported (file label, text) pairs whose parse is kept
-_IMPORT_MEMO_SIZE = 128
 
 _SetT = TypeVar("_SetT")  # ServiceSet or _ZoneTerm
 
@@ -82,7 +79,7 @@ def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
 
 # ---------------------------------------------------------------------------
 # raw declarations from the syntactic pass; immutable, so that the parse
-# of an imported file can be shared
+# of an imported file can be shared between parse_policy calls
 
 class _RawDecl(NamedTuple):
     kind: str  # service | service_group | port_group | zone_group | policy_rule | rule_group | reporting_rule | policy
@@ -172,13 +169,6 @@ def _parse_file(text: str, file: str) -> _RawFile:
         else:
             decls.append(_parse_decl(ts))
     return _RawFile(tuple(imports), declared_model, tuple(decls))
-
-
-@functools.lru_cache(maxsize=_IMPORT_MEMO_SIZE)
-def _parse_import(text: str, file: str) -> _RawFile:
-    """``_parse_file`` for an imported file, memoized per process: an
-    edited library has new text and is parsed afresh."""
-    return _parse_file(text, file)
 
 
 def _expect_name(ts: _TokenStream) -> str:
@@ -392,9 +382,11 @@ def _prefix_decls(decls: tuple[_RawDecl, ...], prefix: str) -> list[_RawDecl]:
     return out
 
 
-def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]) -> _RawFile:
+def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool],
+             memo: dict[tuple[str, str], _RawFile]) -> _RawFile:
     """``raw`` with the declarations of its imports, transitively, merged in
-    front of its own; each imported file is parsed here, once."""
+    front of its own; an imported file is parsed here unless ``memo`` holds
+    its (file label, text), so an edited library is parsed afresh."""
     merged: list[_RawDecl] = []
     for dotted in raw.imports:
         if dotted in seen:
@@ -402,9 +394,11 @@ def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]
                 raise PolicyError(f"import cycle through {dotted!r}", file)
             continue
         seen[dotted] = False
-        source = importer(dotted)
-        label, text = source if isinstance(source, tuple) else (dotted, source)
-        imported = _collect(_parse_import(text, label), label, importer, seen)
+        label, text = importer(dotted)
+        parsed = memo.get((label, text))
+        if parsed is None:
+            parsed = memo[label, text] = _parse_file(text, label)
+        imported = _collect(parsed, label, importer, seen, memo)
         seen[dotted] = True
         prefix = dotted.rsplit(".", 1)[-1]
         merged.extend(_prefix_decls(imported.decls, prefix))
@@ -705,12 +699,17 @@ def block_names(value: Value, key: str) -> list[str]:
 # ---------------------------------------------------------------------------
 # public entry points
 
-def parse_policy(text: str, importer: Importer | None = None,
-                 file: str = "<policy>") -> PolicySpec:
-    """Parse policy source into a fully name-resolved PolicySpec."""
+def parse_policy(text: str, importer: Importer | None = None, file: str = "<policy>",
+                 import_memo: dict | None = None) -> PolicySpec:
+    """Parse policy source into a fully name-resolved PolicySpec.
+
+    The calls given one ``import_memo`` dict, such as a policy and its
+    best-practice file, parse each imported (file label, text) once.
+    """
     importer = importer or default_importer()
     main = _parse_file(text, file)
-    raw = _collect(main, file, importer, seen={})
+    raw = _collect(main, file, importer, seen={},
+                   memo={} if import_memo is None else import_memo)
     return _Resolver(raw, file, text, main.decls).run()
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from forestfw import render
 from forestfw.cli import main
+from forestfw.policy_lang import parser
 from conftest import FIXTURES
 
 POLICY = str(FIXTURES / "scada_plant.policyml")
@@ -28,6 +29,27 @@ def test_check_passes_corrected_policy(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("OK:")
+
+
+def test_check_parses_each_library_once_per_command(monkeypatch, capsys):
+    # the policy and the best-practice file both import the two system
+    # libraries; each command parses each of them once, and a new command
+    # parses them again
+    parsed: list[str] = []
+    parse_file = parser._parse_file
+
+    def counting(text, file):
+        parsed.append(Path(file).name)
+        return parse_file(text, file)
+
+    monkeypatch.setattr(parser, "_parse_file", counting)
+    argv = ["check", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
+            "--best-practice", BEST_PRACTICE]
+    for runs in (1, 2):
+        assert main(argv) == 0
+        assert sorted(parsed) == sorted(runs * ["scada_plant_fixed.policyml", "scada_isa.policyml",
+                                                "iana_services.policyml", "iana_icmp.policyml"])
+    capsys.readouterr()
 
 
 def test_check_missing_file_is_usage_error(capsys):

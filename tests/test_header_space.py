@@ -59,6 +59,16 @@ def test_deciding_rule_is_named_without_comment_or_origin():
     assert table.decide(Packet(protocol=6, dport=443)) == ("permit", "[0] permit web (forward path)")
     assert table.decide(Packet(protocol=6, dport=80)) == ("permit", "[1] permit (no remark)")
     assert table.decide(Packet(protocol=17, dport=80)) == ("deny", "[2] deny (terminal)")
+    # only the fixed any-to-any deny is the terminal; other ip rules have no remark
+    corp = ipaddress.IPv4Network("10.1.0.0/16")
+    ip_permit = AclRule("permit", None, (ANY_NET,), (ANY_NET,))
+    assert MatchTable((ip_permit, terminal)).decide(Packet(protocol=17)) == (
+        "permit", "[0] permit (no remark)")
+    ip_deny = AclRule("deny", None, (corp,), (ANY_NET,))
+    assert MatchTable((ip_deny, terminal)).decide(Packet(protocol=6, src_addr=int(corp[1]))) == (
+        "deny", "[0] deny (no remark)")
+    logged = AclRule("deny", None, (ANY_NET,), (ANY_NET,), log=True)
+    assert MatchTable((logged,)).decide(Packet()) == ("deny", "[0] deny (no remark)")
 
 
 def test_first_match_first_wins():

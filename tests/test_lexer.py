@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import forestfw.policy_lang
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import default_importer, parse_policy, pretty_print, tokenize
-from forestfw.policy_lang import parser
 from conftest import FIXTURES
 from support import generated_policy_sources, tokenize_by_char
 
@@ -169,11 +168,14 @@ def test_tokenize_agrees_with_character_oracle_on_real_policies(name):
 def test_warm_import_memo_parses_like_a_cold_one(name):
     text = POLICY_SOURCES[name]
     importer = default_importer(search_paths=(FIXTURES,))
-    parser._parse_import.cache_clear()
-    cold = parse_policy(text, importer)
-    hits = parser._parse_import.cache_info().hits
-    warm = parse_policy(text, importer)
-    assert parser._parse_import.cache_info().hits - hits >= len(set(cold.imports))
+    memo: dict = {}
+    cold = parse_policy(text, importer, import_memo=memo)
+    parsed = dict(memo)
+    assert len(parsed) >= len(set(cold.imports))
+    warm = parse_policy(text, importer, import_memo=memo)
+    # every import was served from the memo, none parsed again
+    assert memo.keys() == parsed.keys()
+    assert all(memo[key] is raw for key, raw in parsed.items())
     assert pretty_print(warm) == pretty_print(cold)
     assert warm.services == cold.services
     assert warm.positions == cold.positions

@@ -326,15 +326,21 @@ def test_unresolved_import_reported():
         parse_policy("import no.such.library;")
 
 
+def dict_importer(sources: dict[str, str]):
+    """An importer over in-memory sources, labelling each by its dotted name."""
+    return lambda dotted: (dotted, sources[dotted])
+
+
 def test_import_cycle_detected():
     sources = {
         "lib.a": "import lib.b;\nservice sa { protocol=tcp; tcp.dest_port=1; }",
         "lib.b": "import lib.a;\nservice sb { protocol=tcp; tcp.dest_port=2; }",
     }
     # the second call finds lib.a and lib.b in the import memo
+    memo: dict = {}
     for _ in range(2):
         with pytest.raises(PolicyError, match="import cycle"):
-            parse_policy("import lib.a;", importer=sources.__getitem__)
+            parse_policy("import lib.a;", importer=dict_importer(sources), import_memo=memo)
 
 
 def test_repeated_import_is_idempotent():
@@ -343,9 +349,10 @@ def test_repeated_import_is_idempotent():
         "lib.mid": "import lib.shared;",
     }
     # the second call finds lib.shared and lib.mid in the import memo
+    memo: dict = {}
     for _ in range(2):
         spec = parse_policy("import lib.shared;\nimport lib.mid;",
-                            importer=sources.__getitem__)
+                            importer=dict_importer(sources), import_memo=memo)
         assert "shared.s" in spec.services
 
 
@@ -353,9 +360,10 @@ def test_edited_library_is_parsed_afresh(tmp_path):
     lib = tmp_path / "mylib" / "svc.policyml"
     lib.parent.mkdir()
     importer = default_importer(search_paths=(tmp_path,))
+    memo: dict = {}
     for port in (80, 8080, 80):
         lib.write_text(f"service web {{ protocol=tcp; tcp.dest_port={port}; }}\n")
-        spec = parse_policy("import mylib.svc;", importer)
+        spec = parse_policy("import mylib.svc;", importer, import_memo=memo)
         assert spec.services["svc.web"].dest_ports == (PortRange(port, port),)
 
 
@@ -370,7 +378,7 @@ def test_error_in_imported_file_names_its_path(tmp_path, body, col, message):
     with pytest.raises(PolicyError) as err:
         parse_policy("import mylib.svc;", default_importer(search_paths=(tmp_path,)))
     assert str(err.value) == f"{lib}:1:{col}: error: {message}"
-    # an importer that returns only the text labels the file by its dotted name
+    # an importer may label the file by its dotted name instead
     with pytest.raises(PolicyError) as err:
-        parse_policy("import mylib.svc;", importer={"mylib.svc": body}.__getitem__)
+        parse_policy("import mylib.svc;", importer=dict_importer({"mylib.svc": body}))
     assert str(err.value) == f"mylib.svc:1:{col}: error: {message}"
