@@ -103,15 +103,16 @@ def cmd_compile(args: argparse.Namespace) -> int:
     staging = Path(tempfile.mkdtemp(prefix=".forestfw-", dir=out_dir.parent or Path(".")))
     try:
         templates = Path(args.templates) if args.templates else None
+        cache = render.RenderCache(policy.log_denies)  # lives for this command only
         iptables_configs = []
         for firewall in policy.firewalls():
             (staging / f"{firewall}.neutral.acl").write_text(
-                render.render_neutral_file(policy, firewall), encoding="utf-8")
-            iptables = render.render_device(policy, firewall, "iptables_like", templates)
+                render.render_neutral_file(policy, firewall, cache), encoding="utf-8")
+            iptables = render.render_device(policy, firewall, "iptables_like", templates, cache)
             (staging / f"{firewall}.iptables.txt").write_text(iptables, encoding="utf-8")
             iptables_configs.append(iptables)
             (staging / f"{firewall}.asa.txt").write_text(
-                render.render_device(policy, firewall, "asa_like", templates),
+                render.render_device(policy, firewall, "asa_like", templates, cache),
                 encoding="utf-8")
         (staging / "zone_firewall.dot").write_text(
             export_graph(policy.model, "zone_firewall"), encoding="utf-8")

@@ -6,6 +6,13 @@ ending in the fixed terminal ``deny~ip~from~any~to~any~sport~~dport~~state~``.
 It round-trips exactly through :func:`parse_neutral`.  Device targets
 (an iptables-like and an ASA-like dialect) are rendered from template
 files with substitution slots and carry rule provenance as comments.
+
+One compile renders each rule many times: once per dialect, and once
+more for every ACL and firewall that holds the same :class:`AclRule`
+object.  A :class:`RenderCache` made for one compile builds each distinct
+rule's text once, each dialect's part when that dialect first asks for
+it, and loads each template once.  It lives only as long as the compile
+that made it; a render call given no cache makes its own.
 """
 
 from __future__ import annotations
@@ -20,14 +27,14 @@ from typing import Callable, Iterable
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.header_space import STATE_BITS
 from forestfw.netgen import (
-    ANY_NET,
     Acl,
     AclRule,
     InterfaceAssignment,
     NetworkPolicy,
 )
-from forestfw.policy_lang.syntax import (ICMP_TYPE_MAX, PORT_MAX, PROTOCOL_NAMES,
-                                         PROTOCOL_NUMBERS, PolicySpec, PortRange)
+from forestfw.policy_lang.syntax import (FULL_PORT_RANGE, ICMP_TYPE_MAX, PORT_MAX,
+                                         PROTOCOL_NAMES, PROTOCOL_NUMBERS, PolicySpec,
+                                         PortRange)
 from forestfw.topo_model import LOCAL_INTERFACE
 
 NEUTRAL_HEADER = "INFO Vendor neutral network-level ruleset for ACL: "
@@ -38,7 +45,7 @@ VENDORS = ("neutral", "iptables_like", "asa_like")
 
 
 # ---------------------------------------------------------------------------
-# vendor-neutral format
+# rule text, shared by the neutral format and the device dialects
 
 def _ports_text(ranges: tuple[PortRange, ...]) -> str:
     if not ranges:
@@ -47,15 +54,9 @@ def _ports_text(ranges: tuple[PortRange, ...]) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _addr_text(nets: tuple[ipaddress.IPv4Network, ...]) -> str:
-    if len(nets) == 1 and nets[0].prefixlen == 0:
-        return "any"
-    return ",".join(str(n) for n in nets)
-
-
 class _Memo(dict):
-    """``compute(key)`` for each key, computed once: one per render or
-    parse call, where the same address and port fields recur."""
+    """``compute(key)`` for each key, computed once: one per render cache
+    or parse call, where the same address and port fields recur."""
 
     def __init__(self, compute: Callable) -> None:
         super().__init__()
@@ -72,56 +73,177 @@ def _proto_text(protocol: int | None) -> str:
     return PROTOCOL_NAMES.get(protocol, str(protocol))
 
 
+def _operators(ranges: tuple[PortRange, ...], single: str, span: str) -> list[str]:
+    """A device's port operator for each range, formatted from ``single``
+    or ``span``; the whole port range, or no range, is left unwritten."""
+    return ["" if r == FULL_PORT_RANGE else single.format(r.lo) if r.lo == r.hi
+            else span.format(r.lo, r.hi) for r in ranges] or [""]
+
+
+class _RuleText:
+    """One rule's text: the fields every dialect shares, computed with the
+    entry, and each dialect's own text, computed when that dialect first
+    renders the rule from the cache's memos."""
+
+    __slots__ = ("rule", "proto", "src", "dst", "log", "provenance",
+                 "_neutral", "_iptables", "_asa")
+
+    def __init__(self, rule: AclRule, src: str, dst: str, log_denies: bool) -> None:
+        self.rule = rule  # keeps the rule, and so its id(), alive as long as the entry
+        self.proto = _proto_text(rule.protocol)
+        self.src = src
+        self.dst = dst
+        # the devices log what the rule logs and, if the policy says so,
+        # every deny; the neutral format carries the rule's own flag only
+        self.log = rule.log or (rule.action == "deny" and log_denies)
+        self.provenance = _provenance(rule)
+        self._neutral: str | None = None
+        self._iptables: list[str] | None = None
+        self._asa: list[tuple[str, str]] | None = None
+
+    def neutral(self, cache: RenderCache) -> str:
+        if self._neutral is None:
+            rule = self.rule
+            # only the any -> any ip deny takes the fixed form, whatever its log flag
+            if (rule.action == "deny" and rule.protocol is None and self.src == self.dst == "any"
+                    and not (rule.sport or rule.dport or rule.state)):
+                self._neutral = TERMINAL_DENY_LINE
+            else:
+                ports = cache.neutral_ports
+                self._neutral = "~".join((
+                    rule.action, self.proto, "from", self.src, "to", self.dst,
+                    "sport", ports[rule.sport], "dport", ports[rule.dport],
+                    "state", ",".join(rule.state))) + ("~log" if rule.log else "")
+        return self._neutral
+
+    def iptables(self, cache: RenderCache) -> list[str]:
+        """Match-expression variants, one per port-range combination or ICMP type."""
+        if self._iptables is None:
+            rule = self.rule
+            base = ""
+            if rule.protocol is not None:
+                base += f" -p {self.proto}"
+            if self.src != "any":
+                base += f" -s {self.src}"
+            if self.dst != "any":
+                base += f" -d {self.dst}"
+            state = f" -m state --state {','.join(rule.state)}" if rule.state else ""
+            if rule.protocol in (6, 17):
+                self._iptables = [base + sport + dport + state
+                                  for sport in cache.iptables_sports[rule.sport]
+                                  for dport in cache.iptables_dports[rule.dport]]
+            elif rule.protocol == 1 and rule.dport:
+                self._iptables = [f"{base} --icmp-type {icmp_type}{state}"
+                                  for lo, hi in rule.dport for icmp_type in range(lo, hi + 1)]
+            else:
+                self._iptables = [base + state]
+        return self._iptables
+
+    def asa(self, cache: RenderCache) -> list[tuple[str, str]]:
+        """(source, destination) port operator variants: each operator is
+        written after its own address."""
+        if self._asa is None:
+            rule = self.rule
+            if rule.protocol in (6, 17):
+                ports = cache.asa_ports
+                self._asa = [(sport, dport) for sport in ports[rule.sport]
+                             for dport in ports[rule.dport]]
+            elif rule.protocol == 1 and rule.dport:
+                self._asa = [("", f" {lo}" if lo == hi else f" range {lo} {hi}")
+                             for lo, hi in rule.dport]
+            else:
+                self._asa = [("", "")]
+        return self._asa
+
+
+def _provenance(rule: AclRule) -> str:
+    """``<rule_name>: <service comment>`` so nobody wonders why a rule exists."""
+    if not rule.origin_rule:
+        return ""
+    what = rule.service_comment or rule.origin_service
+    return f"{rule.origin_rule}: {what}"
+
+
+class RenderCache:
+    """The text one compile renders more than once: each distinct rule's
+    fields, each port list's text per dialect, and each device template.
+
+    Firewalls and ACLs share :class:`AclRule` objects, so an entry is
+    keyed by the rule's identity (hashing a rule would hash its networks,
+    which costs more than the text it saves); the entry keeps its rule
+    alive, so the key is not reused while the cache lives.  Each address
+    network's text is kept the same way.  Make one per compile, for the
+    policy whose ``log_denies`` it is given, and pass it to every render
+    call of that compile; a render call without one makes its own.
+    """
+
+    def __init__(self, log_denies: bool = False) -> None:
+        self.log_denies = log_denies
+        self._rules: dict[int, _RuleText] = {}
+        self._nets: dict[int, tuple[ipaddress.IPv4Network, str, str]] = {}
+        self._templates: dict[tuple[str, Path | None], DeviceTemplate] = {}
+        self.neutral_ports = _Memo(_ports_text)
+        self.iptables_sports = _Memo(lambda r: _operators(r, " --sport {}", " --sport {}:{}"))
+        self.iptables_dports = _Memo(lambda r: _operators(r, " --dport {}", " --dport {}:{}"))
+        self.asa_ports = _Memo(lambda r: _operators(r, " eq {}", " range {} {}"))
+
+    def rule(self, rule: AclRule) -> _RuleText:
+        text = self._rules.get(id(rule))
+        if text is None:
+            text = self._rules[id(rule)] = _RuleText(
+                rule, self._addresses(rule.src), self._addresses(rule.dst), self.log_denies)
+        return text
+
+    def _addresses(self, nets: tuple[ipaddress.IPv4Network, ...]) -> str:
+        if len(nets) == 1:
+            entry = self._nets.get(id(nets[0])) or self._net(nets[0])
+            return entry[2]
+        return ",".join((self._nets.get(id(net)) or self._net(net))[1] for net in nets)
+
+    def _net(self, net: ipaddress.IPv4Network) -> tuple[ipaddress.IPv4Network, str, str]:
+        """(net, its text, its text as a whole address field)."""
+        text = str(net)
+        entry = self._nets[id(net)] = (net, text, "any" if net.prefixlen == 0 else text)
+        return entry
+
+    def template(self, vendor_id: str, templates_dir: Path | None) -> DeviceTemplate:
+        key = (vendor_id, templates_dir)
+        if key not in self._templates:
+            self._templates[key] = load_template(vendor_id, templates_dir)
+        return self._templates[key]
+
+
+# ---------------------------------------------------------------------------
+# vendor-neutral format
+
 def render_rule_neutral(rule: AclRule) -> str:
-    return _rule_line(rule, _Memo(_addr_text))
-
-
-def _rule_line(rule: AclRule, addrs: _Memo) -> str:
-    # only the any -> any ip deny takes the fixed form, whatever its log flag
-    if (rule.action == "deny" and rule.protocol is None and rule.src == rule.dst == (ANY_NET,)
-            and not (rule.sport or rule.dport or rule.state)):
-        return TERMINAL_DENY_LINE
-    fields = [
-        rule.action,
-        _proto_text(rule.protocol),
-        "from",
-        addrs[rule.src],
-        "to",
-        addrs[rule.dst],
-        "sport",
-        _ports_text(rule.sport),
-        "dport",
-        _ports_text(rule.dport),
-        "state",
-        ",".join(rule.state),
-    ]
-    line = "~".join(fields)
-    if rule.log:
-        line += "~log"
-    return line
+    cache = RenderCache()
+    return cache.rule(rule).neutral(cache)
 
 
 def render_neutral(acl: Acl) -> str:
     """The vendor-neutral ruleset text for one ACL."""
-    return _acl_text(acl, _Memo(_addr_text))
+    return _acl_text(acl, RenderCache())
 
 
-def _acl_text(acl: Acl, addrs: _Memo) -> str:
+def _acl_text(acl: Acl, cache: RenderCache) -> str:
     lines = [NEUTRAL_HEADER + acl.name]
+    rule_text = cache.rule
     last_comment = None
     for rule in acl.rules:
         if rule.comment and rule.comment != last_comment:
             lines.append(f"  remark~{rule.comment}")
         if rule.comment:
             last_comment = rule.comment
-        lines.append("  " + _rule_line(rule, addrs))
+        lines.append("  " + rule_text(rule).neutral(cache))
     return "\n".join(lines) + "\n"
 
 
-def render_neutral_file(policy: NetworkPolicy, firewall: str) -> str:
+def render_neutral_file(policy: NetworkPolicy, firewall: str,
+                        cache: RenderCache | None = None) -> str:
     """All of a firewall's ACLs in assignment order."""
-    addrs = _Memo(_addr_text)
-    return "\n".join(_acl_text(acl, addrs) for acl in policy.acls[firewall])
+    cache = cache or RenderCache(policy.log_denies)
+    return "\n".join(_acl_text(acl, cache) for acl in policy.acls[firewall])
 
 
 def _parse_ports(text: str, limit: int = PORT_MAX) -> tuple[PortRange, ...]:
@@ -245,176 +367,180 @@ def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, ports: _Memo,
 # ---------------------------------------------------------------------------
 # device templates
 
+# the sections of each dialect's template and the slots each one is given,
+# as the template writes them
+_TEMPLATE_SLOTS: dict[str, dict[str, frozenset[str]]] = {
+    "iptables_like": {
+        "header": frozenset({"{firewall}"}),
+        "chain_decl": frozenset({"{acl}"}),
+        "bind_forward": frozenset({"{interface}", "{acl}"}),
+        "bind_input": frozenset({"{acl}"}),
+        "bind_output": frozenset({"{acl}"}),
+        "remark": frozenset({"{text}"}),
+        "rule": frozenset({"{acl}", "{match}", "{target}"}),
+        "log_rule": frozenset({"{acl}", "{match}", "{prefix}"}),
+        "footer": frozenset(),
+    },
+    "asa_like": {
+        "header": frozenset({"{firewall}"}),
+        "remark": frozenset({"{acl}", "{text}"}),
+        "rule": frozenset({"{acl}", "{action}", "{proto}", "{src}", "{sport}", "{dst}",
+                           "{dport}", "{log}"}),
+        "bind": frozenset({"{acl}", "{direction}", "{interface}"}),
+        "footer": frozenset(),
+    },
+}
+
+# a literal brace pair, a slot, or a brace that pairs with nothing
+_BRACES = re.compile(r"\{(?:\{|[^{}]*\})?|\}\}?")
+_LITERAL_BRACES = frozenset({"{{", "}}"})
+
+
 @dataclass(frozen=True)
 class DeviceTemplate:
-    vendor_id: str
-    sections: dict[str, str]
+    """A dialect's template: each section's ``str.format``, bound once."""
 
-    def format(self, section: str, **slots: str) -> str:
-        return self.sections[section].format(**slots)
+    vendor_id: str
+    formats: dict[str, Callable[..., str]]
 
 
 def load_template(vendor_id: str, templates_dir: Path | None = None) -> DeviceTemplate:
+    """Read and check ``<vendor_id>.tmpl``: every section of the dialect is
+    present once, and each names only the slots it is given.  A template
+    that is missing, unreadable or fails the check raises
+    :class:`InputError` naming the file and the line."""
     root = Path(templates_dir) if templates_dir else _TEMPLATE_DIR
     path = root / f"{vendor_id}.tmpl"
-    if not path.is_file():
-        raise PolicyError(f"no template for vendor {vendor_id!r} under {root}")
-    sections: dict[str, str] = {}
+    file = str(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"no template for vendor {vendor_id!r}", file) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read template: {exc}", file) from exc
+    wanted = _TEMPLATE_SLOTS[vendor_id]
+    sections: dict[str, tuple[int, str]] = {}  # name -> (line of its header, text)
     current: str | None = None
+    header_line = 0
     buf: list[str] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if line.startswith("[") and line.endswith("]"):
             if current is not None:
-                sections[current] = "\n".join(buf).strip("\n")
+                sections[current] = (header_line, "\n".join(buf))
             current = line[1:-1]
-            buf = []
-        else:
+            if current not in wanted:
+                raise InputError(f"unknown section [{current}]", file, lineno, 1)
+            if current in sections:
+                raise InputError(f"second [{current}] section", file, lineno, 1)
+            header_line, buf = lineno, []
+        elif current is not None:
             buf.append(line)
     if current is not None:
-        sections[current] = "\n".join(buf).strip("\n")
-    return DeviceTemplate(vendor_id, sections)
+        sections[current] = (header_line, "\n".join(buf))
+    missing = [name for name in wanted if name not in sections]
+    if missing:
+        raise InputError(f"no [{missing[0]}] section", file)
+    formats = {}
+    for name, (header_line, body) in sections.items():
+        _check_slots(body, wanted[name], name, file, header_line)
+        formats[name] = body.strip("\n").format
+    return DeviceTemplate(vendor_id, formats)
 
 
-def _iptables_matches(rule: AclRule, addrs: _Memo) -> list[str]:
-    """Match-expression variants for one rule (one per port-range combo)."""
-    base = ""
-    if rule.protocol is not None:
-        base += f" -p {_proto_text(rule.protocol)}"
-    src = addrs[rule.src]
-    dst = addrs[rule.dst]
-    if src != "any":
-        base += f" -s {src}"
-    if dst != "any":
-        base += f" -d {dst}"
-    state = f" -m state --state {','.join(rule.state)}" if rule.state else ""
-
-    def port_flag(flag: str, r: PortRange) -> str:
-        return f" {flag} {r.lo}" if r.lo == r.hi else f" {flag} {r.lo}:{r.hi}"
-
-    variants: list[str] = []
-    if rule.protocol in (6, 17):
-        sports = rule.sport or (PortRange(0, 65535),)
-        dports = rule.dport or (PortRange(0, 65535),)
-        for sp in sports:
-            for dp in dports:
-                piece = base
-                if sp != PortRange(0, 65535):
-                    piece += port_flag("--sport", sp)
-                if dp != PortRange(0, 65535):
-                    piece += port_flag("--dport", dp)
-                variants.append(piece + state)
-    elif rule.protocol == 1 and rule.dport:
-        for lo, hi in rule.dport:
-            for icmp_type in range(lo, hi + 1):
-                variants.append(base + f" --icmp-type {icmp_type}" + state)
-    else:
-        variants.append(base + state)
-    return variants
+def _check_slots(body: str, slots: frozenset[str], section: str, file: str,
+                 header_line: int) -> None:
+    """Raise for the first brace in ``body`` that is neither a literal pair
+    nor one of ``slots``, at its line and column in the file."""
+    if set(_BRACES.findall(body)) - _LITERAL_BRACES <= slots:
+        return
+    for match in _BRACES.finditer(body):
+        brace = match.group()
+        if brace in slots or brace in _LITERAL_BRACES:
+            continue
+        offset = match.start()
+        line = header_line + 1 + body.count("\n", 0, offset)
+        col = offset - body.rfind("\n", 0, offset)
+        if len(brace) == 1:
+            raise InputError(f"unpaired {brace!r} in [{section}] (write {brace * 2} "
+                             f"for a literal brace)", file, line, col)
+        raise InputError(f"[{section}] has no slot {brace}; its slots are "
+                         + ", ".join(sorted(slots)), file, line, col)
 
 
 def render_device(policy: NetworkPolicy, firewall: str, vendor_id: str,
-                  templates_dir: Path | None = None) -> str:
+                  templates_dir: Path | None = None, cache: RenderCache | None = None) -> str:
     """Render one firewall's configuration for a device target."""
+    cache = cache or RenderCache(policy.log_denies)
     if vendor_id == "neutral":
-        return render_neutral_file(policy, firewall)
+        return render_neutral_file(policy, firewall, cache)
     if vendor_id not in VENDORS:
         raise PolicyError(f"unknown vendor {vendor_id!r}")
     if firewall not in policy.acls:
         raise PolicyError(f"unknown firewall {firewall!r}")
-    template = load_template(vendor_id, templates_dir)
+    template = cache.template(vendor_id, templates_dir)
     assignments = [a for a in policy.assignments if a.firewall == firewall]
     if vendor_id == "iptables_like":
-        return _render_iptables(policy, firewall, template, assignments)
-    return _render_asa(policy, firewall, template, assignments)
-
-
-def _provenance(rule: AclRule) -> str:
-    """``<rule_name>: <service comment>`` so nobody wonders why a rule exists."""
-    if not rule.origin_rule:
-        return ""
-    what = rule.service_comment or rule.origin_service
-    return f"{rule.origin_rule}: {what}"
+        return _render_iptables(policy, firewall, template, assignments, cache)
+    return _render_asa(policy, firewall, template, assignments, cache)
 
 
 def _render_iptables(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
-                     assignments: list[InterfaceAssignment]) -> str:
-    out = [template.format("header", firewall=firewall)]
-    addrs = _Memo(_addr_text)
+                     assignments: list[InterfaceAssignment], cache: RenderCache) -> str:
+    formats = template.formats
+    remark, rule_line, log_line = formats["remark"], formats["rule"], formats["log_rule"]
+    out = [formats["header"](firewall=firewall)]
     for a in assignments:
-        out.append(template.format("chain_decl", acl=a.acl))
+        out.append(formats["chain_decl"](acl=a.acl))
     for a in assignments:
         if a.interface == LOCAL_INTERFACE:
             section = "bind_input" if a.direction == "inbound" else "bind_output"
-            out.append(template.format(section, acl=a.acl))
+            out.append(formats[section](acl=a.acl))
         else:
-            out.append(template.format("bind_forward", interface=a.interface, acl=a.acl))
+            out.append(formats["bind_forward"](interface=a.interface, acl=a.acl))
     for a in assignments:
         acl = policy.acl_by_name(firewall, a.acl)
+        prefix = f"{a.acl}: "
         last_comment = None
         for rule in acl.rules:
             if rule.comment and rule.comment != last_comment:
-                out.append(template.format("remark", text=rule.comment))
+                out.append(remark(text=rule.comment))
                 last_comment = rule.comment
-            provenance = _provenance(rule)
-            if provenance:
-                out.append(template.format("remark", text=provenance))
+            text = cache.rule(rule)
+            if text.provenance:
+                out.append(remark(text=text.provenance))
             target = "ACCEPT" if rule.action == "permit" else "DROP"
-            log = rule.log or (rule.action == "deny" and policy.log_denies)
-            for match in _iptables_matches(rule, addrs):
-                if log:
-                    out.append(template.format("log_rule", acl=a.acl, match=match,
-                                               prefix=f"{a.acl}: "))
-                out.append(template.format("rule", acl=a.acl, match=match, target=target))
-    out.append(template.format("footer"))
+            for match in text.iptables(cache):
+                if text.log:
+                    out.append(log_line(acl=a.acl, match=match, prefix=prefix))
+                out.append(rule_line(acl=a.acl, match=match, target=target))
+    out.append(formats["footer"]())
     return "\n".join(out) + "\n"
 
 
-def _asa_ports(rule: AclRule) -> list[str]:
-    if rule.protocol in (6, 17):
-        variants = []
-        sports = rule.sport or (PortRange(0, 65535),)
-        dports = rule.dport or (PortRange(0, 65535),)
-        for sp in sports:
-            for dp in dports:
-                text = ""
-                if sp != PortRange(0, 65535):
-                    text += f" range {sp.lo} {sp.hi}" if sp.lo != sp.hi else f" eq {sp.lo}"
-                # ASA puts the source operator before the destination address,
-                # but this sketch keeps both after for readability
-                if dp != PortRange(0, 65535):
-                    text += f" range {dp.lo} {dp.hi}" if dp.lo != dp.hi else f" eq {dp.lo}"
-                variants.append(text)
-        return variants
-    if rule.protocol == 1 and rule.dport:
-        return [f" {lo}" if lo == hi else f" range {lo} {hi}" for lo, hi in rule.dport]
-    return [""]
-
-
 def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
-                assignments: list[InterfaceAssignment]) -> str:
-    out = [template.format("header", firewall=firewall)]
-    addrs = _Memo(_addr_text)
+                assignments: list[InterfaceAssignment], cache: RenderCache) -> str:
+    formats = template.formats
+    remark, rule_line = formats["remark"], formats["rule"]
+    out = [formats["header"](firewall=firewall)]
     for a in assignments:
         acl = policy.acl_by_name(firewall, a.acl)
         last_comment = None
         for rule in acl.rules:
             if rule.comment and rule.comment != last_comment:
-                out.append(template.format("remark", acl=a.acl, text=rule.comment))
+                out.append(remark(acl=a.acl, text=rule.comment))
                 last_comment = rule.comment
-            provenance = _provenance(rule)
-            if provenance:
-                out.append(template.format("remark", acl=a.acl, text=provenance))
-            for ports in _asa_ports(rule):
-                out.append(template.format(
-                    "rule", acl=a.acl, action=rule.action,
-                    proto=_proto_text(rule.protocol), src=addrs[rule.src],
-                    dst=addrs[rule.dst], ports=ports,
-                    log=" log" if rule.log else ""))
+            text = cache.rule(rule)
+            if text.provenance:
+                out.append(remark(acl=a.acl, text=text.provenance))
+            log = " log" if text.log else ""
+            for sport, dport in text.asa(cache):
+                out.append(rule_line(acl=a.acl, action=rule.action, proto=text.proto,
+                                     src=text.src, sport=sport, dst=text.dst, dport=dport,
+                                     log=log))
     for a in assignments:
         direction = "in" if a.direction == "inbound" else "out"
-        out.append(template.format("bind", acl=a.acl, direction=direction,
-                                   interface=a.interface))
-    out.append(template.format("footer"))
+        out.append(formats["bind"](acl=a.acl, direction=direction, interface=a.interface))
+    out.append(formats["footer"]())
     return "\n".join(out) + "\n"
 
 
@@ -552,14 +678,29 @@ def build_manifest(policy: NetworkPolicy) -> dict:
 
 
 def manifest_json(policy: NetworkPolicy) -> str:
-    return json.dumps(build_manifest(policy), indent=1, sort_keys=True) + "\n"
+    """The manifest as JSON, keys sorted: one line per top-level key, and
+    one line per entry of a list- or dict-valued key, so that a diff of
+    two manifests shows the flows, assignments or zones that changed."""
+    lines = []
+    for key, value in sorted(build_manifest(policy).items()):
+        if isinstance(value, list) and value:
+            body = ",\n".join("  " + json.dumps(entry, sort_keys=True) for entry in value)
+            value_text = f"[\n{body}\n ]"
+        elif isinstance(value, dict) and value:
+            body = ",\n".join(f"  {json.dumps(name)}: {json.dumps(entry, sort_keys=True)}"
+                               for name, entry in sorted(value.items()))
+            value_text = f"{{\n{body}\n }}"
+        else:
+            value_text = json.dumps(value)
+        lines.append(f" {json.dumps(key)}: {value_text}")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _count_loc(text: str, comment_prefixes: tuple[str, ...]) -> int:
     count = 0
     for line in text.splitlines():
         stripped = line.strip()
-        if stripped and not any(stripped.startswith(p) for p in comment_prefixes):
+        if stripped and not stripped.startswith(comment_prefixes):
             count += 1
     return count
 

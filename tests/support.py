@@ -4,21 +4,23 @@ The oracles stay deliberately independent of the library's own set
 algebra: accept sets are materialized as dense numpy grids and compared
 pointwise, negative vetting is replayed one packet at a time, path
 selection is checked against the exhaustive enumerate-then-filter search,
-the lexer against a character-at-a-time tokenizer and the overlap check
-against an all-pairs comparison.
+the lexer against a character-at-a-time tokenizer, the overlap check
+against an all-pairs comparison and the renderers against their form
+before the per-compile rule text cache.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import itertools
+import json
 import random
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from forestfw import intervals
+from forestfw import intervals, render
 from forestfw.canonical import CanonicalPolicy
 from forestfw.checker import (
     HIGH_LEVEL_OVERLAP,
@@ -31,6 +33,7 @@ from forestfw.header_space import MatchTable, matches
 from forestfw.netgen import ANY_NET, AclRule, enumerate_paths, hop_acls
 from forestfw.policy_lang.lexer import KEYWORDS, Token
 from forestfw.policy_lang.syntax import (
+    PROTOCOL_NAMES,
     FlowRule,
     PortRange,
     Service,
@@ -38,6 +41,7 @@ from forestfw.policy_lang.syntax import (
     effective_icmp_types,
     effective_sports,
 )
+from forestfw.render import NEUTRAL_HEADER, TERMINAL_DENY_LINE
 from forestfw.sim import (
     ESTABLISHED,
     NEW,
@@ -623,6 +627,224 @@ def find_rule_overlaps_all_pairs(flows) -> list[OverlapReport]:
 
 
 # ---------------------------------------------------------------------------
+# renderer oracle: the renderers as they were before the per-compile rule
+# text cache, changed only where the ASA dialect was wrong.  The ASA rule
+# writes the source port operator after the source address and the
+# destination operator after the destination address, and logs every deny
+# when the policy logs denies, as the iptables dialect does.
+
+class _OracleMemo(dict):
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _oracle_ports_text(ranges) -> str:
+    if not ranges:
+        return ""
+    parts = [str(r.lo) if r.lo == r.hi else f"'{r.lo}-{r.hi}'" for r in ranges]
+    return "[" + ", ".join(parts) + "]"
+
+
+def _oracle_addr_text(nets) -> str:
+    if len(nets) == 1 and nets[0].prefixlen == 0:
+        return "any"
+    return ",".join(str(n) for n in nets)
+
+
+def _oracle_proto_text(protocol) -> str:
+    if protocol is None:
+        return "ip"
+    return PROTOCOL_NAMES.get(protocol, str(protocol))
+
+
+def _oracle_rule_line(rule: AclRule, addrs) -> str:
+    if (rule.action == "deny" and rule.protocol is None and rule.src == rule.dst == (ANY_NET,)
+            and not (rule.sport or rule.dport or rule.state)):
+        return TERMINAL_DENY_LINE
+    fields = [rule.action, _oracle_proto_text(rule.protocol), "from", addrs[rule.src],
+              "to", addrs[rule.dst], "sport", _oracle_ports_text(rule.sport),
+              "dport", _oracle_ports_text(rule.dport), "state", ",".join(rule.state)]
+    line = "~".join(fields)
+    if rule.log:
+        line += "~log"
+    return line
+
+
+def _oracle_acl_text(acl, addrs) -> str:
+    lines = [NEUTRAL_HEADER + acl.name]
+    last_comment = None
+    for rule in acl.rules:
+        if rule.comment and rule.comment != last_comment:
+            lines.append(f"  remark~{rule.comment}")
+        if rule.comment:
+            last_comment = rule.comment
+        lines.append("  " + _oracle_rule_line(rule, addrs))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_render_neutral_file(policy, firewall: str) -> str:
+    addrs = _OracleMemo(_oracle_addr_text)
+    return "\n".join(_oracle_acl_text(acl, addrs) for acl in policy.acls[firewall])
+
+
+def _oracle_template(vendor_id: str) -> dict[str, str]:
+    """The packaged template's sections, read as the old loader read them."""
+    path = Path(render.__file__).parent / "templates" / f"{vendor_id}.tmpl"
+    sections: dict[str, str] = {}
+    current = None
+    buf: list[str] = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("[") and line.endswith("]"):
+            if current is not None:
+                sections[current] = "\n".join(buf).strip("\n")
+            current = line[1:-1]
+            buf = []
+        else:
+            buf.append(line)
+    if current is not None:
+        sections[current] = "\n".join(buf).strip("\n")
+    return sections
+
+
+def _oracle_iptables_matches(rule: AclRule, addrs) -> list[str]:
+    base = ""
+    if rule.protocol is not None:
+        base += f" -p {_oracle_proto_text(rule.protocol)}"
+    src = addrs[rule.src]
+    dst = addrs[rule.dst]
+    if src != "any":
+        base += f" -s {src}"
+    if dst != "any":
+        base += f" -d {dst}"
+    state = f" -m state --state {','.join(rule.state)}" if rule.state else ""
+
+    def port_flag(flag: str, r: PortRange) -> str:
+        return f" {flag} {r.lo}" if r.lo == r.hi else f" {flag} {r.lo}:{r.hi}"
+
+    variants: list[str] = []
+    if rule.protocol in (6, 17):
+        sports = rule.sport or (PortRange(0, 65535),)
+        dports = rule.dport or (PortRange(0, 65535),)
+        for sp in sports:
+            for dp in dports:
+                piece = base
+                if sp != PortRange(0, 65535):
+                    piece += port_flag("--sport", sp)
+                if dp != PortRange(0, 65535):
+                    piece += port_flag("--dport", dp)
+                variants.append(piece + state)
+    elif rule.protocol == 1 and rule.dport:
+        for lo, hi in rule.dport:
+            for icmp_type in range(lo, hi + 1):
+                variants.append(base + f" --icmp-type {icmp_type}" + state)
+    else:
+        variants.append(base + state)
+    return variants
+
+
+def _oracle_provenance(rule: AclRule) -> str:
+    if not rule.origin_rule:
+        return ""
+    what = rule.service_comment or rule.origin_service
+    return f"{rule.origin_rule}: {what}"
+
+
+def _oracle_render_iptables(policy, firewall: str, template: dict[str, str],
+                            assignments) -> str:
+    out = [template["header"].format(firewall=firewall)]
+    addrs = _OracleMemo(_oracle_addr_text)
+    for a in assignments:
+        out.append(template["chain_decl"].format(acl=a.acl))
+    for a in assignments:
+        if a.interface == LOCAL_INTERFACE:
+            section = "bind_input" if a.direction == "inbound" else "bind_output"
+            out.append(template[section].format(acl=a.acl))
+        else:
+            out.append(template["bind_forward"].format(interface=a.interface, acl=a.acl))
+    for a in assignments:
+        acl = policy.acl_by_name(firewall, a.acl)
+        last_comment = None
+        for rule in acl.rules:
+            if rule.comment and rule.comment != last_comment:
+                out.append(template["remark"].format(text=rule.comment))
+                last_comment = rule.comment
+            provenance = _oracle_provenance(rule)
+            if provenance:
+                out.append(template["remark"].format(text=provenance))
+            target = "ACCEPT" if rule.action == "permit" else "DROP"
+            log = rule.log or (rule.action == "deny" and policy.log_denies)
+            for match in _oracle_iptables_matches(rule, addrs):
+                if log:
+                    out.append(template["log_rule"].format(acl=a.acl, match=match,
+                                                           prefix=f"{a.acl}: "))
+                out.append(template["rule"].format(acl=a.acl, match=match, target=target))
+    out.append(template["footer"].format())
+    return "\n".join(out) + "\n"
+
+
+def _oracle_asa_ports(rule: AclRule) -> list[tuple[str, str]]:
+    """(source, destination) operator pairs."""
+    def operator(r: PortRange) -> str:
+        if r == PortRange(0, 65535):
+            return ""
+        return f" range {r.lo} {r.hi}" if r.lo != r.hi else f" eq {r.lo}"
+
+    if rule.protocol in (6, 17):
+        sports = rule.sport or (PortRange(0, 65535),)
+        dports = rule.dport or (PortRange(0, 65535),)
+        return [(operator(sp), operator(dp)) for sp in sports for dp in dports]
+    if rule.protocol == 1 and rule.dport:
+        return [("", f" {lo}" if lo == hi else f" range {lo} {hi}") for lo, hi in rule.dport]
+    return [("", "")]
+
+
+def _oracle_render_asa(policy, firewall: str, template: dict[str, str], assignments) -> str:
+    out = [template["header"].format(firewall=firewall)]
+    addrs = _OracleMemo(_oracle_addr_text)
+    for a in assignments:
+        acl = policy.acl_by_name(firewall, a.acl)
+        last_comment = None
+        for rule in acl.rules:
+            if rule.comment and rule.comment != last_comment:
+                out.append(template["remark"].format(acl=a.acl, text=rule.comment))
+                last_comment = rule.comment
+            provenance = _oracle_provenance(rule)
+            if provenance:
+                out.append(template["remark"].format(acl=a.acl, text=provenance))
+            log = rule.log or (rule.action == "deny" and policy.log_denies)
+            for sport, dport in _oracle_asa_ports(rule):
+                out.append(template["rule"].format(
+                    acl=a.acl, action=rule.action, proto=_oracle_proto_text(rule.protocol),
+                    src=addrs[rule.src], sport=sport, dst=addrs[rule.dst], dport=dport,
+                    log=" log" if log else ""))
+    for a in assignments:
+        direction = "in" if a.direction == "inbound" else "out"
+        out.append(template["bind"].format(acl=a.acl, direction=direction,
+                                           interface=a.interface))
+    out.append(template["footer"].format())
+    return "\n".join(out) + "\n"
+
+
+def oracle_render_device(policy, firewall: str, vendor_id: str) -> str:
+    """One firewall's iptables_like or asa_like config, by the oracle."""
+    template = _oracle_template(vendor_id)
+    assignments = [a for a in policy.assignments if a.firewall == firewall]
+    if vendor_id == "iptables_like":
+        return _oracle_render_iptables(policy, firewall, template, assignments)
+    return _oracle_render_asa(policy, firewall, template, assignments)
+
+
+def oracle_manifest_json(policy) -> str:
+    """The manifest as the pure-Python JSON encoder wrote it."""
+    return json.dumps(render.build_manifest(policy), indent=1, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # generated benchmark inputs
 
 def _perfbench_gen():
@@ -665,6 +887,9 @@ __all__ = [
     "inject_by_scan",
     "masks_equal",
     "masks_subset",
+    "oracle_manifest_json",
+    "oracle_render_device",
+    "oracle_render_neutral_file",
     "packet_matches",
     "pair_plan",
     "partition_strips_by_scan",

@@ -109,6 +109,48 @@ def test_compile_metrics_count_the_iptables_files_written(tmp_path, capsys):
     assert f"device LoC {written}," in capsys.readouterr().out
 
 
+ASA_RULE = "{src}{sport} {dst}{dport}{log}"
+ASA_BIND = "[bind]\naccess-group {acl} {direction} interface {interface}\n"
+
+
+@pytest.mark.parametrize("vendor, old, new, mark, message", [
+    # the ASA rule line as it was written before each port operator
+    # followed its own address
+    ("asa_like", ASA_RULE, "{src} {dst}{ports}{log}", "{ports}",
+     "[rule] has no slot {ports}; its slots are {acl}, {action}, {dport}"),
+    ("iptables_like", "-j {target}", "-j {targt}", "{targt}", "[rule] has no slot {targt}"),
+    ("asa_like", ASA_BIND, "", None, "no [bind] section"),
+    ("asa_like", "[bind]", "[bnid]", "[bnid]", "unknown section [bnid]"),
+    ("iptables_like", "# {firewall} packet", "# {firewall packet", "{firewall packet",
+     "unpaired '{' in [header]"),
+    ("asa_like", None, None, None, "no template for vendor 'asa_like'"),
+])
+def test_compile_rejects_a_bad_template(tmp_path, capsys, vendor, old, new, mark, message):
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(render.__file__).parent / "templates", templates)
+    path = templates / f"{vendor}.tmpl"
+    where = "0:0"
+    if old is None:
+        path.unlink()
+    else:
+        text = path.read_text()
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        path.write_text(text)
+        if mark is not None:
+            offset = text.index(mark)
+            line_start = text.rfind("\n", 0, offset) + 1
+            where = f"{text.count(chr(10), 0, offset) + 1}:{offset - line_start + 1}"
+    out_dir = tmp_path / "compiled"
+    code = main(["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
+                 "--out", str(out_dir), "--templates", str(templates)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"forestfw: {path}:{where}: error: {message}")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_compile_aborts_without_writing_on_overlap(tmp_path, capsys):
     out_dir = tmp_path / "never"
     code = main(["compile", "--policy", POLICY, "--topology", TOPOLOGY,

@@ -1,4 +1,5 @@
 import ipaddress
+import json
 import re
 
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestfw.diagnostics import InputError, PolicyError
-from forestfw.netgen import Acl, AclRule, TERMINAL_DENY
+from forestfw.netgen import (Acl, AclRule, CompileOptions, InterfaceAssignment, NetworkPolicy,
+                             TERMINAL_DENY)
 from forestfw.policy_lang.syntax import PortRange
 from forestfw.render import (
     NEUTRAL_HEADER,
     TERMINAL_DENY_LINE,
     loc_metrics,
+    manifest_json,
     parse_neutral,
     render_device,
     render_neutral,
@@ -251,6 +254,51 @@ def test_asa_rendering_shape(compiled_plant):
     assert re.search(r"access-list acl_\d+ extended permit tcp .* eq 443 log", text)
     assert re.search(r"access-group acl_1 in interface eth0", text)
     assert "remark" in text
+
+
+def one_acl_policy(*rules, log_denies=False) -> NetworkPolicy:
+    acl = Acl("acl_1", tuple(rules) + (TERMINAL_DENY,))
+    return NetworkPolicy(model=None, flows=(), acls={"FW": (acl,)},
+                         assignments=(InterfaceAssignment("FW", "eth0", "inbound", "acl_1"),),
+                         options=CompileOptions(), spec=None, log_denies=log_denies)
+
+
+def test_asa_writes_each_port_operator_after_its_address():
+    every_port = (PortRange(0, 65535),)
+    to_web = AclRule("permit", 6, (net("10.0.0.0/29"),), (net("10.0.0.16/29"),),
+                     sport=every_port, dport=(PortRange(80, 80),))
+    from_web = AclRule("permit", 6, (net("10.0.0.0/29"),), (net("10.0.0.16/29"),),
+                       sport=(PortRange(80, 80),), dport=every_port)
+    lines = render_device(one_acl_policy(to_web, from_web), "FW", "asa_like").splitlines()
+    assert "access-list acl_1 extended permit tcp 10.0.0.0/29 10.0.0.16/29 eq 80" in lines
+    assert "access-list acl_1 extended permit tcp 10.0.0.0/29 eq 80 10.0.0.16/29" in lines
+
+
+@pytest.mark.parametrize("log_denies", [False, True])
+def test_asa_logs_denies_as_iptables_does(log_denies):
+    policy = one_acl_policy(log_denies=log_denies)
+    asa = render_device(policy, "FW", "asa_like")
+    iptables = render_device(policy, "FW", "iptables_like")
+    assert ("access-list acl_1 extended deny ip any any log" in asa) == log_denies
+    assert ("-A acl_1 -j LOG" in iptables) == log_denies
+
+
+def test_plant_gateway_asa_acls_end_in_a_logged_deny(compiled_plant):
+    lines = render_device(compiled_plant, "GW", "asa_like").splitlines()
+    for acl in compiled_plant.acls["GW"]:
+        rules = [line for line in lines
+                 if line.startswith(f"access-list {acl.name} extended ")]
+        assert rules[-1] == f"access-list {acl.name} extended deny ip any any log"
+
+
+def test_manifest_writes_one_entry_per_line(compiled_plant):
+    text = manifest_json(compiled_plant)
+    manifest = json.loads(text)
+    lines = {line.rstrip(",") for line in text.splitlines()}
+    for flow in manifest["flows"]:
+        assert "  " + json.dumps(flow, sort_keys=True) in lines
+    for name, zone in manifest["zones"].items():
+        assert f"  {json.dumps(name)}: {json.dumps(zone, sort_keys=True)}" in lines
 
 
 def test_unknown_vendor_and_firewall_rejected(compiled_plant):
