@@ -133,8 +133,8 @@ def equivalent(p: Iterable[Service], q: Iterable[Service]) -> bool:
     return canonicalize(p) == canonicalize(q)
 
 
-def _subtract_strips(p: tuple[tuple[Interval, IntervalSet], ...],
-                     q: tuple[tuple[Interval, IntervalSet], ...]) -> tuple[tuple[Interval, IntervalSet], ...]:
+def subtract_strips(p: tuple[tuple[Interval, IntervalSet], ...],
+                    q: tuple[tuple[Interval, IntervalSet], ...]) -> tuple[tuple[Interval, IntervalSet], ...]:
     """The part of strips ``p`` that strips ``q`` does not cover.
 
     One merge pass over both lists, each sorted and disjoint by dport;
@@ -162,7 +162,7 @@ def canonical_subtract(p: CanonicalPolicy, q: CanonicalPolicy) -> list[Canonical
     q_slices = {(s.protocol, s.icmp_type): s.strips for s in q.slices}
     leftovers: list[CanonicalSlice] = []
     for sl in p.slices:
-        remaining = _subtract_strips(sl.strips, q_slices.get((sl.protocol, sl.icmp_type), ()))
+        remaining = subtract_strips(sl.strips, q_slices.get((sl.protocol, sl.icmp_type), ()))
         if remaining:
             leftovers.append(CanonicalSlice(sl.protocol, sl.icmp_type, remaining))
     return leftovers

@@ -3,19 +3,25 @@
 High-level overlaps are pairs of flows from distinct rules that permit a
 shared service between the same zone pair; they are reported, never
 auto-corrected.  Network-level checks find redundant (fully covered by
-earlier permits) and shadowed (never able to match) ACL rules.  An
-optional export renders the policy as a small relational model for
-external analysis.
+earlier permits) and shadowed (never able to match) ACL rules in one
+first-match walk that subtracts each rule's canonical strips from the
+undecided strips of the cells it matches.  An optional export renders
+the policy as a small relational model for external analysis.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from forestfw import intervals
-from forestfw.header_space import MatchTable, Packet, Predicate, covered, service_predicate
+from forestfw.canonical import subtract_strips
+from forestfw.header_space import (ADDR_MAX, FULL_PORT, STATE_BITS, MatchTable, Packet,
+                                   Predicate, service_predicate)
+from forestfw.intervals import IntervalSet
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PolicySpec,
@@ -168,26 +174,65 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     The terminal deny-all is the backstop and never reported.  A permit
     fully covered by the union of earlier permits is a redundancy; any
     other rule that can never match is a shadow.
+
+    One first-match walk decides both.  The rules' protocol, address and
+    state bounds cut the header space into cells, and each cell keeps two
+    canonical strip sets over sport x dport (ICMP type in the ICMP cell):
+    what no earlier rule decided, and what no earlier permit admitted.  A
+    rule whose strips take nothing from the first is shadowed; a permit
+    whose strips take nothing from the second is redundant.
     """
+    rules = acl.rules[:-1] if acl.rules and acl.rules[-1].action == "deny" else acl.rules
+    rows = MatchTable(rules).rows
+    protocols: list[int | None] = sorted({r.protocol for r in rules if r.protocol is not None})
+    if len(protocols) < 256 and any(r.protocol is None for r in rules):
+        protocols.append(None)  # the cell of every protocol no rule names
+    src_cuts = _address_cuts(row.src for row in rows)
+    dst_cuts = _address_cuts(row.dst for row in rows)
+    undecided: dict[tuple, tuple] = {}
+    unpermitted: dict[tuple, tuple] = {}
     reports: list[OverlapReport] = []
-    rules = acl.rules
-    table = MatchTable(rules)
-    regions = [table.region(i) for i in range(len(rules))]
-    for i, rule in enumerate(rules):
-        if i == len(rules) - 1 and rule.action == "deny":
-            break
-        earlier_permits = [regions[j] for j in range(i) if rules[j].action == "permit"]
-        provenance = f"{acl.name}[{i}]"
-        if rule.action == "permit" and earlier_permits and covered(regions[i], earlier_permits):
-            reports.append(OverlapReport(
-                ACL_REDUNDANCY, provenance, f"{acl.name}[0..{i - 1}] permits",
-                detail=f" ({rule.comment})" if rule.comment else ""))
-            continue
-        if i > 0 and covered(regions[i], regions[:i]):
-            reports.append(OverlapReport(
-                ACL_SHADOW, provenance, f"{acl.name}[0..{i - 1}]",
-                detail=f" ({rule.comment})" if rule.comment else ""))
+    for i, (rule, row) in enumerate(zip(rules, rows)):
+        decides = admits = False
+        for protocol in protocols if rule.protocol is None else (rule.protocol,):
+            values = ((0, 255 if protocol == 1 else 65535),)
+            plane = ((values[0], FULL_PORT),)  # a cell before any rule: all of sport x values
+            strips = tuple((iv, row.sport or FULL_PORT)
+                           for iv in intervals.intersect(row.values or values, values))
+            for cell in itertools.product((protocol,), _cells(src_cuts, row.src),
+                                          _cells(dst_cuts, row.dst), rule.state or STATE_BITS):
+                decides |= _take(undecided, cell, plane, strips)
+                if rule.action == "permit":
+                    admits |= _take(unpermitted, cell, plane, strips)
+        detail = f" ({rule.comment})" if rule.comment else ""
+        if rule.action == "permit" and not admits:
+            reports.append(OverlapReport(ACL_REDUNDANCY, f"{acl.name}[{i}]",
+                                         f"{acl.name}[0..{i - 1}] permits", detail=detail))
+        elif not decides:
+            reports.append(OverlapReport(ACL_SHADOW, f"{acl.name}[{i}]",
+                                         f"{acl.name}[0..{i - 1}]", detail=detail))
     return reports
+
+
+def _address_cuts(fields: Iterable[IntervalSet]) -> list[int]:
+    """The starts of the elementary address intervals that the fields' bounds make."""
+    cuts = {bound for field in fields for lo, hi in field for bound in (lo, hi + 1)}
+    return sorted((cuts | {0}) - {ADDR_MAX + 1})
+
+
+def _cells(cuts: list[int], field: IntervalSet) -> Iterator[int]:
+    """The elementary address intervals, as indexes into ``cuts``, that make up ``field``."""
+    for lo, hi in field:
+        yield from range(bisect_left(cuts, lo), bisect_left(cuts, hi + 1))
+
+
+def _take(left: dict[tuple, tuple], cell: tuple, plane: tuple, strips: tuple) -> bool:
+    """Subtract ``strips`` from the strips ``left`` holds for ``cell``
+    (``plane`` until a rule first takes from it); True iff that removed
+    something."""
+    before = left.get(cell, plane)
+    after = left[cell] = subtract_strips(before, strips)
+    return after != before
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ included; the simulator injects it and the ACL engine evaluates it.  It
 stands for the whole class of packets sharing its header values; rules
 decide accept/deny per class, so evaluating one point per class is exact.
 A :class:`Predicate` denotes a cross product of per-dimension range sets,
-connection state included, and :func:`covered` decides whether a union of
-regions covers another.  :class:`MatchTable` is the one ACL engine: it
-encodes each compiled rule once and evaluates the ACL first-match over
-header points and swept values, and gives each rule's region.
+connection state included.  :class:`MatchTable` is the one ACL engine: it
+encodes each compiled rule once as a row, evaluates the ACL first-match
+over header points and swept values, and gives each rule's region.
+Region subtraction lives in one place, the canonical strips of
+:mod:`forestfw.canonical`; the ACL anomaly check walks a table's rows
+over those strips.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from forestfw import intervals
-from forestfw.intervals import Interval, IntervalSet
+from forestfw.intervals import IntervalSet
 from forestfw.policy_lang.syntax import (
     Service,
     effective_dports,
@@ -60,7 +62,7 @@ class Packet:
     state: str = NEW
 
 
-# the dimensions of a Predicate, in the order box subtraction splits them
+# the dimensions of a Predicate
 _DIMS = ("protocol", "src", "dst", "sport", "dport", "icmp", "state")
 
 
@@ -86,21 +88,6 @@ class Predicate:
             if not ranges:
                 raise ValueError(f"predicate dimension {dim!r} is empty")
             object.__setattr__(self, dim, ranges)
-
-    def intersect(self, other: "Predicate") -> "Predicate | None":
-        """Dimension-wise intersection; None when any dimension empties."""
-        dims = {}
-        for dim in _DIMS:
-            shared = intervals.intersect(getattr(self, dim), getattr(other, dim))
-            if not shared:
-                return None
-            dims[dim] = shared
-        return Predicate(**dims)
-
-    def dims(self) -> tuple[IntervalSet, ...]:
-        """The range sets in ``_DIMS`` order."""
-        return (self.protocol, self.src, self.dst, self.sport, self.dport,
-                self.icmp, self.state)
 
     def sample_point(self) -> Packet:
         """Lowest corner of the predicate; always matches it."""
@@ -181,7 +168,8 @@ class MatchTable:
     """First-match lookup over one ACL, each rule encoded once.
 
     The table answers header points (:meth:`decide`), one swept dimension
-    (:meth:`permitted`) and regions (:meth:`region`) from the same rows.
+    (:meth:`permitted`) and regions (:meth:`region`) from the same
+    ``rows``, one per rule in ACL order.
     The rules that admit a (protocol, state) are listed on the first
     packet that carries it, so a lookup compares only addresses and ports.
     """
@@ -191,7 +179,7 @@ class MatchTable:
         # an ACL's rules share their zones and ports: encode each field once
         nets: dict[tuple, IntervalSet] = {}
         ports: dict[tuple, IntervalSet | None] = {}
-        self._encoded: list[_RuleMatch] = []
+        self.rows: list[_RuleMatch] = []
         for i, rule in enumerate(rules):
             for field_nets in (rule.src, rule.dst):
                 if field_nets not in nets:
@@ -199,15 +187,15 @@ class MatchTable:
             for field_ports in (rule.sport, rule.dport):
                 if field_ports not in ports:
                     ports[field_ports] = intervals.normalize(field_ports) if field_ports else None
-            self._encoded.append(_RuleMatch(i, nets[rule.src], nets[rule.dst],
-                                            ports[rule.sport], ports[rule.dport]))
+            self.rows.append(_RuleMatch(i, nets[rule.src], nets[rule.dst],
+                                        ports[rule.sport], ports[rule.dport]))
         self._heads: dict[tuple[int, str], list[_RuleMatch]] = {}
 
     def _head(self, protocol: int, state: str) -> list[_RuleMatch]:
         head = self._heads.get((protocol, state))
         if head is None:
             head = self._heads[(protocol, state)] = [
-                match for rule, match in zip(self.rules, self._encoded)
+                match for rule, match in zip(self.rules, self.rows)
                 if (rule.protocol is None or rule.protocol == protocol)
                 and (not rule.state or state in rule.state)]
         return head
@@ -278,7 +266,7 @@ class MatchTable:
         dimension (``dport`` stays full), and the rule's ``state`` lists
         the connection states it admits.
         """
-        rule, row = self.rules[i], self._encoded[i]
+        rule, row = self.rules[i], self.rows[i]
         dport, icmp = row.values or FULL_PORT, FULL_ICMP
         if rule.protocol == 1:
             dport, icmp = FULL_PORT, row.values or FULL_ICMP
@@ -305,48 +293,3 @@ def eval_acl(rules: tuple["AclRule", ...], packet: Packet) -> tuple[str, str]:
 def rule_region(rule: "AclRule") -> Predicate:
     """The header-space region a compiled ACL rule matches."""
     return MatchTable((rule,)).region(0)
-
-
-# a simple box: one interval per dimension, in _DIMS order
-_Box = tuple[Interval, ...]
-
-
-def _boxes(region: Predicate) -> list[_Box]:
-    boxes: list[_Box] = [()]
-    for dim in region.dims():
-        boxes = [box + (iv,) for box in boxes for iv in dim]
-    return boxes
-
-
-def _subtract_box(box: _Box, region: tuple[IntervalSet, ...]) -> list[_Box]:
-    """Disjoint pieces of a simple box not covered by a region's range sets."""
-    covered_part: list[IntervalSet] = []
-    for iv, dim in zip(box, region):
-        shared = intervals.intersect((iv,), dim)
-        if not shared:
-            return [box]
-        covered_part.append(shared)
-
-    pieces: list[_Box] = []
-    prefixes: list[_Box] = [()]  # boxes over dims [0..d) restricted to the covered part
-    for d, (iv, dim) in enumerate(zip(box, region)):
-        outside = intervals.subtract((iv,), dim)
-        for prefix in prefixes:
-            for out_iv in outside:
-                pieces.append(prefix + (out_iv,) + box[d + 1:])
-        prefixes = [p + (c,) for p in prefixes for c in covered_part[d]]
-    return pieces
-
-
-def covered(region: Predicate, coverers: Iterable[Predicate]) -> bool:
-    """Is ``region`` fully covered by the union of the ``coverers``?"""
-    boxes = _boxes(region)
-    for coverer in coverers:
-        dims = coverer.dims()
-        next_boxes: list[_Box] = []
-        for box in boxes:
-            next_boxes.extend(_subtract_box(box, dims))
-        boxes = next_boxes
-        if not boxes:
-            return True
-    return not boxes

@@ -149,8 +149,9 @@ class _RuleText:
                 self._asa = [(sport, dport) for sport in ports[rule.sport]
                              for dport in ports[rule.dport]]
             elif rule.protocol == 1 and rule.dport:
-                self._asa = [("", f" {lo}" if lo == hi else f" range {lo} {hi}")
-                             for lo, hi in rule.dport]
+                # an entry takes one ICMP type: one entry per type
+                self._asa = [("", f" {icmp_type}")
+                             for lo, hi in rule.dport for icmp_type in range(lo, hi + 1)]
             else:
                 self._asa = [("", "")]
         return self._asa

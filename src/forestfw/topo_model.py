@@ -119,24 +119,6 @@ class ZoneFirewallModel:
 # ---------------------------------------------------------------------------
 # GraphML ingestion
 
-def _graphml_attrs(root: ET.Element) -> dict[str, str]:
-    """Map GraphML key ids to attribute names."""
-    ns = _ns(root)
-    mapping = {}
-    for key in root.findall(f"{ns}key"):
-        key_id = key.get("id")
-        attr = key.get("attr.name") or key_id
-        if key_id:
-            mapping[key_id] = attr
-    return mapping
-
-
-def _ns(root: ET.Element) -> str:
-    if root.tag.startswith("{"):
-        return root.tag[: root.tag.index("}") + 1]
-    return ""
-
-
 def _data_of(elem: ET.Element, keymap: dict[str, str], ns: str) -> dict[str, str]:
     out = {}
     for data in elem.findall(f"{ns}data"):
@@ -145,22 +127,29 @@ def _data_of(elem: ET.Element, keymap: dict[str, str], ns: str) -> dict[str, str
     return out
 
 
-def _parse_graphml(document: str, file: str) -> ET.Element:
+def _read_graphml(document: str, file: str) -> tuple[ET.Element, dict[str, str], str]:
+    """The ``<graph>`` of a GraphML document, its key-id -> attribute-name
+    map and its namespace prefix; diagnostics name ``file``."""
     try:
-        return ET.fromstring(document)
+        root = ET.fromstring(document)
     except ET.ParseError as exc:
         line, col = exc.position
         raise InputError(f"malformed GraphML: {exc}", file, line, col) from exc
+    ns = root.tag[: root.tag.index("}") + 1] if root.tag.startswith("{") else ""
+    keymap = {}
+    for key in root.findall(f"{ns}key"):
+        key_id = key.get("id")
+        if key_id:
+            keymap[key_id] = key.get("attr.name") or key_id
+    graph = root.find(f"{ns}graph")
+    if graph is None:
+        raise InputError("GraphML document has no <graph>", file)
+    return graph, keymap, ns
 
 
 def load_topology(document: str, file: str = "<topology>") -> Topology:
     """Parse a GraphML topology document; diagnostics name ``file``."""
-    root = _parse_graphml(document, file)
-    ns = _ns(root)
-    keymap = _graphml_attrs(root)
-    graph = root.find(f"{ns}graph")
-    if graph is None:
-        raise InputError("GraphML document has no <graph>", file)
+    graph, keymap, ns = _read_graphml(document, file)
 
     topo = Topology(file=file)
     for node in graph.findall(f"{ns}node"):
@@ -216,12 +205,7 @@ def load_topology(document: str, file: str = "<topology>") -> Topology:
 def load_declared_model(document: str,
                         file: str = "<declared-model>") -> ZoneConduitModel:
     """Parse a declared Zone-Conduit model: nodes are zones, edges conduits."""
-    root = _parse_graphml(document, file)
-    ns = _ns(root)
-    keymap = _graphml_attrs(root)
-    graph = root.find(f"{ns}graph")
-    if graph is None:
-        raise InputError("GraphML document has no <graph>", file)
+    graph, keymap, ns = _read_graphml(document, file)
 
     model = ZoneConduitModel()
     for node in graph.findall(f"{ns}node"):
@@ -266,7 +250,7 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
             if len(subnet_labels) != 1:
                 raise PolicyError(
                     f"host {dev.name!r} has neither a zone label nor exactly one "
-                    f"labelled subnet", "<topology>")
+                    f"labelled subnet", topo.file)
             label = subnet_labels.pop()
             zone_members[label].append(dev)
             labelled[dev.name] = label
@@ -284,14 +268,14 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
         if dev.kind == "carrier" and not dev.zone_label:
             carrier_n += 1
             name = f"cz{carrier_n}"
-            _check_fresh(model, name, dev.name)
+            _check_fresh(model, name, dev.name, topo.file)
             model.zones[name] = Zone(name, "carrier", frozenset({dev.name}), dev.cidrs)
             labelled[dev.name] = name
 
     # one Firewall-Zone per firewall, numbered in document order
     for i, fw in enumerate(firewalls, start=1):
         name = f"fwz{i}"
-        _check_fresh(model, name, fw.name)
+        _check_fresh(model, name, fw.name, topo.file)
         model.zones[name] = Zone(name, "firewall", frozenset({fw.name}), fw.cidrs)
         labelled[fw.name] = name
 
@@ -305,14 +289,14 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
         if len(adjacent_fws) < 2:
             raise PolicyError(
                 f"subnet {dev.name!r} has no zone label and does not lie between "
-                f"two firewalls; cannot classify", "<topology>")
+                f"two firewalls; cannot classify", topo.file)
         abstract_n += 1
         name = f"az{abstract_n}"
-        _check_fresh(model, name, dev.name)
+        _check_fresh(model, name, dev.name, topo.file)
         model.zones[name] = Zone(name, "abstract", frozenset({dev.name}), dev.cidrs)
         labelled[dev.name] = name
 
-    _check_zone_disjointness(model.zones.values())
+    _check_zone_disjointness(model.zones.values(), topo.file)
 
     # firewall adjacencies: which interface faces which zone
     for fw in firewalls:
@@ -324,32 +308,31 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
             zone = labelled.get(peer)
             if zone is None:
                 raise PolicyError(f"device {peer!r} linked to firewall {fw.name!r} "
-                                  f"belongs to no zone", "<topology>")
+                                  f"belongs to no zone", topo.file)
             adjacency.setdefault(zone, iface)
         model.adjacency[fw.name] = adjacency
     return model
 
 
-def _check_fresh(model: ZoneFirewallModel, name: str, device: str) -> None:
+def _check_fresh(model: ZoneFirewallModel, name: str, device: str, file: str) -> None:
     if name in model.zones:
         raise PolicyError(
-            f"zone label {name!r} collides with the generated zone for {device!r}",
-            "<topology>")
+            f"zone label {name!r} collides with the generated zone for {device!r}", file)
 
 
-def _check_zone_disjointness(zones: Iterable[Zone]) -> None:
+def _check_zone_disjointness(zones: Iterable[Zone], file: str) -> None:
     seen: list[Zone] = []
     for zone in zones:
         for other in seen:
             if zone.members & other.members:
                 raise PolicyError(f"device in both zones {zone.name!r} and {other.name!r}",
-                                  "<topology>")
+                                  file)
             for a in zone.cidrs:
                 for b in other.cidrs:
                     if a.overlaps(b):
                         raise PolicyError(
                             f"zone CIDRs overlap: {a} ({zone.name}) and {b} ({other.name})",
-                            "<topology>")
+                            file)
         seen.append(zone)
 
 

@@ -5,8 +5,9 @@ algebra: accept sets are materialized as dense numpy grids and compared
 pointwise, negative vetting is replayed one packet at a time, path
 selection is checked against the exhaustive enumerate-then-filter search,
 the lexer against a character-at-a-time tokenizer, the overlap check
-against an all-pairs comparison and the renderers against their form
-before the per-compile rule text cache.
+against an all-pairs comparison, the ACL anomaly check against pairwise
+7-D box subtraction and the renderers against their form before the
+per-compile rule text cache.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 from forestfw import intervals, render
 from forestfw.canonical import CanonicalPolicy
 from forestfw.checker import (
+    ACL_REDUNDANCY,
+    ACL_SHADOW,
     HIGH_LEVEL_OVERLAP,
     OverlapReport,
     OverlapWitness,
@@ -627,11 +630,85 @@ def find_rule_overlaps_all_pairs(flows) -> list[OverlapReport]:
 
 
 # ---------------------------------------------------------------------------
+# pairwise box oracle for the ACL anomaly check: each rule's region is
+# split into simple 7-D boxes and box-subtracted against every earlier
+# rule's region, as the check did before the strip walk
+
+def _region_dims(region) -> tuple:
+    return (region.protocol, region.src, region.dst, region.sport, region.dport,
+            region.icmp, region.state)
+
+
+def _boxes(region) -> list[tuple]:
+    boxes: list[tuple] = [()]
+    for dim in _region_dims(region):
+        boxes = [box + (iv,) for box in boxes for iv in dim]
+    return boxes
+
+
+def _subtract_box(box: tuple, region: tuple) -> list[tuple]:
+    """Disjoint pieces of a simple box not covered by a region's range sets."""
+    covered_part = []
+    for iv, dim in zip(box, region):
+        shared = intervals.intersect((iv,), dim)
+        if not shared:
+            return [box]
+        covered_part.append(shared)
+
+    pieces: list[tuple] = []
+    prefixes: list[tuple] = [()]  # boxes over dims [0..d) restricted to the covered part
+    for d, (iv, dim) in enumerate(zip(box, region)):
+        outside = intervals.subtract((iv,), dim)
+        for prefix in prefixes:
+            for out_iv in outside:
+                pieces.append(prefix + (out_iv,) + box[d + 1:])
+        prefixes = [p + (c,) for p in prefixes for c in covered_part[d]]
+    return pieces
+
+
+def _covered_by_boxes(region, coverers) -> bool:
+    """Is ``region`` fully covered by the union of the ``coverers``?"""
+    boxes = _boxes(region)
+    for coverer in coverers:
+        dims = _region_dims(coverer)
+        boxes = [piece for box in boxes for piece in _subtract_box(box, dims)]
+        if not boxes:
+            return True
+    return not boxes
+
+
+def find_acl_anomalies_pairwise(acl) -> list[OverlapReport]:
+    """Redundant and shadowed rules, each rule's region tested for
+    coverage by the union of the earlier permits, then of all earlier rules."""
+    reports: list[OverlapReport] = []
+    rules = acl.rules
+    table = MatchTable(rules)
+    regions = [table.region(i) for i in range(len(rules))]
+    for i, rule in enumerate(rules):
+        if i == len(rules) - 1 and rule.action == "deny":
+            break
+        earlier_permits = [regions[j] for j in range(i) if rules[j].action == "permit"]
+        provenance = f"{acl.name}[{i}]"
+        if (rule.action == "permit" and earlier_permits
+                and _covered_by_boxes(regions[i], earlier_permits)):
+            reports.append(OverlapReport(
+                ACL_REDUNDANCY, provenance, f"{acl.name}[0..{i - 1}] permits",
+                detail=f" ({rule.comment})" if rule.comment else ""))
+            continue
+        if i > 0 and _covered_by_boxes(regions[i], regions[:i]):
+            reports.append(OverlapReport(
+                ACL_SHADOW, provenance, f"{acl.name}[0..{i - 1}]",
+                detail=f" ({rule.comment})" if rule.comment else ""))
+    return reports
+
+
+# ---------------------------------------------------------------------------
 # renderer oracle: the renderers as they were before the per-compile rule
 # text cache, changed only where the ASA dialect was wrong.  The ASA rule
 # writes the source port operator after the source address and the
-# destination operator after the destination address, and logs every deny
-# when the policy logs denies, as the iptables dialect does.
+# destination operator after the destination address, logs every deny
+# when the policy logs denies, and writes one entry per ICMP type, as the
+# iptables dialect does.
 
 class _OracleMemo(dict):
     def __init__(self, compute) -> None:
@@ -799,7 +876,7 @@ def _oracle_asa_ports(rule: AclRule) -> list[tuple[str, str]]:
         dports = rule.dport or (PortRange(0, 65535),)
         return [(operator(sp), operator(dp)) for sp in sports for dp in dports]
     if rule.protocol == 1 and rule.dport:
-        return [("", f" {lo}" if lo == hi else f" range {lo} {hi}") for lo, hi in rule.dport]
+        return [("", f" {icmp_type}") for lo, hi in rule.dport for icmp_type in range(lo, hi + 1)]
     return [("", "")]
 
 
@@ -879,6 +956,7 @@ __all__ = [
     "brute_force_leaks",
     "canonical_masks",
     "enumerate_paths_exhaustive",
+    "find_acl_anomalies_pairwise",
     "find_rule_overlaps_all_pairs",
     "first_match_by_scan",
     "generated_policy_sources",

@@ -12,10 +12,15 @@ from forestfw.checker import (
     service_intersection,
 )
 from forestfw.header_space import matches, service_predicate
-from forestfw.netgen import Acl, AclRule, TERMINAL_DENY
+from forestfw.netgen import Acl, AclRule, CompileOptions, TERMINAL_DENY, compile_policy
 from forestfw.policy_lang import expand_rules, parse_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
-from support import find_rule_overlaps_all_pairs, generated_policy_sources, random_service
+from support import (
+    find_acl_anomalies_pairwise,
+    find_rule_overlaps_all_pairs,
+    generated_policy_sources,
+    random_service,
+)
 
 
 def tcp(name, dports, sports=((0, 65535),)):
@@ -340,6 +345,95 @@ def test_anomaly_detection_against_dense_grid_oracle():
                 assert name not in reports
     # both protocols met every classification
     assert kinds == {(p, k) for p in (1, 6) for k in (ACL_REDUNDANCY, ACL_SHADOW, None)}
+
+
+FUZZ_NETS = tuple(ipaddress.IPv4Network(text) for text in (
+    "0.0.0.0/0", "10.0.0.0/16", "10.0.1.0/24", "10.0.1.128/25", "10.0.2.0/24", "192.168.0.0/24"))
+STATE_SETS = ((), ("NEW",), ("ESTABLISHED",), ("NEW", "ESTABLISHED"))
+
+
+def random_fuzz_acl(rng: random.Random) -> Acl:
+    """A short ACL of the shapes the dense-grid oracle never draws.
+
+    Rules are ``ip`` (protocol None), ICMP, TCP, UDP or protocol 89, over
+    nested and multi-CIDR address fields; ICMP types are empty, explicit
+    0-255 or partial, ports empty, full or partial; some rules copy an
+    earlier one with only the states changed, and most ACLs end in the
+    terminal deny.
+    """
+    def ranges(bounds: tuple[int, ...]) -> tuple[PortRange, ...]:
+        draw = rng.random()
+        if draw < 0.25:
+            return ()
+        if draw < 0.4:
+            return (PortRange(0, bounds[-1]),)
+        return tuple(PortRange(*sorted(rng.sample(bounds, 2))) for _ in range(rng.randint(1, 2)))
+
+    rules = []
+    for _ in range(rng.randint(1, 6)):
+        if rules and rng.random() < 0.35:
+            rules.append(dataclasses.replace(rng.choice(rules), state=rng.choice(STATE_SETS)))
+            continue
+        protocol = rng.choice((None, 1, 1, 6, 6, 17, 17, 89))
+        ported = protocol in (6, 17)
+        rules.append(AclRule(
+            action=rng.choice(("permit", "permit", "deny")), protocol=protocol,
+            src=tuple(rng.sample(FUZZ_NETS, rng.randint(1, 2))),
+            dst=tuple(rng.sample(FUZZ_NETS, rng.randint(1, 2))),
+            sport=ranges((0, 53, 1024, 65535)) if ported else (),
+            dport=(ranges((0, 22, 80, 443, 65535)) if ported
+                   else ranges((0, 3, 8, 255)) if protocol == 1 else ()),
+            state=rng.choice(STATE_SETS)))
+    if rng.random() < 0.7:
+        rules.append(TERMINAL_DENY)
+    return Acl("acl_f", tuple(rules))
+
+
+def test_anomaly_detection_against_pairwise_box_oracle():
+    rng = random.Random(1402)
+    kinds = set()
+    for _ in range(1500):
+        acl = random_fuzz_acl(rng)
+        reports = find_acl_anomalies(acl)
+        assert reports == find_acl_anomalies_pairwise(acl), acl
+        kinds.update((r.kind, acl.rules[int(r.rule_a.removeprefix("acl_f[")[:-1])].protocol) for r in reports)
+    # every protocol, ip included, met both kinds of report
+    assert kinds == {(k, p) for k in (ACL_REDUNDANCY, ACL_SHADOW) for p in (None, 1, 6, 17, 89)}
+
+
+def with_copies(acl: Acl, after: set[int], deny: bool) -> tuple[Acl, dict[str, str]]:
+    """``acl`` with a copy of each rule in ``after`` right behind it (as a
+    deny when ``deny``), and the one report each copy must draw."""
+    rules, expected = [], {}
+    for i, rule in enumerate(acl.rules):
+        rules.append(rule)
+        if i in after:
+            copy = dataclasses.replace(rule, action="deny") if deny else rule
+            expected[f"{acl.name}[{len(rules)}]"] = (
+                ACL_REDUNDANCY if copy.action == "permit" else ACL_SHADOW)
+            rules.append(copy)
+    return Acl(acl.name, tuple(rules)), expected
+
+
+def test_copied_rules_of_compiled_acls_draw_exactly_one_report(compiled_plant, plant_topology):
+    """A copy right behind a rule of an anomaly-free compiled ACL is the
+    only anomaly: redundant as a permit, shadowed as a deny.  Plant ACLs
+    get one copy at a time; bulk seed 1 ACLs a copy of every rule at once,
+    which gives the same reports, since a copy decides nothing."""
+    source = generated_policy_sources()
+    bulk = compile_policy(parse_policy(source["bulk1"]), plant_topology, CompileOptions(
+        best_practice=parse_policy(source["bulk1_best_practice"])))
+    cases = []
+    for policy, one_at_a_time in ((compiled_plant, True), (bulk, False)):
+        for firewall in policy.firewalls():
+            for acl in policy.acls[firewall]:
+                assert find_acl_anomalies(acl) == []
+                copied = range(len(acl.rules) - 1)  # not the terminal deny
+                cases += [(acl, {i}) for i in copied] if one_at_a_time else [(acl, set(copied))]
+    for acl, after in cases:
+        for deny in (False, True):
+            faulty, expected = with_copies(acl, after, deny)
+            assert {r.rule_a: r.kind for r in find_acl_anomalies(faulty)} == expected
 
 
 # ---------------------------------------------------------------------------

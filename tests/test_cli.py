@@ -370,6 +370,22 @@ def test_truncated_graphml_names_the_topology_file(tmp_path, capsys, command):
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("command", ["check", "compile", "graph"])
+def test_overlapping_zone_cidrs_name_the_topology_file(tmp_path, capsys, command):
+    # z3's 10.0.0.16/29 widened to 10.0.0.0/28 overlaps z1's 10.0.0.0/29
+    overlapping = tmp_path / "overlap.graphml"
+    text = (FIXTURES / "topology.graphml").read_text()
+    overlapping.write_text(text.replace("10.0.0.16/29", "10.0.0.0/28"))
+    argv = {"check": ["check", "--policy", POLICY_FIXED],
+            "compile": ["compile", "--policy", POLICY_FIXED, "--out", str(tmp_path / "c")],
+            "graph": ["graph", "--out", str(tmp_path / "g")]}[command]
+    code = main(argv + ["--topology", str(overlapping)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(f"{overlapping}:0:0: error: zone CIDRs overlap: ")
+    assert not (tmp_path / "c").exists()
+
+
 STRICT_BEST_PRACTICE = """import system.services.iana_services;
 zone_group protected_zone { z3 }
 policy_rule inbound_bound { any_zone -> protected_zone : iana_services.https }

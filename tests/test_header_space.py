@@ -157,15 +157,6 @@ def test_combination_strategies_associative():
             assert last_left(point) == last_right(point) == reversed_flat.decide(point)[0]
 
 
-def test_intersect_none_when_disjoint():
-    a = Predicate(protocol=((6, 6),))
-    b = Predicate(protocol=((17, 17),))
-    assert a.intersect(b) is None
-    both = Predicate(dport=((80, 90),)).intersect(Predicate(dport=((85, 100),)))
-    assert both is not None
-    assert both.dport == ((85, 90),)
-
-
 def test_sample_point_matches_own_predicate():
     rng = random.Random(8)
     for _ in range(40):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.netgen import (Acl, AclRule, CompileOptions, InterfaceAssignment, NetworkPolicy,
-                             TERMINAL_DENY)
+                             TERMINAL_DENY, compile_policy)
+from forestfw.policy_lang import parse_policy
 from forestfw.policy_lang.syntax import PortRange
 from forestfw.render import (
     NEUTRAL_HEADER,
@@ -289,6 +290,25 @@ def test_plant_gateway_asa_acls_end_in_a_logged_deny(compiled_plant):
         rules = [line for line in lines
                  if line.startswith(f"access-list {acl.name} extended ")]
         assert rules[-1] == f"access-list {acl.name} extended deny ip any any log"
+
+
+ICMP_RANGE_POLICY = """
+service unreach { protocol=icmp; icmp.type=3-5; }
+policy_rule unreach_rule { z1 -> z3 : unreach }
+rule_group rules { unreach_rule }
+reporting_rule report { use_case=verification; }
+policy icmp_policy { rules; report; }
+"""
+
+
+def test_asa_writes_one_entry_per_icmp_type(plant_topology):
+    # an ASA access-list entry takes one ICMP type, not a range
+    policy = compile_policy(parse_policy(ICMP_RANGE_POLICY), plant_topology)
+    lines = render_device(policy, "R1", "asa_like").splitlines()
+    from_z1 = [line for line in lines if " icmp 10.0.0.0/29 " in line]
+    assert from_z1 == [f"access-list acl_1 extended permit icmp 10.0.0.0/29 10.0.0.16/29 {t}"
+                       for t in (3, 4, 5)]
+    assert not [line for line in lines if " range " in line]
 
 
 def test_manifest_writes_one_entry_per_line(compiled_plant):
