@@ -1,13 +1,15 @@
 """Canonical policy form and the checks built on it.
 
-A conduit-direction policy (a set of permitted services) maps to a unique
-ordered set of non-overlapping rectangles: per (protocol, ICMP type)
-group, the (source port x destination port) region is cut into horizontal
-strips along destination-port boundaries, adjacent strips with identical
-source-port sets are merged, and strips are emitted in increasing order.
-Two policies accept the same packets iff their canonical forms are
-structurally equal, which turns equivalence and inclusion into cheap
-structural comparisons.
+This is the program's one region form.  A conduit-direction policy (a
+set of permitted services) maps to a unique ordered set of
+non-overlapping rectangles: per protocol, the (value x source port)
+region is cut into strips along value boundaries, adjacent strips with
+identical source-port sets are merged, and strips are emitted in
+increasing order.  The value is the destination port, or the ICMP type
+for protocol 1 (whose source ports are full); a protocol without ports
+is one strip over the full port plane.  Two policies accept the same
+packets iff their canonical forms are structurally equal, which turns
+equivalence and inclusion into cheap structural comparisons.
 """
 
 from __future__ import annotations
@@ -34,15 +36,14 @@ FULL_PORTS: IntervalSet = ((0, 65535),)
 
 @dataclass(frozen=True)
 class CanonicalSlice:
-    """Strips for one (protocol, icmp_type) group.
+    """Strips for one protocol.
 
-    Strips are ordered by increasing dport interval, dport intervals are
-    disjoint, adjacent strips never carry identical sport sets, and sport
-    sets are sorted, disjoint, and non-adjacent.
+    Strips are ordered by increasing value (dport or ICMP type) interval,
+    value intervals are disjoint, adjacent strips never carry identical
+    sport sets, and sport sets are sorted, disjoint, and non-adjacent.
     """
 
     protocol: int
-    icmp_type: int | None
     strips: tuple[tuple[Interval, IntervalSet], ...]
 
 
@@ -54,29 +55,27 @@ class CanonicalPolicy:
         return not self.slices
 
 
-def _slice_rectangles(services: Iterable[Service]) -> dict[tuple[int, int | None], list[tuple[IntervalSet, IntervalSet]]]:
-    """Group services into (sport-set, dport-set) rectangles per slice key."""
-    groups: dict[tuple[int, int | None], list[tuple[IntervalSet, IntervalSet]]] = {}
+def _slice_rectangles(services: Iterable[Service]) -> dict[int, list[tuple[IntervalSet, IntervalSet]]]:
+    """Group services into (sport-set, value-set) rectangles per protocol."""
+    groups: dict[int, list[tuple[IntervalSet, IntervalSet]]] = {}
     for svc in services:
         if svc.protocol is None:
             raise PolicyError(f"generic service {svc.name!r} cannot be canonicalized")
         if svc.protocol == 1:
-            for lo, hi in effective_icmp_types(svc):
-                for icmp_type in range(lo, hi + 1):
-                    groups.setdefault((1, icmp_type), []).append((FULL_PORTS, FULL_PORTS))
+            rect = (FULL_PORTS, effective_icmp_types(svc))
         elif svc.protocol in (6, 17):
-            groups.setdefault((svc.protocol, None), []).append(
-                (effective_sports(svc), effective_dports(svc)))
+            rect = (effective_sports(svc), effective_dports(svc))
         else:
-            groups.setdefault((svc.protocol, None), []).append((FULL_PORTS, FULL_PORTS))
+            rect = (FULL_PORTS, FULL_PORTS)
+        groups.setdefault(svc.protocol, []).append(rect)
     return groups
 
 
 def _partition_strips(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> tuple[tuple[Interval, IntervalSet], ...]:
-    """Cut the union of rectangles into maximal dport strips.
+    """Cut the union of rectangles into maximal value strips.
 
-    A sweep over the sorted dport boundaries adds each rectangle where one
-    of its dport intervals starts and drops it after the interval ends, so
+    A sweep over the sorted value boundaries adds each rectangle where one
+    of its value intervals starts and drops it after the interval ends, so
     each elementary strip carries the union of the sport intervals of the
     rectangles active on it; contiguous strips with equal sport sets merge.
     """
@@ -87,7 +86,7 @@ def _partition_strips(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> tuple
             events.setdefault(hi + 1, []).append((i, -1))
     coords = sorted(events)
 
-    active: dict[int, int] = {}  # rectangle -> its dport intervals open here
+    active: dict[int, int] = {}  # rectangle -> its value intervals open here
     strips: list[tuple[Interval, IntervalSet]] = []
     for start, end in zip(coords, coords[1:]):
         for i, delta in events[start]:
@@ -103,7 +102,7 @@ def _partition_strips(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> tuple
 
 def _add_strip(strips: list[tuple[Interval, IntervalSet]], lo: int, hi: int,
                sports: IntervalSet) -> None:
-    """Append a strip in dport order, merged into a touching predecessor
+    """Append a strip in value order, merged into a touching predecessor
     with equal sport sets; a strip without sports is dropped."""
     if not sports:
         return
@@ -121,10 +120,10 @@ def canonicalize(services: Iterable[Service]) -> CanonicalPolicy:
     """
     groups = _slice_rectangles(services)
     slices = []
-    for protocol, icmp_type in sorted(groups, key=lambda k: (k[0], -1 if k[1] is None else k[1])):
-        strips = _partition_strips(groups[(protocol, icmp_type)])
+    for protocol in sorted(groups):
+        strips = _partition_strips(groups[protocol])
         if strips:
-            slices.append(CanonicalSlice(protocol, icmp_type, strips))
+            slices.append(CanonicalSlice(protocol, strips))
     return CanonicalPolicy(tuple(slices))
 
 
@@ -137,7 +136,7 @@ def subtract_strips(p: tuple[tuple[Interval, IntervalSet], ...],
                     q: tuple[tuple[Interval, IntervalSet], ...]) -> tuple[tuple[Interval, IntervalSet], ...]:
     """The part of strips ``p`` that strips ``q`` does not cover.
 
-    One merge pass over both lists, each sorted and disjoint by dport;
+    One merge pass over both lists, each sorted and disjoint by value;
     the result is canonical again.
     """
     out: list[tuple[Interval, IntervalSet]] = []
@@ -159,12 +158,12 @@ def subtract_strips(p: tuple[tuple[Interval, IntervalSet], ...],
 
 def canonical_subtract(p: CanonicalPolicy, q: CanonicalPolicy) -> list[CanonicalSlice]:
     """Strips of ``p`` not covered by ``q`` (the inclusion counterexample)."""
-    q_slices = {(s.protocol, s.icmp_type): s.strips for s in q.slices}
+    q_slices = {s.protocol: s.strips for s in q.slices}
     leftovers: list[CanonicalSlice] = []
     for sl in p.slices:
-        remaining = subtract_strips(sl.strips, q_slices.get((sl.protocol, sl.icmp_type), ()))
+        remaining = subtract_strips(sl.strips, q_slices.get(sl.protocol, ()))
         if remaining:
-            leftovers.append(CanonicalSlice(sl.protocol, sl.icmp_type, remaining))
+            leftovers.append(CanonicalSlice(sl.protocol, remaining))
     return leftovers
 
 
@@ -196,12 +195,14 @@ class Violation:
         parts = []
         for sl in self.evidence:
             proto = PROTOCOL_NAMES.get(sl.protocol, str(sl.protocol))
-            if sl.icmp_type is not None:
-                parts.append(f"protocol {sl.protocol} ({proto}) icmp type {sl.icmp_type}")
-                continue
             for (lo, hi), _sports in sl.strips:
-                dport = str(lo) if lo == hi else f"{lo}-{hi}"
-                parts.append(f"protocol {sl.protocol} ({proto}) dport {dport}")
+                values = str(lo) if lo == hi else f"{lo}-{hi}"
+                if sl.protocol == 1:
+                    parts.append(f"protocol 1 ({proto}) icmp type {values}")
+                elif sl.protocol in (6, 17):
+                    parts.append(f"protocol {sl.protocol} ({proto}) dport {values}")
+                else:  # a protocol without ports is one full strip
+                    parts.append(f"protocol {sl.protocol} ({proto})")
         detail = "; ".join(parts)
         return (
             f"best-practice violation on conduit {self.src_zone}->{self.dst_zone} "

@@ -2,11 +2,13 @@
 
 High-level overlaps are pairs of flows from distinct rules that permit a
 shared service between the same zone pair; they are reported, never
-auto-corrected.  Network-level checks find redundant (fully covered by
-earlier permits) and shadowed (never able to match) ACL rules in one
-first-match walk that subtracts each rule's canonical strips from the
-undecided strips of the cells it matches.  An optional export renders
-the policy as a small relational model for external analysis.
+auto-corrected, and each witness is the shared service itself.
+Network-level checks find redundant (fully covered by earlier permits)
+and shadowed (never able to match) ACL rules in one first-match walk
+that subtracts each rule's strips, in the canonical value x sport form
+of :mod:`forestfw.canonical`, from the undecided strips of the cells it
+matches.  An optional export renders the policy as a small relational
+model for external analysis.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from forestfw import intervals
-from forestfw.canonical import subtract_strips
-from forestfw.header_space import (ADDR_MAX, FULL_PORT, STATE_BITS, MatchTable, Packet,
-                                   Predicate, service_predicate)
+from forestfw.canonical import FULL_PORTS, subtract_strips
+from forestfw.header_space import ADDR_MAX, FULL_ICMP, STATES, MatchTable
 from forestfw.intervals import IntervalSet
 from forestfw.policy_lang.syntax import (
     FlowRule,
@@ -45,12 +46,6 @@ class OverlapWitness:
     src_zone: str
     dst_zone: str
     service: Service  # the non-empty intersection
-
-    def predicate(self) -> Predicate:
-        return service_predicate(self.service)
-
-    def sample_point(self) -> Packet:
-        return self.predicate().sample_point()
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,8 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
 
     One first-match walk decides both.  The rules' protocol, address and
     state bounds cut the header space into cells, and each cell keeps two
-    canonical strip sets over sport x dport (ICMP type in the ICMP cell):
+    canonical strip sets over value x sport, the value being the dport or,
+    in the ICMP cell, the ICMP type:
     what no earlier rule decided, and what no earlier permit admitted.  A
     rule whose strips take nothing from the first is shadowed; a permit
     whose strips take nothing from the second is redundant.
@@ -195,12 +191,12 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     for i, (rule, row) in enumerate(zip(rules, rows)):
         decides = admits = False
         for protocol in protocols if rule.protocol is None else (rule.protocol,):
-            values = ((0, 255 if protocol == 1 else 65535),)
-            plane = ((values[0], FULL_PORT),)  # a cell before any rule: all of sport x values
-            strips = tuple((iv, row.sport or FULL_PORT)
+            values = FULL_ICMP if protocol == 1 else FULL_PORTS
+            plane = ((values[0], FULL_PORTS),)  # a cell before any rule: all of values x sport
+            strips = tuple((iv, row.sport or FULL_PORTS)
                            for iv in intervals.intersect(row.values or values, values))
             for cell in itertools.product((protocol,), _cells(src_cuts, row.src),
-                                          _cells(dst_cuts, row.dst), rule.state or STATE_BITS):
+                                          _cells(dst_cuts, row.dst), rule.state or STATES):
                 decides |= _take(undecided, cell, plane, strips)
                 if rule.action == "permit":
                     admits |= _take(unpermitted, cell, plane, strips)

@@ -43,6 +43,19 @@ def _read(path: Path) -> str:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write(path: Path, text: str | None = None) -> None:
+    """Write ``text`` to the file ``path``; without text, make the
+    directory ``path`` and its parents."""
+    try:
+        if text is None:
+            path.mkdir(parents=True, exist_ok=True)
+        else:
+            path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        what = "create directory" if text is None else "write"
+        raise _UsageError(f"cannot {what} {path}: {exc.strerror or exc}") from exc
+
+
 class _UsageError(Exception):
     pass
 
@@ -86,7 +99,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for diag in diags:
         print(diag)
     if args.emit_alloy and flows is not None:
-        Path(args.emit_alloy).write_text(checker.emit_alloy(spec, flows), encoding="utf-8")
+        _write(Path(args.emit_alloy), checker.emit_alloy(spec, flows))
     if has_errors(diags):
         return FINDINGS
     print(f"OK: {len(flows)} flows, no overlaps"
@@ -99,35 +112,30 @@ def cmd_compile(args: argparse.Namespace) -> int:
     policy = compile_policy(spec, topo, options)
 
     out_dir = Path(args.out)
-    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    _write(out_dir.parent)
     staging = Path(tempfile.mkdtemp(prefix=".forestfw-", dir=out_dir.parent or Path(".")))
     try:
         templates = Path(args.templates) if args.templates else None
         cache = render.RenderCache(policy.log_denies)  # lives for this command only
         iptables_configs = []
         for firewall in policy.firewalls():
-            (staging / f"{firewall}.neutral.acl").write_text(
-                render.render_neutral_file(policy, firewall, cache), encoding="utf-8")
+            _write(staging / f"{firewall}.neutral.acl",
+                   render.render_neutral_file(policy, firewall, cache))
             iptables = render.render_device(policy, firewall, "iptables_like", templates, cache)
-            (staging / f"{firewall}.iptables.txt").write_text(iptables, encoding="utf-8")
+            _write(staging / f"{firewall}.iptables.txt", iptables)
             iptables_configs.append(iptables)
-            (staging / f"{firewall}.asa.txt").write_text(
-                render.render_device(policy, firewall, "asa_like", templates, cache),
-                encoding="utf-8")
-        (staging / "zone_firewall.dot").write_text(
-            export_graph(policy.model, "zone_firewall"), encoding="utf-8")
-        (staging / "zone_conduit.dot").write_text(
-            export_graph(policy.model, "zone_conduit"), encoding="utf-8")
-        (staging / "manifest.json").write_text(render.manifest_json(policy), encoding="utf-8")
+            _write(staging / f"{firewall}.asa.txt",
+                   render.render_device(policy, firewall, "asa_like", templates, cache))
+        _write(staging / "zone_firewall.dot", export_graph(policy.model, "zone_firewall"))
+        _write(staging / "zone_conduit.dot", export_graph(policy.model, "zone_conduit"))
+        _write(staging / "manifest.json", render.manifest_json(policy))
         metrics = render.loc_metrics(spec, iptables_configs)
-        (staging / "metrics.txt").write_text(
-            f"high_level_loc {metrics.high_level_loc}\n"
-            f"device_loc {metrics.device_loc}\n"
-            f"ratio {metrics.ratio:.2f}\n",
-            encoding="utf-8")
+        _write(staging / "metrics.txt",
+               f"high_level_loc {metrics.high_level_loc}\n"
+               f"device_loc {metrics.device_loc}\n"
+               f"ratio {metrics.ratio:.2f}\n")
         if args.emit_alloy:
-            (staging / "policy.als").write_text(
-                checker.emit_alloy(spec, policy.flows), encoding="utf-8")
+            _write(staging / "policy.als", checker.emit_alloy(spec, policy.flows))
         _replace_dir(staging, out_dir)
     finally:
         if staging.exists():
@@ -174,9 +182,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     model = derive_zone_conduit(build_zone_firewall_model(_load_topology(Path(args.topology))))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _write(out_dir)
     for flavor in ("zone_firewall", "zone_conduit"):
-        (out_dir / f"{flavor}.dot").write_text(export_graph(model, flavor), encoding="utf-8")
+        _write(out_dir / f"{flavor}.dot", export_graph(model, flavor))
     print(f"wrote 2 graphs -> {out_dir}")
     return OK
 

@@ -1,16 +1,15 @@
-"""Executable semantics of packet-filter rules and their region algebra.
+"""Executable semantics of packet-filter rules.
 
 A :class:`Packet` is one point of the header space, connection state
 included; the simulator injects it and the ACL engine evaluates it.  It
 stands for the whole class of packets sharing its header values; rules
 decide accept/deny per class, so evaluating one point per class is exact.
-A :class:`Predicate` denotes a cross product of per-dimension range sets,
-connection state included.  :class:`MatchTable` is the one ACL engine: it
-encodes each compiled rule once as a row, evaluates the ACL first-match
-over header points and swept values, and gives each rule's region.
-Region subtraction lives in one place, the canonical strips of
-:mod:`forestfw.canonical`; the ACL anomaly check walks a table's rows
-over those strips.
+:class:`MatchTable` is the one ACL engine: it encodes each compiled rule
+once as a row, with the ICMP type of protocol 1 on the same value axis
+as the dport, and evaluates the ACL first-match over header points and
+swept values.  Regions have one form, the canonical strips of
+:mod:`forestfw.canonical` (per protocol, value x sport); the ACL anomaly
+check walks a table's rows over those strips.
 """
 
 from __future__ import annotations
@@ -20,12 +19,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from forestfw import intervals
 from forestfw.intervals import IntervalSet
-from forestfw.policy_lang.syntax import (
-    Service,
-    effective_dports,
-    effective_icmp_types,
-    effective_sports,
-)
 
 if TYPE_CHECKING:  # netgen imports the checker, which imports this module
     from ipaddress import IPv4Network
@@ -33,20 +26,11 @@ if TYPE_CHECKING:  # netgen imports the checker, which imports this module
     from forestfw.netgen import AclRule
 
 ADDR_MAX = (1 << 32) - 1
-FULL_ADDR: IntervalSet = ((0, ADDR_MAX),)
-FULL_PORT: IntervalSet = ((0, 65535),)
-FULL_PROTO: IntervalSet = ((0, 255),)
 FULL_ICMP: IntervalSet = ((0, 255),)
-FULL_STATE: IntervalSet = ((0, 1),)
 
 NEW = "NEW"
 ESTABLISHED = "ESTABLISHED"
-# connection states as values of the state dimension, in value order
-STATE_BITS = {NEW: 0, ESTABLISHED: 1}
-
-# icmp_type is only meaningful when protocol == 1; elsewhere callers pin it
-# to this sentinel so cross products stay well-defined.
-ICMP_SENTINEL = 0
+STATES = (NEW, ESTABLISHED)
 
 
 @dataclass(frozen=True)
@@ -58,85 +42,8 @@ class Packet:
     protocol: int = 6
     sport: int = 0
     dport: int = 0
-    icmp_type: int = ICMP_SENTINEL
+    icmp_type: int = 0  # read only when protocol == 1
     state: str = NEW
-
-
-# the dimensions of a Predicate
-_DIMS = ("protocol", "src", "dst", "sport", "dport", "icmp", "state")
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """A rectangle predicate: per-dimension sorted, disjoint range sets.
-
-    Every dimension must be non-empty; an unconstrained dimension carries
-    its full range.  ``state`` stays full unless set.
-    """
-
-    src: IntervalSet = FULL_ADDR
-    dst: IntervalSet = FULL_ADDR
-    protocol: IntervalSet = FULL_PROTO
-    sport: IntervalSet = FULL_PORT
-    dport: IntervalSet = FULL_PORT
-    icmp: IntervalSet = FULL_ICMP
-    state: IntervalSet = FULL_STATE
-
-    def __post_init__(self) -> None:
-        for dim in _DIMS:
-            ranges = intervals.normalize(getattr(self, dim))
-            if not ranges:
-                raise ValueError(f"predicate dimension {dim!r} is empty")
-            object.__setattr__(self, dim, ranges)
-
-    def sample_point(self) -> Packet:
-        """Lowest corner of the predicate; always matches it."""
-        return Packet(
-            src_addr=intervals.sample(self.src),
-            dst_addr=intervals.sample(self.dst),
-            protocol=intervals.sample(self.protocol),
-            sport=intervals.sample(self.sport),
-            dport=intervals.sample(self.dport),
-            icmp_type=intervals.sample(self.icmp),
-            state=list(STATE_BITS)[intervals.sample(self.state)],
-        )
-
-
-def matches(p: Predicate, x: Packet) -> bool:
-    """True iff every dimension of ``x`` lies in the corresponding set."""
-    return (
-        intervals.contains(p.protocol, x.protocol)
-        and intervals.contains(p.sport, x.sport)
-        and intervals.contains(p.dport, x.dport)
-        and intervals.contains(p.icmp, x.icmp_type)
-        and intervals.contains(p.src, x.src_addr)
-        and intervals.contains(p.dst, x.dst_addr)
-        and intervals.contains(p.state, STATE_BITS[x.state])
-    )
-
-
-def service_predicate(svc: Service) -> Predicate:
-    """The header-space rectangle a service stands for (zones excluded).
-
-    For non-ICMP protocols the icmp dimension is pinned to the sentinel;
-    for non-TCP/UDP protocols the port dimensions are unconstrained.
-    """
-    if svc.protocol is None:
-        raise ValueError(f"service {svc.name!r} has no concrete protocol")
-    proto: IntervalSet = ((svc.protocol, svc.protocol),)
-    if svc.protocol == 1:
-        return Predicate(
-            protocol=proto,
-            icmp=tuple(effective_icmp_types(svc)),
-        )
-    if svc.protocol in (6, 17):
-        return Predicate(
-            protocol=proto,
-            sport=tuple(effective_sports(svc)),
-            dport=tuple(effective_dports(svc)),
-            icmp=((ICMP_SENTINEL, ICMP_SENTINEL),),
-        )
-    return Predicate(protocol=proto, icmp=((ICMP_SENTINEL, ICMP_SENTINEL),))
 
 
 def address_intervals(networks: Iterable["IPv4Network"]) -> IntervalSet:
@@ -167,9 +74,9 @@ class _RuleMatch(NamedTuple):
 class MatchTable:
     """First-match lookup over one ACL, each rule encoded once.
 
-    The table answers header points (:meth:`decide`), one swept dimension
-    (:meth:`permitted`) and regions (:meth:`region`) from the same
-    ``rows``, one per rule in ACL order.
+    The table answers header points (:meth:`decide`) and one swept
+    dimension (:meth:`permitted`) from the same ``rows``, one per rule in
+    ACL order; the ACL anomaly check reads the rows directly.
     The rules that admit a (protocol, state) are listed on the first
     packet that carries it, so a lookup compares only addresses and ports.
     """
@@ -259,27 +166,6 @@ class MatchTable:
                 break
         return permitted
 
-    def region(self, i: int) -> Predicate:
-        """The header-space region rule ``i`` matches, read from its row.
-
-        A ``None`` field is full, an ICMP rule's values go to the icmp
-        dimension (``dport`` stays full), and the rule's ``state`` lists
-        the connection states it admits.
-        """
-        rule, row = self.rules[i], self.rows[i]
-        dport, icmp = row.values or FULL_PORT, FULL_ICMP
-        if rule.protocol == 1:
-            dport, icmp = FULL_PORT, row.values or FULL_ICMP
-        return Predicate(
-            protocol=FULL_PROTO if rule.protocol is None else ((rule.protocol, rule.protocol),),
-            src=row.src,
-            dst=row.dst,
-            sport=row.sport or FULL_PORT,
-            dport=dport,
-            icmp=icmp,
-            state=tuple((STATE_BITS[s], STATE_BITS[s]) for s in rule.state) or FULL_STATE,
-        )
-
 
 def rule_matches_packet(rule: "AclRule", packet: Packet) -> bool:
     return next(MatchTable((rule,)).matching(packet), None) is not None
@@ -289,7 +175,3 @@ def eval_acl(rules: tuple["AclRule", ...], packet: Packet) -> tuple[str, str]:
     """First-match decision plus a description of the deciding rule."""
     return MatchTable(rules).decide(packet)
 
-
-def rule_region(rule: "AclRule") -> Predicate:
-    """The header-space region a compiled ACL rule matches."""
-    return MatchTable((rule,)).region(0)

@@ -73,9 +73,3 @@ def subtract(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             out.append((lo, hi))
     return tuple(out)
 
-
-def sample(ranges: IntervalSet) -> int:
-    """Lowest value in the set (the deterministic representative)."""
-    if not ranges:
-        raise ValueError("empty interval set has no sample")
-    return ranges[0][0]

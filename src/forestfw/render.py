@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from forestfw.diagnostics import InputError, PolicyError
-from forestfw.header_space import STATE_BITS
+from forestfw.header_space import STATES
 from forestfw.netgen import (
     Acl,
     AclRule,
@@ -270,7 +270,7 @@ def _parse_ports(text: str, limit: int = PORT_MAX) -> tuple[PortRange, ...]:
 
 def _parse_states(text: str) -> tuple[str, ...]:
     states = tuple(s for s in text.split(",") if s)
-    if not set(states) <= STATE_BITS.keys():
+    if not set(states) <= set(STATES):
         raise ValueError(f"unknown state in {text!r}")
     return states
 

@@ -32,7 +32,6 @@ from forestfw.checker import (
     service_intersection,
 )
 from forestfw.diagnostics import PolicyError
-from forestfw.header_space import MatchTable, matches
 from forestfw.netgen import ANY_NET, AclRule, enumerate_paths, hop_acls
 from forestfw.policy_lang.lexer import KEYWORDS, Token
 from forestfw.policy_lang.syntax import (
@@ -67,6 +66,7 @@ from forestfw.topo_model import (
 )
 
 GRID_PORTS = 256  # oracle grids cover ports/types 0..255
+PORTLESS = 47  # GRE: a protocol without ports, all or nothing on the grids
 
 
 def random_range(rng: random.Random, upper: int) -> PortRange:
@@ -75,8 +75,9 @@ def random_range(rng: random.Random, upper: int) -> PortRange:
     return PortRange(lo, hi)
 
 
-def random_service(rng: random.Random, name: str) -> Service:
-    protocol = rng.choice((1, 6, 17))
+def random_service(rng: random.Random, name: str, protocol: int | None = None) -> Service:
+    if protocol is None:
+        protocol = rng.choice((1, 6, 17))
     if protocol == 1:
         types = tuple(random_range(rng, GRID_PORTS) for _ in range(rng.randint(1, 2)))
         return Service(name, 1, icmp_types=types)
@@ -87,6 +88,18 @@ def random_service(rng: random.Random, name: str) -> Service:
 
 def random_service_set(rng: random.Random, max_services: int = 5) -> list[Service]:
     return [random_service(rng, f"svc{i}") for i in range(rng.randint(1, max_services))]
+
+
+def random_mixed_service_set(rng: random.Random, max_services: int = 5) -> list[Service]:
+    """Services of ICMP (any type one time in four), TCP, UDP and ``PORTLESS``."""
+    services = []
+    for i in range(rng.randint(1, max_services)):
+        protocol = rng.choice((1, 6, 17, PORTLESS))
+        if protocol == PORTLESS or (protocol == 1 and rng.random() < 0.25):
+            services.append(Service(f"svc{i}", protocol))
+        else:
+            services.append(random_service(rng, f"svc{i}", protocol))
+    return services
 
 
 def split_cover(rng: random.Random, services: list[Service]) -> list[Service]:
@@ -112,15 +125,23 @@ def split_cover(rng: random.Random, services: list[Service]) -> list[Service]:
 # ---------------------------------------------------------------------------
 # dense accept-set oracle
 
-def accept_masks(services) -> dict:
-    """Dense accept grids: (sport, dport) planes per TCP/UDP, a type row for ICMP."""
-    masks = {
+def _empty_masks() -> dict:
+    return {
         6: np.zeros((GRID_PORTS, GRID_PORTS), dtype=bool),
         17: np.zeros((GRID_PORTS, GRID_PORTS), dtype=bool),
         1: np.zeros(GRID_PORTS, dtype=bool),
+        PORTLESS: np.zeros(1, dtype=bool),
     }
+
+
+def accept_masks(services) -> dict:
+    """Dense accept grids: (sport, dport) planes per TCP/UDP, a type row
+    for ICMP and one cell for ``PORTLESS``."""
+    masks = _empty_masks()
     for svc in services:
-        if svc.protocol == 1:
+        if svc.protocol == PORTLESS:
+            masks[PORTLESS][0] = True
+        elif svc.protocol == 1:
             types = svc.icmp_types or (PortRange(0, 255),)
             for lo, hi in types:
                 masks[1][lo:min(hi, GRID_PORTS - 1) + 1] = True
@@ -142,16 +163,16 @@ def masks_subset(a: dict, b: dict) -> bool:
 
 def canonical_masks(policy: CanonicalPolicy) -> dict:
     """Accept grids rebuilt from canonical strips (for cover-exactness)."""
-    masks = {
-        6: np.zeros((GRID_PORTS, GRID_PORTS), dtype=bool),
-        17: np.zeros((GRID_PORTS, GRID_PORTS), dtype=bool),
-        1: np.zeros(GRID_PORTS, dtype=bool),
-    }
+    masks = _empty_masks()
     for sl in policy.slices:
+        if sl.protocol == PORTLESS:
+            assert sl.strips == (((0, 65535), ((0, 65535),)),)  # the full port plane
+            masks[PORTLESS][0] = True
+            continue
         if sl.protocol == 1:
-            assert sl.icmp_type is not None
-            if sl.icmp_type < GRID_PORTS:
-                masks[1][sl.icmp_type] = True
+            for (lo, hi), sports in sl.strips:
+                assert sports == ((0, 65535),)  # ICMP types carry every source port
+                masks[1][lo:min(hi, GRID_PORTS - 1) + 1] = True
             continue
         for (dlo, dhi), sports in sl.strips:
             for slo, shi in sports:
@@ -227,11 +248,10 @@ def random_accept_rules(rng: random.Random, limit: int = 16,
 
 def whitelist_reading(rules):
     """The order-free whitelist reading of permit rules: a point is
-    permitted iff some rule's region holds it."""
+    permitted iff some rule matches it."""
     assert all(rule.action == "permit" for rule in rules)
-    table = MatchTable(tuple(rules))
-    regions = [table.region(i) for i in range(len(rules))]
-    return lambda point: "permit" if any(matches(r, point) for r in regions) else "deny"
+    return lambda point: ("permit" if any(packet_matches(r, point) for r in rules)
+                          else "deny")
 
 
 # ---------------------------------------------------------------------------
@@ -634,14 +654,39 @@ def find_rule_overlaps_all_pairs(flows) -> list[OverlapReport]:
 # split into simple 7-D boxes and box-subtracted against every earlier
 # rule's region, as the check did before the strip walk
 
-def _region_dims(region) -> tuple:
-    return (region.protocol, region.src, region.dst, region.sport, region.dport,
-            region.icmp, region.state)
+_FULL_PORT = ((0, 65535),)
+_FULL_BYTE = ((0, 255),)  # protocol numbers and ICMP types
+
+
+def _address_set(nets) -> tuple:
+    return intervals.normalize(
+        (int(n.network_address), int(n.broadcast_address)) for n in nets)
+
+
+def rule_box(rule) -> tuple:
+    """A compiled rule's region as seven range sets: protocol, src, dst,
+    sport, dport, ICMP type, state (0 NEW, 1 ESTABLISHED).  An empty field
+    is full; an ICMP rule's ``dport`` holds its types and its dport stays
+    full; a rule of another protocol has every ICMP type."""
+    values = intervals.normalize(rule.dport)
+    dport, icmp = values or _FULL_PORT, _FULL_BYTE
+    if rule.protocol == 1:
+        dport, icmp = _FULL_PORT, values or _FULL_BYTE
+    states = {NEW: 0, ESTABLISHED: 1}
+    return (
+        _FULL_BYTE if rule.protocol is None else ((rule.protocol, rule.protocol),),
+        _address_set(rule.src),
+        _address_set(rule.dst),
+        intervals.normalize(rule.sport) or _FULL_PORT,
+        dport,
+        icmp,
+        intervals.normalize((states[s], states[s]) for s in rule.state) or ((0, 1),),
+    )
 
 
 def _boxes(region) -> list[tuple]:
     boxes: list[tuple] = [()]
-    for dim in _region_dims(region):
+    for dim in region:
         boxes = [box + (iv,) for box in boxes for iv in dim]
     return boxes
 
@@ -670,8 +715,7 @@ def _covered_by_boxes(region, coverers) -> bool:
     """Is ``region`` fully covered by the union of the ``coverers``?"""
     boxes = _boxes(region)
     for coverer in coverers:
-        dims = _region_dims(coverer)
-        boxes = [piece for box in boxes for piece in _subtract_box(box, dims)]
+        boxes = [piece for box in boxes for piece in _subtract_box(box, coverer)]
         if not boxes:
             return True
     return not boxes
@@ -682,8 +726,7 @@ def find_acl_anomalies_pairwise(acl) -> list[OverlapReport]:
     coverage by the union of the earlier permits, then of all earlier rules."""
     reports: list[OverlapReport] = []
     rules = acl.rules
-    table = MatchTable(rules)
-    regions = [table.region(i) for i in range(len(rules))]
+    regions = [rule_box(rule) for rule in rules]
     for i, rule in enumerate(rules):
         if i == len(rules) - 1 and rule.action == "deny":
             break
@@ -951,6 +994,7 @@ def generated_policy_sources() -> dict[str, str]:
 
 __all__ = [
     "GRID_PORTS",
+    "PORTLESS",
     "RING",
     "accept_masks",
     "brute_force_leaks",
@@ -973,11 +1017,13 @@ __all__ = [
     "partition_strips_by_scan",
     "plan_delivers",
     "random_accept_rules",
+    "random_mixed_service_set",
     "random_range",
     "random_service",
     "random_service_set",
     "realizable_without_loops",
     "ring_model",
+    "rule_box",
     "rule_grid_points",
     "scan_packet",
     "service_accepts",

@@ -17,12 +17,14 @@ from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import expand_rules, parse_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
 from support import (
+    PORTLESS,
     accept_masks,
     canonical_masks,
     generated_policy_sources,
     masks_equal,
     masks_subset,
     partition_strips_by_scan,
+    random_mixed_service_set,
     random_service_set,
     split_cover,
 )
@@ -38,7 +40,7 @@ def test_single_rectangle_is_its_own_strip():
     policy = canonicalize([tcp("s", [(10, 20)], [(80, 90)])])
     assert len(policy.slices) == 1
     sl = policy.slices[0]
-    assert (sl.protocol, sl.icmp_type) == (6, None)
+    assert sl.protocol == 6
     assert sl.strips == (((80, 90), ((10, 20),)),)
 
 
@@ -112,13 +114,17 @@ def test_includes_subset_and_reflexivity():
     assert includes([], [https])  # empty policy included in everything
 
 
-def test_icmp_types_expand_to_per_type_slices():
+def test_icmp_types_ride_on_the_value_axis():
     any_icmp = Service("any_icmp", 1)
     listed = Service("all_types", 1, icmp_types=(PortRange(0, 255),))
     assert canonicalize([any_icmp]) == canonicalize([listed])
+    assert canonicalize([any_icmp]).slices == (
+        canonical.CanonicalSlice(1, (((0, 255), ((0, 65535),)),)),)
     echo = Service("echo", 1, icmp_types=(PortRange(8, 8),))
-    policy = canonicalize([echo])
-    assert [(sl.protocol, sl.icmp_type) for sl in policy.slices] == [(1, 8)]
+    reply = Service("echo_reply", 1, icmp_types=(PortRange(0, 0), PortRange(9, 9)))
+    policy = canonicalize([echo, reply])
+    assert [(sl.protocol, sl.strips) for sl in policy.slices] == [
+        (1, (((0, 0), ((0, 65535),)), ((8, 9), ((0, 65535),))))]
 
 
 def test_canonicalize_rejects_generic_service():
@@ -141,6 +147,53 @@ def test_randomized_equivalence_and_inclusion_against_oracle():
         assert equivalent(p, q) == masks_equal(mp, mq)
         assert includes(p, q) == masks_subset(mp, mq)
         assert includes(q, p) == masks_subset(mq, mp)
+
+
+def _split_icmp_types(rng: random.Random, services: list[Service]) -> list[Service]:
+    """An equivalent service set: ICMP type ranges cut in two services."""
+    out = []
+    for svc in services:
+        types = svc.icmp_types or (PortRange(0, 255),)
+        if svc.protocol == 1 and types[0].hi > types[0].lo:
+            lo, hi = types[0]
+            mid = rng.randrange(lo, hi)
+            out.append(Service(svc.name + "a", 1, icmp_types=(PortRange(lo, mid),) + types[1:]))
+            out.append(Service(svc.name + "b", 1, icmp_types=(PortRange(mid + 1, hi),)))
+        else:
+            out.append(svc)
+    return out
+
+
+def test_protocol_keyed_strips_against_oracle():
+    """ICMP (any type included), TCP, UDP and a portless protocol each
+    make one slice; its strips cover exactly the grid, and inclusion,
+    equivalence and subtraction agree with the grids."""
+    rng = random.Random(1947)
+    seen = set()
+    for trial in range(240):
+        p = random_mixed_service_set(rng)
+        if trial % 3 == 0:
+            q = split_cover(rng, _split_icmp_types(rng, p))
+        elif trial % 3 == 1:
+            q = p[rng.randrange(len(p)):] + random_mixed_service_set(rng, 2)
+        else:
+            q = random_mixed_service_set(rng)
+        cp, cq = canonicalize(p), canonicalize(q)
+        assert [sl.protocol for sl in cp.slices] == sorted({svc.protocol for svc in p})
+        mp, mq = accept_masks(p), accept_masks(q)
+        assert masks_equal(canonical_masks(cp), mp)
+        assert equivalent(p, q) == masks_equal(mp, mq), (p, q)
+        assert includes(p, q) == masks_subset(mp, mq), (p, q)
+        assert includes(q, p) == masks_subset(mq, mp), (p, q)
+        leftovers = CanonicalPolicy(tuple(canonical_subtract(cp, cq)))
+        assert masks_equal(canonical_masks(leftovers), {k: mp[k] & ~mq[k] for k in mp})
+        seen.add(("equivalent", equivalent(p, q)))
+        seen.add(("includes", includes(p, q)))
+        seen.update(("protocol", svc.protocol) for svc in p)
+        seen.update("any-type icmp" for svc in p if svc.protocol == 1 and not svc.icmp_types)
+    assert seen == {("equivalent", True), ("equivalent", False), ("includes", True),
+                    ("includes", False), ("protocol", 1), ("protocol", 6), ("protocol", 17),
+                    ("protocol", PORTLESS), "any-type icmp"}
 
 
 def test_canonical_overlap_free_and_cover_exact():
@@ -209,6 +262,27 @@ port_group narrow { 85-86 }
 service low_narrow { protocol=tcp; tcp.source_port=low; tcp.dest_port=narrow; }
 policy_rule inbound_bound { any_zone -> protected_zone : low_narrow }
 """
+
+
+def test_violation_evidence_states_icmp_types_and_portless_protocols_plainly():
+    bound = parse_policy("""
+zone_group protected_zone { scada }
+service echo { protocol=icmp; icmp.type=8; }
+service unreachable { protocol=icmp; icmp.type=3; }
+policy_rule inbound_bound { any_zone -> protected_zone : echo, unreachable }
+""")
+    flows = [_flow("ping_in", "corp", "scada", Service("any_icmp", 1)),
+             _flow("gre_in", "corp", "scada", Service("gre", PORTLESS))]
+    [violation] = check_best_practice(flows, ZONES, bound)
+    assert str(violation).endswith(
+        "(inbound for the protected zone): protocol 1 (icmp) icmp type 0-2; "
+        "protocol 1 (icmp) icmp type 4-7; protocol 1 (icmp) icmp type 9-255; "
+        "protocol 47 (47)")
+    [violation] = check_best_practice(flows[:1], ZONES, parse_policy(
+        "zone_group protected_zone { scada }\n"
+        "service gre { protocol=47; }\n"
+        "policy_rule inbound_bound { any_zone -> protected_zone : gre }\n"))
+    assert str(violation).endswith("protocol 1 (icmp) icmp type 0-255")
 
 
 def test_violation_evidence_lists_maximal_strips():

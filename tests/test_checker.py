@@ -11,7 +11,7 @@ from forestfw.checker import (
     find_rule_overlaps,
     service_intersection,
 )
-from forestfw.header_space import matches, service_predicate
+from forestfw.header_space import Packet
 from forestfw.netgen import Acl, AclRule, CompileOptions, TERMINAL_DENY, compile_policy
 from forestfw.policy_lang import expand_rules, parse_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
@@ -20,6 +20,7 @@ from support import (
     find_rule_overlaps_all_pairs,
     generated_policy_sources,
     random_service,
+    service_accepts,
 )
 
 
@@ -50,9 +51,7 @@ def test_interval_intersection():
     assert shared is not None
     assert shared.dest_ports == (PortRange(85, 90),)
     # brute membership at the boundary points
-    pred = service_predicate(shared)
-    from forestfw.header_space import Packet
-    hits = {p: matches(pred, Packet(protocol=6, dport=p)) for p in (84, 85, 90, 91)}
+    hits = {p: service_accepts(shared, Packet(protocol=6, dport=p)) for p in (84, 85, 90, 91)}
     assert hits == {84: False, 85: True, 90: True, 91: False}
 
 
@@ -104,6 +103,18 @@ def test_flows_of_one_rule_never_self_report():
     assert find_rule_overlaps(flows) == []
 
 
+def _corners(svc: Service) -> list[Packet]:
+    """The lowest and highest header points of a service."""
+    if svc.protocol == 1:
+        types = svc.icmp_types or (PortRange(0, 255),)
+        return [Packet(protocol=1, icmp_type=types[0].lo),
+                Packet(protocol=1, icmp_type=types[-1].hi)]
+    sports = svc.source_ports or (PortRange(0, 65535),)
+    dports = svc.dest_ports or (PortRange(0, 65535),)
+    return [Packet(protocol=svc.protocol, sport=sports[0].lo, dport=dports[0].lo),
+            Packet(protocol=svc.protocol, sport=sports[-1].hi, dport=dports[-1].hi)]
+
+
 def test_witness_point_matched_by_both_rules():
     rng = random.Random(31)
     for _ in range(60):
@@ -114,10 +125,10 @@ def test_witness_point_matched_by_both_rules():
         by_name = {f.rule_name: f for f in flows}
         for report in find_rule_overlaps(flows):
             for witness in report.witnesses:
-                point = witness.sample_point()
-                pred_a = service_predicate(by_name[report.rule_a].service)
-                pred_b = service_predicate(by_name[report.rule_b].service)
-                assert matches(pred_a, point) and matches(pred_b, point)
+                for point in _corners(witness.service):
+                    assert service_accepts(witness.service, point)
+                    assert service_accepts(by_name[report.rule_a].service, point)
+                    assert service_accepts(by_name[report.rule_b].service, point)
 
 
 def test_completeness_against_brute_force_oracle():

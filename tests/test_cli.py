@@ -222,6 +222,32 @@ def test_graph_writes_two_dot_files(tmp_path, capsys):
     assert (out_dir / "zone_firewall.dot").read_text().startswith("graph zone_firewall")
 
 
+@pytest.mark.parametrize("command, target, message", [
+    ("check", "missing/model.als", "cannot write {}: No such file or directory"),
+    ("check", "blocker_dir", "cannot write {}: Is a directory"),
+    ("compile", "blocker/out", "cannot create directory {}: File exists"),
+    ("graph", "blocker", "cannot create directory {}: File exists"),
+])
+def test_unwritable_output_path_is_usage_error(tmp_path, capsys, command, target, message):
+    # "blocker" is a regular file where a directory has to go, and
+    # "blocker_dir" a directory where a file has to go
+    (tmp_path / "blocker").write_text("not a directory")
+    (tmp_path / "blocker_dir").mkdir()
+    target = tmp_path / target
+    args = {
+        "check": ["--policy", POLICY_FIXED, "--topology", TOPOLOGY, "--emit-alloy", str(target)],
+        "compile": ["--policy", POLICY_FIXED, "--topology", TOPOLOGY, "--out", str(target)],
+        "graph": ["--topology", TOPOLOGY, "--out", str(target)],
+    }[command]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    failed = target.parent if command == "compile" else target
+    assert err == f"forestfw: {message.format(failed)}\n"
+    assert (tmp_path / "blocker").read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "blocker_dir"]
+    assert not any((tmp_path / "blocker_dir").iterdir())
+
+
 def test_graph_bad_topology_path(capsys):
     assert main(["graph", "--topology", "/none.graphml", "--out", "/tmp/x"]) == 2
 

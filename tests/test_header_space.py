@@ -3,48 +3,18 @@ import random
 
 import pytest
 
-from forestfw.header_space import (
-    ESTABLISHED,
-    NEW,
-    MatchTable,
-    Packet,
-    Predicate,
-    matches,
-    rule_region,
-)
+from forestfw.header_space import ESTABLISHED, NEW, MatchTable, Packet
 from forestfw.netgen import ANY_NET, AclRule
 from forestfw.policy_lang.syntax import PortRange
 from forestfw.sim import rule_matches_packet
-from support import random_accept_rules, rule_grid_points, whitelist_reading
+from support import packet_matches, random_accept_rules, rule_grid_points, whitelist_reading
 
-FULL = Predicate()
 HTTP_PERMIT = AclRule("permit", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(80, 80),))
 HTTP_DENY = AclRule("deny", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(80, 80),))
 
 
 def first_match(rules, point) -> str:
     return MatchTable(tuple(rules)).decide(point)[0]
-
-
-def test_full_space_matches_everything():
-    for point in (Packet(), Packet(protocol=17, sport=1, dport=65535),
-                  Packet(protocol=1, icmp_type=255)):
-        assert matches(FULL, point)
-
-
-def test_direct_containment():
-    p = Predicate(protocol=((6, 6),), dport=((80, 80),))
-    assert matches(p, Packet(protocol=6, dport=80, sport=4242, src_addr=7))
-
-
-def test_disjoint_dimension():
-    p = Predicate(protocol=((6, 6),))
-    assert not matches(p, Packet(protocol=17))
-
-
-def test_empty_predicate_dimension_rejected():
-    with pytest.raises(ValueError):
-        Predicate(protocol=())
 
 
 def test_first_match_implicit_deny():
@@ -157,16 +127,9 @@ def test_combination_strategies_associative():
             assert last_left(point) == last_right(point) == reversed_flat.decide(point)[0]
 
 
-def test_sample_point_matches_own_predicate():
-    rng = random.Random(8)
-    for _ in range(40):
-        pred = rule_region(random_accept_rules(rng, max_rules=1)[0])
-        assert matches(pred, pred.sample_point())
-
-
-def test_rule_region_agrees_with_simulator_matching():
-    """A compiled rule's region holds exactly the packets the simulator
-    matches it against, ICMP types included."""
+def test_rule_matching_agrees_with_per_packet_oracle():
+    """The ACL engine matches a compiled rule against exactly the packets
+    the field-by-field oracle matches, ICMP types included."""
     rng = random.Random(23)
     nets = [ipaddress.IPv4Network(text) for text in (
         "0.0.0.0/0", "10.0.0.0/30", "10.0.0.4/30", "10.0.0.0/29", "10.0.0.9/32")]
@@ -196,18 +159,18 @@ def test_rule_region_agrees_with_simulator_matching():
     outcomes = set()
     for _ in range(300):
         r = rule()
-        region = rule_region(r)
         for _ in range(20):
             p = packet()
             matched = rule_matches_packet(r, p)
-            assert matches(region, p) == matched, (r, p)
+            assert packet_matches(r, p) == matched, (r, p)
             outcomes.add((r.protocol, matched))
     assert len(outcomes) == 10  # each rule protocol both matched and missed
 
 
-def test_table_regions_equal_each_rules_own_region():
+
+def test_table_rows_equal_each_rules_own_row():
     """The table encodes a field shared by several rules once; each rule's
-    region still comes from its own fields."""
+    row still holds its own fields."""
     rng = random.Random(29)
     nets = [ipaddress.IPv4Network(text) for text in (
         "0.0.0.0/0", "10.0.0.0/29", "10.0.0.16/29", "192.0.2.7/32")]
@@ -226,7 +189,7 @@ def test_table_regions_equal_each_rules_own_region():
                 state=tuple(rng.sample((NEW, ESTABLISHED), rng.randint(0, 2)))))
         table = MatchTable(tuple(rules))
         for i, rule in enumerate(rules):
-            assert table.region(i) == rule_region(rule), (rules, i)
+            assert table.rows[i] == MatchTable((rule,)).rows[0]._replace(index=i), (rules, i)
         fields = [f for r in rules for f in (r.src, r.dst, r.sport, r.dport) if f]
         shared += len(fields) - len(set(fields))
     assert shared > 200  # the rules do share fields

@@ -32,11 +32,10 @@ def test_intersect_subtract_union_against_set_oracle():
         assert materialize(intervals.subtract(a, b)) == set_a - set_b
 
 
-def test_contains_and_sample():
+def test_contains():
     ranges = ((2, 4), (8, 8))
     assert intervals.contains(ranges, 3)
     assert not intervals.contains(ranges, 5)
-    assert intervals.sample(ranges) == 2
 
 
 # ---------------------------------------------------------------------------
