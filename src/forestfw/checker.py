@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from forestfw import intervals
 from forestfw.canonical import FULL_PORTS, subtract_strips
-from forestfw.header_space import ADDR_MAX, FULL_ICMP, STATES, MatchTable
+from forestfw.header_space import ADDR_MAX, FULL_ICMP, STATES, MatchTable, cuts
 from forestfw.intervals import IntervalSet
 from forestfw.policy_lang.syntax import (
     FlowRule,
@@ -183,8 +183,8 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     protocols: list[int | None] = sorted({r.protocol for r in rules if r.protocol is not None})
     if len(protocols) < 256 and any(r.protocol is None for r in rules):
         protocols.append(None)  # the cell of every protocol no rule names
-    src_cuts = _address_cuts(row.src for row in rows)
-    dst_cuts = _address_cuts(row.dst for row in rows)
+    src_cuts = cuts((row.src for row in rows), ADDR_MAX)
+    dst_cuts = cuts((row.dst for row in rows), ADDR_MAX)
     undecided: dict[tuple, tuple] = {}
     unpermitted: dict[tuple, tuple] = {}
     reports: list[OverlapReport] = []
@@ -210,16 +210,10 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     return reports
 
 
-def _address_cuts(fields: Iterable[IntervalSet]) -> list[int]:
-    """The starts of the elementary address intervals that the fields' bounds make."""
-    cuts = {bound for field in fields for lo, hi in field for bound in (lo, hi + 1)}
-    return sorted((cuts | {0}) - {ADDR_MAX + 1})
-
-
-def _cells(cuts: list[int], field: IntervalSet) -> Iterator[int]:
-    """The elementary address intervals, as indexes into ``cuts``, that make up ``field``."""
+def _cells(starts: list[int], field: IntervalSet) -> Iterator[int]:
+    """The elementary address intervals, as indexes into ``starts``, that make up ``field``."""
     for lo, hi in field:
-        yield from range(bisect_left(cuts, lo), bisect_left(cuts, hi + 1))
+        yield from range(bisect_left(starts, lo), bisect_left(starts, hi + 1))
 
 
 def _take(left: dict[tuple, tuple], cell: tuple, plane: tuple, strips: tuple) -> bool:

@@ -7,18 +7,23 @@ decide accept/deny per class, so evaluating one point per class is exact.
 :class:`MatchTable` is the one ACL engine: it encodes each compiled rule
 once as a row, with the ICMP type of protocol 1 on the same value axis
 as the dport, and evaluates the ACL first-match over header points and
-swept values.  Regions have one form, the canonical strips of
-:mod:`forestfw.canonical` (per protocol, value x sport); the ACL anomaly
-check walks a table's rows over those strips.
+swept values, by row bitsets (bit-vector packet classification,
+Lakshman and Stiliadis, SIGCOMM 1998).  Regions have one form, the
+canonical strips of :mod:`forestfw.canonical` (per protocol, value x
+sport); the ACL anomaly check walks a table's rows over those strips.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import xor
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from forestfw import intervals
-from forestfw.intervals import IntervalSet
+from forestfw.intervals import Interval, IntervalSet
+from forestfw.policy_lang.syntax import PORT_MAX
 
 if TYPE_CHECKING:  # netgen imports the checker, which imports this module
     from ipaddress import IPv4Network
@@ -58,6 +63,39 @@ def address_intervals(networks: Iterable["IPv4Network"]) -> IntervalSet:
 # ---------------------------------------------------------------------------
 # the ACL engine: first-match evaluation of compiled rules
 
+def cuts(fields: Iterable[IntervalSet], top: int) -> list[int]:
+    """The starts of the elementary intervals of ``0..top`` that the fields' bounds cut."""
+    starts = {bound for field in fields for lo, hi in field for bound in (lo, hi + 1)}
+    return sorted((starts | {0}) - {top + 1})
+
+
+def bit_indexes(bits: int) -> Iterator[int]:
+    """The indexes of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _row_bits(fields: Iterable[IntervalSet | None], top: int) -> tuple[list[int], list[int]]:
+    """One dimension of a table: the elementary intervals that the rows'
+    fields cut from ``0..top``, as their sorted starts, and per interval an
+    int whose bit *i* is set when row *i* admits it (``None`` admits all)."""
+    rows_of: dict[IntervalSet | None, int] = {}
+    for i, field in enumerate(fields):
+        rows_of[field] = rows_of.get(field, 0) | 1 << i
+    toggles: dict[int, int] = {0: 0}
+    for field, rows in rows_of.items():
+        # a field's intervals are disjoint and never adjacent: its rows
+        # flip on at each start and off past each end
+        for lo, hi in ((0, top),) if field is None else field:
+            toggles[lo] = toggles.get(lo, 0) ^ rows
+            toggles[hi + 1] = toggles.get(hi + 1, 0) ^ rows
+    toggles.pop(top + 1, None)
+    starts = sorted(toggles)
+    return starts, list(accumulate((toggles[start] for start in starts), xor))
+
+
 class _RuleMatch(NamedTuple):
     """One ACL rule's match fields as integer interval sets.
 
@@ -71,107 +109,125 @@ class _RuleMatch(NamedTuple):
     values: IntervalSet | None  # dport, or ICMP type for protocol 1
 
 
+def _encode(rule: "AclRule", codes: dict) -> tuple:
+    """A rule's match fields as a row's.  ``codes`` encodes rules and address
+    fields once per object, keyed by id (an entry keeps its object alive),
+    and port fields once per value."""
+    entry = codes.get(id(rule))
+    if entry is None:
+        entry = codes[id(rule)] = (rule, tuple(
+            (codes.get(key) or codes.setdefault(key, (field, encode(field))))[1]
+            for field, key, encode in ((rule.src, id(rule.src), address_intervals),
+                                       (rule.dst, id(rule.dst), address_intervals),
+                                       (rule.sport, rule.sport, _ports),
+                                       (rule.dport, rule.dport, _ports))))
+    return entry[1]
+
+
+def _ports(ports: tuple) -> IntervalSet | None:
+    return intervals.normalize(ports) if ports else None
+
+
 class MatchTable:
     """First-match lookup over one ACL, each rule encoded once.
 
-    The table answers header points (:meth:`decide`) and one swept
-    dimension (:meth:`permitted`) from the same ``rows``, one per rule in
-    ACL order; the ACL anomaly check reads the rows directly.
-    The rules that admit a (protocol, state) are listed on the first
-    packet that carries it, so a lookup compares only addresses and ports.
+    ``rows`` holds one encoded rule per ACL rule, in ACL order; the ACL
+    anomaly check reads them directly.  The first lookup indexes each
+    dimension (addresses, sport, value) by ``_row_bits``; the rows that
+    match a packet are four bisects ANDed with the rows of its protocol
+    and state, and the first match is the lowest bit.  ``codes``, shared
+    by the tables of one network, encodes each rule once across them.
     """
 
-    def __init__(self, rules: tuple["AclRule", ...]) -> None:
+    def __init__(self, rules: tuple["AclRule", ...],
+                 codes: dict | None = None) -> None:
         self.rules = rules
-        # an ACL's rules share their zones and ports: encode each field once
-        nets: dict[tuple, IntervalSet] = {}
-        ports: dict[tuple, IntervalSet | None] = {}
-        self.rows: list[_RuleMatch] = []
-        for i, rule in enumerate(rules):
-            for field_nets in (rule.src, rule.dst):
-                if field_nets not in nets:
-                    nets[field_nets] = address_intervals(field_nets)
-            for field_ports in (rule.sport, rule.dport):
-                if field_ports not in ports:
-                    ports[field_ports] = intervals.normalize(field_ports) if field_ports else None
-            self.rows.append(_RuleMatch(i, nets[rule.src], nets[rule.dst],
-                                        ports[rule.sport], ports[rule.dport]))
-        self._heads: dict[tuple[int, str], list[_RuleMatch]] = {}
+        codes = {} if codes is None else codes
+        self.rows = [_RuleMatch(i, *_encode(rule, codes)) for i, rule in enumerate(rules)]
+        self._dims: tuple | None = None
+        self._heads: dict[tuple[int, str], int] = {}
 
-    def _head(self, protocol: int, state: str) -> list[_RuleMatch]:
-        head = self._heads.get((protocol, state))
-        if head is None:
-            head = self._heads[(protocol, state)] = [
-                match for rule, match in zip(self.rules, self.rows)
+    def match_bits(self, packet: Packet, sweep: bool = False) -> int:
+        """The rows that match ``packet``, bit *i* for row *i*; with ``sweep``
+        the dport (ICMP type) is not compared, so each matches its ``values``."""
+        protocol, state = packet.protocol, packet.state
+        bits = self._heads.get((protocol, state))
+        if bits is None:  # the rows whose protocol and state admit the packet's
+            bits = self._heads[(protocol, state)] = sum(
+                1 << i for i, rule in enumerate(self.rules)
                 if (rule.protocol is None or rule.protocol == protocol)
-                and (not rule.state or state in rule.state)]
-        return head
-
-    def matching(self, packet: Packet, sweep: bool = False) -> Iterator[_RuleMatch]:
-        """The rules that match ``packet``, in ACL order.
-
-        With ``sweep`` the dport (ICMP type) is not compared; each rule
-        yielded matches the values in its ``values``.
-        """
-        protocol = packet.protocol
-        ported = protocol in (6, 17)
-        value = None
-        if not sweep and (ported or protocol == 1):
+                and (not rule.state or state in rule.state))
+        if not bits:
+            return 0
+        if self._dims is None:
+            self._dims = tuple(_row_bits([row[k] for row in self.rows], top) for k, top in
+                               ((1, ADDR_MAX), (2, ADDR_MAX), (3, PORT_MAX), (4, PORT_MAX)))
+        src, dst, sport, values = self._dims
+        bits &= src[1][bisect_right(src[0], packet.src_addr) - 1]
+        bits &= dst[1][bisect_right(dst[0], packet.dst_addr) - 1]
+        if bits and protocol in (6, 17):
+            bits &= sport[1][bisect_right(sport[0], packet.sport) - 1]
+        if bits and not sweep and protocol in (1, 6, 17):
             value = packet.icmp_type if protocol == 1 else packet.dport
-        contains = intervals.contains
-        for match in self._head(protocol, packet.state):
-            if (contains(match.src, packet.src_addr)
-                    and contains(match.dst, packet.dst_addr)
-                    and (not ported or match.sport is None
-                         or contains(match.sport, packet.sport))
-                    and (value is None or match.values is None
-                         or contains(match.values, value))):
-                yield match
+            bits &= values[1][bisect_right(values[0], value) - 1]
+        return bits
+
+    def matching(self, packet: Packet) -> Iterator[_RuleMatch]:
+        """The rules that match ``packet``, in ACL order."""
+        return (self.rows[index] for index in bit_indexes(self.match_bits(packet)))
 
     def decide(self, packet: Packet) -> tuple[str, str]:
         """First-match decision plus a description of the deciding rule."""
-        match = next(self.matching(packet), None)
-        if match is None:
+        bits = self.match_bits(packet)
+        if not bits:
             return "deny", "implicit deny (no match)"
-        rule = self.rules[match.index]
+        index = (bits & -bits).bit_length() - 1
+        rule = self.rules[index]
         label = rule.comment or rule.origin_service
         if not label:
             # the compiler's fixed any-to-any ip deny, or a rule without a remark
             from forestfw.netgen import TERMINAL_DENY  # netgen imports this module
             label = ("(terminal)" if rule.match_key() == TERMINAL_DENY.match_key()
                      else "(no remark)")
-        return rule.action, f"[{match.index}] {rule.action} {label}"
+        return rule.action, f"[{index}] {rule.action} {label}"
 
-    def permitted(self, point: Packet, universe: IntervalSet) -> IntervalSet:
-        """The swept values (dport, or ICMP type) of ``universe`` the ACL permits.
-
-        Every other header field is taken from ``point``.  The rules are
-        walked once in first-match order: each matching rule decides the
-        values no earlier rule decided.
-        """
-        permitted: IntervalSet = ()
+    def permitted(self, point: Packet, axis: "ValueAxis", universe: int) -> int:
+        """The atoms of ``universe``, a set on ``axis``, whose swept values
+        (dport, or ICMP type) the ACL permits, the other fields taken from
+        ``point``: each matching row decides the atoms no earlier one did."""
+        permitted = 0
         undecided = universe
         swept = point.protocol in (1, 6, 17)
-        for match in self.matching(point, sweep=True):
-            if swept and match.values is not None:
-                decided = intervals.intersect(undecided, match.values)
-            else:
-                decided = undecided
-            if not decided:
-                continue
-            if self.rules[match.index].action == "permit":
-                permitted = intervals.union(permitted, decided)
-            undecided = intervals.subtract(undecided, decided)
+        for index in bit_indexes(self.match_bits(point, sweep=True)):
+            decided = undecided & axis.mask(self.rows[index].values) if swept else undecided
+            if self.rules[index].action == "permit":
+                permitted |= decided
+            undecided ^= decided
             if not undecided:
                 break
         return permitted
 
 
-def rule_matches_packet(rule: "AclRule", packet: Packet) -> bool:
-    return next(MatchTable((rule,)).matching(packet), None) is not None
+class ValueAxis:
+    """The swept value axis (dport, or ICMP type) cut into atoms, the
+    elementary intervals that the given sets' bounds cut from ``0..PORT_MAX``.
+    A union of atoms is an int, bit *k* for atom *k*."""
 
+    def __init__(self, fields: Iterable[IntervalSet]) -> None:
+        self.starts = cuts(fields, PORT_MAX) + [PORT_MAX + 1]
+        self._atom = {start: k for k, start in enumerate(self.starts)}
+        self.full = (1 << (len(self.starts) - 1)) - 1
+        self._masks: dict[IntervalSet, int] = {}
 
-def eval_acl(rules: tuple["AclRule", ...], packet: Packet) -> tuple[str, str]:
-    """First-match decision plus a description of the deciding rule."""
-    return MatchTable(rules).decide(packet)
+    def mask(self, values: IntervalSet | None) -> int:
+        """The atoms of ``values`` (all for None), which must be a union of atoms."""
+        if values is None:
+            return self.full
+        if values not in self._masks:
+            self._masks[values] = sum((1 << self._atom[hi + 1]) - (1 << self._atom[lo])
+                                      for lo, hi in values)
+        return self._masks[values]
 
+    def spans(self, mask: int) -> Iterator[Interval]:
+        """The atoms of ``mask`` as ``(lo, hi)`` value intervals, in ascending order."""
+        return ((self.starts[k], self.starts[k + 1] - 1) for k in bit_indexes(mask))

@@ -281,12 +281,14 @@ def _parse_addr(text: str) -> tuple[ipaddress.IPv4Network, ...]:
     return tuple(ipaddress.IPv4Network(part) for part in text.split(","))
 
 
-def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
+def parse_neutral(text: str, file: str = "<neutral>",
+                  decoded: dict[tuple[str, str], AclRule] | None = None) -> list[Acl]:
     """Inverse of render_neutral over a whole neutral file.
 
     Each rule carries the last remark above it in its ACL, except the
     fixed terminal deny, which carries none.  Each distinct address, port,
-    ICMP-type or state field text is parsed and checked once per call.  A
+    ICMP-type or state field text is parsed and checked once per call, each
+    (rule line, remark) once per ``decoded``, a memo calls may share.  A
     line that does not parse or holds an unknown or out-of-range value,
     and a second ACL of one name, raise :class:`InputError` naming
     ``file`` and the line.
@@ -295,6 +297,7 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
     name: str | None = None
     rules: list[AclRule] = []
     comment = ""
+    decoded = {} if decoded is None else decoded
     addresses = _Memo(_parse_addr)
     ports = _Memo(_parse_ports)
     icmp_types = _Memo(lambda text: _parse_ports(text, ICMP_TYPE_MAX))
@@ -322,13 +325,16 @@ def parse_neutral(text: str, file: str = "<neutral>") -> list[Acl]:
             continue
         if name is None:
             raise InputError(f"rule line before any ACL header: {line!r}", file, lineno)
-        try:
-            # the fixed terminal line is written without a remark, like its log flag
-            rules.append(_parse_rule_neutral(line, "" if line == TERMINAL_DENY_LINE else comment,
-                                             addresses, ports, icmp_types, states))
-        except ValueError as exc:
-            raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
-                             file, lineno) from exc
+        # the fixed terminal line is written without a remark, like its log flag
+        key = (line, "" if line == TERMINAL_DENY_LINE else comment)
+        if key not in decoded:
+            try:
+                decoded[key] = _parse_rule_neutral(line, key[1], addresses, ports,
+                                                   icmp_types, states)
+            except ValueError as exc:
+                raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
+                                 file, lineno) from exc
+        rules.append(decoded[key])
     flush()
     return acls
 

@@ -9,26 +9,26 @@ header points.  Each bound ACL is encoded once into a
 and both vettings share.  Positive vetting injects one representative
 packet per expanded flow (plus the TCP return leg) and expects delivery.
 Negative vetting scans every ordered zone pair and reports any delivery
-not implied by the policy.  The scan is not exhaustive: it fixes the
-lowest address of each zone's first CIDR, source port 49152 and state
-NEW, and varies only the dport (or ICMP type) over the scan ports, for
-protocols 1, 6 and 17 by default.  Vetting the full header space is
-ROADMAP item 1.
+not implied by the policy, as int algebra over value atoms.  The scan is
+not exhaustive: it fixes the lowest address of each zone's first CIDR,
+source port 49152 and state NEW, and varies only the dport (or ICMP
+type) over the scan ports, for protocols 1, 6 and 17 by default.
+Vetting the full header space is ROADMAP item 1.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError
-# the ACL engine; eval_acl and rule_matches_packet stay importable from here
-from forestfw.header_space import (ESTABLISHED, FULL_ICMP, NEW, MatchTable, Packet,
-                                   eval_acl, rule_matches_packet)
-from forestfw.netgen import AclRule, NetworkPolicy, enumerate_paths, hop_acls
+from forestfw.header_space import (ESTABLISHED, FULL_ICMP, NEW, MatchTable, Packet, ValueAxis,
+                                   address_intervals)
+from forestfw.netgen import AclRule, enumerate_paths, hop_acls
 from forestfw.policy_lang.syntax import (
     FlowRule,
     PortRange,
@@ -109,6 +109,10 @@ class SimNetwork:
     # MatchTable per acl_map key, valid while acl_map holds its rules
     match_tables: dict[tuple[str, str, str], MatchTable] = field(
         default_factory=dict, repr=False, compare=False)
+    # each rule and address or port field encoded once across the tables
+    codes: dict = field(default_factory=dict, repr=False, compare=False)
+    # (model, sorted disjoint (lo, hi, zone) spans), built on first use
+    zone_spans: tuple | None = field(default=None, repr=False, compare=False)
 
     def reset_connections(self) -> None:
         self.connections.clear()
@@ -126,8 +130,22 @@ class SimNetwork:
         rules = self.acl_map.get(key, ())
         table = self.match_tables.get(key)
         if table is None or table.rules is not rules:
-            table = self.match_tables[key] = MatchTable(rules)
+            table = self.match_tables[key] = MatchTable(rules, self.codes)
         return table
+
+    def zone_of_address(self, addr: int) -> str | None:
+        """``model.zone_of_address`` by bisect: an address in overlapping
+        CIDRs belongs to the first of their zones in name order."""
+        if self.zone_spans is None or self.zone_spans[0] is not self.model:
+            spans, covered = [], ()
+            for zone in sorted(self.model.zones.values(), key=lambda z: z.name):
+                cidrs = address_intervals(zone.cidrs)
+                spans += [(lo, hi, zone.name) for lo, hi in intervals.subtract(cidrs, covered)]
+                covered = intervals.union(covered, cidrs)
+            self.zone_spans = (self.model, sorted(spans))
+        spans = self.zone_spans[1]
+        i = bisect_right(spans, addr, key=lambda span: span[0]) - 1
+        return spans[i][2] if i >= 0 and addr <= spans[i][1] else None
 
 
 def routes_of(model: ZoneConduitModel, paths: list[list[str]]) -> list[Route]:
@@ -138,20 +156,14 @@ def routes_of(model: ZoneConduitModel, paths: list[list[str]]) -> list[Route]:
             for path in paths]
 
 
-def from_network_policy(policy: NetworkPolicy) -> SimNetwork:
-    acl_map = {}
-    for a in policy.assignments:
-        acl = policy.acl_by_name(a.firewall, a.acl)
-        acl_map[(a.firewall, a.interface, a.direction)] = acl.rules
-    return SimNetwork(policy.model, acl_map, policy.flows)
-
-
 def load_compiled(directory: Path | str) -> SimNetwork:
     """Rebuild the simulated network from a compile output directory.
 
     Rules come from the vendor-neutral files; the manifest supplies the
-    model, interface bindings, and expanded flows.  A manifest or neutral
-    file that does not parse raises :class:`InputError` naming the file.
+    model, interface bindings, and expanded flows; each distinct rule line
+    and remark is decoded once across the files.  A manifest or neutral
+    file that does not parse, or a manifest binding one key twice, raises
+    :class:`InputError` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -170,7 +182,10 @@ def load_compiled(directory: Path | str) -> SimNetwork:
 
     acls_per_file: dict[str, dict[str, tuple[AclRule, ...]]] = {}
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]] = {}
+    decoded: dict[tuple[str, str], AclRule] = {}
     for file_name, acl_name, key in bindings:
+        if key in acl_map:
+            raise InputError(f"the manifest binds {' '.join(key)} twice", where)
         path = directory / file_name
         if file_name not in acls_per_file:
             try:
@@ -178,7 +193,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
             except OSError as exc:
                 raise InputError(f"cannot read {path}: {exc.strerror or exc}", where) from exc
             acls_per_file[file_name] = {acl.name: acl.rules
-                                        for acl in parse_neutral(text, str(path))}
+                                        for acl in parse_neutral(text, str(path), decoded)}
         if acl_name not in acls_per_file[file_name]:
             raise InputError(f"no ACL {acl_name!r}, which the manifest binds to "
                              f"{' '.join(key)}", str(path))
@@ -249,7 +264,7 @@ def inject(net: SimNetwork, packet: Packet, ingress_zone: str) -> InjectResult:
     """
     if ingress_zone not in net.model.zones:
         raise PolicyError(f"unknown ingress zone {ingress_zone!r}")
-    dst_zone = net.model.zone_of_address(packet.dst_addr)
+    dst_zone = net.zone_of_address(packet.dst_addr)
     if dst_zone is None:
         raise PolicyError(f"destination address {ipaddress.IPv4Address(packet.dst_addr)} "
                           f"belongs to no zone")
@@ -364,23 +379,12 @@ def default_scan_spec(net: SimNetwork) -> ScanSpec:
     return ScanSpec((1, 6, 17), port_ranges(ranges))
 
 
-def _implied_values(services: list[Service], protocol: int,
-                    universe: intervals.IntervalSet) -> intervals.IntervalSet:
-    """Swept values of ``universe`` some service admits at sport SCAN_SPORT."""
-    implied: intervals.IntervalSet = ()
-    for svc in services:
-        if svc.protocol != protocol:
-            continue
-        if protocol == 1:
-            values = intervals.normalize(effective_icmp_types(svc))
-        elif protocol in (6, 17):
-            if not intervals.contains(effective_sports(svc), SCAN_SPORT):
-                continue
-            values = intervals.normalize(effective_dports(svc))
-        else:
-            values = universe
-        implied = intervals.union(implied, values)
-    return implied
+def _admitted_values(svc: Service) -> intervals.IntervalSet | None:
+    """The swept values a service admits at sport SCAN_SPORT; None for all."""
+    if svc.protocol in (6, 17):
+        admits_sport = intervals.contains(effective_sports(svc), SCAN_SPORT)
+        return effective_dports(svc) if admits_sport else ()
+    return effective_icmp_types(svc) if svc.protocol == 1 else None
 
 
 def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
@@ -389,16 +393,27 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     The scan is not exhaustive.  For each ordered zone pair it fixes the
     lowest address of each zone's first CIDR, source port SCAN_SPORT and
     state NEW, and varies the dport (ICMP type for protocol 1, types
-    0-255 only) over the scan ports, for each scanned protocol.  Each
-    hop ACL is decided once over an interval of those values: a hop
-    delivers what any of its firewalls permits, a path what all its hops
-    deliver, the pair what any path delivers.  Leaks are the delivered
-    scan values no flow of the pair admits, ordered by zone pair,
+    0-255 only) over the scan ports, for each scanned protocol.  The
+    bounds of every bound rule's values, every flow's dports and ICMP
+    types and the scan ranges cut the value axis into atoms, and a set of
+    atoms is an int.  Each hop ACL is decided once over the scanned
+    atoms; then a hop delivers the OR of its firewalls' permits, a path
+    the AND of its hops, the pair the OR of its paths.  Leaks are the
+    delivered values no flow of the pair admits, ordered by zone pair,
     protocol (scan order) and value.  Vetting the full header space is
     ROADMAP item 1.
     """
     scan = scan or default_scan_spec(net)
     scanned = intervals.normalize(scan.ports)
+    admitted = [((f.src_zone, f.dst_zone, f.service.protocol), _admitted_values(f.service))
+                for f in net.flows]
+    rows = [row for key in net.acl_map for row in net.match_table(key).rows]
+    axis = ValueAxis([scanned, FULL_ICMP, *(values for _, values in admitted if values),
+                      *(row.values for row in rows if row.values)])
+    implied: dict[tuple[str, str, int | None], int] = {}
+    for pair_protocol, values in admitted:
+        implied[pair_protocol] = implied.get(pair_protocol, 0) | axis.mask(values)
+    scanned_atoms = axis.mask(scanned)
     leaks: list[Leak] = []
     zones = sorted(net.model.zones)
     for src_zone in zones:
@@ -408,37 +423,30 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
             routes = routes_of(net.model, enumerate_paths(net.model, src_zone, dst_zone))
             if not routes:
                 continue
-            services = [f.service for f in net.flows
-                        if f.src_zone == src_zone and f.dst_zone == dst_zone]
             src_addr = _zone_rep_addr(net.model.zones[src_zone])
             dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
             tables = {key: net.match_table(key)
                       for route in routes for keys in route for key in keys}
             for protocol in scan.protocols:
-                values = intervals.intersect(scanned, FULL_ICMP) if protocol == 1 else scanned
-                if not values:
+                universe = scanned_atoms & axis.mask(FULL_ICMP) if protocol == 1 else scanned_atoms
+                if not universe:
                     continue
-                # decide over the hull of the scan: fewer fragments than the scan itself
-                hull = ((values[0][0], values[-1][1]),)
                 point = Packet(src_addr, dst_addr, protocol, SCAN_SPORT, 0, 0, NEW)
-                permits = {key: table.permitted(point, hull)
+                permits = {key: table.permitted(point, axis, universe)
                            for key, table in tables.items()}
-                delivered: intervals.IntervalSet = ()
+                delivered = 0
                 for route in routes:
-                    reach = hull
+                    reach = universe
                     for keys in route:
-                        hop: intervals.IntervalSet = ()
+                        hop = 0
                         for key in keys:
-                            hop = intervals.union(hop, permits[key])
-                        reach = intervals.intersect(reach, hop)
+                            hop |= permits[key]
+                        reach &= hop
                         if not reach:
                             break
-                    delivered = intervals.union(delivered, reach)
-                if not delivered:
-                    continue
-                leaked = intervals.subtract(
-                    delivered, _implied_values(services, protocol, hull))
+                    delivered |= reach
+                leaked = delivered & ~implied.get((src_zone, dst_zone, protocol), 0)
                 leaks.extend(Leak(src_zone, dst_zone, protocol, value)
-                             for lo, hi in intervals.intersect(leaked, values)
+                             for lo, hi in axis.spans(leaked)
                              for value in range(lo, hi + 1))
     return leaks

@@ -6,8 +6,9 @@ pointwise, negative vetting is replayed one packet at a time, path
 selection is checked against the exhaustive enumerate-then-filter search,
 the lexer against a character-at-a-time tokenizer, the overlap check
 against an all-pairs comparison, the ACL anomaly check against pairwise
-7-D box subtraction and the renderers against their form before the
-per-compile rule text cache.
+7-D box subtraction, the renderers against their form before the
+per-compile rule text cache and the match table's row-bitset lookups
+against its former linear walk over interval sets.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ from forestfw.checker import (
     service_intersection,
 )
 from forestfw.diagnostics import PolicyError
-from forestfw.netgen import ANY_NET, AclRule, enumerate_paths, hop_acls
+from forestfw.header_space import MatchTable
+from forestfw.intervals import IntervalSet
+from forestfw.netgen import ANY_NET, AclRule, NetworkPolicy, enumerate_paths, hop_acls
 from forestfw.policy_lang.lexer import KEYWORDS, Token
 from forestfw.policy_lang.syntax import (
     PROTOCOL_NAMES,
@@ -255,7 +258,61 @@ def whitelist_reading(rules):
 
 
 # ---------------------------------------------------------------------------
+# the match table's former linear walk, the oracle of its row-bitset index
+
+def matching_by_walk(table: MatchTable, packet: Packet, sweep: bool = False) -> list:
+    """The rows of ``table`` that match ``packet``, in ACL order: a walk
+    over the rows admitting its protocol and state, comparing addresses
+    and ports by interval lookups.  With ``sweep`` the dport (ICMP type)
+    is not compared."""
+    protocol = packet.protocol
+    ported = protocol in (6, 17)
+    value = None
+    if not sweep and (ported or protocol == 1):
+        value = packet.icmp_type if protocol == 1 else packet.dport
+    contains = intervals.contains
+    return [match for rule, match in zip(table.rules, table.rows)
+            if (rule.protocol is None or rule.protocol == protocol)
+            and (not rule.state or packet.state in rule.state)
+            and contains(match.src, packet.src_addr)
+            and contains(match.dst, packet.dst_addr)
+            and (not ported or match.sport is None or contains(match.sport, packet.sport))
+            and (value is None or match.values is None or contains(match.values, value))]
+
+
+def permitted_by_walk(table: MatchTable, point: Packet, universe: IntervalSet) -> IntervalSet:
+    """The swept values (dport, or ICMP type) of ``universe`` the ACL
+    permits, every other field taken from ``point``: each matching row,
+    in first-match order, decides the values no earlier row decided."""
+    permitted: IntervalSet = ()
+    undecided = universe
+    swept = point.protocol in (1, 6, 17)
+    for match in matching_by_walk(table, point, sweep=True):
+        if swept and match.values is not None:
+            decided = intervals.intersect(undecided, match.values)
+        else:
+            decided = undecided
+        if not decided:
+            continue
+        if table.rules[match.index].action == "permit":
+            permitted = intervals.union(permitted, decided)
+        undecided = intervals.subtract(undecided, decided)
+        if not undecided:
+            break
+    return permitted
+
+
+# ---------------------------------------------------------------------------
 # per-packet negative-vetting oracle
+
+def from_network_policy(policy: NetworkPolicy) -> SimNetwork:
+    """The simulated network of a compile result held in memory."""
+    acl_map = {}
+    for a in policy.assignments:
+        acl = policy.acl_by_name(a.firewall, a.acl)
+        acl_map[(a.firewall, a.interface, a.direction)] = acl.rules
+    return SimNetwork(policy.model, acl_map, policy.flows)
+
 
 def _in_ranges(value: int, ranges) -> bool:
     return not ranges or any(lo <= value <= hi for lo, hi in ranges)
@@ -280,8 +337,18 @@ def packet_matches(rule, packet: Packet) -> bool:
     return True
 
 
+def rule_matches_packet(rule: AclRule, packet: Packet) -> bool:
+    """One rule against one packet, through the ACL engine."""
+    return MatchTable((rule,)).match_bits(packet) != 0
+
+
+def eval_acl(rules: tuple[AclRule, ...], packet: Packet) -> tuple[str, str]:
+    """The ACL engine's first-match decision plus a description of the deciding rule."""
+    return MatchTable(rules).decide(packet)
+
+
 def first_match_by_scan(rules, packet: Packet) -> tuple[str, str]:
-    """``sim.eval_acl``'s answer, one ``packet_matches`` call per rule."""
+    """``eval_acl``'s answer, one ``packet_matches`` call per rule."""
     for i, rule in enumerate(rules):
         if packet_matches(rule, packet):
             return rule.action, f"[{i}] {rule.action} {rule.comment or rule.origin_service}"
@@ -805,6 +872,12 @@ def _oracle_acl_text(acl, addrs) -> str:
             last_comment = rule.comment
         lines.append("  " + _oracle_rule_line(rule, addrs))
     return "\n".join(lines) + "\n"
+
+
+def render_rule_neutral(rule: AclRule) -> str:
+    """One rule's neutral line, as the renderer writes it."""
+    cache = render.RenderCache()
+    return cache.rule(rule).neutral(cache)
 
 
 def oracle_render_neutral_file(policy, firewall: str) -> str:

@@ -19,7 +19,7 @@ from forestfw.header_space import MatchTable
 from forestfw.policy_lang import expand_rules
 from forestfw.policy_lang.syntax import PortRange
 from forestfw.render import loc_metrics, render_device, render_neutral
-from forestfw.sim import ScanSpec, from_network_policy, vet_negative, vet_positive
+from forestfw.sim import ScanSpec, vet_negative, vet_positive
 from forestfw.topo_model import (
     build_zone_firewall_model,
     crosscheck_model,
@@ -30,6 +30,7 @@ from conftest import FIXTURES
 from support import (
     accept_masks,
     canonical_masks,
+    from_network_policy,
     masks_equal,
     masks_subset,
     random_accept_rules,

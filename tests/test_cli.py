@@ -338,6 +338,24 @@ def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, k
     assert key in captured.err and captured.out == ""
 
 
+def test_simulate_manifest_binding_one_key_twice_is_usage_error(tmp_path, capsys):
+    """A second ACL bound to GW's eth0 inbound is refused, naming the
+    manifest and the key, instead of replacing the first binding."""
+    out_dir = _compiled(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    gw = [a for a in manifest["assignments"] if a["firewall"] == "GW"]
+    first = next(a for a in gw if (a["interface"], a["direction"]) == ("eth0", "inbound"))
+    other = next(a["acl"] for a in gw if a["acl"] != first["acl"])
+    manifest["assignments"].append({**first, "acl": other})
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {manifest_path}:0:0: error: ")
+    assert "GW eth0 inbound" in captured.err and captured.out == ""
+
+
 def test_simulate_bad_neutral_address_names_file_and_line(tmp_path, capsys):
     out_dir = _compiled(tmp_path, capsys)
     acl_file = out_dir / "R1.neutral.acl"

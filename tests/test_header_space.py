@@ -3,11 +3,19 @@ import random
 
 import pytest
 
-from forestfw.header_space import ESTABLISHED, NEW, MatchTable, Packet
+from forestfw import intervals
+from forestfw.header_space import ESTABLISHED, FULL_ICMP, NEW, MatchTable, Packet, ValueAxis
 from forestfw.netgen import ANY_NET, AclRule
 from forestfw.policy_lang.syntax import PortRange
-from forestfw.sim import rule_matches_packet
-from support import packet_matches, random_accept_rules, rule_grid_points, whitelist_reading
+from support import (
+    matching_by_walk,
+    packet_matches,
+    permitted_by_walk,
+    random_accept_rules,
+    rule_grid_points,
+    rule_matches_packet,
+    whitelist_reading,
+)
 
 HTTP_PERMIT = AclRule("permit", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(80, 80),))
 HTTP_DENY = AclRule("deny", 6, (ANY_NET,), (ANY_NET,), dport=(PortRange(80, 80),))
@@ -193,3 +201,81 @@ def test_table_rows_equal_each_rules_own_row():
         fields = [f for r in rules for f in (r.src, r.dst, r.sport, r.dport) if f]
         shared += len(fields) - len(set(fields))
     assert shared > 200  # the rules do share fields
+
+
+# ---------------------------------------------------------------------------
+# row bitsets vs. the linear walk over interval sets
+
+BITSET_NETS = [(ANY_NET,), (), (ipaddress.IPv4Network("10.0.0.0/30"),),
+               (ipaddress.IPv4Network("10.0.0.4/30"), ipaddress.IPv4Network("10.0.0.9/32")),
+               (ipaddress.IPv4Network("10.0.0.0/29"),)]
+
+
+def _random_bitset_rule(rng: random.Random) -> AclRule:
+    """A random rule; ``ip`` rules, empty address sets, ICMP type ranges
+    and state sets included."""
+    protocol = rng.choice((1, 6, 17, 89, None))
+
+    def ranges(upper: int) -> tuple[PortRange, ...]:
+        bounds = (sorted(rng.randrange(upper + 1) for _ in range(2))
+                  for _ in range(rng.randint(0, 2)))
+        return tuple(PortRange(lo, hi) for lo, hi in bounds)
+
+    return AclRule(
+        action=rng.choice(("permit", "deny")), protocol=protocol,
+        src=rng.choice(BITSET_NETS), dst=rng.choice(BITSET_NETS),
+        sport=ranges(600) if protocol in (6, 17) else (),
+        dport=ranges(600) if protocol in (6, 17) else ranges(255) if protocol == 1 else (),
+        state=tuple(rng.sample((NEW, ESTABLISHED), rng.randint(0, 2))))
+
+
+def _bound_packets(rng: random.Random, rules) -> list[Packet]:
+    """Packets whose ports and types sit at lo, hi and hi + 1 of the rules' bounds."""
+    edges = [0, 65535] + [edge for rule in rules for lo, hi in rule.sport + rule.dport
+                          for edge in (lo, hi, hi + 1)]
+    base = int(BITSET_NETS[2][0].network_address)
+    return [Packet(base + rng.randrange(12), base + rng.randrange(12),
+                   rng.choice((1, 6, 17, 89)), rng.choice(edges), rng.choice(edges),
+                   min(rng.choice(edges), 255), rng.choice((NEW, ESTABLISHED)))
+            for _ in range(40)]
+
+
+def test_row_bitsets_match_in_the_order_of_the_linear_walk():
+    """The rows that match, their order, the first match's decision and
+    the swept candidates equal the walk over each row's intervals."""
+    rng = random.Random(31)
+    outcomes = set()
+    for _ in range(150):
+        rules = tuple(_random_bitset_rule(rng) for _ in range(rng.randint(0, 12)))
+        table = MatchTable(rules)
+        for packet in _bound_packets(rng, rules):
+            walked = matching_by_walk(table, packet)
+            assert list(table.matching(packet)) == walked, (rules, packet)
+            action, text = table.decide(packet)
+            if walked:
+                assert (action, text.split(" ")[0]) == (rules[walked[0].index].action,
+                                                        f"[{walked[0].index}]")
+            else:
+                assert (action, text) == ("deny", "implicit deny (no match)")
+            swept = sum(1 << row.index for row in matching_by_walk(table, packet, sweep=True))
+            assert table.match_bits(packet, sweep=True) == swept, (rules, packet)
+            outcomes.add((packet.protocol, packet.state, len(walked) > 1))
+    assert len(outcomes) == 16  # every protocol and state, with at most one and with more matches
+
+
+def test_value_masks_expand_to_the_walks_permitted_intervals():
+    """Each table's permitted atoms are exactly the values the interval
+    walk permits over a universe of scanned ranges."""
+    rng = random.Random(37)
+    for _ in range(150):
+        rules = tuple(_random_bitset_rule(rng) for _ in range(rng.randint(0, 12)))
+        table = MatchTable(rules)
+        scanned = intervals.normalize((lo, rng.randrange(lo, 700))
+                                      for lo in (rng.randrange(700) for _ in range(3)))
+        axis = ValueAxis([scanned, FULL_ICMP] + [row.values for row in table.rows if row.values])
+        for packet in _bound_packets(rng, rules)[:10]:
+            universe = intervals.intersect(scanned, FULL_ICMP) if packet.protocol == 1 else scanned
+            permitted = table.permitted(packet, axis, axis.mask(universe))
+            assert (intervals.normalize(axis.spans(permitted))
+                    == permitted_by_walk(table, packet, universe)), (rules, packet, universe)
+

@@ -24,10 +24,10 @@ from forestfw.topo_model import (
     firewall_zones,
     load_topology,
 )
-from forestfw.sim import from_network_policy
 from conftest import load_fixture_policy
 from support import (
     enumerate_paths_exhaustive,
+    from_network_policy,
     grid_model,
     grid_topology,
     realizable_without_loops,

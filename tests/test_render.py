@@ -20,8 +20,8 @@ from forestfw.render import (
     render_device,
     render_neutral,
     render_neutral_file,
-    render_rule_neutral,
 )
+from support import from_network_policy, render_rule_neutral
 
 
 def net(text):
@@ -341,7 +341,7 @@ def test_iptables_loadback_is_decision_equivalent(compiled_plant):
     """Simulator verdicts agree whether it consumes neutral or iptables text."""
     import random
     from forestfw.render import parse_iptables_like
-    from forestfw.sim import NEW, Packet, from_network_policy, inject
+    from forestfw.sim import NEW, Packet, inject
 
     neutral_net = from_network_policy(compiled_plant)
     loaded_net = from_network_policy(compiled_plant)

@@ -7,7 +7,7 @@ from forestfw.diagnostics import PolicyError
 from forestfw.netgen import AclRule, CompileOptions, compile_policy
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
 from forestfw import sim
-from forestfw.topo_model import LOCAL_INTERFACE
+from forestfw.topo_model import LOCAL_INTERFACE, Zone, ZoneConduitModel
 from forestfw.sim import (
     ESTABLISHED,
     NEW,
@@ -16,22 +16,22 @@ from forestfw.sim import (
     ScanSpec,
     SimNetwork,
     default_scan_spec,
-    eval_acl,
-    from_network_policy,
     inject,
     representative_packet,
-    rule_matches_packet,
     vet_negative,
     vet_positive,
 )
 from support import (
     brute_force_leaks,
+    eval_acl,
     first_match_by_scan,
+    from_network_policy,
     inject_by_scan,
     packet_matches,
     pair_plan,
     plan_delivers,
     ring_model,
+    rule_matches_packet,
     scan_packet,
     service_accepts,
 )
@@ -101,6 +101,31 @@ def test_established_after_new_delivered(net):
 def test_destination_outside_every_zone_rejected(net):
     with pytest.raises(PolicyError, match="belongs to no zone"):
         inject(net, Packet(SCADA_HOST, addr("192.0.2.1"), 6, 1, 2), "z3")
+
+
+def test_destination_zone_is_the_first_overlapping_zone_in_name_order():
+    """inject's destination zone is the model's: of the zones whose CIDRs
+    hold the address, the first in name order."""
+    model = ZoneConduitModel()
+    for name, cidrs in (("zb", "10.0.0.0/16"), ("zd", "10.0.4.128/25"),
+                        ("za", "10.0.4.0/24,10.0.9.0/30"), ("zc", "10.0.0.0/8,192.0.2.0/28")):
+        model.zones[name] = Zone(name, "regular", frozenset(),
+                                 tuple(ipaddress.IPv4Network(c) for c in cidrs.split(",")))
+    net = SimNetwork(model, {}, ())
+    bounds = [int(edge) for zone in model.zones.values() for cidr in zone.cidrs
+              for edge in (cidr.network_address, cidr.broadcast_address)]
+    zones = set()
+    for address in {a + delta for a in bounds for delta in (-1, 0, 1)}:
+        zone = model.zone_of_address(address)
+        assert net.zone_of_address(address) == zone, ipaddress.IPv4Address(address)
+        zones.add(zone)
+        if zone is None:
+            with pytest.raises(PolicyError, match="belongs to no zone"):
+                inject(net, Packet(0, address, 6, 1, 2), "zd")
+        elif zone != "zd":  # no conduits: inject names the pair it cannot route
+            result = inject(net, Packet(0, address, 6, 1, 2), "zd")
+            assert result.reason == f"no valid path zd -> {zone}"
+    assert zones == {"za", "zb", "zc", None}  # zd lies wholly inside za
 
 
 def test_unknown_ingress_zone_rejected(net):
@@ -352,6 +377,26 @@ def test_vet_negative_equals_per_packet_scan_on_random_acls(compiled_plant, topo
         assert leaks == brute_force_leaks(net, scan), seed
         total += len(leaks)
     assert total > 0
+
+
+def test_vet_negative_leaks_start_and_end_on_atom_edges():
+    """Permits straddling a flow's dport bounds, and a deny inside one,
+    leak exactly the values past the bounds, as the per-packet scan does."""
+    def udp(action: str, lo: int, hi: int) -> AclRule:
+        return AclRule(action, 17, ANY, ANY, dport=(PortRange(lo, hi),))
+
+    # z1 -> z3 directly through fd, or through fa or fb, then fc
+    acl_map = {("fd", "p0", "inbound"): (udp("deny", 240, 245), udp("permit", 150, 250)),
+               ("fa", "p0", "inbound"): (udp("permit", 50, 120),),
+               ("fb", "p0", "inbound"): (udp("permit", 40, 60),),
+               ("fc", "p0", "inbound"): (udp("permit", 30, 95),)}
+    app = Service("app", 17, dest_ports=(PortRange(100, 200),))
+    net = SimNetwork(ring_model(), acl_map, (FlowRule("app", "z1", "z3", app),))
+    scan = ScanSpec(protocols=(17,), ports=(PortRange(0, 300),))
+    leaks = vet_negative(net, scan)
+    assert leaks == brute_force_leaks(net, scan)
+    to_z3 = [leak.port for leak in leaks if (leak.src_zone, leak.dst_zone) == ("z1", "z3")]
+    assert to_z3 == [*range(40, 96), *range(201, 240), *range(246, 251)]
 
 
 def test_flow_admits_scan_only_at_the_scan_sport():
