@@ -1,15 +1,16 @@
 """Canonical policy form and the checks built on it.
 
-This is the program's one region form.  A conduit-direction policy (a
-set of permitted services) maps to a unique ordered set of
-non-overlapping rectangles: per protocol, the (value x source port)
-region is cut into strips along value boundaries, adjacent strips with
-identical source-port sets are merged, and strips are emitted in
-increasing order.  The value is the destination port, or the ICMP type
-for protocol 1 (whose source ports are full); a protocol without ports
-is one strip over the full port plane.  Two policies accept the same
-packets iff their canonical forms are structurally equal, which turns
-equivalence and inclusion into cheap structural comparisons.
+A conduit-direction policy (a set of permitted services) maps to a unique
+ordered set of non-overlapping rectangles.  Per protocol, each service is
+a rectangle of the value x source port plane, the value being the
+destination port, or the ICMP type for protocol 1 (whose source ports
+are full); a protocol without ports is the full port plane.  The
+rectangles are regions of one :class:`forestfw.header_space.Grid`, so a
+policy is the OR of its rectangles' bitsets and a difference is
+``p & ~q``.  The bitset prints as canonical strips: the region cut along
+value boundaries, adjacent strips with identical source-port sets
+merged, in increasing order.  Two policies accept the same packets iff
+their canonical forms are structurally equal.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from forestfw import intervals
 from forestfw.diagnostics import PolicyError
+from forestfw.header_space import Grid
 from forestfw.intervals import Interval, IntervalSet
 from forestfw.policy_lang.syntax import (
+    FULL_RANGE_SET,
     PROTOCOL_NAMES,
+    FlowRule,
     PolicySpec,
     Service,
     ServiceSet,
@@ -29,9 +32,8 @@ from forestfw.policy_lang.syntax import (
     effective_icmp_types,
     effective_sports,
 )
-from forestfw.policy_lang.syntax import FlowRule
 
-FULL_PORTS: IntervalSet = ((0, 65535),)
+Rectangle = tuple[IntervalSet, IntervalSet]  # (sports, values)
 
 
 @dataclass(frozen=True)
@@ -55,61 +57,51 @@ class CanonicalPolicy:
         return not self.slices
 
 
-def _slice_rectangles(services: Iterable[Service]) -> dict[int, list[tuple[IntervalSet, IntervalSet]]]:
+def _slice_rectangles(services: Iterable[Service]) -> dict[int, list[Rectangle]]:
     """Group services into (sport-set, value-set) rectangles per protocol."""
-    groups: dict[int, list[tuple[IntervalSet, IntervalSet]]] = {}
+    groups: dict[int, list[Rectangle]] = {}
     for svc in services:
         if svc.protocol is None:
             raise PolicyError(f"generic service {svc.name!r} cannot be canonicalized")
         if svc.protocol == 1:
-            rect = (FULL_PORTS, effective_icmp_types(svc))
+            rect = (FULL_RANGE_SET, effective_icmp_types(svc))
         elif svc.protocol in (6, 17):
             rect = (effective_sports(svc), effective_dports(svc))
         else:
-            rect = (FULL_PORTS, FULL_PORTS)
+            rect = (FULL_RANGE_SET, FULL_RANGE_SET)
         groups.setdefault(svc.protocol, []).append(rect)
     return groups
 
 
-def _partition_strips(rects: Sequence[tuple[IntervalSet, IntervalSet]]) -> tuple[tuple[Interval, IntervalSet], ...]:
-    """Cut the union of rectangles into maximal value strips.
-
-    A sweep over the sorted value boundaries adds each rectangle where one
-    of its value intervals starts and drops it after the interval ends, so
-    each elementary strip carries the union of the sport intervals of the
-    rectangles active on it; contiguous strips with equal sport sets merge.
-    """
-    events: dict[int, list[tuple[int, int]]] = {}  # boundary -> (rectangle, +1 | -1)
-    for i, (_, dports) in enumerate(rects):
-        for lo, hi in dports:
-            events.setdefault(lo, []).append((i, 1))
-            events.setdefault(hi + 1, []).append((i, -1))
-    coords = sorted(events)
-
-    active: dict[int, int] = {}  # rectangle -> its value intervals open here
-    strips: list[tuple[Interval, IntervalSet]] = []
-    for start, end in zip(coords, coords[1:]):
-        for i, delta in events[start]:
-            count = active.get(i, 0) + delta
-            if count:
-                active[i] = count
-            else:
-                del active[i]
-        _add_strip(strips, start, end - 1,
-                   intervals.normalize(iv for i in active for iv in rects[i][0]))
-    return tuple(strips)
+def _region_strips(rects: Sequence[Rectangle],
+                   minus: Sequence[Rectangle] = ()) -> tuple[tuple[Interval, IntervalSet], ...]:
+    """The maximal strips of the union of ``rects`` less the union of
+    ``minus``, computed on one grid that both sides' bounds cut."""
+    grid = Grid([values for _, values in (*rects, *minus)],
+                [sports for sports, _ in (*rects, *minus)])
+    region = 0
+    for sports, values in rects:
+        region |= grid.mask(values, sports)
+    for sports, values in minus:
+        region &= ~grid.mask(values, sports)
+    return grid.strips(region)
 
 
-def _add_strip(strips: list[tuple[Interval, IntervalSet]], lo: int, hi: int,
-               sports: IntervalSet) -> None:
-    """Append a strip in value order, merged into a touching predecessor
-    with equal sport sets; a strip without sports is dropped."""
-    if not sports:
-        return
-    if strips and strips[-1][0][1] + 1 == lo and strips[-1][1] == sports:
-        strips[-1] = ((strips[-1][0][0], hi), sports)
-    else:
-        strips.append(((lo, hi), sports))
+def _difference(p: dict[int, list[Rectangle]],
+                q: dict[int, list[Rectangle]]) -> list[CanonicalSlice]:
+    """The slices of the rectangles ``p`` less ``q``, both per protocol."""
+    slices = []
+    for protocol in sorted(p):
+        strips = _region_strips(p[protocol], q.get(protocol, ()))
+        if strips:
+            slices.append(CanonicalSlice(protocol, strips))
+    return slices
+
+
+def canonical_subtract(p: Iterable[Service], q: Iterable[Service]) -> list[CanonicalSlice]:
+    """The canonical slices of what ``p`` accepts and ``q`` does not (the
+    inclusion counterexample)."""
+    return _difference(_slice_rectangles(p), _slice_rectangles(q))
 
 
 def canonicalize(services: Iterable[Service]) -> CanonicalPolicy:
@@ -118,13 +110,7 @@ def canonicalize(services: Iterable[Service]) -> CanonicalPolicy:
     Deterministic: equal input sets, in any order, produce structurally
     identical output.
     """
-    groups = _slice_rectangles(services)
-    slices = []
-    for protocol in sorted(groups):
-        strips = _partition_strips(groups[protocol])
-        if strips:
-            slices.append(CanonicalSlice(protocol, strips))
-    return CanonicalPolicy(tuple(slices))
+    return CanonicalPolicy(tuple(canonical_subtract(services, ())))
 
 
 def equivalent(p: Iterable[Service], q: Iterable[Service]) -> bool:
@@ -132,44 +118,9 @@ def equivalent(p: Iterable[Service], q: Iterable[Service]) -> bool:
     return canonicalize(p) == canonicalize(q)
 
 
-def subtract_strips(p: tuple[tuple[Interval, IntervalSet], ...],
-                    q: tuple[tuple[Interval, IntervalSet], ...]) -> tuple[tuple[Interval, IntervalSet], ...]:
-    """The part of strips ``p`` that strips ``q`` does not cover.
-
-    One merge pass over both lists, each sorted and disjoint by value;
-    the result is canonical again.
-    """
-    out: list[tuple[Interval, IntervalSet]] = []
-    j = 0
-    for (lo, hi), sports in p:
-        position = lo
-        while position <= hi:
-            while j < len(q) and q[j][0][1] < position:
-                j += 1
-            if j < len(q) and q[j][0][0] <= position:
-                end = min(hi, q[j][0][1])
-                _add_strip(out, position, end, intervals.subtract(sports, q[j][1]))
-            else:
-                end = hi if j == len(q) else min(hi, q[j][0][0] - 1)
-                _add_strip(out, position, end, sports)
-            position = end + 1
-    return tuple(out)
-
-
-def canonical_subtract(p: CanonicalPolicy, q: CanonicalPolicy) -> list[CanonicalSlice]:
-    """Strips of ``p`` not covered by ``q`` (the inclusion counterexample)."""
-    q_slices = {s.protocol: s.strips for s in q.slices}
-    leftovers: list[CanonicalSlice] = []
-    for sl in p.slices:
-        remaining = subtract_strips(sl.strips, q_slices.get(sl.protocol, ()))
-        if remaining:
-            leftovers.append(CanonicalSlice(sl.protocol, remaining))
-    return leftovers
-
-
 def includes(p: Iterable[Service], q: Iterable[Service]) -> bool:
     """True iff every packet accepted by ``p`` is accepted by ``q``."""
-    return not canonical_subtract(canonicalize(p), canonicalize(q))
+    return not canonical_subtract(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +211,15 @@ def check_best_practice(flows: Iterable[FlowRule], zone_names: Iterable[str],
         if flow.src_zone in bp.protected:
             grouped.setdefault((flow.src_zone, flow.dst_zone, "outbound"), []).append(flow.service)
 
-    bounds: dict[str, CanonicalPolicy] = {}  # each bound canonicalized once, when first needed
+    # each bound's rectangles, built when first needed
+    bounds: dict[str, dict[int, list[Rectangle]]] = {}
     violations: list[Violation] = []
     for (src, dst, direction) in sorted(grouped):
-        services = canonicalize(grouped[(src, dst, direction)])
         if direction not in bounds:
-            bounds[direction] = canonicalize(bp.inbound if direction == "inbound" else bp.outbound)
-        leftovers = canonical_subtract(services, bounds[direction])
+            bounds[direction] = _slice_rectangles(
+                bp.inbound if direction == "inbound" else bp.outbound)
+        services = _slice_rectangles(grouped[(src, dst, direction)])
+        leftovers = _difference(services, bounds[direction])
         if leftovers:
             violations.append(Violation(src, dst, direction, tuple(leftovers)))
     return violations

@@ -5,10 +5,10 @@ shared service between the same zone pair; they are reported, never
 auto-corrected, and each witness is the shared service itself.
 Network-level checks find redundant (fully covered by earlier permits)
 and shadowed (never able to match) ACL rules in one first-match walk
-that subtracts each rule's strips, in the canonical value x sport form
-of :mod:`forestfw.canonical`, from the undecided strips of the cells it
-matches.  An optional export renders the policy as a small relational
-model for external analysis.
+that subtracts each rule's region, a bitset over the value x sport atoms
+of one :class:`forestfw.header_space.Grid` per protocol, from the
+undecided regions of the cells it matches.  An optional export renders
+the policy as a small relational model for external analysis.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from forestfw import intervals
-from forestfw.canonical import FULL_PORTS, subtract_strips
-from forestfw.header_space import ADDR_MAX, FULL_ICMP, STATES, MatchTable, cuts
+from forestfw.header_space import ADDR_MAX, STATES, Grid, MatchTable, cuts
 from forestfw.intervals import IntervalSet
 from forestfw.policy_lang.syntax import (
+    FULL_ICMP_SET,
+    FULL_RANGE_SET,
     FlowRule,
     PolicySpec,
     Service,
@@ -78,18 +79,13 @@ def service_intersection(a: Service, b: Service) -> Service | None:
         return None
     name = f"({a.display_name} ^ {b.display_name})"
     if a.protocol == 1:
-        shared = intervals.intersect(
-            intervals.normalize(effective_icmp_types(a)),
-            intervals.normalize(effective_icmp_types(b)),
-        )
+        shared = intervals.intersect(effective_icmp_types(a), effective_icmp_types(b))
         if not shared:
             return None
         return Service(name, 1, icmp_types=port_ranges(shared))
     if a.protocol in (6, 17):
-        sports = intervals.intersect(
-            intervals.normalize(effective_sports(a)), intervals.normalize(effective_sports(b)))
-        dports = intervals.intersect(
-            intervals.normalize(effective_dports(a)), intervals.normalize(effective_dports(b)))
+        sports = intervals.intersect(effective_sports(a), effective_sports(b))
+        dports = intervals.intersect(effective_dports(a), effective_dports(b))
         if not sports or not dports:
             return None
         return Service(name, a.protocol,
@@ -171,35 +167,48 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     other rule that can never match is a shadow.
 
     One first-match walk decides both.  The rules' protocol, address and
-    state bounds cut the header space into cells, and each cell keeps two
-    canonical strip sets over value x sport, the value being the dport or,
-    in the ICMP cell, the ICMP type:
-    what no earlier rule decided, and what no earlier permit admitted.  A
-    rule whose strips take nothing from the first is shadowed; a permit
-    whose strips take nothing from the second is redundant.
+    state bounds cut the header space into cells.  Each protocol's value
+    x sport plane is one :class:`Grid`, the value being the dport or, in
+    the ICMP cell, the ICMP type, and each rule is one region of it.  Each
+    cell keeps two regions: what no earlier rule decided, and what no
+    earlier permit admitted.  A rule whose region meets nothing of the
+    first is shadowed; a permit whose region meets nothing of the second
+    is redundant.
     """
     rules = acl.rules[:-1] if acl.rules and acl.rules[-1].action == "deny" else acl.rules
     rows = MatchTable(rules).rows
     protocols: list[int | None] = sorted({r.protocol for r in rules if r.protocol is not None})
     if len(protocols) < 256 and any(r.protocol is None for r in rules):
         protocols.append(None)  # the cell of every protocol no rule names
+    masks: dict[int | None, dict[int, int]] = {}  # protocol -> row -> its region
+    planes: dict[int | None, int] = {}  # protocol -> a cell before any rule: all of its plane
+    for protocol in protocols:
+        applies = [row for rule, row in zip(rules, rows) if rule.protocol in (protocol, None)]
+        values = FULL_ICMP_SET if protocol == 1 else FULL_RANGE_SET
+        grid = Grid([values, *(row.values for row in applies if row.values)],
+                    [row.sport for row in applies if row.sport])
+        planes[protocol] = plane = grid.mask(values)
+        masks[protocol] = {row.index: grid.mask(row.values, row.sport) & plane for row in applies}
     src_cuts = cuts((row.src for row in rows), ADDR_MAX)
     dst_cuts = cuts((row.dst for row in rows), ADDR_MAX)
-    undecided: dict[tuple, tuple] = {}
-    unpermitted: dict[tuple, tuple] = {}
+    undecided: dict[tuple, int] = {}
+    unpermitted: dict[tuple, int] = {}
     reports: list[OverlapReport] = []
     for i, (rule, row) in enumerate(zip(rules, rows)):
         decides = admits = False
         for protocol in protocols if rule.protocol is None else (rule.protocol,):
-            values = FULL_ICMP if protocol == 1 else FULL_PORTS
-            plane = ((values[0], FULL_PORTS),)  # a cell before any rule: all of values x sport
-            strips = tuple((iv, row.sport or FULL_PORTS)
-                           for iv in intervals.intersect(row.values or values, values))
+            region = masks[protocol][i]
             for cell in itertools.product((protocol,), _cells(src_cuts, row.src),
                                           _cells(dst_cuts, row.dst), rule.state or STATES):
-                decides |= _take(undecided, cell, plane, strips)
+                left = undecided.get(cell, planes[protocol])
+                if left & region:
+                    decides = True
+                    undecided[cell] = left & ~region
                 if rule.action == "permit":
-                    admits |= _take(unpermitted, cell, plane, strips)
+                    left = unpermitted.get(cell, planes[protocol])
+                    if left & region:
+                        admits = True
+                        unpermitted[cell] = left & ~region
         detail = f" ({rule.comment})" if rule.comment else ""
         if rule.action == "permit" and not admits:
             reports.append(OverlapReport(ACL_REDUNDANCY, f"{acl.name}[{i}]",
@@ -214,15 +223,6 @@ def _cells(starts: list[int], field: IntervalSet) -> Iterator[int]:
     """The elementary address intervals, as indexes into ``starts``, that make up ``field``."""
     for lo, hi in field:
         yield from range(bisect_left(starts, lo), bisect_left(starts, hi + 1))
-
-
-def _take(left: dict[tuple, tuple], cell: tuple, plane: tuple, strips: tuple) -> bool:
-    """Subtract ``strips`` from the strips ``left`` holds for ``cell``
-    (``plane`` until a rule first takes from it); True iff that removed
-    something."""
-    before = left.get(cell, plane)
-    after = left[cell] = subtract_strips(before, strips)
-    return after != before
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Executable semantics of packet-filter rules.
+"""Executable semantics of packet-filter rules, and the region algebra.
 
 A :class:`Packet` is one point of the header space, connection state
 included; the simulator injects it and the ACL engine evaluates it.  It
@@ -8,13 +8,16 @@ decide accept/deny per class, so evaluating one point per class is exact.
 once as a row, with the ICMP type of protocol 1 on the same value axis
 as the dport, and evaluates the ACL first-match over header points and
 swept values, by row bitsets (bit-vector packet classification,
-Lakshman and Stiliadis, SIGCOMM 1998).  Regions have one form, the
-canonical strips of :mod:`forestfw.canonical` (per protocol, value x
-sport); the ACL anomaly check walks a table's rows over those strips.
+Lakshman and Stiliadis, SIGCOMM 1998).  :class:`Grid` is the one region
+algebra: per protocol, a region of the value x sport plane is a bitset
+over atoms, so union, intersection and difference are int operations.
+The canonical checks, the ACL anomaly check and negative vetting all
+compute on it; canonical strips are only its printed form.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -31,7 +34,6 @@ if TYPE_CHECKING:  # netgen imports the checker, which imports this module
     from forestfw.netgen import AclRule
 
 ADDR_MAX = (1 << 32) - 1
-FULL_ICMP: IntervalSet = ((0, 255),)
 
 NEW = "NEW"
 ESTABLISHED = "ESTABLISHED"
@@ -191,15 +193,16 @@ class MatchTable:
                      else "(no remark)")
         return rule.action, f"[{index}] {rule.action} {label}"
 
-    def permitted(self, point: Packet, axis: "ValueAxis", universe: int) -> int:
-        """The atoms of ``universe``, a set on ``axis``, whose swept values
-        (dport, or ICMP type) the ACL permits, the other fields taken from
-        ``point``: each matching row decides the atoms no earlier one did."""
+    def permitted(self, point: Packet, grid: "Grid", universe: int) -> int:
+        """The atoms of ``universe``, a region of ``grid`` (which has no
+        sport cuts), whose swept values (dport, or ICMP type) the ACL
+        permits, the other fields taken from ``point``: each matching row
+        decides the atoms no earlier one did."""
         permitted = 0
         undecided = universe
         swept = point.protocol in (1, 6, 17)
         for index in bit_indexes(self.match_bits(point, sweep=True)):
-            decided = undecided & axis.mask(self.rows[index].values) if swept else undecided
+            decided = undecided & grid.mask(self.rows[index].values) if swept else undecided
             if self.rules[index].action == "permit":
                 permitted |= decided
             undecided ^= decided
@@ -208,26 +211,60 @@ class MatchTable:
         return permitted
 
 
-class ValueAxis:
-    """The swept value axis (dport, or ICMP type) cut into atoms, the
-    elementary intervals that the given sets' bounds cut from ``0..PORT_MAX``.
-    A union of atoms is an int, bit *k* for atom *k*."""
+_RUNS = re.compile("1+")
 
-    def __init__(self, fields: Iterable[IntervalSet]) -> None:
-        self.starts = cuts(fields, PORT_MAX) + [PORT_MAX + 1]
-        self._atom = {start: k for k, start in enumerate(self.starts)}
-        self.full = (1 << (len(self.starts) - 1)) - 1
-        self._masks: dict[IntervalSet, int] = {}
 
-    def mask(self, values: IntervalSet | None) -> int:
-        """The atoms of ``values`` (all for None), which must be a union of atoms."""
-        if values is None:
-            return self.full
-        if values not in self._masks:
-            self._masks[values] = sum((1 << self._atom[hi + 1]) - (1 << self._atom[lo])
-                                      for lo, hi in values)
-        return self._masks[values]
+class Grid:
+    """The value x sport plane of one protocol, the value being the dport
+    or the ICMP type, cut into atoms: the elementary intervals that the
+    given fields' bounds cut from each axis.  A region is an int with bit
+    ``v*S + s`` for value atom *v* and sport atom *s*, S sport atoms per
+    row; without sport fields a row is one atom, and a region is a set
+    of value atoms (atomic predicates, Yang and Lam, ICNP 2013)."""
 
-    def spans(self, mask: int) -> Iterator[Interval]:
-        """The atoms of ``mask`` as ``(lo, hi)`` value intervals, in ascending order."""
-        return ((self.starts[k], self.starts[k + 1] - 1) for k in bit_indexes(mask))
+    def __init__(self, values: Iterable[IntervalSet],
+                 sports: Iterable[IntervalSet] = ()) -> None:
+        # each axis's atom starts, closed by PORT_MAX + 1
+        self.values = cuts(values, PORT_MAX) + [PORT_MAX + 1]
+        self.sports = cuts(sports, PORT_MAX) + [PORT_MAX + 1]
+        self._value_atom = {start: v for v, start in enumerate(self.values)}
+        self._sport_atom = {start: s for s, start in enumerate(self.sports)}
+        self.width = len(self.sports) - 1
+        self._row = (1 << self.width) - 1
+        # bit v*S for every value atom v
+        self._spread = ((1 << self.width * (len(self.values) - 1)) - 1) // self._row
+        self._masks: dict[tuple, int] = {}
+
+    def mask(self, values: IntervalSet | None, sports: IntervalSet | None = None) -> int:
+        """The rectangle ``values x sports`` (all for None), whose bounds
+        must be cuts: its sport row times a value replicator."""
+        key = (values, sports)
+        if key not in self._masks:
+            row = self._row if sports is None else sum(
+                (1 << self._sport_atom[hi + 1]) - (1 << self._sport_atom[lo]) for lo, hi in sports)
+            width = self.width
+            spread = self._spread if values is None else self._spread & sum(
+                (1 << self._value_atom[hi + 1] * width) - (1 << self._value_atom[lo] * width)
+                for lo, hi in values)
+            self._masks[key] = row * spread
+        return self._masks[key]
+
+    def strips(self, mask: int) -> tuple[tuple[Interval, IntervalSet], ...]:
+        """The region ``mask`` as maximal canonical strips in value order:
+        adjacent value atoms with equal sport rows merge, empty rows drop."""
+        width, starts = self.width, self.values
+        bits = format(mask, "b").zfill(width * (len(starts) - 1))[::-1]  # bit k at index k
+        out: list[tuple[Interval, IntervalSet]] = []
+        last, v = None, 0
+        while (k := bits.find("1", v * width)) >= 0:
+            v = k // width
+            row = bits[v * width:(v + 1) * width]
+            if row == last and out[-1][0][1] + 1 == starts[v]:
+                out[-1] = ((out[-1][0][0], starts[v + 1] - 1), out[-1][1])
+            else:
+                out.append(((starts[v], starts[v + 1] - 1), tuple(
+                    (self.sports[run.start()], self.sports[run.end()] - 1)
+                    for run in _RUNS.finditer(row))))
+            last, v = row, v + 1
+        return tuple(out)
+

@@ -99,15 +99,16 @@ class Service:
     dest_ports: tuple[PortRange, ...] = ()
     icmp_types: tuple[PortRange, ...] = ()
     comment: str = ""
-    # value_key(), computed once at construction from the fields above
+    # value_key(), computed once at construction from the fields above:
+    # the protocol and each field normalized into PortRanges
     _value_key: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_value_key", (
             self.protocol,
-            intervals.normalize(self.source_ports),
-            intervals.normalize(self.dest_ports),
-            intervals.normalize(self.icmp_types),
+            port_ranges(self.source_ports),
+            port_ranges(self.dest_ports),
+            port_ranges(self.icmp_types),
         ))
 
     def value_key(self) -> tuple:
@@ -125,16 +126,16 @@ FULL_ICMP_SET: tuple[PortRange, ...] = (PortRange(0, ICMP_TYPE_MAX),)
 
 
 def effective_sports(svc: Service) -> tuple[PortRange, ...]:
-    """Source ports the service accepts; full range when not applicable."""
-    return port_ranges(svc.source_ports) if svc.source_ports else FULL_RANGE_SET
+    """Source ports the service accepts, normalized; full range when not applicable."""
+    return svc.value_key()[1] if svc.source_ports else FULL_RANGE_SET
 
 
 def effective_dports(svc: Service) -> tuple[PortRange, ...]:
-    return port_ranges(svc.dest_ports) if svc.dest_ports else FULL_RANGE_SET
+    return svc.value_key()[2] if svc.dest_ports else FULL_RANGE_SET
 
 
 def effective_icmp_types(svc: Service) -> tuple[PortRange, ...]:
-    return port_ranges(svc.icmp_types) if svc.icmp_types else FULL_ICMP_SET
+    return svc.value_key()[3] if svc.icmp_types else FULL_ICMP_SET
 
 
 class ServiceSet:

@@ -9,10 +9,11 @@ header points.  Each bound ACL is encoded once into a
 and both vettings share.  Positive vetting injects one representative
 packet per expanded flow (plus the TCP return leg) and expects delivery.
 Negative vetting scans every ordered zone pair and reports any delivery
-not implied by the policy, as int algebra over value atoms.  The scan is
-not exhaustive: it fixes the lowest address of each zone's first CIDR,
-source port 49152 and state NEW, and varies only the dport (or ICMP
-type) over the scan ports, for protocols 1, 6 and 17 by default.
+not implied by the policy.  Its regions are bitsets over the value atoms
+of one :class:`forestfw.header_space.Grid`, printed back as values.  The
+scan is not exhaustive: it fixes the lowest address of each zone's first
+CIDR, source port 49152 and state NEW, and varies only the dport (or
+ICMP type) over the scan ports, for protocols 1, 6 and 17 by default.
 Vetting the full header space is ROADMAP item 1.
 """
 
@@ -26,10 +27,10 @@ from pathlib import Path
 
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError
-from forestfw.header_space import (ESTABLISHED, FULL_ICMP, NEW, MatchTable, Packet, ValueAxis,
-                                   address_intervals)
+from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet, address_intervals
 from forestfw.netgen import AclRule, enumerate_paths, hop_acls
 from forestfw.policy_lang.syntax import (
+    FULL_ICMP_SET,
     FlowRule,
     PortRange,
     Service,
@@ -395,25 +396,25 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     state NEW, and varies the dport (ICMP type for protocol 1, types
     0-255 only) over the scan ports, for each scanned protocol.  The
     bounds of every bound rule's values, every flow's dports and ICMP
-    types and the scan ranges cut the value axis into atoms, and a set of
-    atoms is an int.  Each hop ACL is decided once over the scanned
-    atoms; then a hop delivers the OR of its firewalls' permits, a path
-    the AND of its hops, the pair the OR of its paths.  Leaks are the
-    delivered values no flow of the pair admits, ordered by zone pair,
-    protocol (scan order) and value.  Vetting the full header space is
-    ROADMAP item 1.
+    types and the scan ranges cut the value axis of one grid without
+    sport cuts into atoms, and a set of atoms is an int.  Each hop ACL
+    is decided once over the scanned atoms; then a hop delivers the OR
+    of its firewalls' permits, a path the AND of its hops, the pair the
+    OR of its paths.  Leaks are the delivered values no flow of the pair
+    admits, ordered by zone pair, protocol (scan order) and value.
+    Vetting the full header space is ROADMAP item 1.
     """
     scan = scan or default_scan_spec(net)
     scanned = intervals.normalize(scan.ports)
     admitted = [((f.src_zone, f.dst_zone, f.service.protocol), _admitted_values(f.service))
                 for f in net.flows]
     rows = [row for key in net.acl_map for row in net.match_table(key).rows]
-    axis = ValueAxis([scanned, FULL_ICMP, *(values for _, values in admitted if values),
-                      *(row.values for row in rows if row.values)])
+    grid = Grid([scanned, FULL_ICMP_SET, *(values for _, values in admitted if values),
+                 *(row.values for row in rows if row.values)])
     implied: dict[tuple[str, str, int | None], int] = {}
     for pair_protocol, values in admitted:
-        implied[pair_protocol] = implied.get(pair_protocol, 0) | axis.mask(values)
-    scanned_atoms = axis.mask(scanned)
+        implied[pair_protocol] = implied.get(pair_protocol, 0) | grid.mask(values)
+    scanned_atoms = grid.mask(scanned)
     leaks: list[Leak] = []
     zones = sorted(net.model.zones)
     for src_zone in zones:
@@ -428,11 +429,12 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
             tables = {key: net.match_table(key)
                       for route in routes for keys in route for key in keys}
             for protocol in scan.protocols:
-                universe = scanned_atoms & axis.mask(FULL_ICMP) if protocol == 1 else scanned_atoms
+                universe = (scanned_atoms & grid.mask(FULL_ICMP_SET) if protocol == 1
+                            else scanned_atoms)
                 if not universe:
                     continue
                 point = Packet(src_addr, dst_addr, protocol, SCAN_SPORT, 0, 0, NEW)
-                permits = {key: table.permitted(point, axis, universe)
+                permits = {key: table.permitted(point, grid, universe)
                            for key, table in tables.items()}
                 delivered = 0
                 for route in routes:
@@ -447,6 +449,6 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
                     delivered |= reach
                 leaked = delivered & ~implied.get((src_zone, dst_zone, protocol), 0)
                 leaks.extend(Leak(src_zone, dst_zone, protocol, value)
-                             for lo, hi in axis.spans(leaked)
+                             for (lo, hi), _ in grid.strips(leaked)
                              for value in range(lo, hi + 1))
     return leaks

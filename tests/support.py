@@ -5,8 +5,9 @@ algebra: accept sets are materialized as dense numpy grids and compared
 pointwise, negative vetting is replayed one packet at a time, path
 selection is checked against the exhaustive enumerate-then-filter search,
 the lexer against a character-at-a-time tokenizer, the overlap check
-against an all-pairs comparison, the ACL anomaly check against pairwise
-7-D box subtraction, the renderers against their form before the
+against an all-pairs comparison, the canonical grid algebra against
+strip sweeps and merge-pass subtraction, the ACL anomaly check against
+pairwise 7-D box subtraction, the renderers against their form before the
 per-compile rule text cache and the match table's row-bitset lookups
 against its former linear walk over interval sets.
 """
@@ -185,11 +186,73 @@ def canonical_masks(policy: CanonicalPolicy) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# strip-at-a-time canonical partition oracle
+# strip oracles of the canonical grid algebra
+
+def partition_strips(rects) -> tuple:
+    """Cut the union of (sport-set, value-set) rectangles into maximal
+    value strips: the sweep the canonical form used before its grid.
+
+    A sweep over the sorted value boundaries adds each rectangle where one
+    of its value intervals starts and drops it after the interval ends, so
+    each elementary strip carries the union of the sport intervals of the
+    rectangles active on it; contiguous strips with equal sport sets merge.
+    """
+    events: dict[int, list[tuple[int, int]]] = {}  # boundary -> (rectangle, +1 | -1)
+    for i, (_, values) in enumerate(rects):
+        for lo, hi in values:
+            events.setdefault(lo, []).append((i, 1))
+            events.setdefault(hi + 1, []).append((i, -1))
+    coords = sorted(events)
+
+    active: dict[int, int] = {}  # rectangle -> its value intervals open here
+    strips: list = []
+    for start, end in zip(coords, coords[1:]):
+        for i, delta in events[start]:
+            count = active.get(i, 0) + delta
+            if count:
+                active[i] = count
+            else:
+                del active[i]
+        _add_strip(strips, start, end - 1,
+                   intervals.normalize(iv for i in active for iv in rects[i][0]))
+    return tuple(strips)
+
+
+def _add_strip(strips: list, lo: int, hi: int, sports: IntervalSet) -> None:
+    """Append a strip in value order, merged into a touching predecessor
+    with equal sport sets; a strip without sports is dropped."""
+    if not sports:
+        return
+    if strips and strips[-1][0][1] + 1 == lo and strips[-1][1] == sports:
+        strips[-1] = ((strips[-1][0][0], hi), sports)
+    else:
+        strips.append(((lo, hi), sports))
+
+
+def subtract_strips(p: tuple, q: tuple) -> tuple:
+    """The part of strips ``p`` that strips ``q`` does not cover: one merge
+    pass over both lists, each sorted and disjoint by value, as the
+    canonical difference was computed before its grid."""
+    out: list = []
+    j = 0
+    for (lo, hi), sports in p:
+        position = lo
+        while position <= hi:
+            while j < len(q) and q[j][0][1] < position:
+                j += 1
+            if j < len(q) and q[j][0][0] <= position:
+                end = min(hi, q[j][0][1])
+                _add_strip(out, position, end, intervals.subtract(sports, q[j][1]))
+            else:
+                end = hi if j == len(q) else min(hi, q[j][0][0] - 1)
+                _add_strip(out, position, end, sports)
+            position = end + 1
+    return tuple(out)
+
 
 def partition_strips_by_scan(rects) -> tuple:
-    """The former ``canonical._partition_strips``: every rectangle is tested
-    against every elementary dport strip."""
+    """The union of rectangles as maximal strips, with every rectangle
+    tested against every elementary dport strip."""
     bounds: set[int] = set()
     for _, dports in rects:
         for lo, hi in dports:
@@ -1087,6 +1150,7 @@ __all__ = [
     "oracle_render_neutral_file",
     "packet_matches",
     "pair_plan",
+    "partition_strips",
     "partition_strips_by_scan",
     "plan_delivers",
     "random_accept_rules",
@@ -1101,6 +1165,7 @@ __all__ = [
     "scan_packet",
     "service_accepts",
     "split_cover",
+    "subtract_strips",
     "tokenize_by_char",
     "whitelist_reading",
 ]

@@ -23,10 +23,12 @@ from support import (
     generated_policy_sources,
     masks_equal,
     masks_subset,
+    partition_strips,
     partition_strips_by_scan,
     random_mixed_service_set,
     random_service_set,
     split_cover,
+    subtract_strips,
 )
 
 
@@ -185,7 +187,7 @@ def test_protocol_keyed_strips_against_oracle():
         assert equivalent(p, q) == masks_equal(mp, mq), (p, q)
         assert includes(p, q) == masks_subset(mp, mq), (p, q)
         assert includes(q, p) == masks_subset(mq, mp), (p, q)
-        leftovers = CanonicalPolicy(tuple(canonical_subtract(cp, cq)))
+        leftovers = CanonicalPolicy(tuple(canonical_subtract(p, q)))
         assert masks_equal(canonical_masks(leftovers), {k: mp[k] & ~mq[k] for k in mp})
         seen.add(("equivalent", equivalent(p, q)))
         seen.add(("includes", includes(p, q)))
@@ -228,8 +230,8 @@ def test_inclusion_partial_order_on_random_triples():
 
 
 def test_canonical_subtract_reports_uncovered_region():
-    p = canonicalize([tcp("wide", [(0, 65535)], [(80, 100)])])
-    q = canonicalize([tcp("narrow", [(0, 65535)], [(90, 100)])])
+    p = [tcp("wide", [(0, 65535)], [(80, 100)])]
+    q = [tcp("narrow", [(0, 65535)], [(90, 100)])]
     leftovers = canonical_subtract(p, q)
     assert len(leftovers) == 1
     assert leftovers[0].strips == (((80, 89), ((0, 65535),)),)
@@ -242,7 +244,7 @@ def test_canonical_subtract_equals_grid_difference_with_maximal_strips():
     for trial in range(300):
         p = random_service_set(rng)
         q = split_cover(rng, p)[1:] if trial % 2 else random_service_set(rng)
-        leftovers = canonical_subtract(canonicalize(p), canonicalize(q))
+        leftovers = canonical_subtract(p, q)
         mp, mq = accept_masks(p), accept_masks(q)
         want = {k: mp[k] & ~mq[k] for k in mp}
         assert masks_equal(canonical_masks(CanonicalPolicy(tuple(leftovers))), want), (p, q)
@@ -296,7 +298,7 @@ def test_violation_evidence_lists_maximal_strips():
 
 
 # ---------------------------------------------------------------------------
-# boundary sweep vs. the strip-at-a-time partition
+# the grid's rectangle-union decode vs. the strip oracles
 
 def _random_interval_set(rng: random.Random) -> tuple:
     if rng.random() < 0.15:
@@ -314,8 +316,8 @@ def test_partition_sweep_equals_strip_scan_on_random_rectangles():
     for _ in range(500):
         rects = [(_random_interval_set(rng), _random_interval_set(rng))
                  for _ in range(rng.randint(0, 12))]
-        strips = canonical._partition_strips(rects)
-        assert strips == partition_strips_by_scan(rects), rects
+        strips = canonical._region_strips(rects)
+        assert strips == partition_strips_by_scan(rects) == partition_strips(rects), rects
         merged += sum(1 for (_, a), (_, b) in zip(strips, strips[1:]) if a == b)
     assert merged > 0  # equal sport sets apart by a gap stay separate strips
 
@@ -326,15 +328,16 @@ ZONES_OF_TOPOLOGY = ("z1", "z2", "z3", "az1", "fwz1", "fwz2", "fwz3")
 def test_partition_sweep_equals_strip_scan_on_plant_bulk_and_grids(
         plant_spec_fixed, bp_spec, monkeypatch):
     """Every rectangle list the best-practice checks of the plant and bulk
-    seeds 1-3 partition, and every zone pair's flows on the 2x2-2x4 grids."""
+    seeds 1-3 decode, with the bound it is subtracted from, and every zone
+    pair's flows on the 2x2-2x4 grids."""
     inputs = []
-    sweep = canonical._partition_strips
+    decode = canonical._region_strips
 
-    def recorded(rects):
-        inputs.append(list(rects))
-        return sweep(rects)
+    def recorded(rects, minus=()):
+        inputs.append((list(rects), list(minus)))
+        return decode(rects, minus)
 
-    monkeypatch.setattr(canonical, "_partition_strips", recorded)
+    monkeypatch.setattr(canonical, "_region_strips", recorded)
     sources = generated_policy_sources()
     checks = [(plant_spec_fixed, bp_spec)] + [
         (parse_policy(sources[f"bulk{seed}"]),
@@ -348,9 +351,35 @@ def test_partition_sweep_equals_strip_scan_on_plant_bulk_and_grids(
             per_pair.setdefault((flow.src_zone, flow.dst_zone), []).append(flow.service)
         for services in per_pair.values():
             canonicalize(services)
-    assert best_practice_inputs > 50 and len(inputs) > best_practice_inputs
-    for rects in inputs:
-        assert sweep(rects) == partition_strips_by_scan(rects)
+    assert best_practice_inputs > 40 and len(inputs) > best_practice_inputs
+    assert all(minus for _, minus in inputs[:best_practice_inputs])
+    for rects, minus in inputs:
+        assert decode(rects) == partition_strips_by_scan(rects)
+        assert decode(rects, minus) == subtract_strips(partition_strips(rects),
+                                                       partition_strips(minus))
+
+
+def test_grid_union_and_difference_equal_strip_oracles():
+    """On random plain and mixed service-set pairs, the canonical form is
+    the sweep's partition and the difference the merge-pass subtraction
+    of the two partitions."""
+    rng = random.Random(8086)
+    nonempty = 0
+    for trial in range(2000):
+        draw = random_mixed_service_set if trial % 2 else random_service_set
+        p = draw(rng)
+        q = split_cover(rng, p)[1:] if trial % 4 < 2 else draw(rng)
+        rp, rq = canonical._slice_rectangles(p), canonical._slice_rectangles(q)
+        union = {protocol: partition_strips(rects) for protocol, rects in rp.items()}
+        assert canonicalize(p) == CanonicalPolicy(tuple(
+            canonical.CanonicalSlice(protocol, union[protocol]) for protocol in sorted(rp)))
+        want = [(protocol, subtract_strips(union[protocol],
+                                           partition_strips(rq.get(protocol, ()))))
+                for protocol in sorted(rp)]
+        got = canonical_subtract(p, q)
+        assert [(sl.protocol, sl.strips) for sl in got] == [w for w in want if w[1]], (p, q)
+        nonempty += bool(got)
+    assert 0 < nonempty < 2000
 
 
 # ---------------------------------------------------------------------------

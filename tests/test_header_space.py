@@ -4,9 +4,9 @@ import random
 import pytest
 
 from forestfw import intervals
-from forestfw.header_space import ESTABLISHED, FULL_ICMP, NEW, MatchTable, Packet, ValueAxis
+from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet
 from forestfw.netgen import ANY_NET, AclRule
-from forestfw.policy_lang.syntax import PortRange
+from forestfw.policy_lang.syntax import FULL_ICMP_SET, PortRange
 from support import (
     matching_by_walk,
     packet_matches,
@@ -272,10 +272,11 @@ def test_value_masks_expand_to_the_walks_permitted_intervals():
         table = MatchTable(rules)
         scanned = intervals.normalize((lo, rng.randrange(lo, 700))
                                       for lo in (rng.randrange(700) for _ in range(3)))
-        axis = ValueAxis([scanned, FULL_ICMP] + [row.values for row in table.rows if row.values])
+        grid = Grid([scanned, FULL_ICMP_SET] + [row.values for row in table.rows if row.values])
         for packet in _bound_packets(rng, rules)[:10]:
-            universe = intervals.intersect(scanned, FULL_ICMP) if packet.protocol == 1 else scanned
-            permitted = table.permitted(packet, axis, axis.mask(universe))
-            assert (intervals.normalize(axis.spans(permitted))
+            universe = (intervals.intersect(scanned, FULL_ICMP_SET) if packet.protocol == 1
+                        else scanned)
+            permitted = table.permitted(packet, grid, grid.mask(universe))
+            assert (tuple(values for values, _ in grid.strips(permitted))
                     == permitted_by_walk(table, packet, universe)), (rules, packet, universe)
 
