@@ -33,7 +33,7 @@ from forestfw.policy_lang.syntax import (
     effective_sports,
 )
 
-Rectangle = tuple[IntervalSet, IntervalSet]  # (sports, values)
+Rectangle = tuple[IntervalSet, IntervalSet]  # (values, sports), as Grid.mask takes them
 
 
 @dataclass(frozen=True)
@@ -58,15 +58,15 @@ class CanonicalPolicy:
 
 
 def _slice_rectangles(services: Iterable[Service]) -> dict[int, list[Rectangle]]:
-    """Group services into (sport-set, value-set) rectangles per protocol."""
+    """Group services into (value-set, sport-set) rectangles per protocol."""
     groups: dict[int, list[Rectangle]] = {}
     for svc in services:
         if svc.protocol is None:
             raise PolicyError(f"generic service {svc.name!r} cannot be canonicalized")
         if svc.protocol == 1:
-            rect = (FULL_RANGE_SET, effective_icmp_types(svc))
+            rect = (effective_icmp_types(svc), FULL_RANGE_SET)
         elif svc.protocol in (6, 17):
-            rect = (effective_sports(svc), effective_dports(svc))
+            rect = (effective_dports(svc), effective_sports(svc))
         else:
             rect = (FULL_RANGE_SET, FULL_RANGE_SET)
         groups.setdefault(svc.protocol, []).append(rect)
@@ -77,31 +77,26 @@ def _region_strips(rects: Sequence[Rectangle],
                    minus: Sequence[Rectangle] = ()) -> tuple[tuple[Interval, IntervalSet], ...]:
     """The maximal strips of the union of ``rects`` less the union of
     ``minus``, computed on one grid that both sides' bounds cut."""
-    grid = Grid([values for _, values in (*rects, *minus)],
-                [sports for sports, _ in (*rects, *minus)])
+    grid = Grid([values for values, _ in (*rects, *minus)],
+                [sports for _, sports in (*rects, *minus)])
     region = 0
-    for sports, values in rects:
-        region |= grid.mask(values, sports)
-    for sports, values in minus:
-        region &= ~grid.mask(values, sports)
+    for rect in rects:
+        region |= grid.mask(*rect)
+    for rect in minus:
+        region &= ~grid.mask(*rect)
     return grid.strips(region)
-
-
-def _difference(p: dict[int, list[Rectangle]],
-                q: dict[int, list[Rectangle]]) -> list[CanonicalSlice]:
-    """The slices of the rectangles ``p`` less ``q``, both per protocol."""
-    slices = []
-    for protocol in sorted(p):
-        strips = _region_strips(p[protocol], q.get(protocol, ()))
-        if strips:
-            slices.append(CanonicalSlice(protocol, strips))
-    return slices
 
 
 def canonical_subtract(p: Iterable[Service], q: Iterable[Service]) -> list[CanonicalSlice]:
     """The canonical slices of what ``p`` accepts and ``q`` does not (the
     inclusion counterexample)."""
-    return _difference(_slice_rectangles(p), _slice_rectangles(q))
+    kept, dropped = _slice_rectangles(p), _slice_rectangles(q)
+    slices = []
+    for protocol in sorted(kept):
+        strips = _region_strips(kept[protocol], dropped.get(protocol, ()))
+        if strips:
+            slices.append(CanonicalSlice(protocol, strips))
+    return slices
 
 
 def canonicalize(services: Iterable[Service]) -> CanonicalPolicy:
@@ -211,15 +206,10 @@ def check_best_practice(flows: Iterable[FlowRule], zone_names: Iterable[str],
         if flow.src_zone in bp.protected:
             grouped.setdefault((flow.src_zone, flow.dst_zone, "outbound"), []).append(flow.service)
 
-    # each bound's rectangles, built when first needed
-    bounds: dict[str, dict[int, list[Rectangle]]] = {}
     violations: list[Violation] = []
     for (src, dst, direction) in sorted(grouped):
-        if direction not in bounds:
-            bounds[direction] = _slice_rectangles(
-                bp.inbound if direction == "inbound" else bp.outbound)
-        services = _slice_rectangles(grouped[(src, dst, direction)])
-        leftovers = _difference(services, bounds[direction])
+        leftovers = canonical_subtract(grouped[(src, dst, direction)],
+                                       bp.inbound if direction == "inbound" else bp.outbound)
         if leftovers:
             violations.append(Violation(src, dst, direction, tuple(leftovers)))
     return violations

@@ -189,7 +189,7 @@ def canonical_masks(policy: CanonicalPolicy) -> dict:
 # strip oracles of the canonical grid algebra
 
 def partition_strips(rects) -> tuple:
-    """Cut the union of (sport-set, value-set) rectangles into maximal
+    """Cut the union of (value-set, sport-set) rectangles into maximal
     value strips: the sweep the canonical form used before its grid.
 
     A sweep over the sorted value boundaries adds each rectangle where one
@@ -198,7 +198,7 @@ def partition_strips(rects) -> tuple:
     rectangles active on it; contiguous strips with equal sport sets merge.
     """
     events: dict[int, list[tuple[int, int]]] = {}  # boundary -> (rectangle, +1 | -1)
-    for i, (_, values) in enumerate(rects):
+    for i, (values, _) in enumerate(rects):
         for lo, hi in values:
             events.setdefault(lo, []).append((i, 1))
             events.setdefault(hi + 1, []).append((i, -1))
@@ -214,7 +214,7 @@ def partition_strips(rects) -> tuple:
             else:
                 del active[i]
         _add_strip(strips, start, end - 1,
-                   intervals.normalize(iv for i in active for iv in rects[i][0]))
+                   intervals.normalize(iv for i in active for iv in rects[i][1]))
     return tuple(strips)
 
 
@@ -254,7 +254,7 @@ def partition_strips_by_scan(rects) -> tuple:
     """The union of rectangles as maximal strips, with every rectangle
     tested against every elementary dport strip."""
     bounds: set[int] = set()
-    for _, dports in rects:
+    for dports, _ in rects:
         for lo, hi in dports:
             bounds.add(lo)
             bounds.add(hi + 1)
@@ -264,7 +264,7 @@ def partition_strips_by_scan(rects) -> tuple:
     for start, end in zip(coords, coords[1:]):
         strip = (start, end - 1)
         covered = ()
-        for sports, dports in rects:
+        for dports, sports in rects:
             if intervals.contains(dports, start):
                 covered = intervals.union(covered, sports)
         if not covered:

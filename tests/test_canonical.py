@@ -342,17 +342,29 @@ def test_partition_sweep_equals_strip_scan_on_plant_bulk_and_grids(
     checks = [(plant_spec_fixed, bp_spec)] + [
         (parse_policy(sources[f"bulk{seed}"]),
          parse_policy(sources[f"bulk{seed}_best_practice"])) for seed in (1, 2, 3)]
+    # one decode per protocol of each grouped direction or zone pair
+    expected = 0
     for spec, bp in checks:
-        assert check_best_practice(expand_rules(spec), ZONES_OF_TOPOLOGY, bp) == []
-    best_practice_inputs = len(inputs)
+        flows = expand_rules(spec)
+        assert check_best_practice(flows, ZONES_OF_TOPOLOGY, bp) == []
+        protected = bp.zone_groups["protected_zone"].zones
+        protocols: dict[tuple[str, str, str], set] = {}
+        for flow in flows:
+            for direction, zone in (("inbound", flow.dst_zone), ("outbound", flow.src_zone)):
+                if zone in protected:
+                    protocols.setdefault((flow.src_zone, flow.dst_zone, direction),
+                                         set()).add(flow.service.protocol)
+        expected += sum(map(len, protocols.values()))
+    assert len(inputs) == expected > 0
+    assert all(minus for _, minus in inputs)
     for shape in ("2x2", "2x3", "2x4"):
         per_pair: dict[tuple[str, str], list[Service]] = {}
         for flow in expand_rules(parse_policy(sources[f"grid{shape}"])):
             per_pair.setdefault((flow.src_zone, flow.dst_zone), []).append(flow.service)
         for services in per_pair.values():
             canonicalize(services)
-    assert best_practice_inputs > 40 and len(inputs) > best_practice_inputs
-    assert all(minus for _, minus in inputs[:best_practice_inputs])
+            expected += len({service.protocol for service in services})
+    assert len(inputs) == expected
     for rects, minus in inputs:
         assert decode(rects) == partition_strips_by_scan(rects)
         assert decode(rects, minus) == subtract_strips(partition_strips(rects),
