@@ -2,9 +2,8 @@
 
 A conduit-direction policy (a set of permitted services) maps to a unique
 ordered set of non-overlapping rectangles.  Per protocol, each service is
-a rectangle of the value x source port plane, the value being the
-destination port, or the ICMP type for protocol 1 (whose source ports
-are full); a protocol without ports is the full port plane.  The
+its rectangle of the value (dport, or ICMP type) x source port plane, as
+:func:`forestfw.policy_lang.syntax.service_plane` gives it.  The
 rectangles are regions of one :class:`forestfw.header_space.Grid`, so a
 policy is the OR of its rectangles' bitsets and a difference is
 ``p & ~q``.  The bitset prints as canonical strips: the region cut along
@@ -22,15 +21,12 @@ from forestfw.diagnostics import PolicyError
 from forestfw.header_space import Grid
 from forestfw.intervals import Interval, IntervalSet
 from forestfw.policy_lang.syntax import (
-    FULL_RANGE_SET,
     PROTOCOL_NAMES,
     FlowRule,
     PolicySpec,
     Service,
     ServiceSet,
-    effective_dports,
-    effective_icmp_types,
-    effective_sports,
+    service_plane,
 )
 
 Rectangle = tuple[IntervalSet, IntervalSet]  # (values, sports), as Grid.mask takes them
@@ -58,18 +54,12 @@ class CanonicalPolicy:
 
 
 def _slice_rectangles(services: Iterable[Service]) -> dict[int, list[Rectangle]]:
-    """Group services into (value-set, sport-set) rectangles per protocol."""
+    """Group the services' planes per protocol."""
     groups: dict[int, list[Rectangle]] = {}
     for svc in services:
         if svc.protocol is None:
             raise PolicyError(f"generic service {svc.name!r} cannot be canonicalized")
-        if svc.protocol == 1:
-            rect = (effective_icmp_types(svc), FULL_RANGE_SET)
-        elif svc.protocol in (6, 17):
-            rect = (effective_dports(svc), effective_sports(svc))
-        else:
-            rect = (FULL_RANGE_SET, FULL_RANGE_SET)
-        groups.setdefault(svc.protocol, []).append(rect)
+        groups.setdefault(svc.protocol, []).append(service_plane(svc))
     return groups
 
 

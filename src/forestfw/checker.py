@@ -2,7 +2,9 @@
 
 High-level overlaps are pairs of flows from distinct rules that permit a
 shared service between the same zone pair; they are reported, never
-auto-corrected, and each witness is the shared service itself.
+auto-corrected, and each witness is the shared service itself: the
+intersection of the two services' planes
+(:func:`forestfw.policy_lang.syntax.service_plane`), axis by axis.
 Network-level checks find redundant (fully covered by earlier permits)
 and shadowed (never able to match) ACL rules in one first-match walk
 that subtracts each rule's region, a bitset over the value x sport atoms
@@ -28,10 +30,8 @@ from forestfw.policy_lang.syntax import (
     FlowRule,
     PolicySpec,
     Service,
-    effective_dports,
-    effective_icmp_types,
-    effective_sports,
     port_ranges,
+    service_plane,
 )
 
 if TYPE_CHECKING:  # avoid a runtime cycle with netgen
@@ -75,21 +75,19 @@ class OverlapReport:
 
 def service_intersection(a: Service, b: Service) -> Service | None:
     """Dimension-wise intersection of two services; None when empty."""
-    if a.protocol is None or b.protocol is None or a.protocol != b.protocol:
+    if a.protocol is None or a.protocol != b.protocol:
+        return None
+    (values_a, sports_a), (values_b, sports_b) = service_plane(a), service_plane(b)
+    values = intervals.intersect(values_a, values_b)
+    sports = intervals.intersect(sports_a, sports_b)
+    if not values or not sports:
         return None
     name = f"({a.display_name} ^ {b.display_name})"
     if a.protocol == 1:
-        shared = intervals.intersect(effective_icmp_types(a), effective_icmp_types(b))
-        if not shared:
-            return None
-        return Service(name, 1, icmp_types=port_ranges(shared))
+        return Service(name, 1, icmp_types=port_ranges(values))
     if a.protocol in (6, 17):
-        sports = intervals.intersect(effective_sports(a), effective_sports(b))
-        dports = intervals.intersect(effective_dports(a), effective_dports(b))
-        if not sports or not dports:
-            return None
         return Service(name, a.protocol,
-                       source_ports=port_ranges(sports), dest_ports=port_ranges(dports))
+                       source_ports=port_ranges(sports), dest_ports=port_ranges(values))
     return Service(name, a.protocol)
 
 
@@ -102,9 +100,9 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
 
     Only flows of one protocol can overlap, so each conduit's flows are
     bucketed by protocol and only pairs within a bucket are compared, in
-    the order of an all-pairs scan.  Each flow's port (or ICMP type) sets
-    are normalized once, and a pair whose sets are disjoint is rejected
-    before its intersection is built.
+    the order of an all-pairs scan.  Each flow's plane is read once, and a
+    pair whose planes are disjoint on some axis is rejected before its
+    intersection is built.
     """
     by_conduit: dict[tuple[str, str], list[FlowRule]] = {}
     for flow in flows:
@@ -119,16 +117,16 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
         for flow in members:
             if flow.service.protocol is not None:
                 later.setdefault(flow.service.protocol, deque()).append(
-                    (flow, _overlap_dimensions(flow.service)))
+                    (flow, service_plane(flow.service)))
         for fa in members:
             if fa.service.protocol is None:
                 continue
             peers = later[fa.service.protocol]
-            _, dims_a = peers.popleft()
-            for fb, dims_b in peers:
+            _, plane_a = peers.popleft()
+            for fb, plane_b in peers:
                 if fa.rule_name == fb.rule_name:
                     continue
-                if not all(intervals.intersect(a, b) for a, b in zip(dims_a, dims_b)):
+                if not all(intervals.intersect(a, b) for a, b in zip(plane_a, plane_b)):
                     continue
                 shared = service_intersection(fa.service, fb.service)
                 if shared is None:
@@ -143,17 +141,6 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
                                  key=lambda w: (w.src_zone, w.dst_zone, w.service.name)))
         reports.append(OverlapReport(HIGH_LEVEL_OVERLAP, rule_a, rule_b, witnesses))
     return reports
-
-
-def _overlap_dimensions(svc: Service) -> tuple:
-    """The normalized sets on which two services of ``svc``'s protocol
-    must meet to overlap: ICMP types, or TCP/UDP dest and source ports
-    (dest first, since it tells services apart more often)."""
-    if svc.protocol == 1:
-        return (effective_icmp_types(svc),)
-    if svc.protocol in (6, 17):
-        return (effective_dports(svc), effective_sports(svc))
-    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +253,12 @@ def emit_alloy(spec: PolicySpec, flows: Iterable[FlowRule]) -> str:
         svc = services[name]
         lines.append(f"one sig svc_{_atom(name)} extends Service {{}} {{")
         lines.append(f" ip_protocol = {svc.protocol}")
-        sports = ",".join(f'"{r}"' for r in effective_sports(svc)) if svc.protocol in (6, 17) else "none"
-        dports = ",".join(f'"{r}"' for r in effective_dports(svc)) if svc.protocol in (6, 17) else "none"
-        lines.append(f" source_port = {sports}")
-        lines.append(f" dest_port = {dports}")
+        values, sports = service_plane(svc)
+        ports = svc.protocol in (6, 17)
+        lines.append(" source_port = " + (",".join(f'"{r}"' for r in sports) if ports else "none"))
+        lines.append(" dest_port = " + (",".join(f'"{r}"' for r in values) if ports else "none"))
         if svc.protocol == 1:
-            types = ",".join(str(lo) if lo == hi else f"{lo}+{hi}"
-                             for lo, hi in effective_icmp_types(svc))
+            types = ",".join(str(lo) if lo == hi else f"{lo}+{hi}" for lo, hi in values)
             lines.append(f" icmp_type = {types}")
         else:
             lines.append(" icmp_type = none")

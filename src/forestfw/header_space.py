@@ -174,10 +174,6 @@ class MatchTable:
             bits &= values[1][bisect_right(values[0], value) - 1]
         return bits
 
-    def matching(self, packet: Packet) -> Iterator[_RuleMatch]:
-        """The rules that match ``packet``, in ACL order."""
-        return (self.rows[index] for index in bit_indexes(self.match_bits(packet)))
-
     def decide(self, packet: Packet) -> tuple[str, str]:
         """First-match decision plus a description of the deciding rule."""
         bits = self.match_bits(packet)

@@ -26,9 +26,7 @@ from forestfw.policy_lang.syntax import (
     FlowRule,
     PolicySpec,
     PortRange,
-    effective_dports,
-    effective_sports,
-    port_ranges,
+    service_plane,
 )
 from forestfw.policy_lang.validate import validate_spec
 from forestfw.topo_model import (
@@ -190,10 +188,9 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
         """One crossing set per firewall that can realize hop x -> y."""
         masks = masks_memo.get((x, y))
         if masks is None:
-            pairs = (_crossings(model, (x, y), fw, fw_zones[fw])
-                     for fw in sorted(model.conduit_between(x, y).firewalls))
-            masks = masks_memo[(x, y)] = [bit(entry) | bit(exit_)
-                                          for entry, exit_ in pairs if entry != exit_]
+            masks = masks_memo[(x, y)] = [
+                bit((fw, entry)) | bit((fw, exit_))
+                for fw, entry, exit_ in hop_crossings(model, x, y, fw_zones) if entry != exit_]
         return masks
 
     paths: list[list[str]] = []
@@ -221,14 +218,16 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
     return paths
 
 
-def _crossings(model: ZoneConduitModel, hop: tuple[str, str], firewall: str,
-               fwz: str) -> tuple:
-    """Interfaces the packet crosses on one firewall for one conduit hop;
-    ``fwz`` is the firewall's own zone."""
-    x, y = hop
-    entry = LOCAL_INTERFACE if x == fwz else model.firewall_interfaces[firewall][x]
-    exit_ = LOCAL_INTERFACE if y == fwz else model.firewall_interfaces[firewall][y]
-    return ((firewall, entry), (firewall, exit_))
+def hop_crossings(model: ZoneConduitModel, x: str, y: str,
+                  fw_zones: Mapping[str, str]) -> list[tuple[str, str, str]]:
+    """``(firewall, entry, exit)`` per firewall realizing hop x -> y, in
+    name order: the interfaces the packet enters and leaves it by, its
+    local stage for the firewall's own zone (``fw_zones`` maps each
+    firewall to that zone)."""
+    faces = model.firewall_interfaces
+    return [(fw, LOCAL_INTERFACE if x == fw_zones[fw] else faces[fw][x],
+             LOCAL_INTERFACE if y == fw_zones[fw] else faces[fw][y])
+            for fw in sorted(model.conduit_between(x, y).firewalls)]
 
 
 def hop_acls(model: ZoneConduitModel, x: str, y: str,
@@ -239,17 +238,11 @@ def hop_acls(model: ZoneConduitModel, x: str, y: str,
 
     Traffic a firewall originates is filtered on its local stage outbound,
     traffic addressed to it on its local stage inbound, and transit traffic
-    inbound on the interface facing x.
+    inbound on the interface it enters by.
     """
-    keys = []
-    for firewall in sorted(model.conduit_between(x, y).firewalls):
-        if x == fw_zones[firewall]:
-            keys.append((firewall, LOCAL_INTERFACE, "outbound"))
-        elif y == fw_zones[firewall]:
-            keys.append((firewall, LOCAL_INTERFACE, "inbound"))
-        else:
-            keys.append((firewall, model.firewall_interfaces[firewall][x], "inbound"))
-    return tuple(keys)
+    return tuple((fw, LOCAL_INTERFACE, "outbound") if entry == LOCAL_INTERFACE
+                 else (fw, exit_ if exit_ == LOCAL_INTERFACE else entry, "inbound")
+                 for fw, entry, exit_ in hop_crossings(model, x, y, fw_zones))
 
 
 # ---------------------------------------------------------------------------
@@ -268,15 +261,13 @@ def translate_rule(flow: FlowRule,
     svc = flow.service
     if svc.protocol is None:
         raise PolicyError(f"service {svc.name!r} has no concrete protocol")
+    values, sports = service_plane(svc)
     if svc.protocol in (6, 17):
-        sport = effective_sports(svc)
-        dport = effective_dports(svc)
+        sport, dport = sports, values
     elif svc.protocol == 1:
-        sport = ()
-        dport = port_ranges(svc.icmp_types)  # empty = any type
+        sport, dport = (), values if svc.icmp_types else ()  # empty = any type
     else:
-        sport = ()
-        dport = ()
+        sport = dport = ()
     rules = []
     for src in sorted(src_cidrs, key=_net_key):
         for dst in sorted(dst_cidrs, key=_net_key):

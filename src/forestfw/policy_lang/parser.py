@@ -54,7 +54,7 @@ _SET_OPS = (",", "^", "\\")
 # not a crash
 _MAX_NESTING = 64
 
-_SetT = TypeVar("_SetT")  # ServiceSet or _ZoneTerm
+_SetT = TypeVar("_SetT")  # ServiceSet or frozenset of zone names
 
 
 def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
@@ -599,9 +599,8 @@ class _Resolver:
             raise self.err(decl, f"zone groups nested more than {_MAX_NESTING} deep")
         self._resolving.append(name)
         assert decl.expr is not None
-        zones = _eval_set_expr(decl.expr, lambda n: _ZoneTerm(self._zone_set(n)))
+        resolved = _eval_set_expr(decl.expr, self._zone_set)
         self._resolving.pop()
-        resolved = zones.value
         self._zone_sets[name] = resolved
         self.spec.zone_groups[name] = ZoneGroup(name, decl.expr, resolved)
         return resolved
@@ -659,24 +658,6 @@ def _eval_set_expr(expr: SetExpr, term: Callable[[str], _SetT]) -> _SetT:
         else:
             segments[-1] = segments[-1].difference(value)
     return segments[0].union(*segments[1:])
-
-
-class _ZoneTerm:
-    """Frozen-set wrapper giving zone sets the same algebra as ServiceSet."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: frozenset[str]):
-        self.value = value
-
-    def union(self, *others: "_ZoneTerm") -> "_ZoneTerm":
-        return _ZoneTerm(self.value.union(*(other.value for other in others)))
-
-    def intersection(self, other: "_ZoneTerm") -> "_ZoneTerm":
-        return _ZoneTerm(self.value & other.value)
-
-    def difference(self, other: "_ZoneTerm") -> "_ZoneTerm":
-        return _ZoneTerm(self.value - other.value)
 
 
 _MISSING = _RawDecl(kind="<missing>", name="", line=0, col=0, file="")

@@ -125,17 +125,19 @@ FULL_RANGE_SET: tuple[PortRange, ...] = (FULL_PORT_RANGE,)
 FULL_ICMP_SET: tuple[PortRange, ...] = (PortRange(0, ICMP_TYPE_MAX),)
 
 
-def effective_sports(svc: Service) -> tuple[PortRange, ...]:
-    """Source ports the service accepts, normalized; full range when not applicable."""
-    return svc.value_key()[1] if svc.source_ports else FULL_RANGE_SET
-
-
-def effective_dports(svc: Service) -> tuple[PortRange, ...]:
-    return svc.value_key()[2] if svc.dest_ports else FULL_RANGE_SET
-
-
-def effective_icmp_types(svc: Service) -> tuple[PortRange, ...]:
-    return svc.value_key()[3] if svc.icmp_types else FULL_ICMP_SET
+def service_plane(svc: Service) -> tuple[tuple[PortRange, ...], tuple[PortRange, ...]]:
+    """The service as one rectangle ``(values, sports)`` of its protocol's
+    value x source port plane, both normalized: dest ports x source ports
+    for TCP and UDP, ICMP types x all source ports for ICMP, and the whole
+    plane for any other protocol.  An unwritten field spans its axis; a
+    written one that normalizes to nothing leaves the rectangle empty."""
+    _, sports, dports, icmp_types = svc.value_key()
+    if svc.protocol in (6, 17):
+        return (dports if svc.dest_ports else FULL_RANGE_SET,
+                sports if svc.source_ports else FULL_RANGE_SET)
+    if svc.protocol == 1:
+        return icmp_types if svc.icmp_types else FULL_ICMP_SET, FULL_RANGE_SET
+    return FULL_RANGE_SET, FULL_RANGE_SET
 
 
 class ServiceSet:

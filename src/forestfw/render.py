@@ -217,11 +217,6 @@ class RenderCache:
 # ---------------------------------------------------------------------------
 # vendor-neutral format
 
-def render_rule_neutral(rule: AclRule) -> str:
-    cache = RenderCache()
-    return cache.rule(rule).neutral(cache)
-
-
 def render_neutral(acl: Acl) -> str:
     """The vendor-neutral ruleset text for one ACL."""
     return _acl_text(acl, RenderCache())

@@ -31,13 +31,13 @@ from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet, ad
 from forestfw.netgen import AclRule, enumerate_paths, hop_acls
 from forestfw.policy_lang.syntax import (
     FULL_ICMP_SET,
+    ICMP_TYPE_MAX,
+    PORT_MAX,
     FlowRule,
     PortRange,
     Service,
-    effective_dports,
-    effective_icmp_types,
-    effective_sports,
     port_ranges,
+    service_plane,
 )
 from forestfw.render import parse_neutral
 from forestfw.topo_model import Conduit, Zone, ZoneConduitModel, firewall_zones
@@ -135,8 +135,8 @@ class SimNetwork:
         return table
 
     def zone_of_address(self, addr: int) -> str | None:
-        """``model.zone_of_address`` by bisect: an address in overlapping
-        CIDRs belongs to the first of their zones in name order."""
+        """The zone whose CIDRs hold ``addr``, by bisect; an address in
+        overlapping CIDRs belongs to the first of their zones in name order."""
         if self.zone_spans is None or self.zone_spans[0] is not self.model:
             spans, covered = [], ()
             for zone in sorted(self.model.zones.values(), key=lambda z: z.name):
@@ -225,15 +225,29 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
             if zone not in model.zones:
                 raise ValueError(f"flow {f['rule']!r} names unknown zone {zone!r}")
         svc = f["service"]
+        if not 0 <= svc["protocol"] <= 255:
+            raise ValueError(f"flow {f['rule']!r} has protocol {svc['protocol']}, "
+                             f"outside 0-255")
         flows.append(FlowRule(
             rule_name=f["rule"], src_zone=f["src_zone"], dst_zone=f["dst_zone"],
             service=Service(
                 name=svc["name"], protocol=svc["protocol"],
-                source_ports=tuple(PortRange(lo, hi) for lo, hi in svc["source_ports"]),
-                dest_ports=tuple(PortRange(lo, hi) for lo, hi in svc["dest_ports"]),
-                icmp_types=tuple(PortRange(lo, hi) for lo, hi in svc["icmp_types"]),
+                source_ports=_ranges(f, "source_ports", PORT_MAX),
+                dest_ports=_ranges(f, "dest_ports", PORT_MAX),
+                icmp_types=_ranges(f, "icmp_types", ICMP_TYPE_MAX),
             )))
     return model, bindings, tuple(flows)
+
+
+def _ranges(flow: dict, key: str, top: int) -> tuple[PortRange, ...]:
+    """A manifest flow's service ranges under ``key``; ValueError unless
+    each is ascending and within 0..``top``."""
+    ranges = tuple(PortRange(lo, hi) for lo, hi in flow["service"][key])
+    for lo, hi in ranges:
+        if not 0 <= lo <= hi <= top:
+            raise ValueError(f"flow {flow['rule']!r} has {key} [{lo}, {hi}], "
+                             f"not an ascending range within 0-{top}")
+    return ranges
 
 
 def _check_model(model: ZoneConduitModel) -> None:
@@ -313,18 +327,14 @@ def _zone_rep_addr(zone: Zone) -> int:
 
 
 def representative_packet(net: SimNetwork, flow: FlowRule) -> Packet:
-    """Deterministic test packet: the lowest in-range value per dimension."""
+    """Deterministic test packet: the lowest corner of the flow's plane."""
     svc = flow.service
     src = _zone_rep_addr(net.model.zones[flow.src_zone])
     dst = _zone_rep_addr(net.model.zones[flow.dst_zone])
-    if svc.protocol in (6, 17):
-        sport = effective_sports(svc)[0].lo
-        dport = effective_dports(svc)[0].lo
-        return Packet(src, dst, svc.protocol, sport, dport, 0, NEW)
+    values, sports = service_plane(svc)
     if svc.protocol == 1:
-        icmp_type = effective_icmp_types(svc)[0].lo
-        return Packet(src, dst, 1, 0, 0, icmp_type, NEW)
-    return Packet(src, dst, svc.protocol or 0, 0, 0, 0, NEW)
+        return Packet(src, dst, 1, 0, 0, values[0].lo, NEW)
+    return Packet(src, dst, svc.protocol or 0, sports[0].lo, values[0].lo, 0, NEW)
 
 
 def vet_positive(net: SimNetwork) -> list[VetResult]:
@@ -380,12 +390,10 @@ def default_scan_spec(net: SimNetwork) -> ScanSpec:
     return ScanSpec((1, 6, 17), port_ranges(ranges))
 
 
-def _admitted_values(svc: Service) -> intervals.IntervalSet | None:
-    """The swept values a service admits at sport SCAN_SPORT; None for all."""
-    if svc.protocol in (6, 17):
-        admits_sport = intervals.contains(effective_sports(svc), SCAN_SPORT)
-        return effective_dports(svc) if admits_sport else ()
-    return effective_icmp_types(svc) if svc.protocol == 1 else None
+def _admitted_values(svc: Service) -> intervals.IntervalSet:
+    """The swept values a service admits at sport SCAN_SPORT."""
+    values, sports = service_plane(svc)
+    return values if intervals.contains(sports, SCAN_SPORT) else ()
 
 
 def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
@@ -395,8 +403,9 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     lowest address of each zone's first CIDR, source port SCAN_SPORT and
     state NEW, and varies the dport (ICMP type for protocol 1, types
     0-255 only) over the scan ports, for each scanned protocol.  The
-    bounds of every bound rule's values, every flow's dports and ICMP
-    types and the scan ranges cut the value axis of one grid without
+    bounds of every bound rule's values, of the values each flow's
+    :func:`~forestfw.policy_lang.syntax.service_plane` admits at that
+    sport and of the scan ranges cut the value axis of one grid without
     sport cuts into atoms, and a set of atoms is an int.  Each hop ACL
     is decided once over the scanned atoms; then a hop delivers the OR
     of its firewalls' permits, a path the AND of its hops, the pair the

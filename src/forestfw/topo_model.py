@@ -93,13 +93,6 @@ class ZoneConduitModel:
                 out.append(a)
         return sorted(out)
 
-    def zone_of_address(self, addr: int | str) -> str | None:
-        ip = ipaddress.IPv4Address(addr)
-        for zone in sorted(self.zones.values(), key=lambda z: z.name):
-            if any(ip in cidr for cidr in zone.cidrs):
-                return zone.name
-        return None
-
 
 def firewall_zones(model: ZoneConduitModel) -> dict[str, str]:
     """Each firewall's own Firewall-Zone."""

@@ -15,6 +15,7 @@ against its former linear walk over interval sets.
 from __future__ import annotations
 
 import importlib.util
+import ipaddress
 import itertools
 import json
 import random
@@ -34,7 +35,7 @@ from forestfw.checker import (
     service_intersection,
 )
 from forestfw.diagnostics import PolicyError
-from forestfw.header_space import MatchTable
+from forestfw.header_space import MatchTable, bit_indexes
 from forestfw.intervals import IntervalSet
 from forestfw.netgen import ANY_NET, AclRule, NetworkPolicy, enumerate_paths, hop_acls
 from forestfw.policy_lang.lexer import KEYWORDS, Token
@@ -43,9 +44,6 @@ from forestfw.policy_lang.syntax import (
     FlowRule,
     PortRange,
     Service,
-    effective_dports,
-    effective_icmp_types,
-    effective_sports,
 )
 from forestfw.render import NEUTRAL_HEADER, TERMINAL_DENY_LINE
 from forestfw.sim import (
@@ -323,6 +321,12 @@ def whitelist_reading(rules):
 # ---------------------------------------------------------------------------
 # the match table's former linear walk, the oracle of its row-bitset index
 
+def matching(table: MatchTable, packet: Packet) -> list:
+    """The rows of ``table`` that match ``packet``, in ACL order, from
+    its row bitsets."""
+    return [table.rows[index] for index in bit_indexes(table.match_bits(packet))]
+
+
 def matching_by_walk(table: MatchTable, packet: Packet, sweep: bool = False) -> list:
     """The rows of ``table`` that match ``packet``, in ACL order: a walk
     over the rows admitting its protocol and state, comparing addresses
@@ -423,7 +427,7 @@ def inject_by_scan(net: SimNetwork, packet: Packet, ingress_zone: str) -> tuple:
     zones, assuming an ESTABLISHED packet's connection is open: the
     first path on which every hop has a firewall whose first match, in
     ``first_match_by_scan``, permits."""
-    dst_zone = net.model.zone_of_address(packet.dst_addr)
+    dst_zone = zone_of_address(net.model, packet.dst_addr)
     fw_zones = firewall_zones(net.model)
     trace: tuple = ()
     for path in enumerate_paths(net.model, ingress_zone, dst_zone,
@@ -443,14 +447,27 @@ def inject_by_scan(net: SimNetwork, packet: Packet, ingress_zone: str) -> tuple:
     return False, trace
 
 
+def zone_of_address(model: ZoneConduitModel, addr: int | str) -> str | None:
+    """The first zone in name order whose CIDRs hold ``addr``, by a scan
+    of every CIDR: the oracle of ``SimNetwork.zone_of_address``."""
+    ip = ipaddress.IPv4Address(addr)
+    for zone in sorted(model.zones.values(), key=lambda z: z.name):
+        if any(ip in cidr for cidr in zone.cidrs):
+            return zone.name
+    return None
+
+
 def service_accepts(svc: Service, packet: Packet) -> bool:
+    """Whether ``svc`` admits ``packet``, read from its port fields as
+    written, not from ``service_plane``: an unwritten field admits every
+    value, and a reversed range none."""
     if svc.protocol != packet.protocol:
         return False
     if svc.protocol == 1:
-        return _in_ranges(packet.icmp_type, effective_icmp_types(svc))
+        return _in_ranges(packet.icmp_type, svc.icmp_types)
     if svc.protocol in (6, 17):
-        return (_in_ranges(packet.sport, effective_sports(svc))
-                and _in_ranges(packet.dport, effective_dports(svc)))
+        return (_in_ranges(packet.sport, svc.source_ports)
+                and _in_ranges(packet.dport, svc.dest_ports))
     return True
 
 
@@ -1145,6 +1162,7 @@ __all__ = [
     "inject_by_scan",
     "masks_equal",
     "masks_subset",
+    "matching",
     "oracle_manifest_json",
     "oracle_render_device",
     "oracle_render_neutral_file",
@@ -1168,4 +1186,5 @@ __all__ = [
     "subtract_strips",
     "tokenize_by_char",
     "whitelist_reading",
+    "zone_of_address",
 ]

@@ -15,7 +15,8 @@ from forestfw.canonical import (
 )
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import expand_rules, parse_policy
-from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
+from forestfw.header_space import Packet
+from forestfw.policy_lang.syntax import FlowRule, PortRange, Service, service_plane
 from support import (
     PORTLESS,
     accept_masks,
@@ -27,6 +28,7 @@ from support import (
     partition_strips_by_scan,
     random_mixed_service_set,
     random_service_set,
+    service_accepts,
     split_cover,
     subtract_strips,
 )
@@ -132,6 +134,45 @@ def test_icmp_types_ride_on_the_value_axis():
 def test_canonicalize_rejects_generic_service():
     with pytest.raises(PolicyError, match="generic"):
         canonicalize([Service("anyip", None)])
+
+
+def _random_field(rng: random.Random, top: int) -> tuple[PortRange, ...]:
+    """Unwritten one time in four, else one or two ranges whose bounds lie
+    near 0, near ``top`` or anywhere, each reversed (empty) one time in six."""
+    if rng.random() < 0.25:
+        return ()
+    ranges = []
+    for _ in range(rng.randint(1, 2)):
+        lo, hi = sorted(rng.choice((rng.randrange(8), top - rng.randrange(8), rng.randrange(top)))
+                        for _ in range(2))
+        ranges.append(PortRange(hi, lo) if lo < hi and rng.random() < 1 / 6 else PortRange(lo, hi))
+    return tuple(ranges)
+
+
+def test_service_plane_membership_equals_service_accepts():
+    """A packet lies in its service's plane exactly when the oracle, which
+    reads the fields as written, accepts it: unwritten fields span their
+    axis and written ones that normalize to nothing admit nothing."""
+    rng = random.Random(53)
+    outcomes = set()
+    for i in range(400):
+        protocol = rng.choice((1, 6, 17, PORTLESS))
+        svc = Service(f"svc{i}", protocol, _random_field(rng, 65535), _random_field(rng, 65535),
+                      _random_field(rng, 255))
+        values, sports = service_plane(svc)
+        empty = not values or not sports
+        for _ in range(25):
+            packet = Packet(protocol=rng.choice((protocol, protocol, 6, 1)),
+                            sport=rng.choice((0, 65535, rng.randrange(65536))),
+                            dport=rng.choice((0, 65535, rng.randrange(65536))),
+                            icmp_type=rng.choice((0, 255, rng.randrange(256))))
+            value = packet.icmp_type if packet.protocol == 1 else packet.dport
+            in_plane = (packet.protocol == protocol and intervals.contains(values, value)
+                        and intervals.contains(sports, packet.sport))
+            assert in_plane == service_accepts(svc, packet), (svc, packet)
+            outcomes.add((protocol, in_plane, empty))
+    assert outcomes >= {(p, hit, False) for p in (1, 6, 17, PORTLESS) for hit in (True, False)}
+    assert {(6, False, True), (17, False, True), (1, False, True)} <= outcomes
 
 
 def test_randomized_equivalence_and_inclusion_against_oracle():

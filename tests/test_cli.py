@@ -13,14 +13,16 @@ POLICY = str(FIXTURES / "scada_plant.policyml")
 POLICY_FIXED = str(FIXTURES / "scada_plant_fixed.policyml")
 TOPOLOGY = str(FIXTURES / "topology.graphml")
 BEST_PRACTICE = str(FIXTURES / "bestpractice" / "scada_isa.policyml")
+GOLDEN = Path(__file__).parent / "golden"
 
 
-def test_check_flags_the_published_overlap(capsys):
-    code = main(["check", "--policy", POLICY, "--topology", TOPOLOGY])
-    out = capsys.readouterr().out
+def test_check_flags_the_published_overlap(capsys, monkeypatch):
+    """The whole report, frozen in a golden file: the one overlap and its
+    witness, run from the fixture directory so the policy path is as written."""
+    monkeypatch.chdir(FIXTURES)
+    code = main(["check", "--policy", "scada_plant.policyml", "--topology", TOPOLOGY])
     assert code == 1
-    assert "rule overlap: file_transfer_rule x web_rule" in out
-    assert "ip_protocol=6" in out and "dest_port=80" in out
+    assert capsys.readouterr().out == (GOLDEN / "scada_plant_check.txt").read_text(encoding="utf-8")
 
 
 def test_check_passes_corrected_policy(capsys):
@@ -63,7 +65,7 @@ def test_check_emit_alloy(tmp_path, capsys):
     main(["check", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
           "--emit-alloy", str(target)])
     text = target.read_text()
-    assert "abstract sig Service" in text
+    assert text == (GOLDEN / "scada_plant_fixed.als").read_text(encoding="utf-8")
     # byte-stable across runs
     main(["check", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
           "--emit-alloy", str(tmp_path / "model2.als")])
@@ -319,12 +321,25 @@ def test_simulate_manifest_without_key_is_usage_error(tmp_path, capsys, key):
     assert repr(key) in captured.err and captured.out == ""
 
 
+def _web_dest_ports(ranges):
+    """An edit setting the plant's tcp/80 flow's dest_ports to ``ranges``."""
+    def edit(manifest):
+        web = next(f for f in manifest["flows"] if f["service"]["dest_ports"] == [[80, 80]])
+        web["service"]["dest_ports"] = ranges
+    return edit
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda m: m["conduits"][0].__setitem__("zones", ["az1", "nowhere"]), "'nowhere'"),
     (lambda m: m.__setitem__("firewall_interfaces", {}), "no firewall interfaces"),
     (lambda m: m["conduits"][0].__setitem__("firewalls", ["NOPE"]), "'NOPE'"),
     (lambda m: m["flows"][0].__setitem__("dst_zone", "nowhere"), "'nowhere'"),
-], ids=["conduit_zone", "no_firewall_interfaces", "conduit_firewall", "flow_zone"])
+    # a reversed or out-of-range port range once crashed or was vetted as written
+    (_web_dest_ports([[90, 80]]), "dest_ports [90, 80], not an ascending range within 0-65535"),
+    (_web_dest_ports([[70000, 70000]]), "dest_ports [70000, 70000], not an ascending"),
+    (_web_dest_ports([[-5, 80]]), "dest_ports [-5, 80], not an ascending"),
+], ids=["conduit_zone", "no_firewall_interfaces", "conduit_firewall", "flow_zone",
+        "port_range_reversed", "port_range_above", "port_range_below"])
 def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, key):
     out_dir = _compiled(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"

@@ -8,6 +8,7 @@ from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet
 from forestfw.netgen import ANY_NET, AclRule
 from forestfw.policy_lang.syntax import FULL_ICMP_SET, PortRange
 from support import (
+    matching,
     matching_by_walk,
     packet_matches,
     permitted_by_walk,
@@ -250,7 +251,7 @@ def test_row_bitsets_match_in_the_order_of_the_linear_walk():
         table = MatchTable(rules)
         for packet in _bound_packets(rng, rules):
             walked = matching_by_walk(table, packet)
-            assert list(table.matching(packet)) == walked, (rules, packet)
+            assert matching(table, packet) == walked, (rules, packet)
             action, text = table.decide(packet)
             if walked:
                 assert (action, text.split(" ")[0]) == (rules[walked[0].index].action,

@@ -34,6 +34,7 @@ from support import (
     rule_matches_packet,
     scan_packet,
     service_accepts,
+    zone_of_address,
 )
 
 
@@ -116,7 +117,7 @@ def test_destination_zone_is_the_first_overlapping_zone_in_name_order():
               for edge in (cidr.network_address, cidr.broadcast_address)]
     zones = set()
     for address in {a + delta for a in bounds for delta in (-1, 0, 1)}:
-        zone = model.zone_of_address(address)
+        zone = zone_of_address(model, address)
         assert net.zone_of_address(address) == zone, ipaddress.IPv4Address(address)
         zones.add(zone)
         if zone is None:
