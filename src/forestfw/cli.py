@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from forestfw import checker, render, sim
-from forestfw.diagnostics import CompileError, InputError, PolicyError, has_errors
+from forestfw.diagnostics import CompileError, InputError, PolicyError, has_errors, read_text
 from forestfw.netgen import CompileOptions, compile_policy, verify_policy
 from forestfw.policy_lang import default_importer, parse_policy
 from forestfw.policy_lang.syntax import PORT_MAX, PORT_MIN, PolicySpec, PortRange
@@ -38,7 +38,7 @@ USAGE = 2
 
 def _read(path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        return read_text(path)
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
 

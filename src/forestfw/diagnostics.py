@@ -2,11 +2,14 @@
 
 Diagnostics print as ``<file>:<line>:<col>: <severity>: <message>`` so
 editors and humans can jump straight to the offending declaration.
+:func:`read_text` reads policies, libraries, topologies and neutral ACL
+files, so that bytes that are not UTF-8 get such a diagnostic too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -49,3 +52,21 @@ class CompileError(Exception):
 
 def has_errors(diags: list[Diagnostic]) -> bool:
     return any(d.is_error for d in diags)
+
+
+def read_text(path: Path) -> str:
+    """The UTF-8 text of the file ``path``, its newlines read as in text
+    mode.  An ``OSError`` propagates; bytes that are not UTF-8 raise an
+    :class:`InputError` at the line and column of the first bad byte."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _newlines(data[:exc.start].decode("utf-8")).split("\n")
+        raise InputError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                         str(path), len(before), len(before[-1]) + 1) from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")

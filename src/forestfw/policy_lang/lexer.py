@@ -1,18 +1,24 @@
 """Tokenizer for the policy language.
 
 Comments run from ``//`` to end of line.  String literals accept plain
-double quotes and the typographic ````...''`` form; both are stored
-normalized (unquoted).  Numbers are runs of ASCII digits; any other digit
-is a lexical error, since it would not read back as a port.
+double quotes and the typographic ````...''`` form.  Numbers are runs of
+ASCII digits; any other digit is a lexical error, since it would not read
+back as a port.
 
-The source is scanned once by one compiled regular expression whose
-alternatives are the token classes.  Lines and columns (1-based, one
-column per character) come from the offsets of the newlines passed.
+The source is split once by one compiled regular expression: each match
+is a run of blanks, newlines and comments, then one token.  A token is
+kept as its source text, quotes included, so its first character tells
+its kind and the parser compares texts directly.  Positions are computed
+on demand: a token's offset is the length of the text before it, and a
+newline index turns an offset into a 1-based line and column (one column
+per character) only for the tokens a caller asks about.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from forestfw.diagnostics import PolicyError
@@ -32,89 +38,138 @@ KEYWORDS = frozenset(
     }
 )
 
+# The first characters of the tokens that are not words: the end of the
+# text, strings, numbers and punctuation.  Every other token is a word.
+NOT_A_WORD = frozenset({"", '"', "`", *"0123456789", *"<-{};,:=.^\\"})
+DIGITS = frozenset("0123456789")
+
 
 class Token(NamedTuple):
     kind: str  # "kw", "ident", "int", "string", "punct", "eof"
-    value: str
-    line: int
-    col: int
-
-    def __repr__(self) -> str:  # compact in parser error traces
-        return f"{self.kind}:{self.value!r}@{self.line}:{self.col}"
+    value: str  # a string's text without its quotes
+    offset: int  # characters of source before the token
 
 
-# One match per token, its leading blanks included, or per newline.
-# Alternatives are tried in order, the most frequent first; no two of them
-# match at the same character, except that a string or typographic
-# string is tried before the bare opening quote.  ``\w`` is exactly
-# ``str.isalnum`` plus ``_``, and ``[^\W\d]`` also admits the numeric
-# characters that are not letters, which ``tokenize`` rejects.  Blanks
-# that end the text match nothing and are skipped.
-_SCAN = re.compile(
-    r"""
-    [ \t\r]*
-    (?:
-      (?P<word>[^\W\d]\w*)
-    | (?P<punct><->|->|[{};,:=.^\\-])
-    | (?P<int>[0-9]+)
-    | (?P<newline>\n)
-    | (?P<string>"[^"\n]*")
-    | (?P<comment>//[^\n]*)
-    | (?P<typographic>``(?:[^'\n]|'(?!'))*'')
-    | (?P<open>"|``)
-    | (?P<other>[^ \t\r])
-    )
-    """,
-    re.VERBOSE,
-)
-
-# a Token built without the NamedTuple's Python-level constructor
-_new = tuple.__new__
+# The token alternatives, tried in order, the most frequent first: words
+# that start with an ASCII letter, punctuation, numbers, other words and
+# strings.  ``\w`` is exactly ``str.isalnum`` plus ``_``, and ``[^\W\d]``
+# also admits the numeric characters that are not letters, which ``Scan``
+# rejects.
+_TOKENS = r"""
+      [a-zA-Z_]\w*
+    | [{};,:=.^\\]|->?|<->
+    | [0-9]+
+    | [^\W\d]\w*
+    | "[^"\n]*"
+    | ``(?:[^'\n]|'(?!'))*''
+"""
+# One match per token: the blanks, newlines and comments before it, then
+# the token.  A character no token starts with makes the catch-all take
+# the rest of the text, so a scan never restarts, and blanks that end the
+# text match before the end of text: the scan is linear.
+_SCAN = re.compile(r"([ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*)(" + _TOKENS + r"|(?s:.+)|\Z)",
+                   re.VERBOSE)
 
 
-def _bad_character(ch: str, file: str, line: int, col: int) -> PolicyError:
-    if ch.isdigit():
-        return PolicyError(f"non-ASCII digit {ch!r} in a number", file, line, col)
-    return PolicyError(f"unexpected character {ch!r}", file, line, col)
+class NewlineIndex:
+    """The offsets at which a text's lines start."""
+
+    def __init__(self, text: str):
+        lines = text.split("\n")
+        lines.pop()
+        self.starts = [0, *accumulate(len(line) + 1 for line in lines)]
+
+    def line_col(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of the character at ``offset``."""
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
+
+
+class Scan:
+    """The tokens of one source file, each kept as its source text and
+    followed by the end of text, ``""``; a text that does not lex raises
+    the :class:`PolicyError` of its first lexical error."""
+
+    def __init__(self, text: str, file: str = "<policy>"):
+        self.file = file
+        # per token: the gap before its match (always empty), its blanks, itself
+        self._parts = parts = _SCAN.split(text)
+        self.tokens = tokens = parts[2::3]
+        if len(tokens) > 1 and not tokens[-2]:
+            # blanks at the end of the text match before the end itself
+            tokens.pop()
+        self._text = text
+        self._mark = (0, 0)  # a part's index and the length of the parts before it
+        self._lines: NewlineIndex | None = None
+        if not text.isascii():  # a word may start with a numeric non-letter
+            for k, tok in enumerate(tokens):
+                first = tok[:1]
+                if not (first.isascii() or first.isalpha()):
+                    raise self._bad_token(k)
+        last = len(tokens) - 2
+        if last >= 0 and re.match(_TOKENS, tokens[last], re.VERBOSE) is None:
+            raise self._bad_token(last)  # the catch-all took the rest
+
+    def offset(self, k: int) -> int:
+        """The offset of token ``k``; cheapest for increasing ``k``."""
+        end = 3 * k + 2
+        start, offset = self._mark
+        if end < start:
+            start, offset = 0, 0
+        offset += len("".join(self._parts[start:end]))
+        self._mark = (end, offset)
+        return offset
+
+    def line_col(self, k: int) -> tuple[int, int]:
+        """The line and column of token ``k``."""
+        if self._lines is None:
+            self._lines = NewlineIndex(self._text)
+        return self._lines.line_col(self.offset(k))
+
+    def error(self, message: str, k: int) -> PolicyError:
+        """A diagnostic at token ``k``."""
+        return PolicyError(message, self.file, *self.line_col(k))
+
+    def _bad_token(self, k: int) -> PolicyError:
+        tok = self.tokens[k]
+        first = tok[0]
+        if first == '"' or tok.startswith("``"):
+            return self.error("unterminated string", k)
+        if first.isdigit():
+            # reported at the number it continues, if any
+            if k and self.tokens[k - 1][:1] in DIGITS and not self._parts[3 * k + 1]:
+                k -= 1
+            return self.error(f"non-ASCII digit {first!r} in a number", k)
+        return self.error(f"unexpected character {first!r}", k)
+
+
+def kind_of(tok: str) -> str:
+    """The kind of a scanned token's text."""
+    first = tok[:1]
+    if first not in NOT_A_WORD:
+        return "kw" if tok in KEYWORDS else "ident"
+    if not tok:
+        return "eof"
+    if first in DIGITS:
+        return "int"
+    if first == '"' or first == "`":
+        return "string"
+    return "punct"
+
+
+def value_of(tok: str) -> str:
+    """A scanned token's value: a string's text without its quotes."""
+    first = tok[:1]
+    if first == '"':
+        return tok[1:-1]
+    if first == "`":
+        return tok[2:-2]
+    return tok
 
 
 def tokenize(text: str, file: str = "<policy>") -> list[Token]:
-    """Tokenize policy source, attaching line/column to every token."""
-    tokens: list[Token] = []
-    append = tokens.append
-    line = 1
-    line_start = 0  # offset of the current line's first character
-    for match in _SCAN.finditer(text):
-        kind = match.lastgroup
-        if kind == "word":
-            value = match["word"]
-            col = match.start("word") - line_start + 1
-            first = value[0]
-            if not (first.isalpha() or first == "_"):
-                raise _bad_character(first, file, line, col)
-            append(_new(Token, ("kw" if value in KEYWORDS else "ident", value, line, col)))
-        elif kind == "punct":
-            append(_new(Token, ("punct", match["punct"], line,
-                                match.start("punct") - line_start + 1)))
-        elif kind == "int":
-            col = match.start("int") - line_start + 1
-            end = match.end()
-            if end < len(text) and text[end].isdigit():
-                raise _bad_character(text[end], file, line, col)
-            append(_new(Token, ("int", match["int"], line, col)))
-        elif kind == "newline":
-            line += 1
-            line_start = match.end()
-        elif kind != "comment":  # comments produce no token
-            value = match[kind]
-            col = match.start(kind) - line_start + 1
-            if kind == "string":
-                append(_new(Token, ("string", value[1:-1], line, col)))
-            elif kind == "typographic":
-                append(_new(Token, ("string", value[2:-2], line, col)))
-            elif kind == "open":
-                raise PolicyError("unterminated string", file, line, col)
-            else:
-                raise _bad_character(value, file, line, col)
-    append(Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
+    """Tokenize policy source, attaching its offset to every token."""
+    scan = Scan(text, file)
+    offsets = islice(accumulate(map(len, scan._parts)), 1, None, 3)
+    return [Token(kind_of(tok), value_of(tok), offset)
+            for tok, offset in zip(scan.tokens, offsets)]

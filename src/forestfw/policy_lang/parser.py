@@ -4,8 +4,11 @@ Parsing happens in two phases: the syntactic pass collects raw
 declarations (imports already merged under their namespace prefix), and a
 resolution pass builds the fully name-resolved :class:`PolicySpec`, with
 set expressions evaluated, port-group references substituted, and every
-name checked against the declaration registry.  The main file is
-tokenized and parsed once per :func:`parse_policy` call.  The calls
+name checked against the declaration registry.  The syntactic pass reads
+the scan's token texts by index and compares them in place; it asks for
+a line and column only at a declaration's name, an import's dotted name
+and a diagnostic, and an unresolved or cyclic import is reported there.
+The main file is tokenized and parsed once per :func:`parse_policy` call.  The calls
 that share one import memo parse each imported (file label, text) pair
 once between them: its raw declarations are immutable, so every later
 import of the same text shares them.  A set expression's ``,`` segments
@@ -18,8 +21,15 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, NamedTuple, TypeVar
 
-from forestfw.diagnostics import PolicyError
-from forestfw.policy_lang.lexer import Token, tokenize
+from forestfw.diagnostics import PolicyError, read_text
+from forestfw.policy_lang.lexer import (
+    DIGITS,
+    KEYWORDS,
+    NOT_A_WORD,
+    Scan,
+    kind_of,
+    value_of,
+)
 from forestfw.policy_lang.syntax import (
     PROTOCOL_NUMBERS,
     FULL_PORT_RANGE,
@@ -43,9 +53,9 @@ from forestfw.policy_lang.syntax import (
     ZoneGroup,
 )
 
-# Maps a dotted import to a (file label, source text) pair; the label names
-# the library file in diagnostics.
-Importer = Callable[[str], tuple[str, str]]
+# Maps a dotted import to a (file label, source text) pair, or to None when
+# no file resolves it; the label names the library file in diagnostics.
+Importer = Callable[[str], "tuple[str, str] | None"]
 
 _LIBRARY_ROOT = Path(__file__).parent / "library"
 
@@ -63,16 +73,17 @@ def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
     ``system.services.iana_services`` maps to
     ``system/services/iana_services.policyml`` under each search path,
     falling back to the built-in library shipped with the package.
-    Diagnostics inside the library name that path.
+    Diagnostics inside the library name that path; a library file that
+    is not UTF-8 raises :class:`InputError`.
     """
 
-    def resolve(dotted: str) -> tuple[str, str]:
+    def resolve(dotted: str) -> tuple[str, str] | None:
         rel = Path(*dotted.split(".")).with_suffix(".policyml")
         for root in tuple(search_paths) + (_LIBRARY_ROOT,):
             candidate = Path(root) / rel
             if candidate.is_file():
-                return str(candidate), candidate.read_text(encoding="utf-8")
-        raise PolicyError(f"unresolved import {dotted!r}")
+                return str(candidate), read_text(candidate)
+        return None
 
     return resolve
 
@@ -96,241 +107,254 @@ class _RawDecl(NamedTuple):
     members: tuple[str, ...] = ()
 
 
-class _TokenStream:
-    def __init__(self, tokens: list[Token], file: str):
-        self.tokens = tokens
-        self.file = file
-        self.pos = 0
-
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    # accept and expect are never asked for "eof", so a token they take
-    # is never the last one and the position may always advance
-
-    def at(self, kind: str, value: str | None = None) -> bool:
-        tok = self.tokens[self.pos]
-        return tok.kind == kind and (value is None or tok.value == value)
-
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and (value is None or tok.value == value):
-            self.pos += 1
-            return tok
-        return None
-
-    def expect(self, kind: str, value: str | None = None, hint: str = "") -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind == kind and (value is None or tok.value == value):
-            self.pos += 1
-            return tok
-        expected = hint or (value if value is not None else kind)
-        got = tok.value or tok.kind
-        raise PolicyError(f"expected {expected!r}, got {got!r}", self.file, tok.line, tok.col)
-
-    def error(self, message: str) -> PolicyError:
-        tok = self.peek()
-        return PolicyError(message, self.file, tok.line, tok.col)
+class _Import(NamedTuple):
+    dotted: str
+    line: int  # of the dotted name
+    col: int
 
 
 class _RawFile(NamedTuple):
-    imports: tuple[str, ...]
+    imports: tuple[_Import, ...]
     declared_model: str | None
     decls: tuple[_RawDecl, ...]
 
 
 def _parse_file(text: str, file: str) -> _RawFile:
-    ts = _TokenStream(tokenize(text, file), file)
-    imports: list[str] = []
-    declared_model: str | None = None
-    decls: list[_RawDecl] = []
-
-    while not ts.at("eof"):
-        tok = ts.peek()
-        if tok.kind != "kw":
-            raise ts.error(f"expected a declaration keyword, got {tok.value!r}")
-        if tok.value == "import":
-            ts.next()
-            imports.append(_parse_dotted(ts))
-            ts.expect("punct", ";")
-        elif tok.value == "load_zone_conduit_model":
-            ts.next()
-            path = ts.expect("string", hint="model path string")
-            if declared_model is not None:
-                raise PolicyError("duplicate load_zone_conduit_model", file, path.line, path.col)
-            declared_model = path.value
-            ts.accept("punct", ";")
-        else:
-            decls.append(_parse_decl(ts))
-    return _RawFile(tuple(imports), declared_model, tuple(decls))
+    return _Parser(Scan(text, file)).raw_file()
 
 
-def _expect_name(ts: _TokenStream) -> str:
-    """A name segment; keywords are legal identifiers inside bodies."""
-    tok = ts.tokens[ts.pos]
-    if tok.kind == "ident" or tok.kind == "kw":
-        ts.pos += 1
-        return tok.value
-    raise ts.error(f"expected a name, got {tok.value or tok.kind!r}")
+# a NamedTuple built without its Python-level constructor
+_new = tuple.__new__
 
 
-def _parse_dotted(ts: _TokenStream) -> str:
-    name = _expect_name(ts)
-    tok = ts.tokens[ts.pos]
-    if tok.value != "." or tok.kind != "punct":
-        return name
-    parts = [name]
-    while ts.accept("punct", "."):
-        parts.append(_expect_name(ts))
-    return ".".join(parts)
+class _Parser:
+    """Recursive descent over a scan's token texts, which it compares in
+    place.  ``pos`` indexes the next token.  The end-of-text token is never
+    passed, so the token after any other one exists."""
 
+    def __init__(self, scan: Scan):
+        self.scan = scan
+        self.toks = scan.tokens
+        self.pos = 0
 
-def _parse_decl(ts: _TokenStream) -> _RawDecl:
-    kind = ts.next().value
-    name = ts.expect("ident", hint="declaration name")
-    ts.expect("punct", "{")
-    attrs: tuple[tuple[str, Value], ...] = ()
-    expr: SetExpr | None = None
-    ranges: tuple[PortRange, ...] = ()
-    left = operator = right = ""
-    members: tuple[str, ...] = ()
-    if kind in ("service", "reporting_rule"):
-        attrs = _parse_attrs(ts)
-    elif kind in ("service_group", "zone_group"):
-        expr = _parse_setexpr(ts)
-    elif kind == "port_group":
-        ranges = _parse_ranges(ts)
-    elif kind == "policy_rule":
-        left = _parse_dotted(ts)
-        op = ts.peek()
-        if op.kind == "punct" and op.value in ("->", "<->"):
-            ts.next()
-            operator = op.value
-        else:
-            raise ts.error("expected '->' or '<->'")
-        right = _parse_dotted(ts)
-        ts.expect("punct", ":")
-        expr = _parse_setexpr(ts)
-    elif kind == "rule_group":
-        names = [_parse_dotted(ts)]
-        while ts.accept("punct", ","):
-            names.append(_parse_dotted(ts))
-        members = tuple(names)
-    elif kind == "policy":
-        rule_group = ts.expect("ident", hint="rule-group name").value
-        ts.expect("punct", ";")
-        reporting = ts.expect("ident", hint="reporting-rule name").value
-        ts.accept("punct", ";")  # trailing separator is optional in the wild
-        members = (rule_group, reporting)
-    else:  # pragma: no cover - keyword set is closed
-        raise ts.error(f"unsupported declaration {kind!r}")
-    ts.expect("punct", "}")
-    return _RawDecl(kind, name.value, name.line, name.col, ts.file,
-                    attrs, expr, ranges, left, operator, right, members)
-
-
-def _parse_attrs(ts: _TokenStream) -> tuple[tuple[str, Value], ...]:
-    attrs: list[tuple[str, Value]] = []
-    while not ts.at("punct", "}"):
-        key = _parse_dotted(ts)
-        ts.expect("punct", "=")
-        attrs.append((key, _parse_value(ts)))
-        ts.expect("punct", ";")
-    return tuple(attrs)
-
-
-def _parse_value(ts: _TokenStream, depth: int = 0) -> Value:
-    first = _parse_value_atom(ts, depth)
-    if not ts.at("punct", ","):
-        return first
-    items = [first]
-    while ts.accept("punct", ","):
-        items.append(_parse_value_atom(ts, depth))
-    return VList(tuple(items))
-
-
-def _int_value(ts: _TokenStream, tok: Token) -> int:
-    try:
-        return int(tok.value)
-    except ValueError:  # more digits than the interpreter converts
-        raise PolicyError(f"number of {len(tok.value)} digits is too long",
-                          ts.file, tok.line, tok.col) from None
-
-
-def _parse_value_atom(ts: _TokenStream, depth: int = 0) -> Value:
-    tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        if ts.accept("punct", "-"):
-            hi = ts.expect("int", hint="range upper bound")
-            return VRange(_int_value(ts, tok), _int_value(ts, hi))
-        return VInt(_int_value(ts, tok))
-    if tok.kind in ("ident", "kw"):
-        ts.next()
-        return VName(tok.value)
-    if tok.kind == "string":
-        ts.next()
-        return VString(tok.value)
-    if tok.kind == "punct" and tok.value == "{":
-        if depth == _MAX_NESTING:
-            raise ts.error(f"value blocks nested more than {_MAX_NESTING} deep")
-        ts.next()
-        items: list[tuple[str | None, Value]] = []
-        while not ts.at("punct", "}"):
-            if ts.peek().kind in ("ident", "kw") and _peek_is_assignment(ts):
-                key = _parse_dotted(ts)
-                ts.expect("punct", "=")
-                items.append((key, _parse_value(ts, depth + 1)))
+    def raw_file(self) -> _RawFile:
+        toks = self.toks
+        imports: list[_Import] = []
+        declared_model: str | None = None
+        decls: list[_RawDecl] = []
+        while toks[self.pos]:  # the end of text is the empty token
+            tok = toks[self.pos]
+            if tok not in KEYWORDS:
+                raise self.error(f"expected a declaration keyword, got {value_of(tok)!r}")
+            self.pos += 1
+            if tok == "import":
+                line, col = self.scan.line_col(self.pos)
+                imports.append(_Import(self.dotted(), line, col))
+                self.expect(";")
+            elif tok == "load_zone_conduit_model":
+                path = toks[self.pos]
+                if kind_of(path) != "string":
+                    raise self.unexpected("'model path string'")
+                if declared_model is not None:
+                    raise self.error("duplicate load_zone_conduit_model")
+                declared_model = value_of(path)
+                self.pos += 1
+                if toks[self.pos] == ";":
+                    self.pos += 1
             else:
-                items.append((None, _parse_value_atom(ts, depth + 1)))
-            if not (ts.accept("punct", ";") or ts.accept("punct", ",")):
+                decls.append(self.decl(tok))
+        return _RawFile(tuple(imports), declared_model, tuple(decls))
+
+    def error(self, message: str) -> PolicyError:
+        return self.scan.error(message, self.pos)
+
+    def unexpected(self, expected: str) -> PolicyError:
+        """A diagnostic at the next token, which is not the one ``expected``."""
+        tok = self.toks[self.pos]
+        return self.error(f"expected {expected}, got {value_of(tok) or kind_of(tok)!r}")
+
+    def expect(self, punct: str) -> None:
+        if self.toks[self.pos] != punct:
+            raise self.unexpected(repr(punct))
+        self.pos += 1
+
+    def ident(self, what: str) -> str:
+        """A name that is not a keyword."""
+        tok = self.toks[self.pos]
+        if tok[:1] in NOT_A_WORD or tok in KEYWORDS:
+            raise self.unexpected(repr(what))
+        self.pos += 1
+        return tok
+
+    def dotted(self) -> str:
+        """A dotted name; keywords are legal segments."""
+        toks = self.toks
+        start = i = self.pos
+        while True:
+            if toks[i][:1] in NOT_A_WORD:
+                self.pos = i
+                raise self.unexpected("a name")
+            if toks[i + 1] != ".":
                 break
-        ts.expect("punct", "}")
-        return VBlock(tuple(items))
-    raise ts.error(f"expected a value, got {tok.value or tok.kind!r}")
+            i += 2
+        self.pos = i + 1
+        return toks[i] if i == start else "".join(toks[start:i + 1])
 
+    def int_at(self, k: int) -> int:
+        try:
+            return int(self.toks[k])
+        except ValueError:  # more digits than the interpreter converts
+            raise self.scan.error(f"number of {len(self.toks[k])} digits is too long",
+                                  k) from None
 
-def _peek_is_assignment(ts: _TokenStream) -> bool:
-    # lookahead across a dotted key for '='
-    i = ts.pos
-    toks = ts.tokens
-    while i < len(toks) and toks[i].kind in ("ident", "kw"):
-        i += 1
-        if i < len(toks) and toks[i].kind == "punct" and toks[i].value == ".":
+    def decl(self, kind: str) -> _RawDecl:
+        toks = self.toks
+        k = self.pos
+        name = self.ident("declaration name")
+        self.expect("{")
+        attrs: tuple[tuple[str, Value], ...] = ()
+        expr: SetExpr | None = None
+        ranges: tuple[PortRange, ...] = ()
+        left = operator = right = ""
+        members: tuple[str, ...] = ()
+        if kind == "service" or kind == "reporting_rule":
+            attrs = self.attrs()
+        elif kind == "port_group":
+            ranges = self.ranges()
+        elif kind == "policy_rule":
+            left = self.dotted()
+            operator = toks[self.pos]
+            if operator != "->" and operator != "<->":
+                raise self.error("expected '->' or '<->'")
+            self.pos += 1
+            right = self.dotted()
+            self.expect(":")
+            expr = self.setexpr()
+        elif kind == "service_group" or kind == "zone_group":
+            expr = self.setexpr()
+        elif kind == "rule_group":
+            names = [self.dotted()]
+            while toks[self.pos] == ",":
+                self.pos += 1
+                names.append(self.dotted())
+            members = tuple(names)
+        elif kind == "policy":
+            rule_group = self.ident("rule-group name")
+            self.expect(";")
+            reporting = self.ident("reporting-rule name")
+            if toks[self.pos] == ";":  # trailing separator is optional in the wild
+                self.pos += 1
+            members = (rule_group, reporting)
+        else:  # pragma: no cover - keyword set is closed
+            raise self.error(f"unsupported declaration {kind!r}")
+        self.expect("}")
+        line, col = self.scan.line_col(k)
+        return _new(_RawDecl, (kind, name, line, col, self.scan.file,
+                               attrs, expr, ranges, left, operator, right, members))
+
+    def attrs(self) -> tuple[tuple[str, Value], ...]:
+        toks = self.toks
+        attrs: list[tuple[str, Value]] = []
+        while toks[self.pos] != "}":
+            key = self.dotted()
+            self.expect("=")
+            attrs.append((key, self.value()))
+            self.expect(";")
+        return tuple(attrs)
+
+    def value(self, depth: int = 0) -> Value:
+        toks = self.toks
+        first = self.value_atom(depth)
+        if toks[self.pos] != ",":
+            return first
+        items = [first]
+        while toks[self.pos] == ",":
+            self.pos += 1
+            items.append(self.value_atom(depth))
+        return VList(tuple(items))
+
+    def value_atom(self, depth: int = 0) -> Value:
+        toks = self.toks
+        k = self.pos
+        tok = toks[k]
+        first = tok[:1]
+        if first not in NOT_A_WORD:
+            self.pos = k + 1
+            return VName(tok)
+        if first in DIGITS:
+            if toks[k + 1] != "-":
+                self.pos = k + 1
+                return VInt(self.int_at(k))
+            self.pos = k + 2
+            if toks[k + 2][:1] not in DIGITS:
+                raise self.unexpected("'range upper bound'")
+            self.pos = k + 3
+            return VRange(self.int_at(k), self.int_at(k + 2))
+        if first == '"' or first == "`":
+            self.pos = k + 1
+            return VString(value_of(tok))
+        if tok == "{":
+            if depth == _MAX_NESTING:
+                raise self.error(f"value blocks nested more than {_MAX_NESTING} deep")
+            self.pos = k + 1
+            items: list[tuple[str | None, Value]] = []
+            while toks[self.pos] != "}":
+                if toks[self.pos][:1] not in NOT_A_WORD and self.at_assignment():
+                    key = self.dotted()
+                    self.expect("=")
+                    items.append((key, self.value(depth + 1)))
+                else:
+                    items.append((None, self.value_atom(depth + 1)))
+                if toks[self.pos] != ";" and toks[self.pos] != ",":
+                    break
+                self.pos += 1
+            self.expect("}")
+            return VBlock(tuple(items))
+        raise self.unexpected("a value")
+
+    def at_assignment(self) -> bool:
+        """Whether a dotted key and ``=`` come next."""
+        toks = self.toks
+        i = self.pos
+        while toks[i][:1] not in NOT_A_WORD:
             i += 1
-            continue
-        break
-    return i < len(toks) and toks[i].kind == "punct" and toks[i].value == "="
+            if toks[i] != ".":
+                break
+            i += 1
+        return toks[i] == "="
 
+    def setexpr(self) -> SetExpr:
+        toks = self.toks
+        first = self.dotted()
+        rest: list[tuple[str, str]] = []
+        while toks[self.pos] in _SET_OPS:
+            op = toks[self.pos]
+            self.pos += 1
+            rest.append((op, self.dotted()))
+        return SetExpr(first, tuple(rest))
 
-def _parse_setexpr(ts: _TokenStream) -> SetExpr:
-    first = _parse_dotted(ts)
-    rest: list[tuple[str, str]] = []
-    while ts.peek().kind == "punct" and ts.peek().value in _SET_OPS:
-        op = ts.next().value
-        rest.append((op, _parse_dotted(ts)))
-    return SetExpr(first, tuple(rest))
-
-
-def _parse_ranges(ts: _TokenStream) -> tuple[PortRange, ...]:
-    ranges: list[PortRange] = []
-    while True:
-        lo = ts.expect("int", hint="port number")
-        if ts.accept("punct", "-"):
-            hi = ts.expect("int", hint="range upper bound")
-            ranges.append(PortRange(_int_value(ts, lo), _int_value(ts, hi)))
-        else:
-            port = _int_value(ts, lo)
-            ranges.append(PortRange(port, port))
-        if not ts.accept("punct", ","):
-            break
-    return tuple(ranges)
+    def ranges(self) -> tuple[PortRange, ...]:
+        toks = self.toks
+        ranges: list[PortRange] = []
+        k = self.pos
+        while True:
+            if toks[k][:1] not in DIGITS:
+                self.pos = k
+                raise self.unexpected("'port number'")
+            if toks[k + 1] == "-":
+                if toks[k + 2][:1] not in DIGITS:
+                    self.pos = k + 2
+                    raise self.unexpected("'range upper bound'")
+                ranges.append(_new(PortRange, (self.int_at(k), self.int_at(k + 2))))
+                k += 3
+            else:
+                port = self.int_at(k)
+                ranges.append(_new(PortRange, (port, port)))
+                k += 1
+            if toks[k] != ",":
+                self.pos = k
+                return tuple(ranges)
+            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +412,16 @@ def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]
     front of its own; an imported file is parsed here unless ``memo`` holds
     its (file label, text), so an edited library is parsed afresh."""
     merged: list[_RawDecl] = []
-    for dotted in raw.imports:
+    for dotted, line, col in raw.imports:
         if dotted in seen:
             if not seen[dotted]:
-                raise PolicyError(f"import cycle through {dotted!r}", file)
+                raise PolicyError(f"import cycle through {dotted!r}", file, line, col)
             continue
         seen[dotted] = False
-        label, text = importer(dotted)
+        found = importer(dotted)
+        if found is None:
+            raise PolicyError(f"unresolved import {dotted!r}", file, line, col)
+        label, text = found
         parsed = memo.get((label, text))
         if parsed is None:
             parsed = memo[label, text] = _parse_file(text, label)
@@ -423,7 +450,7 @@ class _Resolver:
                  main_decls: tuple[_RawDecl, ...]):
         self.raw = raw
         self.spec = PolicySpec(
-            imports=raw.imports,
+            imports=tuple(imp.dotted for imp in raw.imports),
             declared_model=raw.declared_model,
             file=file,
             source=source,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from forestfw import intervals
-from forestfw.diagnostics import InputError, PolicyError
+from forestfw.diagnostics import InputError, PolicyError, read_text
 from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet, address_intervals
 from forestfw.netgen import AclRule, enumerate_paths, hop_acls
 from forestfw.policy_lang.syntax import (
@@ -163,8 +163,8 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     Rules come from the vendor-neutral files; the manifest supplies the
     model, interface bindings, and expanded flows; each distinct rule line
     and remark is decoded once across the files.  A manifest or neutral
-    file that does not parse, or a manifest binding one key twice, raises
-    :class:`InputError` naming the file.
+    file that does not parse or is not UTF-8, or a manifest binding one key
+    twice, raises :class:`InputError` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -190,7 +190,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
         path = directory / file_name
         if file_name not in acls_per_file:
             try:
-                text = path.read_text(encoding="utf-8")
+                text = read_text(path)
             except OSError as exc:
                 raise InputError(f"cannot read {path}: {exc.strerror or exc}", where) from exc
             acls_per_file[file_name] = {acl.name: acl.rules

@@ -181,6 +181,9 @@ def load_topology(document: str, file: str = "<topology>") -> Topology:
             auto_port[dev] += 1
         if name in used.setdefault(dev, set()):
             raise PolicyError(f"duplicate interface {name!r} on device {dev!r}", file)
+        if name == LOCAL_INTERFACE and topo.devices[dev].kind == "firewall":
+            raise PolicyError(f"interface {name!r} on firewall {dev!r}: the name is reserved "
+                              f"for the firewall's local stage", file)
         used[dev].add(name)
         return name
 

@@ -21,6 +21,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from forestfw.diagnostics import PolicyError
 from forestfw.header_space import MatchTable, bit_indexes
 from forestfw.intervals import IntervalSet
 from forestfw.netgen import ANY_NET, AclRule, NetworkPolicy, enumerate_paths, hop_acls
-from forestfw.policy_lang.lexer import KEYWORDS, Token
+from forestfw.policy_lang.lexer import KEYWORDS
 from forestfw.policy_lang.syntax import (
     PROTOCOL_NAMES,
     FlowRule,
@@ -686,15 +687,22 @@ def realizable_without_loops(model: ZoneConduitModel, path: list[str]) -> bool:
 _PUNCT = ("<->", "->", "{", "}", ";", ",", ":", "=", ".", "^", "\\", "-")
 
 
+class CharToken(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
 def tokenize_by_char(text: str, file: str = "<policy>"
-                     ) -> tuple[list[Token], PolicyError | None]:
+                     ) -> tuple[list[CharToken], PolicyError | None]:
     """The tokens before the first lexical error, and that error (or None).
 
     Moves one character at a time, tracking line and column as it goes.
     A number is a run of ``str.isdigit`` characters, so non-ASCII digits
     come out as ``int`` tokens here; ``tokenize`` rejects them.
     """
-    tokens: list[Token] = []
+    tokens: list[CharToken] = []
     i = 0
     line = 1
     col = 1
@@ -733,14 +741,14 @@ def tokenize_by_char(text: str, file: str = "<policy>"
                 if i >= n:
                     raise PolicyError("unterminated string", file, start_line, start_col)
                 advance(len(closer))
-                tokens.append(Token("string", "".join(buf), start_line, start_col))
+                tokens.append(CharToken("string", "".join(buf), start_line, start_col))
                 continue
             if ch.isdigit():
                 start_line, start_col = line, col
                 j = i
                 while j < n and text[j].isdigit():
                     j += 1
-                tokens.append(Token("int", text[i:j], start_line, start_col))
+                tokens.append(CharToken("int", text[i:j], start_line, start_col))
                 advance(j - i)
                 continue
             if ch.isalpha() or ch == "_":
@@ -749,20 +757,20 @@ def tokenize_by_char(text: str, file: str = "<policy>"
                 while j < n and (text[j].isalnum() or text[j] == "_"):
                     j += 1
                 word = text[i:j]
-                tokens.append(Token("kw" if word in KEYWORDS else "ident", word,
-                                    start_line, start_col))
+                tokens.append(CharToken("kw" if word in KEYWORDS else "ident", word,
+                                        start_line, start_col))
                 advance(j - i)
                 continue
             for punct in _PUNCT:
                 if text.startswith(punct, i):
-                    tokens.append(Token("punct", punct, line, col))
+                    tokens.append(CharToken("punct", punct, line, col))
                     advance(len(punct))
                     break
             else:
                 raise PolicyError(f"unexpected character {ch!r}", file, line, col)
     except PolicyError as err:
         return tokens, err
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(CharToken("eof", "", line, col))
     return tokens, None
 
 
@@ -1133,14 +1141,14 @@ def _perfbench_gen():
 
 def generated_policy_sources() -> dict[str, str]:
     """Policy texts of bulk seeds 1-3 (with their best-practice files) and
-    of the 2x2, 2x3 and 2x4 grids (seed 1), by name."""
+    of the 2x2, 2x3, 2x4, 3x2 and 3x3 grids (seed 1), by name."""
     gen = _perfbench_gen()
     sources = {}
     for seed in (1, 2, 3):
         bulk = gen.bulk(seed)
         sources[f"bulk{seed}"] = bulk.policy
         sources[f"bulk{seed}_best_practice"] = bulk.best_practice
-    for rows, cols in ((2, 2), (2, 3), (2, 4)):
+    for rows, cols in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3)):
         sources[f"grid{rows}x{cols}"] = gen.grid(rows, cols, 1).policy
     return sources
 

@@ -535,3 +535,61 @@ def test_compile_without_firewalls_reports_no_valid_path(tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"{policy}:0:0: error: no valid path for flow 'r': z1 -> z3")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("reader", ["policy", "best_practice", "topology"])
+def test_undecodable_input_file_is_an_io_error(tmp_path, capsys, reader):
+    # the first bad byte sits on line 2, after three characters
+    bad = tmp_path / f"bad_{reader}"
+    bad.write_bytes(b"// ok\nabc\xff\xfe bad\n")
+    files = {"policy": POLICY_FIXED, "best_practice": BEST_PRACTICE, "topology": TOPOLOGY}
+    files[reader] = str(bad)
+    code = main(["check", "--policy", files["policy"], "--topology", files["topology"],
+                 "--best-practice", files["best_practice"]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"forestfw: {bad}:2:4: error: not UTF-8: byte 0xff "
+                            f"(invalid start byte)\n")
+    assert captured.out == ""
+
+
+def test_undecodable_library_is_an_io_error(tmp_path, capsys):
+    lib = tmp_path / "mylib" / "svc.policyml"
+    lib.parent.mkdir()
+    lib.write_bytes(b"service web { comment=\"caf\xe9\"; }\n")
+    policy = tmp_path / "policy.policyml"
+    policy.write_text("import mylib.svc;\n")
+    code = main(["check", "--policy", str(policy), "--topology", TOPOLOGY])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"forestfw: {lib}:1:27: error: not UTF-8: byte 0xe9 "
+                            f"(invalid continuation byte)\n")
+
+
+def test_simulate_undecodable_neutral_acl_is_an_io_error(tmp_path, capsys):
+    out_dir = _compiled(tmp_path, capsys)
+    acl_file = out_dir / "R1.neutral.acl"
+    lines = acl_file.read_bytes().split(b"\n")
+    lines[2] = b"\xc3" + lines[2]
+    acl_file.write_bytes(b"\n".join(lines))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {acl_file}:3:1: error: not UTF-8: byte 0xc3 ")
+    assert captured.out == ""
+
+
+def test_firewall_interface_named_local_is_rejected(tmp_path, capsys):
+    # R1's interface toward corp renamed to the firewall's local stage
+    text = (FIXTURES / "topology.graphml").read_text()
+    edge = '<edge source="R1" target="corp">\n      <data key="if_a">eth0</data>'
+    assert edge in text
+    topology = tmp_path / "local.graphml"
+    topology.write_text(text.replace(edge, edge.replace("eth0", "local")))
+    code = main(["compile", "--policy", POLICY_FIXED, "--topology", str(topology),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"{topology}:0:0: error: interface 'local' on firewall 'R1': the name is reserved "
+        f"for the firewall's local stage\n")
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import time
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 import forestfw.policy_lang
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import default_importer, parse_policy, pretty_print, tokenize
+from forestfw.policy_lang.lexer import NewlineIndex
 from conftest import FIXTURES
 from support import generated_policy_sources, tokenize_by_char
 
@@ -46,9 +48,10 @@ def test_string_forms_normalized():
 
 
 def test_positions_attached():
-    tokens = tokenize("service s {\n  protocol=tcp;\n}")
-    protocol = next(t for t in tokens if t.value == "protocol")
-    assert (protocol.line, protocol.col) == (2, 3)
+    text = "service s {\n  protocol=tcp;\n}"
+    protocol = next(t for t in tokenize(text) if t.value == "protocol")
+    assert protocol.offset == 14
+    assert NewlineIndex(text).line_col(protocol.offset) == (2, 3)
 
 
 def test_lexical_error_has_position():
@@ -89,8 +92,11 @@ def test_numeric_letters_stay_inside_names():
 # the character-at-a-time tokenizer (tests/support.py) as oracle
 
 def outcome(text):
+    """The tokens, each with the line and column of its offset, or the error."""
+    lines = NewlineIndex(text)
     try:
-        return [tuple(t) for t in tokenize(text, "t.policyml")]
+        return [(t.kind, t.value, *lines.line_col(t.offset))
+                for t in tokenize(text, "t.policyml")]
     except PolicyError as err:
         d = err.diagnostic
         return ("error", d.message, d.line, d.col)
@@ -179,6 +185,52 @@ def test_warm_import_memo_parses_like_a_cold_one(name):
     assert pretty_print(warm) == pretty_print(cold)
     assert warm.services == cold.services
     assert warm.positions == cold.positions
+
+
+def oracle_declaration_positions(text):
+    """The oracle's line and column of each top-level declaration's name."""
+    tokens, error = tokenize_by_char(text)
+    assert error is None
+    positions = {}
+    depth = 0
+    for tok, after in zip(tokens, tokens[1:]):
+        if tok.kind == "punct" and tok.value in ("{", "}"):
+            depth += 1 if tok.value == "{" else -1
+        elif depth == 0 and tok.kind == "kw" and tok.value not in (
+                "import", "load_zone_conduit_model"):
+            positions[after.value] = (after.line, after.col)
+    return positions
+
+
+@pytest.mark.parametrize("name", sorted(POLICY_SOURCES))
+def test_declaration_positions_agree_with_character_oracle(name):
+    text = POLICY_SOURCES[name]
+    importer = default_importer(search_paths=(FIXTURES,))
+    spec = parse_policy(text, importer)
+    expected = oracle_declaration_positions(text)
+    assert [decl for _, decl in spec.decl_order] == list(expected)
+    for dotted in spec.imports:
+        prefix = dotted.rsplit(".", 1)[-1]
+        _, library = importer(dotted)
+        expected.update((f"{prefix}.{decl}", position)
+                        for decl, position in oracle_declaration_positions(library).items())
+    assert spec.positions == expected
+
+
+@pytest.mark.parametrize("tail", [" ", "\t", "\n", "// c\n"],
+                         ids=["spaces", "tabs", "blank_lines", "comment_lines"])
+def test_scan_is_linear_in_trailing_blanks(tail):
+    text = "service s { protocol=tcp; }" + tail * 200_000
+    start = time.perf_counter()
+    tokens = tokenize(text)
+    assert time.perf_counter() - start < 1.0
+    assert [t.value for t in tokens[-2:]] == ["}", ""]
+    assert tokens[-1].offset == len(text)
+    # a lexical error after the blanks is found as fast
+    start = time.perf_counter()
+    with pytest.raises(PolicyError, match="unexpected character '\\$'"):
+        tokenize(text + "$")
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=1000, deadline=None)

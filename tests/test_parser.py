@@ -343,6 +343,20 @@ def test_import_cycle_detected():
             parse_policy("import lib.a;", importer=dict_importer(sources), import_memo=memo)
 
 
+def test_import_errors_name_the_importing_file_and_the_import():
+    with pytest.raises(PolicyError) as err:
+        parse_policy("// no such library\nimport  no.such.library ;", file="p.policyml")
+    assert str(err.value) == "p.policyml:2:9: error: unresolved import 'no.such.library'"
+    sources = {
+        "lib.a": "service sa { protocol=tcp; tcp.dest_port=1; }\n  import lib.b;",
+        "lib.b": "import lib.a;",
+    }
+    with pytest.raises(PolicyError) as err:
+        parse_policy("import lib.a;", importer=dict_importer(sources), file="p.policyml")
+    # lib.b's import of lib.a closes the cycle
+    assert str(err.value) == "lib.b:1:8: error: import cycle through 'lib.a'"
+
+
 def test_repeated_import_is_idempotent():
     sources = {
         "lib.shared": "service s { protocol=tcp; tcp.dest_port=9; }",

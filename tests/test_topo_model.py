@@ -99,6 +99,22 @@ def test_duplicate_interface_rejected():
         load_topology(bad)
 
 
+def test_firewall_interface_named_local_is_rejected():
+    # the name of the firewall's local stage; a host may still use it
+    bad = CHAIN.replace(
+        '<edge source="fw" target="h2"/>',
+        '<edge source="fw" target="h2"><data key="if_a">local</data>'
+        '<data key="if_b">local</data></edge>')
+    with pytest.raises(PolicyError) as err:
+        load_topology(bad, "chain.graphml")
+    assert str(err.value) == ("chain.graphml:0:0: error: interface 'local' on firewall 'fw': "
+                              "the name is reserved for the firewall's local stage")
+    host_side = CHAIN.replace(
+        '<edge source="fw" target="h2"/>',
+        '<edge source="fw" target="h2"><data key="if_b">local</data></edge>')
+    assert load_topology(host_side).links[-1].if_b == "local"
+
+
 def test_firewall_with_zone_label_rejected():
     bad = CHAIN.replace('<node id="fw"><data key="kind">firewall</data></node>',
                         '<node id="fw"><data key="kind">firewall</data>'
