@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from forestfw.canonical import check_best_practice
@@ -437,9 +438,11 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     # crosses it, so visiting a hop again would only add duplicates
     # ``_assemble`` drops
     targets_cache: dict[tuple[str, str], list[tuple[tuple, tuple]]] = {}
-    buckets: dict[tuple[str, str, str], list[AclRule]] = {}
+    # each ACL's rules as ``_keyed`` entries: a rule installed on several
+    # ACLs is keyed once
+    buckets: dict[tuple[str, str, str], list[_Keyed]] = {}
 
-    def bucket(firewall: str, interface: str, direction: str) -> list[AclRule]:
+    def bucket(firewall: str, interface: str, direction: str) -> list[_Keyed]:
         return buckets.setdefault((firewall, interface, direction), [])
 
     for flow in flows:
@@ -462,8 +465,8 @@ def compile_policy(spec: PolicySpec, topo: Topology,
         translated = translate_rule(flow, zone_cidrs, log=log,
                                     comment=_flow_comment(spec, flow))
         supplemented = add_supplementary_rules(translated, flow)
-        forward = [r for r in supplemented if r.flow_dir == "forward"]
-        returns = [r for r in supplemented if r.flow_dir == "return"]
+        forward = [_keyed(r) for r in supplemented if r.flow_dir == "forward"]
+        returns = [_keyed(r) for r in supplemented if r.flow_dir == "return"]
 
         for forward_key, return_key in targets:
             bucket(*forward_key).extend(forward)
@@ -510,26 +513,30 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     )
 
 
-def _rule_sort_key(rule: AclRule) -> tuple:
-    return (
-        rule.origin_rule,
-        rule.origin_service,
-        rule.flow_dir,
-        tuple(_net_key(n) for n in rule.src),
-        tuple(_net_key(n) for n in rule.dst),
-        rule.protocol if rule.protocol is not None else 256,
-        rule.dport,
-        rule.sport,
-        rule.state,
-    )
+# (sort key, match key, rule)
+_Keyed = tuple[tuple, tuple, AclRule]
 
 
-def _assemble(rules: Iterable[AclRule]) -> list[AclRule]:
-    """Deterministic order, duplicates (by match effect) dropped."""
+def _keyed(rule: AclRule) -> _Keyed:
+    """``(sort key, match key, rule)``: the order ``_assemble`` puts rules
+    in, and their match effect with addresses as ``_net_key`` ints, which
+    compare as the networks do and hash without building them again."""
+    src = tuple(_net_key(n) for n in rule.src)
+    dst = tuple(_net_key(n) for n in rule.dst)
+    return ((rule.origin_rule, rule.origin_service, rule.flow_dir, src, dst,
+             rule.protocol if rule.protocol is not None else 256,
+             rule.dport, rule.sport, rule.state),
+            (rule.action, rule.protocol, src, dst, rule.sport, rule.dport, rule.state, rule.log),
+            rule)
+
+
+def _assemble(entries: Iterable[_Keyed]) -> list[AclRule]:
+    """The rules of ``_keyed`` entries in deterministic order, duplicates
+    (by match effect) dropped; the sort is stable, so of equal keys the
+    first entry stays."""
     out: list[AclRule] = []
     seen: set = set()
-    for rule in sorted(rules, key=_rule_sort_key):
-        key = rule.match_key()
+    for _, key, rule in sorted(entries, key=itemgetter(0)):
         if key in seen:
             continue
         seen.add(key)

@@ -11,8 +11,13 @@ One compile renders each rule many times: once per dialect, and once
 more for every ACL and firewall that holds the same :class:`AclRule`
 object.  A :class:`RenderCache` made for one compile builds each distinct
 rule's text once, each dialect's part when that dialect first asks for
-it, and loads each template once.  It lives only as long as the compile
-that made it; a render call given no cache makes its own.
+it, and loads each template once.  A device line is one positional
+``str.format`` call: a section is bound once per ACL with the slots that
+stay fixed there (the ACL name, and the iptables target or log prefix)
+written in, and the cache keeps each binding for the rest of the compile,
+so ACL names that recur across firewalls are bound once.  The cache lives
+only as long as the compile that made it; a render call given no cache
+makes its own.
 """
 
 from __future__ import annotations
@@ -167,7 +172,9 @@ def _provenance(rule: AclRule) -> str:
 
 class RenderCache:
     """The text one compile renders more than once: each distinct rule's
-    fields, each port list's text per dialect, and each device template.
+    fields, each port list's text per dialect, each device template, and
+    each template section bound to the slot values fixed per ACL
+    (:meth:`bind`).
 
     Firewalls and ACLs share :class:`AclRule` objects, so an entry is
     keyed by the rule's identity (hashing a rule would hash its networks,
@@ -181,8 +188,10 @@ class RenderCache:
     def __init__(self, log_denies: bool = False) -> None:
         self.log_denies = log_denies
         self._rules: dict[int, _RuleText] = {}
+        self._acls: dict[int, tuple[Acl, list[_RuleText]]] = {}
         self._nets: dict[int, tuple[ipaddress.IPv4Network, str, str]] = {}
         self._templates: dict[tuple[str, Path | None], DeviceTemplate] = {}
+        self._bound: dict[tuple, Callable[..., str]] = {}
         self.neutral_ports = _Memo(_ports_text)
         self.iptables_sports = _Memo(lambda r: _operators(r, " --sport {}", " --sport {}:{}"))
         self.iptables_dports = _Memo(lambda r: _operators(r, " --dport {}", " --dport {}:{}"))
@@ -194,6 +203,14 @@ class RenderCache:
             text = self._rules[id(rule)] = _RuleText(
                 rule, self._addresses(rule.src), self._addresses(rule.dst), self.log_denies)
         return text
+
+    def acl(self, acl: Acl) -> list[_RuleText]:
+        """The texts of an ACL's rules in order, listed once for the
+        ACL's three renderings (kept with the ACL, keyed by its identity)."""
+        entry = self._acls.get(id(acl))
+        if entry is None:
+            entry = self._acls[id(acl)] = (acl, [self.rule(rule) for rule in acl.rules])
+        return entry[1]
 
     def _addresses(self, nets: tuple[ipaddress.IPv4Network, ...]) -> str:
         if len(nets) == 1:
@@ -213,6 +230,16 @@ class RenderCache:
             self._templates[key] = load_template(vendor_id, templates_dir)
         return self._templates[key]
 
+    def bind(self, template: DeviceTemplate, section: str, **fixed: str) -> Callable[..., str]:
+        """``template.bind(section, **fixed)``, bound once per cache: the
+        ACL names ``acl_1`` ... recur across firewalls, and so do the
+        sections bound to them."""
+        key = (template, section, *fixed.items())
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = template.bind(section, **fixed)
+        return bound
+
 
 # ---------------------------------------------------------------------------
 # vendor-neutral format
@@ -224,14 +251,14 @@ def render_neutral(acl: Acl) -> str:
 
 def _acl_text(acl: Acl, cache: RenderCache) -> str:
     lines = [NEUTRAL_HEADER + acl.name]
-    rule_text = cache.rule
     last_comment = None
-    for rule in acl.rules:
-        if rule.comment and rule.comment != last_comment:
-            lines.append(f"  remark~{rule.comment}")
-        if rule.comment:
-            last_comment = rule.comment
-        lines.append("  " + rule_text(rule).neutral(cache))
+    for text in cache.acl(acl):
+        comment = text.rule.comment
+        if comment and comment != last_comment:
+            lines.append(f"  remark~{comment}")
+        if comment:
+            last_comment = comment
+        lines.append("  " + text.neutral(cache))
     return "\n".join(lines) + "\n"
 
 
@@ -370,26 +397,25 @@ def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, ports: _Memo,
 # device templates
 
 # the sections of each dialect's template and the slots each one is given,
-# as the template writes them
-_TEMPLATE_SLOTS: dict[str, dict[str, frozenset[str]]] = {
+# in the order a bound section takes the slots left open (DeviceTemplate.bind)
+_TEMPLATE_SLOTS: dict[str, dict[str, tuple[str, ...]]] = {
     "iptables_like": {
-        "header": frozenset({"{firewall}"}),
-        "chain_decl": frozenset({"{acl}"}),
-        "bind_forward": frozenset({"{interface}", "{acl}"}),
-        "bind_input": frozenset({"{acl}"}),
-        "bind_output": frozenset({"{acl}"}),
-        "remark": frozenset({"{text}"}),
-        "rule": frozenset({"{acl}", "{match}", "{target}"}),
-        "log_rule": frozenset({"{acl}", "{match}", "{prefix}"}),
-        "footer": frozenset(),
+        "header": ("firewall",),
+        "chain_decl": ("acl",),
+        "bind_forward": ("interface", "acl"),
+        "bind_input": ("acl",),
+        "bind_output": ("acl",),
+        "remark": ("text",),
+        "rule": ("acl", "match", "target"),
+        "log_rule": ("acl", "match", "prefix"),
+        "footer": (),
     },
     "asa_like": {
-        "header": frozenset({"{firewall}"}),
-        "remark": frozenset({"{acl}", "{text}"}),
-        "rule": frozenset({"{acl}", "{action}", "{proto}", "{src}", "{sport}", "{dst}",
-                           "{dport}", "{log}"}),
-        "bind": frozenset({"{acl}", "{direction}", "{interface}"}),
-        "footer": frozenset(),
+        "header": ("firewall",),
+        "remark": ("acl", "text"),
+        "rule": ("acl", "action", "proto", "src", "sport", "dst", "dport", "log"),
+        "bind": ("acl", "direction", "interface"),
+        "footer": (),
     },
 }
 
@@ -398,12 +424,27 @@ _BRACES = re.compile(r"\{(?:\{|[^{}]*\})?|\}\}?")
 _LITERAL_BRACES = frozenset({"{{", "}}"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviceTemplate:
-    """A dialect's template: each section's ``str.format``, bound once."""
+    """A dialect's template: each section's checked body.  Compared and
+    hashed by identity, so a render cache can key its bindings by it."""
 
     vendor_id: str
-    formats: dict[str, Callable[..., str]]
+    sections: dict[str, str]
+
+    def bind(self, section: str, **fixed: str) -> Callable[..., str]:
+        """The section's ``str.format`` with the ``fixed`` slot values
+        written in literally (a brace in a value stays a brace); it takes
+        the slots left open positionally, in their ``_TEMPLATE_SLOTS``
+        order.  A slot may appear any number of times, or not at all."""
+        open_slots = [slot for slot in _TEMPLATE_SLOTS[self.vendor_id][section]
+                      if slot not in fixed]
+        fields = {f"{{{slot}}}": f"{{{i}}}" for i, slot in enumerate(open_slots)}
+        fields.update((f"{{{slot}}}", value.replace("{", "{{").replace("}", "}}"))
+                      for slot, value in fixed.items())
+        # the body is checked: every brace is a literal pair or a slot
+        body = _BRACES.sub(lambda m: fields.get(m.group(), m.group()), self.sections[section])
+        return body.format
 
 
 def load_template(vendor_id: str, templates_dir: Path | None = None) -> DeviceTemplate:
@@ -442,11 +483,12 @@ def load_template(vendor_id: str, templates_dir: Path | None = None) -> DeviceTe
     missing = [name for name in wanted if name not in sections]
     if missing:
         raise InputError(f"no [{missing[0]}] section", file)
-    formats = {}
+    bodies = {}
     for name, (header_line, body) in sections.items():
-        _check_slots(body, wanted[name], name, file, header_line)
-        formats[name] = body.strip("\n").format
-    return DeviceTemplate(vendor_id, formats)
+        _check_slots(body, frozenset(f"{{{slot}}}" for slot in wanted[name]),
+                     name, file, header_line)
+        bodies[name] = body.strip("\n")
+    return DeviceTemplate(vendor_id, bodies)
 
 
 def _check_slots(body: str, slots: frozenset[str], section: str, file: str,
@@ -488,61 +530,64 @@ def render_device(policy: NetworkPolicy, firewall: str, vendor_id: str,
 
 def _render_iptables(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
                      assignments: list[InterfaceAssignment], cache: RenderCache) -> str:
-    formats = template.formats
-    remark, rule_line, log_line = formats["remark"], formats["rule"], formats["log_rule"]
-    out = [formats["header"](firewall=firewall)]
-    for a in assignments:
-        out.append(formats["chain_decl"](acl=a.acl))
+    bind = cache.bind
+    remark = bind(template, "remark")
+    out = [bind(template, "header")(firewall)]
+    chain_decl = bind(template, "chain_decl")
+    out.extend(chain_decl(a.acl) for a in assignments)
     for a in assignments:
         if a.interface == LOCAL_INTERFACE:
             section = "bind_input" if a.direction == "inbound" else "bind_output"
-            out.append(formats[section](acl=a.acl))
+            out.append(bind(template, section)(a.acl))
         else:
-            out.append(formats["bind_forward"](interface=a.interface, acl=a.acl))
+            out.append(bind(template, "bind_forward")(a.interface, a.acl))
     for a in assignments:
         acl = policy.acl_by_name(firewall, a.acl)
-        prefix = f"{a.acl}: "
+        accept = bind(template, "rule", acl=a.acl, target="ACCEPT")
+        drop = bind(template, "rule", acl=a.acl, target="DROP")
+        log_line = bind(template, "log_rule", acl=a.acl, prefix=f"{a.acl}: ")
         last_comment = None
-        for rule in acl.rules:
+        for text in cache.acl(acl):
+            rule = text.rule
             if rule.comment and rule.comment != last_comment:
-                out.append(remark(text=rule.comment))
+                out.append(remark(rule.comment))
                 last_comment = rule.comment
-            text = cache.rule(rule)
             if text.provenance:
-                out.append(remark(text=text.provenance))
-            target = "ACCEPT" if rule.action == "permit" else "DROP"
+                out.append(remark(text.provenance))
+            rule_line = accept if rule.action == "permit" else drop
             for match in text.iptables(cache):
                 if text.log:
-                    out.append(log_line(acl=a.acl, match=match, prefix=prefix))
-                out.append(rule_line(acl=a.acl, match=match, target=target))
-    out.append(formats["footer"]())
+                    out.append(log_line(match))
+                out.append(rule_line(match))
+    out.append(bind(template, "footer")())
     return "\n".join(out) + "\n"
 
 
 def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
                 assignments: list[InterfaceAssignment], cache: RenderCache) -> str:
-    formats = template.formats
-    remark, rule_line = formats["remark"], formats["rule"]
-    out = [formats["header"](firewall=firewall)]
+    bind = cache.bind
+    out = [bind(template, "header")(firewall)]
     for a in assignments:
         acl = policy.acl_by_name(firewall, a.acl)
+        remark = bind(template, "remark", acl=a.acl)
+        rule_line = bind(template, "rule", acl=a.acl)
         last_comment = None
-        for rule in acl.rules:
+        for text in cache.acl(acl):
+            rule = text.rule
             if rule.comment and rule.comment != last_comment:
-                out.append(remark(acl=a.acl, text=rule.comment))
+                out.append(remark(rule.comment))
                 last_comment = rule.comment
-            text = cache.rule(rule)
             if text.provenance:
-                out.append(remark(acl=a.acl, text=text.provenance))
+                out.append(remark(text.provenance))
             log = " log" if text.log else ""
             for sport, dport in text.asa(cache):
-                out.append(rule_line(acl=a.acl, action=rule.action, proto=text.proto,
-                                     src=text.src, sport=sport, dst=text.dst, dport=dport,
-                                     log=log))
+                out.append(rule_line(rule.action, text.proto, text.src, sport, text.dst,
+                                     dport, log))
+    access_group = bind(template, "bind")
     for a in assignments:
         direction = "in" if a.direction == "inbound" else "out"
-        out.append(formats["bind"](acl=a.acl, direction=direction, interface=a.interface))
-    out.append(formats["footer"]())
+        out.append(access_group(a.acl, direction, a.interface))
+    out.append(bind(template, "footer")())
     return "\n".join(out) + "\n"
 
 

@@ -202,6 +202,10 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     return SimNetwork(model, acl_map, flows)
 
 
+# a manifest service's range lists
+_RANGE_FIELDS = ("source_ports", "dest_ports", "icmp_types")
+
+
 def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRule, ...]]:
     """The model, the (file, ACL, binding key) triples and the flows of a manifest."""
     model = ZoneConduitModel()
@@ -220,22 +224,28 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
                 for a in manifest["assignments"]]
 
     flows = []
+    # one Service per distinct service entry, checked and built at the
+    # first flow that carries it, so a bad entry names that flow
+    services: dict[tuple, Service] = {}
     for f in manifest["flows"]:
         for zone in (f["src_zone"], f["dst_zone"]):
             if zone not in model.zones:
                 raise ValueError(f"flow {f['rule']!r} names unknown zone {zone!r}")
         svc = f["service"]
-        if not 0 <= svc["protocol"] <= 255:
-            raise ValueError(f"flow {f['rule']!r} has protocol {svc['protocol']}, "
-                             f"outside 0-255")
-        flows.append(FlowRule(
-            rule_name=f["rule"], src_zone=f["src_zone"], dst_zone=f["dst_zone"],
-            service=Service(
+        key = (svc["name"], svc["protocol"],
+               *(tuple(map(tuple, svc[ranges])) for ranges in _RANGE_FIELDS))
+        service = services.get(key)
+        if service is None:
+            if not 0 <= svc["protocol"] <= 255:
+                raise ValueError(f"flow {f['rule']!r} has protocol {svc['protocol']}, "
+                                 f"outside 0-255")
+            service = services[key] = Service(
                 name=svc["name"], protocol=svc["protocol"],
                 source_ports=_ranges(f, "source_ports", PORT_MAX),
                 dest_ports=_ranges(f, "dest_ports", PORT_MAX),
-                icmp_types=_ranges(f, "icmp_types", ICMP_TYPE_MAX),
-            )))
+                icmp_types=_ranges(f, "icmp_types", ICMP_TYPE_MAX))
+        flows.append(FlowRule(rule_name=f["rule"], src_zone=f["src_zone"],
+                              dst_zone=f["dst_zone"], service=service))
     return model, bindings, tuple(flows)
 
 

@@ -8,8 +8,10 @@ the lexer against a character-at-a-time tokenizer, the overlap check
 against an all-pairs comparison, the canonical grid algebra against
 strip sweeps and merge-pass subtraction, the ACL anomaly check against
 pairwise 7-D box subtraction, the renderers against their form before the
-per-compile rule text cache and the match table's row-bitset lookups
-against its former linear walk over interval sets.
+per-compile rule text cache, the compile back end against ACL assembly
+keyed per bucket entry and device lines formatted from keywords, and the
+match table's row-bitset lookups against its former linear walk over
+interval sets.
 """
 
 from __future__ import annotations
@@ -1126,6 +1128,116 @@ def oracle_manifest_json(policy) -> str:
 
 
 # ---------------------------------------------------------------------------
+# compile back end oracle: ACL assembly and the device renderers as they
+# were before rule keys were computed once per rule and template sections
+# bound once per ACL.  Assembly keys every bucket entry again, hashing its
+# networks; each device line is one ``str.format(**kwargs)`` call on the
+# checked section body.
+
+def _oracle_rule_sort_key(rule: AclRule) -> tuple:
+    def net_key(net):
+        return (int(net.network_address), net.prefixlen)
+
+    return (
+        rule.origin_rule,
+        rule.origin_service,
+        rule.flow_dir,
+        tuple(net_key(n) for n in rule.src),
+        tuple(net_key(n) for n in rule.dst),
+        rule.protocol if rule.protocol is not None else 256,
+        rule.dport,
+        rule.sport,
+        rule.state,
+    )
+
+
+def oracle_assemble(rules) -> list[AclRule]:
+    """Deterministic order, duplicates (by match effect) dropped."""
+    out: list[AclRule] = []
+    seen: set = set()
+    for rule in sorted(rules, key=_oracle_rule_sort_key):
+        key = rule.match_key()
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(rule)
+    return out
+
+
+def _kwargs_formats(template) -> dict:
+    return {name: body.format for name, body in template.sections.items()}
+
+
+def kwargs_render_iptables(policy, firewall: str, template, assignments, cache) -> str:
+    """``render._render_iptables`` formatting every line from keywords."""
+    formats = _kwargs_formats(template)
+    remark, rule_line, log_line = formats["remark"], formats["rule"], formats["log_rule"]
+    out = [formats["header"](firewall=firewall)]
+    for a in assignments:
+        out.append(formats["chain_decl"](acl=a.acl))
+    for a in assignments:
+        if a.interface == LOCAL_INTERFACE:
+            section = "bind_input" if a.direction == "inbound" else "bind_output"
+            out.append(formats[section](acl=a.acl))
+        else:
+            out.append(formats["bind_forward"](interface=a.interface, acl=a.acl))
+    for a in assignments:
+        acl = policy.acl_by_name(firewall, a.acl)
+        prefix = f"{a.acl}: "
+        last_comment = None
+        for rule in acl.rules:
+            if rule.comment and rule.comment != last_comment:
+                out.append(remark(text=rule.comment))
+                last_comment = rule.comment
+            text = cache.rule(rule)
+            if text.provenance:
+                out.append(remark(text=text.provenance))
+            target = "ACCEPT" if rule.action == "permit" else "DROP"
+            for match in text.iptables(cache):
+                if text.log:
+                    out.append(log_line(acl=a.acl, match=match, prefix=prefix))
+                out.append(rule_line(acl=a.acl, match=match, target=target))
+    out.append(formats["footer"]())
+    return "\n".join(out) + "\n"
+
+
+def kwargs_render_asa(policy, firewall: str, template, assignments, cache) -> str:
+    """``render._render_asa`` formatting every line from keywords."""
+    formats = _kwargs_formats(template)
+    remark, rule_line = formats["remark"], formats["rule"]
+    out = [formats["header"](firewall=firewall)]
+    for a in assignments:
+        acl = policy.acl_by_name(firewall, a.acl)
+        last_comment = None
+        for rule in acl.rules:
+            if rule.comment and rule.comment != last_comment:
+                out.append(remark(acl=a.acl, text=rule.comment))
+                last_comment = rule.comment
+            text = cache.rule(rule)
+            if text.provenance:
+                out.append(remark(acl=a.acl, text=text.provenance))
+            log = " log" if text.log else ""
+            for sport, dport in text.asa(cache):
+                out.append(rule_line(acl=a.acl, action=rule.action, proto=text.proto,
+                                     src=text.src, sport=sport, dst=text.dst, dport=dport,
+                                     log=log))
+    for a in assignments:
+        direction = "in" if a.direction == "inbound" else "out"
+        out.append(formats["bind"](acl=a.acl, direction=direction, interface=a.interface))
+    out.append(formats["footer"]())
+    return "\n".join(out) + "\n"
+
+
+def kwargs_render_device(policy, firewall: str, vendor_id: str, templates_dir=None) -> str:
+    """One firewall's iptables_like or asa_like config by the keyword
+    renderers, from the packaged templates or those under ``templates_dir``."""
+    template = render.load_template(vendor_id, templates_dir)
+    assignments = [a for a in policy.assignments if a.firewall == firewall]
+    renderer = kwargs_render_iptables if vendor_id == "iptables_like" else kwargs_render_asa
+    return renderer(policy, firewall, template, assignments, render.RenderCache(policy.log_denies))
+
+
+# ---------------------------------------------------------------------------
 # generated benchmark inputs
 
 def _perfbench_gen():
@@ -1168,9 +1280,13 @@ __all__ = [
     "grid_model",
     "grid_topology",
     "inject_by_scan",
+    "kwargs_render_asa",
+    "kwargs_render_device",
+    "kwargs_render_iptables",
     "masks_equal",
     "masks_subset",
     "matching",
+    "oracle_assemble",
     "oracle_manifest_json",
     "oracle_render_device",
     "oracle_render_neutral_file",

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from forestfw import render
+from forestfw import render, sim
 from forestfw.cli import main
 from forestfw.policy_lang import parser
 from conftest import FIXTURES
@@ -351,6 +351,27 @@ def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, k
     assert code == 2
     assert captured.err.startswith(f"forestfw: {manifest_path}:0:0: error: ")
     assert key in captured.err and captured.out == ""
+
+
+def test_simulate_bad_shared_service_names_the_first_flow_carrying_it(tmp_path, capsys):
+    """Flows with equal service entries share one Service, built and checked
+    at the first of them: a bad range there names that flow."""
+    out_dir = _compiled(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    smtp = [f for f in manifest["flows"] if f["service"]["dest_ports"] == [[25, 25]]]
+    assert len({f["rule"] for f in smtp}) == 2
+    services = {json.dumps(f["service"], sort_keys=True) for f in manifest["flows"]}
+    loaded = sim.load_compiled(out_dir)
+    assert len({id(flow.service) for flow in loaded.flows}) == len(services)
+    for flow in smtp:
+        flow["service"]["dest_ports"] = [[90, 80]]
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"forestfw: {manifest_path}:0:0: error: malformed manifest: "
+                                   f"flow {smtp[0]['rule']!r} has dest_ports [90, 80]")
 
 
 def test_simulate_manifest_binding_one_key_twice_is_usage_error(tmp_path, capsys):

@@ -112,9 +112,9 @@ def rules(draw) -> AclRule:
         action=draw(st.sampled_from(("permit", "deny"))), protocol=protocol,
         src=draw(addresses), dst=draw(addresses), sport=sport, dport=dport,
         state=tuple(draw(st.lists(st.sampled_from(("NEW", "ESTABLISHED")), max_size=2))),
-        log=draw(st.booleans()), comment=draw(st.sampled_from(("", "c one", "c two"))),
+        log=draw(st.booleans()), comment=draw(st.sampled_from(("", "c one", "c two", "{acl} }{"))),
         origin_rule=origin, origin_service="https" if origin else "",
-        service_comment=draw(st.sampled_from(("", "HTTPS traffic"))) if origin else "")
+        service_comment=draw(st.sampled_from(("", "HTTPS traffic", "{text}"))) if origin else "")
 
 
 @st.composite
