@@ -17,16 +17,24 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from forestfw import intervals
-from forestfw.header_space import ADDR_MAX, STATES, Grid, MatchTable, cuts
+from forestfw.header_space import (
+    ADDR_MAX,
+    STATES,
+    Grid,
+    MatchTable,
+    bit_indexes,
+    cuts,
+    meeting_rows,
+)
 from forestfw.intervals import IntervalSet
 from forestfw.policy_lang.syntax import (
     FULL_ICMP_SET,
     FULL_RANGE_SET,
+    PORT_MAX,
     FlowRule,
     PolicySpec,
     Service,
@@ -98,11 +106,16 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
     lexicographic by rule-name pair; witnesses are aggregated and
     deduplicated by value.
 
-    Only flows of one protocol can overlap, so each conduit's flows are
-    bucketed by protocol and only pairs within a bucket are compared, in
-    the order of an all-pairs scan.  Each flow's plane is read once, and a
-    pair whose planes are disjoint on some axis is rejected before its
-    intersection is built.
+    Candidates come from per-axis flow bitsets, so the cost follows the
+    flows plus the true overlaps, not the pairs.  Per conduit, the flows
+    are the rows of one :func:`meeting_rows` index per axis of their
+    planes; a flow meets the flows that share an atom with it on the
+    value axis AND on the sport axis, and of those, the later flows of
+    its protocol and of other rules are exactly the pairs whose planes
+    intersect.  A flow whose values meet no other flow's is passed over.
+    Flows are visited in input order and their candidates in ascending
+    order, the order of an all-pairs scan, which decides the name a
+    witness found twice keeps.
     """
     by_conduit: dict[tuple[str, str], list[FlowRule]] = {}
     for flow in flows:
@@ -110,27 +123,26 @@ def find_rule_overlaps(flows: Sequence[FlowRule]) -> list[OverlapReport]:
 
     found: dict[tuple[str, str], dict[tuple, OverlapWitness]] = {}
     for (src, dst), members in sorted(by_conduit.items()):
-        # each protocol's flows not yet visited, in input order; visiting a
-        # flow's later same-protocol peers keeps the all-pairs order, which
-        # decides the name a witness found twice keeps
-        later: dict[int, deque[tuple[FlowRule, tuple]]] = {}
-        for flow in members:
-            if flow.service.protocol is not None:
-                later.setdefault(flow.service.protocol, deque()).append(
-                    (flow, service_plane(flow.service)))
-        for fa in members:
-            if fa.service.protocol is None:
-                continue
-            peers = later[fa.service.protocol]
-            _, plane_a = peers.popleft()
-            for fb, plane_b in peers:
-                if fa.rule_name == fb.rule_name:
-                    continue
-                if not all(intervals.intersect(a, b) for a, b in zip(plane_a, plane_b)):
-                    continue
+        values, sports = zip(*(service_plane(flow.service) for flow in members))
+        value_meets = meeting_rows(values, PORT_MAX)
+        if not value_meets:
+            continue
+        sport_meets = meeting_rows(sports, PORT_MAX)
+        of_protocol: dict[int | None, int] = {}  # the generic protocol meets no flow
+        of_rule: dict[str, int] = {}
+        for i, flow in enumerate(members):
+            protocol = flow.service.protocol
+            if protocol is not None:
+                of_protocol[protocol] = of_protocol.get(protocol, 0) | 1 << i
+            of_rule[flow.rule_name] = of_rule.get(flow.rule_name, 0) | 1 << i
+        for i, value_meet in value_meets.items():
+            fa = members[i]
+            later = (value_meet & sport_meets.get(i, 0) & of_protocol.get(fa.service.protocol, 0)
+                     & ~of_rule[fa.rule_name]) >> (i + 1)
+            for k in bit_indexes(later):
+                fb = members[i + 1 + k]
+                # never None: the planes meet on both axes
                 shared = service_intersection(fa.service, fb.service)
-                if shared is None:
-                    continue
                 pair = tuple(sorted((fa.rule_name, fb.rule_name)))
                 witness = OverlapWitness(src, dst, shared)
                 found.setdefault(pair, {})[(src, dst) + shared.value_key()] = witness

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 findings (validation, overlap, best-practice,
 model mismatch, vetting failures), 2 usage or I/O errors.  ``compile``
 never writes anything when a verification stage fails; output lands in
-the target directory atomically.
+the target directory atomically, and a target that already holds it is
+left untouched.
 """
 
 from __future__ import annotations
@@ -113,39 +114,61 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     _write(out_dir.parent)
-    staging = Path(tempfile.mkdtemp(prefix=".forestfw-", dir=out_dir.parent or Path(".")))
-    try:
-        templates = Path(args.templates) if args.templates else None
-        cache = render.RenderCache(policy.log_denies)  # lives for this command only
-        iptables_configs = []
-        for firewall in policy.firewalls():
-            _write(staging / f"{firewall}.neutral.acl",
-                   render.render_neutral_file(policy, firewall, cache))
-            iptables = render.render_device(policy, firewall, "iptables_like", templates, cache)
-            _write(staging / f"{firewall}.iptables.txt", iptables)
-            iptables_configs.append(iptables)
-            _write(staging / f"{firewall}.asa.txt",
-                   render.render_device(policy, firewall, "asa_like", templates, cache))
-        _write(staging / "zone_firewall.dot", export_graph(policy.model, "zone_firewall"))
-        _write(staging / "zone_conduit.dot", export_graph(policy.model, "zone_conduit"))
-        _write(staging / "manifest.json", render.manifest_json(policy))
-        metrics = render.loc_metrics(spec, iptables_configs)
-        _write(staging / "metrics.txt",
-               f"high_level_loc {metrics.high_level_loc}\n"
-               f"device_loc {metrics.device_loc}\n"
-               f"ratio {metrics.ratio:.2f}\n")
-        if args.emit_alloy:
-            _write(staging / "policy.als", checker.emit_alloy(spec, policy.flows))
-        _replace_dir(staging, out_dir)
-    finally:
-        if staging.exists():
-            shutil.rmtree(staging, ignore_errors=True)
+    templates = Path(args.templates) if args.templates else None
+    cache = render.RenderCache(policy.log_denies)  # lives for this command only
+    files: dict[str, str] = {}
+    for firewall in policy.firewalls():
+        files[f"{firewall}.neutral.acl"] = render.render_neutral_file(policy, firewall, cache)
+        files[f"{firewall}.iptables.txt"] = render.render_device(
+            policy, firewall, "iptables_like", templates, cache)
+        files[f"{firewall}.asa.txt"] = render.render_device(
+            policy, firewall, "asa_like", templates, cache)
+    files["zone_firewall.dot"] = export_graph(policy.model, "zone_firewall")
+    files["zone_conduit.dot"] = export_graph(policy.model, "zone_conduit")
+    files["manifest.json"] = render.manifest_json(policy)
+    metrics = render.loc_metrics(spec, cache.iptables_loc)
+    files["metrics.txt"] = (f"high_level_loc {metrics.high_level_loc}\n"
+                            f"device_loc {metrics.device_loc}\n"
+                            f"ratio {metrics.ratio:.2f}\n")
+    if args.emit_alloy:
+        files["policy.als"] = checker.emit_alloy(spec, policy.flows)
+    _write_output(out_dir, files)
 
     print(f"compiled {len(policy.flows)} flows onto {len(policy.firewalls())} firewalls "
           f"-> {out_dir}")
     print(f"high-level LoC {metrics.high_level_loc}, device LoC {metrics.device_loc}, "
           f"ratio {metrics.ratio:.1f}")
     return OK
+
+
+def _write_output(out_dir: Path, files: dict[str, str]) -> None:
+    """Make ``out_dir`` hold exactly ``files``.  A directory that already
+    does is left as it is, so recompiling unchanged inputs creates no
+    file; otherwise the files are written to a directory beside it, which
+    then replaces it whole."""
+    if _holds(out_dir, files):
+        return
+    staging = Path(tempfile.mkdtemp(prefix=".forestfw-", dir=out_dir.parent or Path(".")))
+    try:
+        for name, text in files.items():
+            _write(staging / name, text)
+        _replace_dir(staging, out_dir)
+    finally:
+        if staging.exists():
+            shutil.rmtree(staging, ignore_errors=True)
+
+
+def _holds(directory: Path, files: dict[str, str]) -> bool:
+    """Whether ``directory`` holds exactly ``files``: regular files of
+    those names, each with the bytes ``_write`` would write."""
+    try:
+        with os.scandir(directory) as entries:
+            found = {entry.name: entry.is_file(follow_symlinks=False) for entry in entries}
+        return (found.keys() == files.keys() and all(found.values())
+                and all((directory / name).read_bytes() == text.encode("utf-8")
+                        for name, text in files.items()))
+    except OSError:
+        return False
 
 
 def _replace_dir(staging: Path, target: Path) -> None:

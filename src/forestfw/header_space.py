@@ -8,11 +8,14 @@ decide accept/deny per class, so evaluating one point per class is exact.
 once as a row, with the ICMP type of protocol 1 on the same value axis
 as the dport, and evaluates the ACL first-match over header points and
 swept values, by row bitsets (bit-vector packet classification,
-Lakshman and Stiliadis, SIGCOMM 1998).  :class:`Grid` is the one region
-algebra: per protocol, a region of the value x sport plane is a bitset
-over atoms, so union, intersection and difference are int operations.
-The canonical checks, the ACL anomaly check and negative vetting all
-compute on it; canonical strips are only its printed form.
+Lakshman and Stiliadis, SIGCOMM 1998); :func:`meeting_rows` reads the
+same bitsets to find, per row, the rows whose field meets its own, which
+is how the rule-overlap check finds its candidate pairs.  :class:`Grid`
+is the one region algebra: per protocol, a region of the value x sport
+plane is a bitset over atoms, so union, intersection and difference are
+int operations.  The canonical checks, the ACL anomaly check and
+negative vetting all compute on it; canonical strips are only its
+printed form.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import xor
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from forestfw import intervals
 from forestfw.intervals import Interval, IntervalSet
@@ -96,6 +99,36 @@ def _row_bits(fields: Iterable[IntervalSet | None], top: int) -> tuple[list[int]
     toggles.pop(top + 1, None)
     starts = sorted(toggles)
     return starts, list(accumulate((toggles[start] for start in starts), xor))
+
+
+def meeting_rows(fields: Sequence[IntervalSet], top: int) -> dict[int, int]:
+    """The rows whose field shares a point with another row's, in row
+    order, each with an int whose bit *j* is set when field *j* shares a
+    point with its own (its own bit included): the OR of the ``_row_bits``
+    of the elementary intervals it covers.  Rows that meet no other are
+    left out, so disjoint fields cost one pass over the intervals, and
+    identical fields are ORed once."""
+    starts, bits = _row_bits(fields, top)
+    crowded = 0  # the rows of the intervals that two or more rows cover
+    for rows in bits:
+        if rows & (rows - 1):
+            crowded |= rows
+    if not crowded:
+        return {}
+    atom = {start: k for k, start in enumerate(starts)}
+    atom[top + 1] = len(starts)
+    meets: dict[IntervalSet, int] = {}
+    out = {}
+    for i in bit_indexes(crowded):
+        field = fields[i]
+        if field not in meets:
+            rows = 0
+            for lo, hi in field:
+                for k in range(atom[lo], atom[hi + 1]):
+                    rows |= bits[k]
+            meets[field] = rows
+        out[i] = meets[field]
+    return out
 
 
 class _RuleMatch(NamedTuple):

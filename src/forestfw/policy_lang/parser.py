@@ -11,7 +11,8 @@ and a diagnostic, and an unresolved or cyclic import is reported there.
 The main file is tokenized and parsed once per :func:`parse_policy` call.  The calls
 that share one import memo parse each imported (file label, text) pair
 once between them: its raw declarations are immutable, so every later
-import of the same text shares them.  A set expression's ``,`` segments
+import of the same text shares them, and so do its prefixed declarations
+and the services built from them.  A set expression's ``,`` segments
 are united in one n-ary union, so the work grows linearly with the
 policy.
 """
@@ -407,10 +408,13 @@ def _prefix_decls(decls: tuple[_RawDecl, ...], prefix: str) -> list[_RawDecl]:
 
 
 def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool],
-             memo: dict[tuple[str, str], _RawFile]) -> _RawFile:
+             memo: dict) -> _RawFile:
     """``raw`` with the declarations of its imports, transitively, merged in
     front of its own; an imported file is parsed here unless ``memo`` holds
-    its (file label, text), so an edited library is parsed afresh."""
+    its (file label, text), so an edited library is parsed afresh.  Its
+    prefixed declarations are kept under (file label, text, prefix) with
+    the declarations they were made from, and rebuilt only when those
+    differ: what a library brings in depends on the imports seen before."""
     merged: list[_RawDecl] = []
     for dotted, line, col in raw.imports:
         if dotted in seen:
@@ -428,7 +432,11 @@ def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]
         imported = _collect(parsed, label, importer, seen, memo)
         seen[dotted] = True
         prefix = dotted.rsplit(".", 1)[-1]
-        merged.extend(_prefix_decls(imported.decls, prefix))
+        made = memo.get((label, text, prefix))
+        if made is None or made[0] != imported.decls:
+            made = memo[label, text, prefix] = (imported.decls,
+                                                _prefix_decls(imported.decls, prefix))
+        merged.extend(made[1])
     merged.extend(raw.decls)
     return _RawFile(raw.imports, raw.declared_model, tuple(merged))
 
@@ -447,8 +455,10 @@ _PORT_ATTRS = {
 
 class _Resolver:
     def __init__(self, raw: _RawFile, file: str, source: str,
-                 main_decls: tuple[_RawDecl, ...]):
+                 main_decls: tuple[_RawDecl, ...], memo: dict):
         self.raw = raw
+        self.memo = memo
+        self.imported = len(raw.decls) - len(main_decls)  # the leading, imported decls
         self.spec = PolicySpec(
             imports=tuple(imp.dotted for imp in raw.imports),
             declared_model=raw.declared_model,
@@ -474,9 +484,10 @@ class _Resolver:
         for decl in self.raw.decls:
             if decl.kind == "port_group":
                 self.spec.port_groups[decl.name] = PortGroup(decl.name, decl.ranges)
-        for decl in self.raw.decls:
+        for i, decl in enumerate(self.raw.decls):
             if decl.kind == "service":
-                self.spec.services[decl.name] = self._build_service(decl)
+                build = self._library_service if i < self.imported else self._build_service
+                self.spec.services[decl.name] = build(decl)
                 self.spec.raw_attrs[decl.name] = decl.attrs
         for decl in self.raw.decls:
             if decl.kind == "service_group":
@@ -514,6 +525,19 @@ class _Resolver:
         return self.spec
 
     # -- services
+
+    def _library_service(self, decl: _RawDecl) -> Service:
+        """An imported declaration's service, built once per import memo,
+        where it is keyed by the identity of the memo's prefixed
+        declaration (the entry keeps it alive), unless it names a port
+        group, which the importing file may declare."""
+        entry = self.memo.get(id(decl))
+        if entry is not None:
+            return entry[1]
+        service = self._build_service(decl)
+        if not _names_port_group(decl.attrs):
+            self.memo[id(decl)] = (decl, service)
+        return service
 
     def _build_service(self, decl: _RawDecl) -> Service:
         protocol: int | None = None
@@ -671,6 +695,14 @@ class _Resolver:
         self.spec.raw_attrs[decl.name] = decl.attrs
 
 
+def _names_port_group(attrs: tuple[tuple[str, Value], ...]) -> bool:
+    """Whether a port attribute's value names a port group."""
+    def names(value: Value) -> bool:
+        return isinstance(value, VName) or (
+            isinstance(value, VList) and any(names(item) for item in value.items))
+    return any(key in _PORT_ATTRS and names(value) for key, value in attrs)
+
+
 def _eval_set_expr(expr: SetExpr, term: Callable[[str], _SetT]) -> _SetT:
     """Evaluate ``first (op term)*`` over sets with ``union``,
     ``intersection`` and ``difference``: ``^`` and ``\\`` bind tighter
@@ -712,13 +744,14 @@ def parse_policy(text: str, importer: Importer | None = None, file: str = "<poli
     """Parse policy source into a fully name-resolved PolicySpec.
 
     The calls given one ``import_memo`` dict, such as a policy and its
-    best-practice file, parse each imported (file label, text) once.
+    best-practice file, parse each imported (file label, text) once,
+    prefix its declarations once and build their services once.
     """
     importer = importer or default_importer()
+    memo = {} if import_memo is None else import_memo
     main = _parse_file(text, file)
-    raw = _collect(main, file, importer, seen={},
-                   memo={} if import_memo is None else import_memo)
-    return _Resolver(raw, file, text, main.decls).run()
+    raw = _collect(main, file, importer, seen={}, memo=memo)
+    return _Resolver(raw, file, text, main.decls, memo).run()
 
 
 def resolve_service_expr(expr: SetExpr, spec: PolicySpec) -> ServiceSet:

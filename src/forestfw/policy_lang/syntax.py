@@ -35,8 +35,22 @@ FULL_PORT_RANGE = PortRange(PORT_MIN, PORT_MAX)
 
 
 def port_ranges(raw: Iterable[tuple[int, int]]) -> tuple[PortRange, ...]:
-    """Normalize to sorted, disjoint, maximal PortRanges."""
+    """Normalize to sorted, disjoint, maximal PortRanges; a tuple of
+    PortRanges already in that form is returned as it is."""
+    if type(raw) is tuple and _is_normal(raw):
+        return raw
     return tuple(PortRange(lo, hi) for lo, hi in intervals.normalize(raw))
+
+
+def _is_normal(ranges: tuple) -> bool:
+    """Whether ``ranges`` are PortRanges, each ascending, in ascending order
+    with a gap between neighbours."""
+    last = -2
+    for r in ranges:
+        if type(r) is not PortRange or not last + 1 < r.lo <= r.hi:
+            return False
+        last = r.hi
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 from forestfw.diagnostics import InputError, PolicyError
 from forestfw.header_space import STATES
@@ -196,6 +196,7 @@ class RenderCache:
         self.iptables_sports = _Memo(lambda r: _operators(r, " --sport {}", " --sport {}:{}"))
         self.iptables_dports = _Memo(lambda r: _operators(r, " --dport {}", " --dport {}:{}"))
         self.asa_ports = _Memo(lambda r: _operators(r, " eq {}", " range {} {}"))
+        self.iptables_loc = 0  # non-comment lines of the iptables configs rendered
 
     def rule(self, rule: AclRule) -> _RuleText:
         text = self._rules.get(id(rule))
@@ -541,26 +542,60 @@ def _render_iptables(policy: NetworkPolicy, firewall: str, template: DeviceTempl
             out.append(bind(template, section)(a.acl))
         else:
             out.append(bind(template, "bind_forward")(a.interface, a.acl))
+    # the non-comment lines, counted as they are written: the sections
+    # called per rule count by the call while each has a static count and
+    # no value breaks a line, and the config's text is counted otherwise
+    loc = sum(_count_loc(piece, ("#",)) for piece in out)
+    remark_loc = _section_loc(remark)
+    static = remark_loc is not None
+    remarks = 0
     for a in assignments:
         acl = policy.acl_by_name(firewall, a.acl)
         accept = bind(template, "rule", acl=a.acl, target="ACCEPT")
         drop = bind(template, "rule", acl=a.acl, target="DROP")
         log_line = bind(template, "log_rule", acl=a.acl, prefix=f"{a.acl}: ")
+        accept_loc, drop_loc, log_loc = map(_section_loc, (accept, drop, log_line))
+        static = static and None not in (accept_loc, drop_loc, log_loc)
         last_comment = None
         for text in cache.acl(acl):
             rule = text.rule
             if rule.comment and rule.comment != last_comment:
                 out.append(remark(rule.comment))
+                static = static and rule.comment.isprintable()
+                remarks += 1
                 last_comment = rule.comment
             if text.provenance:
                 out.append(remark(text.provenance))
-            rule_line = accept if rule.action == "permit" else drop
-            for match in text.iptables(cache):
+                static = static and text.provenance.isprintable()
+                remarks += 1
+            rule_line, line_loc = ((accept, accept_loc) if rule.action == "permit"
+                                   else (drop, drop_loc))
+            matches = text.iptables(cache)  # numbers and keywords: they break no line
+            for match in matches:
                 if text.log:
                     out.append(log_line(match))
                 out.append(rule_line(match))
-    out.append(bind(template, "footer")())
-    return "\n".join(out) + "\n"
+            if static:
+                loc += len(matches) * (line_loc + log_loc if text.log else line_loc)
+    footer = bind(template, "footer")()
+    out.append(footer)
+    config = "\n".join(out) + "\n"
+    cache.iptables_loc += (loc + remarks * remark_loc + _count_loc(footer, ("#",)) if static
+                           else _count_loc(config, ("#",)))
+    return config
+
+
+def _section_loc(section: Callable[..., str]) -> int | None:
+    """The non-comment lines each call of a bound section writes when no
+    value it is given breaks a line, or None when a line starts with a
+    value, which only the written text can tell."""
+    count = 0
+    for line in section.__self__.splitlines():  # the bound body, whose format it is
+        line = line.strip()
+        if line.startswith("{") and not line.startswith("{{"):
+            return None
+        count += bool(line) and not line.startswith("#")
+    return count
 
 
 def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
@@ -762,9 +797,8 @@ class LocMetrics:
         return self.device_loc / self.high_level_loc if self.high_level_loc else 0.0
 
 
-def loc_metrics(spec: PolicySpec, device_configs: Iterable[str]) -> LocMetrics:
+def loc_metrics(spec: PolicySpec, device_loc: int) -> LocMetrics:
     """Line counts: the policy source versus the iptables-like configs
-    rendered from it, blank and comment lines excluded."""
-    high = max(1, _count_loc(spec.source, ("//",)))
-    device = sum(_count_loc(text, ("#",)) for text in device_configs)
-    return LocMetrics(high, device)
+    rendered from it (``RenderCache.iptables_loc``), blank and comment
+    lines excluded."""
+    return LocMetrics(max(1, _count_loc(spec.source, ("//",))), device_loc)

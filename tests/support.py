@@ -1169,7 +1169,9 @@ def _kwargs_formats(template) -> dict:
 
 
 def kwargs_render_iptables(policy, firewall: str, template, assignments, cache) -> str:
-    """``render._render_iptables`` formatting every line from keywords."""
+    """``render._render_iptables`` formatting every line from keywords, and
+    counting the config's non-comment lines in ``cache`` by a rescan of its
+    text."""
     formats = _kwargs_formats(template)
     remark, rule_line, log_line = formats["remark"], formats["rule"], formats["log_rule"]
     out = [formats["header"](firewall=firewall)]
@@ -1198,7 +1200,10 @@ def kwargs_render_iptables(policy, firewall: str, template, assignments, cache) 
                     out.append(log_line(acl=a.acl, match=match, prefix=prefix))
                 out.append(rule_line(acl=a.acl, match=match, target=target))
     out.append(formats["footer"]())
-    return "\n".join(out) + "\n"
+    config = "\n".join(out) + "\n"
+    cache.iptables_loc += sum(1 for line in config.splitlines()
+                              if line.strip() and not line.strip().startswith("#"))
+    return config
 
 
 def kwargs_render_asa(policy, firewall: str, template, assignments, cache) -> str:

@@ -18,7 +18,7 @@ from forestfw.cli import main
 from forestfw.header_space import MatchTable
 from forestfw.policy_lang import expand_rules
 from forestfw.policy_lang.syntax import PortRange
-from forestfw.render import loc_metrics, render_device, render_neutral
+from forestfw.render import RenderCache, loc_metrics, render_device, render_neutral
 from forestfw.sim import ScanSpec, vet_negative, vet_positive
 from forestfw.topo_model import (
     build_zone_firewall_model,
@@ -223,9 +223,10 @@ def test_acceptance_8_loc_compression(plant_spec_fixed, compiled_plant):
         if line.strip() and not line.strip().startswith("//")
     ]
     assert len(source_lines) <= 100
-    metrics = loc_metrics(plant_spec_fixed,
-                          [render_device(compiled_plant, fw, "iptables_like")
-                           for fw in compiled_plant.firewalls()])
+    cache = RenderCache(compiled_plant.log_denies)
+    for fw in compiled_plant.firewalls():
+        render_device(compiled_plant, fw, "iptables_like", cache=cache)
+    metrics = loc_metrics(plant_spec_fixed, cache.iptables_loc)
     assert metrics.ratio > 1
     report(8, f"{metrics.high_level_loc} high-level LoC -> {metrics.device_loc} "
               f"device LoC (ratio {metrics.ratio:.1f}; the original study reported "

@@ -198,6 +198,72 @@ def test_overlaps_agree_with_all_pairs_oracle_on_generated_policies(plant_spec):
         assert find_rule_overlaps(flows) == find_rule_overlaps_all_pairs(flows)
 
 
+def disjoint_flows(count: int) -> list[FlowRule]:
+    """``count`` flows over three conduits, two to a rule, whose services
+    meet nowhere: a TCP or UDP port or an ICMP type per flow, some with
+    narrowed source ports, and an OSPF flow of one rule on each conduit."""
+    conduits = (("z1", "z2"), ("z2", "z1"), ("z2", "z3"))
+    flows = []
+    for i in range(count):
+        m, protocol = divmod(i, 3)
+        if protocol == 2:  # one ICMP type per flow on its conduit
+            svc = Service(f"lib.s{i}", 1, icmp_types=(PortRange(m // 3, m // 3),))
+        else:
+            sports = (PortRange(1024, 65535),) if i % 4 else (PortRange(0, 65535),)
+            svc = Service(f"lib.s{i}", (6, 17)[protocol], sports, (PortRange(i, i),))
+        flows.append(FlowRule(f"r{i // 2}", *conduits[m % 3], svc))
+    return flows + [FlowRule("ospf", *zones, Service("ospf", 89)) for zones in conduits]
+
+
+def test_overlap_check_intersects_only_overlapping_pairs(monkeypatch):
+    """The check builds an intersection for each overlapping pair of flows
+    and for no other, nor intersects any two flows' port sets: none on
+    disjoint flows, k on k overlaps."""
+    import forestfw.checker as checker
+    from forestfw import intervals
+
+    calls = []
+    service_intersection = checker.service_intersection
+    monkeypatch.setattr(checker, "service_intersection",
+                        lambda a, b: calls.append((a, b)) or service_intersection(a, b))
+    set_calls = []
+    intersect = intervals.intersect
+    monkeypatch.setattr(intervals, "intersect",
+                        lambda a, b: set_calls.append((a, b)) or intersect(a, b))
+    flows = disjoint_flows(900)
+    assert find_rule_overlaps(flows) == []
+    assert calls == set_calls == []
+    # k flows of new rules, each sharing a port with one earlier flow, and
+    # one flow of an old rule overlapping only a flow of its own rule
+    tcp_flows = [f for f in flows if f.service.protocol == 6]
+    extra = [FlowRule(f"x{k}", f.src_zone, f.dst_zone,
+                      Service(f"x{k}", 6, dest_ports=f.service.dest_ports))
+             for k, f in enumerate(tcp_flows[::7])]
+    own = dataclasses.replace(tcp_flows[1], service=Service(
+        "again", 6, dest_ports=tcp_flows[1].service.dest_ports))
+    overlapping = flows + extra + [own]
+    reports = find_rule_overlaps(overlapping)
+    assert len(calls) == len(extra) == len(reports) > 10
+    assert reports == find_rule_overlaps_all_pairs(overlapping)
+
+
+def test_overlap_witnesses_with_one_name_keep_the_order_they_were_found_in():
+    """A TCP and a UDP intersection with the same display name sort as
+    equal; the all-pairs scan finds the UDP one first here."""
+    def svc(name, protocol, port):
+        return Service(name, protocol, dest_ports=(PortRange(port, port),))
+
+    flows = [FlowRule("a", "z1", "z2", svc("lib1.web", 17, 53)),
+             FlowRule("b", "z1", "z2", svc("lib2.web", 6, 80)),
+             FlowRule("a", "z1", "z2", svc("lib3.web", 6, 80)),
+             FlowRule("b", "z1", "z2", svc("lib4.web", 17, 53))]
+    reports = find_rule_overlaps(flows)
+    assert [str(r) for r in reports] == ["rule overlap: a x b (z1->z2 ip_protocol=17 dest_port=53; "
+                                         "z1->z2 ip_protocol=6 dest_port=80)"]
+    assert [w.service.name for w in reports[0].witnesses] == ["(web ^ web)", "(web ^ web)"]
+    assert reports == find_rule_overlaps_all_pairs(flows)
+
+
 # ---------------------------------------------------------------------------
 # ACL anomalies
 

@@ -25,6 +25,16 @@ def test_check_flags_the_published_overlap(capsys, monkeypatch):
     assert capsys.readouterr().out == (GOLDEN / "scada_plant_check.txt").read_text(encoding="utf-8")
 
 
+def test_check_reports_the_frozen_overlaps(capsys, monkeypatch):
+    """Several overlaps through both-way rules, service and port groups and
+    four protocols: the whole report, witness order included, is the one
+    frozen in a golden file."""
+    monkeypatch.chdir(GOLDEN)
+    code = main(["check", "--policy", "overlaps.policyml", "--topology", TOPOLOGY])
+    assert code == 1
+    assert capsys.readouterr() == ((GOLDEN / "overlaps_check.txt").read_text(encoding="utf-8"), "")
+
+
 def test_check_passes_corrected_policy(capsys):
     code = main(["check", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
                  "--best-practice", BEST_PRACTICE])
@@ -51,6 +61,34 @@ def test_check_parses_each_library_once_per_command(monkeypatch, capsys):
         assert main(argv) == 0
         assert sorted(parsed) == sorted(runs * ["scada_plant_fixed.policyml", "scada_isa.policyml",
                                                 "iana_services.policyml", "iana_icmp.policyml"])
+    capsys.readouterr()
+
+
+def test_check_prefixes_and_builds_each_library_service_once_per_command(monkeypatch, capsys):
+    # the policy and the best-practice file share the import memo, so each
+    # library's declarations are prefixed once and each of its services
+    # built once per command; a new command does both again
+    prefixed: list[str] = []
+    built: list[str] = []
+    prefix_decls, build_service = parser._prefix_decls, parser._Resolver._build_service
+
+    def counting_prefix(decls, prefix):
+        prefixed.append(prefix)
+        return prefix_decls(decls, prefix)
+
+    def counting_build(resolver, decl):
+        built.append(decl.name)
+        return build_service(resolver, decl)
+
+    monkeypatch.setattr(parser, "_prefix_decls", counting_prefix)
+    monkeypatch.setattr(parser._Resolver, "_build_service", counting_build)
+    argv = ["check", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
+            "--best-practice", BEST_PRACTICE]
+    for runs in (1, 2):
+        assert main(argv) == 0
+        assert sorted(prefixed) == sorted(runs * ["iana_services", "iana_icmp"])
+        library = [name for name in built if name.startswith(("iana_services.", "iana_icmp."))]
+        assert len(library) == runs * len(set(library)) >= runs * 24
     capsys.readouterr()
 
 
@@ -109,6 +147,52 @@ def test_compile_metrics_count_the_iptables_files_written(tmp_path, capsys):
     metrics = dict(line.split() for line in (out_dir / "metrics.txt").read_text().splitlines())
     assert int(metrics["device_loc"]) == written
     assert f"device LoC {written}," in capsys.readouterr().out
+
+
+# (a line of the packaged template, its override): sections that write
+# blank, indented and "#" lines, and lines that start with a slot, so that
+# only the written text tells whether they count (the terminal deny's
+# logged match is empty)
+LOC_TEMPLATE_EDITS = {
+    "blank, indented and # lines": [
+        ("*filter\n", "*filter\n\n   # an indented comment\n\t:SITE_LOG - [0:0]\n\n"),
+        ("-A {acl}{match} -j {target}\n",
+         "\n  -A {acl}{match} -j {target}\n#   {target} for {acl}\n   \n"),
+        ("# {text}\n", "  # {text}\n\n"),
+        ("COMMIT\n", "# end\n  COMMIT\n#\n"),
+    ],
+    "lines that start with a slot": [
+        ("# {text}\n", "{text}\n"),
+        ('-A {acl}{match} -j LOG --log-prefix "{prefix}"\n',
+         '   {match}\n-A {acl}{match} -j LOG --log-prefix "{prefix}"\n'),
+    ],
+}
+
+
+@pytest.mark.parametrize("edits", sorted(LOC_TEMPLATE_EDITS))
+def test_compile_metrics_from_edited_templates_count_the_lines_written(tmp_path, edits):
+    """metrics.txt is what counting the written iptables files gives, for
+    templates whose sections write blank, indented and comment lines."""
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(render.__file__).parent / "templates", templates)
+    iptables = templates / "iptables_like.tmpl"
+    text = iptables.read_text()
+    for old, new in LOC_TEMPLATE_EDITS[edits]:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    iptables.write_text(text)
+    out_dir = tmp_path / "compiled"
+    code = main(["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY, "--ospf",
+                 "--best-practice", BEST_PRACTICE, "--out", str(out_dir),
+                 "--templates", str(templates)])
+    assert code == 0
+    written = sum(1 for path in out_dir.glob("*.iptables.txt")
+                  for line in path.read_text().splitlines()
+                  if line.strip() and not line.strip().startswith("#"))
+    source = Path(POLICY_FIXED).read_text().splitlines()
+    high = sum(1 for line in source if line.strip() and not line.strip().startswith("//"))
+    assert (out_dir / "metrics.txt").read_text() == (
+        f"high_level_loc {high}\ndevice_loc {written}\nratio {written / high:.2f}\n")
 
 
 ASA_RULE = "{src}{sport} {dst}{dport}{log}"
@@ -179,6 +263,33 @@ def test_compile_replaces_previous_output(tmp_path):
     assert main(["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
                  "--out", str(out_dir)]) == 0
     assert (out_dir / "manifest.json").exists()
+
+
+def test_recompile_leaves_identical_output_untouched(tmp_path):
+    """Unchanged inputs find their output in place and create no file; a
+    tampered, extra or missing file gets the whole directory rewritten."""
+    out_dir = tmp_path / "compiled"
+    args = ["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY, "--out", str(out_dir)]
+
+    def files() -> dict[str, tuple[int, bytes]]:
+        return {p.name: (p.stat().st_ino, p.read_bytes()) for p in out_dir.iterdir()}
+
+    assert main(args) == 0
+    first = files()
+    assert main(args) == 0
+    assert files() == first
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["compiled"]  # no staging left
+
+    for tamper in (lambda: (out_dir / "R1.asa.txt").write_text("edited\n"),
+                   lambda: (out_dir / "extra.txt").write_text("stale\n"),
+                   lambda: (out_dir / "metrics.txt").unlink()):
+        tamper()
+        assert main(args) == 0
+        rewritten = files()
+        assert {name: data for name, (_, data) in rewritten.items()} == \
+            {name: data for name, (_, data) in first.items()}
+        assert all(rewritten[name][0] != first[name][0] for name in first)
+        first = rewritten
 
 
 def test_simulate_passes_on_fixture(tmp_path, capsys):

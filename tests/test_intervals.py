@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from forestfw import intervals
+from forestfw.policy_lang.syntax import PortRange, port_ranges
 
 
 def test_normalize_merges_overlap_and_adjacency():
@@ -79,3 +80,16 @@ def test_binary_operations_equal_set_operations(a, b):
 @given(interval_sets, st.integers(-3, UNIVERSE + 1))
 def test_contains_equals_membership(a, value):
     assert intervals.contains(a, value) == (value in points(a))
+
+
+@given(st.lists(st.tuples(st.integers(0, UNIVERSE), st.integers(0, UNIVERSE)), max_size=6),
+       st.booleans())
+def test_port_ranges_return_a_normal_tuple_as_it_is(raw, as_port_ranges):
+    """``port_ranges`` normalizes as ``intervals.normalize`` does, into
+    PortRanges, and hands back a tuple of PortRanges already in that form."""
+    if as_port_ranges:
+        raw = [PortRange(lo, hi) for lo, hi in raw]
+    result = port_ranges(tuple(raw))
+    assert result == intervals.normalize(raw)
+    assert all(type(r) is PortRange for r in result)
+    assert port_ranges(result) is result

@@ -370,6 +370,17 @@ def test_repeated_import_is_idempotent():
         assert "shared.s" in spec.services
 
 
+def test_library_service_naming_a_port_group_resolves_in_each_importing_file():
+    # the library's service names a port group the importing file declares,
+    # so a shared import memo must not hand one file's service to the next
+    sources = {"lib.web": "service web { protocol=tcp; tcp.dest_port=web_ports; }"}
+    memo: dict = {}
+    for port in (80, 8080, 80):
+        spec = parse_policy(f"import lib.web;\nport_group web_ports {{ {port} }}",
+                            importer=dict_importer(sources), import_memo=memo)
+        assert spec.services["web.web"].dest_ports == (PortRange(port, port),)
+
+
 def test_edited_library_is_parsed_afresh(tmp_path):
     lib = tmp_path / "mylib" / "svc.policyml"
     lib.parent.mkdir()

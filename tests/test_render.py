@@ -14,6 +14,7 @@ from forestfw.policy_lang.syntax import PortRange
 from forestfw.render import (
     NEUTRAL_HEADER,
     TERMINAL_DENY_LINE,
+    RenderCache,
     loc_metrics,
     manifest_json,
     parse_neutral,
@@ -275,6 +276,19 @@ def test_asa_writes_each_port_operator_after_its_address():
     assert "access-list acl_1 extended permit tcp 10.0.0.0/29 eq 80 10.0.0.16/29" in lines
 
 
+@pytest.mark.parametrize("comment, service_comment", [
+    ("web", "Hypertext"), ("web\rrest of the remark", "Hyper\x85text"), ("", "line\x0bbreak")])
+def test_iptables_loc_counts_what_a_rescan_of_the_config_counts(comment, service_comment):
+    """A remark whose text breaks a line writes a line that is not a comment."""
+    web = AclRule("permit", 6, (net("10.0.0.0/29"),), (net("10.0.0.16/29"),),
+                  dport=(PortRange(80, 80), PortRange(443, 443)), comment=comment,
+                  origin_rule="r", origin_service="web", service_comment=service_comment)
+    cache = RenderCache(True)
+    config = render_device(one_acl_policy(web, log_denies=True), "FW", "iptables_like", cache=cache)
+    assert cache.iptables_loc == sum(1 for line in config.splitlines()
+                                     if line.strip() and not line.strip().startswith("#"))
+
+
 @pytest.mark.parametrize("log_denies", [False, True])
 def test_asa_logs_denies_as_iptables_does(log_denies):
     policy = one_acl_policy(log_denies=log_denies)
@@ -329,9 +343,14 @@ def test_unknown_vendor_and_firewall_rejected(compiled_plant):
 
 
 def test_loc_metrics(plant_spec_fixed, compiled_plant):
-    configs = [render_device(compiled_plant, fw, "iptables_like")
+    cache = RenderCache(compiled_plant.log_denies)
+    configs = [render_device(compiled_plant, fw, "iptables_like", cache=cache)
                for fw in compiled_plant.firewalls()]
-    metrics = loc_metrics(plant_spec_fixed, configs)
+    metrics = loc_metrics(plant_spec_fixed, cache.iptables_loc)
+    # the renderer counts as it writes what a rescan of its output counts
+    assert metrics.device_loc == sum(
+        1 for text in configs for line in text.splitlines()
+        if line.strip() and not line.strip().startswith("#"))
     assert metrics.high_level_loc >= 1
     assert metrics.device_loc > metrics.high_level_loc
     assert metrics.ratio > 1
