@@ -21,9 +21,11 @@ from forestfw.diagnostics import PolicyError
 from forestfw.header_space import Grid
 from forestfw.intervals import Interval, IntervalSet
 from forestfw.policy_lang.syntax import (
+    FULL_RANGE_SET,
     PROTOCOL_NAMES,
     FlowRule,
     PolicySpec,
+    PortRange,
     Service,
     ServiceSet,
     service_plane,
@@ -45,14 +47,6 @@ class CanonicalSlice:
     strips: tuple[tuple[Interval, IntervalSet], ...]
 
 
-@dataclass(frozen=True)
-class CanonicalPolicy:
-    slices: tuple[CanonicalSlice, ...]
-
-    def is_empty(self) -> bool:
-        return not self.slices
-
-
 def _slice_rectangles(services: Iterable[Service]) -> dict[int, list[Rectangle]]:
     """Group the services' planes per protocol."""
     groups: dict[int, list[Rectangle]] = {}
@@ -63,49 +57,40 @@ def _slice_rectangles(services: Iterable[Service]) -> dict[int, list[Rectangle]]
     return groups
 
 
-def _region_strips(rects: Sequence[Rectangle],
-                   minus: Sequence[Rectangle] = ()) -> tuple[tuple[Interval, IntervalSet], ...]:
-    """The maximal strips of the union of ``rects`` less the union of
-    ``minus``, computed on one grid that both sides' bounds cut."""
-    grid = Grid([values for values, _ in (*rects, *minus)],
-                [sports for _, sports in (*rects, *minus)])
-    region = 0
-    for rect in rects:
-        region |= grid.mask(*rect)
+def _strips_less(groups: Sequence[Sequence[Rectangle]], minus: Sequence[Rectangle] = ()
+                 ) -> list[tuple[tuple[Interval, IntervalSet], ...]]:
+    """For each group of rectangles, the maximal strips of its union less
+    the union of ``minus``, computed on one grid that ``minus`` and every
+    group cut, with the mask of ``minus`` ORed once."""
+    every = [rect for rects in (minus, *groups) for rect in rects]
+    grid = Grid([values for values, _ in every], [sports for _, sports in every])
+    dropped = 0
     for rect in minus:
-        region &= ~grid.mask(*rect)
-    return grid.strips(region)
+        dropped |= grid.mask(*rect)
+    out = []
+    for rects in groups:
+        region = 0
+        for rect in rects:
+            region |= grid.mask(*rect)
+        out.append(grid.strips(region & ~dropped))
+    return out
 
 
-def canonical_subtract(p: Iterable[Service], q: Iterable[Service]) -> list[CanonicalSlice]:
-    """The canonical slices of what ``p`` accepts and ``q`` does not (the
-    inclusion counterexample)."""
-    kept, dropped = _slice_rectangles(p), _slice_rectangles(q)
-    slices = []
-    for protocol in sorted(kept):
-        strips = _region_strips(kept[protocol], dropped.get(protocol, ()))
-        if strips:
-            slices.append(CanonicalSlice(protocol, strips))
-    return slices
-
-
-def canonicalize(services: Iterable[Service]) -> CanonicalPolicy:
-    """Map a whitelist service set to its unique canonical form.
-
-    Deterministic: equal input sets, in any order, produce structurally
-    identical output.
-    """
-    return CanonicalPolicy(tuple(canonical_subtract(services, ())))
-
-
-def equivalent(p: Iterable[Service], q: Iterable[Service]) -> bool:
-    """True iff both service sets accept exactly the same packets."""
-    return canonicalize(p) == canonicalize(q)
-
-
-def includes(p: Iterable[Service], q: Iterable[Service]) -> bool:
-    """True iff every packet accepted by ``p`` is accepted by ``q``."""
-    return not canonical_subtract(p, q)
+def subtract_each(groups: Sequence[Iterable[Service]], bound: Iterable[Service]
+                  ) -> list[list[CanonicalSlice]]:
+    """For each group of services, the canonical slices of what it accepts
+    and ``bound`` does not (the inclusion counterexample), on one grid per
+    protocol that the bound and every group of that protocol cut."""
+    kept = [_slice_rectangles(group) for group in groups]
+    dropped = _slice_rectangles(bound)
+    out: list[list[CanonicalSlice]] = [[] for _ in kept]
+    for protocol in sorted({protocol for rects in kept for protocol in rects}):
+        members = [i for i, rects in enumerate(kept) if protocol in rects]
+        strips = _strips_less([kept[i][protocol] for i in members], dropped.get(protocol, ()))
+        for i, group_strips in zip(members, strips):
+            if group_strips:
+                out[i].append(CanonicalSlice(protocol, group_strips))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +116,15 @@ class Violation:
         parts = []
         for sl in self.evidence:
             proto = PROTOCOL_NAMES.get(sl.protocol, str(sl.protocol))
-            for (lo, hi), _sports in sl.strips:
-                values = str(lo) if lo == hi else f"{lo}-{hi}"
+            for values, sports in sl.strips:
                 if sl.protocol == 1:
-                    parts.append(f"protocol 1 ({proto}) icmp type {values}")
+                    parts.append(f"protocol 1 ({proto}) icmp type {PortRange(*values)}")
                 elif sl.protocol in (6, 17):
-                    parts.append(f"protocol {sl.protocol} ({proto}) dport {values}")
+                    # the source ports only when the strip narrows them
+                    narrowed = "" if sports == FULL_RANGE_SET else \
+                        " sport " + ",".join(str(PortRange(*r)) for r in sports)
+                    parts.append(f"protocol {sl.protocol} ({proto}) dport "
+                                 f"{PortRange(*values)}{narrowed}")
                 else:  # a protocol without ports is one full strip
                     parts.append(f"protocol {sl.protocol} ({proto})")
         detail = "; ".join(parts)
@@ -185,8 +173,9 @@ def check_best_practice(flows: Iterable[FlowRule], zone_names: Iterable[str],
     """Inclusion checks for every conduit direction touching a protected zone.
 
     Flows are grouped per (peer zone, protected zone) direction; each group
-    must be included in the matching upper bound.  Failures carry the
-    offending canonical strips as concrete protocol/port evidence.
+    must be included in the matching upper bound.  The groups of one bound
+    are subtracted from it together, on one grid per protocol.  Failures
+    carry the offending canonical strips as concrete protocol/port evidence.
     """
     bp = load_best_practice(bp_spec, zone_names)
     grouped: dict[tuple[str, str, str], list[Service]] = {}
@@ -196,10 +185,10 @@ def check_best_practice(flows: Iterable[FlowRule], zone_names: Iterable[str],
         if flow.src_zone in bp.protected:
             grouped.setdefault((flow.src_zone, flow.dst_zone, "outbound"), []).append(flow.service)
 
-    violations: list[Violation] = []
-    for (src, dst, direction) in sorted(grouped):
-        leftovers = canonical_subtract(grouped[(src, dst, direction)],
-                                       bp.inbound if direction == "inbound" else bp.outbound)
-        if leftovers:
-            violations.append(Violation(src, dst, direction, tuple(leftovers)))
-    return violations
+    keys = sorted(grouped)
+    leftovers: dict[tuple[str, str, str], list[CanonicalSlice]] = {}
+    for direction, bound in (("inbound", bp.inbound), ("outbound", bp.outbound)):
+        bounded = [key for key in keys if key[2] == direction]
+        if bounded:
+            leftovers.update(zip(bounded, subtract_each([grouped[key] for key in bounded], bound)))
+    return [Violation(*key, tuple(leftovers[key])) for key in keys if leftovers[key]]

@@ -73,6 +73,8 @@ class OverlapReport:
                 dims = [f"ip_protocol={svc.protocol}"]
                 if svc.protocol in (6, 17) and svc.dest_ports:
                     dims.append("dest_port=" + ",".join(str(r) for r in svc.dest_ports))
+                if svc.protocol in (6, 17) and svc.source_ports not in ((), FULL_RANGE_SET):
+                    dims.append("source_port=" + ",".join(str(r) for r in svc.source_ports))
                 if svc.protocol == 1 and svc.icmp_types:
                     dims.append("icmp_type=" + ",".join(str(r) for r in svc.icmp_types))
                 parts.append(f"{w.src_zone}->{w.dst_zone} {' '.join(dims)}")

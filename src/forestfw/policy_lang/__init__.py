@@ -9,7 +9,6 @@ consumes.
 """
 
 from forestfw.policy_lang.expand import expand_rules
-from forestfw.policy_lang.lexer import Token, tokenize
 from forestfw.policy_lang.parser import (
     default_importer,
     parse_policy,
@@ -38,13 +37,11 @@ __all__ = [
     "Service",
     "ServiceSet",
     "SetExpr",
-    "Token",
     "ZoneGroup",
     "default_importer",
     "expand_rules",
     "parse_policy",
     "pretty_print",
     "resolve_service_expr",
-    "tokenize",
     "validate_spec",
 ]

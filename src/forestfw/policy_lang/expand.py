@@ -25,10 +25,10 @@ def expand_rules(spec: PolicySpec) -> list[FlowRule]:
         left = sorted(spec.zone_set(rule.left))
         right = sorted(spec.zone_set(rule.right))
         if not left or not right:
-            raise PolicyError(f"rule {rule_name!r} references an empty zone group", spec.file,
+            raise PolicyError(f"rule {rule_name!r} references an empty zone group",
                               *spec.position_of(rule_name))
         if not rule.services:
-            raise PolicyError(f"rule {rule_name!r} has an empty service set", spec.file,
+            raise PolicyError(f"rule {rule_name!r} has an empty service set",
                               *spec.position_of(rule_name))
         directions = [(left, right, rule.left, rule.right)]
         if rule.operator == "<->":
@@ -39,7 +39,7 @@ def expand_rules(spec: PolicySpec) -> list[FlowRule]:
                     if src == dst:
                         raise PolicyError(
                             f"rule {rule_name!r} expands to a flow from zone "
-                            f"{src!r} to itself", spec.file, *spec.position_of(rule_name))
+                            f"{src!r} to itself", *spec.position_of(rule_name))
                     for svc in rule.services:  # ServiceSet iterates name-sorted
                         flows.append(FlowRule(rule_name, src, dst, svc, src_ref, dst_ref))
     return flows

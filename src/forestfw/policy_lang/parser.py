@@ -5,9 +5,14 @@ declarations (imports already merged under their namespace prefix), and a
 resolution pass builds the fully name-resolved :class:`PolicySpec`, with
 set expressions evaluated, port-group references substituted, and every
 name checked against the declaration registry.  The syntactic pass reads
-the scan's token texts by index and compares them in place; it asks for
-a line and column only at a declaration's name, an import's dotted name
-and a diagnostic, and an unresolved or cyclic import is reported there.
+the source's token texts by index and compares them in place.  A
+declaration keeps the index of its name's token and its
+:class:`~forestfw.policy_lang.lexer.Source`, and an import the index of
+its dotted name; a line and column are computed from them only for a
+diagnostic or :meth:`PolicySpec.position_of`, so an error found after
+the parse names the file that declares the name.  The resolver sorts
+the declarations by kind in one pass, and a set expression of a single
+name is that name's set.
 The main file is tokenized and parsed once per :func:`parse_policy` call.  The calls
 that share one import memo parse each imported (file label, text) pair
 once between them: its raw declarations are immutable, so every later
@@ -27,8 +32,9 @@ from forestfw.policy_lang.lexer import (
     DIGITS,
     KEYWORDS,
     NOT_A_WORD,
-    Scan,
+    Source,
     kind_of,
+    scan,
     value_of,
 )
 from forestfw.policy_lang.syntax import (
@@ -96,9 +102,8 @@ def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
 class _RawDecl(NamedTuple):
     kind: str  # service | service_group | port_group | zone_group | policy_rule | rule_group | reporting_rule | policy
     name: str
-    line: int
-    col: int
-    file: str
+    tok: int  # the index of the name's token in ``source``
+    source: Source
     attrs: tuple[tuple[str, Value], ...] = ()
     expr: SetExpr | None = None
     ranges: tuple[PortRange, ...] = ()
@@ -110,18 +115,18 @@ class _RawDecl(NamedTuple):
 
 class _Import(NamedTuple):
     dotted: str
-    line: int  # of the dotted name
-    col: int
+    tok: int  # the index of the dotted name's first token
 
 
 class _RawFile(NamedTuple):
+    source: Source
     imports: tuple[_Import, ...]
     declared_model: str | None
     decls: tuple[_RawDecl, ...]
 
 
 def _parse_file(text: str, file: str) -> _RawFile:
-    return _Parser(Scan(text, file)).raw_file()
+    return _Parser(Source(text, file)).raw_file()
 
 
 # a NamedTuple built without its Python-level constructor
@@ -129,13 +134,13 @@ _new = tuple.__new__
 
 
 class _Parser:
-    """Recursive descent over a scan's token texts, which it compares in
+    """Recursive descent over a source's token texts, which it compares in
     place.  ``pos`` indexes the next token.  The end-of-text token is never
     passed, so the token after any other one exists."""
 
-    def __init__(self, scan: Scan):
-        self.scan = scan
-        self.toks = scan.tokens
+    def __init__(self, source: Source):
+        self.source = source
+        self.toks = scan(source)
         self.pos = 0
 
     def raw_file(self) -> _RawFile:
@@ -149,8 +154,8 @@ class _Parser:
                 raise self.error(f"expected a declaration keyword, got {value_of(tok)!r}")
             self.pos += 1
             if tok == "import":
-                line, col = self.scan.line_col(self.pos)
-                imports.append(_Import(self.dotted(), line, col))
+                k = self.pos
+                imports.append(_Import(self.dotted(), k))
                 self.expect(";")
             elif tok == "load_zone_conduit_model":
                 path = toks[self.pos]
@@ -164,10 +169,10 @@ class _Parser:
                     self.pos += 1
             else:
                 decls.append(self.decl(tok))
-        return _RawFile(tuple(imports), declared_model, tuple(decls))
+        return _RawFile(self.source, tuple(imports), declared_model, tuple(decls))
 
     def error(self, message: str) -> PolicyError:
-        return self.scan.error(message, self.pos)
+        return self.source.error(message, self.pos)
 
     def unexpected(self, expected: str) -> PolicyError:
         """A diagnostic at the next token, which is not the one ``expected``."""
@@ -205,8 +210,8 @@ class _Parser:
         try:
             return int(self.toks[k])
         except ValueError:  # more digits than the interpreter converts
-            raise self.scan.error(f"number of {len(self.toks[k])} digits is too long",
-                                  k) from None
+            raise self.source.error(f"number of {len(self.toks[k])} digits is too long",
+                                    k) from None
 
     def decl(self, kind: str) -> _RawDecl:
         toks = self.toks
@@ -249,8 +254,7 @@ class _Parser:
         else:  # pragma: no cover - keyword set is closed
             raise self.error(f"unsupported declaration {kind!r}")
         self.expect("}")
-        line, col = self.scan.line_col(k)
-        return _new(_RawDecl, (kind, name, line, col, self.scan.file,
+        return _new(_RawDecl, (kind, name, k, self.source,
                                attrs, expr, ranges, left, operator, right, members))
 
     def attrs(self) -> tuple[tuple[str, Value], ...]:
@@ -392,9 +396,8 @@ def _prefix_decls(decls: tuple[_RawDecl, ...], prefix: str) -> list[_RawDecl]:
             _RawDecl(
                 kind=d.kind,
                 name=f"{prefix}.{d.name}",
-                line=d.line,
-                col=d.col,
-                file=d.file,
+                tok=d.tok,
+                source=d.source,
                 attrs=tuple((k, q_value(v)) for k, v in d.attrs),
                 expr=q_expr(d.expr),
                 ranges=d.ranges,
@@ -407,8 +410,7 @@ def _prefix_decls(decls: tuple[_RawDecl, ...], prefix: str) -> list[_RawDecl]:
     return out
 
 
-def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool],
-             memo: dict) -> _RawFile:
+def _collect(raw: _RawFile, importer: Importer, seen: dict[str, bool], memo: dict) -> _RawFile:
     """``raw`` with the declarations of its imports, transitively, merged in
     front of its own; an imported file is parsed here unless ``memo`` holds
     its (file label, text), so an edited library is parsed afresh.  Its
@@ -416,20 +418,20 @@ def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]
     the declarations they were made from, and rebuilt only when those
     differ: what a library brings in depends on the imports seen before."""
     merged: list[_RawDecl] = []
-    for dotted, line, col in raw.imports:
+    for dotted, tok in raw.imports:
         if dotted in seen:
             if not seen[dotted]:
-                raise PolicyError(f"import cycle through {dotted!r}", file, line, col)
+                raise raw.source.error(f"import cycle through {dotted!r}", tok)
             continue
         seen[dotted] = False
         found = importer(dotted)
         if found is None:
-            raise PolicyError(f"unresolved import {dotted!r}", file, line, col)
+            raise raw.source.error(f"unresolved import {dotted!r}", tok)
         label, text = found
         parsed = memo.get((label, text))
         if parsed is None:
             parsed = memo[label, text] = _parse_file(text, label)
-        imported = _collect(parsed, label, importer, seen, memo)
+        imported = _collect(parsed, importer, seen, memo)
         seen[dotted] = True
         prefix = dotted.rsplit(".", 1)[-1]
         made = memo.get((label, text, prefix))
@@ -438,7 +440,7 @@ def _collect(raw: _RawFile, file: str, importer: Importer, seen: dict[str, bool]
                                                 _prefix_decls(imported.decls, prefix))
         merged.extend(made[1])
     merged.extend(raw.decls)
-    return _RawFile(raw.imports, raw.declared_model, tuple(merged))
+    return _RawFile(raw.source, raw.imports, raw.declared_model, tuple(merged))
 
 
 # ---------------------------------------------------------------------------
@@ -453,12 +455,17 @@ _PORT_ATTRS = {
 }
 
 
+# the declaration kinds in the order the resolver builds them
+_DECL_KINDS = ("port_group", "service", "service_group", "zone_group", "policy_rule",
+               "reporting_rule", "rule_group", "policy")
+
+
 class _Resolver:
     def __init__(self, raw: _RawFile, file: str, source: str,
                  main_decls: tuple[_RawDecl, ...], memo: dict):
         self.raw = raw
+        self.main_decls = main_decls
         self.memo = memo
-        self.imported = len(raw.decls) - len(main_decls)  # the leading, imported decls
         self.spec = PolicySpec(
             imports=tuple(imp.dotted for imp in raw.imports),
             declared_model=raw.declared_model,
@@ -466,63 +473,56 @@ class _Resolver:
             source=source,
         )
         self.registry: dict[str, _RawDecl] = {}
-        self.main_names = {d.name for d in main_decls}
         self._svc_sets: dict[str, ServiceSet] = {}
         self._zone_sets: dict[str, frozenset[str]] = {}
         self._resolving: list[str] = []
 
     def err(self, decl: _RawDecl, message: str) -> PolicyError:
-        return PolicyError(message, decl.file, decl.line, decl.col)
+        return decl.source.error(message, decl.tok)
 
     def run(self) -> PolicySpec:
+        spec, registry = self.spec, self.registry
+        by_kind: dict[str, list[_RawDecl]] = {kind: [] for kind in _DECL_KINDS}
         for decl in self.raw.decls:
-            if decl.name in self.registry:
+            if decl.name in registry:
                 raise self.err(decl, f"duplicate declaration of {decl.name!r}")
-            self.registry[decl.name] = decl
-            self.spec.positions[decl.name] = (decl.line, decl.col)
+            registry[decl.name] = decl
+            spec.name_tokens[decl.name] = (decl.source, decl.tok)
+            by_kind[decl.kind].append(decl)
 
-        for decl in self.raw.decls:
-            if decl.kind == "port_group":
-                self.spec.port_groups[decl.name] = PortGroup(decl.name, decl.ranges)
-        for i, decl in enumerate(self.raw.decls):
-            if decl.kind == "service":
-                build = self._library_service if i < self.imported else self._build_service
-                self.spec.services[decl.name] = build(decl)
-                self.spec.raw_attrs[decl.name] = decl.attrs
-        for decl in self.raw.decls:
-            if decl.kind == "service_group":
-                self._service_set(decl.name)
-        for decl in self.raw.decls:
-            if decl.kind == "zone_group":
-                self._zone_set(decl.name)
-        for decl in self.raw.decls:
-            if decl.kind == "policy_rule":
-                self._build_rule(decl)
-        for decl in self.raw.decls:
-            if decl.kind == "reporting_rule":
-                self._build_reporting(decl)
-        for decl in self.raw.decls:
-            if decl.kind == "rule_group":
-                for member in decl.members:
-                    if self.registry.get(member, _MISSING).kind != "policy_rule":
-                        raise self.err(decl, f"rule group {decl.name!r} references "
-                                             f"undeclared policy rule {member!r}")
-                self.spec.rule_groups[decl.name] = decl.members
-        for decl in self.raw.decls:
-            if decl.kind == "policy":
-                if self.spec.global_policy is not None:
-                    raise self.err(decl, "duplicate policy declaration")
-                rg, rr = decl.members
-                if self.registry.get(rg, _MISSING).kind != "rule_group":
-                    raise self.err(decl, f"policy references undeclared rule group {rg!r}")
-                if self.registry.get(rr, _MISSING).kind != "reporting_rule":
-                    raise self.err(decl, f"policy references undeclared reporting rule {rr!r}")
-                self.spec.global_policy = GlobalPolicy(decl.name, rg, rr)
+        for decl in by_kind["port_group"]:
+            spec.port_groups[decl.name] = PortGroup(decl.name, decl.ranges)
+        main = self.raw.source
+        for decl in by_kind["service"]:
+            build = self._build_service if decl.source is main else self._library_service
+            spec.services[decl.name] = build(decl)
+            spec.raw_attrs[decl.name] = decl.attrs
+        for decl in by_kind["service_group"]:
+            self._service_set(decl.name)
+        for decl in by_kind["zone_group"]:
+            self._zone_set(decl.name)
+        for decl in by_kind["policy_rule"]:
+            self._build_rule(decl)
+        for decl in by_kind["reporting_rule"]:
+            self._build_reporting(decl)
+        for decl in by_kind["rule_group"]:
+            for member in decl.members:
+                if registry.get(member, _MISSING).kind != "policy_rule":
+                    raise self.err(decl, f"rule group {decl.name!r} references "
+                                         f"undeclared policy rule {member!r}")
+            spec.rule_groups[decl.name] = decl.members
+        for decl in by_kind["policy"]:
+            if spec.global_policy is not None:
+                raise self.err(decl, "duplicate policy declaration")
+            rg, rr = decl.members
+            if registry.get(rg, _MISSING).kind != "rule_group":
+                raise self.err(decl, f"policy references undeclared rule group {rg!r}")
+            if registry.get(rr, _MISSING).kind != "reporting_rule":
+                raise self.err(decl, f"policy references undeclared reporting rule {rr!r}")
+            spec.global_policy = GlobalPolicy(decl.name, rg, rr)
 
-        self.spec.decl_order = tuple(
-            (d.kind, d.name) for d in self.raw.decls if d.name in self.main_names
-        )
-        return self.spec
+        spec.decl_order = tuple((d.kind, d.name) for d in self.main_decls)
+        return spec
 
     # -- services
 
@@ -706,7 +706,9 @@ def _names_port_group(attrs: tuple[tuple[str, Value], ...]) -> bool:
 def _eval_set_expr(expr: SetExpr, term: Callable[[str], _SetT]) -> _SetT:
     """Evaluate ``first (op term)*`` over sets with ``union``,
     ``intersection`` and ``difference``: ``^`` and ``\\`` bind tighter
-    than ``,`` and associate left to right."""
+    than ``,`` and associate left to right.  A single name is its term."""
+    if not expr.rest:
+        return term(expr.first)
     segments = [term(expr.first)]
     for op, name in expr.rest:
         value = term(name)
@@ -719,7 +721,7 @@ def _eval_set_expr(expr: SetExpr, term: Callable[[str], _SetT]) -> _SetT:
     return segments[0].union(*segments[1:])
 
 
-_MISSING = _RawDecl(kind="<missing>", name="", line=0, col=0, file="")
+_MISSING = _RawDecl(kind="<missing>", name="", tok=0, source=Source(""))
 
 
 def block_names(value: Value, key: str) -> list[str]:
@@ -750,7 +752,7 @@ def parse_policy(text: str, importer: Importer | None = None, file: str = "<poli
     importer = importer or default_importer()
     memo = {} if import_memo is None else import_memo
     main = _parse_file(text, file)
-    raw = _collect(main, file, importer, seen={}, memo=memo)
+    raw = _collect(main, importer, seen={}, memo=memo)
     return _Resolver(raw, file, text, main.decls, memo).run()
 
 

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from forestfw import intervals
+
+if TYPE_CHECKING:
+    from forestfw.policy_lang.lexer import Source
 
 PROTOCOL_NUMBERS: dict[str, int | None] = {
     "tcp": 6,
@@ -165,10 +168,13 @@ class ServiceSet:
     __slots__ = ("_members",)
 
     def __init__(self, services: Iterable[Service] = ()):
-        by_key: dict[tuple, Service] = {}
-        for svc in sorted(services, key=lambda s: s.name):
-            by_key.setdefault(svc.value_key(), svc)
-        self._members = tuple(sorted(by_key.values(), key=lambda s: (s.name, s.value_key())))
+        members = tuple(services)
+        if len(members) > 1:
+            by_key: dict[tuple, Service] = {}
+            for svc in sorted(members, key=lambda s: s.name):
+                by_key.setdefault(svc.value_key(), svc)
+            members = tuple(sorted(by_key.values(), key=lambda s: (s.name, s.value_key())))
+        self._members = members
 
     def __iter__(self) -> Iterator[Service]:
         return iter(self._members)
@@ -306,11 +312,24 @@ class PolicySpec:
     decl_order: tuple[tuple[str, str], ...] = ()
     file: str = field(default="<policy>", compare=False)
     source: str = field(default="", compare=False)
-    positions: dict[str, tuple[int, int]] = field(default_factory=dict, compare=False)
+    # per declared name, the source that declares it and the index of the
+    # name's token there
+    name_tokens: dict[str, tuple[Source, int]] = field(default_factory=dict, compare=False)
     raw_attrs: dict[str, tuple[tuple[str, Value], ...]] = field(default_factory=dict, compare=False)
 
-    def position_of(self, name: str) -> tuple[int, int]:
-        return self.positions.get(name, (0, 0))
+    def position_of(self, name: str) -> tuple[str, int, int]:
+        """The file that declares ``name`` and the line and column of the
+        name there, computed now; for a name no declaration has, the
+        spec's file at 0:0."""
+        if name not in self.name_tokens:
+            return self.file, 0, 0
+        source, tok = self.name_tokens[name]
+        return (source.file, *source.line_col(tok))
+
+    @property
+    def positions(self) -> dict[str, tuple[int, int]]:
+        """The line and column of every declared name, computed now."""
+        return {name: source.line_col(tok) for name, (source, tok) in self.name_tokens.items()}
 
     def zone_set(self, ref: str) -> frozenset[str]:
         """Leaf zones a zone-or-group reference stands for."""

@@ -39,8 +39,7 @@ def validate_spec(spec: PolicySpec) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
 
     def add(severity: str, name: str, message: str) -> None:
-        line, col = spec.position_of(name)
-        diags.append(Diagnostic(severity, message, spec.file, line, col))
+        diags.append(Diagnostic(severity, message, *spec.position_of(name)))
 
     for name, svc in spec.services.items():
         generic = _is_generic(svc)

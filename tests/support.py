@@ -22,13 +22,14 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from forestfw import intervals, render
-from forestfw.canonical import CanonicalPolicy
+from forestfw.canonical import CanonicalSlice, subtract_each
 from forestfw.checker import (
     ACL_REDUNDANCY,
     ACL_SHADOW,
@@ -41,7 +42,7 @@ from forestfw.diagnostics import PolicyError
 from forestfw.header_space import MatchTable, bit_indexes
 from forestfw.intervals import IntervalSet
 from forestfw.netgen import ANY_NET, AclRule, NetworkPolicy, enumerate_paths, hop_acls
-from forestfw.policy_lang.lexer import KEYWORDS
+from forestfw.policy_lang.lexer import KEYWORDS, Source, kind_of, scan, value_of
 from forestfw.policy_lang.syntax import (
     PROTOCOL_NAMES,
     FlowRule,
@@ -164,6 +165,39 @@ def masks_equal(a: dict, b: dict) -> bool:
 
 def masks_subset(a: dict, b: dict) -> bool:
     return all(not np.any(a[k] & ~b[k]) for k in a)
+
+
+# ---------------------------------------------------------------------------
+# the canonical form of one service set, and equivalence and inclusion,
+# from the best-practice subtraction
+
+@dataclass(frozen=True)
+class CanonicalPolicy:
+    slices: tuple[CanonicalSlice, ...]
+
+    def is_empty(self) -> bool:
+        return not self.slices
+
+
+def canonical_subtract(p: Iterable[Service], q: Iterable[Service]) -> list[CanonicalSlice]:
+    """The canonical slices of what ``p`` accepts and ``q`` does not."""
+    return subtract_each([p], q)[0]
+
+
+def canonicalize(services: Iterable[Service]) -> CanonicalPolicy:
+    """The unique canonical form of a whitelist service set: equal input
+    sets, in any order, give structurally identical output."""
+    return CanonicalPolicy(tuple(canonical_subtract(services, ())))
+
+
+def equivalent(p: Iterable[Service], q: Iterable[Service]) -> bool:
+    """True iff both service sets accept exactly the same packets."""
+    return canonicalize(p) == canonicalize(q)
+
+
+def includes(p: Iterable[Service], q: Iterable[Service]) -> bool:
+    """True iff every packet accepted by ``p`` is accepted by ``q``."""
+    return not canonical_subtract(p, q)
 
 
 def canonical_masks(policy: CanonicalPolicy) -> dict:
@@ -681,6 +715,22 @@ def realizable_without_loops(model: ZoneConduitModel, path: list[str]) -> bool:
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the lexer's tokens with their kinds, values and offsets
+
+class Token(NamedTuple):
+    kind: str  # "kw", "ident", "int", "string", "punct", "eof"
+    value: str  # a string's text without its quotes
+    offset: int  # characters of source before the token
+
+
+def tokenize(text: str, file: str = "<policy>") -> list[Token]:
+    """The tokens ``scan`` reads from policy source, each with its offset."""
+    source = Source(text, file)
+    return [Token(kind_of(tok), value_of(tok), source.offset(k))
+            for k, tok in enumerate(scan(source))]
 
 
 # ---------------------------------------------------------------------------

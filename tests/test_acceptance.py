@@ -13,7 +13,6 @@ import time
 from pathlib import Path
 
 from forestfw.checker import find_acl_anomalies, find_rule_overlaps
-from forestfw.canonical import canonicalize, equivalent, includes
 from forestfw.cli import main
 from forestfw.header_space import MatchTable
 from forestfw.policy_lang import expand_rules
@@ -30,7 +29,10 @@ from conftest import FIXTURES
 from support import (
     accept_masks,
     canonical_masks,
+    canonicalize,
+    equivalent,
     from_network_policy,
+    includes,
     masks_equal,
     masks_subset,
     random_accept_rules,

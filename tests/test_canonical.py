@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 
 from forestfw import canonical, intervals
-from forestfw.canonical import (
-    CanonicalPolicy,
-    canonical_subtract,
-    canonicalize,
-    check_best_practice,
-    equivalent,
-    includes,
-    load_best_practice,
-)
+from forestfw.canonical import check_best_practice, load_best_practice
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import expand_rules, parse_policy
 from forestfw.header_space import Packet
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service, service_plane
 from support import (
     PORTLESS,
+    CanonicalPolicy,
     accept_masks,
     canonical_masks,
+    canonical_subtract,
+    canonicalize,
+    equivalent,
     generated_policy_sources,
+    includes,
     masks_equal,
     masks_subset,
     partition_strips,
@@ -334,8 +331,16 @@ def test_violation_evidence_lists_maximal_strips():
     flows = [_flow("web_in", "corp", "scada", tcp("wide", [(1024, 65535)], [(80, 100)]))]
     violations = check_best_practice(flows, ZONES, parse_policy(BOUND_SOURCE))
     assert [v.evidence[0].strips for v in violations] == [(((80, 100), ((1024, 65535),)),)]
+    # only source ports 1024-65535 witness the violation, and the text says so
     assert str(violations[0]).endswith(
-        "(inbound for the protected zone): protocol 6 (tcp) dport 80-100")
+        "(inbound for the protected zone): protocol 6 (tcp) dport 80-100 sport 1024-65535")
+    # source ports the bound leaves in two pieces are listed; a strip with
+    # every source port names none
+    flows = [_flow("web_in", "corp", "scada", tcp("mid", [(0, 65535)], [(84, 86)]))]
+    [violation] = check_best_practice(flows, ZONES, parse_policy(
+        BOUND_SOURCE.replace("0-1023", "100-199")))
+    assert str(violation).endswith(
+        "protocol 6 (tcp) dport 84; protocol 6 (tcp) dport 85-86 sport 0-99,200-65535")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +362,7 @@ def test_partition_sweep_equals_strip_scan_on_random_rectangles():
     for _ in range(500):
         rects = [(_random_interval_set(rng), _random_interval_set(rng))
                  for _ in range(rng.randint(0, 12))]
-        strips = canonical._region_strips(rects)
+        [strips] = canonical._strips_less([rects])
         assert strips == partition_strips_by_scan(rects) == partition_strips(rects), rects
         merged += sum(1 for (_, a), (_, b) in zip(strips, strips[1:]) if a == b)
     assert merged > 0  # equal sport sets apart by a gap stay separate strips
@@ -371,20 +376,21 @@ def test_partition_sweep_equals_strip_scan_on_plant_bulk_and_grids(
     """Every rectangle list the best-practice checks of the plant and bulk
     seeds 1-3 decode, with the bound it is subtracted from, and every zone
     pair's flows on the 2x2-2x4 grids."""
-    inputs = []
-    decode = canonical._region_strips
+    grids = []  # per grid: the groups' rectangle lists and the bound's
+    decode = canonical._strips_less
 
-    def recorded(rects, minus=()):
-        inputs.append((list(rects), list(minus)))
-        return decode(rects, minus)
+    def recorded(groups, minus=()):
+        grids.append(([list(rects) for rects in groups], list(minus)))
+        return decode(groups, minus)
 
-    monkeypatch.setattr(canonical, "_region_strips", recorded)
+    monkeypatch.setattr(canonical, "_strips_less", recorded)
     sources = generated_policy_sources()
     checks = [(plant_spec_fixed, bp_spec)] + [
         (parse_policy(sources[f"bulk{seed}"]),
          parse_policy(sources[f"bulk{seed}_best_practice"])) for seed in (1, 2, 3)]
-    # one decode per protocol of each grouped direction or zone pair
-    expected = 0
+    # one grid per protocol of each bound, one decode per protocol of each
+    # grouped direction or zone pair
+    expected_grids = expected = 0
     for spec, bp in checks:
         flows = expand_rules(spec)
         assert check_best_practice(flows, ZONES_OF_TOPOLOGY, bp) == []
@@ -396,7 +402,10 @@ def test_partition_sweep_equals_strip_scan_on_plant_bulk_and_grids(
                     protocols.setdefault((flow.src_zone, flow.dst_zone, direction),
                                          set()).add(flow.service.protocol)
         expected += sum(map(len, protocols.values()))
-    assert len(inputs) == expected > 0
+        expected_grids += len({(direction, protocol) for (_, _, direction), used
+                               in protocols.items() for protocol in used})
+    inputs = [(rects, minus) for groups, minus in grids for rects in groups]
+    assert len(grids) == expected_grids and len(inputs) == expected > expected_grids > 0
     assert all(minus for _, minus in inputs)
     for shape in ("2x2", "2x3", "2x4"):
         per_pair: dict[tuple[str, str], list[Service]] = {}
@@ -405,11 +414,13 @@ def test_partition_sweep_equals_strip_scan_on_plant_bulk_and_grids(
         for services in per_pair.values():
             canonicalize(services)
             expected += len({service.protocol for service in services})
+    inputs = [(rects, minus) for groups, minus in grids for rects in groups]
     assert len(inputs) == expected
-    for rects, minus in inputs:
-        assert decode(rects) == partition_strips_by_scan(rects)
-        assert decode(rects, minus) == subtract_strips(partition_strips(rects),
-                                                       partition_strips(minus))
+    for groups, minus in grids:
+        assert decode(groups) == [partition_strips_by_scan(rects) for rects in groups]
+        assert decode(groups, minus) == [subtract_strips(partition_strips(rects),
+                                                         partition_strips(minus))
+                                         for rects in groups]
 
 
 def test_grid_union_and_difference_equal_strip_oracles():

@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 
 import forestfw.policy_lang
 from forestfw.diagnostics import PolicyError
-from forestfw.policy_lang import default_importer, parse_policy, pretty_print, tokenize
+from forestfw.policy_lang import (
+    default_importer,
+    expand_rules,
+    parse_policy,
+    pretty_print,
+    validate_spec,
+)
 from forestfw.policy_lang.lexer import NewlineIndex
 from conftest import FIXTURES
-from support import generated_policy_sources, tokenize_by_char
+from support import generated_policy_sources, tokenize, tokenize_by_char
 
 
 def kinds_and_values(text):
@@ -215,6 +221,61 @@ def test_declaration_positions_agree_with_character_oracle(name):
         expected.update((f"{prefix}.{decl}", position)
                         for decl, position in oracle_declaration_positions(library).items())
     assert spec.positions == expected
+
+
+# a global policy over the rules named in its rule group
+GLOBAL_POLICY = "rule_group g {{ {} }}\nreporting_rule rep {{ use_case=none; }}\npolicy pol {{ g; rep; }}\n"
+IMPORTS_LIBRARY = "// the library\n\nimport mylib.svc;\n"
+SELF_FLOW = ("zone_group a { z1 }\nservice web { protocol=tcp; tcp.dest_port=80; }\n"
+             "   policy_rule r { z1 -> a : web }\n")
+
+
+@pytest.mark.parametrize("main, library, check, want", [
+    pytest.param("service s { protocol=tcp; }\n  service s { protocol=udp; }\n", "", None,
+                 "p.policyml:2:11: error: duplicate declaration of 's'", id="duplicate"),
+    pytest.param(IMPORTS_LIBRARY, "service s { protocol=tcp; }\n  service s { protocol=udp; }\n",
+                 None, "mylib/svc.policyml:2:11: error: duplicate declaration of 'svc.s'",
+                 id="duplicate_in_library"),
+    pytest.param("\n\tservice web { protocol=tcp; tcp.dest_port=web_ports; }\n", "", None,
+                 "p.policyml:2:10: error: undeclared port group 'web_ports'",
+                 id="undeclared_port_group"),
+    pytest.param(IMPORTS_LIBRARY, "\n\tservice web { protocol=tcp; tcp.dest_port=web_ports; }\n",
+                 None, "mylib/svc.policyml:2:10: error: undeclared port group 'web_ports'",
+                 id="undeclared_port_group_in_library"),
+    pytest.param("zone_group a { z1 }\nservice web { protocol=tcp;\n  tcp.dest_port=70000; }\n", "",
+                 validate_spec,
+                 "p.policyml:2:9: error: port range 70000-70000 outside 0-65535 in service 'web'",
+                 id="port_range"),
+    pytest.param(IMPORTS_LIBRARY,
+                 "// a port out of range\nservice web { protocol=tcp; tcp.dest_port=70000; }\n",
+                 validate_spec, "mylib/svc.policyml:2:9: error: port range 70000-70000 outside "
+                 "0-65535 in service 'svc.web'", id="port_range_in_library"),
+    pytest.param(SELF_FLOW + GLOBAL_POLICY.format("r"), "", expand_rules,
+                 "p.policyml:3:16: error: rule 'r' expands to a flow from zone 'z1' to itself",
+                 id="self_flow"),
+    pytest.param(IMPORTS_LIBRARY + GLOBAL_POLICY.format("svc.r"), SELF_FLOW, expand_rules,
+                 "mylib/svc.policyml:3:16: error: rule 'svc.r' expands to a flow from zone 'z1' "
+                 "to itself", id="self_flow_in_library"),
+    pytest.param("service s { protocol=tcp; }\n import  no.such.lib;\n", "", None,
+                 "p.policyml:2:10: error: unresolved import 'no.such.lib'", id="unresolved_import"),
+    pytest.param(IMPORTS_LIBRARY, "service s { protocol=tcp; }\n import  no.such.lib;\n", None,
+                 "mylib/svc.policyml:2:10: error: unresolved import 'no.such.lib'",
+                 id="unresolved_import_in_library"),
+])
+def test_errors_after_parsing_name_the_declaring_file_and_position(main, library, check, want):
+    """The first error of parsing ``main``, which may import the library
+    ``mylib.svc``, and then of ``check`` on the spec: a diagnostic found
+    after the parse names the file that declares the name, at its LINE:COL."""
+    importer = {"mylib.svc": ("mylib/svc.policyml", library)}.get
+    try:
+        spec = parse_policy(main, importer, file="p.policyml")
+        if check is validate_spec:
+            error = str(validate_spec(spec)[0])
+        elif check is expand_rules:
+            expand_rules(spec)
+    except PolicyError as err:
+        error = str(err)
+    assert error == want
 
 
 @pytest.mark.parametrize("tail", [" ", "\t", "\n", "// c\n"],
