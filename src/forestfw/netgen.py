@@ -127,8 +127,63 @@ class NetworkPolicy:
 # ---------------------------------------------------------------------------
 # path selection
 
+class PathIndex:
+    """A topology-derived model in the form the path search walks.
+
+    ``bits`` gives each zone one bit, in name order, and ``firewall_bits``
+    ORs the bits of the Firewall-Zones.  ``neighbours`` lists, per zone and
+    in name order, ``(neighbour, bit, masks)`` for each conduit hop:
+    ``masks`` holds one crossing set per firewall that realizes the hop, a
+    bit mask over ``(firewall, interface)`` crossings; a firewall that
+    would enter and leave by the same interface realizes nothing, and a
+    hop no firewall realizes is left out.  ``hop_keys`` maps every
+    directed hop to the :func:`hop_acls` of its crossings.
+
+    ``compile_policy`` builds one per compile and ``SimNetwork`` one per
+    network; :func:`enumerate_paths` builds a throwaway one when called
+    without.  None is kept beyond the compile or network that built it.
+    """
+
+    __slots__ = ("model", "bits", "firewall_bits", "neighbours", "hop_keys")
+
+    def __init__(self, model: ZoneConduitModel) -> None:
+        # a model without conduits has no paths; one with conduits but no
+        # firewall interfaces was declared, not derived, and cannot be walked
+        if model.conduits and not model.firewall_interfaces:
+            raise ValueError("path enumeration needs a topology-derived model")
+        self.model = model
+        self.bits = {name: 1 << i for i, name in enumerate(sorted(model.zones))}
+        self.firewall_bits = 0
+        for name, zone in model.zones.items():
+            if zone.kind == "firewall":
+                self.firewall_bits |= self.bits[name]
+        self.neighbours: dict[str, list[tuple[str, int, tuple[int, ...]]]] = {
+            name: [] for name in model.zones}
+        self.hop_keys: dict[tuple[str, str], tuple[tuple[str, str, str], ...]] = {}
+        fw_zones = firewall_zones(model)
+        crossing_bits: dict[tuple[str, str], int] = {}
+
+        def bit(crossing: tuple[str, str]) -> int:
+            return 1 << crossing_bits.setdefault(crossing, len(crossing_bits))
+
+        for a, b in model.conduits:
+            crossings = hop_crossings(model, a, b, fw_zones)
+            self.hop_keys[a, b] = hop_acls(crossings)
+            # hop b -> a crosses each firewall as a -> b does, the other way round
+            self.hop_keys[b, a] = hop_acls([(fw, exit_, entry)
+                                            for fw, entry, exit_ in crossings])
+            masks = tuple(bit((fw, entry)) | bit((fw, exit_))
+                          for fw, entry, exit_ in crossings if entry != exit_)
+            if masks:
+                self.neighbours[a].append((b, self.bits[b], masks))
+                self.neighbours[b].append((a, self.bits[a], masks))
+        for peers in self.neighbours.values():
+            peers.sort(key=itemgetter(0))
+
+
 def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
-                    established: bool = False) -> list[list[str]]:
+                    established: bool = False, *,
+                    index: PathIndex | None = None) -> list[list[str]]:
     """All practical zone paths from src to dst, lexicographically ordered.
 
     Excluded paths: any with a Firewall-Zone as interior node (firewalls
@@ -139,24 +194,26 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
     established connection retraces a forward path backwards, so
     ``established`` lifts the origination restriction.
 
-    The depth-first search visits neighbours in sorted order, so paths
-    come out in lexicographic order.  Each branch carries its open
-    realizations: the sets of ``(firewall, interface)`` crossings, one per
-    choice of realizing firewall on every hop so far, that cross no
-    interface twice.  A branch is pruned at the first hop that leaves no
-    realization open; crossings only accumulate, so nothing it could still
-    reach would be valid.  The cost follows the number of valid paths, not
-    the number of simple zone paths.  ``compile_policy`` enumerates each
-    zone pair once; the simulator turns the paths into routes, each hop's
-    ACLs from :func:`hop_acls`, and caches them per network
-    (``SimNetwork.routes``).
+    The depth-first search walks ``index``, the model's :class:`PathIndex`
+    (a throwaway one when None), visiting neighbours in name order, so
+    paths come out in lexicographic order.  An int holds the bits of the
+    zones a branch may not enter: those on the path and every
+    Firewall-Zone but ``dst``.  Each branch carries its open realizations:
+    the crossing sets, one per choice of realizing firewall on every hop
+    so far, that cross no interface twice.  A branch is pruned at the
+    first hop that leaves no realization open; crossings only accumulate,
+    so nothing it could still reach would be valid.  The cost follows the
+    number of valid paths, not the number of simple zone paths.
+    ``compile_policy`` enumerates each zone pair once; the simulator turns
+    the paths into routes, each hop's ACLs from the index's ``hop_keys``,
+    and caches them per network (``SimNetwork.routes``).
     """
     if src == dst:
         raise ValueError("path endpoints must differ")
-    # a model without conduits has no paths; one with conduits but no
-    # firewall interfaces was declared, not derived, and cannot be walked
-    if model.conduits and not model.firewall_interfaces:
-        raise ValueError("path enumeration needs a topology-derived model")
+    if index is None:
+        index = PathIndex(model)
+    elif index.model is not model:
+        raise ValueError("the path index belongs to another model")
     for zone in (src, dst):
         if zone not in model.zones:
             raise PolicyError(f"unknown zone {zone!r} in path query")
@@ -166,56 +223,31 @@ def enumerate_paths(model: ZoneConduitModel, src: str, dst: str,
         if dst not in model.firewall_interfaces.get(firewall, {}):
             return []
 
-    fw_zones = firewall_zones(model)
-    adjacency: dict[str, list[str]] = {zone: [] for zone in model.zones}
-    for a, b in model.conduits:
-        # a Firewall-Zone can end a path but never be transited
-        if b == dst or model.zones[b].kind != "firewall":
-            adjacency[a].append(b)
-        if a == dst or model.zones[a].kind != "firewall":
-            adjacency[b].append(a)
-    for peers in adjacency.values():
-        peers.sort()
-
-    # a set of crossings is a bit mask, one bit per (firewall, interface)
-    crossing_bits: dict[tuple[str, str], int] = {}
-
-    def bit(crossing: tuple[str, str]) -> int:
-        return 1 << crossing_bits.setdefault(crossing, len(crossing_bits))
-
-    masks_memo: dict[tuple[str, str], list[int]] = {}
-
-    def crossing_masks(x: str, y: str) -> list[int]:
-        """One crossing set per firewall that can realize hop x -> y."""
-        masks = masks_memo.get((x, y))
-        if masks is None:
-            masks = masks_memo[(x, y)] = [
-                bit((fw, entry)) | bit((fw, exit_))
-                for fw, entry, exit_ in hop_crossings(model, x, y, fw_zones) if entry != exit_]
-        return masks
-
+    neighbours = index.neighbours
+    dst_bit = index.bits[dst]
     paths: list[list[str]] = []
     path = [src]
-    on_path = {src}
 
-    def dfs(current: str, realizations: set[int]) -> None:
-        for nxt in adjacency[current]:
-            if nxt in on_path:
+    def dfs(current: str, blocked: int, realizations: list[int]) -> None:
+        for nxt, nxt_bit, masks in neighbours[current]:
+            if nxt_bit & blocked:
                 continue
-            extended = {realized | crossed for crossed in crossing_masks(current, nxt)
-                        for realized in realizations if not realized & crossed}
+            extended = []
+            for crossed in masks:
+                for realized in realizations:
+                    if not realized & crossed:
+                        extended.append(realized | crossed)
             if not extended:
                 continue  # every realization would reuse an interface
-            if nxt == dst:
+            if nxt_bit == dst_bit:
                 paths.append(path + [nxt])
                 continue
             path.append(nxt)
-            on_path.add(nxt)
-            dfs(nxt, extended)
-            on_path.discard(nxt)
+            dfs(nxt, blocked | nxt_bit, extended)
             path.pop()
 
-    dfs(src, {0})
+    # a Firewall-Zone can end a path but never be transited
+    dfs(src, index.bits[src] | (index.firewall_bits & ~dst_bit), [0])
     return paths
 
 
@@ -231,11 +263,9 @@ def hop_crossings(model: ZoneConduitModel, x: str, y: str,
             for fw in sorted(model.conduit_between(x, y).firewalls)]
 
 
-def hop_acls(model: ZoneConduitModel, x: str, y: str,
-             fw_zones: Mapping[str, str]) -> tuple[tuple[str, str, str], ...]:
-    """The ACLs ``(firewall, interface, direction)`` that filter hop x -> y,
-    one per firewall realizing it, in name order; ``fw_zones`` maps each
-    firewall to its own zone.
+def hop_acls(crossings: Iterable[tuple[str, str, str]]) -> tuple[tuple[str, str, str], ...]:
+    """The ACLs ``(firewall, interface, direction)`` that filter a hop, one
+    per :func:`hop_crossings` entry of it, in its order.
 
     Traffic a firewall originates is filtered on its local stage outbound,
     traffic addressed to it on its local stage inbound, and transit traffic
@@ -243,7 +273,7 @@ def hop_acls(model: ZoneConduitModel, x: str, y: str,
     """
     return tuple((fw, LOCAL_INTERFACE, "outbound") if entry == LOCAL_INTERFACE
                  else (fw, exit_ if exit_ == LOCAL_INTERFACE else entry, "inbound")
-                 for fw, entry, exit_ in hop_crossings(model, x, y, fw_zones))
+                 for fw, entry, exit_ in crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +433,10 @@ def verify_policy(spec: PolicySpec, topo: Topology, options: CompileOptions
     if has_errors(diags):
         return model, None, diags
 
+    # an overlap stands at its first rule's declaration; a best-practice
+    # violation names a conduit, not a rule, and stays at the file
     for report in find_rule_overlaps(flows):
-        error(str(report))
+        diags.append(Diagnostic("error", str(report), *spec.position_of(report.rule_a)))
     if options.best_practice is not None:
         for violation in check_best_practice(flows, model.zones, options.best_practice):
             error(str(violation))
@@ -432,7 +464,7 @@ def compile_policy(spec: PolicySpec, topo: Topology,
             logged_rules.add(group)
     verification_logging = bool(logged_rules)
 
-    fw_zones = firewall_zones(model)
+    index = PathIndex(model)
     # per zone pair, the (forward, return) ACL keys of every distinct hop of
     # its paths: a flow installs the same rules on a hop whichever path
     # crosses it, so visiting a hop again would only add duplicates
@@ -448,11 +480,10 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     for flow in flows:
         pair = (flow.src_zone, flow.dst_zone)
         if pair not in targets_cache:
-            paths = enumerate_paths(model, *pair)
+            paths = enumerate_paths(model, *pair, index=index)
             hops = dict.fromkeys(hop for path in paths for hop in zip(path, path[1:]))
-            targets_cache[pair] = [
-                keys for x, y in hops
-                for keys in zip(hop_acls(model, x, y, fw_zones), hop_acls(model, y, x, fw_zones))]
+            targets_cache[pair] = [keys for x, y in hops
+                                   for keys in zip(index.hop_keys[x, y], index.hop_keys[y, x])]
         targets = targets_cache[pair]
         if not targets:
             diags.append(Diagnostic(

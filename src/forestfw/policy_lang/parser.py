@@ -38,6 +38,7 @@ from forestfw.policy_lang.lexer import (
     value_of,
 )
 from forestfw.policy_lang.syntax import (
+    PORT_ATTRS,
     PROTOCOL_NUMBERS,
     FULL_PORT_RANGE,
     GlobalPolicy,
@@ -446,15 +447,6 @@ def _collect(raw: _RawFile, importer: Importer, seen: dict[str, bool], memo: dic
 # ---------------------------------------------------------------------------
 # resolution
 
-_PORT_ATTRS = {
-    "tcp.source_port": "source_ports",
-    "tcp.dest_port": "dest_ports",
-    "udp.source_port": "source_ports",
-    "udp.dest_port": "dest_ports",
-    "icmp.type": "icmp_types",
-}
-
-
 # the declaration kinds in the order the resolver builds them
 _DECL_KINDS = ("port_group", "service", "service_group", "zone_group", "policy_rule",
                "reporting_rule", "rule_group", "policy")
@@ -552,8 +544,8 @@ class _Resolver:
             if key == "protocol":
                 protocol_seen = True
                 protocol = self._protocol_value(decl, value)
-            elif key in _PORT_ATTRS:
-                field_name = _PORT_ATTRS[key]
+            elif key in PORT_ATTRS:
+                field_name = PORT_ATTRS[key]
                 ports[field_name] = ports.get(field_name, ()) + self._range_value(decl, value)
             elif key == "comment":
                 if not isinstance(value, VString):
@@ -700,7 +692,7 @@ def _names_port_group(attrs: tuple[tuple[str, Value], ...]) -> bool:
     def names(value: Value) -> bool:
         return isinstance(value, VName) or (
             isinstance(value, VList) and any(names(item) for item in value.items))
-    return any(key in _PORT_ATTRS and names(value) for key, value in attrs)
+    return any(key in PORT_ATTRS and names(value) for key, value in attrs)
 
 
 def _eval_set_expr(expr: SetExpr, term: Callable[[str], _SetT]) -> _SetT:

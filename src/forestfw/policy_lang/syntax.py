@@ -100,6 +100,16 @@ class VBlock(Value):
 # ---------------------------------------------------------------------------
 # services
 
+# a service's range attributes and the Service field each one fills
+PORT_ATTRS = {
+    "tcp.source_port": "source_ports",
+    "tcp.dest_port": "dest_ports",
+    "udp.source_port": "source_ports",
+    "udp.dest_port": "dest_ports",
+    "icmp.type": "icmp_types",
+}
+
+
 @dataclass(frozen=True)
 class Service:
     """A traffic service: one IP protocol plus its attribute constraints.

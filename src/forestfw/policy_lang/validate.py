@@ -8,12 +8,19 @@ them.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from forestfw.diagnostics import Diagnostic
 from forestfw.policy_lang.syntax import (
+    PORT_ATTRS,
     PORT_MAX,
     ICMP_TYPE_MAX,
     PolicySpec,
+    PortRange,
     Service,
+    Value,
+    VList,
+    VName,
 )
 
 _PORT_FIELDS = ("source_ports", "dest_ports")
@@ -34,6 +41,29 @@ def _is_generic(svc: Service) -> str | None:
     return None
 
 
+def _bad_port_group_range(lo: int, hi: int) -> bool:
+    """Whether the port-group check reports the range ``lo``-``hi``."""
+    return lo > hi or lo < 0 or hi > PORT_MAX
+
+
+def _group_ranges(spec: PolicySpec, name: str) -> Counter[tuple[str, PortRange]]:
+    """``(field, range)`` of every port-group range service ``name``'s
+    attributes name, counted once per naming."""
+    out: Counter[tuple[str, PortRange]] = Counter()
+
+    def walk(field: str, value: Value) -> None:
+        if isinstance(value, VName) and value.name in spec.port_groups:
+            out.update((field, r) for r in spec.port_groups[value.name].ranges)
+        elif isinstance(value, VList):
+            for item in value.items:
+                walk(field, item)
+
+    for key, value in spec.raw_attrs.get(name, ()):
+        if key in PORT_ATTRS:
+            walk(PORT_ATTRS[key], value)
+    return out
+
+
 def validate_spec(spec: PolicySpec) -> list[Diagnostic]:
     """Check a parsed spec; diagnostics are the return value."""
     diags: list[Diagnostic] = []
@@ -45,13 +75,24 @@ def validate_spec(spec: PolicySpec) -> list[Diagnostic]:
         generic = _is_generic(svc)
         if generic is not None:
             add("error", name, f"generic service {generic} prohibited ({name!r})")
+        # a bad range of a port group is reported once, at the group
+        from_groups: Counter[tuple[str, PortRange]] | None = None
         for field in _PORT_FIELDS + ("icmp_types",):
             upper = ICMP_TYPE_MAX if field == "icmp_types" else PORT_MAX
             label = "ICMP type" if field == "icmp_types" else "port"
-            for lo, hi in getattr(svc, field):
+            for r in getattr(svc, field):
+                lo, hi = r
+                if not (lo > hi or lo < 0 or hi > upper):
+                    continue
+                if _bad_port_group_range(lo, hi):
+                    if from_groups is None:
+                        from_groups = _group_ranges(spec, name)
+                    if from_groups[field, r]:
+                        from_groups[field, r] -= 1
+                        continue
                 if lo > hi:
                     add("error", name, f"empty {label} range {lo}-{hi} in service {name!r}")
-                elif lo < 0 or hi > upper:
+                else:
                     add("error", name,
                         f"{label} range {lo}-{hi} outside 0-{upper} in service {name!r}")
         if svc.protocol not in (6, 17) and (svc.source_ports or svc.dest_ports):
@@ -63,9 +104,11 @@ def validate_spec(spec: PolicySpec) -> list[Diagnostic]:
 
     for name, group in spec.port_groups.items():
         for lo, hi in group.ranges:
+            if not _bad_port_group_range(lo, hi):
+                continue
             if lo > hi:
                 add("error", name, f"empty port range {lo}-{hi} in port group {name!r}")
-            elif lo < 0 or hi > PORT_MAX:
+            else:
                 add("error", name, f"port range {lo}-{hi} outside 0-{PORT_MAX} "
                                    f"in port group {name!r}")
 

@@ -626,94 +626,6 @@ def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
     return "\n".join(out) + "\n"
 
 
-_IPT_BIND_FORWARD = re.compile(r"^-A FORWARD -i (\S+) -j (\S+)$")
-_IPT_BIND_LOCAL = re.compile(r"^-A (INPUT|OUTPUT) -j (\S+)$")
-_IPT_RULE = re.compile(r"^-A (\S+)(.*) -j (ACCEPT|DROP)$")
-
-
-def parse_iptables_like(text: str) -> tuple[dict[str, list[AclRule]],
-                                            list[tuple[str, str, str]]]:
-    """Load the iptables-like rendering back into rules and bindings.
-
-    Semantics-preserving, not structure-preserving: multi-range rules come
-    back as one rule per range, which decides identically.  LOG lines and
-    comments are skipped.  Bindings are (interface, direction, acl) with
-    the local stages mapped from INPUT/OUTPUT.
-    """
-    acls: dict[str, list[AclRule]] = {}
-    bindings: list[tuple[str, str, str]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("#", ":", "*")) or line == "COMMIT":
-            continue
-        bind = _IPT_BIND_FORWARD.match(line)
-        if bind:
-            bindings.append((bind.group(1), "inbound", bind.group(2)))
-            continue
-        bind = _IPT_BIND_LOCAL.match(line)
-        if bind:
-            direction = "inbound" if bind.group(1) == "INPUT" else "outbound"
-            bindings.append((LOCAL_INTERFACE, direction, bind.group(2)))
-            continue
-        rule_m = _IPT_RULE.match(line)
-        if rule_m is None:
-            if "-j LOG" in line:
-                continue
-            raise PolicyError(f"unrecognized iptables-like line: {line!r}")
-        chain, match, target = rule_m.groups()
-        acls.setdefault(chain, []).append(_iptables_rule(match, target))
-    return acls, bindings
-
-
-def _iptables_rule(match: str, target: str) -> AclRule:
-    tokens = match.split()
-    protocol: int | None = None
-    src = (ipaddress.IPv4Network("0.0.0.0/0"),)
-    dst = (ipaddress.IPv4Network("0.0.0.0/0"),)
-    sport: tuple[PortRange, ...] = ()
-    dport: tuple[PortRange, ...] = ()
-    state: tuple[str, ...] = ()
-    i = 0
-
-    def port_of(text: str) -> PortRange:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            return PortRange(int(lo), int(hi))
-        return PortRange(int(text), int(text))
-
-    while i < len(tokens):
-        flag = tokens[i]
-        if flag == "-p":
-            name = tokens[i + 1]
-            protocol = PROTOCOL_NUMBERS[name] if name in PROTOCOL_NUMBERS else int(name)
-            i += 2
-        elif flag == "-s":
-            src = _parse_addr(tokens[i + 1])
-            i += 2
-        elif flag == "-d":
-            dst = _parse_addr(tokens[i + 1])
-            i += 2
-        elif flag == "--sport":
-            sport = (port_of(tokens[i + 1]),)
-            i += 2
-        elif flag == "--dport":
-            dport = (port_of(tokens[i + 1]),)
-            i += 2
-        elif flag == "--icmp-type":
-            dport = (PortRange(int(tokens[i + 1]), int(tokens[i + 1])),)
-            i += 2
-        elif flag == "-m" and i + 1 < len(tokens) and tokens[i + 1] == "state":
-            i += 2
-        elif flag == "--state":
-            state = tuple(tokens[i + 1].split(","))
-            i += 2
-        else:
-            raise PolicyError(f"unrecognized iptables-like match flag {flag!r}")
-    return AclRule(
-        action="permit" if target == "ACCEPT" else "deny",
-        protocol=protocol, src=src, dst=dst, sport=sport, dport=dport, state=state)
-
-
 # ---------------------------------------------------------------------------
 # compile manifest and LoC metrics
 

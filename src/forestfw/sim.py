@@ -1,7 +1,9 @@
 """In-process packet-filter simulator.
 
 The simulator walks packets along routes: conduit paths whose hops carry
-the ACLs ``netgen.hop_acls`` assigns them, as compile does.  It evaluates
+the ACLs ``netgen.hop_acls`` assigns them, as compile does.  Each network
+builds one :class:`forestfw.netgen.PathIndex` of its model, on first use,
+and every path search and route of the network walks it.  It evaluates
 each traversed firewall's ACL first-match, with a connection table gating
 ESTABLISHED traffic.  Packets are :class:`forestfw.header_space.Packet`
 header points.  Each bound ACL is encoded once into a
@@ -28,7 +30,7 @@ from pathlib import Path
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError, read_text
 from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet, address_intervals
-from forestfw.netgen import AclRule, enumerate_paths, hop_acls
+from forestfw.netgen import AclRule, PathIndex, enumerate_paths
 from forestfw.policy_lang.syntax import (
     FULL_ICMP_SET,
     ICMP_TYPE_MAX,
@@ -114,6 +116,8 @@ class SimNetwork:
     codes: dict = field(default_factory=dict, repr=False, compare=False)
     # (model, sorted disjoint (lo, hi, zone) spans), built on first use
     zone_spans: tuple | None = field(default=None, repr=False, compare=False)
+    # the model's path index, built on first use (``path_index``)
+    index: PathIndex | None = field(default=None, repr=False, compare=False)
 
     def reset_connections(self) -> None:
         self.connections.clear()
@@ -121,9 +125,17 @@ class SimNetwork:
     def routes(self, src: str, dst: str, established: bool = False) -> list[Route]:
         key = (src, dst, established)
         if key not in self.route_cache:
+            index = self.path_index()
             self.route_cache[key] = routes_of(
-                self.model, enumerate_paths(self.model, src, dst, established))
+                self.model, enumerate_paths(self.model, src, dst, established, index=index),
+                index)
         return self.route_cache[key]
+
+    def path_index(self) -> PathIndex:
+        """The path index of ``model``, rebuilt once ``model`` is another."""
+        if self.index is None or self.index.model is not self.model:
+            self.index = PathIndex(self.model)
+        return self.index
 
     def match_table(self, key: tuple[str, str, str]) -> MatchTable:
         """The match table of the ACL bound at ``key``, rebuilt once
@@ -149,12 +161,15 @@ class SimNetwork:
         return spans[i][2] if i >= 0 and addr <= spans[i][1] else None
 
 
-def routes_of(model: ZoneConduitModel, paths: list[list[str]]) -> list[Route]:
-    """The routes of zone paths, in path order; :func:`netgen.hop_acls`
-    decides each hop's ACLs."""
-    fw_zones = firewall_zones(model)
-    return [tuple(hop_acls(model, x, y, fw_zones) for x, y in zip(path, path[1:]))
-            for path in paths]
+def routes_of(model: ZoneConduitModel, paths: list[list[str]],
+              index: PathIndex | None = None) -> list[Route]:
+    """The routes of zone paths, in path order: each hop's ACLs as
+    :func:`netgen.hop_acls` names them, read from ``index``, the model's
+    path index (a throwaway one when None)."""
+    if index is None:
+        index = PathIndex(model)
+    hop_keys = index.hop_keys
+    return [tuple(hop_keys[hop] for hop in zip(path, path[1:])) for path in paths]
 
 
 def load_compiled(directory: Path | str) -> SimNetwork:
@@ -435,12 +450,15 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
         implied[pair_protocol] = implied.get(pair_protocol, 0) | grid.mask(values)
     scanned_atoms = grid.mask(scanned)
     leaks: list[Leak] = []
+    index = net.path_index()
     zones = sorted(net.model.zones)
     for src_zone in zones:
         for dst_zone in zones:
             if src_zone == dst_zone:
                 continue
-            routes = routes_of(net.model, enumerate_paths(net.model, src_zone, dst_zone))
+            routes = routes_of(net.model,
+                               enumerate_paths(net.model, src_zone, dst_zone, index=index),
+                               index)
             if not routes:
                 continue
             src_addr = _zone_rep_addr(net.model.zones[src_zone])

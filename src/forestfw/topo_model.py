@@ -16,6 +16,7 @@ from __future__ import annotations
 import ipaddress
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from forestfw.diagnostics import InputError, PolicyError
@@ -48,16 +49,6 @@ class Topology:
     links: list[Link] = field(default_factory=list)
     file: str = "<topology>"  # the document it was loaded from, for diagnostics
 
-    def neighbors(self, name: str) -> list[tuple[str, str]]:
-        """(peer device, local interface) pairs for a device."""
-        out = []
-        for link in self.links:
-            if link.dev_a == name:
-                out.append((link.dev_b, link.if_a))
-            elif link.dev_b == name:
-                out.append((link.dev_a, link.if_b))
-        return out
-
 
 @dataclass(frozen=True)
 class Zone:
@@ -82,7 +73,7 @@ class ZoneConduitModel:
     warnings: list[str] = field(default_factory=list)
 
     def conduit_between(self, a: str, b: str) -> Conduit | None:
-        return self.conduits.get(tuple(sorted((a, b))))
+        return self.conduits.get((a, b) if a < b else (b, a))
 
     def neighbors(self, zone: str) -> list[str]:
         out = []
@@ -228,6 +219,12 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
     """Group devices into disjoint zones and record firewall adjacencies."""
     model = ZoneFirewallModel()
     firewalls = [d for d in topo.devices.values() if d.kind == "firewall"]
+    # (peer device, local interface) pairs per device, in link order
+    peers: dict[str, list[tuple[str, str]]] = {}
+    for link in topo.links:
+        peers.setdefault(link.dev_a, []).append((link.dev_b, link.if_a))
+        if link.dev_b != link.dev_a:
+            peers.setdefault(link.dev_b, []).append((link.dev_a, link.if_b))
 
     # regular zones from labels (hosts may inherit their subnet's label)
     zone_members: dict[str, list[Device]] = {}
@@ -240,7 +237,7 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
         if dev.kind == "host" and not dev.zone_label:
             subnet_labels = {
                 labelled[peer]
-                for peer, _ in topo.neighbors(dev.name)
+                for peer, _ in peers.get(dev.name, ())
                 if peer in labelled and topo.devices[peer].kind == "subnet"
             }
             if len(subnet_labels) != 1:
@@ -280,7 +277,7 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
     for dev in topo.devices.values():
         if dev.kind != "subnet" or dev.zone_label:
             continue
-        adjacent_fws = {peer for peer, _ in topo.neighbors(dev.name)
+        adjacent_fws = {peer for peer, _ in peers.get(dev.name, ())
                         if topo.devices[peer].kind == "firewall"}
         if len(adjacent_fws) < 2:
             raise PolicyError(
@@ -296,11 +293,11 @@ def build_zone_firewall_model(topo: Topology) -> ZoneFirewallModel:
 
     # firewall adjacencies: which interface faces which zone
     for fw in firewalls:
-        peers = topo.neighbors(fw.name)
-        if not peers:
+        links = peers.get(fw.name, ())
+        if not links:
             model.warnings.append(f"firewall {fw.name!r} has no links; it realizes no conduits")
         adjacency: dict[str, str] = {}
-        for peer, iface in sorted(peers, key=lambda p: (p[1], p[0])):
+        for peer, iface in sorted(links, key=lambda p: (p[1], p[0])):
             zone = labelled.get(peer)
             if zone is None:
                 raise PolicyError(f"device {peer!r} linked to firewall {fw.name!r} "
@@ -317,19 +314,37 @@ def _check_fresh(model: ZoneFirewallModel, name: str, device: str, file: str) ->
 
 
 def _check_zone_disjointness(zones: Iterable[Zone], file: str) -> None:
-    seen: list[Zone] = []
+    """Raise unless no device and no address lies in two zones.
+
+    Members go into one member -> zone map; a member already in it names
+    the two zones.  CIDRs are swept once, sorted by first address, keeping
+    the one that reaches highest so far; a CIDR of another zone that starts
+    at or below its last address overlaps it.  That finds a conflict
+    whenever there is one: at the first CIDR that overlaps an earlier CIDR
+    of another zone, the highest-reaching CIDR covers its start, and it
+    cannot be of the same zone without overlapping that earlier CIDR, an
+    earlier conflict.  Of several conflicts, the first that a zone's
+    sorted members or the sweep meets is named.
+    """
+    zones = list(zones)
+    owner: dict[str, Zone] = {}
     for zone in zones:
-        for other in seen:
-            if zone.members & other.members:
+        for member in sorted(zone.members):
+            other = owner.setdefault(member, zone)
+            if other is not zone:
                 raise PolicyError(f"device in both zones {zone.name!r} and {other.name!r}",
                                   file)
-            for a in zone.cidrs:
-                for b in other.cidrs:
-                    if a.overlaps(b):
-                        raise PolicyError(
-                            f"zone CIDRs overlap: {a} ({zone.name}) and {b} ({other.name})",
-                            file)
-        seen.append(zone)
+
+    spans = sorted(((int(net.network_address), int(net.broadcast_address), i, net)
+                    for i, zone in enumerate(zones) for net in zone.cidrs),
+                   key=itemgetter(0, 1, 2))
+    top: tuple | None = None  # (last address, zone position, CIDR) reaching highest
+    for first, last, i, net in spans:
+        if top is not None and top[1] != i and first <= top[0]:
+            raise PolicyError(f"zone CIDRs overlap: {net} ({zones[i].name}) and "
+                              f"{top[2]} ({zones[top[1]].name})", file)
+        if top is None or last > top[0]:
+            top = (last, i, net)
 
 
 def derive_zone_conduit(zf: ZoneFirewallModel) -> ZoneConduitModel:
@@ -348,9 +363,9 @@ def derive_zone_conduit(zf: ZoneFirewallModel) -> ZoneConduitModel:
         fwz = fw_zones[fw]
         adjacent = sorted(adjacency)
         for i, a in enumerate(adjacent):
-            realizers.setdefault(tuple(sorted((fwz, a))), set()).add(fw)
-            for b in adjacent[i + 1:]:
-                realizers.setdefault(tuple(sorted((a, b))), set()).add(fw)
+            realizers.setdefault((fwz, a) if fwz < a else (a, fwz), set()).add(fw)
+            for b in adjacent[i + 1:]:  # a < b: adjacent is sorted
+                realizers.setdefault((a, b), set()).add(fw)
 
     for pair in sorted(realizers):
         model.conduits[pair] = Conduit(pair, frozenset(realizers[pair]))

@@ -21,6 +21,7 @@ import ipaddress
 import itertools
 import json
 import random
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,10 +42,18 @@ from forestfw.checker import (
 from forestfw.diagnostics import PolicyError
 from forestfw.header_space import MatchTable, bit_indexes
 from forestfw.intervals import IntervalSet
-from forestfw.netgen import ANY_NET, AclRule, NetworkPolicy, enumerate_paths, hop_acls
+from forestfw.netgen import (
+    ANY_NET,
+    AclRule,
+    NetworkPolicy,
+    enumerate_paths,
+    hop_acls,
+    hop_crossings,
+)
 from forestfw.policy_lang.lexer import KEYWORDS, Source, kind_of, scan, value_of
 from forestfw.policy_lang.syntax import (
     PROTOCOL_NAMES,
+    PROTOCOL_NUMBERS,
     FlowRule,
     PortRange,
     Service,
@@ -64,6 +73,7 @@ from forestfw.sim import (
 )
 from forestfw.topo_model import (
     LOCAL_INTERFACE,
+    Zone,
     ZoneConduitModel,
     build_zone_firewall_model,
     derive_zone_conduit,
@@ -471,7 +481,7 @@ def inject_by_scan(net: SimNetwork, packet: Packet, ingress_zone: str) -> tuple:
                                 packet.state == ESTABLISHED):
         trace = ()
         for x, y in zip(path, path[1:]):
-            for key in hop_acls(net.model, x, y, fw_zones):
+            for key in hop_acls(hop_crossings(net.model, x, y, fw_zones)):
                 action, text = first_match_by_scan(net.acl_map.get(key, ()), packet)
                 hop = TraceHop(key[0], key[1], action, text)
                 if action == "permit":
@@ -520,7 +530,7 @@ def pair_plan(net: SimNetwork, src_zone: str, dst_zone: str):
         for x, y in zip(path, path[1:]):
             hops.append([[r for r in net.acl_map.get(key, ())
                           if _addr_in(src_addr, r.src) and _addr_in(dst_addr, r.dst)]
-                         for key in hop_acls(net.model, x, y, fw_zones)])
+                         for key in hop_acls(hop_crossings(net.model, x, y, fw_zones))])
         paths.append(hops)
     services = [f.service for f in net.flows
                 if f.src_zone == src_zone and f.dst_zone == dst_zone]
@@ -1293,6 +1303,119 @@ def kwargs_render_device(policy, firewall: str, vendor_id: str, templates_dir=No
 
 
 # ---------------------------------------------------------------------------
+# zone disjointness by pairs
+
+def zone_disjointness_by_pairs(zones: Iterable[Zone], file: str) -> None:
+    """``topo_model._check_zone_disjointness`` decided the slow way: every
+    pair of zones, their members, then every pair of their CIDRs with
+    ``IPv4Network.overlaps``; the first conflict raises."""
+    seen: list[Zone] = []
+    for zone in zones:
+        for other in seen:
+            if zone.members & other.members:
+                raise PolicyError(f"device in both zones {zone.name!r} and {other.name!r}",
+                                  file)
+            for a in zone.cidrs:
+                for b in other.cidrs:
+                    if a.overlaps(b):
+                        raise PolicyError(
+                            f"zone CIDRs overlap: {a} ({zone.name}) and {b} ({other.name})",
+                            file)
+        seen.append(zone)
+
+
+# ---------------------------------------------------------------------------
+# iptables-like reader
+
+_IPT_BIND_FORWARD = re.compile(r"^-A FORWARD -i (\S+) -j (\S+)$")
+_IPT_BIND_LOCAL = re.compile(r"^-A (INPUT|OUTPUT) -j (\S+)$")
+_IPT_RULE = re.compile(r"^-A (\S+)(.*) -j (ACCEPT|DROP)$")
+
+
+def parse_iptables_like(text: str) -> tuple[dict[str, list[AclRule]],
+                                            list[tuple[str, str, str]]]:
+    """Load the iptables-like rendering back into rules and bindings.
+
+    Semantics-preserving, not structure-preserving: multi-range rules come
+    back as one rule per range, which decides identically.  LOG lines and
+    comments are skipped.  Bindings are (interface, direction, acl) with
+    the local stages mapped from INPUT/OUTPUT.
+    """
+    acls: dict[str, list[AclRule]] = {}
+    bindings: list[tuple[str, str, str]] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith(("#", ":", "*")) or line == "COMMIT":
+            continue
+        bind = _IPT_BIND_FORWARD.match(line)
+        if bind:
+            bindings.append((bind.group(1), "inbound", bind.group(2)))
+            continue
+        bind = _IPT_BIND_LOCAL.match(line)
+        if bind:
+            direction = "inbound" if bind.group(1) == "INPUT" else "outbound"
+            bindings.append((LOCAL_INTERFACE, direction, bind.group(2)))
+            continue
+        rule_m = _IPT_RULE.match(line)
+        if rule_m is None:
+            if "-j LOG" in line:
+                continue
+            raise PolicyError(f"unrecognized iptables-like line: {line!r}")
+        chain, match, target = rule_m.groups()
+        acls.setdefault(chain, []).append(_iptables_rule(match, target))
+    return acls, bindings
+
+
+def _iptables_rule(match: str, target: str) -> AclRule:
+    tokens = match.split()
+    protocol: int | None = None
+    src = (ANY_NET,)
+    dst = (ANY_NET,)
+    sport: tuple[PortRange, ...] = ()
+    dport: tuple[PortRange, ...] = ()
+    state: tuple[str, ...] = ()
+    i = 0
+
+    def port_of(text: str) -> PortRange:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return PortRange(int(lo), int(hi))
+        return PortRange(int(text), int(text))
+
+    while i < len(tokens):
+        flag = tokens[i]
+        if flag == "-p":
+            name = tokens[i + 1]
+            protocol = PROTOCOL_NUMBERS[name] if name in PROTOCOL_NUMBERS else int(name)
+            i += 2
+        elif flag == "-s":
+            src = render._parse_addr(tokens[i + 1])
+            i += 2
+        elif flag == "-d":
+            dst = render._parse_addr(tokens[i + 1])
+            i += 2
+        elif flag == "--sport":
+            sport = (port_of(tokens[i + 1]),)
+            i += 2
+        elif flag == "--dport":
+            dport = (port_of(tokens[i + 1]),)
+            i += 2
+        elif flag == "--icmp-type":
+            dport = (PortRange(int(tokens[i + 1]), int(tokens[i + 1])),)
+            i += 2
+        elif flag == "-m" and i + 1 < len(tokens) and tokens[i + 1] == "state":
+            i += 2
+        elif flag == "--state":
+            state = tuple(tokens[i + 1].split(","))
+            i += 2
+        else:
+            raise PolicyError(f"unrecognized iptables-like match flag {flag!r}")
+    return AclRule(
+        action="permit" if target == "ACCEPT" else "deny",
+        protocol=protocol, src=src, dst=dst, sport=sport, dport=dport, state=state)
+
+
+# ---------------------------------------------------------------------------
 # generated benchmark inputs
 
 def _perfbench_gen():
@@ -1346,6 +1469,7 @@ __all__ = [
     "oracle_render_device",
     "oracle_render_neutral_file",
     "packet_matches",
+    "parse_iptables_like",
     "pair_plan",
     "partition_strips",
     "partition_strips_by_scan",
@@ -1365,5 +1489,6 @@ __all__ = [
     "subtract_strips",
     "tokenize_by_char",
     "whitelist_reading",
+    "zone_disjointness_by_pairs",
     "zone_of_address",
 ]

@@ -5,11 +5,13 @@ import pytest
 from forestfw.diagnostics import CompileError
 from forestfw.netgen import (
     CompileOptions,
+    PathIndex,
     TERMINAL_DENY,
     add_supplementary_rules,
     compile_policy,
     enumerate_paths,
     hop_acls,
+    hop_crossings,
     ospf_supplementary_rules,
     translate_rule,
 )
@@ -114,6 +116,19 @@ def test_paths_equal_exhaustive_oracle_on_plant(plant_model, established):
         plant_model, _ordered_pairs(plant_model.zones), established) > 0
 
 
+def test_path_index_rejects_declared_models_and_other_models(plant_model):
+    declared = ZoneConduitModel(
+        zones={name: Zone(name, "regular", frozenset()) for name in ("a", "b")},
+        conduits={("a", "b"): Conduit(("a", "b"), frozenset())})
+    with pytest.raises(ValueError, match="topology-derived"):
+        enumerate_paths(declared, "a", "b")
+    with pytest.raises(ValueError, match="another model"):
+        enumerate_paths(plant_model, "z1", "z3", index=PathIndex(ring_model()))
+    index = PathIndex(plant_model)
+    assert (enumerate_paths(plant_model, "z3", "z1", index=index)
+            == enumerate_paths(plant_model, "z3", "z1") == [["z3", "az1", "z1"]])
+
+
 @pytest.mark.parametrize("established", [False, True])
 def test_paths_equal_exhaustive_oracle_on_ring(established):
     model = ring_model()
@@ -150,11 +165,18 @@ def test_paths_equal_exhaustive_oracle_with_shared_interface(established):
     _assert_paths_equal_oracle(model, _ordered_pairs(model.zones), established)
 
 
-@pytest.mark.parametrize("rows, cols", [(2, 2), (2, 3)])
-def test_paths_equal_exhaustive_oracle_on_grid(rows, cols):
+@pytest.mark.parametrize("rows, cols, established", [
+    (2, 2, False), (2, 3, False), (3, 2, False), (2, 2, True), (2, 3, True), (3, 2, True),
+], ids=["2-2", "2-3", "3-2", "2-2-established", "2-3-established", "3-2-established"])
+def test_paths_equal_exhaustive_oracle_on_grid(rows, cols, established):
+    """Between labelled zones, and from each Firewall-Zone, where
+    ``established`` lifts the origination restriction, to them."""
     model = grid_model(rows, cols)
-    pairs = _ordered_pairs(_labelled_zones(model))
-    assert _assert_paths_equal_oracle(model, pairs) > len(pairs)  # some pairs multipath
+    labelled = _labelled_zones(model)
+    firewalls = [name for name, zone in model.zones.items() if zone.kind == "firewall"]
+    pairs = [(src, dst) for src in labelled + firewalls for dst in labelled if src != dst]
+    # some pairs multipath
+    assert _assert_paths_equal_oracle(model, pairs, established) > len(pairs)
 
 
 def test_paths_equal_exhaustive_oracle_on_2x4_grid_pairs():
@@ -356,7 +378,7 @@ def test_conduit_isolation(plant_topology):
     model = full.model
     fw_zones = firewall_zones(model)
     affected = {key for x, y in (("z1", "z2"), ("z2", "z1"))
-                for key in hop_acls(model, x, y, fw_zones)}
+                for key in hop_acls(hop_crossings(model, x, y, fw_zones))}
     full_acls = from_network_policy(full).acl_map
     trimmed_acls = from_network_policy(trimmed).acl_map
     assert affected and set(full_acls) == set(trimmed_acls)
@@ -396,7 +418,8 @@ def test_flow_rules_sit_on_every_hop_of_every_path():
         wanted = {"forward": hops,
                   "return": {(y, x) for x, y in hops} if flow.service.protocol == 6 else set()}
         for direction, want_hops in wanted.items():
-            want = {key for x, y in want_hops for key in hop_acls(model, x, y, fw_zones)}
+            want = {key for x, y in want_hops
+                    for key in hop_acls(hop_crossings(model, x, y, fw_zones))}
             got = {key for key, rules in acl_map.items()
                    if any(r.origin_rule == flow.rule_name and r.flow_dir == direction
                           for r in rules)}

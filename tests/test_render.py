@@ -22,7 +22,7 @@ from forestfw.render import (
     render_neutral,
     render_neutral_file,
 )
-from support import from_network_policy, render_rule_neutral
+from support import from_network_policy, parse_iptables_like, render_rule_neutral
 
 
 def net(text):
@@ -359,7 +359,6 @@ def test_loc_metrics(plant_spec_fixed, compiled_plant):
 def test_iptables_loadback_is_decision_equivalent(compiled_plant):
     """Simulator verdicts agree whether it consumes neutral or iptables text."""
     import random
-    from forestfw.render import parse_iptables_like
     from forestfw.sim import NEW, Packet, inject
 
     neutral_net = from_network_policy(compiled_plant)

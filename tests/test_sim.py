@@ -4,10 +4,24 @@ import random
 import pytest
 
 from forestfw.diagnostics import PolicyError
-from forestfw.netgen import AclRule, CompileOptions, compile_policy
+from forestfw.netgen import (
+    AclRule,
+    CompileOptions,
+    compile_policy,
+    enumerate_paths,
+    hop_acls,
+    hop_crossings,
+)
 from forestfw.policy_lang.syntax import FlowRule, PortRange, Service
 from forestfw import sim
-from forestfw.topo_model import LOCAL_INTERFACE, Zone, ZoneConduitModel
+from forestfw.topo_model import (
+    LOCAL_INTERFACE,
+    Zone,
+    ZoneConduitModel,
+    build_zone_firewall_model,
+    derive_zone_conduit,
+    firewall_zones,
+)
 from forestfw.sim import (
     ESTABLISHED,
     NEW,
@@ -18,6 +32,7 @@ from forestfw.sim import (
     default_scan_spec,
     inject,
     representative_packet,
+    routes_of,
     vet_negative,
     vet_positive,
 )
@@ -26,6 +41,7 @@ from support import (
     eval_acl,
     first_match_by_scan,
     from_network_policy,
+    grid_model,
     inject_by_scan,
     packet_matches,
     pair_plan,
@@ -550,9 +566,9 @@ def test_inject_enumerates_each_pair_once(compiled_plant, monkeypatch):
     calls = []
     enumerate_paths = sim.enumerate_paths
 
-    def counted(model, src, dst, established=False):
+    def counted(model, src, dst, established=False, **kwargs):
         calls.append((src, dst, established))
-        return enumerate_paths(model, src, dst, established)
+        return enumerate_paths(model, src, dst, established, **kwargs)
 
     monkeypatch.setattr(sim, "enumerate_paths", counted)
     net = from_network_policy(compiled_plant)
@@ -561,3 +577,29 @@ def test_inject_enumerates_each_pair_once(compiled_plant, monkeypatch):
     assert vet_positive(net) == first  # the second run reads only the cache
     assert len(calls) == len(set(calls)) == len(net.route_cache)
     assert len(calls) < len(net.flows)
+
+
+@pytest.mark.parametrize("which", ["plant", "grid2x3"])
+def test_network_routes_equal_routes_without_a_shared_index(which, plant_topology):
+    """The routes a network reads from its one path index are those of
+    throwaway indexes, and those ``hop_acls`` gives each hop of the paths,
+    for every ordered zone pair and both states."""
+    model = (derive_zone_conduit(build_zone_firewall_model(plant_topology))
+             if which == "plant" else grid_model(2, 3))
+    net = SimNetwork(model, {}, ())
+    fw_zones = firewall_zones(model)
+    routed = 0
+    for src in sorted(model.zones):
+        for dst in sorted(model.zones):
+            if src == dst:
+                continue
+            for established in (False, True):
+                paths = enumerate_paths(model, src, dst, established)
+                routes = net.routes(src, dst, established)
+                assert routes == routes_of(model, paths), (src, dst, established)
+                assert routes == [tuple(hop_acls(hop_crossings(model, x, y, fw_zones))
+                                        for x, y in zip(path, path[1:]))
+                                  for path in paths]
+                routed += bool(routes)
+    assert net.path_index() is net.path_index()
+    assert routed > len(model.zones)

@@ -1,9 +1,14 @@
+import ipaddress
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from forestfw.diagnostics import PolicyError
 from forestfw.topo_model import (
+    Zone,
+    _check_zone_disjointness,
     build_zone_firewall_model,
     crosscheck_model,
     derive_zone_conduit,
@@ -11,6 +16,8 @@ from forestfw.topo_model import (
     load_declared_model,
     load_topology,
 )
+from support import zone_disjointness_by_pairs
+
 CHAIN = """<?xml version="1.0"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
   <key id="kind" for="node" attr.name="kind" attr.type="string"/>
@@ -270,3 +277,55 @@ def test_no_graphml_text_raises_anything_but_policy_error(text):
             load(text, "t.graphml")
         except PolicyError:
             pass
+
+
+# a pool of nested, identical and adjacent CIDRs: every prefix of 10.0.0.0/29
+CIDR_POOL = tuple(net for prefix in range(29, 33)
+                  for net in ipaddress.IPv4Network("10.0.0.0/29").subnets(new_prefix=prefix))
+zone_sets = st.lists(
+    st.tuples(st.frozensets(st.sampled_from(("d0", "d1", "d2", "d3", "d4", "d5")), max_size=2),
+              st.lists(st.sampled_from(CIDR_POOL), max_size=3)),
+    max_size=6,
+).map(lambda zones: [Zone(f"z{i}", "regular", members, tuple(cidrs))
+                     for i, (members, cidrs) in enumerate(zones)])
+
+
+def _conflict(check, zones) -> str | None:
+    try:
+        check(zones, "t.graphml")
+    except PolicyError as exc:
+        return exc.diagnostic.message
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(zone_sets)
+def test_zone_disjointness_agrees_with_the_pair_scan(zones):
+    """The sorted sweep finds a conflict exactly when the pair scan does,
+    and the pair it names is a real conflict."""
+    found = _conflict(_check_zone_disjointness, zones)
+    assert (found is None) == (_conflict(zone_disjointness_by_pairs, zones) is None)
+    if found is None:
+        return
+    by_name = {zone.name: zone for zone in zones}
+    members = re.fullmatch(r"device in both zones '(\w+)' and '(\w+)'", found)
+    if members:
+        a, b = (by_name[name] for name in members.groups())
+        assert a is not b and a.members & b.members
+    else:
+        cidr_a, zone_a, cidr_b, zone_b = re.fullmatch(
+            r"zone CIDRs overlap: (\S+) \((\w+)\) and (\S+) \((\w+)\)", found).groups()
+        net_a, net_b = ipaddress.IPv4Network(cidr_a), ipaddress.IPv4Network(cidr_b)
+        assert zone_a != zone_b and net_a.overlaps(net_b)
+        assert net_a in by_name[zone_a].cidrs and net_b in by_name[zone_b].cidrs
+
+
+def test_zone_disjointness_ignores_overlaps_within_one_zone():
+    nested = (ipaddress.IPv4Network("10.0.0.0/29"), ipaddress.IPv4Network("10.0.0.0/30"))
+    zones = [Zone("a", "regular", frozenset({"s"}), nested),
+             Zone("b", "regular", frozenset({"t"}), (ipaddress.IPv4Network("10.0.0.8/29"),)),
+             Zone("c", "regular", frozenset({"u"}), (ipaddress.IPv4Network("10.0.0.4/32"),))]
+    with pytest.raises(PolicyError, match=r"zone CIDRs overlap: 10\.0\.0\.4/32 \(c\) and "
+                                          r"10\.0\.0\.0/29 \(a\)"):
+        _check_zone_disjointness(zones, "t.graphml")
+    _check_zone_disjointness(zones[:2], "t.graphml")

@@ -1,3 +1,5 @@
+import pytest
+
 from forestfw.policy_lang import parse_policy, validate_spec
 
 
@@ -74,3 +76,26 @@ def test_diagnostic_rendering():
     text = str(diags[0])
     assert text.startswith("<policy>:")
     assert ": error: " in text
+
+
+
+@pytest.mark.parametrize("body, want", [
+    # the group's range is reported once, at the group, not at its users
+    ("port_group p { 70000 }\n"
+     "service s { protocol=tcp; tcp.dest_port=p; }\n"
+     "service t { protocol=udp; udp.dest_port=p; }\n",
+     [(1, 12, "port range 70000-70000 outside 0-65535 in port group 'p'")]),
+    # a service's own out-of-range literal is still the service's finding,
+    # also when it equals the group's range
+    ("port_group p { 70000 }\n"
+     "service s { protocol=tcp; tcp.dest_port=p, 70000; }\n",
+     [(2, 9, "port range 70000-70000 outside 0-65535 in service 's'"),
+      (1, 12, "port range 70000-70000 outside 0-65535 in port group 'p'")]),
+    # a group range that is a port but no ICMP type passes the group
+    # check, so it is the service's finding
+    ("port_group q { 300 }\n"
+     "service s { protocol=icmp; icmp.type=q; }\n",
+     [(2, 9, "ICMP type range 300-300 outside 0-255 in service 's'")]),
+], ids=["group_used_twice", "literal_beside_group", "icmp_type_from_group"])
+def test_bad_port_group_range_is_reported_once_at_the_group(body, want):
+    assert [(d.line, d.col, d.message) for d in diags_for(body) if d.is_error] == want
