@@ -5,6 +5,12 @@ model mismatch, vetting failures), 2 usage or I/O errors.  ``compile``
 never writes anything when a verification stage fails; output lands in
 the target directory atomically, and a target that already holds it is
 left untouched.
+
+``main`` builds the top-level parser and only the subparser of the
+command it is given (all four when the first argument names none): its
+help, usage and error text are the full tree's.  The parser is built on
+every call, so each command runs the ``cmd_*`` function this module
+holds at that moment.
 """
 
 from __future__ import annotations
@@ -215,6 +221,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
 _PORT_ITEM = re.compile(r"(\d+)\s*(?:-\s*(\d+))?", re.ASCII)
 
 
+def _port_number(digits: str) -> int:
+    """The number ``digits`` spell, or PORT_MAX + 1 for any larger one: a
+    run longer than a port is never handed to ``int``, which CPython
+    refuses beyond 4,300 digits unless that limit is raised."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(PORT_MAX)) else PORT_MAX + 1
+
+
 def _parse_port_list(text: str) -> tuple[PortRange, ...]:
     """Parse ``--scan-ports``: comma-separated ports and ``LO-HI`` ranges."""
     ranges = []
@@ -225,8 +239,8 @@ def _parse_port_list(text: str) -> tuple[PortRange, ...]:
         match = _PORT_ITEM.fullmatch(part)
         if match is None:
             raise _UsageError(f"bad scan port {part!r}: expected PORT or LO-HI")
-        lo = int(match.group(1))
-        hi = int(match.group(2) or lo)
+        lo = _port_number(match.group(1))
+        hi = _port_number(match.group(2)) if match.group(2) else lo
         if hi > PORT_MAX:
             raise _UsageError(f"bad scan port {part!r}: ports run {PORT_MIN}-{PORT_MAX}")
         if lo > hi:
@@ -237,48 +251,67 @@ def _parse_port_list(text: str) -> tuple[PortRange, ...]:
     return tuple(ranges)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The commands in help order: each one's help line and its options, an
+# option being its flag and the keyword arguments of ``add_argument``.
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
+    "check": ("parse, validate, and formally check a policy", (
+        ("--policy", {"required": True, "help": "policy file (.policyml)"}),
+        ("--topology", {"required": True, "help": "network topology (GraphML)"}),
+        ("--best-practice", {"help": "best-practice bounds (.policyml)"}),
+        ("--emit-alloy", {"help": "write a relational model export to this file"}),
+    )),
+    "compile": ("compile a checked policy to device configs", (
+        ("--policy", {"required": True}),
+        ("--topology", {"required": True}),
+        ("--out", {"required": True, "help": "output directory"}),
+        ("--best-practice", {}),
+        ("--ospf", {"action": "store_true",
+                    "help": "permit OSPF neighbour multicast on every interface"}),
+        ("--emit-alloy", {"action": "store_true",
+                          "help": "also write policy.als into the output directory"}),
+        ("--templates", {"help": "override the device template directory"}),
+    )),
+    "simulate": ("vet a compiled directory in the simulator", (
+        ("--out", {"required": True, "help": "compile output directory"}),
+        ("--scan-ports", {"help": "negative-vetting ports, e.g. 0-1023,8080 "
+                                  "(default: 0-1023 plus every declared port)"}),
+    )),
+    "graph": ("export Zone-Firewall and Zone-Conduit graphs", (
+        ("--topology", {"required": True}),
+        ("--out", {"required": True, "help": "output directory"}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``forestfw`` parser.  Given one of the commands, it holds the
+    top level and that command's subparser only, and reads any argument
+    list that begins with the command as the full tree does, help and
+    error text included; otherwise it is the full tree of all four."""
     parser = argparse.ArgumentParser(
         prog="forestfw",
         description="Compile and verify topology-independent firewall policy.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    check = sub.add_parser("check", help="parse, validate, and formally check a policy")
-    check.add_argument("--policy", required=True, help="policy file (.policyml)")
-    check.add_argument("--topology", required=True, help="network topology (GraphML)")
-    check.add_argument("--best-practice", help="best-practice bounds (.policyml)")
-    check.add_argument("--emit-alloy", help="write a relational model export to this file")
-    check.set_defaults(func=cmd_check)
-
-    compile_p = sub.add_parser("compile", help="compile a checked policy to device configs")
-    compile_p.add_argument("--policy", required=True)
-    compile_p.add_argument("--topology", required=True)
-    compile_p.add_argument("--out", required=True, help="output directory")
-    compile_p.add_argument("--best-practice")
-    compile_p.add_argument("--ospf", action="store_true",
-                           help="permit OSPF neighbour multicast on every interface")
-    compile_p.add_argument("--emit-alloy", action="store_true",
-                           help="also write policy.als into the output directory")
-    compile_p.add_argument("--templates", help="override the device template directory")
-    compile_p.set_defaults(func=cmd_compile)
-
-    simulate = sub.add_parser("simulate", help="vet a compiled directory in the simulator")
-    simulate.add_argument("--out", required=True, help="compile output directory")
-    simulate.add_argument("--scan-ports",
-                          help="negative-vetting ports, e.g. 0-1023,8080 "
-                               "(default: 0-1023 plus every declared port)")
-    simulate.set_defaults(func=cmd_simulate)
-
-    graph = sub.add_parser("graph", help="export Zone-Firewall and Zone-Conduit graphs")
-    graph.add_argument("--topology", required=True)
-    graph.add_argument("--out", required=True, help="output directory")
-    graph.set_defaults(func=cmd_graph)
+    names = (command,) if command in _COMMANDS else tuple(_COMMANDS)
+    # The top-level usage, printed for unrecognized arguments, lists every
+    # command either way.  Only the one-command tree spells the list out:
+    # the full tree's metavar would also rename the subparsers action in
+    # its "required" and "invalid choice" errors.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, options = _COMMANDS[name]
+        command_parser = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            command_parser.add_argument(flag, **kwargs)
+        # looked up on each build, so a cmd_* replaced on this module is the one run
+        command_parser.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, InputError) as exc:

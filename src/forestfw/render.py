@@ -675,13 +675,14 @@ def manifest_json(policy: NetworkPolicy) -> str:
     """The manifest as JSON, keys sorted: one line per top-level key, and
     one line per entry of a list- or dict-valued key, so that a diff of
     two manifests shows the flows, assignments or zones that changed."""
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps makes one per call
     lines = []
     for key, value in sorted(build_manifest(policy).items()):
         if isinstance(value, list) and value:
-            body = ",\n".join("  " + json.dumps(entry, sort_keys=True) for entry in value)
+            body = ",\n".join("  " + encode(entry) for entry in value)
             value_text = f"[\n{body}\n ]"
         elif isinstance(value, dict) and value:
-            body = ",\n".join(f"  {json.dumps(name)}: {json.dumps(entry, sort_keys=True)}"
+            body = ",\n".join(f"  {json.dumps(name)}: {encode(entry)}"
                                for name, entry in sorted(value.items()))
             value_text = f"{{\n{body}\n }}"
         else:

@@ -464,7 +464,8 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
             src_addr = _zone_rep_addr(net.model.zones[src_zone])
             dst_addr = _zone_rep_addr(net.model.zones[dst_zone])
             tables = {key: net.match_table(key)
-                      for route in routes for keys in route for key in keys}
+                      for key in dict.fromkeys(key for route in routes
+                                               for keys in route for key in keys)}
             for protocol in scan.protocols:
                 universe = (scanned_atoms & grid.mask(FULL_ICMP_SET) if protocol == 1
                             else scanned_atoms)

@@ -1,12 +1,14 @@
+import argparse
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
-from forestfw import render, sim
+from forestfw import cli, render, sim
 from forestfw.cli import main
 from forestfw.policy_lang import parser
+from forestfw.policy_lang.syntax import PortRange
 from conftest import FIXTURES
 
 POLICY = str(FIXTURES / "scada_plant.policyml")
@@ -390,6 +392,9 @@ def test_graph_on_empty_topology_writes_empty_graphs(tmp_path, capsys):
     ("70000", "ports run 0-65535"),
     ("0-65536", "ports run 0-65535"),
     (",", "empty scan port list"),
+    # more digits than int() converts on CPython's default limit
+    pytest.param("9" * 5000, "ports run 0-65535", id="5000 nines"),
+    pytest.param("9" * 5000 + "-5", "range is reversed", id="5000 nines-5"),
 ])
 def test_simulate_rejects_bad_scan_ports(tmp_path, capsys, ports, message):
     # the port list is checked before the compile directory is read
@@ -398,6 +403,10 @@ def test_simulate_rejects_bad_scan_ports(tmp_path, capsys, ports, message):
     assert code == 2
     assert captured.err.startswith("forestfw: ") and message in captured.err
     assert captured.out == ""
+
+
+def test_port_list_reads_leading_zeros_of_any_length():
+    assert cli._parse_port_list("0" * 5000 + "80-00443") == (PortRange(80, 443),)
 
 
 def test_simulate_accepts_spaced_and_single_port_lists(tmp_path, capsys):
@@ -725,3 +734,68 @@ def test_firewall_interface_named_local_is_rejected(tmp_path, capsys):
         f"{topology}:0:0: error: interface 'local' on firewall 'R1': the name is reserved "
         f"for the firewall's local stage\n")
     assert not (tmp_path / "out").exists()
+
+
+# One argument list per row: no command, an option first and an unknown
+# command (the full tree either way), each command's help, a missing
+# required option, an extra positional, and a port list that only the
+# command itself rejects.
+_ARGV_MATRIX = [
+    [], ["--help"], ["-h", "check"], ["bogus"], ["--bogus", "check"],
+    ["check", "--help"], ["compile", "--help"], ["simulate", "--help"], ["graph", "--help"],
+    ["check", "--policy", "p"],
+    ["compile", "--policy", "p", "--topology", "t"],
+    ["simulate", "--scan-ports", "80"],
+    ["graph", "--out", "o"],
+    ["check", "--policy", "p", "--topology", "t", "extra"],
+    ["compile", "--policy", "p", "--topology", "t", "--out", "o", "extra"],
+    ["simulate", "--out", "o", "extra"],
+    ["graph", "--topology", "t", "--out", "o", "extra"],
+    ["simulate", "--out", "o", "--scan-ports", "10-5"],
+]
+
+
+@pytest.mark.parametrize("argv", _ARGV_MATRIX, ids=" ".join)
+def test_one_command_tree_reads_as_the_full_tree(argv, monkeypatch, capsys):
+    """``main`` builds only the invoked command's parser; its exit code,
+    output and the namespace the command receives are the full tree's."""
+    monkeypatch.setenv("COLUMNS", "80")
+    received = []
+    for name in ("check", "compile", "simulate", "graph"):
+        handler = getattr(cli, f"cmd_{name}")
+        monkeypatch.setattr(cli, f"cmd_{name}",
+                            lambda args, handler=handler: received.append(args) or handler(args))
+    build_parser = cli.build_parser
+
+    def run(full: bool):
+        received.clear()
+        with monkeypatch.context() as patch:
+            if full:
+                patch.setattr(cli, "build_parser", lambda command=None: build_parser())
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        return code, capsys.readouterr(), list(received)
+
+    assert run(full=False) == run(full=True)
+
+
+def test_main_builds_two_parsers_and_runs_the_bound_handler(monkeypatch, capsys):
+    """A known command builds the top-level parser and its own subparser
+    only, and runs the ``cmd_*`` the module holds when ``main`` is called
+    (a tracer replaces them between calls)."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    received = []
+    monkeypatch.setattr(cli, "cmd_check", lambda args: received.append(args) or 0)
+    assert main(["check", "--policy", "p", "--topology", "t"]) == 0
+    assert built == ["forestfw", "forestfw check"]
+    assert [(args.command, args.policy, args.topology) for args in received] == [("check", "p", "t")]
+    assert capsys.readouterr() == ("", "")

@@ -579,6 +579,30 @@ def test_inject_enumerates_each_pair_once(compiled_plant, monkeypatch):
     assert len(calls) < len(net.flows)
 
 
+def test_vet_negative_looks_each_hop_table_up_once_per_pair(monkeypatch):
+    """Routes of one pair that share a hop key look its table up once."""
+    net = SimNetwork(grid_model(2, 3), {}, ())
+    distinct = occurrences = 0
+    for src in sorted(net.model.zones):
+        for dst in sorted(net.model.zones):
+            if src != dst:
+                keys = [key for route in net.routes(src, dst, False)
+                        for hop in route for key in hop]
+                distinct += len(set(keys))
+                occurrences += len(keys)
+    assert distinct < occurrences
+    looked_up = []
+    match_table = SimNetwork.match_table
+
+    def counting(self, key):
+        looked_up.append(key)
+        return match_table(self, key)
+
+    monkeypatch.setattr(SimNetwork, "match_table", counting)
+    assert vet_negative(net) == []
+    assert len(looked_up) == distinct
+
+
 @pytest.mark.parametrize("which", ["plant", "grid2x3"])
 def test_network_routes_equal_routes_without_a_shared_index(which, plant_topology):
     """The routes a network reads from its one path index are those of
