@@ -14,8 +14,7 @@ their canonical forms are structurally equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from forestfw.diagnostics import PolicyError
 from forestfw.header_space import Grid
@@ -34,8 +33,7 @@ from forestfw.policy_lang.syntax import (
 Rectangle = tuple[IntervalSet, IntervalSet]  # (values, sports), as Grid.mask takes them
 
 
-@dataclass(frozen=True)
-class CanonicalSlice:
+class CanonicalSlice(NamedTuple):
     """Strips for one protocol.
 
     Strips are ordered by increasing value (dport or ICMP type) interval,
@@ -96,8 +94,7 @@ def subtract_each(groups: Sequence[Iterable[Service]], bound: Iterable[Service]
 # ---------------------------------------------------------------------------
 # best-practice compliance
 
-@dataclass(frozen=True)
-class BestPractice:
+class BestPractice(NamedTuple):
     """Protected zones plus per-direction permitted upper bounds."""
 
     protected: frozenset[str]
@@ -105,8 +102,7 @@ class BestPractice:
     outbound: ServiceSet
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     src_zone: str
     dst_zone: str
     direction: str  # "inbound" | "outbound"

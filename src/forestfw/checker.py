@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 from forestfw import intervals
 from forestfw.header_space import (
@@ -50,15 +49,13 @@ ACL_REDUNDANCY = "acl_redundancy"
 ACL_SHADOW = "acl_shadow"
 
 
-@dataclass(frozen=True)
-class OverlapWitness:
+class OverlapWitness(NamedTuple):
     src_zone: str
     dst_zone: str
     service: Service  # the non-empty intersection
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     kind: str
     rule_a: str
     rule_b: str

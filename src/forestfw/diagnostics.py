@@ -8,12 +8,11 @@ files, so that bytes that are not UTF-8 get such a diagnostic too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     file: str = "<policy>"

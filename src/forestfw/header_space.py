@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import xor
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
@@ -43,8 +42,7 @@ ESTABLISHED = "ESTABLISHED"
 STATES = (NEW, ESTABLISHED)
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(NamedTuple):
     """One point in packet-header space; ``state`` names the connection state."""
 
     src_addr: int = 0

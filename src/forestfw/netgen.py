@@ -13,9 +13,9 @@ terminal deny-all and every generated ACL is bound to an interface.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from forestfw.canonical import check_best_practice
 from forestfw.checker import find_rule_overlaps
@@ -46,14 +46,14 @@ OSPF_NEIGHBOUR_NETS = (ipaddress.IPv4Network("224.0.0.5/32"),
                        ipaddress.IPv4Network("224.0.0.6/32"))
 
 
-@dataclass(frozen=True)
-class AclRule:
+class AclRule(NamedTuple):
     """A vendor-neutral five-tuple-plus-state rule.
 
     ``protocol`` None is the ``ip`` wildcard; the compiler emits it only
     on the terminal deny.  For ICMP rules the dport ranges carry the permitted
     ICMP types (empty = any); the simulator and renderers share that
-    encoding.
+    encoding.  Rules compare and hash by their first nine fields, ``action``
+    to ``comment``; the four provenance fields after them do not count.
     """
 
     action: str  # "permit" | "deny"
@@ -65,27 +65,39 @@ class AclRule:
     state: tuple[str, ...] = ()
     log: bool = False
     comment: str = ""
-    origin_rule: str = field(default="", compare=False)
-    origin_service: str = field(default="", compare=False)
-    service_comment: str = field(default="", compare=False)
-    flow_dir: str = field(default="forward", compare=False)  # forward | return | aux
+    origin_rule: str = ""
+    origin_service: str = ""
+    service_comment: str = ""
+    flow_dir: str = "forward"  # forward | return | aux
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not AclRule:
+            return NotImplemented
+        return self[:9] == other[:9]
+
+    def __ne__(self, other: object) -> bool:
+        # needed: tuple's own != would compare all thirteen fields
+        if type(other) is not AclRule:
+            return NotImplemented
+        return self[:9] != other[:9]
+
+    def __hash__(self) -> int:
+        return hash(self[:9])
 
     def match_key(self) -> tuple:
-        return (self.action, self.protocol, self.src, self.dst,
-                self.sport, self.dport, self.state, self.log)
+        """``action`` to ``log``: the fields that decide what the rule matches."""
+        return self[:8]
 
 
 TERMINAL_DENY = AclRule(action="deny", protocol=None, src=(ANY_NET,), dst=(ANY_NET,))
 
 
-@dataclass(frozen=True)
-class Acl:
+class Acl(NamedTuple):
     name: str
     rules: tuple[AclRule, ...]
 
 
-@dataclass(frozen=True)
-class InterfaceAssignment:
+class InterfaceAssignment(NamedTuple):
     firewall: str
     interface: str
     direction: str  # "inbound" | "outbound"
@@ -94,6 +106,9 @@ class InterfaceAssignment:
 
 @dataclass
 class CompileOptions:
+    """What ``compile`` adds to the policy: OSPF permits, a best-practice
+    bound to check against and a declared model to cross-check."""
+
     ospf: bool = False
     best_practice: PolicySpec | None = None
     declared_model: ZoneConduitModel | None = None
@@ -552,12 +567,12 @@ def _keyed(rule: AclRule) -> _Keyed:
     """``(sort key, match key, rule)``: the order ``_assemble`` puts rules
     in, and their match effect with addresses as ``_net_key`` ints, which
     compare as the networks do and hash without building them again."""
-    src = tuple(_net_key(n) for n in rule.src)
-    dst = tuple(_net_key(n) for n in rule.dst)
+    action, protocol, src, dst, sport, dport, state, log = rule.match_key()
+    src = tuple(_net_key(n) for n in src)
+    dst = tuple(_net_key(n) for n in dst)
     return ((rule.origin_rule, rule.origin_service, rule.flow_dir, src, dst,
-             rule.protocol if rule.protocol is not None else 256,
-             rule.dport, rule.sport, rule.state),
-            (rule.action, rule.protocol, src, dst, rule.sport, rule.dport, rule.state, rule.log),
+             protocol if protocol is not None else 256, dport, sport, state),
+            (action, protocol, src, dst, sport, dport, state, log),
             rule)
 
 

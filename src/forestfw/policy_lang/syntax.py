@@ -66,27 +66,37 @@ class Value:
 
 @dataclass(frozen=True)
 class VInt(Value):
+    """An integer value."""
+
     n: int
 
 
 @dataclass(frozen=True)
 class VRange(Value):
+    """An inclusive ``lo-hi`` range value."""
+
     lo: int
     hi: int
 
 
 @dataclass(frozen=True)
 class VName(Value):
+    """A bare name value, such as a protocol or a group reference."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class VString(Value):
+    """A quoted string value."""
+
     text: str
 
 
 @dataclass(frozen=True)
 class VList(Value):
+    """A comma-separated list of values."""
+
     items: tuple[Value, ...]
 
 
@@ -229,8 +239,7 @@ class ServiceSet:
 # ---------------------------------------------------------------------------
 # set expressions and groups
 
-@dataclass(frozen=True)
-class SetExpr:
+class SetExpr(NamedTuple):
     """Flat set expression: ``first (op term)*`` with ops ``,`` ``^`` ``\\``.
 
     The grammar has no grouping; ``^`` and ``\\`` bind tighter than ``,``
@@ -252,28 +261,24 @@ class SetExpr:
         return not self.rest
 
 
-@dataclass(frozen=True)
-class ServiceGroup:
+class ServiceGroup(NamedTuple):
     name: str
     expr: SetExpr
     members: ServiceSet
 
 
-@dataclass(frozen=True)
-class PortGroup:
+class PortGroup(NamedTuple):
     name: str
     ranges: tuple[PortRange, ...]  # as written; bounds checked by the validator
 
 
-@dataclass(frozen=True)
-class ZoneGroup:
+class ZoneGroup(NamedTuple):
     name: str
     expr: SetExpr
     zones: frozenset[str]  # resolved leaf zone names
 
 
-@dataclass(frozen=True)
-class HighLevelRule:
+class HighLevelRule(NamedTuple):
     """An inter-zone permit: ``left (-> | <->) right : services``."""
 
     name: str
@@ -284,8 +289,7 @@ class HighLevelRule:
     services: ServiceSet
 
 
-@dataclass(frozen=True)
-class ReportingRule:
+class ReportingRule(NamedTuple):
     name: str
     attrs: tuple[tuple[str, Value], ...]
     use_case: str | None
@@ -349,8 +353,7 @@ class PolicySpec:
         return frozenset({ref})
 
 
-@dataclass(frozen=True)
-class FlowRule:
+class FlowRule(NamedTuple):
     """One expanded permit: a service allowed from src_zone to dst_zone.
 
     Carries only a permit action; the language has no deny form.  The

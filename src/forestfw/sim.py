@@ -26,6 +26,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError, read_text
@@ -49,23 +50,20 @@ from forestfw.topo_model import Conduit, Zone, ZoneConduitModel, firewall_zones
 Route = tuple[tuple[tuple[str, str, str], ...], ...]
 
 
-@dataclass(frozen=True)
-class TraceHop:
+class TraceHop(NamedTuple):
     firewall: str
     interface: str
     verdict: str
     rule: str
 
 
-@dataclass(frozen=True)
-class InjectResult:
+class InjectResult(NamedTuple):
     delivered: bool
     trace: tuple[TraceHop, ...]
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class VetResult:
+class VetResult(NamedTuple):
     """Per-flow outcome of positive vetting: 1 delivered, 0 failed."""
 
     rule_name: str
@@ -86,8 +84,7 @@ class VetResult:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Leak:
+class Leak(NamedTuple):
     src_zone: str
     dst_zone: str
     protocol: int
@@ -101,6 +98,10 @@ class Leak:
 
 @dataclass
 class SimNetwork:
+    """A compiled network as the simulator walks it: the model, the ACL
+    bound at each ``(firewall, interface, direction)`` key, the expanded
+    flows and the connection table, with the caches built from them."""
+
     model: ZoneConduitModel
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]]
     flows: tuple[FlowRule, ...]
@@ -391,8 +392,7 @@ def vet_positive(net: SimNetwork) -> list[VetResult]:
     return results
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(NamedTuple):
     protocols: tuple[int, ...] = (1, 6, 17)
     ports: tuple[PortRange, ...] = (PortRange(0, 1023),)
 
@@ -436,6 +436,8 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     of its firewalls' permits, a path the AND of its hops, the pair the
     OR of its paths.  Leaks are the delivered values no flow of the pair
     admits, ordered by zone pair, protocol (scan order) and value.
+    Each pair's routes come from :meth:`SimNetwork.routes`, so a pair
+    that positive vetting already routed is not searched again.
     Vetting the full header space is ROADMAP item 1.
     """
     scan = scan or default_scan_spec(net)
@@ -450,15 +452,12 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
         implied[pair_protocol] = implied.get(pair_protocol, 0) | grid.mask(values)
     scanned_atoms = grid.mask(scanned)
     leaks: list[Leak] = []
-    index = net.path_index()
     zones = sorted(net.model.zones)
     for src_zone in zones:
         for dst_zone in zones:
             if src_zone == dst_zone:
                 continue
-            routes = routes_of(net.model,
-                               enumerate_paths(net.model, src_zone, dst_zone, index=index),
-                               index)
+            routes = net.routes(src_zone, dst_zone)
             if not routes:
                 continue
             src_addr = _zone_rep_addr(net.model.zones[src_zone])

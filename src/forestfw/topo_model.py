@@ -17,7 +17,7 @@ import ipaddress
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from forestfw.diagnostics import InputError, PolicyError
 
@@ -27,16 +27,14 @@ ZONE_KINDS = ("regular", "firewall", "abstract", "carrier")
 LOCAL_INTERFACE = "local"  # the firewall's own input/output filtering stage
 
 
-@dataclass(frozen=True)
-class Device:
+class Device(NamedTuple):
     name: str
     kind: str
     zone_label: str | None = None
     cidrs: tuple[ipaddress.IPv4Network, ...] = ()
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     dev_a: str
     if_a: str
     dev_b: str
@@ -45,27 +43,30 @@ class Link:
 
 @dataclass
 class Topology:
+    """A loaded topology: its devices by name and its links in document order."""
+
     devices: dict[str, Device] = field(default_factory=dict)
     links: list[Link] = field(default_factory=list)
     file: str = "<topology>"  # the document it was loaded from, for diagnostics
 
 
-@dataclass(frozen=True)
-class Zone:
+class Zone(NamedTuple):
     name: str
     kind: str
     members: frozenset[str]
     cidrs: tuple[ipaddress.IPv4Network, ...] = ()
 
 
-@dataclass(frozen=True)
-class Conduit:
+class Conduit(NamedTuple):
     zones: tuple[str, str]  # sorted endpoint pair
     firewalls: frozenset[str]
 
 
 @dataclass
 class ZoneConduitModel:
+    """Zones and the conduits between them, each conduit with the
+    firewalls that realize it."""
+
     zones: dict[str, Zone] = field(default_factory=dict)
     conduits: dict[tuple[str, str], Conduit] = field(default_factory=dict)
     # firewall -> zone -> interface facing that zone; absent for declared models
@@ -91,9 +92,11 @@ def firewall_zones(model: ZoneConduitModel) -> dict[str, str]:
             for member in zone.members}
 
 
-# Zone-Firewall model: the precursor carrying zones + firewall adjacencies.
 @dataclass
 class ZoneFirewallModel:
+    """The precursor of the Zone-Conduit model: zones plus, per firewall,
+    the interface facing each adjacent zone."""
+
     zones: dict[str, Zone] = field(default_factory=dict)
     # firewall -> zone -> interface name facing that zone
     adjacency: dict[str, dict[str, str]] = field(default_factory=dict)
@@ -375,8 +378,7 @@ def derive_zone_conduit(zf: ZoneFirewallModel) -> ZoneConduitModel:
 # ---------------------------------------------------------------------------
 # cross-check and export
 
-@dataclass(frozen=True)
-class ModelMismatch:
+class ModelMismatch(NamedTuple):
     missing_zones: tuple[str, ...]
     extra_zones: tuple[str, ...]
     missing_conduits: tuple[tuple[str, str], ...]

@@ -5,7 +5,6 @@ and unused slots, and the plant's device configs against golden files."""
 
 import ipaddress
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -227,7 +226,7 @@ def test_assembly_keeps_the_oracles_rules_in_its_order(rules, data):
     # its ports swapped
     for rule in data.draw(st.lists(st.sampled_from(rules), max_size=4)):
         rules.append(data.draw(st.sampled_from((
-            rule, replace(rule, comment="other", flow_dir="return"),
-            replace(rule, log=not rule.log), replace(rule, sport=rule.dport, dport=rule.sport)))))
+            rule, rule._replace(comment="other", flow_dir="return"),
+            rule._replace(log=not rule.log), rule._replace(sport=rule.dport, dport=rule.sport)))))
     got = netgen._assemble([netgen._keyed(rule) for rule in rules])
     assert [id(rule) for rule in got] == [id(rule) for rule in oracle_assemble(rules)]

@@ -1,4 +1,3 @@
-import dataclasses
 import ipaddress
 import random
 
@@ -239,7 +238,7 @@ def test_overlap_check_intersects_only_overlapping_pairs(monkeypatch):
     extra = [FlowRule(f"x{k}", f.src_zone, f.dst_zone,
                       Service(f"x{k}", 6, dest_ports=f.service.dest_ports))
              for k, f in enumerate(tcp_flows[::7])]
-    own = dataclasses.replace(tcp_flows[1], service=Service(
+    own = tcp_flows[1]._replace(service=Service(
         "again", 6, dest_ports=tcp_flows[1].service.dest_ports))
     overlapping = flows + extra + [own]
     reports = find_rule_overlaps(overlapping)
@@ -383,7 +382,7 @@ def test_anomaly_detection_against_dense_grid_oracle():
         for i in range(rng.randint(2, 5)):
             state = rng.choice(state_sets)
             if rules and rng.random() < 0.3:
-                rules.append(dataclasses.replace(rng.choice(rules), state=state))
+                rules.append(rng.choice(rules)._replace(state=state))
                 continue
             protocol = rng.choice((1, 6))
             sp = rng.randrange(8)
@@ -449,7 +448,7 @@ def random_fuzz_acl(rng: random.Random) -> Acl:
     rules = []
     for _ in range(rng.randint(1, 6)):
         if rules and rng.random() < 0.35:
-            rules.append(dataclasses.replace(rng.choice(rules), state=rng.choice(STATE_SETS)))
+            rules.append(rng.choice(rules)._replace(state=rng.choice(STATE_SETS)))
             continue
         protocol = rng.choice((None, 1, 1, 6, 6, 17, 17, 89))
         ported = protocol in (6, 17)
@@ -485,7 +484,7 @@ def with_copies(acl: Acl, after: set[int], deny: bool) -> tuple[Acl, dict[str, s
     for i, rule in enumerate(acl.rules):
         rules.append(rule)
         if i in after:
-            copy = dataclasses.replace(rule, action="deny") if deny else rule
+            copy = rule._replace(action="deny") if deny else rule
             expected[f"{acl.name}[{len(rules)}]"] = (
                 ACL_REDUNDANCY if copy.action == "permit" else ACL_SHADOW)
             rules.append(copy)

@@ -1,8 +1,11 @@
 import ipaddress
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from forestfw.cli import main
 from forestfw.diagnostics import PolicyError
 from forestfw.netgen import (
     AclRule,
@@ -577,6 +580,49 @@ def test_inject_enumerates_each_pair_once(compiled_plant, monkeypatch):
     assert vet_positive(net) == first  # the second run reads only the cache
     assert len(calls) == len(set(calls)) == len(net.route_cache)
     assert len(calls) < len(net.flows)
+
+
+def compile_plant(fixture_dir, out) -> None:
+    """``compile --ospf`` of the fixed plant against its best practice into ``out``."""
+    assert main(["compile", "--policy", str(fixture_dir / "scada_plant_fixed.policyml"),
+                 "--topology", str(fixture_dir / "topology.graphml"),
+                 "--best-practice", str(fixture_dir / "bestpractice" / "scada_isa.policyml"),
+                 "--ospf", "--out", str(out)]) == 0
+
+
+def test_plant_vetting_passes_match_the_golden_file(fixture_dir, tmp_path, capsys):
+    """Every positive-vetting line of the plant, hop trace included, is the
+    frozen one; the leak lines are left out, since vetting the full header
+    space (ROADMAP item 1) will change them."""
+    compile_plant(fixture_dir, tmp_path / "plant")
+    capsys.readouterr()
+    main(["simulate", "--out", str(tmp_path / "plant")])
+    passes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("PASS ")]
+    golden = Path(__file__).parent / "golden" / "plant_vetting.txt"
+    assert passes == golden.read_text(encoding="utf-8").splitlines()
+
+
+def test_simulate_enumerates_each_pair_once(fixture_dir, tmp_path, monkeypatch, capsys):
+    """Negative vetting reads the routes positive vetting cached: one
+    ``simulate`` searches the paths of each (src, dst, established) once,
+    and of every ordered zone pair without the established flag."""
+    out = tmp_path / "plant"
+    compile_plant(fixture_dir, out)
+    calls = []
+    enumerate_paths = sim.enumerate_paths
+
+    def counted(model, src, dst, established=False, **kwargs):
+        calls.append((src, dst, established))
+        return enumerate_paths(model, src, dst, established, **kwargs)
+
+    monkeypatch.setattr(sim, "enumerate_paths", counted)
+    assert main(["simulate", "--out", str(out)]) == 0
+    assert "26/26 passed; negative vetting: 0 leak(s)" in capsys.readouterr().out
+    assert len(calls) == len(set(calls))
+    zones = sorted(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["zones"])
+    assert {(src, dst) for src, dst, established in calls if not established} == {
+        (src, dst) for src in zones for dst in zones if src != dst}
+    assert any(established for _, _, established in calls)
 
 
 def test_vet_negative_looks_each_hop_table_up_once_per_pair(monkeypatch):
