@@ -9,12 +9,7 @@ consumes.
 """
 
 from forestfw.policy_lang.expand import expand_rules
-from forestfw.policy_lang.parser import (
-    default_importer,
-    parse_policy,
-    pretty_print,
-    resolve_service_expr,
-)
+from forestfw.policy_lang.parser import default_importer, parse_policy
 from forestfw.policy_lang.syntax import (
     FlowRule,
     HighLevelRule,
@@ -41,7 +36,5 @@ __all__ = [
     "default_importer",
     "expand_rules",
     "parse_policy",
-    "pretty_print",
-    "resolve_service_expr",
     "validate_spec",
 ]

@@ -1,4 +1,4 @@
-"""Recursive-descent parser, import resolver, and pretty-printer.
+"""Recursive-descent parser and import resolver.
 
 Parsing happens in two phases: the syntactic pass collects raw
 declarations (imports already merged under their namespace prefix), and a
@@ -8,11 +8,13 @@ name checked against the declaration registry.  The syntactic pass reads
 the source's token texts by index and compares them in place.  A
 declaration keeps the index of its name's token and its
 :class:`~forestfw.policy_lang.lexer.Source`, and an import the index of
-its dotted name; a line and column are computed from them only for a
-diagnostic or :meth:`PolicySpec.position_of`, so an error found after
-the parse names the file that declares the name.  The resolver sorts
-the declarations by kind in one pass, and a set expression of a single
-name is that name's set.
+its dotted name; the spec's ``name_tokens`` keeps each declaration's
+pair, the one record of where names are declared, and a line and column
+are computed from it only for a diagnostic or
+:meth:`PolicySpec.position_of`, so an error found after the parse names
+the file that declares the name.  The resolver sorts the declarations by
+kind in one pass, resolves service and zone groups alike, and a set
+expression of a single name is that name's set.
 The main file is tokenized and parsed once per :func:`parse_policy` call.  The calls
 that share one import memo parse each imported (file label, text) pair
 once between them: its raw declarations are immutable, so every later
@@ -391,24 +393,10 @@ def _prefix_decls(decls: tuple[_RawDecl, ...], prefix: str) -> list[_RawDecl]:
             return VBlock(tuple((k, q_value(v)) for k, v in value.items))
         return value
 
-    out = []
-    for d in decls:
-        out.append(
-            _RawDecl(
-                kind=d.kind,
-                name=f"{prefix}.{d.name}",
-                tok=d.tok,
-                source=d.source,
-                attrs=tuple((k, q_value(v)) for k, v in d.attrs),
-                expr=q_expr(d.expr),
-                ranges=d.ranges,
-                left=q(d.left),
-                operator=d.operator,
-                right=q(d.right),
-                members=tuple(q(m) for m in d.members),
-            )
-        )
-    return out
+    return [d._replace(name=f"{prefix}.{d.name}",
+                       attrs=tuple((k, q_value(v)) for k, v in d.attrs), expr=q_expr(d.expr),
+                       left=q(d.left), right=q(d.right), members=tuple(q(m) for m in d.members))
+            for d in decls]
 
 
 def _collect(raw: _RawFile, importer: Importer, seen: dict[str, bool], memo: dict) -> _RawFile:
@@ -453,10 +441,8 @@ _DECL_KINDS = ("port_group", "service", "service_group", "zone_group", "policy_r
 
 
 class _Resolver:
-    def __init__(self, raw: _RawFile, file: str, source: str,
-                 main_decls: tuple[_RawDecl, ...], memo: dict):
+    def __init__(self, raw: _RawFile, file: str, source: str, memo: dict):
         self.raw = raw
-        self.main_decls = main_decls
         self.memo = memo
         self.spec = PolicySpec(
             imports=tuple(imp.dotted for imp in raw.imports),
@@ -465,8 +451,6 @@ class _Resolver:
             source=source,
         )
         self.registry: dict[str, _RawDecl] = {}
-        self._svc_sets: dict[str, ServiceSet] = {}
-        self._zone_sets: dict[str, frozenset[str]] = {}
         self._resolving: list[str] = []
 
     def err(self, decl: _RawDecl, message: str) -> PolicyError:
@@ -490,9 +474,9 @@ class _Resolver:
             spec.services[decl.name] = build(decl)
             spec.raw_attrs[decl.name] = decl.attrs
         for decl in by_kind["service_group"]:
-            self._service_set(decl.name)
+            self._service_term(decl, decl.name)
         for decl in by_kind["zone_group"]:
-            self._zone_set(decl.name)
+            self._zone_term(decl.name)
         for decl in by_kind["policy_rule"]:
             self._build_rule(decl)
         for decl in by_kind["reporting_rule"]:
@@ -512,8 +496,6 @@ class _Resolver:
             if registry.get(rr, _MISSING).kind != "reporting_rule":
                 raise self.err(decl, f"policy references undeclared reporting rule {rr!r}")
             spec.global_policy = GlobalPolicy(decl.name, rg, rr)
-
-        spec.decl_order = tuple((d.kind, d.name) for d in self.main_decls)
         return spec
 
     # -- services
@@ -596,57 +578,47 @@ class _Resolver:
             return out
         raise self.err(decl, "port value must be a port, range, or port-group name")
 
-    # -- set expressions
+    # -- groups
 
-    def _service_set(self, name: str) -> ServiceSet:
-        if name in self._svc_sets:
-            return self._svc_sets[name]
-        decl = self.registry.get(name)
-        if decl is None:
-            raise PolicyError(f"undeclared name {name!r}")
-        if decl.kind == "service":
-            return ServiceSet([self.spec.services[name]])
-        if decl.kind != "service_group":
-            raise self.err(decl, f"{decl.kind} {name!r} used where a service was expected")
-        if name in self._resolving:
-            raise self.err(decl, f"cycle in service group nesting through {name!r}")
-        if len(self._resolving) == _MAX_NESTING:
-            raise self.err(decl, f"service groups nested more than {_MAX_NESTING} deep")
-        self._resolving.append(name)
-        assert decl.expr is not None
-        members = _eval_set_expr(decl.expr, lambda n: self._service_term_set(decl, n))
-        self._resolving.pop()
-        self._svc_sets[name] = members
-        self.spec.service_groups[name] = ServiceGroup(name, decl.expr, members)
-        return members
-
-    def _service_term_set(self, decl: _RawDecl, name: str) -> ServiceSet:
-        if name not in self.registry:
+    def _service_term(self, decl: _RawDecl, name: str) -> ServiceSet:
+        """The services ``name``, a term of ``decl``'s set expression,
+        stands for: a service or a service group."""
+        found = self.registry.get(name)
+        if found is None:
             raise self.err(decl, f"undeclared name {name!r}")
-        return self._service_set(name)
+        if found.kind == "service":
+            return ServiceSet([self.spec.services[name]])
+        if found.kind != "service_group":
+            raise self.err(found, f"{found.kind} {name!r} used where a service was expected")
+        return self._group(found, "service", lambda n: self._service_term(found, n))
 
-    # -- zone groups
-
-    def _zone_set(self, name: str) -> frozenset[str]:
-        if name in self._zone_sets:
-            return self._zone_sets[name]
-        decl = self.registry.get(name)
-        if decl is None:
-            # not declared anywhere: a leaf zone name from the security model
+    def _zone_term(self, name: str) -> frozenset[str]:
+        """The zones ``name`` stands for: a zone group's, or itself when no
+        declaration has it, a leaf zone of the security model."""
+        found = self.registry.get(name)
+        if found is None:
             return frozenset({name})
-        if decl.kind != "zone_group":
-            raise self.err(decl, f"{decl.kind} {name!r} used where a zone was expected")
+        if found.kind != "zone_group":
+            raise self.err(found, f"{found.kind} {name!r} used where a zone was expected")
+        return self._group(found, "zone", self._zone_term)
+
+    def _group(self, decl: _RawDecl, kind: str, term: Callable[[str], _SetT]) -> _SetT:
+        """The set of the ``kind`` ("service" or "zone") group ``decl``, its
+        expression over ``term``: evaluated once, kept in the spec's table."""
+        groups = self.spec.service_groups if kind == "service" else self.spec.zone_groups
+        name = decl.name
+        if name in groups:
+            return groups[name][2]  # its members or zones
         if name in self._resolving:
-            raise self.err(decl, f"cycle in zone group nesting through {name!r}")
+            raise self.err(decl, f"cycle in {kind} group nesting through {name!r}")
         if len(self._resolving) == _MAX_NESTING:
-            raise self.err(decl, f"zone groups nested more than {_MAX_NESTING} deep")
+            raise self.err(decl, f"{kind} groups nested more than {_MAX_NESTING} deep")
         self._resolving.append(name)
         assert decl.expr is not None
-        resolved = _eval_set_expr(decl.expr, self._zone_set)
+        members = _eval_set_expr(decl.expr, term)
         self._resolving.pop()
-        self._zone_sets[name] = resolved
-        self.spec.zone_groups[name] = ZoneGroup(name, decl.expr, resolved)
-        return resolved
+        groups[name] = (ServiceGroup if kind == "service" else ZoneGroup)(name, decl.expr, members)
+        return members
 
     # -- rules and reporting
 
@@ -656,7 +628,7 @@ class _Resolver:
             if found is not None and found.kind != "zone_group":
                 raise self.err(decl, f"{found.kind} {side!r} used where a zone was expected")
         assert decl.expr is not None
-        services = _eval_set_expr(decl.expr, lambda n: self._service_term_set(decl, n))
+        services = _eval_set_expr(decl.expr, lambda n: self._service_term(decl, n))
         self.spec.rules[decl.name] = HighLevelRule(
             name=decl.name,
             left=decl.left,
@@ -731,7 +703,7 @@ def block_names(value: Value, key: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# entry point
 
 def parse_policy(text: str, importer: Importer | None = None, file: str = "<policy>",
                  import_memo: dict | None = None) -> PolicySpec:
@@ -745,77 +717,5 @@ def parse_policy(text: str, importer: Importer | None = None, file: str = "<poli
     memo = {} if import_memo is None else import_memo
     main = _parse_file(text, file)
     raw = _collect(main, importer, seen={}, memo=memo)
-    return _Resolver(raw, file, text, main.decls, memo).run()
+    return _Resolver(raw, file, text, memo).run()
 
-
-def resolve_service_expr(expr: SetExpr, spec: PolicySpec) -> ServiceSet:
-    """Evaluate a set expression against an already-resolved spec."""
-    def term(name: str) -> ServiceSet:
-        if name in spec.services:
-            return ServiceSet([spec.services[name]])
-        if name in spec.service_groups:
-            return spec.service_groups[name].members
-        raise PolicyError(f"undeclared name {name!r}")
-
-    return _eval_set_expr(expr, term)
-
-
-# ---------------------------------------------------------------------------
-# pretty printer
-
-def _value_source(value: Value) -> str:
-    if isinstance(value, VInt):
-        return str(value.n)
-    if isinstance(value, VRange):
-        return f"{value.lo}-{value.hi}"
-    if isinstance(value, VName):
-        return value.name
-    if isinstance(value, VString):
-        return f'"{value.text}"'
-    if isinstance(value, VList):
-        return ",".join(_value_source(v) for v in value.items)
-    if isinstance(value, VBlock):
-        inner = "; ".join(
-            f"{k}={_value_source(v)}" if k else _value_source(v) for k, v in value.items
-        )
-        return "{" + inner + "}"
-    raise TypeError(f"unprintable value {value!r}")
-
-
-def pretty_print(spec: PolicySpec) -> str:
-    """Emit canonical policy source that parses back to an equal spec."""
-    lines: list[str] = []
-    for dotted in spec.imports:
-        lines.append(f"import {dotted};")
-    if spec.imports:
-        lines.append("")
-    if spec.declared_model is not None:
-        lines.append(f'load_zone_conduit_model "{spec.declared_model}"')
-        lines.append("")
-    for kind, name in spec.decl_order:
-        if kind == "service":
-            attrs = " ".join(f"{k}={_value_source(v)};" for k, v in spec.raw_attrs[name])
-            lines.append(f"service {name} {{ {attrs} }}")
-        elif kind == "service_group":
-            lines.append(f"service_group {name} {{ {spec.service_groups[name].expr.to_source()} }}")
-        elif kind == "port_group":
-            ranges = ", ".join(str(r) for r in spec.port_groups[name].ranges)
-            lines.append(f"port_group {name} {{ {ranges} }}")
-        elif kind == "zone_group":
-            lines.append(f"zone_group {name} {{ {spec.zone_groups[name].expr.to_source()} }}")
-        elif kind == "policy_rule":
-            rule = spec.rules[name]
-            lines.append(
-                f"policy_rule {name} {{ {rule.left} {rule.operator} {rule.right} : "
-                f"{rule.service_expr.to_source()} }}"
-            )
-        elif kind == "rule_group":
-            lines.append(f"rule_group {name} {{ {', '.join(spec.rule_groups[name])} }}")
-        elif kind == "reporting_rule":
-            attrs = " ".join(f"{k}={_value_source(v)};" for k, v in spec.raw_attrs[name])
-            lines.append(f"reporting_rule {name} {{ {attrs} }}")
-        elif kind == "policy":
-            gp = spec.global_policy
-            assert gp is not None and gp.name == name
-            lines.append(f"policy {name} {{ {gp.rule_group}; {gp.reporting_rule}; }}")
-    return "\n".join(lines) + "\n"

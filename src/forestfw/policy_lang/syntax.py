@@ -309,8 +309,9 @@ class PolicySpec:
     """A fully name-resolved policy: the expanded, group-free rule source.
 
     Imported declarations live in the same tables under their namespace
-    prefix (``iana_services.http``).  ``decl_order`` preserves source order
-    of the main file's declarations for pretty-printing.
+    prefix (``iana_services.http``).  ``name_tokens`` is the one record of
+    where names are declared: the main file's declaration order and every
+    line and column follow from it.
     """
 
     imports: tuple[str, ...] = ()
@@ -323,7 +324,6 @@ class PolicySpec:
     rule_groups: dict[str, tuple[str, ...]] = field(default_factory=dict)
     reporting_rules: dict[str, ReportingRule] = field(default_factory=dict)
     global_policy: GlobalPolicy | None = None
-    decl_order: tuple[tuple[str, str], ...] = ()
     file: str = field(default="<policy>", compare=False)
     source: str = field(default="", compare=False)
     # per declared name, the source that declares it and the index of the
@@ -339,11 +339,6 @@ class PolicySpec:
             return self.file, 0, 0
         source, tok = self.name_tokens[name]
         return (source.file, *source.line_col(tok))
-
-    @property
-    def positions(self) -> dict[str, tuple[int, int]]:
-        """The line and column of every declared name, computed now."""
-        return {name: source.line_col(tok) for name, (source, tok) in self.name_tokens.items()}
 
     def zone_set(self, ref: str) -> frozenset[str]:
         """Leaf zones a zone-or-group reference stands for."""

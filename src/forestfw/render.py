@@ -90,14 +90,13 @@ class _RuleText:
     entry, and each dialect's own text, computed when that dialect first
     renders the rule from the cache's memos."""
 
-    __slots__ = ("rule", "action", "comment", "proto", "src", "dst", "log", "provenance",
+    __slots__ = ("rule", "action", "proto", "src", "dst", "log", "provenance",
                  "_neutral", "_iptables", "_asa")
 
     def __init__(self, rule: AclRule, src: str, dst: str, log_denies: bool) -> None:
         self.rule = rule  # keeps the rule, and so its id(), alive as long as the entry
         # read on every line the rule renders: a slot reads faster than a tuple field
         self.action = rule.action
-        self.comment = rule.comment
         self.proto = _proto_text(rule.protocol)
         self.src = src
         self.dst = dst
@@ -191,7 +190,7 @@ class RenderCache:
     def __init__(self, log_denies: bool = False) -> None:
         self.log_denies = log_denies
         self._rules: dict[int, _RuleText] = {}
-        self._acls: dict[int, tuple[Acl, list[_RuleText]]] = {}
+        self._acls: dict[int, tuple[Acl, list[tuple[str, _RuleText]]]] = {}
         self._nets: dict[int, tuple[ipaddress.IPv4Network, str, str]] = {}
         self._templates: dict[tuple[str, Path | None], DeviceTemplate] = {}
         self._bound: dict[tuple, Callable[..., str]] = {}
@@ -208,12 +207,21 @@ class RenderCache:
                 rule, self._addresses(rule.src), self._addresses(rule.dst), self.log_denies)
         return text
 
-    def acl(self, acl: Acl) -> list[_RuleText]:
-        """The texts of an ACL's rules in order, listed once for the
-        ACL's three renderings (kept with the ACL, keyed by its identity)."""
+    def acl(self, acl: Acl) -> list[tuple[str, _RuleText]]:
+        """Each of an ACL's rules in order, as the remark to write before
+        its text and the text: the rule's comment when it differs from the
+        last comment before it, else "", so a run of equal comments is
+        remarked once.  Listed once for the ACL's three renderings (kept
+        with the ACL, keyed by its identity)."""
         entry = self._acls.get(id(acl))
         if entry is None:
-            entry = self._acls[id(acl)] = (acl, [self.rule(rule) for rule in acl.rules])
+            pairs = []
+            last = ""
+            for rule in acl.rules:
+                comment = rule.comment
+                pairs.append((comment if comment != last else "", self.rule(rule)))
+                last = comment or last
+            entry = self._acls[id(acl)] = (acl, pairs)
         return entry[1]
 
     def _addresses(self, nets: tuple[ipaddress.IPv4Network, ...]) -> str:
@@ -255,13 +263,9 @@ def render_neutral(acl: Acl) -> str:
 
 def _acl_text(acl: Acl, cache: RenderCache) -> str:
     lines = [NEUTRAL_HEADER + acl.name]
-    last_comment = None
-    for text in cache.acl(acl):
-        comment = text.comment
-        if comment and comment != last_comment:
-            lines.append(f"  remark~{comment}")
+    for comment, text in cache.acl(acl):
         if comment:
-            last_comment = comment
+            lines.append(f"  remark~{comment}")
         lines.append("  " + text.neutral(cache))
     return "\n".join(lines) + "\n"
 
@@ -559,14 +563,11 @@ def _render_iptables(policy: NetworkPolicy, firewall: str, template: DeviceTempl
         log_line = bind(template, "log_rule", acl=a.acl, prefix=f"{a.acl}: ")
         accept_loc, drop_loc, log_loc = map(_section_loc, (accept, drop, log_line))
         static = static and None not in (accept_loc, drop_loc, log_loc)
-        last_comment = None
-        for text in cache.acl(acl):
-            comment = text.comment
-            if comment and comment != last_comment:
+        for comment, text in cache.acl(acl):
+            if comment:
                 out.append(remark(comment))
                 static = static and comment.isprintable()
                 remarks += 1
-                last_comment = comment
             if text.provenance:
                 out.append(remark(text.provenance))
                 static = static and text.provenance.isprintable()
@@ -609,12 +610,9 @@ def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
         acl = policy.acl_by_name(firewall, a.acl)
         remark = bind(template, "remark", acl=a.acl)
         rule_line = bind(template, "rule", acl=a.acl)
-        last_comment = None
-        for text in cache.acl(acl):
-            comment = text.comment
-            if comment and comment != last_comment:
+        for comment, text in cache.acl(acl):
+            if comment:
                 out.append(remark(comment))
-                last_comment = comment
             if text.provenance:
                 out.append(remark(text.provenance))
             log = " log" if text.log else ""

@@ -100,14 +100,15 @@ class Leak(NamedTuple):
 class SimNetwork:
     """A compiled network as the simulator walks it: the model, the ACL
     bound at each ``(firewall, interface, direction)`` key, the expanded
-    flows and the connection table, with the caches built from them."""
+    flows and the connection table, with the caches built from them.  The
+    model is fixed once the network is built: the routes, the path index
+    and the zone spans are built from it on first use and never rebuilt."""
 
     model: ZoneConduitModel
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]]
     flows: tuple[FlowRule, ...]
     connections: set[tuple] = field(default_factory=set)
-    # routes per (src, dst, established); the model is fixed once the
-    # network is built
+    # routes per (src, dst, established)
     route_cache: dict[tuple[str, str, bool], list[Route]] = field(
         default_factory=dict, repr=False, compare=False)
     # MatchTable per acl_map key, valid while acl_map holds its rules
@@ -115,8 +116,8 @@ class SimNetwork:
         default_factory=dict, repr=False, compare=False)
     # each rule and address or port field encoded once across the tables
     codes: dict = field(default_factory=dict, repr=False, compare=False)
-    # (model, sorted disjoint (lo, hi, zone) spans), built on first use
-    zone_spans: tuple | None = field(default=None, repr=False, compare=False)
+    # sorted disjoint (lo, hi, zone) spans, built on first use
+    zone_spans: list | None = field(default=None, repr=False, compare=False)
     # the model's path index, built on first use (``path_index``)
     index: PathIndex | None = field(default=None, repr=False, compare=False)
 
@@ -124,17 +125,19 @@ class SimNetwork:
         self.connections.clear()
 
     def routes(self, src: str, dst: str, established: bool = False) -> list[Route]:
+        """The routes of the zone paths from ``src`` to ``dst``, in path
+        order: each hop's ACLs as :func:`netgen.hop_acls` names them."""
         key = (src, dst, established)
         if key not in self.route_cache:
             index = self.path_index()
-            self.route_cache[key] = routes_of(
-                self.model, enumerate_paths(self.model, src, dst, established, index=index),
-                index)
+            hop_keys = index.hop_keys
+            self.route_cache[key] = [
+                tuple(hop_keys[hop] for hop in zip(path, path[1:]))
+                for path in enumerate_paths(self.model, src, dst, established, index=index)]
         return self.route_cache[key]
 
     def path_index(self) -> PathIndex:
-        """The path index of ``model``, rebuilt once ``model`` is another."""
-        if self.index is None or self.index.model is not self.model:
+        if self.index is None:
             self.index = PathIndex(self.model)
         return self.index
 
@@ -150,27 +153,16 @@ class SimNetwork:
     def zone_of_address(self, addr: int) -> str | None:
         """The zone whose CIDRs hold ``addr``, by bisect; an address in
         overlapping CIDRs belongs to the first of their zones in name order."""
-        if self.zone_spans is None or self.zone_spans[0] is not self.model:
+        spans = self.zone_spans
+        if spans is None:
             spans, covered = [], ()
             for zone in sorted(self.model.zones.values(), key=lambda z: z.name):
                 cidrs = address_intervals(zone.cidrs)
                 spans += [(lo, hi, zone.name) for lo, hi in intervals.subtract(cidrs, covered)]
                 covered = intervals.union(covered, cidrs)
-            self.zone_spans = (self.model, sorted(spans))
-        spans = self.zone_spans[1]
+            spans = self.zone_spans = sorted(spans)
         i = bisect_right(spans, addr, key=lambda span: span[0]) - 1
         return spans[i][2] if i >= 0 and addr <= spans[i][1] else None
-
-
-def routes_of(model: ZoneConduitModel, paths: list[list[str]],
-              index: PathIndex | None = None) -> list[Route]:
-    """The routes of zone paths, in path order: each hop's ACLs as
-    :func:`netgen.hop_acls` names them, read from ``index``, the model's
-    path index (a throwaway one when None)."""
-    if index is None:
-        index = PathIndex(model)
-    hop_keys = index.hop_keys
-    return [tuple(hop_keys[hop] for hop in zip(path, path[1:])) for path in paths]
 
 
 def load_compiled(directory: Path | str) -> SimNetwork:

@@ -76,15 +76,6 @@ class ZoneConduitModel:
     def conduit_between(self, a: str, b: str) -> Conduit | None:
         return self.conduits.get((a, b) if a < b else (b, a))
 
-    def neighbors(self, zone: str) -> list[str]:
-        out = []
-        for (a, b) in self.conduits:
-            if a == zone:
-                out.append(b)
-            elif b == zone:
-                out.append(a)
-        return sorted(out)
-
 
 def firewall_zones(model: ZoneConduitModel) -> dict[str, str]:
     """Each firewall's own Firewall-Zone."""
@@ -426,7 +417,8 @@ def export_graph(model: ZoneConduitModel, flavor: str) -> str:
     """Deterministic DOT rendering of the model.
 
     ``zone_conduit`` shows zones and conduits; ``zone_firewall`` shows
-    non-firewall zones connected to the firewall boxes that touch them.
+    non-firewall zones connected to the firewall boxes that face them, as
+    the firewalls' interfaces record.
     """
     if flavor not in ("zone_firewall", "zone_conduit"):
         raise ValueError(f"unknown graph flavor {flavor!r}")
@@ -440,20 +432,16 @@ def export_graph(model: ZoneConduitModel, flavor: str) -> str:
             label = f' [label="{fws}"]' if fws else ""
             lines.append(f'  "{a}" -- "{b}"{label};')
     else:
-        fw_zones = {name: zone for name, zone in model.zones.items() if zone.kind == "firewall"}
+        edges = []
         for name in sorted(model.zones):
             zone = model.zones[name]
             if zone.kind == "firewall":
                 fw = next(iter(zone.members))
                 lines.append(f'  "{fw}" [kind="firewall" shape="box"];')
+                edges += [(fw, peer) for peer in model.firewall_interfaces.get(fw, ())
+                          if model.zones[peer].kind != "firewall"]
             else:
                 lines.append(f'  "{name}" [kind="{zone.kind}" shape="{_DOT_SHAPES[zone.kind]}"];')
-        edges = set()
-        for name, zone in sorted(fw_zones.items()):
-            fw = next(iter(zone.members))
-            for peer in model.neighbors(name):
-                if model.zones[peer].kind != "firewall":
-                    edges.add((fw, peer))
         for fw, peer in sorted(edges):
             lines.append(f'  "{fw}" -- "{peer}";')
     lines.append("}")

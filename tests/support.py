@@ -4,7 +4,8 @@ The oracles stay deliberately independent of the library's own set
 algebra: accept sets are materialized as dense numpy grids and compared
 pointwise, negative vetting is replayed one packet at a time, path
 selection is checked against the exhaustive enumerate-then-filter search,
-the lexer against a character-at-a-time tokenizer, the overlap check
+the lexer against a character-at-a-time tokenizer, the parser against a
+printer of canonical source that must parse back, the overlap check
 against an all-pairs comparison, the canonical grid algebra against
 strip sweeps and merge-pass subtraction, the ACL anomaly check against
 pairwise 7-D box subtraction, the renderers against their form before the
@@ -55,8 +56,16 @@ from forestfw.policy_lang.syntax import (
     PROTOCOL_NAMES,
     PROTOCOL_NUMBERS,
     FlowRule,
+    PolicySpec,
     PortRange,
     Service,
+    Value,
+    VBlock,
+    VInt,
+    VList,
+    VName,
+    VRange,
+    VString,
 )
 from forestfw.render import NEUTRAL_HEADER, TERMINAL_DENY_LINE
 from forestfw.sim import (
@@ -675,13 +684,18 @@ def enumerate_paths_exhaustive(model: ZoneConduitModel, src: str, dst: str,
         if dst not in model.firewall_interfaces.get(firewall, {}):
             return []
 
+    # each zone's conduit peers in name order, read from the conduits alone
+    neighbours: dict[str, list[str]] = {zone: [] for zone in model.zones}
+    for a, b in model.conduits:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
     paths: list[list[str]] = []
 
     def dfs(current: str, path: list[str]) -> None:
         if current == dst:
             paths.append(list(path))
             return
-        for nxt in model.neighbors(current):
+        for nxt in sorted(neighbours[current]):
             if nxt in path:
                 continue
             if nxt != dst and model.zones[nxt].kind == "firewall":
@@ -741,6 +755,89 @@ def tokenize(text: str, file: str = "<policy>") -> list[Token]:
     source = Source(text, file)
     return [Token(kind_of(tok), value_of(tok), source.offset(k))
             for k, tok in enumerate(scan(source))]
+
+
+# ---------------------------------------------------------------------------
+# where a spec's names are declared, and the parser's round-trip oracle: a
+# printer of canonical policy source that parses back to an equal spec
+
+# the spec table of each declaration kind; the global policy has none
+_DECL_TABLES = (("service", "services"), ("service_group", "service_groups"),
+                ("port_group", "port_groups"), ("zone_group", "zone_groups"),
+                ("policy_rule", "rules"), ("rule_group", "rule_groups"),
+                ("reporting_rule", "reporting_rules"))
+
+
+def declaration_order(spec: PolicySpec) -> list[tuple[str, str]]:
+    """``(kind, name)`` of the main file's declarations in source order,
+    read from ``spec.name_tokens``."""
+    main = sorted((tok, name) for name, (source, tok) in spec.name_tokens.items()
+                  if source.text is spec.source)
+    return [(next((kind for kind, table in _DECL_TABLES if name in getattr(spec, table)),
+                  "policy"), name) for _, name in main]
+
+
+def declaration_positions(spec: PolicySpec) -> dict[str, tuple[int, int]]:
+    """The line and column of every declared name, in its declaring file."""
+    return {name: source.line_col(tok) for name, (source, tok) in spec.name_tokens.items()}
+
+
+def _value_source(value: Value) -> str:
+    if isinstance(value, VInt):
+        return str(value.n)
+    if isinstance(value, VRange):
+        return f"{value.lo}-{value.hi}"
+    if isinstance(value, VName):
+        return value.name
+    if isinstance(value, VString):
+        return f'"{value.text}"'
+    if isinstance(value, VList):
+        return ",".join(_value_source(v) for v in value.items)
+    if isinstance(value, VBlock):
+        inner = "; ".join(
+            f"{k}={_value_source(v)}" if k else _value_source(v) for k, v in value.items
+        )
+        return "{" + inner + "}"
+    raise TypeError(f"unprintable value {value!r}")
+
+
+def pretty_print(spec: PolicySpec) -> str:
+    """Emit canonical policy source that parses back to an equal spec."""
+    lines: list[str] = []
+    for dotted in spec.imports:
+        lines.append(f"import {dotted};")
+    if spec.imports:
+        lines.append("")
+    if spec.declared_model is not None:
+        lines.append(f'load_zone_conduit_model "{spec.declared_model}"')
+        lines.append("")
+    for kind, name in declaration_order(spec):
+        if kind == "service":
+            attrs = " ".join(f"{k}={_value_source(v)};" for k, v in spec.raw_attrs[name])
+            lines.append(f"service {name} {{ {attrs} }}")
+        elif kind == "service_group":
+            lines.append(f"service_group {name} {{ {spec.service_groups[name].expr.to_source()} }}")
+        elif kind == "port_group":
+            ranges = ", ".join(str(r) for r in spec.port_groups[name].ranges)
+            lines.append(f"port_group {name} {{ {ranges} }}")
+        elif kind == "zone_group":
+            lines.append(f"zone_group {name} {{ {spec.zone_groups[name].expr.to_source()} }}")
+        elif kind == "policy_rule":
+            rule = spec.rules[name]
+            lines.append(
+                f"policy_rule {name} {{ {rule.left} {rule.operator} {rule.right} : "
+                f"{rule.service_expr.to_source()} }}"
+            )
+        elif kind == "rule_group":
+            lines.append(f"rule_group {name} {{ {', '.join(spec.rule_groups[name])} }}")
+        elif kind == "reporting_rule":
+            attrs = " ".join(f"{k}={_value_source(v)};" for k, v in spec.raw_attrs[name])
+            lines.append(f"reporting_rule {name} {{ {attrs} }}")
+        elif kind == "policy":
+            gp = spec.global_policy
+            assert gp is not None and gp.name == name
+            lines.append(f"policy {name} {{ {gp.rule_group}; {gp.reporting_rule}; }}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1450,6 +1547,8 @@ __all__ = [
     "accept_masks",
     "brute_force_leaks",
     "canonical_masks",
+    "declaration_order",
+    "declaration_positions",
     "enumerate_paths_exhaustive",
     "find_acl_anomalies_pairwise",
     "find_rule_overlaps_all_pairs",
@@ -1474,6 +1573,7 @@ __all__ = [
     "partition_strips",
     "partition_strips_by_scan",
     "plan_delivers",
+    "pretty_print",
     "random_accept_rules",
     "random_mixed_service_set",
     "random_range",

@@ -11,12 +11,18 @@ from forestfw.policy_lang import (
     default_importer,
     expand_rules,
     parse_policy,
-    pretty_print,
     validate_spec,
 )
 from forestfw.policy_lang.lexer import NewlineIndex
 from conftest import FIXTURES
-from support import generated_policy_sources, tokenize, tokenize_by_char
+from support import (
+    declaration_order,
+    declaration_positions,
+    generated_policy_sources,
+    pretty_print,
+    tokenize,
+    tokenize_by_char,
+)
 
 
 def kinds_and_values(text):
@@ -190,7 +196,7 @@ def test_warm_import_memo_parses_like_a_cold_one(name):
     assert all(memo[key] is raw for key, raw in parsed.items())
     assert pretty_print(warm) == pretty_print(cold)
     assert warm.services == cold.services
-    assert warm.positions == cold.positions
+    assert declaration_positions(warm) == declaration_positions(cold)
 
 
 def oracle_declaration_positions(text):
@@ -214,13 +220,13 @@ def test_declaration_positions_agree_with_character_oracle(name):
     importer = default_importer(search_paths=(FIXTURES,))
     spec = parse_policy(text, importer)
     expected = oracle_declaration_positions(text)
-    assert [decl for _, decl in spec.decl_order] == list(expected)
+    assert [decl for _, decl in declaration_order(spec)] == list(expected)
     for dotted in spec.imports:
         prefix = dotted.rsplit(".", 1)[-1]
         _, library = importer(dotted)
         expected.update((f"{prefix}.{decl}", position)
                         for decl, position in oracle_declaration_positions(library).items())
-    assert spec.positions == expected
+    assert declaration_positions(spec) == expected
 
 
 # a global policy over the rules named in its rule group

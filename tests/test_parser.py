@@ -11,15 +11,12 @@ from forestfw import intervals
 from forestfw.diagnostics import PolicyError
 from forestfw.policy_lang import (
     ServiceSet,
-    SetExpr,
     default_importer,
     parse_policy,
-    pretty_print,
-    resolve_service_expr,
 )
 from forestfw.policy_lang.syntax import PortRange, Service
 from conftest import FIXTURES, load_fixture_policy
-from support import generated_policy_sources
+from support import declaration_order, generated_policy_sources, pretty_print
 
 
 def parse_with_libs(body: str):
@@ -52,13 +49,20 @@ def test_zone_group_three_zones():
     assert spec.zone_groups["three_zones"].zones == frozenset({"corp", "scada", "dmz"})
 
 
-def test_intersection_finds_shared_http(plant_spec):
-    shared = resolve_service_expr(SetExpr("web", (("^", "file_transfer"),)), plant_spec)
-    assert [s.display_name for s in shared] == ["http"]
+def probe_group(expr: str):
+    """The members of ``service_group probe { expr }`` added to the plant policy."""
+    text = (FIXTURES / "scada_plant.policyml").read_text(encoding="utf-8")
+    spec = parse_policy(f"{text}\nservice_group probe {{ {expr} }}\n",
+                        default_importer(search_paths=(FIXTURES,)))
+    return spec.service_groups["probe"].members
 
 
-def test_self_difference_is_empty(plant_spec):
-    assert len(resolve_service_expr(SetExpr("web", (("\\", "web"),)), plant_spec)) == 0
+def test_intersection_finds_shared_http():
+    assert [s.display_name for s in probe_group("web ^ file_transfer")] == ["http"]
+
+
+def test_self_difference_is_empty():
+    assert len(probe_group("web \\ web")) == 0
 
 
 def test_union_deduplicates_by_value():
@@ -189,6 +193,57 @@ def test_cross_kind_reference_rejected():
             "zone_group g { s }")
 
 
+def nested_groups(kind: str, leaf: str) -> str:
+    """66 ``kind`` groups, each one nesting the next and the last ``leaf``."""
+    return ("".join(f"{kind}_group g{i} {{ g{i + 1} }}\n" for i in range(65))
+            + f"  {kind}_group g65 {{ {leaf} }}\n")
+
+
+GROUP_ERRORS = {
+    "service_cycle": (
+        "service s { protocol=tcp; }\nservice_group a { s, b }\n  service_group b { a }\n",
+        "{file}:2:15: error: cycle in service group nesting through '{ns}a'"),
+    "zone_cycle": (
+        "zone_group a { z1, b }\n  zone_group b { a }\n",
+        "{file}:1:12: error: cycle in zone group nesting through '{ns}a'"),
+    "service_too_deep": (
+        "service s { protocol=tcp; }\n" + nested_groups("service", "s"),
+        "{file}:66:15: error: service groups nested more than 64 deep"),
+    "zone_too_deep": (
+        nested_groups("zone", "z1"),
+        "{file}:65:12: error: zone groups nested more than 64 deep"),
+    "service_cross_kind": (
+        "zone_group g { z1 }\nservice_group sg {\n  s ^ g }\nservice s { protocol=tcp; }\n",
+        "{file}:1:12: error: zone_group '{ns}g' used where a service was expected"),
+    "zone_cross_kind": (
+        "  service s { protocol=tcp; }\nzone_group g { z1, s }\n",
+        "{file}:1:11: error: service '{ns}s' used where a zone was expected"),
+    "service_undeclared": (
+        "service s { protocol=tcp; }\nservice_group g {\n  s, nope }\n",
+        "{file}:2:15: error: undeclared name 'nope'"),
+    "rule_undeclared": (
+        "policy_rule r { z1 -> z2 :\n nope }\n",
+        "{file}:1:13: error: undeclared name 'nope'"),
+}
+
+
+@pytest.mark.parametrize("in_library", [False, True], ids=["main", "library"])
+@pytest.mark.parametrize("case", sorted(GROUP_ERRORS))
+def test_group_errors_name_the_declaration(case, in_library):
+    """The whole diagnostic of a faulty service or zone group, in the main
+    file or in a library it imports.  A zone group's undeclared term is a
+    leaf zone, not an error, so only services have an undeclared case."""
+    text, want = GROUP_ERRORS[case]
+    library = {"mylib.svc": ("mylib/svc.policyml", text)}.get
+    with pytest.raises(PolicyError) as err:
+        if in_library:
+            parse_policy("import mylib.svc;\n", library, file="p.policyml")
+        else:
+            parse_policy(text, file="p.policyml")
+    file, ns = ("mylib/svc.policyml", "svc.") if in_library else ("p.policyml", "")
+    assert str(err.value) == want.format(file=file, ns=ns)
+
+
 def test_parse_error_position_and_hint():
     with pytest.raises(PolicyError) as err:
         parse_policy("service s { protocol tcp; }")
@@ -237,7 +292,9 @@ def test_pretty_print_round_trip(name):
     importer = default_importer(search_paths=(FIXTURES,))
     spec = parse_policy(text, importer)
     assert spec.rules
-    assert parse_policy(pretty_print(spec), importer) == spec
+    again = parse_policy(pretty_print(spec), importer)
+    assert again == spec
+    assert declaration_order(again) == declaration_order(spec)
 
 
 def test_every_fixture_form_parses(fixture_dir):

@@ -16,6 +16,7 @@ from forestfw.topo_model import (
     load_declared_model,
     load_topology,
 )
+from conftest import FIXTURES
 from support import zone_disjointness_by_pairs
 
 CHAIN = """<?xml version="1.0"?>
@@ -205,6 +206,16 @@ def test_export_graph_deterministic_and_complete(plant_topology):
     for fw in ("R1", "R2", "GW"):
         assert f'"{fw}"' in firewall_dot
     assert '"fwz1"' not in firewall_dot  # firewalls appear as boxes, not zones
+
+
+def test_zone_firewall_graph_joins_each_firewall_to_the_zones_it_faces():
+    # F1 and F2 are linked directly, so each realizes conduits of the
+    # other's Firewall-Zone; F1 still faces only za and F2 only zb
+    text = (FIXTURES / "firewall_chain.graphml").read_text(encoding="utf-8")
+    model = derive_zone_conduit(build_zone_firewall_model(load_topology(text)))
+    assert model.conduits[("fwz1", "zb")].firewalls == frozenset({"F2"})
+    edges = [line for line in export_graph(model, "zone_firewall").splitlines() if "--" in line]
+    assert edges == ['  "F1" -- "za";', '  "F2" -- "zb";']
 
 
 def test_export_empty_model():
