@@ -148,12 +148,20 @@ def _encode(rule: "AclRule", codes: dict) -> tuple:
     and port fields once per value."""
     entry = codes.get(id(rule))
     if entry is None:
-        entry = codes[id(rule)] = (rule, tuple(
-            (codes.get(key) or codes.setdefault(key, (field, encode(field))))[1]
-            for field, key, encode in ((rule.src, id(rule.src), address_intervals),
-                                       (rule.dst, id(rule.dst), address_intervals),
-                                       (rule.sport, rule.sport, _ports),
-                                       (rule.dport, rule.dport, _ports))))
+        _, _, src, dst, sport, dport = rule[:6]
+        src_code = codes.get(id(src))
+        if src_code is None:
+            src_code = codes[id(src)] = (src, address_intervals(src))
+        dst_code = codes.get(id(dst))
+        if dst_code is None:
+            dst_code = codes[id(dst)] = (dst, address_intervals(dst))
+        sport_code = codes.get(sport)
+        if sport_code is None:
+            sport_code = codes[sport] = (sport, _ports(sport))
+        dport_code = codes.get(dport)
+        if dport_code is None:
+            dport_code = codes[dport] = (dport, _ports(dport))
+        entry = codes[id(rule)] = (rule, (src_code[1], dst_code[1], sport_code[1], dport_code[1]))
     return entry[1]
 
 

@@ -297,7 +297,9 @@ def hop_acls(crossings: Iterable[tuple[str, str, str]]) -> tuple[tuple[str, str,
 def translate_rule(flow: FlowRule,
                    zone_cidrs: Mapping[str, Sequence[ipaddress.IPv4Network]],
                    log: bool = False, comment: str = "") -> list[AclRule]:
-    """One permit per (src CIDR, dst CIDR) pair of the flow's zones."""
+    """One permit per (src CIDR, dst CIDR) pair of the flow's zones, in the
+    order ``zone_cidrs`` lists them (compile sorts them by address, then
+    prefix length)."""
     src_cidrs = tuple(zone_cidrs.get(flow.src_zone, ()))
     dst_cidrs = tuple(zone_cidrs.get(flow.dst_zone, ()))
     if not src_cidrs:
@@ -315,8 +317,8 @@ def translate_rule(flow: FlowRule,
     else:
         sport = dport = ()
     rules = []
-    for src in sorted(src_cidrs, key=_net_key):
-        for dst in sorted(dst_cidrs, key=_net_key):
+    for src in src_cidrs:
+        for dst in dst_cidrs:
             rules.append(AclRule(
                 action="permit", protocol=svc.protocol, src=(src,), dst=(dst,),
                 sport=sport, dport=dport, log=log, comment=comment,
@@ -470,7 +472,11 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     if has_errors(diags):
         raise CompileError(diags)
 
-    zone_cidrs = {name: zone.cidrs for name, zone in model.zones.items()}
+    # each zone network's _net_key, computed once: the model holds the
+    # networks, and so their ids, for the compile
+    net_keys = {id(net): _net_key(net) for zone in model.zones.values() for net in zone.cidrs}
+    zone_cidrs = {name: sorted(zone.cidrs, key=lambda net: net_keys[id(net)])
+                  for name, zone in model.zones.items()}
     logged_groups = _logged_rule_groups(spec)
     logged_rules: set[str] = set()
     for group in logged_groups:
@@ -511,8 +517,8 @@ def compile_policy(spec: PolicySpec, topo: Topology,
         translated = translate_rule(flow, zone_cidrs, log=log,
                                     comment=_flow_comment(spec, flow))
         supplemented = add_supplementary_rules(translated, flow)
-        forward = [_keyed(r) for r in supplemented if r.flow_dir == "forward"]
-        returns = [_keyed(r) for r in supplemented if r.flow_dir == "return"]
+        forward = [_keyed(r, net_keys) for r in supplemented if r.flow_dir == "forward"]
+        returns = [_keyed(r, net_keys) for r in supplemented if r.flow_dir == "return"]
 
         for forward_key, return_key in targets:
             bucket(*forward_key).extend(forward)
@@ -534,6 +540,11 @@ def compile_policy(spec: PolicySpec, topo: Topology,
 
     acls: dict[str, list[Acl]] = {}
     assignments: list[InterfaceAssignment] = []
+    # one Acl per name, OSPF flag and bucket entries (the same objects in
+    # the same order), shared by the firewalls whose buckets are equal, as
+    # serial firewalls' are; keyed by the entries' ids, which the buckets
+    # hold for the compile
+    shared: dict[tuple, Acl] = {}
     for firewall in sorted({fw for fw, _, _ in buckets}):
         counter = 0
         for (fw, iface, direction) in sorted(buckets):
@@ -541,11 +552,17 @@ def compile_policy(spec: PolicySpec, topo: Topology,
                 continue
             counter += 1
             name = f"acl_{counter}"
-            rules = _assemble(buckets[(fw, iface, direction)])
-            if ospf_rules and iface != LOCAL_INTERFACE:
-                rules.extend(ospf_rules)
-            rules.append(TERMINAL_DENY)
-            acls.setdefault(firewall, []).append(Acl(name, tuple(rules)))
+            entries = buckets[(fw, iface, direction)]
+            ospf = bool(ospf_rules) and iface != LOCAL_INTERFACE
+            key = (name, ospf, *map(id, entries))
+            acl = shared.get(key)
+            if acl is None:
+                rules = _assemble(entries)
+                if ospf:
+                    rules.extend(ospf_rules)
+                rules.append(TERMINAL_DENY)
+                acl = shared[key] = Acl(name, tuple(rules))
+            acls.setdefault(firewall, []).append(acl)
             assignments.append(InterfaceAssignment(firewall, iface, direction, name))
 
     return NetworkPolicy(
@@ -563,13 +580,14 @@ def compile_policy(spec: PolicySpec, topo: Topology,
 _Keyed = tuple[tuple, tuple, AclRule]
 
 
-def _keyed(rule: AclRule) -> _Keyed:
+def _keyed(rule: AclRule, net_keys: Mapping[int, tuple[int, int]]) -> _Keyed:
     """``(sort key, match key, rule)``: the order ``_assemble`` puts rules
     in, and their match effect with addresses as ``_net_key`` ints, which
-    compare as the networks do and hash without building them again."""
+    compare as the networks do and hash without building them again;
+    ``net_keys`` holds each network's, by its id."""
     action, protocol, src, dst, sport, dport, state, log = rule.match_key()
-    src = tuple(_net_key(n) for n in src)
-    dst = tuple(_net_key(n) for n in dst)
+    src = tuple([net_keys[id(n)] for n in src])
+    dst = tuple([net_keys[id(n)] for n in dst])
     return ((rule.origin_rule, rule.origin_service, rule.flow_dir, src, dst,
              protocol if protocol is not None else 256, dport, sport, state),
             (action, protocol, src, dst, sport, dport, state, log),

@@ -476,7 +476,7 @@ class _Resolver:
         for decl in by_kind["service_group"]:
             self._service_term(decl, decl.name)
         for decl in by_kind["zone_group"]:
-            self._zone_term(decl.name)
+            self._zone_term(decl, decl.name)
         for decl in by_kind["policy_rule"]:
             self._build_rule(decl)
         for decl in by_kind["reporting_rule"]:
@@ -582,25 +582,28 @@ class _Resolver:
 
     def _service_term(self, decl: _RawDecl, name: str) -> ServiceSet:
         """The services ``name``, a term of ``decl``'s set expression,
-        stands for: a service or a service group."""
+        stands for: a service or a service group.  A name of another kind
+        is an error at ``decl``, the declaration that misuses it."""
         found = self.registry.get(name)
         if found is None:
             raise self.err(decl, f"undeclared name {name!r}")
         if found.kind == "service":
             return ServiceSet([self.spec.services[name]])
         if found.kind != "service_group":
-            raise self.err(found, f"{found.kind} {name!r} used where a service was expected")
+            raise self.err(decl, f"{found.kind} {name!r} used where a service was expected")
         return self._group(found, "service", lambda n: self._service_term(found, n))
 
-    def _zone_term(self, name: str) -> frozenset[str]:
-        """The zones ``name`` stands for: a zone group's, or itself when no
-        declaration has it, a leaf zone of the security model."""
+    def _zone_term(self, decl: _RawDecl, name: str) -> frozenset[str]:
+        """The zones ``name``, a term of ``decl``'s set expression (or
+        ``decl``'s own name), stands for: a zone group's, or itself when no
+        declaration has it, a leaf zone of the security model.  A name of
+        another kind is an error at ``decl``."""
         found = self.registry.get(name)
         if found is None:
             return frozenset({name})
         if found.kind != "zone_group":
-            raise self.err(found, f"{found.kind} {name!r} used where a zone was expected")
-        return self._group(found, "zone", self._zone_term)
+            raise self.err(decl, f"{found.kind} {name!r} used where a zone was expected")
+        return self._group(found, "zone", lambda n: self._zone_term(found, n))
 
     def _group(self, decl: _RawDecl, kind: str, term: Callable[[str], _SetT]) -> _SetT:
         """The set of the ``kind`` ("service" or "zone") group ``decl``, its

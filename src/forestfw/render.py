@@ -11,13 +11,16 @@ One compile renders each rule many times: once per dialect, and once
 more for every ACL and firewall that holds the same :class:`AclRule`
 object.  A :class:`RenderCache` made for one compile builds each distinct
 rule's text once, each dialect's part when that dialect first asks for
-it, and loads each template once.  A device line is one positional
-``str.format`` call: a section is bound once per ACL with the slots that
-stay fixed there (the ACL name, and the iptables target or log prefix)
-written in, and the cache keeps each binding for the rest of the compile,
-so ACL names that recur across firewalls are bound once.  The cache lives
-only as long as the compile that made it; a render call given no cache
-makes its own.
+it, and loads each template once; serial firewalls share :class:`Acl`
+objects, and the cache writes each ACL's block of lines once per
+dialect.  A template is compiled when it is loaded, each section into
+literal text and slot names; a section is bound once per ACL with the
+slots that stay fixed there (the ACL name, and the iptables target or
+log prefix) written in, into a line builder that concatenates or fills
+one ``%`` format, so no line parses a format string.  The cache keeps
+each binding for the rest of the compile, so ACL names that recur across
+firewalls are bound once.  The cache lives only as long as the compile
+that made it; a render call given no cache makes its own.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import ipaddress
 import json
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -174,26 +178,28 @@ def _provenance(rule: AclRule) -> str:
 
 class RenderCache:
     """The text one compile renders more than once: each distinct rule's
-    fields, each port list's text per dialect, each device template, and
-    each template section bound to the slot values fixed per ACL
-    (:meth:`bind`).
+    fields, each port list's text per dialect, each device template, each
+    template section bound to the slot values fixed per ACL (:meth:`bind`),
+    and each ACL's block of lines per dialect (:meth:`block`).
 
-    Firewalls and ACLs share :class:`AclRule` objects, so an entry is
-    keyed by the rule's identity (hashing a rule would hash its networks,
-    which costs more than the text it saves); the entry keeps its rule
-    alive, so the key is not reused while the cache lives.  Each address
-    network's text is kept the same way.  Make one per compile, for the
-    policy whose ``log_denies`` it is given, and pass it to every render
-    call of that compile; a render call without one makes its own.
+    Firewalls and ACLs share :class:`AclRule` objects, and serial firewalls
+    share :class:`Acl` objects, so an entry is keyed by the rule's or the
+    ACL's identity (hashing a rule would hash its networks, which costs
+    more than the text it saves); the entry keeps its object alive, so the
+    key is not reused while the cache lives.  Each address network's text
+    is kept the same way.  Make one per compile, for the policy whose
+    ``log_denies`` it is given, and pass it to every render call of that
+    compile; a render call without one makes its own.
     """
 
     def __init__(self, log_denies: bool = False) -> None:
         self.log_denies = log_denies
         self._rules: dict[int, _RuleText] = {}
         self._acls: dict[int, tuple[Acl, list[tuple[str, _RuleText]]]] = {}
+        self._blocks: dict[tuple[int, object], tuple[Acl, str | None, int]] = {}
         self._nets: dict[int, tuple[ipaddress.IPv4Network, str, str]] = {}
         self._templates: dict[tuple[str, Path | None], DeviceTemplate] = {}
-        self._bound: dict[tuple, Callable[..., str]] = {}
+        self._bound: dict[tuple, BoundSection] = {}
         self.neutral_ports = _Memo(_ports_text)
         self.iptables_sports = _Memo(lambda r: _operators(r, " --sport {}", " --sport {}:{}"))
         self.iptables_dports = _Memo(lambda r: _operators(r, " --dport {}", " --dport {}:{}"))
@@ -224,6 +230,19 @@ class RenderCache:
             entry = self._acls[id(acl)] = (acl, pairs)
         return entry[1]
 
+    def block(self, acl: Acl, template: DeviceTemplate | None,
+              write: Callable[[Acl, DeviceTemplate | None, RenderCache], tuple[list[str], int]]
+              ) -> tuple[str | None, int]:
+        """``write(acl, template, self)``'s lines of the ACL, joined, or None
+        for no line, and the non-comment lines it counts; written once per
+        ACL and template (None for the neutral format)."""
+        entry = self._blocks.get((id(acl), template))
+        if entry is None:
+            lines, loc = write(acl, template, self)
+            entry = self._blocks[id(acl), template] = (
+                acl, "\n".join(lines) if lines else None, loc)
+        return entry[1], entry[2]
+
     def _addresses(self, nets: tuple[ipaddress.IPv4Network, ...]) -> str:
         if len(nets) == 1:
             entry = self._nets.get(id(nets[0])) or self._net(nets[0])
@@ -242,7 +261,7 @@ class RenderCache:
             self._templates[key] = load_template(vendor_id, templates_dir)
         return self._templates[key]
 
-    def bind(self, template: DeviceTemplate, section: str, **fixed: str) -> Callable[..., str]:
+    def bind(self, template: DeviceTemplate, section: str, **fixed: str) -> BoundSection:
         """``template.bind(section, **fixed)``, bound once per cache: the
         ACL names ``acl_1`` ... recur across firewalls, and so do the
         sections bound to them."""
@@ -262,12 +281,16 @@ def render_neutral(acl: Acl) -> str:
 
 
 def _acl_text(acl: Acl, cache: RenderCache) -> str:
+    return cache.block(acl, None, _neutral_lines)[0] + "\n"
+
+
+def _neutral_lines(acl: Acl, template: None, cache: RenderCache) -> tuple[list[str], int]:
     lines = [NEUTRAL_HEADER + acl.name]
     for comment, text in cache.acl(acl):
         if comment:
             lines.append(f"  remark~{comment}")
         lines.append("  " + text.neutral(cache))
-    return "\n".join(lines) + "\n"
+    return lines, 0
 
 
 def render_neutral_file(policy: NetworkPolicy, firewall: str,
@@ -432,27 +455,75 @@ _BRACES = re.compile(r"\{(?:\{|[^{}]*\})?|\}\}?")
 _LITERAL_BRACES = frozenset({"{{", "}}"})
 
 
+class BoundSection(NamedTuple):
+    """A template section with its fixed slots filled in (``DeviceTemplate.bind``)."""
+
+    line: Callable[..., str]  # the section's text, given the open slots positionally
+    loc: int | None  # the non-comment lines each call writes, None if a value can decide
+
+
 @dataclass(frozen=True, eq=False)
 class DeviceTemplate:
-    """A dialect's template: each section's checked body.  Compared and
-    hashed by identity, so a render cache can key its bindings by it."""
+    """A dialect's template: each section's checked body, and the body
+    compiled into ``parts``, literal text (braces unescaped) alternating
+    with slot names, first and last part literal.  Compared and hashed by
+    identity, so a render cache can key its bindings by it."""
 
     vendor_id: str
     sections: dict[str, str]
+    parts: dict[str, tuple[str, ...]]
 
-    def bind(self, section: str, **fixed: str) -> Callable[..., str]:
-        """The section's ``str.format`` with the ``fixed`` slot values
-        written in literally (a brace in a value stays a brace); it takes
-        the slots left open positionally, in their ``_TEMPLATE_SLOTS``
-        order.  A slot may appear any number of times, or not at all."""
+    def bind(self, section: str, **fixed: str) -> BoundSection:
+        """The section with the ``fixed`` slot values written in literally;
+        its line builder takes the slots left open positionally, in their
+        ``_TEMPLATE_SLOTS`` order, and writes what ``str.format`` of the
+        body would.  A slot may appear any number of times, or not at all.
+        One open slot written once is concatenated; more are one
+        ``%``-format over a format string with literal ``%`` escaped."""
         open_slots = [slot for slot in _TEMPLATE_SLOTS[self.vendor_id][section]
                       if slot not in fixed]
-        fields = {f"{{{slot}}}": f"{{{i}}}" for i, slot in enumerate(open_slots)}
-        fields.update((f"{{{slot}}}", value.replace("{", "{{").replace("}", "}}"))
-                      for slot, value in fixed.items())
-        # the body is checked: every brace is a literal pair or a slot
-        body = _BRACES.sub(lambda m: fields.get(m.group(), m.group()), self.sections[section])
-        return body.format
+        parts = self.parts[section]
+        literals, picks = [parts[0]], []
+        for k in range(1, len(parts), 2):
+            slot, after = parts[k], parts[k + 1]
+            if slot in fixed:
+                literals[-1] += fixed[slot] + after
+            else:
+                picks.append(open_slots.index(slot))
+                literals.append(after)
+        return BoundSection(_line_builder(literals, picks, len(open_slots)),
+                            _static_loc(literals))
+
+
+def _line_builder(literals: list[str], picks: list[int], arity: int) -> Callable[..., str]:
+    """The builder of a line that writes argument ``picks[i]`` between
+    ``literals[i]`` and ``literals[i + 1]``, given ``arity`` arguments."""
+    if not picks:
+        text = literals[0]
+        return lambda *args: text
+    if arity == 1 and len(picks) == 1:
+        head, tail = literals
+        return lambda arg: head + arg + tail
+    fmt = "%s".join(literal.replace("%", "%%") for literal in literals)
+    if picks == list(range(arity)):
+        return lambda *args: fmt % args
+    pick = itemgetter(*picks)  # one pick gives one value: a str, as ``%`` takes it
+    return lambda *args: fmt % pick(args)
+
+
+def _static_loc(literals: list[str]) -> int | None:
+    """The non-comment lines a bound section writes when no value breaks
+    a line, or None when a line starts with an open slot, which only the
+    written text can tell; ``literals`` surround the open slots."""
+    # a character no literal holds stands for each open slot
+    mark = next(c for c in map(chr, range(0xE000, 0xF900)) if not any(c in x for x in literals))
+    count = 0
+    for line in mark.join(literals).splitlines():
+        line = line.strip()
+        if line.startswith(mark):
+            return None
+        count += bool(line) and not line.startswith("#")
+    return count
 
 
 def load_template(vendor_id: str, templates_dir: Path | None = None) -> DeviceTemplate:
@@ -491,32 +562,43 @@ def load_template(vendor_id: str, templates_dir: Path | None = None) -> DeviceTe
     missing = [name for name in wanted if name not in sections]
     if missing:
         raise InputError(f"no [{missing[0]}] section", file)
-    bodies = {}
+    bodies, parts = {}, {}
     for name, (header_line, body) in sections.items():
-        _check_slots(body, frozenset(f"{{{slot}}}" for slot in wanted[name]),
-                     name, file, header_line)
+        parts[name] = _compile_section(body, frozenset(f"{{{slot}}}" for slot in wanted[name]),
+                                       name, file, header_line)
         bodies[name] = body.strip("\n")
-    return DeviceTemplate(vendor_id, bodies)
+    return DeviceTemplate(vendor_id, bodies, parts)
 
 
-def _check_slots(body: str, slots: frozenset[str], section: str, file: str,
-                 header_line: int) -> None:
-    """Raise for the first brace in ``body`` that is neither a literal pair
-    nor one of ``slots``, at its line and column in the file."""
-    if set(_BRACES.findall(body)) - _LITERAL_BRACES <= slots:
-        return
+def _compile_section(body: str, slots: frozenset[str], section: str, file: str,
+                     header_line: int) -> tuple[str, ...]:
+    """``body``, stripped of its leading and trailing newlines, as literal
+    text (braces unescaped) alternating with slot names.  Raise for the
+    first brace in ``body`` that is neither a literal pair nor one of
+    ``slots``, at its line and column in the file."""
+    parts, literal, end = [], "", 0
     for match in _BRACES.finditer(body):
         brace = match.group()
-        if brace in slots or brace in _LITERAL_BRACES:
-            continue
-        offset = match.start()
-        line = header_line + 1 + body.count("\n", 0, offset)
-        col = offset - body.rfind("\n", 0, offset)
-        if len(brace) == 1:
-            raise InputError(f"unpaired {brace!r} in [{section}] (write {brace * 2} "
-                             f"for a literal brace)", file, line, col)
-        raise InputError(f"[{section}] has no slot {brace}; its slots are "
-                         + ", ".join(sorted(slots)), file, line, col)
+        literal += body[end:match.start()]
+        end = match.end()
+        if brace in _LITERAL_BRACES:
+            literal += brace[0]
+        elif brace in slots:
+            parts += (literal, brace[1:-1])
+            literal = ""
+        else:
+            offset = match.start()
+            line = header_line + 1 + body.count("\n", 0, offset)
+            col = offset - body.rfind("\n", 0, offset)
+            if len(brace) == 1:
+                raise InputError(f"unpaired {brace!r} in [{section}] (write {brace * 2} "
+                                 f"for a literal brace)", file, line, col)
+            raise InputError(f"[{section}] has no slot {brace}; its slots are "
+                             + ", ".join(sorted(slots)), file, line, col)
+    parts.append(literal + body[end:])
+    parts[0] = parts[0].lstrip("\n")
+    parts[-1] = parts[-1].rstrip("\n")
+    return tuple(parts)
 
 
 def render_device(policy: NetworkPolicy, firewall: str, vendor_id: str,
@@ -539,92 +621,94 @@ def render_device(policy: NetworkPolicy, firewall: str, vendor_id: str,
 def _render_iptables(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
                      assignments: list[InterfaceAssignment], cache: RenderCache) -> str:
     bind = cache.bind
-    remark = bind(template, "remark")
-    out = [bind(template, "header")(firewall)]
-    chain_decl = bind(template, "chain_decl")
+    out = [bind(template, "header").line(firewall)]
+    chain_decl = bind(template, "chain_decl").line
     out.extend(chain_decl(a.acl) for a in assignments)
     for a in assignments:
         if a.interface == LOCAL_INTERFACE:
             section = "bind_input" if a.direction == "inbound" else "bind_output"
-            out.append(bind(template, section)(a.acl))
+            out.append(bind(template, section).line(a.acl))
         else:
-            out.append(bind(template, "bind_forward")(a.interface, a.acl))
-    # the non-comment lines, counted as they are written: the sections
-    # called per rule count by the call while each has a static count and
-    # no value breaks a line, and the config's text is counted otherwise
+            out.append(bind(template, "bind_forward").line(a.interface, a.acl))
     loc = sum(_count_loc(piece, ("#",)) for piece in out)
-    remark_loc = _section_loc(remark)
-    static = remark_loc is not None
-    remarks = 0
     for a in assignments:
-        acl = policy.acl_by_name(firewall, a.acl)
-        accept = bind(template, "rule", acl=a.acl, target="ACCEPT")
-        drop = bind(template, "rule", acl=a.acl, target="DROP")
-        log_line = bind(template, "log_rule", acl=a.acl, prefix=f"{a.acl}: ")
-        accept_loc, drop_loc, log_loc = map(_section_loc, (accept, drop, log_line))
-        static = static and None not in (accept_loc, drop_loc, log_loc)
-        for comment, text in cache.acl(acl):
-            if comment:
-                out.append(remark(comment))
-                static = static and comment.isprintable()
-                remarks += 1
-            if text.provenance:
-                out.append(remark(text.provenance))
-                static = static and text.provenance.isprintable()
-                remarks += 1
-            rule_line, line_loc = ((accept, accept_loc) if text.action == "permit"
-                                   else (drop, drop_loc))
-            matches = text.iptables(cache)  # numbers and keywords: they break no line
-            for match in matches:
-                if text.log:
-                    out.append(log_line(match))
-                out.append(rule_line(match))
-            if static:
-                loc += len(matches) * (line_loc + log_loc if text.log else line_loc)
-    footer = bind(template, "footer")()
+        block, block_loc = cache.block(policy.acl_by_name(firewall, a.acl), template,
+                                       _iptables_lines)
+        if block is not None:
+            out.append(block)
+        loc += block_loc
+    footer = bind(template, "footer").line()
     out.append(footer)
-    config = "\n".join(out) + "\n"
-    cache.iptables_loc += (loc + remarks * remark_loc + _count_loc(footer, ("#",)) if static
-                           else _count_loc(config, ("#",)))
-    return config
+    cache.iptables_loc += loc + _count_loc(footer, ("#",))
+    return "\n".join(out) + "\n"
 
 
-def _section_loc(section: Callable[..., str]) -> int | None:
-    """The non-comment lines each call of a bound section writes when no
-    value it is given breaks a line, or None when a line starts with a
-    value, which only the written text can tell."""
-    count = 0
-    for line in section.__self__.splitlines():  # the bound body, whose format it is
-        line = line.strip()
-        if line.startswith("{") and not line.startswith("{{"):
-            return None
-        count += bool(line) and not line.startswith("#")
-    return count
+def _iptables_lines(acl: Acl, template: DeviceTemplate,
+                    cache: RenderCache) -> tuple[list[str], int]:
+    """An ACL's iptables lines and their non-comment lines, counted as they
+    are written: by the call while each section has a static count and no
+    value breaks a line, by the written text otherwise."""
+    bind = cache.bind
+    remark = bind(template, "remark")
+    accept = bind(template, "rule", acl=acl.name, target="ACCEPT")
+    drop = bind(template, "rule", acl=acl.name, target="DROP")
+    log = bind(template, "log_rule", acl=acl.name, prefix=f"{acl.name}: ")
+    static = None not in (remark.loc, accept.loc, drop.loc, log.loc)
+    write_remark, write_log = remark.line, log.line
+    out: list[str] = []
+    loc = remarks = 0
+    for comment, text in cache.acl(acl):
+        if comment:
+            out.append(write_remark(comment))
+            static = static and comment.isprintable()
+            remarks += 1
+        if text.provenance:
+            out.append(write_remark(text.provenance))
+            static = static and text.provenance.isprintable()
+            remarks += 1
+        rule = accept if text.action == "permit" else drop
+        write_rule = rule.line
+        matches = text.iptables(cache)  # numbers and keywords: they break no line
+        for match in matches:
+            if text.log:
+                out.append(write_log(match))
+            out.append(write_rule(match))
+        if static:
+            loc += len(matches) * (rule.loc + log.loc if text.log else rule.loc)
+    if not static:
+        return out, _count_loc("\n".join(out), ("#",))
+    return out, loc + remarks * remark.loc
 
 
 def _render_asa(policy: NetworkPolicy, firewall: str, template: DeviceTemplate,
                 assignments: list[InterfaceAssignment], cache: RenderCache) -> str:
     bind = cache.bind
-    out = [bind(template, "header")(firewall)]
+    out = [bind(template, "header").line(firewall)]
     for a in assignments:
-        acl = policy.acl_by_name(firewall, a.acl)
-        remark = bind(template, "remark", acl=a.acl)
-        rule_line = bind(template, "rule", acl=a.acl)
-        for comment, text in cache.acl(acl):
-            if comment:
-                out.append(remark(comment))
-            if text.provenance:
-                out.append(remark(text.provenance))
-            log = " log" if text.log else ""
-            for sport, dport in text.asa(cache):
-                out.append(rule_line(text.action, text.proto, text.src, sport, text.dst,
-                                     dport, log))
-    access_group = bind(template, "bind")
+        block, _ = cache.block(policy.acl_by_name(firewall, a.acl), template, _asa_lines)
+        if block is not None:
+            out.append(block)
+    access_group = bind(template, "bind").line
     for a in assignments:
         direction = "in" if a.direction == "inbound" else "out"
         out.append(access_group(a.acl, direction, a.interface))
-    out.append(bind(template, "footer")())
+    out.append(bind(template, "footer").line())
     return "\n".join(out) + "\n"
+
+
+def _asa_lines(acl: Acl, template: DeviceTemplate, cache: RenderCache) -> tuple[list[str], int]:
+    remark = cache.bind(template, "remark", acl=acl.name).line
+    rule_line = cache.bind(template, "rule", acl=acl.name).line
+    out: list[str] = []
+    for comment, text in cache.acl(acl):
+        if comment:
+            out.append(remark(comment))
+        if text.provenance:
+            out.append(remark(text.provenance))
+        log = " log" if text.log else ""
+        for sport, dport in text.asa(cache):
+            out.append(rule_line(text.action, text.proto, text.src, sport, text.dst, dport, log))
+    return out, 0
 
 
 # ---------------------------------------------------------------------------

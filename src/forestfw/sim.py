@@ -6,7 +6,8 @@ builds one :class:`forestfw.netgen.PathIndex` of its model, on first use,
 and every path search and route of the network walks it.  It evaluates
 each traversed firewall's ACL first-match, with a connection table gating
 ESTABLISHED traffic.  Packets are :class:`forestfw.header_space.Packet`
-header points.  Each bound ACL is encoded once into a
+header points.  Neutral files of equal text are decoded once, and each
+distinct ACL is encoded once into a
 :class:`forestfw.header_space.MatchTable`, the ACL engine that injection
 and both vettings share.  Positive vetting injects one representative
 packet per expanded flow (plus the TCP return leg) and expects delivery.
@@ -111,8 +112,9 @@ class SimNetwork:
     # routes per (src, dst, established)
     route_cache: dict[tuple[str, str, bool], list[Route]] = field(
         default_factory=dict, repr=False, compare=False)
-    # MatchTable per acl_map key, valid while acl_map holds its rules
-    match_tables: dict[tuple[str, str, str], MatchTable] = field(
+    # one MatchTable per distinct rule tuple bound in acl_map, by the
+    # tuple's id (the table keeps its rules, and so the id, alive)
+    match_tables: dict[int, MatchTable] = field(
         default_factory=dict, repr=False, compare=False)
     # each rule and address or port field encoded once across the tables
     codes: dict = field(default_factory=dict, repr=False, compare=False)
@@ -142,12 +144,14 @@ class SimNetwork:
         return self.index
 
     def match_table(self, key: tuple[str, str, str]) -> MatchTable:
-        """The match table of the ACL bound at ``key``, rebuilt once
-        ``acl_map`` no longer holds the rules it was built from."""
+        """The match table of the ACL bound at ``key``: one per rule tuple,
+        so keys that share their rules, as serial firewalls' ACLs decoded
+        from equal files do, share it, and a key bound to new rules gets
+        theirs."""
         rules = self.acl_map.get(key, ())
-        table = self.match_tables.get(key)
-        if table is None or table.rules is not rules:
-            table = self.match_tables[key] = MatchTable(rules, self.codes)
+        table = self.match_tables.get(id(rules))
+        if table is None:
+            table = self.match_tables[id(rules)] = MatchTable(rules, self.codes)
         return table
 
     def zone_of_address(self, addr: int) -> str | None:
@@ -169,10 +173,12 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     """Rebuild the simulated network from a compile output directory.
 
     Rules come from the vendor-neutral files; the manifest supplies the
-    model, interface bindings, and expanded flows; each distinct rule line
-    and remark is decoded once across the files.  A manifest or neutral
-    file that does not parse or is not UTF-8, or a manifest binding one key
-    twice, raises :class:`InputError` naming the file.
+    model, interface bindings, and expanded flows; each distinct file text
+    is decoded once, so files of equal text share their rule tuples, and
+    each distinct rule line and remark is decoded once across the files.
+    A manifest or neutral file that does not parse or is not UTF-8, or a
+    manifest binding one key twice, raises :class:`InputError` naming the
+    file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -190,6 +196,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
         raise InputError(f"malformed manifest: {exc}", where) from exc
 
     acls_per_file: dict[str, dict[str, tuple[AclRule, ...]]] = {}
+    acls_per_text: dict[str, dict[str, tuple[AclRule, ...]]] = {}
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]] = {}
     decoded: dict[tuple[str, str], AclRule] = {}
     for file_name, acl_name, key in bindings:
@@ -201,8 +208,11 @@ def load_compiled(directory: Path | str) -> SimNetwork:
                 text = read_text(path)
             except OSError as exc:
                 raise InputError(f"cannot read {path}: {exc.strerror or exc}", where) from exc
-            acls_per_file[file_name] = {acl.name: acl.rules
-                                        for acl in parse_neutral(text, str(path), decoded)}
+            # files of equal text, as serial firewalls write, share their rules
+            if text not in acls_per_text:
+                acls_per_text[text] = {acl.name: acl.rules
+                                       for acl in parse_neutral(text, str(path), decoded)}
+            acls_per_file[file_name] = acls_per_text[text]
         if acl_name not in acls_per_file[file_name]:
             raise InputError(f"no ACL {acl_name!r}, which the manifest binds to "
                              f"{' '.join(key)}", str(path))
@@ -436,7 +446,8 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     scanned = intervals.normalize(scan.ports)
     admitted = [((f.src_zone, f.dst_zone, f.service.protocol), _admitted_values(f.service))
                 for f in net.flows]
-    rows = [row for key in net.acl_map for row in net.match_table(key).rows]
+    rows = [row for table in dict.fromkeys(map(net.match_table, net.acl_map))
+            for row in table.rows]
     grid = Grid([scanned, FULL_ICMP_SET, *(values for _, values in admitted if values),
                  *(row.values for row in rows if row.values)])
     implied: dict[tuple[str, str, int | None], int] = {}
@@ -463,8 +474,10 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
                 if not universe:
                     continue
                 point = Packet(src_addr, dst_addr, protocol, SCAN_SPORT, 0, 0, NEW)
-                permits = {key: table.permitted(point, grid, universe)
-                           for key, table in tables.items()}
+                # a table that several keys share is decided once
+                permitted = {table: table.permitted(point, grid, universe)
+                             for table in dict.fromkeys(tables.values())}
+                permits = {key: permitted[table] for key, table in tables.items()}
                 delivered = 0
                 for route in routes:
                     reach = universe

@@ -11,13 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestfw import netgen, render
+from forestfw import netgen, render, sim
 from forestfw.cli import main
 from forestfw.netgen import (Acl, AclRule, CompileOptions, InterfaceAssignment, NetworkPolicy,
-                             TERMINAL_DENY)
+                             TERMINAL_DENY, compile_policy)
+from forestfw.policy_lang import parse_policy
 from forestfw.policy_lang.syntax import PortRange
-from forestfw.render import RenderCache, render_device
-from forestfw.topo_model import LOCAL_INTERFACE
+from forestfw.render import RenderCache, render_device, render_neutral_file
+from forestfw.topo_model import LOCAL_INTERFACE, load_topology
 from support import (
     _perfbench_gen,
     kwargs_render_asa,
@@ -228,5 +229,78 @@ def test_assembly_keeps_the_oracles_rules_in_its_order(rules, data):
         rules.append(data.draw(st.sampled_from((
             rule, rule._replace(comment="other", flow_dir="return"),
             rule._replace(log=not rule.log), rule._replace(sport=rule.dport, dport=rule.sport)))))
-    got = netgen._assemble([netgen._keyed(rule) for rule in rules])
+    net_keys = {id(net): netgen._net_key(net) for net in NETS}
+    got = netgen._assemble([netgen._keyed(rule, net_keys) for rule in rules])
     assert [id(rule) for rule in got] == [id(rule) for rule in oracle_assemble(rules)]
+
+
+@pytest.fixture(scope="module")
+def bulk_policy() -> NetworkPolicy:
+    """Bulk seed 1 on the fixture topology, whose flows join only z1, z2
+    and z3, so R1 and R2, in series between them, filter the same flows."""
+    bulk = _perfbench_gen().bulk(1)
+    topology = load_topology((FIXTURES / "topology.graphml").read_text(encoding="utf-8"))
+    options = CompileOptions(best_practice=parse_policy(bulk.best_practice))
+    policy = compile_policy(parse_policy(bulk.policy), topology, options)
+    assert {zone for flow in policy.flows for zone in (flow.src_zone, flow.dst_zone)} == {
+        "z1", "z2", "z3"}
+    return policy
+
+
+def test_serial_firewalls_share_one_acl_per_distinct_binding(bulk_policy):
+    r1, r2 = bulk_policy.acls["R1"], bulk_policy.acls["R2"]
+    assert [acl.name for acl in r1] == [acl.name for acl in r2]
+    assert r1 == r2  # equal by value
+    assert all(a is b for a, b in zip(r1, r2))
+    # the deny-only ACLs are shared by every firewall, the gateway's
+    # filtering ACLs by none
+    distinct = {id(acl) for acls in bulk_policy.acls.values() for acl in acls}
+    assert len(distinct) == 6
+
+
+def test_shared_acls_render_as_with_a_fresh_cache_per_file(bulk_policy):
+    """One cache for the compile, as ``compile`` keeps it, writes every
+    file and counts every iptables line as a fresh cache per firewall
+    and dialect does."""
+    shared, loc = RenderCache(bulk_policy.log_denies), 0
+    for firewall in bulk_policy.firewalls():
+        fresh = RenderCache(bulk_policy.log_denies)
+        assert render_neutral_file(bulk_policy, firewall, shared) == render_neutral_file(
+            bulk_policy, firewall, fresh)
+        for vendor in DEVICES:
+            fresh = RenderCache(bulk_policy.log_denies)
+            assert render_device(bulk_policy, firewall, vendor, None, shared) == render_device(
+                bulk_policy, firewall, vendor, None, fresh), (firewall, vendor)
+            loc += fresh.iptables_loc
+    assert shared.iptables_loc == loc > 0
+
+
+def test_equal_neutral_files_share_rule_tuples_and_match_tables(tmp_path, capsys):
+    """R1 and R2 write equal neutral files: the simulator decodes them once
+    and builds one match table per distinct rule tuple, and vets as a
+    network whose files are decoded one by one, each with its own tables."""
+    out = tmp_path / "compiled"
+    compiled_tree(compile_args("bulk1", tmp_path), out)
+    capsys.readouterr()
+    assert (out / "R1.neutral.acl").read_bytes() == (out / "R2.neutral.acl").read_bytes()
+    net = sim.load_compiled(out)
+    assert all(net.acl_map["R1", *key[1:]] is net.acl_map[key]
+               for key in net.acl_map if key[0] == "R2")
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    one_by_one = {}
+    for entry in manifest["assignments"]:
+        path = out / entry["file"]
+        acls = render.parse_neutral(path.read_text(encoding="utf-8"), str(path))
+        one_by_one[entry["firewall"], entry["interface"], entry["direction"]] = next(
+            acl.rules for acl in acls if acl.name == entry["acl"])
+    unshared = sim.SimNetwork(net.model, one_by_one, net.flows)
+
+    assert sim.vet_positive(net) == sim.vet_positive(unshared)
+    assert sim.vet_negative(net) == sim.vet_negative(unshared)
+    tables = {key: net.match_table(key) for key in net.acl_map}
+    assert len(net.match_tables) == len({id(rules) for rules in net.acl_map.values()}) == 8
+    assert len(net.acl_map) == 12
+    for key, table in tables.items():
+        assert table.rules is net.acl_map[key]
+        assert table.rules == unshared.match_table(key).rules
+    assert len(unshared.match_tables) == len(unshared.acl_map) == 12

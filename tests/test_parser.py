@@ -214,10 +214,13 @@ GROUP_ERRORS = {
         "{file}:65:12: error: zone groups nested more than 64 deep"),
     "service_cross_kind": (
         "zone_group g { z1 }\nservice_group sg {\n  s ^ g }\nservice s { protocol=tcp; }\n",
-        "{file}:1:12: error: zone_group '{ns}g' used where a service was expected"),
+        "{file}:2:15: error: zone_group '{ns}g' used where a service was expected"),
     "zone_cross_kind": (
         "  service s { protocol=tcp; }\nzone_group g { z1, s }\n",
-        "{file}:1:11: error: service '{ns}s' used where a zone was expected"),
+        "{file}:2:12: error: service '{ns}s' used where a zone was expected"),
+    "rule_cross_kind": (
+        "zone_group g { z1 }\npolicy_rule r { z1 -> z2 : g }\n",
+        "{file}:2:13: error: zone_group '{ns}g' used where a service was expected"),
     "service_undeclared": (
         "service s { protocol=tcp; }\nservice_group g {\n  s, nope }\n",
         "{file}:2:15: error: undeclared name 'nope'"),

@@ -1,6 +1,8 @@
 import ipaddress
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from forestfw.render import (
     render_neutral,
     render_neutral_file,
 )
+from forestfw.render import _TEMPLATE_SLOTS, load_template
 from support import from_network_policy, parse_iptables_like, render_rule_neutral
 
 
@@ -393,3 +396,64 @@ def test_iptables_loadback_is_decision_equivalent(compiled_plant):
         assert a.delivered == b.delivered
         checked += 1
     assert checked == 600
+
+
+# what a template body is drawn from: literal text (no single brace, no
+# section header, no line break but "\n"), literal brace pairs and slots
+BODY_TEXT = st.text(alphabet="ab #%sd-:\t\n", max_size=6)
+# slot values: braces, "%" and format specifiers are text like any other
+SLOT_VALUE = st.text(alphabet="ab {}%#sd\n", max_size=5)
+
+
+@st.composite
+def bound_sections(draw):
+    """A dialect, one of its sections with a drawn body, fixed values for
+    some of the section's slots and arguments for the rest."""
+    vendor = draw(st.sampled_from(sorted(_TEMPLATE_SLOTS)))
+    section = draw(st.sampled_from(sorted(_TEMPLATE_SLOTS[vendor])))
+    slots = _TEMPLATE_SLOTS[vendor][section]
+    pieces = [BODY_TEXT, st.sampled_from(("{{", "}}"))]
+    if slots:  # a slot may be written twice, or not at all
+        pieces.append(st.sampled_from(slots).map(lambda slot: "{" + slot + "}"))
+    body = "".join(draw(st.lists(st.one_of(pieces), max_size=10))).strip("\n")
+    fixed = {slot: draw(SLOT_VALUE) for slot in slots if draw(st.booleans())}
+    args = [draw(SLOT_VALUE) for slot in slots if slot not in fixed]
+    return vendor, section, body, fixed, args
+
+
+def old_section_loc(bound_body: str) -> int | None:
+    """The non-comment lines of a bound body, or None when a line starts
+    with an open slot ``{i}``."""
+    count = 0
+    for line in bound_body.splitlines():
+        line = line.strip()
+        if line.startswith("{") and not line.startswith("{{"):
+            return None
+        count += bool(line) and not line.startswith("#")
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_sections())
+def test_line_builders_write_what_str_format_writes(drawn):
+    vendor, section, body, fixed, args = drawn
+    text = "".join(f"[{name}]\n{body if name == section else ''}\n"
+                   for name in _TEMPLATE_SLOTS[vendor])
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / f"{vendor}.tmpl").write_text(text, encoding="utf-8")
+        template = load_template(vendor, Path(root))
+    assert template.sections[section] == body
+    open_slots = [slot for slot in _TEMPLATE_SLOTS[vendor][section] if slot not in fixed]
+
+    def bind(match: re.Match) -> str:
+        slot = match.group(1)
+        if slot is None:  # a literal brace pair
+            return match.group()
+        if slot in fixed:
+            return fixed[slot].replace("{", "{{").replace("}", "}}")
+        return "{%d}" % open_slots.index(slot)
+
+    bound_body = re.sub(r"\{\{|\}\}|\{(\w+)\}", bind, body)
+    bound = template.bind(section, **fixed)
+    assert bound.line(*args) == bound_body.format(*args)
+    assert bound.loc == old_section_loc(bound_body)
