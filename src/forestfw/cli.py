@@ -6,11 +6,17 @@ never writes anything when a verification stage fails; output lands in
 the target directory atomically, and a target that already holds it is
 left untouched.
 
-``main`` builds the top-level parser and only the subparser of the
-command it is given (all four when the first argument names none): its
-help, usage and error text are the full tree's.  The parser is built on
-every call, so each command runs the ``cmd_*`` function this module
-holds at that moment.
+``main`` reads a well-formed command line straight from ``_COMMANDS``:
+a command, then only that command's long options spelled in full, each
+value option followed by one value that does not start with ``-``, and
+every required option given.  It builds the namespace argparse would
+give that line and builds no parser.  Any other line (help, an
+abbreviation, ``--opt=value``, a missing or extra argument) goes to
+argparse: the top-level parser and only the subparser of the command
+it is given (all four when the first argument names none), whose help,
+usage and error text are the full tree's.  Both paths look the
+``cmd_*`` function up when ``main`` is called, so each command runs the
+one this module holds at that moment.
 """
 
 from __future__ import annotations
@@ -253,6 +259,8 @@ def _parse_port_list(text: str) -> tuple[PortRange, ...]:
 
 # The commands in help order: each one's help line and its options, an
 # option being its flag and the keyword arguments of ``add_argument``.
+# ``_read_command_line`` reads it too, and knows of those arguments only
+# ``required``, ``default`` and ``action="store_true"``.
 _COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
     "check": ("parse, validate, and formally check a policy", (
         ("--policy", {"required": True, "help": "policy file (.policyml)"}),
@@ -308,10 +316,44 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _read_command_line(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``build_parser`` gives a well-formed command line
+    (see the module docstring), read from ``_COMMANDS`` without building
+    a parser; None for any other line.  As in argparse, a repeated
+    option keeps its last value."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    name = argv[0]
+    options = dict(_COMMANDS[name][1])
+    given: dict[str, str | bool] = {}
+    i = 1
+    while i < len(argv):
+        kwargs = options.get(argv[i])
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            given[argv[i]] = True
+            i += 1
+        elif i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            given[argv[i]] = argv[i + 1]
+            i += 2
+        else:
+            return None
+    if any(kwargs.get("required") and flag not in given for flag, kwargs in options.items()):
+        return None
+    args = argparse.Namespace(command=name, func=globals()[f"cmd_{name}"])
+    for flag, kwargs in options.items():
+        default = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, default))
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_command_line(argv)
+    if args is None:
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, InputError) as exc:

@@ -302,12 +302,11 @@ def render_neutral_file(policy: NetworkPolicy, firewall: str,
 
 def _parse_ports(text: str, limit: int = PORT_MAX) -> tuple[PortRange, ...]:
     """A port (or ICMP-type) list; each range must lie within 0..``limit``."""
-    text = text.strip()
     if not text:
         return ()
     if not (text.startswith("[") and text.endswith("]")):
         raise ValueError(f"malformed port list {text!r}")
-    inner = text[1:-1].strip()
+    inner = text[1:-1]
     if not inner:
         return ()
     ranges = []
@@ -334,27 +333,56 @@ def _parse_addr(text: str) -> tuple[ipaddress.IPv4Network, ...]:
     return tuple(ipaddress.IPv4Network(part) for part in text.split(","))
 
 
+def _addr_text(nets: tuple[ipaddress.IPv4Network, ...]) -> str:
+    """An address field as ``RenderCache`` writes it in a neutral rule line."""
+    if len(nets) == 1 and nets[0].prefixlen == 0:
+        return "any"
+    return ",".join(map(str, nets))
+
+
+def _parse_proto(text: str) -> int | None:
+    protocol = PROTOCOL_NUMBERS[text] if text in PROTOCOL_NUMBERS else int(text)
+    if protocol is not None and not 0 <= protocol <= 255:
+        raise ValueError(f"protocol {protocol} outside 0-255")
+    return protocol
+
+
+def _canonical(parse: Callable, write: Callable) -> Callable:
+    """``parse`` of a field text, refusing a text that ``write`` does not
+    give back for the value read: the neutral format has one spelling per
+    value."""
+    def read(text: str):
+        value = parse(text)
+        if write(value) != text:
+            raise ValueError(f"{text!r} is not written as {write(value)!r}")
+        return value
+    return read
+
+
 def parse_neutral(text: str, file: str = "<neutral>",
                   decoded: dict[tuple[str, str], AclRule] | None = None) -> list[Acl]:
     """Inverse of render_neutral over a whole neutral file.
 
     Each rule carries the last remark above it in its ACL, except the
-    fixed terminal deny, which carries none.  Each distinct address, port,
-    ICMP-type or state field text is parsed and checked once per call, each
-    (rule line, remark) once per ``decoded``, a memo calls may share.  A
-    line that does not parse or holds an unknown or out-of-range value,
-    and a second ACL of one name, raise :class:`InputError` naming
-    ``file`` and the line.
+    fixed terminal deny, which carries none.  Each distinct address,
+    protocol, port, ICMP-type or state field text is parsed and checked
+    once per call, each (rule line, remark) once per ``decoded``, a memo
+    calls may share.  A field is read only as :func:`render_neutral`
+    writes its value: ``[8_0]``, ``6`` for tcp or ``10.0.0.0/255.255.255.0``
+    do not parse.  A line that does not parse or holds an unknown or
+    out-of-range value, and a second ACL of one name, raise
+    :class:`InputError` naming ``file`` and the line.
     """
     acls: list[Acl] = []
     name: str | None = None
     rules: list[AclRule] = []
     comment = ""
     decoded = {} if decoded is None else decoded
-    addresses = _Memo(_parse_addr)
-    ports = _Memo(_parse_ports)
-    icmp_types = _Memo(lambda text: _parse_ports(text, ICMP_TYPE_MAX))
-    states = _Memo(_parse_states)
+    addresses = _Memo(_canonical(_parse_addr, _addr_text))
+    protocols = _Memo(_canonical(_parse_proto, _proto_text))
+    ports = _Memo(_canonical(_parse_ports, _ports_text))
+    icmp_types = _Memo(_canonical(lambda text: _parse_ports(text, ICMP_TYPE_MAX), _ports_text))
+    states = _Memo(_canonical(_parse_states, ",".join))
 
     def flush() -> None:
         nonlocal rules
@@ -382,8 +410,8 @@ def parse_neutral(text: str, file: str = "<neutral>",
         key = (line, "" if line == TERMINAL_DENY_LINE else comment)
         if key not in decoded:
             try:
-                decoded[key] = _parse_rule_neutral(line, key[1], addresses, ports,
-                                                   icmp_types, states)
+                decoded[key] = _parse_rule_neutral(line, key[1], addresses, protocols,
+                                                   ports, icmp_types, states)
             except ValueError as exc:
                 raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
                                  file, lineno) from exc
@@ -392,8 +420,8 @@ def parse_neutral(text: str, file: str = "<neutral>",
     return acls
 
 
-def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, ports: _Memo,
-                        icmp_types: _Memo, states: _Memo) -> AclRule:
+def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, protocols: _Memo,
+                        ports: _Memo, icmp_types: _Memo, states: _Memo) -> AclRule:
     fields = line.split("~")
     if len(fields) not in (12, 13):
         raise ValueError(f"{len(fields)} fields")
@@ -404,9 +432,7 @@ def _parse_rule_neutral(line: str, comment: str, addresses: _Memo, ports: _Memo,
         raise ValueError(f"unknown action {action!r}")
     if len(fields) == 13 and fields[12] != "log":
         raise ValueError(f"unknown flag {fields[12]!r}")
-    protocol = PROTOCOL_NUMBERS[proto] if proto in PROTOCOL_NUMBERS else int(proto)
-    if protocol is not None and not 0 <= protocol <= 255:
-        raise ValueError(f"protocol {protocol} outside 0-255")
+    protocol = protocols[proto]
     sports = ports[sport]
     dports = (icmp_types if protocol == 1 else ports)[dport]
     if (sports and protocol not in (6, 17)) or (dports and protocol not in (1, 6, 17)):

@@ -145,9 +145,9 @@ class SimNetwork:
 
     def match_table(self, key: tuple[str, str, str]) -> MatchTable:
         """The match table of the ACL bound at ``key``: one per rule tuple,
-        so keys that share their rules, as serial firewalls' ACLs decoded
-        from equal files do, share it, and a key bound to new rules gets
-        theirs."""
+        so keys that share their rules, as equal ACLs decoded by
+        :func:`load_compiled` do, share it, and a key bound to new rules
+        gets theirs."""
         rules = self.acl_map.get(key, ())
         table = self.match_tables.get(id(rules))
         if table is None:
@@ -174,11 +174,11 @@ def load_compiled(directory: Path | str) -> SimNetwork:
 
     Rules come from the vendor-neutral files; the manifest supplies the
     model, interface bindings, and expanded flows; each distinct file text
-    is decoded once, so files of equal text share their rule tuples, and
-    each distinct rule line and remark is decoded once across the files.
-    A manifest or neutral file that does not parse or is not UTF-8, or a
-    manifest binding one key twice, raises :class:`InputError` naming the
-    file.
+    is decoded once, each distinct rule line and remark is decoded once
+    across the files, and ACLs of equal rules share one rule tuple.  A
+    manifest or neutral file that does not parse or is not UTF-8, a
+    manifest value of the wrong JSON type, or a manifest binding one key
+    twice, raises :class:`InputError` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -199,6 +199,10 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     acls_per_text: dict[str, dict[str, tuple[AclRule, ...]]] = {}
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]] = {}
     decoded: dict[tuple[str, str], AclRule] = {}
+    # one tuple per sequence of decoded rules, by their identities (``decoded``
+    # keeps them alive): equal ACLs in files that differ, such as the
+    # deny-only ones, share a tuple and so a match table
+    interned: dict[tuple[int, ...], tuple[AclRule, ...]] = {}
     for file_name, acl_name, key in bindings:
         if key in acl_map:
             raise InputError(f"the manifest binds {' '.join(key)} twice", where)
@@ -210,8 +214,9 @@ def load_compiled(directory: Path | str) -> SimNetwork:
                 raise InputError(f"cannot read {path}: {exc.strerror or exc}", where) from exc
             # files of equal text, as serial firewalls write, share their rules
             if text not in acls_per_text:
-                acls_per_text[text] = {acl.name: acl.rules
-                                       for acl in parse_neutral(text, str(path), decoded)}
+                acls_per_text[text] = {
+                    acl.name: interned.setdefault(tuple(map(id, acl.rules)), acl.rules)
+                    for acl in parse_neutral(text, str(path), decoded)}
             acls_per_file[file_name] = acls_per_text[text]
         if acl_name not in acls_per_file[file_name]:
             raise InputError(f"no ACL {acl_name!r}, which the manifest binds to "
@@ -228,12 +233,14 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
     """The model, the (file, ACL, binding key) triples and the flows of a manifest."""
     model = ZoneConduitModel()
     for name, data in manifest["zones"].items():
-        model.zones[name] = Zone(
-            name, data["kind"], frozenset(data.get("members", ())),
-            tuple(ipaddress.IPv4Network(c) for c in data["cidrs"]))
+        members = _names(data.get("members", []), f"zone {name!r} members")
+        cidrs = _names(data["cidrs"], f"zone {name!r} cidrs")
+        model.zones[name] = Zone(name, data["kind"], frozenset(members),
+                                 tuple(ipaddress.IPv4Network(c) for c in cidrs))
     for entry in manifest["conduits"]:
         pair = tuple(sorted(entry["zones"]))
-        model.conduits[pair] = Conduit(pair, frozenset(entry["firewalls"]))
+        model.conduits[pair] = Conduit(
+            pair, frozenset(_names(entry["firewalls"], f"conduit {'-'.join(pair)} firewalls")))
     model.firewall_interfaces = {
         fw: dict(ifaces) for fw, ifaces in manifest["firewall_interfaces"].items()
     }
@@ -252,6 +259,16 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
         svc = f["service"]
         key = (svc["name"], svc["protocol"],
                *(tuple(map(tuple, svc[ranges])) for ranges in _RANGE_FIELDS))
+        # checked on every flow, not once per service: JSON true and 6.0
+        # equal 1 and 6, so they would find a service built from integers
+        if type(key[1]) is not int:
+            raise ValueError(f"flow {f['rule']!r} has protocol {json.dumps(key[1])}, "
+                             f"not an integer")
+        for ranges, pairs in zip(_RANGE_FIELDS, key[2:]):
+            for lo, hi in pairs:
+                if type(lo) is not int or type(hi) is not int:
+                    raise ValueError(f"flow {f['rule']!r} has {ranges} "
+                                     f"{json.dumps(svc[ranges])}, not integer ranges")
         service = services.get(key)
         if service is None:
             if not 0 <= svc["protocol"] <= 255:
@@ -265,6 +282,13 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
         flows.append(FlowRule(rule_name=f["rule"], src_zone=f["src_zone"],
                               dst_zone=f["dst_zone"], service=service))
     return model, bindings, tuple(flows)
+
+
+def _names(value, what: str) -> list[str]:
+    """``value``; ValueError unless it is a JSON list of strings."""
+    if type(value) is not list or any(type(item) is not str for item in value):
+        raise ValueError(f"{what} is {json.dumps(value)}, not a list of strings")
+    return value
 
 
 def _ranges(flow: dict, key: str, top: int) -> tuple[PortRange, ...]:

@@ -278,7 +278,9 @@ def test_shared_acls_render_as_with_a_fresh_cache_per_file(bulk_policy):
 def test_equal_neutral_files_share_rule_tuples_and_match_tables(tmp_path, capsys):
     """R1 and R2 write equal neutral files: the simulator decodes them once
     and builds one match table per distinct rule tuple, and vets as a
-    network whose files are decoded one by one, each with its own tables."""
+    network whose files are decoded one by one, each with its own tables.
+    Equal ACLs in files that differ, GW's and R1's deny-only ones, share
+    their tuple too, so the 12 bindings build 5 tables."""
     out = tmp_path / "compiled"
     compiled_tree(compile_args("bulk1", tmp_path), out)
     capsys.readouterr()
@@ -298,9 +300,22 @@ def test_equal_neutral_files_share_rule_tuples_and_match_tables(tmp_path, capsys
     assert sim.vet_positive(net) == sim.vet_positive(unshared)
     assert sim.vet_negative(net) == sim.vet_negative(unshared)
     tables = {key: net.match_table(key) for key in net.acl_map}
-    assert len(net.match_tables) == len({id(rules) for rules in net.acl_map.values()}) == 8
+    assert len(net.match_tables) == len({id(rules) for rules in net.acl_map.values()}) == 5
     assert len(net.acl_map) == 12
     for key, table in tables.items():
         assert table.rules is net.acl_map[key]
         assert table.rules == unshared.match_table(key).rules
     assert len(unshared.match_tables) == len(unshared.acl_map) == 12
+
+
+@pytest.mark.parametrize("name, tables", [("plant", 11), ("bulk1", 5)])
+def test_vetting_builds_one_match_table_per_distinct_acl(name, tables, tmp_path, capsys):
+    """ACLs of equal rules share one match table whichever files hold them:
+    the deny-only ACLs of GW and of R1/R2 are one table, not one per file."""
+    out = tmp_path / "compiled"
+    compiled_tree(compile_args(name, tmp_path), out)
+    capsys.readouterr()
+    net = sim.load_compiled(out)
+    sim.vet_positive(net)
+    sim.vet_negative(net)
+    assert len(net.match_tables) == len(set(net.acl_map.values())) == tables

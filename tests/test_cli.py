@@ -4,6 +4,8 @@ import shutil
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forestfw import cli, render, sim
 from forestfw.cli import main
@@ -441,12 +443,16 @@ def test_simulate_manifest_without_key_is_usage_error(tmp_path, capsys, key):
     assert repr(key) in captured.err and captured.out == ""
 
 
-def _web_dest_ports(ranges):
-    """An edit setting the plant's tcp/80 flow's dest_ports to ``ranges``."""
+def _web_service(key, value):
+    """An edit setting the plant's tcp/80 flow's service ``key`` to ``value``."""
     def edit(manifest):
         web = next(f for f in manifest["flows"] if f["service"]["dest_ports"] == [[80, 80]])
-        web["service"]["dest_ports"] = ranges
+        web["service"][key] = value
     return edit
+
+
+def _web_dest_ports(ranges):
+    return _web_service("dest_ports", ranges)
 
 
 @pytest.mark.parametrize("edit, key", [
@@ -458,8 +464,21 @@ def _web_dest_ports(ranges):
     (_web_dest_ports([[90, 80]]), "dest_ports [90, 80], not an ascending range within 0-65535"),
     (_web_dest_ports([[70000, 70000]]), "dest_ports [70000, 70000], not an ascending"),
     (_web_dest_ports([[-5, 80]]), "dest_ports [-5, 80], not an ascending"),
+    # JSON true and floats equal integers in Python: once vetted as icmp, tcp or port 80
+    (_web_service("protocol", True), "protocol true, not an integer"),
+    (_web_service("protocol", 6.0), "protocol 6.0, not an integer"),
+    (_web_dest_ports([[80.0, 80.5]]), "dest_ports [[80.0, 80.5]], not integer ranges"),
+    (_web_dest_ports([[True, 65535]]), "dest_ports [[true, 65535]], not integer ranges"),
+    (lambda m: next(iter(m["zones"].values())).__setitem__("members", "R1"),
+     'members is "R1", not a list of strings'),
+    (lambda m: next(iter(m["zones"].values())).__setitem__("cidrs", "10.0.0.0/29"),
+     'cidrs is "10.0.0.0/29", not a list of strings'),
+    (lambda m: m["conduits"][0].__setitem__("firewalls", "GW"),
+     'firewalls is "GW", not a list of strings'),
 ], ids=["conduit_zone", "no_firewall_interfaces", "conduit_firewall", "flow_zone",
-        "port_range_reversed", "port_range_above", "port_range_below"])
+        "port_range_reversed", "port_range_above", "port_range_below",
+        "protocol_bool", "protocol_float", "port_float", "port_bool",
+        "members_string", "cidrs_string", "conduit_firewalls_string"])
 def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, key):
     out_dir = _compiled(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"
@@ -738,8 +757,9 @@ def test_firewall_interface_named_local_is_rejected(tmp_path, capsys):
 
 # One argument list per row: no command, an option first and an unknown
 # command (the full tree either way), each command's help, a missing
-# required option, an extra positional, and a port list that only the
-# command itself rejects.
+# required option, an extra positional, a port list that only the
+# command itself rejects, and abbreviated and ``--opt=value`` options,
+# which only argparse reads.
 _ARGV_MATRIX = [
     [], ["--help"], ["-h", "check"], ["bogus"], ["--bogus", "check"],
     ["check", "--help"], ["compile", "--help"], ["simulate", "--help"], ["graph", "--help"],
@@ -752,6 +772,10 @@ _ARGV_MATRIX = [
     ["simulate", "--out", "o", "extra"],
     ["graph", "--topology", "t", "--out", "o", "extra"],
     ["simulate", "--out", "o", "--scan-ports", "10-5"],
+    ["check", "--pol", "p", "--topology", "t"],
+    ["graph", "--topo", "t", "--out=o"],
+    ["simulate", "--out=o", "--scan", "10-5"],
+    ["compile", "--policy=p", "--topology", "t", "--out", "o", "--osp"],
 ]
 
 
@@ -781,10 +805,12 @@ def test_one_command_tree_reads_as_the_full_tree(argv, monkeypatch, capsys):
     assert run(full=False) == run(full=True)
 
 
-def test_main_builds_two_parsers_and_runs_the_bound_handler(monkeypatch, capsys):
-    """A known command builds the top-level parser and its own subparser
-    only, and runs the ``cmd_*`` the module holds when ``main`` is called
-    (a tracer replaces them between calls)."""
+def test_main_reads_well_formed_lines_without_a_parser_and_runs_the_bound_handler(
+        monkeypatch, capsys):
+    """A well-formed line builds no parser; any other line builds the
+    top-level parser and its own subparser only.  Both run the ``cmd_*``
+    the module holds when ``main`` is called (a tracer replaces them
+    between calls)."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -796,6 +822,78 @@ def test_main_builds_two_parsers_and_runs_the_bound_handler(monkeypatch, capsys)
     received = []
     monkeypatch.setattr(cli, "cmd_check", lambda args: received.append(args) or 0)
     assert main(["check", "--policy", "p", "--topology", "t"]) == 0
+    assert built == []
+    assert main(["check", "--pol", "p", "--topology", "t"]) == 0
     assert built == ["forestfw", "forestfw check"]
-    assert [(args.command, args.policy, args.topology) for args in received] == [("check", "p", "t")]
+    assert [(args.command, args.policy, args.topology) for args in received] == [("check", "p", "t")] * 2
     assert capsys.readouterr() == ("", "")
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--policy", "p", "--topology"])
+    assert exc.value.code == 2
+    assert built == ["forestfw", "forestfw check"]
+    assert len(received) == 2
+
+
+_COMMAND_NAMES = list(cli._COMMANDS)
+_FLAGS = sorted({flag for _, options in cli._COMMANDS.values() for flag, _ in options})
+_VALUES = ["p", "t", "o", "80", "0-1023,8080", "check", "a b", ""]
+
+
+_WORD = st.one_of(
+    st.sampled_from(_COMMAND_NAMES + _FLAGS + _VALUES),
+    st.sampled_from(_FLAGS).map(lambda flag: flag[:5]),  # abbreviations
+    st.tuples(st.sampled_from(_FLAGS), st.sampled_from(_VALUES)).map("=".join),
+    st.sampled_from(["-h", "--help", "--", "-", "-x", "-5", "--bogus", "bogus"]))
+
+# a drawn word alone, a drawn word and a value, or a flag and a drawn word
+_NOISE = st.one_of(_WORD.map(lambda word: [word]),
+                   st.tuples(_WORD, st.sampled_from(_VALUES)).map(list),
+                   st.tuples(st.sampled_from(_FLAGS), _WORD).map(list))
+
+
+def _option_words(option):
+    flag, kwargs = option
+    if kwargs.get("action") == "store_true":
+        return st.just([flag])
+    return st.sampled_from(_VALUES).map(lambda value: [flag, value])
+
+
+def _line(name: str, noise: bool):
+    """A command's line: its required options and some drawn ones, some
+    repeated, in any order, each value option with a value; with
+    ``noise``, drawn words among them."""
+    options = cli._COMMANDS[name][1]
+    required = [[flag, "v"] for flag, kwargs in options if kwargs.get("required")]
+    part = st.sampled_from(options).flatmap(_option_words)
+    drawn = st.lists(st.one_of(part, _NOISE) if noise else part, max_size=6)
+    return drawn.flatmap(lambda parts: st.permutations(parts + required)).map(
+        lambda parts: [name, *(word for part in parts for word in part)])
+
+
+# well-formed lines, the same with drawn words among the options, and drawn words
+_ARGV = st.one_of(
+    st.sampled_from(_COMMAND_NAMES).flatmap(lambda name: _line(name, noise=False)),
+    st.sampled_from(_COMMAND_NAMES).flatmap(lambda name: _line(name, noise=True)),
+    st.lists(_WORD, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ARGV)
+def test_table_read_equals_the_full_tree(argv):
+    """Whenever ``main`` reads a line from the table, the full argparse
+    tree accepts the line and gives an equal namespace."""
+    args = cli._read_command_line(argv)
+    if args is not None:
+        assert cli.build_parser().parse_args(argv) == args
+
+
+@pytest.mark.parametrize("name", _COMMAND_NAMES)
+def test_table_reads_each_commands_well_formed_lines(name):
+    """The table read is not vacuous: every command's full line, written
+    with every option once, is read from the table."""
+    argv = [name]
+    for flag, kwargs in cli._COMMANDS[name][1]:
+        argv += [flag] if kwargs.get("action") == "store_true" else [flag, "x"]
+    args = cli._read_command_line(argv)
+    assert args is not None and args == cli.build_parser().parse_args(argv)

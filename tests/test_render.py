@@ -200,6 +200,16 @@ def test_parse_neutral_names_file_and_line_of_a_bad_address():
     "deny~ip~from~any~to~any~sport~~dport~[80]~state~",  # ports on an ip rule
     "permit~icmp~from~any~to~any~sport~[8]~dport~~state~",  # sport on icmp
     "permit~ospf~from~any~to~any~sport~~dport~[5]~state~",  # dport on ospf
+    # fields that parse to a value render_neutral writes otherwise
+    "permit~tcp~from~any~to~any~sport~~dport~[8_0]~state~",  # written [80]
+    "permit~tcp~from~any~to~any~sport~~dport~[\u0663]~state~",  # Arabic-Indic 3
+    "permit~tcp~from~any~to~any~sport~~dport~[+7]~state~",
+    "permit~tcp~from~any~to~any~sport~~dport~[ 5 ]~state~",
+    "permit~6~from~any~to~any~sport~~dport~[80]~state~",  # written tcp
+    "permit~+6~from~any~to~any~sport~~dport~[80]~state~",
+    "permit~\u0666~from~any~to~any~sport~~dport~[80]~state~",  # Arabic-Indic 6
+    "permit~tcp~from~any~to~any~sport~~dport~[80]~state~NEW,,NEW",  # written NEW,NEW
+    "permit~tcp~from~10.0.0.0/255.255.255.0~to~any~sport~~dport~[80]~state~",  # /24
 ])
 def test_parse_neutral_rejects_malformed_fields(line):
     text = NEUTRAL_HEADER + "acl_1\n  remark~c\n  " + line + "\n"
