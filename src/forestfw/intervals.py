@@ -16,9 +16,10 @@ IntervalSet = tuple[Interval, ...]
 
 def normalize(ranges: Iterable[tuple[int, int]]) -> IntervalSet:
     """Sort, merge overlapping and adjacent ranges, drop empty ones."""
-    items = sorted((lo, hi) for lo, hi in ranges if lo <= hi)
     merged: list[Interval] = []
-    for lo, hi in items:
+    for lo, hi in sorted(ranges):
+        if lo > hi:
+            continue
         if merged and lo <= merged[-1][1] + 1:
             if hi > merged[-1][1]:
                 merged[-1] = (merged[-1][0], hi)

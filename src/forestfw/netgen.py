@@ -404,7 +404,7 @@ def _logged_rule_groups(spec: PolicySpec) -> frozenset[str]:
 
 def _service_display(spec: PolicySpec, flow: FlowRule) -> str:
     rule = spec.rules.get(flow.rule_name)
-    if rule is not None and rule.service_expr.is_single_name:
+    if rule is not None and not rule.service_expr.rest:  # a single name
         return rule.service_expr.first.rsplit(".", 1)[-1].upper()
     if rule is not None:
         return rule.service_expr.to_source().upper()

@@ -1,27 +1,20 @@
 """Recursive-descent parser and import resolver.
 
-Parsing happens in two phases: the syntactic pass collects raw
-declarations (imports already merged under their namespace prefix), and a
-resolution pass builds the fully name-resolved :class:`PolicySpec`, with
-set expressions evaluated, port-group references substituted, and every
-name checked against the declaration registry.  The syntactic pass reads
-the source's token texts by index and compares them in place.  A
-declaration keeps the index of its name's token and its
-:class:`~forestfw.policy_lang.lexer.Source`, and an import the index of
-its dotted name; the spec's ``name_tokens`` keeps each declaration's
-pair, the one record of where names are declared, and a line and column
-are computed from it only for a diagnostic or
+The syntactic pass reads a file's token texts by index and compares them
+in place: each declaration is one step of one loop that keeps the tokens
+and the next index in locals, calling out only for a dotted name or a
+value other than one word.  A raw declaration is its kind, its name, the
+index of the name's token, its :class:`~forestfw.policy_lang.lexer.Source`
+and a body by kind; imports are merged in front under their namespace
+prefix.  The resolver sorts the declarations by kind and builds the
+name-resolved :class:`PolicySpec`, each service in one straight-line
+step.  The spec's ``name_tokens`` keeps each declaration's (source, token
+index) pair, the one record of where names are declared: a line and
+column are computed only for a diagnostic or
 :meth:`PolicySpec.position_of`, so an error found after the parse names
-the file that declares the name.  The resolver sorts the declarations by
-kind in one pass, resolves service and zone groups alike, and a set
-expression of a single name is that name's set.
-The main file is tokenized and parsed once per :func:`parse_policy` call.  The calls
-that share one import memo parse each imported (file label, text) pair
-once between them: its raw declarations are immutable, so every later
-import of the same text shares them, and so do its prefixed declarations
-and the services built from them.  A set expression's ``,`` segments
-are united in one n-ary union, so the work grows linearly with the
-policy.
+the declaring file.  Calls that share an import memo parse each imported
+(file label, text) pair once, and share its immutable raw and prefixed
+declarations and the services built from them.
 """
 
 from __future__ import annotations
@@ -42,7 +35,7 @@ from forestfw.policy_lang.lexer import (
 from forestfw.policy_lang.syntax import (
     PORT_ATTRS,
     PROTOCOL_NUMBERS,
-    FULL_PORT_RANGE,
+    FULL_RANGE_SET,
     GlobalPolicy,
     HighLevelRule,
     PolicySpec,
@@ -70,6 +63,7 @@ Importer = Callable[[str], "tuple[str, str] | None"]
 _LIBRARY_ROOT = Path(__file__).parent / "library"
 
 _SET_OPS = (",", "^", "\\")
+_LIST_OP = (",",)  # joins the members of a rule group
 # braced values and groups nest by recursion; deeper nesting is refused,
 # not a crash
 _MAX_NESTING = 64
@@ -107,13 +101,11 @@ class _RawDecl(NamedTuple):
     name: str
     tok: int  # the index of the name's token in ``source``
     source: Source
-    attrs: tuple[tuple[str, Value], ...] = ()
-    expr: SetExpr | None = None
-    ranges: tuple[PortRange, ...] = ()
-    left: str = ""
-    operator: str = ""
-    right: str = ""
-    members: tuple[str, ...] = ()
+    # by kind: a service's or reporting rule's (key, value) attributes, a
+    # port group's ranges, a group's SetExpr, a policy rule's (left,
+    # operator, right, SetExpr), a rule group's members, a policy's
+    # (rule group, reporting rule)
+    body: tuple = ()
 
 
 class _Import(NamedTuple):
@@ -138,231 +130,236 @@ _new = tuple.__new__
 
 class _Parser:
     """Recursive descent over a source's token texts, which it compares in
-    place.  ``pos`` indexes the next token.  The end-of-text token is never
-    passed, so the token after any other one exists."""
+    place.  A declaration is read in one step of one loop that holds the
+    tokens and the index of the next one in locals; only a name of more
+    than one segment, a value other than one word and a malformed input
+    call out.  The end-of-text token is never passed, so the token after
+    any other one exists."""
 
     def __init__(self, source: Source):
         self.source = source
         self.toks = scan(source)
-        self.pos = 0
 
     def raw_file(self) -> _RawFile:
-        toks = self.toks
+        toks, source = self.toks, self.source
         imports: list[_Import] = []
         declared_model: str | None = None
         decls: list[_RawDecl] = []
-        while toks[self.pos]:  # the end of text is the empty token
-            tok = toks[self.pos]
-            if tok not in KEYWORDS:
-                raise self.error(f"expected a declaration keyword, got {value_of(tok)!r}")
-            self.pos += 1
-            if tok == "import":
-                k = self.pos
-                imports.append(_Import(self.dotted(), k))
-                self.expect(";")
-            elif tok == "load_zone_conduit_model":
-                path = toks[self.pos]
-                if kind_of(path) != "string":
-                    raise self.unexpected("'model path string'")
-                if declared_model is not None:
-                    raise self.error("duplicate load_zone_conduit_model")
-                declared_model = value_of(path)
-                self.pos += 1
-                if toks[self.pos] == ";":
-                    self.pos += 1
-            else:
-                decls.append(self.decl(tok))
-        return _RawFile(self.source, tuple(imports), declared_model, tuple(decls))
+        pos = k = 0
+        try:
+            while toks[pos]:  # the end of text is the empty token
+                kind = toks[pos]
+                if kind not in KEYWORDS:
+                    raise source.error(f"expected a declaration keyword, got {value_of(kind)!r}",
+                                       pos)
+                k = pos + 1
+                name = toks[k]
+                if kind == "import":
+                    dotted, pos = self.dotted(k)
+                    imports.append(_Import(dotted, k))
+                    if toks[pos] != ";":
+                        raise self.unexpected("';'", pos)
+                    pos += 1
+                    continue
+                if kind == "load_zone_conduit_model":
+                    if kind_of(name) != "string":
+                        raise self.unexpected("'model path string'", k)
+                    if declared_model is not None:
+                        raise source.error("duplicate load_zone_conduit_model", k)
+                    declared_model = value_of(name)
+                    pos = k + 2 if toks[k + 1] == ";" else k + 1
+                    continue
+                if name[:1] in NOT_A_WORD or name in KEYWORDS:
+                    raise self.unexpected("'declaration name'", k)
+                if toks[k + 1] != "{":
+                    raise self.unexpected("'{'", k + 1)
+                pos = k + 2
+                # a name of one segment is read here, any other by dotted()
+                if kind == "service" or kind == "reporting_rule":
+                    attrs = []
+                    while toks[pos] != "}":
+                        key = toks[pos]
+                        if key[:1] in NOT_A_WORD or toks[pos + 1] == ".":
+                            key, pos = self.dotted(pos)
+                        else:
+                            pos += 1
+                        if toks[pos] != "=":
+                            raise self.unexpected("'='", pos)
+                        value = toks[pos + 1]
+                        if value[:1] not in NOT_A_WORD and toks[pos + 2] == ";":  # one word
+                            attrs.append((key, VName(value)))
+                            pos += 3
+                            continue
+                        value, pos = self.value(pos + 1)
+                        if toks[pos] != ";":
+                            raise self.unexpected("';'", pos)
+                        pos += 1
+                        attrs.append((key, value))
+                    body = tuple(attrs)
+                elif kind == "port_group":
+                    ranges = []
+                    while True:
+                        lo = toks[pos]
+                        if lo[:1] not in DIGITS:
+                            raise self.unexpected("'port number'", pos)
+                        if toks[pos + 1] != "-":
+                            ranges.append(_new(PortRange, (int(lo), int(lo))))
+                            pos += 1
+                        elif toks[pos + 2][:1] not in DIGITS:
+                            raise self.unexpected("'range upper bound'", pos + 2)
+                        else:
+                            ranges.append(_new(PortRange, (int(lo), int(toks[pos + 2]))))
+                            pos += 3
+                        if toks[pos] != ",":
+                            break
+                        pos += 1
+                    body = tuple(ranges)
+                elif kind != "policy":  # a rule's zones, then names joined by operators
+                    if kind == "policy_rule":
+                        left = toks[pos]
+                        if left[:1] in NOT_A_WORD or toks[pos + 1] == ".":
+                            left, pos = self.dotted(pos)
+                        else:
+                            pos += 1
+                        operator = toks[pos]
+                        if operator != "->" and operator != "<->":
+                            raise source.error("expected '->' or '<->'", pos)
+                        right = toks[pos + 1]
+                        if right[:1] in NOT_A_WORD or toks[pos + 2] == ".":
+                            right, pos = self.dotted(pos + 1)
+                        else:
+                            pos += 2
+                        if toks[pos] != ":":
+                            raise self.unexpected("':'", pos)
+                        pos += 1
+                    first = toks[pos]
+                    if first[:1] in NOT_A_WORD or toks[pos + 1] == ".":
+                        first, pos = self.dotted(pos)
+                    else:
+                        pos += 1
+                    rest = []
+                    ops = _LIST_OP if kind == "rule_group" else _SET_OPS
+                    while toks[pos] in ops:
+                        op, term = toks[pos], toks[pos + 1]
+                        if term[:1] in NOT_A_WORD or toks[pos + 2] == ".":
+                            term, pos = self.dotted(pos + 1)
+                        else:
+                            pos += 2
+                        rest.append((op, term))
+                    if kind == "rule_group":
+                        body = (first, *[term for _, term in rest])
+                    else:
+                        body = _new(SetExpr, (first, tuple(rest)))
+                        if kind == "policy_rule":
+                            body = (left, operator, right, body)
+                else:  # policy: a rule group, ";", a reporting rule
+                    rule_group = toks[pos]
+                    if rule_group[:1] in NOT_A_WORD or rule_group in KEYWORDS:
+                        raise self.unexpected("'rule-group name'", pos)
+                    if toks[pos + 1] != ";":
+                        raise self.unexpected("';'", pos + 1)
+                    reporting = toks[pos + 2]
+                    if reporting[:1] in NOT_A_WORD or reporting in KEYWORDS:
+                        raise self.unexpected("'reporting-rule name'", pos + 2)
+                    # a trailing separator is optional in the wild
+                    pos += 4 if toks[pos + 3] == ";" else 3
+                    body = (rule_group, reporting)
+                if toks[pos] != "}":
+                    raise self.unexpected("'}'", pos)
+                pos += 1
+                decls.append(_new(_RawDecl, (kind, name, k, source, body)))
+        except ValueError:  # more digits than the interpreter converts
+            raise self.too_long(k) from None
+        return _RawFile(source, tuple(imports), declared_model, tuple(decls))
 
-    def error(self, message: str) -> PolicyError:
-        return self.source.error(message, self.pos)
+    def unexpected(self, expected: str, k: int) -> PolicyError:
+        """A diagnostic at token ``k``, which is not the one ``expected``."""
+        tok = self.toks[k]
+        return self.source.error(f"expected {expected}, got {value_of(tok) or kind_of(tok)!r}", k)
 
-    def unexpected(self, expected: str) -> PolicyError:
-        """A diagnostic at the next token, which is not the one ``expected``."""
-        tok = self.toks[self.pos]
-        return self.error(f"expected {expected}, got {value_of(tok) or kind_of(tok)!r}")
+    def too_long(self, k: int) -> PolicyError:
+        """The diagnostic at the first number from token ``k`` on that
+        ``int`` refuses: every number before it was converted."""
+        while True:
+            tok = self.toks[k]
+            if tok[:1] in DIGITS:
+                try:
+                    int(tok)
+                except ValueError:
+                    return self.source.error(f"number of {len(tok)} digits is too long", k)
+            k += 1
 
-    def expect(self, punct: str) -> None:
-        if self.toks[self.pos] != punct:
-            raise self.unexpected(repr(punct))
-        self.pos += 1
-
-    def ident(self, what: str) -> str:
-        """A name that is not a keyword."""
-        tok = self.toks[self.pos]
-        if tok[:1] in NOT_A_WORD or tok in KEYWORDS:
-            raise self.unexpected(repr(what))
-        self.pos += 1
-        return tok
-
-    def dotted(self) -> str:
-        """A dotted name; keywords are legal segments."""
+    def dotted(self, k: int) -> tuple[str, int]:
+        """The dotted name at token ``k`` and the index after it; keywords
+        are legal segments."""
         toks = self.toks
-        start = i = self.pos
+        i = k
         while True:
             if toks[i][:1] in NOT_A_WORD:
-                self.pos = i
-                raise self.unexpected("a name")
+                raise self.unexpected("a name", i)
             if toks[i + 1] != ".":
                 break
             i += 2
-        self.pos = i + 1
-        return toks[i] if i == start else "".join(toks[start:i + 1])
+        return (toks[i] if i == k else "".join(toks[k:i + 1])), i + 1
 
-    def int_at(self, k: int) -> int:
-        try:
-            return int(self.toks[k])
-        except ValueError:  # more digits than the interpreter converts
-            raise self.source.error(f"number of {len(self.toks[k])} digits is too long",
-                                    k) from None
-
-    def decl(self, kind: str) -> _RawDecl:
+    def value(self, k: int, depth: int = 0, atom: bool = False) -> tuple[Value, int]:
+        """The value at token ``k`` and the index after it: one atom or,
+        unless ``atom``, a ``,`` list of atoms."""
         toks = self.toks
-        k = self.pos
-        name = self.ident("declaration name")
-        self.expect("{")
-        attrs: tuple[tuple[str, Value], ...] = ()
-        expr: SetExpr | None = None
-        ranges: tuple[PortRange, ...] = ()
-        left = operator = right = ""
-        members: tuple[str, ...] = ()
-        if kind == "service" or kind == "reporting_rule":
-            attrs = self.attrs()
-        elif kind == "port_group":
-            ranges = self.ranges()
-        elif kind == "policy_rule":
-            left = self.dotted()
-            operator = toks[self.pos]
-            if operator != "->" and operator != "<->":
-                raise self.error("expected '->' or '<->'")
-            self.pos += 1
-            right = self.dotted()
-            self.expect(":")
-            expr = self.setexpr()
-        elif kind == "service_group" or kind == "zone_group":
-            expr = self.setexpr()
-        elif kind == "rule_group":
-            names = [self.dotted()]
-            while toks[self.pos] == ",":
-                self.pos += 1
-                names.append(self.dotted())
-            members = tuple(names)
-        elif kind == "policy":
-            rule_group = self.ident("rule-group name")
-            self.expect(";")
-            reporting = self.ident("reporting-rule name")
-            if toks[self.pos] == ";":  # trailing separator is optional in the wild
-                self.pos += 1
-            members = (rule_group, reporting)
-        else:  # pragma: no cover - keyword set is closed
-            raise self.error(f"unsupported declaration {kind!r}")
-        self.expect("}")
-        return _new(_RawDecl, (kind, name, k, self.source,
-                               attrs, expr, ranges, left, operator, right, members))
-
-    def attrs(self) -> tuple[tuple[str, Value], ...]:
-        toks = self.toks
-        attrs: list[tuple[str, Value]] = []
-        while toks[self.pos] != "}":
-            key = self.dotted()
-            self.expect("=")
-            attrs.append((key, self.value()))
-            self.expect(";")
-        return tuple(attrs)
-
-    def value(self, depth: int = 0) -> Value:
-        toks = self.toks
-        first = self.value_atom(depth)
-        if toks[self.pos] != ",":
-            return first
-        items = [first]
-        while toks[self.pos] == ",":
-            self.pos += 1
-            items.append(self.value_atom(depth))
-        return VList(tuple(items))
-
-    def value_atom(self, depth: int = 0) -> Value:
-        toks = self.toks
-        k = self.pos
-        tok = toks[k]
-        first = tok[:1]
-        if first not in NOT_A_WORD:
-            self.pos = k + 1
-            return VName(tok)
-        if first in DIGITS:
-            if toks[k + 1] != "-":
-                self.pos = k + 1
-                return VInt(self.int_at(k))
-            self.pos = k + 2
-            if toks[k + 2][:1] not in DIGITS:
-                raise self.unexpected("'range upper bound'")
-            self.pos = k + 3
-            return VRange(self.int_at(k), self.int_at(k + 2))
-        if first == '"' or first == "`":
-            self.pos = k + 1
-            return VString(value_of(tok))
-        if tok == "{":
-            if depth == _MAX_NESTING:
-                raise self.error(f"value blocks nested more than {_MAX_NESTING} deep")
-            self.pos = k + 1
-            items: list[tuple[str | None, Value]] = []
-            while toks[self.pos] != "}":
-                if toks[self.pos][:1] not in NOT_A_WORD and self.at_assignment():
-                    key = self.dotted()
-                    self.expect("=")
-                    items.append((key, self.value(depth + 1)))
+        items: list[Value] = []
+        while True:
+            tok = toks[k]
+            first = tok[:1]
+            if first not in NOT_A_WORD:
+                item, k = VName(tok), k + 1
+            elif first in DIGITS:
+                if toks[k + 1] != "-":
+                    item, k = VInt(int(tok)), k + 1
+                elif toks[k + 2][:1] not in DIGITS:
+                    raise self.unexpected("'range upper bound'", k + 2)
                 else:
-                    items.append((None, self.value_atom(depth + 1)))
-                if toks[self.pos] != ";" and toks[self.pos] != ",":
-                    break
-                self.pos += 1
-            self.expect("}")
-            return VBlock(tuple(items))
-        raise self.unexpected("a value")
+                    item, k = VRange(int(tok), int(toks[k + 2])), k + 3
+            elif first == '"' or first == "`":
+                item, k = VString(value_of(tok)), k + 1
+            elif tok == "{":
+                item, k = self.block(k, depth)
+            else:
+                raise self.unexpected("a value", k)
+            items.append(item)
+            if atom or toks[k] != ",":
+                return (items[0] if len(items) == 1 else VList(tuple(items))), k
+            k += 1
 
-    def at_assignment(self) -> bool:
-        """Whether a dotted key and ``=`` come next."""
+    def block(self, k: int, depth: int) -> tuple[VBlock, int]:
+        """The braced value whose ``{`` is token ``k``, and the index after it."""
         toks = self.toks
-        i = self.pos
+        if depth == _MAX_NESTING:
+            raise self.source.error(f"value blocks nested more than {_MAX_NESTING} deep", k)
+        k += 1
+        items: list[tuple[str | None, Value]] = []
+        while toks[k] != "}":
+            key = None
+            if toks[k][:1] not in NOT_A_WORD and self.at_assignment(k):
+                key, k = self.dotted(k)
+                k += 1  # past the "="
+            value, k = self.value(k, depth + 1, atom=key is None)
+            items.append((key, value))
+            if toks[k] != ";" and toks[k] != ",":
+                break
+            k += 1
+        if toks[k] != "}":
+            raise self.unexpected("'}'", k)
+        return VBlock(tuple(items)), k + 1
+
+    def at_assignment(self, i: int) -> bool:
+        """Whether a dotted key and ``=`` start at token ``i``."""
+        toks = self.toks
         while toks[i][:1] not in NOT_A_WORD:
             i += 1
             if toks[i] != ".":
                 break
             i += 1
         return toks[i] == "="
-
-    def setexpr(self) -> SetExpr:
-        toks = self.toks
-        first = self.dotted()
-        rest: list[tuple[str, str]] = []
-        while toks[self.pos] in _SET_OPS:
-            op = toks[self.pos]
-            self.pos += 1
-            rest.append((op, self.dotted()))
-        return SetExpr(first, tuple(rest))
-
-    def ranges(self) -> tuple[PortRange, ...]:
-        toks = self.toks
-        ranges: list[PortRange] = []
-        k = self.pos
-        while True:
-            if toks[k][:1] not in DIGITS:
-                self.pos = k
-                raise self.unexpected("'port number'")
-            if toks[k + 1] == "-":
-                if toks[k + 2][:1] not in DIGITS:
-                    self.pos = k + 2
-                    raise self.unexpected("'range upper bound'")
-                ranges.append(_new(PortRange, (self.int_at(k), self.int_at(k + 2))))
-                k += 3
-            else:
-                port = self.int_at(k)
-                ranges.append(_new(PortRange, (port, port)))
-                k += 1
-            if toks[k] != ",":
-                self.pos = k
-                return tuple(ranges)
-            k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +376,30 @@ def _prefix_decls(decls: tuple[_RawDecl, ...], prefix: str) -> list[_RawDecl]:
     def q(name: str) -> str:
         return f"{prefix}.{name}" if name in own else name
 
-    def q_expr(expr: SetExpr | None) -> SetExpr | None:
-        if expr is None:
-            return None
+    def q_expr(expr: SetExpr) -> SetExpr:
         return SetExpr(q(expr.first), tuple((op, q(n)) for op, n in expr.rest))
 
     def q_value(value: Value) -> Value:
-        if isinstance(value, VName):
-            return VName(q(value.name))
-        if isinstance(value, VList):
+        if type(value) is VName:
+            return VName(f"{prefix}.{value.name}") if value.name in own else value
+        if type(value) is VList:
             return VList(tuple(q_value(v) for v in value.items))
-        if isinstance(value, VBlock):
+        if type(value) is VBlock:
             return VBlock(tuple((k, q_value(v)) for k, v in value.items))
         return value
 
-    return [d._replace(name=f"{prefix}.{d.name}",
-                       attrs=tuple((k, q_value(v)) for k, v in d.attrs), expr=q_expr(d.expr),
-                       left=q(d.left), right=q(d.right), members=tuple(q(m) for m in d.members))
-            for d in decls]
+    prefixed = []
+    for kind, name, tok, source, body in decls:
+        if kind == "service" or kind == "reporting_rule":
+            body = tuple((key, q_value(value)) for key, value in body)
+        elif kind == "service_group" or kind == "zone_group":
+            body = q_expr(body)
+        elif kind == "policy_rule":
+            body = (q(body[0]), body[1], q(body[2]), q_expr(body[3]))
+        elif kind != "port_group":  # a rule group's or policy's names
+            body = tuple(map(q, body))
+        prefixed.append(_new(_RawDecl, (kind, f"{prefix}.{name}", tok, source, body)))
+    return prefixed
 
 
 def _collect(raw: _RawFile, importer: Importer, seen: dict[str, bool], memo: dict) -> _RawFile:
@@ -438,18 +441,17 @@ def _collect(raw: _RawFile, importer: Importer, seen: dict[str, bool], memo: dic
 # the declaration kinds in the order the resolver builds them
 _DECL_KINDS = ("port_group", "service", "service_group", "zone_group", "policy_rule",
                "reporting_rule", "rule_group", "policy")
+# each port attribute's place among a service's range fields
+_PORT_SLOTS = {key: ("source_ports", "dest_ports", "icmp_types").index(field)
+               for key, field in PORT_ATTRS.items()}
 
 
 class _Resolver:
     def __init__(self, raw: _RawFile, file: str, source: str, memo: dict):
         self.raw = raw
         self.memo = memo
-        self.spec = PolicySpec(
-            imports=tuple(imp.dotted for imp in raw.imports),
-            declared_model=raw.declared_model,
-            file=file,
-            source=source,
-        )
+        self.spec = PolicySpec(imports=tuple(imp.dotted for imp in raw.imports),
+                               declared_model=raw.declared_model, file=file, source=source)
         self.registry: dict[str, _RawDecl] = {}
         self._resolving: list[str] = []
 
@@ -458,21 +460,23 @@ class _Resolver:
 
     def run(self) -> PolicySpec:
         spec, registry = self.spec, self.registry
+        name_tokens = spec.name_tokens
         by_kind: dict[str, list[_RawDecl]] = {kind: [] for kind in _DECL_KINDS}
         for decl in self.raw.decls:
-            if decl.name in registry:
-                raise self.err(decl, f"duplicate declaration of {decl.name!r}")
-            registry[decl.name] = decl
-            spec.name_tokens[decl.name] = (decl.source, decl.tok)
-            by_kind[decl.kind].append(decl)
+            kind, name, tok, source, _ = decl
+            if name in registry:
+                raise self.err(decl, f"duplicate declaration of {name!r}")
+            registry[name] = decl
+            name_tokens[name] = (source, tok)
+            by_kind[kind].append(decl)
 
         for decl in by_kind["port_group"]:
-            spec.port_groups[decl.name] = PortGroup(decl.name, decl.ranges)
+            spec.port_groups[decl.name] = _new(PortGroup, (decl.name, decl.body))
         main = self.raw.source
         for decl in by_kind["service"]:
             build = self._build_service if decl.source is main else self._library_service
             spec.services[decl.name] = build(decl)
-            spec.raw_attrs[decl.name] = decl.attrs
+            spec.raw_attrs[decl.name] = decl.body
         for decl in by_kind["service_group"]:
             self._service_term(decl, decl.name)
         for decl in by_kind["zone_group"]:
@@ -482,15 +486,15 @@ class _Resolver:
         for decl in by_kind["reporting_rule"]:
             self._build_reporting(decl)
         for decl in by_kind["rule_group"]:
-            for member in decl.members:
+            for member in decl.body:
                 if registry.get(member, _MISSING).kind != "policy_rule":
                     raise self.err(decl, f"rule group {decl.name!r} references "
                                          f"undeclared policy rule {member!r}")
-            spec.rule_groups[decl.name] = decl.members
+            spec.rule_groups[decl.name] = decl.body
         for decl in by_kind["policy"]:
             if spec.global_policy is not None:
                 raise self.err(decl, "duplicate policy declaration")
-            rg, rr = decl.members
+            rg, rr = decl.body
             if registry.get(rg, _MISSING).kind != "rule_group":
                 raise self.err(decl, f"policy references undeclared rule group {rg!r}")
             if registry.get(rr, _MISSING).kind != "reporting_rule":
@@ -509,69 +513,60 @@ class _Resolver:
         if entry is not None:
             return entry[1]
         service = self._build_service(decl)
-        if not _names_port_group(decl.attrs):
+        if not _names_port_group(decl.body):
             self.memo[id(decl)] = (decl, service)
         return service
 
     def _build_service(self, decl: _RawDecl) -> Service:
+        name = decl.name
         protocol: int | None = None
         protocol_seen = False
-        ports: dict[str, tuple[PortRange, ...]] = {}
+        ports = [(), (), ()]  # source ports, dest ports, ICMP types, as Service takes them
         comment = ""
         seen: set[str] = set()
-        for key, value in decl.attrs:
+        for key, value in decl.body:
             if key in seen:
-                raise self.err(decl, f"duplicate attribute {key!r} in service {decl.name!r}")
+                raise self.err(decl, f"duplicate attribute {key!r} in service {name!r}")
             seen.add(key)
+            kind = type(value)
             if key == "protocol":
                 protocol_seen = True
-                protocol = self._protocol_value(decl, value)
+                if kind is VInt:
+                    protocol = value.n
+                elif kind is not VName:
+                    raise self.err(decl, "protocol value must be a protocol name or number")
+                elif value.name in PROTOCOL_NUMBERS:
+                    protocol = PROTOCOL_NUMBERS[value.name]
+                else:
+                    raise self.err(decl, f"unknown protocol {value.name!r}")
             elif key in PORT_ATTRS:
-                field_name = PORT_ATTRS[key]
-                ports[field_name] = ports.get(field_name, ()) + self._range_value(decl, value)
+                ports[_PORT_SLOTS[key]] += self._range_value(decl, value)
             elif key == "comment":
-                if not isinstance(value, VString):
+                if kind is not VString:
                     raise self.err(decl, "comment value must be a string")
                 comment = value.text
             else:
                 raise self.err(decl, f"unknown service attribute {key!r}")
         if not protocol_seen:
-            raise self.err(decl, f"service {decl.name!r} must declare a protocol")
-        source_ports = ports.get("source_ports", ())
-        dest_ports = ports.get("dest_ports", ())
+            raise self.err(decl, f"service {name!r} must declare a protocol")
         # TCP/UDP default the unspecified port dimensions to the full range
-        if protocol in (6, 17):
-            source_ports = source_ports or (FULL_PORT_RANGE,)
-            dest_ports = dest_ports or (FULL_PORT_RANGE,)
-        return Service(
-            name=decl.name,
-            protocol=protocol,
-            source_ports=source_ports,
-            dest_ports=dest_ports,
-            icmp_types=ports.get("icmp_types", ()),
-            comment=comment,
-        )
-
-    def _protocol_value(self, decl: _RawDecl, value: Value) -> int | None:
-        if isinstance(value, VName):
-            if value.name not in PROTOCOL_NUMBERS:
-                raise self.err(decl, f"unknown protocol {value.name!r}")
-            return PROTOCOL_NUMBERS[value.name]
-        if isinstance(value, VInt):
-            return value.n
-        raise self.err(decl, "protocol value must be a protocol name or number")
+        if protocol == 6 or protocol == 17:
+            ports[0] = ports[0] or FULL_RANGE_SET
+            ports[1] = ports[1] or FULL_RANGE_SET
+        return Service(name, protocol, *ports, comment)
 
     def _range_value(self, decl: _RawDecl, value: Value) -> tuple[PortRange, ...]:
-        if isinstance(value, VInt):
-            return (PortRange(value.n, value.n),)
-        if isinstance(value, VRange):
-            return (PortRange(value.lo, value.hi),)
-        if isinstance(value, VName):
+        kind = type(value)
+        if kind is VName:
             group = self.spec.port_groups.get(value.name)
             if group is None:
                 raise self.err(decl, f"undeclared port group {value.name!r}")
             return group.ranges
-        if isinstance(value, VList):
+        if kind is VInt:
+            return (_new(PortRange, (value.n, value.n)),)
+        if kind is VRange:
+            return (_new(PortRange, (value.lo, value.hi)),)
+        if kind is VList:
             out: tuple[PortRange, ...] = ()
             for item in value.items:
                 out += self._range_value(decl, item)
@@ -588,10 +583,10 @@ class _Resolver:
         if found is None:
             raise self.err(decl, f"undeclared name {name!r}")
         if found.kind == "service":
-            return ServiceSet([self.spec.services[name]])
+            return ServiceSet((self.spec.services[name],))
         if found.kind != "service_group":
             raise self.err(decl, f"{found.kind} {name!r} used where a service was expected")
-        return self._group(found, "service", lambda n: self._service_term(found, n))
+        return self._group(found, "service", self._service_term)
 
     def _zone_term(self, decl: _RawDecl, name: str) -> frozenset[str]:
         """The zones ``name``, a term of ``decl``'s set expression (or
@@ -603,9 +598,9 @@ class _Resolver:
             return frozenset({name})
         if found.kind != "zone_group":
             raise self.err(decl, f"{found.kind} {name!r} used where a zone was expected")
-        return self._group(found, "zone", lambda n: self._zone_term(found, n))
+        return self._group(found, "zone", self._zone_term)
 
-    def _group(self, decl: _RawDecl, kind: str, term: Callable[[str], _SetT]) -> _SetT:
+    def _group(self, decl: _RawDecl, kind: str, term: Callable[[_RawDecl, str], _SetT]) -> _SetT:
         """The set of the ``kind`` ("service" or "zone") group ``decl``, its
         expression over ``term``: evaluated once, kept in the spec's table."""
         groups = self.spec.service_groups if kind == "service" else self.spec.zone_groups
@@ -617,33 +612,26 @@ class _Resolver:
         if len(self._resolving) == _MAX_NESTING:
             raise self.err(decl, f"{kind} groups nested more than {_MAX_NESTING} deep")
         self._resolving.append(name)
-        assert decl.expr is not None
-        members = _eval_set_expr(decl.expr, term)
+        members = _eval_set_expr(decl.body, term, decl)
         self._resolving.pop()
-        groups[name] = (ServiceGroup if kind == "service" else ZoneGroup)(name, decl.expr, members)
+        groups[name] = (ServiceGroup if kind == "service" else ZoneGroup)(name, decl.body, members)
         return members
 
     # -- rules and reporting
 
     def _build_rule(self, decl: _RawDecl) -> None:
-        for side in (decl.left, decl.right):
+        left, operator, right, expr = decl.body
+        for side in (left, right):
             found = self.registry.get(side)
             if found is not None and found.kind != "zone_group":
                 raise self.err(decl, f"{found.kind} {side!r} used where a zone was expected")
-        assert decl.expr is not None
-        services = _eval_set_expr(decl.expr, lambda n: self._service_term(decl, n))
-        self.spec.rules[decl.name] = HighLevelRule(
-            name=decl.name,
-            left=decl.left,
-            operator=decl.operator,
-            right=decl.right,
-            service_expr=decl.expr,
-            services=services,
-        )
+        services = _eval_set_expr(expr, self._service_term, decl)
+        self.spec.rules[decl.name] = _new(HighLevelRule, (decl.name, left, operator, right,
+                                                          expr, services))
 
     def _build_reporting(self, decl: _RawDecl) -> None:
         use_case: str | None = None
-        for key, value in decl.attrs:
+        for key, value in decl.body:
             if key == "use_case":
                 if not isinstance(value, VName):
                     raise self.err(decl, "use_case must be an identifier")
@@ -658,8 +646,8 @@ class _Resolver:
                     if self.registry.get(name, _MISSING).kind not in ("rule_group", "policy_rule"):
                         raise self.err(decl, f"reporting rule references undeclared "
                                              f"rule group {name!r}")
-        self.spec.reporting_rules[decl.name] = ReportingRule(decl.name, decl.attrs, use_case)
-        self.spec.raw_attrs[decl.name] = decl.attrs
+        self.spec.reporting_rules[decl.name] = ReportingRule(decl.name, decl.body, use_case)
+        self.spec.raw_attrs[decl.name] = decl.body
 
 
 def _names_port_group(attrs: tuple[tuple[str, Value], ...]) -> bool:
@@ -670,15 +658,15 @@ def _names_port_group(attrs: tuple[tuple[str, Value], ...]) -> bool:
     return any(key in PORT_ATTRS and names(value) for key, value in attrs)
 
 
-def _eval_set_expr(expr: SetExpr, term: Callable[[str], _SetT]) -> _SetT:
+def _eval_set_expr(expr: SetExpr, term: Callable[[_RawDecl, str], _SetT], decl: _RawDecl) -> _SetT:
     """Evaluate ``first (op term)*`` over sets with ``union``,
     ``intersection`` and ``difference``: ``^`` and ``\\`` bind tighter
     than ``,`` and associate left to right.  A single name is its term."""
     if not expr.rest:
-        return term(expr.first)
-    segments = [term(expr.first)]
+        return term(decl, expr.first)
+    segments = [term(decl, expr.first)]
     for op, name in expr.rest:
-        value = term(name)
+        value = term(decl, name)
         if op == ",":
             segments.append(value)
         elif op == "^":

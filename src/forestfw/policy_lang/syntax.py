@@ -39,21 +39,17 @@ FULL_PORT_RANGE = PortRange(PORT_MIN, PORT_MAX)
 
 def port_ranges(raw: Iterable[tuple[int, int]]) -> tuple[PortRange, ...]:
     """Normalize to sorted, disjoint, maximal PortRanges; a tuple of
-    PortRanges already in that form is returned as it is."""
-    if type(raw) is tuple and _is_normal(raw):
-        return raw
-    return tuple(PortRange(lo, hi) for lo, hi in intervals.normalize(raw))
-
-
-def _is_normal(ranges: tuple) -> bool:
-    """Whether ``ranges`` are PortRanges, each ascending, in ascending order
-    with a gap between neighbours."""
-    last = -2
-    for r in ranges:
-        if type(r) is not PortRange or not last + 1 < r.lo <= r.hi:
-            return False
-        last = r.hi
-    return True
+    PortRanges already in that form (each ascending, in ascending order
+    with a gap between neighbours) is returned as it is."""
+    if type(raw) is tuple:
+        last = -2
+        for r in raw:
+            if type(r) is not PortRange or not last + 1 < r.lo <= r.hi:
+                break
+            last = r.hi
+        else:
+            return raw
+    return tuple([tuple.__new__(PortRange, r) for r in intervals.normalize(raw)])
 
 
 # ---------------------------------------------------------------------------
@@ -120,33 +116,41 @@ PORT_ATTRS = {
 }
 
 
-@dataclass(frozen=True)
-class Service:
-    """A traffic service: one IP protocol plus its attribute constraints.
-
-    For TCP/UDP the port attributes default to the full 0-65535 range when
-    unspecified.  For ICMP, an empty ``icmp_types`` means "any type".
-    ``protocol`` is None only for the prohibited generic ``ip`` form, which
-    the validator rejects before anything downstream can see it.
-    """
-
+class _ServiceFields(NamedTuple):
     name: str
     protocol: int | None
     source_ports: tuple[PortRange, ...] = ()  # as written; validator checks bounds
     dest_ports: tuple[PortRange, ...] = ()
     icmp_types: tuple[PortRange, ...] = ()
     comment: str = ""
-    # value_key(), computed once at construction from the fields above:
-    # the protocol and each field normalized into PortRanges
-    _value_key: tuple = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_value_key", (
-            self.protocol,
-            port_ranges(self.source_ports),
-            port_ranges(self.dest_ports),
-            port_ranges(self.icmp_types),
-        ))
+
+class Service(_ServiceFields):
+    """A traffic service: one IP protocol plus its attribute constraints.
+
+    For TCP/UDP the port attributes default to the full 0-65535 range when
+    unspecified.  For ICMP, an empty ``icmp_types`` means "any type".
+    ``protocol`` is None only for the prohibited generic ``ip`` form, which
+    the validator rejects before anything downstream can see it.  Equal
+    and hashed by its six fields, none of which can be set.
+    """
+
+    def __new__(cls, name: str, protocol: int | None, source_ports: tuple = (),
+                dest_ports: tuple = (), icmp_types: tuple = (), comment: str = "") -> "Service":
+        self = tuple.__new__(cls, (name, protocol, source_ports, dest_ports, icmp_types, comment))
+        # value_key(), computed once: the protocol and each field normalized
+        self.__dict__["_value_key"] = (protocol, port_ranges(source_ports),
+                                       port_ranges(dest_ports), port_ranges(icmp_types))
+        return self
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set {name!r} of a Service")
+
+    __delattr__ = __setattr__
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> "Service":  # so _replace derives the key too
+        return cls(*fields)
 
     def value_key(self) -> tuple:
         """Identity of the service by constraint, ignoring name/comment."""
@@ -202,9 +206,6 @@ class ServiceSet:
     def __len__(self) -> int:
         return len(self._members)
 
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ServiceSet):
             return NotImplemented
@@ -255,10 +256,6 @@ class SetExpr(NamedTuple):
             sep = ", " if op == "," else f" {op} "
             parts.append(f"{sep}{name}")
         return "".join(parts)
-
-    @property
-    def is_single_name(self) -> bool:
-        return not self.rest
 
 
 class ServiceGroup(NamedTuple):

@@ -12,6 +12,7 @@ from collections import Counter
 
 from forestfw.diagnostics import Diagnostic
 from forestfw.policy_lang.syntax import (
+    FULL_RANGE_SET,
     PORT_ATTRS,
     PORT_MAX,
     ICMP_TYPE_MAX,
@@ -21,23 +22,22 @@ from forestfw.policy_lang.syntax import (
     Value,
     VList,
     VName,
+    service_plane,
 )
 
-_PORT_FIELDS = ("source_ports", "dest_ports")
+# each range field of a service, its largest value and its name in messages
+_RANGE_FIELDS = (("source_ports", PORT_MAX, "port"), ("dest_ports", PORT_MAX, "port"),
+                 ("icmp_types", ICMP_TYPE_MAX, "ICMP type"))
 
 
 def _is_generic(svc: Service) -> str | None:
-    """Name of the prohibited generic form this service amounts to, if any."""
+    """Name of the prohibited generic form this service amounts to, if any:
+    all-IP, or a TCP or UDP service whose normalized ranges span its whole
+    value x source port plane (the parser fills unwritten ports in full)."""
     if svc.protocol is None:
         return "all-IP"
-    if svc.protocol in (6, 17):
-        full = all(
-            ranges == ((0, PORT_MAX),) or ranges == ()
-            for ranges in (svc.source_ports, svc.dest_ports)
-        )
-        # the parser fills defaults, so "no constraint" shows up as full ranges
-        if full:
-            return "all-TCP" if svc.protocol == 6 else "all-UDP"
+    if svc.protocol in (6, 17) and service_plane(svc) == (FULL_RANGE_SET, FULL_RANGE_SET):
+        return "all-TCP" if svc.protocol == 6 else "all-UDP"
     return None
 
 
@@ -77,9 +77,7 @@ def validate_spec(spec: PolicySpec) -> list[Diagnostic]:
             add("error", name, f"generic service {generic} prohibited ({name!r})")
         # a bad range of a port group is reported once, at the group
         from_groups: Counter[tuple[str, PortRange]] | None = None
-        for field in _PORT_FIELDS + ("icmp_types",):
-            upper = ICMP_TYPE_MAX if field == "icmp_types" else PORT_MAX
-            label = "ICMP type" if field == "icmp_types" else "port"
+        for field, upper, label in _RANGE_FIELDS:
             for r in getattr(svc, field):
                 lo, hi = r
                 if not (lo > hi or lo < 0 or hi > upper):

@@ -359,15 +359,27 @@ def _canonical(parse: Callable, write: Callable) -> Callable:
     return read
 
 
+def neutral_field_memos() -> tuple[_Memo, ...]:
+    """The address, protocol, port, ICMP-type and state field memos of
+    :func:`parse_neutral`, which calls may share."""
+    return (_Memo(_canonical(_parse_addr, _addr_text)),
+            _Memo(_canonical(_parse_proto, _proto_text)),
+            _Memo(_canonical(_parse_ports, _ports_text)),
+            _Memo(_canonical(lambda text: _parse_ports(text, ICMP_TYPE_MAX), _ports_text)),
+            _Memo(_canonical(_parse_states, ",".join)))
+
+
 def parse_neutral(text: str, file: str = "<neutral>",
-                  decoded: dict[tuple[str, str], AclRule] | None = None) -> list[Acl]:
+                  decoded: dict[tuple[str, str], AclRule] | None = None,
+                  fields: tuple[_Memo, ...] | None = None) -> list[Acl]:
     """Inverse of render_neutral over a whole neutral file.
 
     Each rule carries the last remark above it in its ACL, except the
     fixed terminal deny, which carries none.  Each distinct address,
     protocol, port, ICMP-type or state field text is parsed and checked
-    once per call, each (rule line, remark) once per ``decoded``, a memo
-    calls may share.  A field is read only as :func:`render_neutral`
+    once per ``fields`` (from :func:`neutral_field_memos`), each (rule
+    line, remark) once per ``decoded``: memos calls may share, made
+    afresh when not given.  A field is read only as :func:`render_neutral`
     writes its value: ``[8_0]``, ``6`` for tcp or ``10.0.0.0/255.255.255.0``
     do not parse.  A line that does not parse or holds an unknown or
     out-of-range value, and a second ACL of one name, raise
@@ -378,11 +390,7 @@ def parse_neutral(text: str, file: str = "<neutral>",
     rules: list[AclRule] = []
     comment = ""
     decoded = {} if decoded is None else decoded
-    addresses = _Memo(_canonical(_parse_addr, _addr_text))
-    protocols = _Memo(_canonical(_parse_proto, _proto_text))
-    ports = _Memo(_canonical(_parse_ports, _ports_text))
-    icmp_types = _Memo(_canonical(lambda text: _parse_ports(text, ICMP_TYPE_MAX), _ports_text))
-    states = _Memo(_canonical(_parse_states, ",".join))
+    fields = neutral_field_memos() if fields is None else fields
 
     def flush() -> None:
         nonlocal rules
@@ -410,8 +418,7 @@ def parse_neutral(text: str, file: str = "<neutral>",
         key = (line, "" if line == TERMINAL_DENY_LINE else comment)
         if key not in decoded:
             try:
-                decoded[key] = _parse_rule_neutral(line, key[1], addresses, protocols,
-                                                   ports, icmp_types, states)
+                decoded[key] = _parse_rule_neutral(line, key[1], *fields)
             except ValueError as exc:
                 raise InputError(f"malformed neutral rule line: {exc}: {line!r}",
                                  file, lineno) from exc

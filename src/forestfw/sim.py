@@ -43,7 +43,7 @@ from forestfw.policy_lang.syntax import (
     port_ranges,
     service_plane,
 )
-from forestfw.render import parse_neutral
+from forestfw.render import neutral_field_memos, parse_neutral
 from forestfw.topo_model import Conduit, Zone, ZoneConduitModel, firewall_zones
 
 # a zone path as the ACL keys ``(firewall, interface, direction)`` that
@@ -174,11 +174,11 @@ def load_compiled(directory: Path | str) -> SimNetwork:
 
     Rules come from the vendor-neutral files; the manifest supplies the
     model, interface bindings, and expanded flows; each distinct file text
-    is decoded once, each distinct rule line and remark is decoded once
-    across the files, and ACLs of equal rules share one rule tuple.  A
-    manifest or neutral file that does not parse or is not UTF-8, a
-    manifest value of the wrong JSON type, or a manifest binding one key
-    twice, raises :class:`InputError` naming the file.
+    is decoded once, each distinct rule line and remark and each distinct
+    field text once across the files, and ACLs of equal rules share one
+    rule tuple.  A manifest or neutral file that does not parse or is not
+    UTF-8, a manifest value of the wrong JSON type, or a manifest binding
+    one key twice, raises :class:`InputError` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -199,6 +199,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     acls_per_text: dict[str, dict[str, tuple[AclRule, ...]]] = {}
     acl_map: dict[tuple[str, str, str], tuple[AclRule, ...]] = {}
     decoded: dict[tuple[str, str], AclRule] = {}
+    fields = neutral_field_memos()
     # one tuple per sequence of decoded rules, by their identities (``decoded``
     # keeps them alive): equal ACLs in files that differ, such as the
     # deny-only ones, share a tuple and so a match table
@@ -216,7 +217,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
             if text not in acls_per_text:
                 acls_per_text[text] = {
                     acl.name: interned.setdefault(tuple(map(id, acl.rules)), acl.rules)
-                    for acl in parse_neutral(text, str(path), decoded)}
+                    for acl in parse_neutral(text, str(path), decoded, fields)}
             acls_per_file[file_name] = acls_per_text[text]
         if acl_name not in acls_per_file[file_name]:
             raise InputError(f"no ACL {acl_name!r}, which the manifest binds to "

@@ -319,3 +319,33 @@ def test_vetting_builds_one_match_table_per_distinct_acl(name, tables, tmp_path,
     sim.vet_positive(net)
     sim.vet_negative(net)
     assert len(net.match_tables) == len(set(net.acl_map.values())) == tables
+
+
+def test_load_compiled_parses_each_port_text_once_across_the_files(tmp_path, capsys,
+                                                                    monkeypatch):
+    """The neutral files share one set of field memos: over bulk seed 1,
+    each distinct port (and ICMP-type) text is parsed once in all, not
+    once per file that holds it."""
+    out = tmp_path / "compiled"
+    compiled_tree(compile_args("bulk1", tmp_path), out)
+    capsys.readouterr()
+    per_file = []
+    for text in {path.read_text(encoding="utf-8") for path in out.glob("*.neutral.acl")}:
+        ports, icmp_types = set(), set()
+        for line in text.splitlines():
+            fields = line.strip().split("~")
+            if fields[0] in ("permit", "deny"):
+                ports.add(fields[7])
+                (icmp_types if fields[1] == "icmp" else ports).add(fields[9])
+        per_file.append((ports, icmp_types))
+    distinct = sum(len(set().union(*kind)) for kind in zip(*per_file))
+    parsed: list[str] = []
+    parse_ports = render._parse_ports
+
+    def counting(text, *limit):
+        parsed.append(text)
+        return parse_ports(text, *limit)
+
+    monkeypatch.setattr(render, "_parse_ports", counting)
+    sim.load_compiled(out)
+    assert len(parsed) == distinct < sum(len(p) + len(i) for p, i in per_file)

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import random
 
@@ -97,7 +96,7 @@ def test_value_key_equals_key_recomputed_from_fields(svc):
 def test_construction_path_does_not_change_service_equality_or_hash():
     parsed = parse_policy("service s { protocol=tcp; tcp.dest_port=80; }").services["s"]
     direct = Service("s", 6, (PortRange(0, 65535),), (PortRange(80, 80),))
-    renamed = dataclasses.replace(dataclasses.replace(parsed, comment="x"), comment="")
+    renamed = parsed._replace(comment="x")._replace(comment="")
     for other in (direct, renamed, copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
         assert other == parsed
         assert hash(other) == hash(parsed)

@@ -27,10 +27,9 @@ RECORDS = [
 ]
 
 # the classes that need what a tuple cannot give: values of distinct
-# types that must not compare equal, a key derived at construction,
-# identity equality, or mutable state
+# types that must not compare equal, identity equality, or mutable state
 DATACLASSES = {
-    "Value", "VInt", "VRange", "VName", "VString", "VList", "VBlock", "Service",
+    "Value", "VInt", "VRange", "VName", "VString", "VList", "VBlock",
     "DeviceTemplate", "PolicySpec", "Topology", "ZoneConduitModel", "ZoneFirewallModel",
     "CompileOptions", "NetworkPolicy", "SimNetwork",
 }
@@ -75,3 +74,24 @@ def test_dataclasses_are_only_the_records_a_tuple_cannot_be():
              and dataclasses.is_dataclass(value)}
     assert found == DATACLASSES
     assert not any(dataclasses.is_dataclass(cls) for cls in RECORDS)
+
+
+def test_service_is_a_tuple_record_with_its_key_derived_at_construction():
+    """``Service`` is a tuple of its six fields, none settable, plus the
+    value key normalized when it is built, by ``_replace`` too."""
+    Service, PortRange = syntax.Service, syntax.PortRange
+    svc = Service("s", 6, (PortRange(90, 99), PortRange(80, 89)), comment="c")
+    assert isinstance(svc, tuple) and len(svc) == 6
+    for name in (*svc._fields, "_value_key", "other"):
+        with pytest.raises(AttributeError):
+            setattr(svc, name, "other")
+        if name != "other":
+            with pytest.raises(AttributeError):
+                delattr(svc, name)
+    assert svc.value_key() == (6, (PortRange(80, 99),), (), ())
+    twin = Service(*svc)
+    assert twin == svc and hash(twin) == hash(svc) and twin.value_key() == svc.value_key()
+    moved = svc._replace(source_ports=(PortRange(1, 1),))
+    assert moved.value_key() == (6, (PortRange(1, 1),), (), ())
+    renamed = svc._replace(comment="d")
+    assert renamed != svc and renamed.value_key() == svc.value_key()

@@ -18,9 +18,22 @@ def test_generic_all_udp_and_all_ip():
     assert any("all-IP" in d.message for d in diags_for("service i { protocol=ip; }"))
 
 
-def test_explicit_full_range_still_generic():
-    diags = diags_for("service t { protocol=tcp; tcp.dest_port=0-65535; }")
-    assert any("all-TCP" in d.message for d in diags)
+@pytest.mark.parametrize("protocol, ports", [
+    ("tcp", "0-65535"),
+    ("tcp", "0-30000, 30001-65535"),
+    ("tcp", "0-65535, 80"),
+    ("udp", "1-65535, 0"),
+], ids=["tcp_single_range", "tcp_split", "tcp_with_a_port_inside", "udp_split_out_of_order"])
+def test_explicit_full_range_still_generic(protocol, ports):
+    """Ranges that normalize to the whole port axis are generic as the
+    single full range is: the same message at the service's name."""
+    diags = diags_for(f"// {protocol}\nservice t {{ protocol={protocol}; "
+                      f"{protocol}.dest_port={ports}; }}")
+    single = diags_for(f"// {protocol}\nservice t {{ protocol={protocol}; "
+                       f"{protocol}.dest_port=0-65535; }}")
+    generic = "all-TCP" if protocol == "tcp" else "all-UDP"
+    assert [str(d) for d in diags] == [str(d) for d in single] == [
+        f"<policy>:2:9: error: generic service {generic} prohibited ('t')"]
 
 
 def test_bounded_service_is_clean():
