@@ -6,18 +6,18 @@ auto-corrected, and each witness is the shared service itself: the
 intersection of the two services' planes
 (:func:`forestfw.policy_lang.syntax.service_plane`), axis by axis.
 Network-level checks find redundant (fully covered by earlier permits)
-and shadowed (never able to match) ACL rules in one first-match walk
-that subtracts each rule's region, a bitset over the value x sport atoms
-of one :class:`forestfw.header_space.Grid` per protocol, from the
-undecided regions of the cells it matches.  An optional export renders
-the policy as a small relational model for external analysis.
+and shadowed (never able to match) ACL rules with the simulator's ACL
+engine, :class:`forestfw.header_space.MatchTable`: per distinct set of
+rows that its lookup finds in a cell of protocol, state and address
+atoms, its first-match walk over each rule's region, a bitset over the
+value x sport atoms of one :class:`forestfw.header_space.Grid` per
+protocol.  An optional export renders the policy as a small relational
+model for external analysis.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from forestfw import intervals
 from forestfw.header_space import (
@@ -29,7 +29,6 @@ from forestfw.header_space import (
     cuts,
     meeting_rows,
 )
-from forestfw.intervals import IntervalSet
 from forestfw.policy_lang.syntax import (
     FULL_ICMP_SET,
     FULL_RANGE_SET,
@@ -164,63 +163,48 @@ def find_acl_anomalies(acl: "Acl") -> list[OverlapReport]:
     fully covered by the union of earlier permits is a redundancy; any
     other rule that can never match is a shadow.
 
-    One first-match walk decides both.  The rules' protocol, address and
-    state bounds cut the header space into cells.  Each protocol's value
-    x sport plane is one :class:`Grid`, the value being the dport or, in
-    the ICMP cell, the ICMP type, and each rule is one region of it.  Each
-    cell keeps two regions: what no earlier rule decided, and what no
-    earlier permit admitted.  A rule whose region meets nothing of the
-    first is shadowed; a permit whose region meets nothing of the second
-    is redundant.
+    Per protocol, each rule is one region of one :class:`Grid` of the
+    value x sport plane, the value being the dport or ICMP type.  The
+    rows that match each cell of protocol, state and address atoms come
+    from :meth:`MatchTable.lookup`; one :meth:`MatchTable.walk` per
+    distinct set of them finds the rows that decide some region, and one
+    over its permits the permits that admit some.  A rule that decides
+    nothing is shadowed; a permit that admits nothing is redundant.
     """
     rules = acl.rules[:-1] if acl.rules and acl.rules[-1].action == "deny" else acl.rules
-    rows = MatchTable(rules).rows
-    protocols: list[int | None] = sorted({r.protocol for r in rules if r.protocol is not None})
-    if len(protocols) < 256 and any(r.protocol is None for r in rules):
-        protocols.append(None)  # the cell of every protocol no rule names
-    masks: dict[int | None, dict[int, int]] = {}  # protocol -> row -> its region
-    planes: dict[int | None, int] = {}  # protocol -> a cell before any rule: all of its plane
+    table = MatchTable(rules)
+    rows = table.rows
+    named = {r.protocol for r in rules if r.protocol is not None}
+    protocols = sorted(named)
+    if len(named) < 256 and any(r.protocol is None for r in rules):
+        protocols.append(max(set(range(256)) - named))  # for every protocol no rule names
+    # the rows of an address cell: its source atom's AND its destination atom's
+    src_atoms, dst_atoms = (cuts((row[k] for row in rows), ADDR_MAX) for k in (0, 1))
+    by_src = {table.lookup(src=src) for src in src_atoms}
+    by_dst = {table.lookup(dst=dst) for dst in dst_atoms}
+    cells = {src_rows & dst_rows for src_rows in by_src for dst_rows in by_dst}
+    deciding = admitting = 0
     for protocol in protocols:
-        applies = [row for rule, row in zip(rules, rows) if rule.protocol in (protocol, None)]
+        applies = {i: rows[i] for i in bit_indexes(table.lookup(protocol))}
         values = FULL_ICMP_SET if protocol == 1 else FULL_RANGE_SET
-        grid = Grid([values, *(row.values for row in applies if row.values)],
-                    [row.sport for row in applies if row.sport])
-        planes[protocol] = plane = grid.mask(values)
-        masks[protocol] = {row.index: grid.mask(row.values, row.sport) & plane for row in applies}
-    src_cuts = cuts((row.src for row in rows), ADDR_MAX)
-    dst_cuts = cuts((row.dst for row in rows), ADDR_MAX)
-    undecided: dict[tuple, int] = {}
-    unpermitted: dict[tuple, int] = {}
+        grid = Grid([values, *(row.values for row in applies.values() if row.values)],
+                    [row.sport for row in applies.values() if row.sport])
+        plane = grid.mask(values)
+        masks = {i: grid.mask(row.values, row.sport) & plane for i, row in applies.items()}
+        for matching in {table.lookup(protocol, state) & cell
+                         for state in STATES for cell in cells}:
+            deciding |= table.walk(matching, masks, plane)[1]
+            admitting |= table.walk(matching & table.permits, masks, plane)[1]
     reports: list[OverlapReport] = []
-    for i, (rule, row) in enumerate(zip(rules, rows)):
-        decides = admits = False
-        for protocol in protocols if rule.protocol is None else (rule.protocol,):
-            region = masks[protocol][i]
-            for cell in itertools.product((protocol,), _cells(src_cuts, row.src),
-                                          _cells(dst_cuts, row.dst), rule.state or STATES):
-                left = undecided.get(cell, planes[protocol])
-                if left & region:
-                    decides = True
-                    undecided[cell] = left & ~region
-                if rule.action == "permit":
-                    left = unpermitted.get(cell, planes[protocol])
-                    if left & region:
-                        admits = True
-                        unpermitted[cell] = left & ~region
+    for i, rule in enumerate(rules):
         detail = f" ({rule.comment})" if rule.comment else ""
-        if rule.action == "permit" and not admits:
+        if rule.action == "permit" and not admitting >> i & 1:
             reports.append(OverlapReport(ACL_REDUNDANCY, f"{acl.name}[{i}]",
                                          f"{acl.name}[0..{i - 1}] permits", detail=detail))
-        elif not decides:
+        elif not deciding >> i & 1:
             reports.append(OverlapReport(ACL_SHADOW, f"{acl.name}[{i}]",
                                          f"{acl.name}[0..{i - 1}]", detail=detail))
     return reports
-
-
-def _cells(starts: list[int], field: IntervalSet) -> Iterator[int]:
-    """The elementary address intervals, as indexes into ``starts``, that make up ``field``."""
-    for lo, hi in field:
-        yield from range(bisect_left(starts, lo), bisect_left(starts, hi + 1))
 
 
 # ---------------------------------------------------------------------------

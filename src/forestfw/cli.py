@@ -12,11 +12,10 @@ value option followed by one value that does not start with ``-``, and
 every required option given.  It builds the namespace argparse would
 give that line and builds no parser.  Any other line (help, an
 abbreviation, ``--opt=value``, a missing or extra argument) goes to
-argparse: the top-level parser and only the subparser of the command
-it is given (all four when the first argument names none), whose help,
-usage and error text are the full tree's.  Both paths look the
-``cmd_*`` function up when ``main`` is called, so each command runs the
-one this module holds at that moment.
+the argparse tree of all four commands, which prints the help, usage
+and error text.  Both paths look the ``cmd_*`` function up when
+``main`` is called, so each command runs the one this module holds at
+that moment.
 """
 
 from __future__ import annotations
@@ -291,23 +290,13 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...]]] = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``forestfw`` parser.  Given one of the commands, it holds the
-    top level and that command's subparser only, and reads any argument
-    list that begins with the command as the full tree does, help and
-    error text included; otherwise it is the full tree of all four."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``forestfw`` parser: the top level and all four commands."""
     parser = argparse.ArgumentParser(
         prog="forestfw",
         description="Compile and verify topology-independent firewall policy.")
-    names = (command,) if command in _COMMANDS else tuple(_COMMANDS)
-    # The top-level usage, printed for unrecognized arguments, lists every
-    # command either way.  Only the one-command tree spells the list out:
-    # the full tree's metavar would also rename the subparsers action in
-    # its "required" and "invalid choice" errors.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, options) in _COMMANDS.items():
         command_parser = sub.add_parser(name, help=help_text)
         for flag, kwargs in options:
             command_parser.add_argument(flag, **kwargs)
@@ -353,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read_command_line(argv)
     if args is None:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (_UsageError, InputError) as exc:

@@ -6,16 +6,17 @@ stands for the whole class of packets sharing its header values; rules
 decide accept/deny per class, so evaluating one point per class is exact.
 :class:`MatchTable` is the one ACL engine: it encodes each compiled rule
 once as a row, with the ICMP type of protocol 1 on the same value axis
-as the dport, and evaluates the ACL first-match over header points and
-swept values, by row bitsets (bit-vector packet classification,
-Lakshman and Stiliadis, SIGCOMM 1998); :func:`meeting_rows` reads the
-same bitsets to find, per row, the rows whose field meets its own, which
-is how the rule-overlap check finds its candidate pairs.  :class:`Grid`
-is the one region algebra: per protocol, a region of the value x sport
-plane is a bitset over atoms, so union, intersection and difference are
-int operations.  The canonical checks, the ACL anomaly check and
-negative vetting all compute on it; canonical strips are only its
-printed form.
+as the dport.  Its one lookup finds the rows that match the header
+fields it is given, by row bitsets (bit-vector packet classification,
+Lakshman and Stiliadis, SIGCOMM 1998), and its one first-match walk
+decides a region; injection, negative vetting and the ACL anomaly check
+all go through both.  :func:`meeting_rows` reads the same bitsets to
+find, per row, the rows whose field meets its own, which is how the
+rule-overlap check finds its candidate pairs.  :class:`Grid` is the one
+region algebra: per protocol, a region of the value x sport plane is a
+bitset over atoms, so union, intersection and difference are int
+operations.  The canonical checks, the ACL anomaly check and negative
+vetting all compute on it; canonical strips are only its printed form.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import re
 from bisect import bisect_right
 from itertools import accumulate
 from operator import xor
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from forestfw import intervals
 from forestfw.intervals import Interval, IntervalSet
@@ -132,10 +133,10 @@ def meeting_rows(fields: Sequence[IntervalSet], top: int) -> dict[int, int]:
 class _RuleMatch(NamedTuple):
     """One ACL rule's match fields as integer interval sets.
 
-    ``None`` matches every value; an empty address set matches none.
+    ``None`` matches every value, and is what a protocol without ports
+    has for them; an empty address set matches none.
     """
 
-    index: int  # position in the ACL
     src: IntervalSet
     dst: IntervalSet
     sport: IntervalSet | None
@@ -148,7 +149,7 @@ def _encode(rule: "AclRule", codes: dict) -> tuple:
     and port fields once per value."""
     entry = codes.get(id(rule))
     if entry is None:
-        _, _, src, dst, sport, dport = rule[:6]
+        _, protocol, src, dst, sport, dport = rule[:6]
         src_code = codes.get(id(src))
         if src_code is None:
             src_code = codes[id(src)] = (src, address_intervals(src))
@@ -157,26 +158,22 @@ def _encode(rule: "AclRule", codes: dict) -> tuple:
             dst_code = codes[id(dst)] = (dst, address_intervals(dst))
         sport_code = codes.get(sport)
         if sport_code is None:
-            sport_code = codes[sport] = (sport, _ports(sport))
+            sport_code = codes[sport] = (sport, intervals.normalize(sport) if sport else None)
         dport_code = codes.get(dport)
         if dport_code is None:
-            dport_code = codes[dport] = (dport, _ports(dport))
-        entry = codes[id(rule)] = (rule, (src_code[1], dst_code[1], sport_code[1], dport_code[1]))
+            dport_code = codes[dport] = (dport, intervals.normalize(dport) if dport else None)
+        entry = codes[id(rule)] = (rule, (
+            src_code[1], dst_code[1], sport_code[1] if protocol in (6, 17) else None,
+            dport_code[1] if protocol in (1, 6, 17) else None))
     return entry[1]
-
-
-def _ports(ports: tuple) -> IntervalSet | None:
-    return intervals.normalize(ports) if ports else None
 
 
 class MatchTable:
     """First-match lookup over one ACL, each rule encoded once.
 
-    ``rows`` holds one encoded rule per ACL rule, in ACL order; the ACL
-    anomaly check reads them directly.  The first lookup indexes each
-    dimension (addresses, sport, value) by ``_row_bits``; the rows that
-    match a packet are four bisects ANDed with the rows of its protocol
-    and state, and the first match is the lowest bit.  ``codes``, shared
+    ``rows`` holds one encoded rule per ACL rule, in ACL order; bit *i*
+    of ``permits`` is set when rule *i* permits.  Lookups index each
+    field (addresses, sport, value) by ``_row_bits``.  ``codes``, shared
     by the tables of one network, encodes each rule once across them.
     """
 
@@ -184,38 +181,39 @@ class MatchTable:
                  codes: dict | None = None) -> None:
         self.rules = rules
         codes = {} if codes is None else codes
-        self.rows = [_RuleMatch(i, *_encode(rule, codes)) for i, rule in enumerate(rules)]
-        self._dims: tuple | None = None
-        self._heads: dict[tuple[int, str], int] = {}
+        self.rows = [_RuleMatch(*_encode(rule, codes)) for rule in rules]
+        self.permits = sum(1 << i for i, rule in enumerate(rules) if rule.action == "permit")
+        self._dims: list[tuple[list[int], list[int]] | None] = [None] * 4
+        self._heads: dict[tuple[int | None, str | None], int] = {}
 
-    def match_bits(self, packet: Packet, sweep: bool = False) -> int:
-        """The rows that match ``packet``, bit *i* for row *i*; with ``sweep``
-        the dport (ICMP type) is not compared, so each matches its ``values``."""
-        protocol, state = packet.protocol, packet.state
+    def lookup(self, protocol: int | None = None, state: str | None = None,
+               src: int | None = None, dst: int | None = None,
+               sport: int | None = None, value: int | None = None) -> int:
+        """The rows that match these header fields, bit *i* for row *i*: a
+        bisect per field ANDed with the rows of the protocol and state.  A
+        field left out spans its whole axis, the value being the dport
+        or ICMP type."""
         bits = self._heads.get((protocol, state))
         if bits is None:  # the rows whose protocol and state admit the packet's
             bits = self._heads[(protocol, state)] = sum(
                 1 << i for i, rule in enumerate(self.rules)
-                if (rule.protocol is None or rule.protocol == protocol)
-                and (not rule.state or state in rule.state))
-        if not bits:
-            return 0
-        if self._dims is None:
-            self._dims = tuple(_row_bits([row[k] for row in self.rows], top) for k, top in
-                               ((1, ADDR_MAX), (2, ADDR_MAX), (3, PORT_MAX), (4, PORT_MAX)))
-        src, dst, sport, values = self._dims
-        bits &= src[1][bisect_right(src[0], packet.src_addr) - 1]
-        bits &= dst[1][bisect_right(dst[0], packet.dst_addr) - 1]
-        if bits and protocol in (6, 17):
-            bits &= sport[1][bisect_right(sport[0], packet.sport) - 1]
-        if bits and not sweep and protocol in (1, 6, 17):
-            value = packet.icmp_type if protocol == 1 else packet.dport
-            bits &= values[1][bisect_right(values[0], value) - 1]
+                if (protocol is None or rule.protocol is None or rule.protocol == protocol)
+                and (state is None or not rule.state or state in rule.state))
+        dims = self._dims
+        for k, point in enumerate((src, dst, sport, value)):
+            if point is not None and bits:
+                if dims[k] is None:  # each field is indexed on first use
+                    top = ADDR_MAX if k < 2 else PORT_MAX
+                    dims[k] = _row_bits([row[k] for row in self.rows], top)
+                starts, rows = dims[k]
+                bits &= rows[bisect_right(starts, point) - 1]
         return bits
 
     def decide(self, packet: Packet) -> tuple[str, str]:
         """First-match decision plus a description of the deciding rule."""
-        bits = self.match_bits(packet)
+        protocol = packet.protocol
+        bits = self.lookup(protocol, packet.state, packet.src_addr, packet.dst_addr, packet.sport,
+                           packet.icmp_type if protocol == 1 else packet.dport)
         if not bits:
             return "deny", "implicit deny (no match)"
         index = (bits & -bits).bit_length() - 1
@@ -228,22 +226,22 @@ class MatchTable:
                      else "(no remark)")
         return rule.action, f"[{index}] {rule.action} {label}"
 
-    def permitted(self, point: Packet, grid: "Grid", universe: int) -> int:
-        """The atoms of ``universe``, a region of ``grid`` (which has no
-        sport cuts), whose swept values (dport, or ICMP type) the ACL
-        permits, the other fields taken from ``point``: each matching row
-        decides the atoms no earlier one did."""
-        permitted = 0
+    def walk(self, rows: int, masks: Mapping[int, int], universe: int) -> tuple[int, int]:
+        """First match over ``universe``: each of ``rows`` in ACL order
+        decides what no earlier one did of its region ``masks[i]``.  The
+        region the permits decide, and the rows that decide some of it."""
+        permitted = deciding = 0
         undecided = universe
-        swept = point.protocol in (1, 6, 17)
-        for index in bit_indexes(self.match_bits(point, sweep=True)):
-            decided = undecided & grid.mask(self.rows[index].values) if swept else undecided
-            if self.rules[index].action == "permit":
-                permitted |= decided
-            undecided ^= decided
-            if not undecided:
-                break
-        return permitted
+        for i in bit_indexes(rows):
+            decided = undecided & masks[i]
+            if decided:
+                deciding |= 1 << i
+                if self.permits >> i & 1:
+                    permitted |= decided
+                undecided ^= decided
+                if not undecided:
+                    break
+        return permitted, deciding
 
 
 _RUNS = re.compile("1+")

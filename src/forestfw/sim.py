@@ -8,13 +8,14 @@ each traversed firewall's ACL first-match, with a connection table gating
 ESTABLISHED traffic.  Packets are :class:`forestfw.header_space.Packet`
 header points.  Neutral files of equal text are decoded once, and each
 distinct ACL is encoded once into a
-:class:`forestfw.header_space.MatchTable`, the ACL engine that injection
-and both vettings share.  Positive vetting injects one representative
-packet per expanded flow (plus the TCP return leg) and expects delivery.
-Negative vetting scans every ordered zone pair and reports any delivery
-not implied by the policy.  Its regions are bitsets over the value atoms
-of one :class:`forestfw.header_space.Grid`, printed back as values.  The
-scan is not exhaustive: it fixes the lowest address of each zone's first
+:class:`forestfw.header_space.MatchTable`, the ACL engine.  Positive
+vetting injects one representative packet per expanded flow (plus the
+TCP return leg), decided at each hop by the table's lookup, and expects
+delivery.  Negative vetting scans every ordered zone pair and reports
+any delivery not implied by the policy: the same lookup without the
+value, then the table's walk over the value atoms of one
+:class:`forestfw.header_space.Grid`, printed back as values.  The scan
+is not exhaustive: it fixes the lowest address of each zone's first
 CIDR, source port 49152 and state NEW, and varies only the dport (or
 ICMP type) over the scan ports, for protocols 1, 6 and 17 by default.
 Vetting the full header space is ROADMAP item 1.
@@ -44,7 +45,14 @@ from forestfw.policy_lang.syntax import (
     service_plane,
 )
 from forestfw.render import neutral_field_memos, parse_neutral
-from forestfw.topo_model import Conduit, Zone, ZoneConduitModel, firewall_zones
+from forestfw.topo_model import (
+    LOCAL_INTERFACE,
+    ZONE_KINDS,
+    Conduit,
+    Zone,
+    ZoneConduitModel,
+    firewall_zones,
+)
 
 # a zone path as the ACL keys ``(firewall, interface, direction)`` that
 # filter each of its hops, per hop in firewall name order
@@ -234,6 +242,8 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
     """The model, the (file, ACL, binding key) triples and the flows of a manifest."""
     model = ZoneConduitModel()
     for name, data in manifest["zones"].items():
+        if data["kind"] not in ZONE_KINDS:
+            raise ValueError(f"zone {name!r} has unknown kind {json.dumps(data['kind'])}")
         members = _names(data.get("members", []), f"zone {name!r} members")
         cidrs = _names(data["cidrs"], f"zone {name!r} cidrs")
         model.zones[name] = Zone(name, data["kind"], frozenset(members),
@@ -248,6 +258,11 @@ def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRu
     _check_model(model)
     bindings = [(a["file"], a["acl"], (a["firewall"], a["interface"], a["direction"]))
                 for a in manifest["assignments"]]
+    for _, _, (fw, iface, direction) in bindings:  # the keys netgen.hop_acls names
+        if fw not in model.firewall_interfaces or not (
+                iface == LOCAL_INTERFACE and direction in ("inbound", "outbound")
+                or direction == "inbound" and iface in model.firewall_interfaces[fw].values()):
+            raise ValueError(f"binding {fw} {iface} {direction} filters no route")
 
     flows = []
     # one Service per distinct service entry, checked and built at the
@@ -459,10 +474,12 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     :func:`~forestfw.policy_lang.syntax.service_plane` admits at that
     sport and of the scan ranges cut the value axis of one grid without
     sport cuts into atoms, and a set of atoms is an int.  Each hop ACL
-    is decided once over the scanned atoms; then a hop delivers the OR
-    of its firewalls' permits, a path the AND of its hops, the pair the
-    OR of its paths.  Leaks are the delivered values no flow of the pair
-    admits, ordered by zone pair, protocol (scan order) and value.
+    is decided once over the scanned atoms, by :meth:`MatchTable.walk`
+    over the rows its lookup finds, each row's atoms built once per
+    table; then a hop delivers the OR of its firewalls' permits, a path
+    the AND of its hops, the pair the OR of its paths.  Leaks are the
+    delivered values no flow of the pair admits, ordered by zone pair,
+    protocol (scan order) and value.
     Each pair's routes come from :meth:`SimNetwork.routes`, so a pair
     that positive vetting already routed is not searched again.
     Vetting the full header space is ROADMAP item 1.
@@ -471,10 +488,13 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
     scanned = intervals.normalize(scan.ports)
     admitted = [((f.src_zone, f.dst_zone, f.service.protocol), _admitted_values(f.service))
                 for f in net.flows]
-    rows = [row for table in dict.fromkeys(map(net.match_table, net.acl_map))
-            for row in table.rows]
+    bound = dict.fromkeys(map(net.match_table, net.acl_map))
     grid = Grid([scanned, FULL_ICMP_SET, *(values for _, values in admitted if values),
-                 *(row.values for row in rows if row.values)])
+                 *(row.values for table in bound for row in table.rows if row.values)])
+    # each row's region: the values it admits, all of them where it has
+    # none; the table of a key bound to no ACL has no rows, so no regions
+    masks = {table: dict(enumerate(grid.mask(row.values) for row in table.rows))
+             for table in bound}
     implied: dict[tuple[str, str, int | None], int] = {}
     for pair_protocol, values in admitted:
         implied[pair_protocol] = implied.get(pair_protocol, 0) | grid.mask(values)
@@ -498,10 +518,10 @@ def vet_negative(net: SimNetwork, scan: ScanSpec | None = None) -> list[Leak]:
                             else scanned_atoms)
                 if not universe:
                     continue
-                point = Packet(src_addr, dst_addr, protocol, SCAN_SPORT, 0, 0, NEW)
                 # a table that several keys share is decided once
-                permitted = {table: table.permitted(point, grid, universe)
-                             for table in dict.fromkeys(tables.values())}
+                permitted = {table: table.walk(
+                    table.lookup(protocol, NEW, src_addr, dst_addr, SCAN_SPORT),
+                    masks.get(table, {}), universe)[0] for table in dict.fromkeys(tables.values())}
                 permits = {key: permitted[table] for key, table in tables.items()}
                 delivered = 0
                 for route in routes:

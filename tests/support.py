@@ -377,24 +377,27 @@ def whitelist_reading(rules):
 # ---------------------------------------------------------------------------
 # the match table's former linear walk, the oracle of its row-bitset index
 
-def matching(table: MatchTable, packet: Packet) -> list:
-    """The rows of ``table`` that match ``packet``, in ACL order, from
-    its row bitsets."""
-    return [table.rows[index] for index in bit_indexes(table.match_bits(packet))]
+def matching(table: MatchTable, packet: Packet, sweep: bool = False) -> list[int]:
+    """The indexes of the rows of ``table`` that match ``packet``, in ACL
+    order, from its row lookup.  With ``sweep`` the value (dport, or ICMP
+    type) is left out."""
+    value = None if sweep else packet.icmp_type if packet.protocol == 1 else packet.dport
+    return list(bit_indexes(table.lookup(packet.protocol, packet.state, packet.src_addr,
+                                         packet.dst_addr, packet.sport, value)))
 
 
-def matching_by_walk(table: MatchTable, packet: Packet, sweep: bool = False) -> list:
-    """The rows of ``table`` that match ``packet``, in ACL order: a walk
-    over the rows admitting its protocol and state, comparing addresses
-    and ports by interval lookups.  With ``sweep`` the dport (ICMP type)
-    is not compared."""
+def matching_by_walk(table: MatchTable, packet: Packet, sweep: bool = False) -> list[int]:
+    """The indexes of the rows of ``table`` that match ``packet``, in ACL
+    order: a walk over the rows admitting its protocol and state,
+    comparing addresses and ports by interval lookups.  With ``sweep`` the
+    dport (ICMP type) is not compared."""
     protocol = packet.protocol
     ported = protocol in (6, 17)
     value = None
     if not sweep and (ported or protocol == 1):
         value = packet.icmp_type if protocol == 1 else packet.dport
     contains = intervals.contains
-    return [match for rule, match in zip(table.rules, table.rows)
+    return [i for i, (rule, match) in enumerate(zip(table.rules, table.rows))
             if (rule.protocol is None or rule.protocol == protocol)
             and (not rule.state or packet.state in rule.state)
             and contains(match.src, packet.src_addr)
@@ -410,14 +413,15 @@ def permitted_by_walk(table: MatchTable, point: Packet, universe: IntervalSet) -
     permitted: IntervalSet = ()
     undecided = universe
     swept = point.protocol in (1, 6, 17)
-    for match in matching_by_walk(table, point, sweep=True):
-        if swept and match.values is not None:
-            decided = intervals.intersect(undecided, match.values)
+    for i in matching_by_walk(table, point, sweep=True):
+        values = table.rows[i].values
+        if swept and values is not None:
+            decided = intervals.intersect(undecided, values)
         else:
             decided = undecided
         if not decided:
             continue
-        if table.rules[match.index].action == "permit":
+        if table.rules[i].action == "permit":
             permitted = intervals.union(permitted, decided)
         undecided = intervals.subtract(undecided, decided)
         if not undecided:
@@ -462,7 +466,7 @@ def packet_matches(rule, packet: Packet) -> bool:
 
 def rule_matches_packet(rule: AclRule, packet: Packet) -> bool:
     """One rule against one packet, through the ACL engine."""
-    return MatchTable((rule,)).match_bits(packet) != 0
+    return matching(MatchTable((rule,)), packet) == [0]
 
 
 def eval_acl(rules: tuple[AclRule, ...], packet: Packet) -> tuple[str, str]:

@@ -475,10 +475,18 @@ def _web_dest_ports(ranges):
      'cidrs is "10.0.0.0/29", not a list of strings'),
     (lambda m: m["conduits"][0].__setitem__("firewalls", "GW"),
      'firewalls is "GW", not a list of strings'),
+    # once vetted as a zone of a kind no topology derives
+    (lambda m: m["zones"]["z1"].__setitem__("kind", "dmz"),
+     "zone 'z1' has unknown kind \"dmz\""),
+    # once vetted as 18/26 passed: no route reads an ACL bound to an unknown interface
+    (lambda m: next(a for a in m["assignments"] if a["firewall"] == "GW"
+                    and a["interface"] == "eth0").__setitem__("interface", "loc6l"),
+     "binding GW loc6l inbound filters no route"),
 ], ids=["conduit_zone", "no_firewall_interfaces", "conduit_firewall", "flow_zone",
         "port_range_reversed", "port_range_above", "port_range_below",
         "protocol_bool", "protocol_float", "port_float", "port_bool",
-        "members_string", "cidrs_string", "conduit_firewalls_string"])
+        "members_string", "cidrs_string", "conduit_firewalls_string",
+        "zone_kind", "binding_interface"])
 def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, key):
     out_dir = _compiled(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"
@@ -781,21 +789,21 @@ _ARGV_MATRIX = [
 
 @pytest.mark.parametrize("argv", _ARGV_MATRIX, ids=" ".join)
 def test_one_command_tree_reads_as_the_full_tree(argv, monkeypatch, capsys):
-    """``main`` builds only the invoked command's parser; its exit code,
-    output and the namespace the command receives are the full tree's."""
+    """``main`` reads each line as the full argparse tree alone does: its
+    exit code, output and the namespace the command receives are those
+    of a ``main`` whose table read refuses every line."""
     monkeypatch.setenv("COLUMNS", "80")
     received = []
     for name in ("check", "compile", "simulate", "graph"):
         handler = getattr(cli, f"cmd_{name}")
         monkeypatch.setattr(cli, f"cmd_{name}",
                             lambda args, handler=handler: received.append(args) or handler(args))
-    build_parser = cli.build_parser
 
     def run(full: bool):
         received.clear()
         with monkeypatch.context() as patch:
             if full:
-                patch.setattr(cli, "build_parser", lambda command=None: build_parser())
+                patch.setattr(cli, "_read_command_line", lambda argv: None)
             try:
                 code = main(list(argv))
             except SystemExit as exc:
@@ -808,9 +816,9 @@ def test_one_command_tree_reads_as_the_full_tree(argv, monkeypatch, capsys):
 def test_main_reads_well_formed_lines_without_a_parser_and_runs_the_bound_handler(
         monkeypatch, capsys):
     """A well-formed line builds no parser; any other line builds the
-    top-level parser and its own subparser only.  Both run the ``cmd_*``
-    the module holds when ``main`` is called (a tracer replaces them
-    between calls)."""
+    top-level parser and the subparsers of all four commands.  Both run
+    the ``cmd_*`` the module holds when ``main`` is called (a tracer
+    replaces them between calls)."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -823,15 +831,16 @@ def test_main_reads_well_formed_lines_without_a_parser_and_runs_the_bound_handle
     monkeypatch.setattr(cli, "cmd_check", lambda args: received.append(args) or 0)
     assert main(["check", "--policy", "p", "--topology", "t"]) == 0
     assert built == []
+    tree = ["forestfw", "forestfw check", "forestfw compile", "forestfw simulate", "forestfw graph"]
     assert main(["check", "--pol", "p", "--topology", "t"]) == 0
-    assert built == ["forestfw", "forestfw check"]
+    assert built == tree
     assert [(args.command, args.policy, args.topology) for args in received] == [("check", "p", "t")] * 2
     assert capsys.readouterr() == ("", "")
     built.clear()
     with pytest.raises(SystemExit) as exc:
         main(["check", "--policy", "p", "--topology"])
     assert exc.value.code == 2
-    assert built == ["forestfw", "forestfw check"]
+    assert built == tree
     assert len(received) == 2
 
 

@@ -1,10 +1,20 @@
 import ipaddress
+import itertools
 import random
 
 import pytest
 
 from forestfw import intervals
-from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet
+from forestfw.header_space import (
+    ADDR_MAX,
+    ESTABLISHED,
+    NEW,
+    STATES,
+    Grid,
+    MatchTable,
+    Packet,
+    cuts,
+)
 from forestfw.netgen import ANY_NET, AclRule
 from forestfw.policy_lang.syntax import FULL_ICMP_SET, PortRange
 from support import (
@@ -198,7 +208,7 @@ def test_table_rows_equal_each_rules_own_row():
                 state=tuple(rng.sample((NEW, ESTABLISHED), rng.randint(0, 2)))))
         table = MatchTable(tuple(rules))
         for i, rule in enumerate(rules):
-            assert table.rows[i] == MatchTable((rule,)).rows[0]._replace(index=i), (rules, i)
+            assert table.rows[i] == MatchTable((rule,)).rows[0], (rules, i)
         fields = [f for r in rules for f in (r.src, r.dst, r.sport, r.dport) if f]
         shared += len(fields) - len(set(fields))
     assert shared > 200  # the rules do share fields
@@ -254,12 +264,11 @@ def test_row_bitsets_match_in_the_order_of_the_linear_walk():
             assert matching(table, packet) == walked, (rules, packet)
             action, text = table.decide(packet)
             if walked:
-                assert (action, text.split(" ")[0]) == (rules[walked[0].index].action,
-                                                        f"[{walked[0].index}]")
+                assert (action, text.split(" ")[0]) == (rules[walked[0]].action, f"[{walked[0]}]")
             else:
                 assert (action, text) == ("deny", "implicit deny (no match)")
-            swept = sum(1 << row.index for row in matching_by_walk(table, packet, sweep=True))
-            assert table.match_bits(packet, sweep=True) == swept, (rules, packet)
+            assert (matching(table, packet, sweep=True)
+                    == matching_by_walk(table, packet, sweep=True)), (rules, packet)
             outcomes.add((packet.protocol, packet.state, len(walked) > 1))
     assert len(outcomes) == 16  # every protocol and state, with at most one and with more matches
 
@@ -274,10 +283,55 @@ def test_value_masks_expand_to_the_walks_permitted_intervals():
         scanned = intervals.normalize((lo, rng.randrange(lo, 700))
                                       for lo in (rng.randrange(700) for _ in range(3)))
         grid = Grid([scanned, FULL_ICMP_SET] + [row.values for row in table.rows if row.values])
+        masks = {i: grid.mask(row.values) for i, row in enumerate(table.rows)}
         for packet in _bound_packets(rng, rules)[:10]:
             universe = (intervals.intersect(scanned, FULL_ICMP_SET) if packet.protocol == 1
                         else scanned)
-            permitted = table.permitted(packet, grid, grid.mask(universe))
+            swept = table.lookup(packet.protocol, packet.state, packet.src_addr,
+                                 packet.dst_addr, packet.sport)
+            permitted = table.walk(swept, masks, grid.mask(universe))[0]
             assert (tuple(values for values, _ in grid.strips(permitted))
                     == permitted_by_walk(table, packet, universe)), (rules, packet, universe)
 
+
+def test_walk_over_each_cell_equals_decide_at_each_atom():
+    """The anomaly check's cells of random ACLs: for every protocol (one
+    that no rule names included), state, source and destination address
+    atom, the walk over the rows that match the cell permits a (value
+    atom, sport atom) point of its grid exactly when ``decide`` permits
+    the atom's lowest point, and marks deciding exactly the rows that
+    ``decide`` names at some point."""
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(80):
+        rules = tuple(_random_bitset_rule(rng) for _ in range(rng.randint(0, 8)))
+        table = MatchTable(rules)
+        src_atoms = cuts((row.src for row in table.rows), ADDR_MAX)
+        dst_atoms = cuts((row.dst for row in table.rows), ADDR_MAX)
+        for protocol in (1, 6, 17, 89, 50):
+            rows = [row if rule.protocol in (protocol, None) else None
+                    for rule, row in zip(rules, table.rows)]
+            values = FULL_ICMP_SET if protocol == 1 else ((0, 65535),)
+            grid = Grid([values, *(row.values for row in rows if row and row.values)],
+                        [row.sport for row in rows if row and row.sport])
+            plane = grid.mask(values)
+            masks = {i: grid.mask(row.values, row.sport) & plane
+                     for i, row in enumerate(rows) if row}
+            for state, src, dst in itertools.product(STATES, src_atoms, dst_atoms):
+                permitted, deciding = table.walk(table.lookup(protocol, state, src, dst),
+                                                 masks, plane)
+                decided = 0
+                for v, value in enumerate(grid.values[:-1]):
+                    for s, sport in enumerate(grid.sports[:-1]):
+                        bit = v * grid.width + s
+                        if not plane >> bit & 1:
+                            assert not permitted >> bit & 1
+                            continue
+                        action, text = table.decide(Packet(src, dst, protocol, sport, value,
+                                                           value, state))
+                        assert (permitted >> bit & 1) == (action == "permit"), (rules, protocol)
+                        if text.startswith("["):
+                            decided |= 1 << int(text[1:text.index("]")])
+                        kinds.add((protocol, action))
+                assert deciding == decided, (rules, protocol, state, src, dst)
+    assert kinds == {(p, a) for p in (1, 6, 17, 89, 50) for a in ("permit", "deny")}
