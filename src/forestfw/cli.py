@@ -129,7 +129,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     cache = render.RenderCache(policy.log_denies)  # lives for this command only
     files: dict[str, str] = {}
     for firewall in policy.firewalls():
-        files[f"{firewall}.neutral.acl"] = render.render_neutral_file(policy, firewall, cache)
+        files[render.neutral_file(firewall)] = render.render_neutral_file(policy, firewall, cache)
         files[f"{firewall}.iptables.txt"] = render.render_device(
             policy, firewall, "iptables_like", templates, cache)
         files[f"{firewall}.asa.txt"] = render.render_device(
@@ -137,6 +137,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     files["zone_firewall.dot"] = export_graph(policy.model, "zone_firewall")
     files["zone_conduit.dot"] = export_graph(policy.model, "zone_conduit")
     files["manifest.json"] = render.manifest_json(policy)
+    files[render.TOPOLOGY_FILE] = topo.document
     metrics = render.loc_metrics(spec, cache.iptables_loc)
     files["metrics.txt"] = (f"high_level_loc {metrics.high_level_loc}\n"
                             f"device_loc {metrics.device_loc}\n"
@@ -195,10 +196,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scan = None
     if args.scan_ports:
         scan = sim.ScanSpec(ports=_parse_port_list(args.scan_ports))
-    compiled = Path(args.out)
-    if not (compiled / "manifest.json").is_file():
-        raise _UsageError(f"no compile manifest under {compiled}")
-    net = sim.load_compiled(compiled)
+    net = sim.load_compiled(args.out)
 
     failures = 0
     for result in sim.vet_positive(net):

@@ -2,8 +2,9 @@
 
 Diagnostics print as ``<file>:<line>:<col>: <severity>: <message>`` so
 editors and humans can jump straight to the offending declaration.
-:func:`read_text` reads policies, libraries, topologies and neutral ACL
-files, so that bytes that are not UTF-8 get such a diagnostic too.
+:func:`read_text` reads policies, libraries, topologies, manifests and
+neutral ACL files, so that bytes that are not UTF-8 get such a
+diagnostic too.
 """
 
 from __future__ import annotations

@@ -747,44 +747,30 @@ def _asa_lines(acl: Acl, template: DeviceTemplate, cache: RenderCache) -> tuple[
 # ---------------------------------------------------------------------------
 # compile manifest and LoC metrics
 
+TOPOLOGY_FILE = "topology.graphml"  # the copy of the topology a compile writes
+MANIFEST_SCHEMA = 2
+SERVICE_RANGES = ("source_ports", "dest_ports", "icmp_types")  # a service's range lists
+
+
+def neutral_file(firewall: str) -> str:
+    """The name of the file that holds ``firewall``'s neutral ACLs."""
+    return f"{firewall}.neutral.acl"
+
+
 def build_manifest(policy: NetworkPolicy) -> dict:
-    """Machine-readable summary the simulator reconstructs the network from."""
-    model = policy.model
+    """What the simulator reads beside the topology copy and the neutral
+    files: each ACL binding, each expanded flow naming its service, each
+    service once under its name, and the compile options.  The model is
+    not recorded: the simulator derives it from the topology copy."""
     return {
-        "zones": {
-            name: {"kind": zone.kind, "members": sorted(zone.members),
-                   "cidrs": [str(c) for c in zone.cidrs]}
-            for name, zone in sorted(model.zones.items())
-        },
-        "conduits": [
-            {"zones": list(pair), "firewalls": sorted(conduit.firewalls)}
-            for pair, conduit in sorted(model.conduits.items())
-        ],
-        "firewall_interfaces": {
-            fw: dict(sorted(ifaces.items()))
-            for fw, ifaces in sorted(model.firewall_interfaces.items())
-        },
-        "assignments": [
-            {"firewall": a.firewall, "interface": a.interface,
-             "direction": a.direction, "acl": a.acl,
-             "file": f"{a.firewall}.neutral.acl"}
-            for a in policy.assignments
-        ],
-        "flows": [
-            {
-                "rule": flow.rule_name,
-                "src_zone": flow.src_zone,
-                "dst_zone": flow.dst_zone,
-                "service": {
-                    "name": flow.service.name,
-                    "protocol": flow.service.protocol,
-                    "source_ports": [[r.lo, r.hi] for r in flow.service.source_ports],
-                    "dest_ports": [[r.lo, r.hi] for r in flow.service.dest_ports],
-                    "icmp_types": [[r.lo, r.hi] for r in flow.service.icmp_types],
-                },
-            }
-            for flow in policy.flows
-        ],
+        "schema": MANIFEST_SCHEMA,
+        "assignments": [a._asdict() for a in policy.assignments],
+        "flows": [{"rule": flow.rule_name, "src_zone": flow.src_zone,
+                   "dst_zone": flow.dst_zone, "service": flow.service.name}
+                  for flow in policy.flows],
+        "services": {flow.service.name: {key: getattr(flow.service, key)
+                                         for key in ("protocol", *SERVICE_RANGES)}
+                     for flow in policy.flows},
         "options": {"ospf": policy.options.ospf, "log_denies": policy.log_denies},
     }
 
@@ -792,7 +778,7 @@ def build_manifest(policy: NetworkPolicy) -> dict:
 def manifest_json(policy: NetworkPolicy) -> str:
     """The manifest as JSON, keys sorted: one line per top-level key, and
     one line per entry of a list- or dict-valued key, so that a diff of
-    two manifests shows the flows, assignments or zones that changed."""
+    two manifests shows the flows, assignments or services that changed."""
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps makes one per call
     lines = []
     for key, value in sorted(build_manifest(policy).items()):

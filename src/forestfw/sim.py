@@ -1,7 +1,10 @@
 """In-process packet-filter simulator.
 
-The simulator walks packets along routes: conduit paths whose hops carry
-the ACLs ``netgen.hop_acls`` assigns them, as compile does.  Each network
+:func:`load_compiled` reads a compile output directory back: the model
+derived from its topology copy as compile derives it, the manifest's
+bindings and flows, and the neutral files' rules.  The simulator walks
+packets along routes: conduit paths whose hops carry the ACLs
+``netgen.hop_acls`` assigns them, as compile does.  Each network
 builds one :class:`forestfw.netgen.PathIndex` of its model, on first use,
 and every path search and route of the network walks it.  It evaluates
 each traversed firewall's ACL first-match, with a connection table gating
@@ -33,7 +36,7 @@ from typing import NamedTuple
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError, read_text
 from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet, address_intervals
-from forestfw.netgen import AclRule, PathIndex, enumerate_paths
+from forestfw.netgen import AclRule, InterfaceAssignment, PathIndex, enumerate_paths
 from forestfw.policy_lang.syntax import (
     FULL_ICMP_SET,
     ICMP_TYPE_MAX,
@@ -44,14 +47,21 @@ from forestfw.policy_lang.syntax import (
     port_ranges,
     service_plane,
 )
-from forestfw.render import neutral_field_memos, parse_neutral
+from forestfw.render import (
+    MANIFEST_SCHEMA,
+    SERVICE_RANGES,
+    TOPOLOGY_FILE,
+    neutral_field_memos,
+    neutral_file,
+    parse_neutral,
+)
 from forestfw.topo_model import (
     LOCAL_INTERFACE,
-    ZONE_KINDS,
-    Conduit,
     Zone,
     ZoneConduitModel,
-    firewall_zones,
+    build_zone_firewall_model,
+    derive_zone_conduit,
+    load_topology,
 )
 
 # a zone path as the ACL keys ``(firewall, interface, direction)`` that
@@ -180,26 +190,25 @@ class SimNetwork:
 def load_compiled(directory: Path | str) -> SimNetwork:
     """Rebuild the simulated network from a compile output directory.
 
-    Rules come from the vendor-neutral files; the manifest supplies the
-    model, interface bindings, and expanded flows; each distinct file text
-    is decoded once, each distinct rule line and remark and each distinct
+    The model is derived from the topology copy as compile derives it,
+    the bindings and the flows come from the manifest, and the rules from
+    each bound firewall's neutral file.  Each distinct file text is
+    decoded once, each distinct rule line and remark and each distinct
     field text once across the files, and ACLs of equal rules share one
-    rule tuple.  A manifest or neutral file that does not parse or is not
-    UTF-8, a manifest value of the wrong JSON type, or a manifest binding
-    one key twice, raises :class:`InputError` naming the file.
+    rule tuple.  A file that is missing, not UTF-8 or malformed, an error
+    in the topology copy (bad compile output, not a policy finding), or a
+    manifest that breaks schema 2 or binds one key twice raises
+    :class:`InputError` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise PolicyError(f"no compile manifest under {directory}")
     where = str(manifest_path)
+    text = _read(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        model, bindings, flows = _from_manifest(manifest)
+        model, bindings, flows = _from_manifest(
+            json.loads(text, object_pairs_hook=_unique_keys), directory)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed manifest: {exc.msg}", where, exc.lineno, exc.colno) from exc
-    except KeyError as exc:
-        raise InputError(f"manifest lacks the {exc.args[0]!r} entry", where) from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise InputError(f"malformed manifest: {exc}", where) from exc
 
@@ -212,127 +221,107 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     # keeps them alive): equal ACLs in files that differ, such as the
     # deny-only ones, share a tuple and so a match table
     interned: dict[tuple[int, ...], tuple[AclRule, ...]] = {}
-    for file_name, acl_name, key in bindings:
+    for acl_name, key in bindings:
         if key in acl_map:
             raise InputError(f"the manifest binds {' '.join(key)} twice", where)
-        path = directory / file_name
-        if file_name not in acls_per_file:
-            try:
-                text = read_text(path)
-            except OSError as exc:
-                raise InputError(f"cannot read {path}: {exc.strerror or exc}", where) from exc
+        path = directory / neutral_file(key[0])
+        if key[0] not in acls_per_file:
+            text = _read(path)
             # files of equal text, as serial firewalls write, share their rules
             if text not in acls_per_text:
                 acls_per_text[text] = {
                     acl.name: interned.setdefault(tuple(map(id, acl.rules)), acl.rules)
                     for acl in parse_neutral(text, str(path), decoded, fields)}
-            acls_per_file[file_name] = acls_per_text[text]
-        if acl_name not in acls_per_file[file_name]:
+            acls_per_file[key[0]] = acls_per_text[text]
+        if acl_name not in acls_per_file[key[0]]:
             raise InputError(f"no ACL {acl_name!r}, which the manifest binds to "
                              f"{' '.join(key)}", str(path))
-        acl_map[key] = acls_per_file[file_name][acl_name]
+        acl_map[key] = acls_per_file[key[0]][acl_name]
     return SimNetwork(model, acl_map, flows)
 
 
-# a manifest service's range lists
-_RANGE_FIELDS = ("source_ports", "dest_ports", "icmp_types")
+def _read(path: Path) -> str:
+    try:
+        return read_text(path)
+    except OSError as exc:
+        raise InputError(f"cannot read: {exc.strerror or exc}", str(path)) from exc
 
 
-def _from_manifest(manifest: dict) -> tuple[ZoneConduitModel, list, tuple[FlowRule, ...]]:
-    """The model, the (file, ACL, binding key) triples and the flows of a manifest."""
-    model = ZoneConduitModel()
-    for name, data in manifest["zones"].items():
-        if data["kind"] not in ZONE_KINDS:
-            raise ValueError(f"zone {name!r} has unknown kind {json.dumps(data['kind'])}")
-        members = _names(data.get("members", []), f"zone {name!r} members")
-        cidrs = _names(data["cidrs"], f"zone {name!r} cidrs")
-        model.zones[name] = Zone(name, data["kind"], frozenset(members),
-                                 tuple(ipaddress.IPv4Network(c) for c in cidrs))
-    for entry in manifest["conduits"]:
-        pair = tuple(sorted(entry["zones"]))
-        model.conduits[pair] = Conduit(
-            pair, frozenset(_names(entry["firewalls"], f"conduit {'-'.join(pair)} firewalls")))
-    model.firewall_interfaces = {
-        fw: dict(ifaces) for fw, ifaces in manifest["firewall_interfaces"].items()
-    }
-    _check_model(model)
-    bindings = [(a["file"], a["acl"], (a["firewall"], a["interface"], a["direction"]))
-                for a in manifest["assignments"]]
-    for _, _, (fw, iface, direction) in bindings:  # the keys netgen.hop_acls names
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; ValueError if it holds a key twice."""
+    entry = dict(pairs)
+    if len(entry) < len(pairs):
+        twice = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+        raise ValueError(f"key {json.dumps(twice)} appears twice in one object")
+    return entry
+
+
+def _fields(entry, keys: tuple[str, ...], what: str) -> tuple:
+    """``entry``'s values at ``keys``; ValueError or AttributeError
+    unless it is a JSON object of exactly those keys."""
+    if entry.keys() != set(keys):
+        raise ValueError(f"{what} has keys {', '.join(sorted(entry))}, "
+                         f"not {', '.join(sorted(keys))}")
+    return tuple(entry[key] for key in keys)
+
+
+def _from_manifest(manifest: dict, directory: Path
+                   ) -> tuple[ZoneConduitModel, list, tuple[FlowRule, ...]]:
+    """The model derived from the topology copy in ``directory``, and the
+    (ACL, binding key) pairs and the flows of its manifest."""
+    # a manifest without a schema key was written before schema 2
+    if manifest.get("schema", 1) != MANIFEST_SCHEMA:
+        raise ValueError(f"schema {json.dumps(manifest.get('schema', 1))}, not "
+                         f"{MANIFEST_SCHEMA}: compile the policy again")
+    assignments, flow_entries, options, services, _ = _fields(
+        manifest, ("assignments", "flows", "options", "services", "schema"), "the manifest")
+    _fields(options, ("log_denies", "ospf"), "options")
+    topology = directory / TOPOLOGY_FILE
+    try:
+        model = derive_zone_conduit(build_zone_firewall_model(
+            load_topology(_read(topology), str(topology))))
+    except PolicyError as exc:  # a finding in the copy is bad compile output
+        raise InputError(*exc.diagnostic[1:]) from exc
+
+    bindings = []
+    for entry in assignments:
+        fw, iface, direction, acl = _fields(entry, InterfaceAssignment._fields, "an assignment")
+        # the keys netgen.hop_acls names
         if fw not in model.firewall_interfaces or not (
                 iface == LOCAL_INTERFACE and direction in ("inbound", "outbound")
                 or direction == "inbound" and iface in model.firewall_interfaces[fw].values()):
             raise ValueError(f"binding {fw} {iface} {direction} filters no route")
+        bindings.append((acl, (fw, iface, direction)))
 
+    catalog = {name: _service(name, entry) for name, entry in services.items()}
     flows = []
-    # one Service per distinct service entry, checked and built at the
-    # first flow that carries it, so a bad entry names that flow
-    services: dict[tuple, Service] = {}
-    for f in manifest["flows"]:
-        for zone in (f["src_zone"], f["dst_zone"]):
+    for entry in flow_entries:
+        rule, src_zone, dst_zone, service = _fields(
+            entry, ("rule", "src_zone", "dst_zone", "service"), "a flow")
+        for zone in (src_zone, dst_zone):
             if zone not in model.zones:
-                raise ValueError(f"flow {f['rule']!r} names unknown zone {zone!r}")
-        svc = f["service"]
-        key = (svc["name"], svc["protocol"],
-               *(tuple(map(tuple, svc[ranges])) for ranges in _RANGE_FIELDS))
-        # checked on every flow, not once per service: JSON true and 6.0
-        # equal 1 and 6, so they would find a service built from integers
-        if type(key[1]) is not int:
-            raise ValueError(f"flow {f['rule']!r} has protocol {json.dumps(key[1])}, "
-                             f"not an integer")
-        for ranges, pairs in zip(_RANGE_FIELDS, key[2:]):
-            for lo, hi in pairs:
-                if type(lo) is not int or type(hi) is not int:
-                    raise ValueError(f"flow {f['rule']!r} has {ranges} "
-                                     f"{json.dumps(svc[ranges])}, not integer ranges")
-        service = services.get(key)
-        if service is None:
-            if not 0 <= svc["protocol"] <= 255:
-                raise ValueError(f"flow {f['rule']!r} has protocol {svc['protocol']}, "
-                                 f"outside 0-255")
-            service = services[key] = Service(
-                name=svc["name"], protocol=svc["protocol"],
-                source_ports=_ranges(f, "source_ports", PORT_MAX),
-                dest_ports=_ranges(f, "dest_ports", PORT_MAX),
-                icmp_types=_ranges(f, "icmp_types", ICMP_TYPE_MAX))
-        flows.append(FlowRule(rule_name=f["rule"], src_zone=f["src_zone"],
-                              dst_zone=f["dst_zone"], service=service))
+                raise ValueError(f"flow {rule!r} names unknown zone {zone!r}")
+        if service not in catalog:
+            raise ValueError(f"flow {rule!r} names unknown service {service!r}")
+        flows.append(FlowRule(rule, src_zone, dst_zone, catalog[service]))
     return model, bindings, tuple(flows)
 
 
-def _names(value, what: str) -> list[str]:
-    """``value``; ValueError unless it is a JSON list of strings."""
-    if type(value) is not list or any(type(item) is not str for item in value):
-        raise ValueError(f"{what} is {json.dumps(value)}, not a list of strings")
-    return value
-
-
-def _ranges(flow: dict, key: str, top: int) -> tuple[PortRange, ...]:
-    """A manifest flow's service ranges under ``key``; ValueError unless
-    each is ascending and within 0..``top``."""
-    ranges = tuple(PortRange(lo, hi) for lo, hi in flow["service"][key])
-    for lo, hi in ranges:
-        if not 0 <= lo <= hi <= top:
-            raise ValueError(f"flow {flow['rule']!r} has {key} [{lo}, {hi}], "
-                             f"not an ascending range within 0-{top}")
-    return ranges
-
-
-def _check_model(model: ZoneConduitModel) -> None:
-    """Raise ValueError unless every conduit joins known zones through
-    firewalls facing both of them, as in a topology-derived model."""
-    if not model.firewall_interfaces:
-        raise ValueError("no firewall interfaces")
-    fw_zones = firewall_zones(model)
-    for pair, conduit in model.conduits.items():
-        for zone in pair:
-            if zone not in model.zones:
-                raise ValueError(f"conduit {'-'.join(pair)} names unknown zone {zone!r}")
-        for firewall in sorted(conduit.firewalls):
-            faces = {fw_zones.get(firewall), *model.firewall_interfaces.get(firewall, ())}
-            if not set(pair) <= faces:
-                raise ValueError(f"conduit {'-'.join(pair)} names firewall {firewall!r}, "
-                                 f"which does not face both of its zones")
+def _service(name: str, entry) -> Service:
+    """The service of a manifest's ``services`` entry; ValueError unless
+    its protocol and each bound of its ranges are integers in bounds and
+    each range ascends."""
+    protocol, *fields = _fields(entry, ("protocol", *SERVICE_RANGES), f"service {name!r}")
+    if type(protocol) is not int or not 0 <= protocol <= 255:
+        raise ValueError(f"service {name!r} has protocol {json.dumps(protocol)}, "
+                         f"not an integer within 0-255")
+    ranges = [tuple(PortRange(lo, hi) for lo, hi in pairs) for pairs in fields]
+    for key, pairs, top in zip(SERVICE_RANGES, ranges, (PORT_MAX, PORT_MAX, ICMP_TYPE_MAX)):
+        for lo, hi in pairs:
+            if type(lo) is not int or type(hi) is not int or not 0 <= lo <= hi <= top:
+                raise ValueError(f"service {name!r} has {key} {json.dumps([lo, hi])}, "
+                                 f"not an ascending range of integers within 0-{top}")
+    return Service(name, protocol, *ranges)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ class Topology:
 
     devices: dict[str, Device] = field(default_factory=dict)
     links: list[Link] = field(default_factory=list)
-    file: str = "<topology>"  # the document it was loaded from, for diagnostics
+    file: str = "<topology>"  # the file it was loaded from, for diagnostics
+    document: str = ""  # the GraphML text it was loaded from, which compile copies
 
 
 class Zone(NamedTuple):
@@ -129,7 +130,7 @@ def load_topology(document: str, file: str = "<topology>") -> Topology:
     """Parse a GraphML topology document; diagnostics name ``file``."""
     graph, keymap, ns = _read_graphml(document, file)
 
-    topo = Topology(file=file)
+    topo = Topology(file=file, document=document)
     for node in graph.findall(f"{ns}node"):
         name = node.get("id") or ""
         data = _data_of(node, keymap, ns)

@@ -254,5 +254,5 @@ def test_acceptance_9_compile_determinism(tmp_path):
                     path.read_bytes()).hexdigest()
         digests.append(tree)
     assert digests[0] == digests[1]
-    assert len(digests[0]) == 14  # 3 firewalls x 3 formats + 5 artifacts
+    assert len(digests[0]) == 15  # 3 firewalls x 3 formats + 6 artifacts
     report(9, f"two compile runs match on all {len(digests[0])} output files")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from forestfw import netgen, render, sim
+from forestfw import cli, netgen, render, sim
 from forestfw.cli import main
 from forestfw.netgen import (Acl, AclRule, CompileOptions, InterfaceAssignment, NetworkPolicy,
                              TERMINAL_DENY, compile_policy)
@@ -87,6 +87,33 @@ def test_compiled_tree_matches_the_oracle(name, tmp_path, monkeypatch, capsys):
         # the plant logs its denies, so the comparison covers the LOG lines
         assert json.loads(got["manifest.json"])["options"]["log_denies"]
         assert b"-j LOG" in got["GW.iptables.txt"]
+
+
+@pytest.mark.parametrize("name", ["plant", "plant_without_ospf", "bulk1", "bulk2", "bulk3",
+                                  "grid2x2", "grid2x3", "grid3x3"])
+def test_load_compiled_rebuilds_the_compiled_model_and_flows(name, tmp_path, monkeypatch,
+                                                             capsys):
+    """The round trip through the compile directory: the model simulate
+    derives from the topology copy, and the flows it reads from the
+    manifest, are the ones the compile wrote.  Each flow's service keeps
+    its constraints, so service names are unique within a compile."""
+    args = compile_args(name.removesuffix("_without_ospf"), tmp_path)
+    if name == "plant_without_ospf":
+        args.remove("--ospf")
+    compiled = []
+
+    def spy(*args):
+        compiled.append(compile_policy(*args))
+        return compiled[-1]
+
+    monkeypatch.setattr(cli, "compile_policy", spy)
+    compiled_tree(args, tmp_path / "compiled")
+    capsys.readouterr()
+    [policy] = compiled
+    net = sim.load_compiled(tmp_path / "compiled")
+    for part in ("zones", "conduits", "firewall_interfaces"):
+        assert getattr(net.model, part) == getattr(policy.model, part), part
+    assert [flow.flow_key() for flow in net.flows] == [flow.flow_key() for flow in policy.flows]
 
 
 def test_plant_device_configs_match_the_golden_files(tmp_path, capsys):
@@ -291,7 +318,7 @@ def test_equal_neutral_files_share_rule_tuples_and_match_tables(tmp_path, capsys
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     one_by_one = {}
     for entry in manifest["assignments"]:
-        path = out / entry["file"]
+        path = out / render.neutral_file(entry["firewall"])
         acls = render.parse_neutral(path.read_text(encoding="utf-8"), str(path))
         one_by_one[entry["firewall"], entry["interface"], entry["direction"]] = next(
             acl.rules for acl in acls if acl.name == entry["acl"])

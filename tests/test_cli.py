@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from forestfw import cli, render, sim
 from forestfw.cli import main
+from forestfw.diagnostics import InputError
 from forestfw.policy_lang import parser
 from forestfw.policy_lang.syntax import PortRange
 from conftest import FIXTURES
@@ -124,11 +126,12 @@ def test_compile_writes_expected_tree(tmp_path, capsys):
         "GW.asa.txt", "GW.iptables.txt", "GW.neutral.acl",
         "R1.asa.txt", "R1.iptables.txt", "R1.neutral.acl",
         "R2.asa.txt", "R2.iptables.txt", "R2.neutral.acl",
-        "manifest.json", "metrics.txt",
+        "manifest.json", "metrics.txt", "topology.graphml",
         "zone_conduit.dot", "zone_firewall.dot",
     ]
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["options"]["ospf"] is True
+    assert (out_dir / "topology.graphml").read_bytes() == Path(TOPOLOGY).read_bytes()
 
 
 def test_compile_metrics_count_the_iptables_files_written(tmp_path, capsys):
@@ -331,6 +334,24 @@ def test_simulate_missing_manifest_is_usage_error(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_manifest_is_read_as_every_other_input(tmp_path, capsys):
+    """A missing manifest is an InputError, not a finding, and a byte that
+    is not UTF-8 is named at its line and column."""
+    with pytest.raises(InputError, match="manifest.json:0:0: error: cannot read: "):
+        sim.load_compiled(tmp_path)
+    out_dir = _compiled(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    lines = manifest_path.read_bytes().split(b"\n")
+    lines[3] = lines[3][:5] + b"\xff" + lines[3][5:]
+    manifest_path.write_bytes(b"\n".join(lines))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"forestfw: {manifest_path}:4:6: error: not UTF-8: byte 0xff "
+                            f"(invalid start byte)\n")
+    assert captured.out == ""
+
+
 def test_graph_writes_two_dot_files(tmp_path, capsys):
     out_dir = tmp_path / "graphs"
     code = main(["graph", "--topology", TOPOLOGY, "--out", str(out_dir)])
@@ -429,25 +450,12 @@ def _compiled(tmp_path, capsys):
     return out_dir
 
 
-@pytest.mark.parametrize("key", ["conduits", "zones", "firewall_interfaces"])
-def test_simulate_manifest_without_key_is_usage_error(tmp_path, capsys, key):
-    out_dir = _compiled(tmp_path, capsys)
-    manifest_path = out_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    del manifest[key]
-    manifest_path.write_text(json.dumps(manifest))
-    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.err.startswith(f"forestfw: {manifest_path}:")
-    assert repr(key) in captured.err and captured.out == ""
-
-
 def _web_service(key, value):
-    """An edit setting the plant's tcp/80 flow's service ``key`` to ``value``."""
+    """An edit setting the key ``key`` of the plant's tcp/80 service to ``value``."""
     def edit(manifest):
-        web = next(f for f in manifest["flows"] if f["service"]["dest_ports"] == [[80, 80]])
-        web["service"][key] = value
+        web = manifest["services"]["iana_services.http"]
+        assert web["dest_ports"] == [[80, 80]]
+        web[key] = value
     return edit
 
 
@@ -456,37 +464,36 @@ def _web_dest_ports(ranges):
 
 
 @pytest.mark.parametrize("edit, key", [
-    (lambda m: m["conduits"][0].__setitem__("zones", ["az1", "nowhere"]), "'nowhere'"),
-    (lambda m: m.__setitem__("firewall_interfaces", {}), "no firewall interfaces"),
-    (lambda m: m["conduits"][0].__setitem__("firewalls", ["NOPE"]), "'NOPE'"),
     (lambda m: m["flows"][0].__setitem__("dst_zone", "nowhere"), "'nowhere'"),
     # a reversed or out-of-range port range once crashed or was vetted as written
-    (_web_dest_ports([[90, 80]]), "dest_ports [90, 80], not an ascending range within 0-65535"),
+    (_web_dest_ports([[90, 80]]),
+     "dest_ports [90, 80], not an ascending range of integers within 0-65535"),
     (_web_dest_ports([[70000, 70000]]), "dest_ports [70000, 70000], not an ascending"),
     (_web_dest_ports([[-5, 80]]), "dest_ports [-5, 80], not an ascending"),
     # JSON true and floats equal integers in Python: once vetted as icmp, tcp or port 80
     (_web_service("protocol", True), "protocol true, not an integer"),
     (_web_service("protocol", 6.0), "protocol 6.0, not an integer"),
-    (_web_dest_ports([[80.0, 80.5]]), "dest_ports [[80.0, 80.5]], not integer ranges"),
-    (_web_dest_ports([[True, 65535]]), "dest_ports [[true, 65535]], not integer ranges"),
-    (lambda m: next(iter(m["zones"].values())).__setitem__("members", "R1"),
-     'members is "R1", not a list of strings'),
-    (lambda m: next(iter(m["zones"].values())).__setitem__("cidrs", "10.0.0.0/29"),
-     'cidrs is "10.0.0.0/29", not a list of strings'),
-    (lambda m: m["conduits"][0].__setitem__("firewalls", "GW"),
-     'firewalls is "GW", not a list of strings'),
-    # once vetted as a zone of a kind no topology derives
-    (lambda m: m["zones"]["z1"].__setitem__("kind", "dmz"),
-     "zone 'z1' has unknown kind \"dmz\""),
+    (_web_dest_ports([[80.0, 80.5]]), "dest_ports [80.0, 80.5], not an ascending range of int"),
+    (_web_dest_ports([[True, 65535]]), "dest_ports [true, 65535], not an ascending range of int"),
     # once vetted as 18/26 passed: no route reads an ACL bound to an unknown interface
     (lambda m: next(a for a in m["assignments"] if a["firewall"] == "GW"
                     and a["interface"] == "eth0").__setitem__("interface", "loc6l"),
      "binding GW loc6l inbound filters no route"),
-], ids=["conduit_zone", "no_firewall_interfaces", "conduit_firewall", "flow_zone",
+    # a manifest written before schema 2 records the model and no schema
+    (lambda m: [m.pop("schema"), m.update(zones={}, conduits=[], firewall_interfaces={})],
+     "schema 1, not 2: compile the policy again"),
+    (lambda m: m.__setitem__("optoins", m.pop("options")),
+     "the manifest has keys assignments, flows, optoins, schema, services, "
+     "not assignments, flows, options, schema, services"),
+    (lambda m: m["assignments"][0].__setitem__("file", "GW.neutral.acl"),
+     "an assignment has keys acl, direction, file, firewall, interface, "
+     "not acl, direction, firewall, interface"),
+    (lambda m: m["flows"][0].__setitem__("service", "iana_services.nntp"),
+     "flow 'file_transfer_rule' names unknown service 'iana_services.nntp'"),
+], ids=["flow_zone",
         "port_range_reversed", "port_range_above", "port_range_below",
         "protocol_bool", "protocol_float", "port_float", "port_bool",
-        "members_string", "cidrs_string", "conduit_firewalls_string",
-        "zone_kind", "binding_interface"])
+        "binding_interface", "schema_1", "misspelled_key", "extra_key", "flow_service"])
 def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, key):
     out_dir = _compiled(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"
@@ -500,25 +507,61 @@ def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, k
     assert key in captured.err and captured.out == ""
 
 
+def test_simulate_manifest_with_a_key_twice_is_usage_error(tmp_path, capsys):
+    """A duplicate key is refused, not read as its last value."""
+    out_dir = _compiled(tmp_path, capsys)
+    manifest_path = out_dir / "manifest.json"
+    text = manifest_path.read_text()
+    assert text.count(' "schema": 2,\n') == 1
+    manifest_path.write_text(text.replace(' "schema": 2,\n', ' "schema": 1,\n "schema": 2,\n'))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"forestfw: {manifest_path}:0:0: error: malformed manifest: "
+                            f"key \"schema\" appears twice in one object\n")
+
+
+@pytest.mark.parametrize("edit, where, message", [
+    (None, "0:0", "cannot read: No such file or directory"),
+    (lambda text: text[: len(text) // 2], r"[1-9]\d*:\d+", "malformed GraphML: "),
+    # a finding in the copy is bad compile output, not a policy finding
+    (lambda text: text.replace(">firewall<", ">router<", 1), "0:0",
+     "device 'R1' has unknown kind 'router'"),
+], ids=["missing", "malformed", "device_kind"])
+def test_simulate_bad_topology_copy_is_usage_error(tmp_path, capsys, edit, where, message):
+    """Simulate derives the model from the topology copy; an error there
+    names the copy, at its line and column when it does not parse."""
+    out_dir = _compiled(tmp_path, capsys)
+    topology = out_dir / "topology.graphml"
+    if edit is None:
+        topology.unlink()
+    else:
+        topology.write_text(edit(topology.read_text()))
+    code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert re.match(f"forestfw: {re.escape(str(topology))}:{where}: error: {re.escape(message)}",
+                    captured.err)
+    assert captured.out == ""
+
+
 def test_simulate_bad_shared_service_names_the_first_flow_carrying_it(tmp_path, capsys):
-    """Flows with equal service entries share one Service, built and checked
-    at the first of them: a bad range there names that flow."""
+    """The manifest writes each service once, and the flows that name it
+    share one Service: a bad range there names the service entry."""
     out_dir = _compiled(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    smtp = [f for f in manifest["flows"] if f["service"]["dest_ports"] == [[25, 25]]]
+    smtp = [f for f in manifest["flows"] if f["service"] == "iana_services.smtp"]
     assert len({f["rule"] for f in smtp}) == 2
-    services = {json.dumps(f["service"], sort_keys=True) for f in manifest["flows"]}
     loaded = sim.load_compiled(out_dir)
-    assert len({id(flow.service) for flow in loaded.flows}) == len(services)
-    for flow in smtp:
-        flow["service"]["dest_ports"] = [[90, 80]]
+    assert len({id(flow.service) for flow in loaded.flows}) == len(manifest["services"])
+    manifest["services"]["iana_services.smtp"]["dest_ports"] = [[90, 80]]
     manifest_path.write_text(json.dumps(manifest))
     code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith(f"forestfw: {manifest_path}:0:0: error: malformed manifest: "
-                                   f"flow {smtp[0]['rule']!r} has dest_ports [90, 80]")
+                                   f"service 'iana_services.smtp' has dest_ports [90, 80]")
 
 
 def test_simulate_manifest_binding_one_key_twice_is_usage_error(tmp_path, capsys):

@@ -344,8 +344,8 @@ def test_manifest_writes_one_entry_per_line(compiled_plant):
     lines = {line.rstrip(",") for line in text.splitlines()}
     for flow in manifest["flows"]:
         assert "  " + json.dumps(flow, sort_keys=True) in lines
-    for name, zone in manifest["zones"].items():
-        assert f"  {json.dumps(name)}: {json.dumps(zone, sort_keys=True)}" in lines
+    for name, service in manifest["services"].items():
+        assert f"  {json.dumps(name)}: {json.dumps(service, sort_keys=True)}" in lines
 
 
 def test_unknown_vendor_and_firewall_rejected(compiled_plant):

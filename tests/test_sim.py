@@ -1,5 +1,4 @@
 import ipaddress
-import json
 import random
 from pathlib import Path
 
@@ -618,7 +617,7 @@ def test_simulate_enumerates_each_pair_once(fixture_dir, tmp_path, monkeypatch, 
     assert main(["simulate", "--out", str(out)]) == 0
     assert "26/26 passed; negative vetting: 0 leak(s)" in capsys.readouterr().out
     assert len(calls) == len(set(calls))
-    zones = sorted(json.loads((out / "manifest.json").read_text(encoding="utf-8"))["zones"])
+    zones = sorted(sim.load_compiled(out).model.zones)
     assert {(src, dst) for src, dst, established in calls if not established} == {
         (src, dst) for src in zones for dst in zones if src != dst}
     assert any(established for _, _, established in calls)
