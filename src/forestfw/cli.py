@@ -48,13 +48,6 @@ FINDINGS = 1
 USAGE = 2
 
 
-def _read(path: Path) -> str:
-    try:
-        return read_text(path)
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
 def _write(path: Path, text: str | None = None) -> None:
     """Write ``text`` to the file ``path``; without text, make the
     directory ``path`` and its parents."""
@@ -74,18 +67,18 @@ class _UsageError(Exception):
 
 def _load_policy(path: Path, import_memo: dict) -> PolicySpec:
     importer = default_importer(search_paths=(path.parent,))
-    return parse_policy(_read(path), importer, file=str(path), import_memo=import_memo)
+    return parse_policy(read_text(path), importer, file=str(path), import_memo=import_memo)
 
 
 def _load_declared(spec: PolicySpec, policy_path: Path) -> ZoneConduitModel | None:
     if spec.declared_model is None:
         return None
     model_path = policy_path.parent / spec.declared_model
-    return load_declared_model(_read(model_path), str(model_path))
+    return load_declared_model(read_text(model_path), str(model_path))
 
 
 def _load_topology(path: Path) -> Topology:
-    return load_topology(_read(path), str(path))
+    return load_topology(read_text(path), str(path))
 
 
 def _gate_inputs(args: argparse.Namespace,

@@ -2,9 +2,10 @@
 
 Diagnostics print as ``<file>:<line>:<col>: <severity>: <message>`` so
 editors and humans can jump straight to the offending declaration.
-:func:`read_text` reads policies, libraries, topologies, manifests and
-neutral ACL files, so that bytes that are not UTF-8 get such a
-diagnostic too.
+:func:`read_text` is the one reader of input text: policies,
+best-practice files, libraries, topologies, declared models, device
+templates, manifests, neutral ACL files and topology copies.  A file it
+cannot read, or whose bytes are not UTF-8, gets such a diagnostic too.
 """
 
 from __future__ import annotations
@@ -56,9 +57,13 @@ def has_errors(diags: list[Diagnostic]) -> bool:
 
 def read_text(path: Path) -> str:
     """The UTF-8 text of the file ``path``, its newlines read as in text
-    mode.  An ``OSError`` propagates; bytes that are not UTF-8 raise an
-    :class:`InputError` at the line and column of the first bad byte."""
-    data = path.read_bytes()
+    mode.  A file that cannot be read raises an :class:`InputError`
+    naming it; bytes that are not UTF-8 raise one at the line and column
+    of the first bad byte."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read: {exc.strerror or exc}", str(path)) from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -168,6 +168,14 @@ def _encode(rule: "AclRule", codes: dict) -> tuple:
     return entry[1]
 
 
+def _is_terminal_deny(rule: "AclRule") -> bool:
+    """Whether ``rule`` matches as the compiler's fixed any-to-any ``ip``
+    deny, ``netgen.TERMINAL_DENY``, does."""
+    return (rule.action == "deny" and rule.protocol is None
+            and not (rule.sport or rule.dport or rule.state or rule.log)
+            and all(len(nets) == 1 and nets[0].prefixlen == 0 for nets in (rule.src, rule.dst)))
+
+
 class MatchTable:
     """First-match lookup over one ACL, each rule encoded once.
 
@@ -185,6 +193,7 @@ class MatchTable:
         self.permits = sum(1 << i for i, rule in enumerate(rules) if rule.action == "permit")
         self._dims: list[tuple[list[int], list[int]] | None] = [None] * 4
         self._heads: dict[tuple[int | None, str | None], int] = {}
+        self._decisions: dict[int, tuple[str, str]] = {}
 
     def lookup(self, protocol: int | None = None, state: str | None = None,
                src: int | None = None, dst: int | None = None,
@@ -217,14 +226,13 @@ class MatchTable:
         if not bits:
             return "deny", "implicit deny (no match)"
         index = (bits & -bits).bit_length() - 1
-        rule = self.rules[index]
-        label = rule.comment or rule.origin_service
-        if not label:
-            # the compiler's fixed any-to-any ip deny, or a rule without a remark
-            from forestfw.netgen import TERMINAL_DENY  # netgen imports this module
-            label = ("(terminal)" if rule.match_key() == TERMINAL_DENY.match_key()
-                     else "(no remark)")
-        return rule.action, f"[{index}] {rule.action} {label}"
+        decision = self._decisions.get(index)
+        if decision is None:  # labelled on first use: most rows never decide a packet
+            rule = self.rules[index]
+            label = rule.comment or rule.origin_service or (
+                "(terminal)" if _is_terminal_deny(rule) else "(no remark)")
+            decision = self._decisions[index] = (rule.action, f"[{index}] {rule.action} {label}")
+        return decision
 
     def walk(self, rows: int, masks: Mapping[int, int], universe: int) -> tuple[int, int]:
         """First match over ``universe``: each of ``rows`` in ACL order

@@ -78,7 +78,7 @@ def default_importer(search_paths: tuple[Path, ...] = ()) -> Importer:
     ``system/services/iana_services.policyml`` under each search path,
     falling back to the built-in library shipped with the package.
     Diagnostics inside the library name that path; a library file that
-    is not UTF-8 raises :class:`InputError`.
+    cannot be read or is not UTF-8 raises :class:`InputError`.
     """
 
     def resolve(dotted: str) -> tuple[str, str] | None:

@@ -33,7 +33,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from forestfw.diagnostics import InputError, PolicyError
+from forestfw.diagnostics import InputError, PolicyError, read_text
 from forestfw.header_space import STATES
 from forestfw.netgen import (
     Acl,
@@ -50,7 +50,7 @@ NEUTRAL_HEADER = "INFO Vendor neutral network-level ruleset for ACL: "
 TERMINAL_DENY_LINE = "deny~ip~from~any~to~any~sport~~dport~~state~"
 
 _TEMPLATE_DIR = Path(__file__).parent / "templates"
-VENDORS = ("neutral", "iptables_like", "asa_like")
+VENDORS = ("iptables_like", "asa_like")
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +562,15 @@ def _static_loc(literals: list[str]) -> int | None:
 def load_template(vendor_id: str, templates_dir: Path | None = None) -> DeviceTemplate:
     """Read and check ``<vendor_id>.tmpl``: every section of the dialect is
     present once, and each names only the slots it is given.  A template
-    that is missing, unreadable or fails the check raises
+    path that is not a file is no template for the vendor; a template
+    that cannot be read, is not UTF-8 or fails the check raises
     :class:`InputError` naming the file and the line."""
     root = Path(templates_dir) if templates_dir else _TEMPLATE_DIR
     path = root / f"{vendor_id}.tmpl"
     file = str(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"no template for vendor {vendor_id!r}", file) from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read template: {exc}", file) from exc
+    if not path.is_file():
+        raise InputError(f"no template for vendor {vendor_id!r}", file)
+    text = read_text(path)
     wanted = _TEMPLATE_SLOTS[vendor_id]
     sections: dict[str, tuple[int, str]] = {}  # name -> (line of its header, text)
     current: str | None = None
@@ -638,8 +636,6 @@ def render_device(policy: NetworkPolicy, firewall: str, vendor_id: str,
                   templates_dir: Path | None = None, cache: RenderCache | None = None) -> str:
     """Render one firewall's configuration for a device target."""
     cache = cache or RenderCache(policy.log_denies)
-    if vendor_id == "neutral":
-        return render_neutral_file(policy, firewall, cache)
     if vendor_id not in VENDORS:
         raise PolicyError(f"unknown vendor {vendor_id!r}")
     if firewall not in policy.acls:

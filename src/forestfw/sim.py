@@ -192,18 +192,19 @@ def load_compiled(directory: Path | str) -> SimNetwork:
 
     The model is derived from the topology copy as compile derives it,
     the bindings and the flows come from the manifest, and the rules from
-    each bound firewall's neutral file.  Each distinct file text is
+    each bound firewall's neutral file, each file read by
+    :func:`forestfw.diagnostics.read_text`.  Each distinct file text is
     decoded once, each distinct rule line and remark and each distinct
     field text once across the files, and ACLs of equal rules share one
-    rule tuple.  A file that is missing, not UTF-8 or malformed, an error
-    in the topology copy (bad compile output, not a policy finding), or a
-    manifest that breaks schema 2 or binds one key twice raises
-    :class:`InputError` naming the file.
+    rule tuple.  A file that is missing, unreadable, not UTF-8 or
+    malformed, an error in the topology copy (bad compile output, not a
+    policy finding), or a manifest that breaks schema 2 or binds one key
+    twice raises :class:`InputError` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     where = str(manifest_path)
-    text = _read(manifest_path)
+    text = read_text(manifest_path)
     try:
         model, bindings, flows = _from_manifest(
             json.loads(text, object_pairs_hook=_unique_keys), directory)
@@ -226,7 +227,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
             raise InputError(f"the manifest binds {' '.join(key)} twice", where)
         path = directory / neutral_file(key[0])
         if key[0] not in acls_per_file:
-            text = _read(path)
+            text = read_text(path)
             # files of equal text, as serial firewalls write, share their rules
             if text not in acls_per_text:
                 acls_per_text[text] = {
@@ -238,13 +239,6 @@ def load_compiled(directory: Path | str) -> SimNetwork:
                              f"{' '.join(key)}", str(path))
         acl_map[key] = acls_per_file[key[0]][acl_name]
     return SimNetwork(model, acl_map, flows)
-
-
-def _read(path: Path) -> str:
-    try:
-        return read_text(path)
-    except OSError as exc:
-        raise InputError(f"cannot read: {exc.strerror or exc}", str(path)) from exc
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -279,7 +273,7 @@ def _from_manifest(manifest: dict, directory: Path
     topology = directory / TOPOLOGY_FILE
     try:
         model = derive_zone_conduit(build_zone_firewall_model(
-            load_topology(_read(topology), str(topology))))
+            load_topology(read_text(topology), str(topology))))
     except PolicyError as exc:  # a finding in the copy is bad compile output
         raise InputError(*exc.diagnostic[1:]) from exc
 

@@ -777,6 +777,70 @@ def test_undecodable_library_is_an_io_error(tmp_path, capsys):
                             f"(invalid continuation byte)\n")
 
 
+@pytest.mark.parametrize("kind", [
+    "policy", "best_practice", "topology", "declared_model", "library",
+    "manifest", "neutral", "topology_copy"])
+def test_unreadable_input_is_one_io_error(tmp_path, capsys, monkeypatch, kind):
+    """Every input is read by one reader: a file that cannot be read, here
+    a directory where the file should be (or, for a library, which the
+    importer skips when it is a directory, a read that raises), exits 2
+    with one diagnostic line naming it."""
+    if kind in ("manifest", "neutral", "topology_copy"):
+        out_dir = _compiled(tmp_path, capsys)
+        path = out_dir / {"manifest": "manifest.json", "neutral": "R1.neutral.acl",
+                          "topology_copy": "topology.graphml"}[kind]
+        args = ["simulate", "--out", str(out_dir), "--scan-ports", "0-64"]
+    else:
+        for source in (POLICY_FIXED, BEST_PRACTICE, TOPOLOGY, FIXTURES / "zone_conduit.graphml"):
+            shutil.copy(source, tmp_path)
+        policy = tmp_path / "scada_plant_fixed.policyml"
+        path = tmp_path / {"policy": policy.name, "best_practice": "scada_isa.policyml",
+                           "topology": "topology.graphml",
+                           "declared_model": "zone_conduit.graphml",
+                           "library": "mylib/svc.policyml"}[kind]
+        args = ["check", "--policy", str(policy), "--topology", str(tmp_path / "topology.graphml"),
+                "--best-practice", str(tmp_path / "scada_isa.policyml")]
+    if kind == "library":
+        path.parent.mkdir()
+        path.write_text("service web { protocol=tcp; tcp.dest_port=80; }\n")
+        policy.write_text("import mylib.svc;\n" + policy.read_text())
+        read_bytes = Path.read_bytes
+
+        def refused(self):
+            if self == path:
+                raise PermissionError(13, "Permission denied", str(self))
+            return read_bytes(self)
+
+        monkeypatch.setattr(Path, "read_bytes", refused)
+        reason = "Permission denied"
+    else:
+        path.unlink()
+        path.mkdir()
+        reason = "Is a directory"
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"forestfw: {path}:0:0: error: cannot read: {reason}\n"
+    assert captured.out == ""
+
+
+def test_template_that_is_not_utf8_is_named_at_its_line(tmp_path, capsys):
+    templates = tmp_path / "templates"
+    shutil.copytree(Path(render.__file__).parent / "templates", templates)
+    path = templates / "asa_like.tmpl"
+    lines = path.read_bytes().split(b"\n")
+    lines[1] = b"ab\xff" + lines[1]
+    path.write_bytes(b"\n".join(lines))
+    out_dir = tmp_path / "compiled"
+    code = main(["compile", "--policy", POLICY_FIXED, "--topology", TOPOLOGY,
+                 "--out", str(out_dir), "--templates", str(templates)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"forestfw: {path}:2:3: error: not UTF-8: byte 0xff "
+                            f"(invalid start byte)\n")
+    assert not out_dir.exists()
+
+
 def test_simulate_undecodable_neutral_acl_is_an_io_error(tmp_path, capsys):
     out_dir = _compiled(tmp_path, capsys)
     acl_file = out_dir / "R1.neutral.acl"

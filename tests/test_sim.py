@@ -600,6 +600,36 @@ def test_plant_vetting_passes_match_the_golden_file(fixture_dir, tmp_path, capsy
     assert passes == golden.read_text(encoding="utf-8").splitlines()
 
 
+@pytest.mark.parametrize("src_zone, src, dst_zone, dst, hops", [
+    ("z2", "203.0.113.1", "z1", "10.0.0.1", [
+        ("GW", "eth1", "[2] permit enable corp_zone to internet_zone CORP_WEB_ACCESS "
+                       "traffic (return path)")]),
+    ("z1", "10.0.0.1", "z3", "10.0.0.17", [
+        ("R1", "eth0", "[10] permit enable scada_zone to corp_zone DNS traffic (return path)"),
+        ("R2", "eth0", "[6] permit enable scada_zone to corp_zone DNS traffic (return path)")]),
+], ids=["z2->z1", "z1->z3"])
+def test_plant_delivers_a_packet_no_flow_admits(fixture_dir, tmp_path, capsys,
+                                               src_zone, src, dst_zone, dst, hops):
+    """The compiled plant delivers UDP sport 53 to dport 5555 NEW through
+    the return-path permits of a stateless UDP flow, though no flow of
+    the zone pair admits that packet: the leak negative vetting's one
+    sample per zone pair does not see (ROADMAP false claim 1).  Nothing
+    is asserted of ``simulate``'s leak count, which vetting the full
+    header space will change."""
+    compile_plant(fixture_dir, tmp_path / "plant")
+    capsys.readouterr()
+    net = sim.load_compiled(tmp_path / "plant")
+    packet = Packet(addr(src), addr(dst), protocol=17, sport=53, dport=5555, state=NEW)
+    assert net.zone_of_address(packet.dst_addr) == dst_zone
+    result = inject(net, packet, src_zone)
+    assert result.delivered
+    assert [(hop.firewall, hop.interface, hop.rule) for hop in result.trace] == hops
+    services = [flow.service for flow in net.flows
+                if (flow.src_zone, flow.dst_zone) == (src_zone, dst_zone)]
+    assert services
+    assert not any(service_accepts(service, packet) for service in services)
+
+
 def test_simulate_enumerates_each_pair_once(fixture_dir, tmp_path, monkeypatch, capsys):
     """Negative vetting reads the routes positive vetting cached: one
     ``simulate`` searches the paths of each (src, dst, established) once,
