@@ -50,7 +50,7 @@ USAGE = 2
 
 def _write(path: Path, text: str | None = None) -> None:
     """Write ``text`` to the file ``path``; without text, make the
-    directory ``path`` and its parents."""
+    directory ``path`` and its parents.  A failure is an InputError."""
     try:
         if text is None:
             path.mkdir(parents=True, exist_ok=True)
@@ -58,7 +58,7 @@ def _write(path: Path, text: str | None = None) -> None:
             path.write_text(text, encoding="utf-8")
     except OSError as exc:
         what = "create directory" if text is None else "write"
-        raise _UsageError(f"cannot {what} {path}: {exc.strerror or exc}") from exc
+        raise InputError(f"cannot {what}: {exc.strerror or exc}", str(path)) from exc
 
 
 class _UsageError(Exception):
@@ -181,7 +181,7 @@ def _replace_dir(staging: Path, target: Path) -> None:
         if target.is_dir() and (not any(target.iterdir()) or (target / "manifest.json").exists()):
             shutil.rmtree(target)
         else:
-            raise _UsageError(f"refusing to overwrite {target}: not a compile output directory")
+            raise InputError("refusing to overwrite: not a compile output directory", str(target))
     os.replace(staging, target)
 
 

@@ -39,8 +39,9 @@ class PolicyError(Exception):
 
 class InputError(PolicyError):
     """An input file that cannot be read as its format: a topology that
-    is not GraphML, a manifest or neutral ACL file that does not parse.
-    The command line reports it as a usage/IO error."""
+    is not GraphML, a manifest or neutral ACL file that does not parse;
+    or an output path that cannot be written.  The command line reports
+    it as a usage/IO error."""
 
 
 class CompileError(Exception):

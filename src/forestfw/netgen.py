@@ -291,6 +291,24 @@ def hop_acls(crossings: Iterable[tuple[str, str, str]]) -> tuple[tuple[str, str,
                  for fw, entry, exit_ in crossings)
 
 
+def acl_names(model: ZoneConduitModel) -> dict[tuple[str, str, str], str]:
+    """The name of every ACL compiled for ``model``, by the key
+    ``(firewall, interface, direction)`` it is bound at: per firewall with
+    interfaces, one inbound per interface and the local stage inbound and
+    outbound, named ``acl_1``, ``acl_2``, ... in key order.  Every key
+    :func:`hop_acls` names for a hop of ``model`` is one of these, as a
+    firewall realizing a hop faces both its zones; so compile and the
+    simulator both take the bindings from here, and none is recorded."""
+    names = {}
+    for firewall, faces in sorted(model.firewall_interfaces.items()):
+        if not faces:
+            continue  # disconnected firewall: no conduits, no ACLs
+        keys = [(firewall, iface, "inbound") for iface in set(faces.values())]
+        keys += [(firewall, LOCAL_INTERFACE, "inbound"), (firewall, LOCAL_INTERFACE, "outbound")]
+        names.update((key, f"acl_{i}") for i, key in enumerate(sorted(keys), start=1))
+    return names
+
+
 # ---------------------------------------------------------------------------
 # rule translation
 
@@ -491,12 +509,10 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     # crosses it, so visiting a hop again would only add duplicates
     # ``_assemble`` drops
     targets_cache: dict[tuple[str, str], list[tuple[tuple, tuple]]] = {}
+    names = acl_names(model)
     # each ACL's rules as ``_keyed`` entries: a rule installed on several
-    # ACLs is keyed once
-    buckets: dict[tuple[str, str, str], list[_Keyed]] = {}
-
-    def bucket(firewall: str, interface: str, direction: str) -> list[_Keyed]:
-        return buckets.setdefault((firewall, interface, direction), [])
+    # ACLs is keyed once; every key a hop names is among ``names``
+    buckets: dict[tuple[str, str, str], list[_Keyed]] = {key: [] for key in names}
 
     for flow in flows:
         pair = (flow.src_zone, flow.dst_zone)
@@ -521,20 +537,10 @@ def compile_policy(spec: PolicySpec, topo: Topology,
         returns = [_keyed(r, net_keys) for r in supplemented if r.flow_dir == "return"]
 
         for forward_key, return_key in targets:
-            bucket(*forward_key).extend(forward)
-            bucket(*return_key).extend(returns)
+            buckets[forward_key].extend(forward)
+            buckets[return_key].extend(returns)
     if has_errors(diags):
         raise CompileError(diags)
-
-    # every active interface carries an ACL, even if it is deny-only
-    for firewall in sorted(model.firewall_interfaces):
-        ifaces = model.firewall_interfaces[firewall]
-        if not ifaces:
-            continue  # disconnected firewall: no conduits, no ACLs
-        for iface in sorted(set(ifaces.values())):
-            bucket(firewall, iface, "inbound")
-        bucket(firewall, LOCAL_INTERFACE, "inbound")
-        bucket(firewall, LOCAL_INTERFACE, "outbound")
 
     ospf_rules = ospf_supplementary_rules() if options.ospf else []
 
@@ -545,25 +551,19 @@ def compile_policy(spec: PolicySpec, topo: Topology,
     # serial firewalls' are; keyed by the entries' ids, which the buckets
     # hold for the compile
     shared: dict[tuple, Acl] = {}
-    for firewall in sorted({fw for fw, _, _ in buckets}):
-        counter = 0
-        for (fw, iface, direction) in sorted(buckets):
-            if fw != firewall:
-                continue
-            counter += 1
-            name = f"acl_{counter}"
-            entries = buckets[(fw, iface, direction)]
-            ospf = bool(ospf_rules) and iface != LOCAL_INTERFACE
-            key = (name, ospf, *map(id, entries))
-            acl = shared.get(key)
-            if acl is None:
-                rules = _assemble(entries)
-                if ospf:
-                    rules.extend(ospf_rules)
-                rules.append(TERMINAL_DENY)
-                acl = shared[key] = Acl(name, tuple(rules))
-            acls.setdefault(firewall, []).append(acl)
-            assignments.append(InterfaceAssignment(firewall, iface, direction, name))
+    for (firewall, iface, direction), name in names.items():
+        entries = buckets[firewall, iface, direction]
+        ospf = bool(ospf_rules) and iface != LOCAL_INTERFACE
+        key = (name, ospf, *map(id, entries))
+        acl = shared.get(key)
+        if acl is None:
+            rules = _assemble(entries)
+            if ospf:
+                rules.extend(ospf_rules)
+            rules.append(TERMINAL_DENY)
+            acl = shared[key] = Acl(name, tuple(rules))
+        acls.setdefault(firewall, []).append(acl)
+        assignments.append(InterfaceAssignment(firewall, iface, direction, name))
 
     return NetworkPolicy(
         model=model,

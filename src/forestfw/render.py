@@ -744,7 +744,7 @@ def _asa_lines(acl: Acl, template: DeviceTemplate, cache: RenderCache) -> tuple[
 # compile manifest and LoC metrics
 
 TOPOLOGY_FILE = "topology.graphml"  # the copy of the topology a compile writes
-MANIFEST_SCHEMA = 2
+MANIFEST_SCHEMA = 3
 SERVICE_RANGES = ("source_ports", "dest_ports", "icmp_types")  # a service's range lists
 
 
@@ -755,12 +755,12 @@ def neutral_file(firewall: str) -> str:
 
 def build_manifest(policy: NetworkPolicy) -> dict:
     """What the simulator reads beside the topology copy and the neutral
-    files: each ACL binding, each expanded flow naming its service, each
-    service once under its name, and the compile options.  The model is
-    not recorded: the simulator derives it from the topology copy."""
+    files: each expanded flow naming its service, each service once under
+    its name, and the compile options.  The model and the ACL bindings
+    are not recorded: the simulator derives the model from the topology
+    copy, and the bindings from the model by ``netgen.acl_names``."""
     return {
         "schema": MANIFEST_SCHEMA,
-        "assignments": [a._asdict() for a in policy.assignments],
         "flows": [{"rule": flow.rule_name, "src_zone": flow.src_zone,
                    "dst_zone": flow.dst_zone, "service": flow.service.name}
                   for flow in policy.flows],
@@ -774,7 +774,7 @@ def build_manifest(policy: NetworkPolicy) -> dict:
 def manifest_json(policy: NetworkPolicy) -> str:
     """The manifest as JSON, keys sorted: one line per top-level key, and
     one line per entry of a list- or dict-valued key, so that a diff of
-    two manifests shows the flows, assignments or services that changed."""
+    two manifests shows the flows or services that changed."""
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps makes one per call
     lines = []
     for key, value in sorted(build_manifest(policy).items()):

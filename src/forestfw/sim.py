@@ -1,12 +1,13 @@
 """In-process packet-filter simulator.
 
 :func:`load_compiled` reads a compile output directory back: the model
-derived from its topology copy as compile derives it, the manifest's
-bindings and flows, and the neutral files' rules.  The simulator walks
-packets along routes: conduit paths whose hops carry the ACLs
-``netgen.hop_acls`` assigns them, as compile does.  Each network
-builds one :class:`forestfw.netgen.PathIndex` of its model, on first use,
-and every path search and route of the network walks it.  It evaluates
+derived from its topology copy as compile derives it, the ACLs
+``netgen.acl_names`` names for that model, the manifest's flows, and the
+neutral files' rules.  The simulator walks packets along routes: conduit
+paths whose hops carry the ACLs ``netgen.hop_acls`` assigns them, as
+compile does.  Each network builds one
+:class:`forestfw.netgen.PathIndex` of its model, on first use, and every
+path search and route of the network walks it.  It evaluates
 each traversed firewall's ACL first-match, with a connection table gating
 ESTABLISHED traffic.  Packets are :class:`forestfw.header_space.Packet`
 header points.  Neutral files of equal text are decoded once, and each
@@ -36,7 +37,7 @@ from typing import NamedTuple
 from forestfw import intervals
 from forestfw.diagnostics import InputError, PolicyError, read_text
 from forestfw.header_space import ESTABLISHED, NEW, Grid, MatchTable, Packet, address_intervals
-from forestfw.netgen import AclRule, InterfaceAssignment, PathIndex, enumerate_paths
+from forestfw.netgen import AclRule, PathIndex, acl_names, enumerate_paths
 from forestfw.policy_lang.syntax import (
     FULL_ICMP_SET,
     ICMP_TYPE_MAX,
@@ -56,7 +57,6 @@ from forestfw.render import (
     parse_neutral,
 )
 from forestfw.topo_model import (
-    LOCAL_INTERFACE,
     Zone,
     ZoneConduitModel,
     build_zone_firewall_model,
@@ -191,22 +191,24 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     """Rebuild the simulated network from a compile output directory.
 
     The model is derived from the topology copy as compile derives it,
-    the bindings and the flows come from the manifest, and the rules from
-    each bound firewall's neutral file, each file read by
+    each ACL :func:`forestfw.netgen.acl_names` names for it is bound at
+    its key, the flows come from the manifest, and the rules from each
+    firewall's neutral file, each file read by
     :func:`forestfw.diagnostics.read_text`.  Each distinct file text is
     decoded once, each distinct rule line and remark and each distinct
     field text once across the files, and ACLs of equal rules share one
     rule tuple.  A file that is missing, unreadable, not UTF-8 or
     malformed, an error in the topology copy (bad compile output, not a
-    policy finding), or a manifest that breaks schema 2 or binds one key
-    twice raises :class:`InputError` naming the file.
+    policy finding), a manifest that breaks schema 3, or a neutral file
+    without an ACL the model names raises :class:`InputError` naming the
+    file.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     where = str(manifest_path)
     text = read_text(manifest_path)
     try:
-        model, bindings, flows = _from_manifest(
+        model, flows = _from_manifest(
             json.loads(text, object_pairs_hook=_unique_keys), directory)
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed manifest: {exc.msg}", where, exc.lineno, exc.colno) from exc
@@ -222,9 +224,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
     # keeps them alive): equal ACLs in files that differ, such as the
     # deny-only ones, share a tuple and so a match table
     interned: dict[tuple[int, ...], tuple[AclRule, ...]] = {}
-    for acl_name, key in bindings:
-        if key in acl_map:
-            raise InputError(f"the manifest binds {' '.join(key)} twice", where)
+    for key, acl_name in acl_names(model).items():
         path = directory / neutral_file(key[0])
         if key[0] not in acls_per_file:
             text = read_text(path)
@@ -235,8 +235,7 @@ def load_compiled(directory: Path | str) -> SimNetwork:
                     for acl in parse_neutral(text, str(path), decoded, fields)}
             acls_per_file[key[0]] = acls_per_text[text]
         if acl_name not in acls_per_file[key[0]]:
-            raise InputError(f"no ACL {acl_name!r}, which the manifest binds to "
-                             f"{' '.join(key)}", str(path))
+            raise InputError(f"no ACL {acl_name!r} for {' '.join(key)}", str(path))
         acl_map[key] = acls_per_file[key[0]][acl_name]
     return SimNetwork(model, acl_map, flows)
 
@@ -260,32 +259,25 @@ def _fields(entry, keys: tuple[str, ...], what: str) -> tuple:
 
 
 def _from_manifest(manifest: dict, directory: Path
-                   ) -> tuple[ZoneConduitModel, list, tuple[FlowRule, ...]]:
+                   ) -> tuple[ZoneConduitModel, tuple[FlowRule, ...]]:
     """The model derived from the topology copy in ``directory``, and the
-    (ACL, binding key) pairs and the flows of its manifest."""
+    flows of its manifest."""
     # a manifest without a schema key was written before schema 2
     if manifest.get("schema", 1) != MANIFEST_SCHEMA:
         raise ValueError(f"schema {json.dumps(manifest.get('schema', 1))}, not "
                          f"{MANIFEST_SCHEMA}: compile the policy again")
-    assignments, flow_entries, options, services, _ = _fields(
-        manifest, ("assignments", "flows", "options", "services", "schema"), "the manifest")
-    _fields(options, ("log_denies", "ospf"), "options")
+    flow_entries, options, services, _ = _fields(
+        manifest, ("flows", "options", "services", "schema"), "the manifest")
+    option_keys = ("log_denies", "ospf")
+    for key, value in zip(option_keys, _fields(options, option_keys, "options")):
+        if type(value) is not bool:
+            raise ValueError(f"option {key} is {json.dumps(value)}, not true or false")
     topology = directory / TOPOLOGY_FILE
     try:
         model = derive_zone_conduit(build_zone_firewall_model(
             load_topology(read_text(topology), str(topology))))
     except PolicyError as exc:  # a finding in the copy is bad compile output
         raise InputError(*exc.diagnostic[1:]) from exc
-
-    bindings = []
-    for entry in assignments:
-        fw, iface, direction, acl = _fields(entry, InterfaceAssignment._fields, "an assignment")
-        # the keys netgen.hop_acls names
-        if fw not in model.firewall_interfaces or not (
-                iface == LOCAL_INTERFACE and direction in ("inbound", "outbound")
-                or direction == "inbound" and iface in model.firewall_interfaces[fw].values()):
-            raise ValueError(f"binding {fw} {iface} {direction} filters no route")
-        bindings.append((acl, (fw, iface, direction)))
 
     catalog = {name: _service(name, entry) for name, entry in services.items()}
     flows = []
@@ -298,7 +290,7 @@ def _from_manifest(manifest: dict, directory: Path
         if service not in catalog:
             raise ValueError(f"flow {rule!r} names unknown service {service!r}")
         flows.append(FlowRule(rule, src_zone, dst_zone, catalog[service]))
-    return model, bindings, tuple(flows)
+    return model, tuple(flows)
 
 
 def _service(name: str, entry) -> Service:

@@ -315,13 +315,11 @@ def test_equal_neutral_files_share_rule_tuples_and_match_tables(tmp_path, capsys
     net = sim.load_compiled(out)
     assert all(net.acl_map["R1", *key[1:]] is net.acl_map[key]
                for key in net.acl_map if key[0] == "R2")
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     one_by_one = {}
-    for entry in manifest["assignments"]:
-        path = out / render.neutral_file(entry["firewall"])
+    for key, name in netgen.acl_names(net.model).items():
+        path = out / render.neutral_file(key[0])
         acls = render.parse_neutral(path.read_text(encoding="utf-8"), str(path))
-        one_by_one[entry["firewall"], entry["interface"], entry["direction"]] = next(
-            acl.rules for acl in acls if acl.name == entry["acl"])
+        one_by_one[key] = next(acl.rules for acl in acls if acl.name == name)
     unshared = sim.SimNetwork(net.model, one_by_one, net.flows)
 
     assert sim.vet_positive(net) == sim.vet_positive(unshared)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from forestfw import cli, render, sim
 from forestfw.cli import main
 from forestfw.diagnostics import InputError
+from forestfw.netgen import acl_names
 from forestfw.policy_lang import parser
 from forestfw.policy_lang.syntax import PortRange
 from conftest import FIXTURES
@@ -380,10 +381,34 @@ def test_unwritable_output_path_is_usage_error(tmp_path, capsys, command, target
     assert main([command, *args]) == 2
     err = capsys.readouterr().err
     failed = target.parent if command == "compile" else target
-    assert err == f"forestfw: {message.format(failed)}\n"
+    # the path that failed leads the line, as an unreadable input's does
+    assert err == f"forestfw: {failed}:0:0: error: {message.replace(' {}', '')}\n"
     assert (tmp_path / "blocker").read_text() == "not a directory"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "blocker_dir"]
     assert not any((tmp_path / "blocker_dir").iterdir())
+
+
+@pytest.mark.parametrize("command, target, failed, message", [
+    ("graph", "graphs/zone_conduit.dot", "graphs/zone_conduit.dot",
+     "cannot create directory: File exists"),
+    ("graph", "graphs", "graphs/zone_firewall.dot", "cannot write: Is a directory"),
+    ("compile", "graphs", "graphs", "refusing to overwrite: not a compile output directory"),
+], ids=["create_directory", "write", "overwrite"])
+def test_output_error_names_the_path(tmp_path, capsys, command, target, failed, message):
+    """An output path that cannot be written is one diagnostic line that
+    names it as ``FILE:LINE:COL`` does, exit 2: a graph file where a
+    directory has to go, a directory where a graph file has to go, and a
+    graph directory where compile output has to go."""
+    graphs = tmp_path / "graphs"
+    assert main(["graph", "--topology", TOPOLOGY, "--out", str(graphs)]) == 0
+    (graphs / "zone_firewall.dot").unlink()
+    (graphs / "zone_firewall.dot").mkdir()
+    capsys.readouterr()
+    target = tmp_path / target
+    args = {"compile": ["--policy", POLICY_FIXED, "--topology", TOPOLOGY, "--out", str(target)],
+            "graph": ["--topology", TOPOLOGY, "--out", str(target)]}[command]
+    assert main([command, *args]) == 2
+    assert capsys.readouterr().err == f"forestfw: {tmp_path / failed}:0:0: error: {message}\n"
 
 
 def test_graph_bad_topology_path(capsys):
@@ -475,25 +500,30 @@ def _web_dest_ports(ranges):
     (_web_service("protocol", 6.0), "protocol 6.0, not an integer"),
     (_web_dest_ports([[80.0, 80.5]]), "dest_ports [80.0, 80.5], not an ascending range of int"),
     (_web_dest_ports([[True, 65535]]), "dest_ports [true, 65535], not an ascending range of int"),
-    # once vetted as 18/26 passed: no route reads an ACL bound to an unknown interface
-    (lambda m: next(a for a in m["assignments"] if a["firewall"] == "GW"
-                    and a["interface"] == "eth0").__setitem__("interface", "loc6l"),
-     "binding GW loc6l inbound filters no route"),
     # a manifest written before schema 2 records the model and no schema
     (lambda m: [m.pop("schema"), m.update(zones={}, conduits=[], firewall_interfaces={})],
-     "schema 1, not 2: compile the policy again"),
+     "schema 1, not 3: compile the policy again"),
+    # a manifest written before schema 3 records each ACL binding
+    (lambda m: m.update(schema=2, assignments=[
+        {"firewall": "GW", "interface": "eth0", "direction": "inbound", "acl": "acl_1"}]),
+     "schema 2, not 3: compile the policy again"),
     (lambda m: m.__setitem__("optoins", m.pop("options")),
-     "the manifest has keys assignments, flows, optoins, schema, services, "
-     "not assignments, flows, options, schema, services"),
-    (lambda m: m["assignments"][0].__setitem__("file", "GW.neutral.acl"),
-     "an assignment has keys acl, direction, file, firewall, interface, "
-     "not acl, direction, firewall, interface"),
+     "the manifest has keys flows, optoins, schema, services, "
+     "not flows, options, schema, services"),
+    (lambda m: m["flows"][0].__setitem__("file", "GW.neutral.acl"),
+     "a flow has keys dst_zone, file, rule, service, src_zone, "
+     "not dst_zone, rule, service, src_zone"),
     (lambda m: m["flows"][0].__setitem__("service", "iana_services.nntp"),
      "flow 'file_transfer_rule' names unknown service 'iana_services.nntp'"),
+    # once vetted as 26/26 passed: an option is true or false
+    (lambda m: m["options"].__setitem__("ospf", "yes"), 'option ospf is "yes", not true or false'),
+    (lambda m: m["options"].__setitem__("log_denies", [1]),
+     "option log_denies is [1], not true or false"),
 ], ids=["flow_zone",
         "port_range_reversed", "port_range_above", "port_range_below",
         "protocol_bool", "protocol_float", "port_float", "port_bool",
-        "binding_interface", "schema_1", "misspelled_key", "extra_key", "flow_service"])
+        "schema_1", "schema_2", "misspelled_key", "extra_key", "flow_service",
+        "option_ospf", "option_log_denies"])
 def test_simulate_inconsistent_manifest_is_usage_error(tmp_path, capsys, edit, key):
     out_dir = _compiled(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"
@@ -512,8 +542,8 @@ def test_simulate_manifest_with_a_key_twice_is_usage_error(tmp_path, capsys):
     out_dir = _compiled(tmp_path, capsys)
     manifest_path = out_dir / "manifest.json"
     text = manifest_path.read_text()
-    assert text.count(' "schema": 2,\n') == 1
-    manifest_path.write_text(text.replace(' "schema": 2,\n', ' "schema": 1,\n "schema": 2,\n'))
+    assert text.count(' "schema": 3,\n') == 1
+    manifest_path.write_text(text.replace(' "schema": 3,\n', ' "schema": 1,\n "schema": 3,\n'))
     code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
     captured = capsys.readouterr()
     assert code == 2
@@ -564,22 +594,23 @@ def test_simulate_bad_shared_service_names_the_first_flow_carrying_it(tmp_path, 
                                    f"service 'iana_services.smtp' has dest_ports [90, 80]")
 
 
-def test_simulate_manifest_binding_one_key_twice_is_usage_error(tmp_path, capsys):
-    """A second ACL bound to GW's eth0 inbound is refused, naming the
-    manifest and the key, instead of replacing the first binding."""
+def test_simulate_neutral_file_without_a_derived_acl_is_usage_error(tmp_path, capsys):
+    """The model names R1's local inbound ACL acl_3: a neutral file that
+    lost that section is bad compile output, exit 2 naming the file and
+    the key."""
     out_dir = _compiled(tmp_path, capsys)
-    manifest_path = out_dir / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    gw = [a for a in manifest["assignments"] if a["firewall"] == "GW"]
-    first = next(a for a in gw if (a["interface"], a["direction"]) == ("eth0", "inbound"))
-    other = next(a["acl"] for a in gw if a["acl"] != first["acl"])
-    manifest["assignments"].append({**first, "acl": other})
-    manifest_path.write_text(json.dumps(manifest))
+    assert acl_names(sim.load_compiled(out_dir).model)["R1", "local", "inbound"] == "acl_3"
+    acl_file = out_dir / "R1.neutral.acl"
+    sections = acl_file.read_text().split("\n\n")
+    kept = [section for section in sections
+            if not section.startswith("INFO Vendor neutral network-level ruleset for ACL: acl_3\n")]
+    assert len(kept) == len(sections) - 1
+    acl_file.write_text("\n\n".join(kept))
     code = main(["simulate", "--out", str(out_dir), "--scan-ports", "0-64"])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.err.startswith(f"forestfw: {manifest_path}:0:0: error: ")
-    assert "GW eth0 inbound" in captured.err and captured.out == ""
+    assert captured.err == f"forestfw: {acl_file}:0:0: error: no ACL 'acl_3' for R1 local inbound\n"
+    assert captured.out == ""
 
 
 def test_simulate_bad_neutral_address_names_file_and_line(tmp_path, capsys):

@@ -7,6 +7,7 @@ from forestfw.netgen import (
     CompileOptions,
     PathIndex,
     TERMINAL_DENY,
+    acl_names,
     add_supplementary_rules,
     compile_policy,
     enumerate_paths,
@@ -26,7 +27,7 @@ from forestfw.topo_model import (
     firewall_zones,
     load_topology,
 )
-from conftest import load_fixture_policy
+from conftest import FIXTURES, load_fixture_policy
 from support import (
     enumerate_paths_exhaustive,
     from_network_policy,
@@ -287,6 +288,28 @@ def test_every_acl_is_assigned(compiled_plant):
     produced = {(fw, acl.name) for fw in compiled_plant.acls
                 for acl in compiled_plant.acls[fw]}
     assert assigned == produced
+
+
+@pytest.mark.parametrize("topology", ["fixture", "grid2x3", "grid3x3", "ring", "chain"])
+def test_every_hop_acl_is_a_named_acl(topology):
+    """Each key a hop's route names is one ``acl_names`` gives a name, so
+    every ACL compile fills and the simulator walks is written and bound.
+    The plant, with or without OSPF, and the bulk policies compile onto
+    the fixture topology; the model is derived from the topology alone."""
+    if topology.startswith("grid"):
+        model = grid_model(*map(int, topology[len("grid"):].split("x")))
+    elif topology == "ring":
+        model = ring_model()
+    else:
+        name = {"fixture": "topology.graphml", "chain": "firewall_chain.graphml"}[topology]
+        model = derive_zone_conduit(build_zone_firewall_model(
+            load_topology((FIXTURES / name).read_text(encoding="utf-8"))))
+    names = acl_names(model)
+    keys = {key for hop in PathIndex(model).hop_keys.values() for key in hop}
+    assert keys and keys <= names.keys()
+    for firewall in model.firewall_interfaces:
+        bound = sorted(key for key in names if key[0] == firewall)
+        assert [names[key] for key in bound] == [f"acl_{i}" for i in range(1, len(bound) + 1)]
 
 
 def test_no_generic_permits(compiled_plant):
